@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     NotAbelian,
     NotSimultaneouslyDiagonalizable,
+    SelfCheckFailed,
     ShapeMismatch,
 )
 from .groups import FiniteGroup, ProjectiveRep, PureState, subgroup_closure
@@ -36,6 +37,8 @@ class ChargeDistribution:
         size = int(np.prod(self.shape))
         if p.shape != (size,):
             raise ShapeMismatch(f"expected {size} probabilities, got shape {p.shape}")
+        if not np.isfinite(p).all():
+            raise ShapeMismatch("non-finite probability")
         if p.min() < -TOL_W:
             raise ShapeMismatch(f"negative probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > 1e-8:
@@ -243,5 +246,6 @@ def shift_canonicalize(dist: ChargeDistribution, tol_one: float = 1e-10) -> Char
     out = ChargeDistribution(shape=dist.shape, probs=shifted.ravel())
     lam = dual_fourier(out).values
     unit = np.abs(lam) >= 1.0 - tol_one
-    assert np.allclose(lam[unit], 1.0, atol=1e-8), "canonicalization failed"
+    if not np.allclose(lam[unit], 1.0, atol=1e-8):
+        raise SelfCheckFailed("shift canonicalization left a unit-modulus coefficient != 1")
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import TOL_ONE, TOL_ZERO, CharFunction, classify_sets
-from .errors import GroupMismatch, NoDecay, NotASubgroup
+from .errors import GroupMismatch, NoDecay, NotASubgroup, SelfCheckFailed
 from .groups import FiniteGroup, subgroup_closure
 
 
@@ -107,7 +107,8 @@ def convergence_to_uniform(
                     if g not in sets.sym and not np.isneginf(char_psi.logmod[g])
                 )
             )
-        assert delta <= eps + 1e-15
+        if not delta <= eps + 1e-15:
+            raise SelfCheckFailed(f"distance {delta!r} exceeds the bound {eps!r} at N = {N}")
         points.append(ConvergencePoint(N=int(N), bound=eps, distance=delta))
     return ConvergenceReport(s=s, sym=sets.sym, points=points)
 
@@ -133,7 +134,8 @@ def can_generate_from_uniform(
     ind = uni.values()
     with np.errstate(under="ignore"):
         prod_mod = ind * np.exp(np.where(np.isneginf(char_phi.logmod), -np.inf, char_phi.logmod) * n * M)
-    assert np.abs(prod_mod - ind).max() <= n * M * tol_one * 10 + 1e-12
+    if not np.abs(prod_mod - ind).max() <= n * M * tol_one * 10 + 1e-12:
+        raise SelfCheckFailed("chi_uni * |chi_phi|^(|G| M) differs from chi_uni")
     return True
 
 

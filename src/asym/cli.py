@@ -367,16 +367,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        try:
-            report = args.func(args)
-        except (ValidationError, json.JSONDecodeError, OSError, ValueError) as exc:
-            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-            return 2
+        report = args.func(args)
+    # LinAlgError and JSONDecodeError subclass ValueError; clause order matters
+    except np.linalg.LinAlgError as exc:
+        return _fail(exc, 1)
+    except (ValidationError, OSError, ValueError) as exc:
+        return _fail(exc, 2)
     except AsymError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
     _print_report(report, args.output)
     return 0
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

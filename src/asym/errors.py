@@ -69,6 +69,10 @@ class SymNotSubgroup(AsymError):
     """The |chi| = 1 set failed the subgroup check; tolerances are off."""
 
 
+class SelfCheckFailed(AsymError):
+    """A computed result failed its built-in consistency check; tolerances are off."""
+
+
 class RateNotBelowOptimal(AsymError):
     """Requested rate is not strictly below the optimal exact rate (s >= 1)."""
 

@@ -3,6 +3,13 @@
 Groups are always materialized as full n x n tables (desk scale, n <= 256);
 the feasibility machinery downstream is O(n^2) anyway. All types are
 immutable after construction and all operations are pure.
+
+Validation cost: the associativity check of `build_group` is O(n^3) table
+lookups, and `validate_projective_rep` is O(n^2 d^3) flops in batched BLAS
+matmuls for n elements of dimension d. Both run over blocks of at most
+`_CHUNK_BYTES` (256 KB) of intermediate results, so their working memory is
+O(chunk) beyond the input, whatever n and d are. Non-finite amplitudes and
+matrix entries are rejected like any other invalid value.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .errors import (
     NotAState,
     NotProjective,
     NotUnitary,
+    SelfCheckFailed,
     UnknownGroupName,
 )
 
@@ -27,6 +35,15 @@ TOL_UNITARY = 1e-10
 TOL_NORM = 1e-10
 
 MAX_ORDER = 256
+
+# Bytes of one block of the batched validation checks: small enough that a
+# block and its temporaries stay in a per-core L2 cache.
+_CHUNK_BYTES = 256 * 2**10
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of row_bytes each that fit in one validation block (at least 1)."""
+    return max(1, _CHUNK_BYTES // row_bytes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +88,10 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (self.dim,):
             raise NotAState(f"expected {self.dim} amplitudes, got shape {amp.shape}")
+        if not np.isfinite(amp).all():
+            raise NotAState("state has a non-finite amplitude")
         nrm = np.linalg.norm(amp)
-        if abs(nrm - 1.0) > TOL_NORM:
+        if not abs(nrm - 1.0) <= TOL_NORM:
             raise NotAState(f"state norm {nrm!r} deviates from 1 beyond tolerance")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -106,12 +125,14 @@ def build_group(mult_table, name: str | None = None) -> FiniteGroup:
         raise AxiomViolation("identity")
     e = int(id_rows[0])
 
-    # mult[mult[a,b],c] vs mult[a,mult[b,c]], fully vectorized
-    left = mult[mult, :]
-    right = mult[np.arange(n)[:, None, None], mult[None, :, :]]
-    if not np.array_equal(left, right):
-        a, b, c = np.argwhere(left != right)[0]
-        raise AxiomViolation("associativity", witness=(int(a), int(b), int(c)))
+    # mult[mult[a,b],c] vs mult[a,mult[b,c]], over blocks of a
+    rows = _block_rows(n * n * mult.itemsize)
+    for a0 in range(0, n, rows):
+        block = mult[a0 : a0 + rows]
+        bad = mult[block] != block[:, mult]
+        if bad.any():
+            a, b, c = np.argwhere(bad)[0]
+            raise AxiomViolation("associativity", witness=(int(a) + a0, int(b), int(c)))
 
     inv = np.full(n, -1, dtype=np.intp)
     for a in range(n):
@@ -184,7 +205,8 @@ def _q8_table() -> np.ndarray:
         for b in range(n):
             prod = mats[a] @ mats[b]
             hits = [c for c in range(n) if np.allclose(prod, mats[c])]
-            assert len(hits) == 1
+            if len(hits) != 1:
+                raise SelfCheckFailed(f"Q_8 product of elements {a}, {b} matched {hits}")
             mult[a, b] = hits[0]
     return mult
 
@@ -219,11 +241,28 @@ def named_group(name: str) -> FiniteGroup:
     return build_group(_product_table(tuple(moduli)), name=name)
 
 
+def _adjoint(mats: np.ndarray) -> np.ndarray:
+    return mats.conj().swapaxes(-1, -2)
+
+
+def _law_deviation(prod: np.ndarray) -> float:
+    """Max-abs distance of prod = U(g)U(h)U(gh)^+ from the phase of its (0, 0)
+    entry times I; from the entry itself times I when it is off the unit circle.
+    """
+    z = prod[0, 0]
+    if abs(abs(z) - 1.0) <= 1e-6:
+        z = z / abs(z)
+    return float(np.abs(prod - z * np.eye(len(prod))).max())
+
+
 def validate_projective_rep(group: FiniteGroup, matrices) -> ProjectiveRep:
     """Check unitarity and the projective group law; extract the cocycle table.
 
     omega(g, g') is read off the (0, 0) entry of U(g)U(g')U(gg')^+, which must
-    be a phase multiple of the identity within TOL_UNITARY.
+    be a phase multiple of the identity within TOL_UNITARY. Both checks run as
+    batched matmuls over blocks of elements; a failure names the first failing
+    element, or (g, g') pair in row-major order. Non-finite matrices are not
+    unitary.
     """
     mats = np.asarray(matrices, dtype=complex)
     n = group.order
@@ -231,23 +270,42 @@ def validate_projective_rep(group: FiniteGroup, matrices) -> ProjectiveRep:
         raise DimensionMismatch(f"expected {n} square matrices, got shape {mats.shape}")
     d = mats.shape[1]
     eye = np.eye(d)
-    for g in range(n):
-        dev = np.abs(mats[g] @ mats[g].conj().T - eye).max()
-        if dev > TOL_UNITARY:
-            raise NotUnitary(g, float(dev))
+    mat_bytes = d * d * mats.itemsize
 
+    rows = _block_rows(mat_bytes)
+    for g0 in range(0, n, rows):
+        block = mats[g0 : g0 + rows]
+        with np.errstate(invalid="ignore", over="ignore"):
+            dev = np.abs(block @ _adjoint(block) - eye).max(axis=(1, 2))
+        bad = ~(dev <= TOL_UNITARY) | ~np.isfinite(block).all(axis=(1, 2))
+        if bad.any():
+            g = int(np.argmax(bad))
+            raise NotUnitary(g0 + g, float(dev[g]))
+
+    # Blocks of g x all h; when one row of products exceeds the chunk, rows
+    # is 1 and the h axis is tiled instead, so the scan stays row-major.
+    cols = min(n, _block_rows(mat_bytes))
+    rows = _block_rows(cols * mat_bytes)
     cocycle = np.zeros((n, n))
-    for g in range(n):
-        for h in range(n):
-            prod = mats[g] @ mats[h] @ mats[group.mult[g, h]].conj().T
-            z = prod[0, 0]
-            if abs(abs(z) - 1.0) > 1e-6:
-                raise NotProjective(g, h, float(np.abs(prod - prod[0, 0] * eye).max()))
-            phase = z / abs(z)
-            dev = np.abs(prod - phase * eye).max()
-            if dev > TOL_UNITARY * max(1.0, d):
-                raise NotProjective(g, h, float(dev))
-            cocycle[g, h] = np.angle(phase)
+    for g0 in range(0, n, rows):
+        for h0 in range(0, n, cols):
+            gs, hs = slice(g0, g0 + rows), slice(h0, h0 + cols)
+            prod = (mats[gs, None] @ mats[None, hs]) @ _adjoint(mats[group.mult[gs, hs]])
+            z = prod[:, :, 0, 0].copy()
+            # hypot rounds like abs() of one scalar; the complex abs loop may not
+            modulus = np.hypot(z.real, z.imag)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phase = z / modulus
+                cocycle[gs, hs] = np.angle(phase)
+                # prod -= phase * I, on the diagonal of the contiguous block
+                prod.reshape(*z.shape, d * d)[:, :, :: d + 1] -= phase[:, :, None]
+                dev = np.abs(prod).max(axis=(2, 3))
+            bad = ~(np.abs(modulus - 1.0) <= 1e-6) | ~(dev <= TOL_UNITARY * max(1.0, d))
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                g, h = g0 + int(i), h0 + int(j)
+                prod = mats[g] @ mats[h] @ _adjoint(mats[group.mult[g, h]])
+                raise NotProjective(g, h, _law_deviation(prod))
     return ProjectiveRep(group=group, dim=d, matrices=mats, cocycle=cocycle)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotAState
+from .errors import DimensionMismatch, DomainError, NotAState, SelfCheckFailed
 from .groups import PureState
 
 TOL_HERM = 1e-10
@@ -79,7 +79,7 @@ def qfim(rho, gens: GeneratorSet, tol_supp: float = TOL_SUPP) -> np.ndarray:
     Spectral form: F_ij = sum over eigenpairs (k, l) with p_k + p_l above the
     support cutoff of 2 (p_k - p_l)^2 / (p_k + p_l) <k|X_i|l><l|X_j|k>,
     symmetrized. For (numerically) pure inputs the pure-state identity
-    F = 4 Cov_sym is asserted as a self-check.
+    F = 4 Cov_sym is re-checked; a mismatch raises SelfCheckFailed.
     """
     rho = _check_density(rho)
     if rho.shape[0] != gens.dim:
@@ -96,7 +96,8 @@ def qfim(rho, gens: GeneratorSet, tol_supp: float = TOL_SUPP) -> np.ndarray:
     if p[-1] > 1.0 - 1e-10:  # pure input: cross-check against 4 * Cov_sym
         psi = PureState(dim=rho.shape[0], amplitudes=V[:, -1])
         F_cov = 4.0 * symmetrized_covariance(psi, gens)
-        assert np.abs(F - F_cov).max() <= 1e-8 * max(1.0, np.abs(F).max())
+        if not np.abs(F - F_cov).max() <= 1e-8 * max(1.0, np.abs(F).max()):
+            raise SelfCheckFailed("spectral QFIM of a pure state differs from 4 Cov_sym")
     return F
 
 

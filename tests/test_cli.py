@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from asym import io, named_group
+from asym import convertibility, io, named_group
 from asym.abelian import ChargeDistribution
 from asym.cli import main
 from asym.corpus import corpus_rep, random_state, write_corpus, z2_population_state
@@ -275,6 +275,23 @@ def test_cli_exit_1_on_domain_error(capsys, corpus_dir, tmp_path):
     )
     assert code == 1
     assert "NotAbelian" in err
+
+
+def test_cli_exit_1_on_linalg_error(capsys, corpus_dir, monkeypatch):
+    # LinAlgError subclasses ValueError, but a failed decomposition is a
+    # domain error, not a parse failure
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(convertibility, "feasible_exact", no_convergence)
+    code, _, err = run(
+        capsys,
+        ["convert", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
+         "--psi", corpus_dir / "z2_psi068.json", "--phi", corpus_dir / "z2_psi08.json",
+         "--copies", "1", "2"],
+    )
+    assert code == 1
+    assert json.loads(err)["error"] == "LinAlgError"
 
 
 def test_cli_exit_2_on_unknown_subcommand(capsys):

@@ -1,13 +1,25 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asym import build_group, named_group, subgroup_closure, validate_projective_rep
+from asym import build_group, groups, named_group, subgroup_closure, validate_projective_rep
+from asym.abelian import ChargeDistribution
 from asym.charfn import char_function
 from asym.corpus import corpus_rep, random_state
-from asym.errors import AxiomViolation, NotUnitary, UnknownGroupName
-from asym.groups import PureState
+from asym.errors import (
+    AxiomViolation,
+    NotAState,
+    NotProjective,
+    NotUnitary,
+    SelfCheckFailed,
+    ShapeMismatch,
+    UnknownGroupName,
+)
+from asym.groups import TOL_UNITARY, PureState
 
 
 def test_trivial_group():
@@ -136,3 +148,193 @@ def test_pure_state_norm_enforced():
 
     with pytest.raises(NotAState):
         PureState(dim=2, amplitudes=np.array([1.0, 1.0]))
+
+
+# ------------------------------------------- batched validation vs reference loop
+
+
+def reference_validate(group, matrices):
+    """Per-element and per-pair loop that the batched validation must reproduce."""
+    mats = np.asarray(matrices, dtype=complex)
+    n, d = group.order, mats.shape[1]
+    eye = np.eye(d)
+    for g in range(n):
+        dev = np.abs(mats[g] @ mats[g].conj().T - eye).max()
+        if dev > TOL_UNITARY:
+            raise NotUnitary(g, float(dev))
+    cocycle = np.zeros((n, n))
+    for g in range(n):
+        for h in range(n):
+            prod = mats[g] @ mats[h] @ mats[group.mult[g, h]].conj().T
+            z = prod[0, 0]
+            if abs(abs(z) - 1.0) > 1e-6:
+                raise NotProjective(g, h, float(np.abs(prod - prod[0, 0] * eye).max()))
+            phase = z / abs(z)
+            dev = np.abs(prod - phase * eye).max()
+            if dev > TOL_UNITARY * max(1.0, d):
+                raise NotProjective(g, h, float(dev))
+            cocycle[g, h] = np.angle(phase)
+    return cocycle
+
+
+def outcome(func, group, mats):
+    """Cocycle on success, else (exception type, witness, deviation)."""
+    try:
+        result = func(group, mats)
+    except (NotUnitary, NotProjective) as exc:
+        witness = exc.element if isinstance(exc, NotUnitary) else exc.pair
+        return type(exc), witness, exc.deviation
+    return result.cocycle if hasattr(result, "cocycle") else result
+
+
+def assert_same_outcome(group, mats):
+    ref = outcome(reference_validate, group, mats)
+    new = outcome(validate_projective_rep, group, mats)
+    if isinstance(ref, np.ndarray):
+        assert isinstance(new, np.ndarray), new
+        assert np.array_equal(ref, new)
+    else:
+        assert new == ref
+    return ref
+
+
+def haar_unitary(d, rng):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def conjugated_cyclic_rep(n, d, rng):
+    """V diag(w^{k g}) V^+ times a random phase per element: a projective rep of Z_n."""
+    charges = rng.integers(0, n, size=d)
+    V = haar_unitary(d, rng)
+    mats = np.array([(V * np.exp(2j * np.pi * charges * g / n)) @ V.conj().T for g in range(n)])
+    return mats * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))[:, None, None]
+
+
+# chunk sizes: the default, one matrix per block, and a few matrices per block
+CHUNKS = [None, 1, 3 * 16 * 16, 40 * 16]
+
+
+@pytest.fixture(params=CHUNKS, ids=lambda c: f"chunk={c}")
+def chunk(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(groups, "_CHUNK_BYTES", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (8, 3), (12, 4), (16, 2)])
+def test_batched_validation_matches_reference_on_cyclic_reps(chunk, n, d):
+    mats = conjugated_cyclic_rep(n, d, np.random.default_rng(n * 10 + d))
+    cocycle = assert_same_outcome(named_group(f"Z_{n}"), mats)
+    assert isinstance(cocycle, np.ndarray)
+
+
+def test_batched_validation_matches_reference_on_pauli_rep(chunk):
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    Z = np.diag([1.0, -1.0]).astype(complex)
+    cocycle = assert_same_outcome(named_group("Z_2xZ_2"), np.array([np.eye(2), X, Z, X @ Z]))
+    assert np.abs(cocycle).max() > 1.0  # genuinely projective: omega = -1 somewhere
+
+
+@pytest.mark.parametrize("how", ["phase_slip", "off_circle", "non_unitary"])
+def test_batched_validation_reports_late_failure_like_reference(chunk, how):
+    n = 16
+    mats = conjugated_cyclic_rep(n, 2, np.random.default_rng(5))
+    if how == "phase_slip":  # unitary, but U(14) is no longer a phase times the law
+        mats[n - 2] = mats[n - 2] @ np.diag([1.0, np.exp(1e-6j)])
+    elif how == "off_circle":  # U(g)U(h)U(gh)^+ with a vanishing (0, 0) entry
+        mats[n - 2] = mats[n - 2] @ np.array([[0, 1], [1, 0]])
+    else:
+        mats[n - 3] = mats[n - 3] * 1.001
+    kind, witness, deviation = assert_same_outcome(named_group(f"Z_{n}"), mats)
+    if how == "non_unitary":
+        assert (kind, witness) == (NotUnitary, n - 3)
+    else:
+        # the first failing pair is (1, n - 3), past the first block whenever
+        # a block holds fewer than the 2n - 2 products up to it
+        assert (kind, witness) == (NotProjective, (1, n - 3))
+    assert deviation > TOL_UNITARY
+
+
+def test_zero_leading_entry_raises_without_warning():
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotProjective) as exc:
+            validate_projective_rep(named_group("Z_2"), [X, np.eye(2)])
+    assert exc.value.pair == (0, 0)
+    assert exc.value.deviation == 1.0
+
+
+def test_associativity_witness_past_first_block(monkeypatch):
+    n = 8
+    table = np.array(named_group(f"Z_{n}").mult)
+    table[3, [4, 5]] = table[3, [5, 4]]  # rows stay permutations; e is untouched
+    left = table[table, :]
+    right = table[np.arange(n)[:, None, None], table[None, :, :]]
+    expected = tuple(int(x) for x in np.argwhere(left != right)[0])
+    assert expected[0] >= 1
+    for rows in (1, 3, n):
+        monkeypatch.setattr(groups, "_CHUNK_BYTES", rows * n * n * table.itemsize)
+        with pytest.raises(AxiomViolation) as exc:
+            build_group(table)
+        assert exc.value.axiom == "associativity"
+        assert exc.value.witness == expected
+
+
+def test_q8_table_self_check_is_a_typed_error(monkeypatch):
+    mats = groups.quaternion_matrices()
+    mats[3] = mats[2]  # two elements share a matrix: products are ambiguous
+    monkeypatch.setattr(groups, "quaternion_matrices", lambda: mats)
+    with pytest.raises(SelfCheckFailed):
+        named_group("Q_8")
+
+
+# ------------------------------------------------------ non-finite input gates
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    data=st.data(),
+    bad=NON_FINITE,
+    imaginary=st.booleans(),
+)
+def test_pure_state_rejects_non_finite(d, data, bad, imaginary):
+    amp = np.zeros(d, dtype=complex)
+    amp[0] = 1.0
+    k = data.draw(st.integers(0, d - 1))
+    amp[k] += 1j * bad if imaginary else bad
+    with pytest.raises(NotAState):
+        PureState(dim=d, amplitudes=amp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 6), data=st.data(), bad=NON_FINITE)
+def test_charge_distribution_rejects_non_finite(size, data, bad):
+    probs = np.full(size, 1.0 / size)
+    probs[data.draw(st.integers(0, size - 1))] = bad
+    with pytest.raises(ShapeMismatch):
+        ChargeDistribution(shape=(size,), probs=probs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    d=st.integers(1, 3),
+    data=st.data(),
+    bad=NON_FINITE,
+    imaginary=st.booleans(),
+)
+def test_validate_projective_rep_rejects_non_finite(n, d, data, bad, imaginary):
+    mats = np.array([np.diag(np.exp(2j * np.pi * g * np.arange(d) / n)) for g in range(n)])
+    g = data.draw(st.integers(0, n - 1))
+    i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    mats[g, i, j] += 1j * bad if imaginary else bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotUnitary) as exc:
+            validate_projective_rep(named_group(f"Z_{n}"), mats)
+    assert exc.value.element == g
