@@ -197,6 +197,13 @@ def dual_fourier(dist: ChargeDistribution) -> DualCoefficients:
     return DualCoefficients(shape=dist.shape, values=lam.ravel())
 
 
+def _log_power(lam: np.ndarray, k: int) -> np.ndarray:
+    """log(lam^k) = k log|lam| + i k arg(lam), with 0^k = 0 and 0^0 = 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logmod = np.where(lam == 0, -np.inf if k else 0.0, k * np.log(np.abs(lam)))
+    return logmod + 1j * k * np.angle(lam)
+
+
 def fourier_weights(
     p: ChargeDistribution,
     q: ChargeDistribution,
@@ -210,6 +217,8 @@ def fourier_weights(
     Sets lambda(w) = lambda(p)^N / lambda(q)^M off the q zero set and 0 on
     it; feasible iff the inverse DFT is nonnegative, sums to one, and the
     zero-set rule holds (lambda(p)^N must vanish wherever lambda(q)^M does).
+    The ratio is formed in log-modulus, so powers that underflow a float on
+    their own still give a finite ratio.
     """
     if p.shape != q.shape:
         raise ShapeMismatch(f"shapes differ: {p.shape} vs {q.shape}")
@@ -217,8 +226,12 @@ def fourier_weights(
     lam_q = dual_fourier(q).values
     zero_q = np.abs(lam_q) <= tol_zero
     zero_ok = bool(np.all(np.abs(lam_p[zero_q]) <= tol_zero))
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
-        lam_w = np.where(zero_q, 0.0, lam_p**N / np.where(zero_q, 1.0, lam_q) ** M)
+    log_w = _log_power(lam_p, N) - _log_power(np.where(zero_q, 1.0, lam_q), M)
+    # cap the log-ratio as build_interpolator does: a grossly infeasible
+    # instance gets a huge finite weight instead of an overflow
+    with np.errstate(under="ignore"):
+        lam_w = np.exp(np.minimum(log_w.real, 350.0) + 1j * log_w.imag)
+    lam_w[zero_q] = 0.0
     w = np.fft.fftn(lam_w.reshape(p.shape)) / lam_w.size
     w = np.real_if_close(w, tol=1e6).real.ravel()
     feasible = (

@@ -14,6 +14,7 @@ matrix entries are rejected like any other invalid value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -77,6 +78,34 @@ class FiniteGroup:
         return self is other or (
             self.order == other.order and np.array_equal(self.mult, other.mult)
         )
+
+    @functools.cached_property
+    def irreps(self) -> "IrrepBasis":
+        """Every irrep of the group, computed on first use and kept."""
+        return regular_irreps(self)
+
+
+@dataclass(frozen=True, eq=False)
+class IrrepBasis:
+    """The irreducible unitary representations of a finite group, in one matrix.
+
+    Row k of `matrix` holds rho(k), flattened row-major, for every irrep rho,
+    one after another and grouped by dimension; `dims` lists (d, count) for
+    each dimension in increasing order, so sum(count * d^2) = n and `matrix`
+    is n x n.
+    """
+
+    matrix: np.ndarray  # (n, n) complex
+    dims: tuple[tuple[int, int], ...]
+
+    def fourier_blocks(self, values: np.ndarray) -> list[np.ndarray]:
+        """Fourier blocks sum_k f(k) rho(k): one (count, d, d) array per dimension."""
+        flat = values @ self.matrix
+        blocks, start = [], 0
+        for d, count in self.dims:
+            blocks.append(flat[start : start + count * d * d].reshape(count, d, d))
+            start += count * d * d
+        return blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,3 +358,86 @@ def subgroup_closure(group: FiniteGroup, seed) -> frozenset[int]:
                     closed.add(c)
                     changed = True
     return frozenset(closed)
+
+
+# Fixed seeds of the random commutant elements tried by `regular_irreps`.
+_IRREP_SEEDS = 3
+
+
+def _pivot_rows(W: np.ndarray) -> np.ndarray:
+    """d well-conditioned rows of each (n, d) slice of W, shape (c, n, d).
+
+    Greedy column-pivoted Gram-Schmidt on the rows: take the row of largest
+    norm, project it out of every row, repeat d times.
+    """
+    c, _, d = W.shape
+    R = W.copy()
+    rows = np.empty((c, d), dtype=np.intp)
+    for j in range(d):
+        s = np.argmax((R.real**2 + R.imag**2).sum(axis=2), axis=1)
+        rows[:, j] = s
+        v = R[np.arange(c), s]
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        R -= (R @ v.conj()[:, :, None]) * v[:, None, :]
+    return rows
+
+
+def _cluster_reps(group: FiniteGroup, W: np.ndarray) -> np.ndarray:
+    """rho(k) on each invariant subspace W[i] (n x d): shape (c, n, d, d).
+
+    Right translation maps W[g] to W[g k] = W[g] rho(k); on d well-conditioned
+    rows S that is rho(k) = W[S]^-1 W[S k], O(n d^3) per subspace.
+    """
+    c, n, d = W.shape
+    rows = _pivot_rows(W)
+    idx = np.arange(c)[:, None]
+    A = W[idx, rows]  # (c, d, d)
+    X = W[idx[:, :, None], group.mult[rows]]  # (c, d, n, d)
+    rho = np.linalg.solve(A, X.reshape(c, d, n * d)).reshape(c, d, n, d)
+    return rho.transpose(0, 2, 1, 3)
+
+
+def regular_irreps(group: FiniteGroup) -> IrrepBasis:
+    """The irreps of G, from one eigendecomposition of the regular representation.
+
+    A random Hermitian H[g, h] = c(g h^-1), c(k^-1) = conj c(k), commutes with
+    every right translation, so each of its eigenspaces is invariant under
+    them and, for generic c, carries one irrep; an irrep of dimension d gives
+    d eigenvalues of multiplicity d (Dixon, Math. Comp. 24, 1970). One
+    eigenspace per character is kept. The result must pass sum d^2 = n,
+    sum_k |chi(k)|^2 = n for each irrep and d eigenspaces per irrep of
+    dimension d, else the next fixed seed is tried; SelfCheckFailed when
+    none passes. Cost: one n x n `eigh`, plus O(n d^3) per eigenspace.
+    """
+    n = group.order
+    for seed in range(_IRREP_SEEDS):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c = (z + z[group.inv].conj()) / 2.0
+        evals, evecs = np.linalg.eigh(c[group.mult[:, group.inv]])
+        # far above the rounding spread of a multiple eigenvalue, far below
+        # the gaps of a generic c; a merged cluster fails the checks below
+        tol = 1e-8 * max(1.0, float(np.abs(evals).max()))
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(evals) > tol) + 1))
+        sizes = np.diff(np.append(starts, n))
+        dims, cols, ok = [], [], True
+        for d in np.unique(sizes):
+            d = int(d)
+            first = starts[sizes == d]
+            W = evecs[:, first[:, None] + np.arange(d)].transpose(1, 0, 2)
+            rho = _cluster_reps(group, W)
+            chi = np.trace(rho, axis1=2, axis2=3)  # (c, n)
+            if d > 1:
+                # equivalent eigenspaces share a character; distinct irreps have
+                # orthogonal ones (a 1-dim irrep occurs once in the regular rep)
+                same = np.abs(chi @ chi.conj().T) > 0.5 * n
+                keep = np.argmax(same, axis=1) == np.arange(len(chi))
+                ok = ok and bool(np.all(same[keep].sum(axis=1) == d))
+                rho, chi = rho[keep], chi[keep]
+            norms = (chi.real**2 + chi.imag**2).sum(axis=1)
+            ok = ok and bool(np.all(np.abs(norms - n) <= 1e-6 * n))
+            dims.append((d, len(rho)))
+            cols.append(rho.transpose(1, 0, 2, 3).reshape(n, -1))
+        if ok and sum(d * d * m for d, m in dims) == n:
+            return IrrepBasis(matrix=np.concatenate(cols, axis=1), dims=tuple(dims))
+    raise SelfCheckFailed(f"no irrep decomposition of the group of order {n} passed its checks")

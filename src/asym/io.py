@@ -25,8 +25,11 @@ from .lie import GeneratorSet
 
 
 def _load_json(path) -> dict:
+    def non_finite(literal: str):
+        raise ValidationError(f"{path}: non-finite number {literal}")
+
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=non_finite)
 
 
 def _require(data: dict, key: str, path) -> object:

@@ -29,8 +29,10 @@ class GeneratorSet:
             raise DimensionMismatch(
                 f"expected (m, {self.dim}, {self.dim}) generators, got {gens.shape}"
             )
+        if not np.isfinite(gens).all():
+            raise DomainError("generators have a non-finite entry")
         dev = np.abs(gens - gens.conj().transpose(0, 2, 1)).max() if gens.size else 0.0
-        if dev > TOL_HERM * 100:
+        if not dev <= TOL_HERM * 100:
             raise DomainError(f"generators deviate from Hermitian by {dev:.3e}")
         object.__setattr__(self, "generators", gens)
 
@@ -50,9 +52,11 @@ def _check_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise NotAState(f"density matrix must be square, got {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > 1e-8:
+    if not np.isfinite(rho).all():
+        raise NotAState("density matrix has a non-finite entry")
+    if not np.abs(rho - rho.conj().T).max() <= 1e-8:
         raise NotAState("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if not abs(np.trace(rho).real - 1.0) <= 1e-8:
         raise NotAState(f"trace is {np.trace(rho)!r}")
     if np.linalg.eigvalsh(rho)[0] < -1e-8:
         raise NotAState("density matrix has a negative eigenvalue")
@@ -86,7 +90,7 @@ def qfim(rho, gens: GeneratorSet, tol_supp: float = TOL_SUPP) -> np.ndarray:
         raise DimensionMismatch(f"rho dim {rho.shape[0]} != generator dim {gens.dim}")
     p, V = np.linalg.eigh(rho)
     p = np.clip(p, 0.0, None)
-    A = np.einsum("ak,mab,bl->mkl", V.conj(), gens.generators, V)  # (m, d, d)
+    A = V.conj().T @ gens.generators @ V  # (m, d, d): <k|X_i|l>
     denom = p[:, None] + p[None, :]
     num = (p[:, None] - p[None, :]) ** 2
     W = np.where(denom > tol_supp, 2.0 * num / np.where(denom > tol_supp, denom, 1.0), 0.0)

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asym import convertibility, io, named_group
 from asym.abelian import ChargeDistribution
 from asym.cli import main
+from asym.errors import ValidationError
 from asym.corpus import corpus_rep, random_state, write_corpus, z2_population_state
 from asym.groups import PureState
 from asym.lie import GeneratorSet
@@ -86,6 +89,36 @@ def test_io_rejects_malformed(tmp_path):
     bad.write_text('{"dim": 2, "amplitudes": [[1.0, 0.0]]}')
     with pytest.raises(ValidationError):
         io.load_state(bad)
+
+
+# One numeric slot per {} in each document; any one may hold a non-finite literal.
+NON_FINITE_DOCS = {
+    "group": (io.load_group, '{{"order": 1, "mult_table": [[{}]]}}'),
+    "rep": (
+        lambda path: io.load_rep(path, named_group("Z_1")),
+        '{{"dim": 1, "matrices": [[[[{}, {}]]]]}}',
+    ),
+    "state": (io.load_state, '{{"dim": 2, "amplitudes": [[{}, {}], [{}, {}]]}}'),
+    "distribution": (io.load_distribution, '{{"shape": [2], "probs": [{}, {}]}}'),
+    "generators": (io.load_generators, '{{"dim": 1, "generators": [[[[{}, {}]]]]}}'),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(NON_FINITE_DOCS)),
+    literal=st.sampled_from(["NaN", "Infinity", "-Infinity"]),
+    data=st.data(),
+)
+def test_io_rejects_non_finite_literals(tmp_path_factory, kind, literal, data):
+    load, template = NON_FINITE_DOCS[kind]
+    slots = ["0"] * template.count("{}")
+    slots[data.draw(st.integers(0, len(slots) - 1))] = literal
+    path = tmp_path_factory.mktemp("nonfinite") / f"{kind}.json"
+    path.write_text(template.format(*slots))
+    with pytest.raises(ValidationError) as exc:
+        load(path)
+    assert str(path) in str(exc.value)
 
 
 # ------------------------------------------------------------------ subcommands

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,15 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asym import (
+    build_group,
     build_interpolator,
     char_from_values,
+    dual_fourier,
     feasible_exact,
+    fourier_weights,
+    groups,
     is_positive_definite,
     minimal_copies_search,
     named_group,
 )
-from asym.convertibility import GroupFunction
-from asym.errors import NotHermitian, ZeroSetViolation
+from asym.abelian import ChargeDistribution, basis_elements
+from asym.convertibility import TOL_HERM, TOL_PSD, GroupFunction
+from asym.corpus import GROUP_NAMES
+from asym.errors import NotHermitian, SelfCheckFailed, ZeroSetViolation
 
 
 @pytest.fixture
@@ -72,6 +79,14 @@ def test_gram_circulant_eigenvalues(z3):
 def test_non_hermitian_function_rejected(z3):
     # Hermitian Gram needs f(g^-1) = conj(f(g)); 0.9 != 0.5 breaks it
     f = GroupFunction(group=z3, values=np.array([1.0, 0.5, 0.9]))
+    with pytest.raises(NotHermitian):
+        is_positive_definite(f)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_function_rejected(z3, bad):
+    # no min eigenvalue is computed, so no NaN can pass as a verdict
+    f = GroupFunction(group=z3, values=np.array([1.0, bad, bad]))
     with pytest.raises(NotHermitian):
         is_positive_definite(f)
 
@@ -181,3 +196,200 @@ def test_minimal_copies_rejects_bad_nmax(z2):
         minimal_copies_search(psi, psi, 1.0, 0)
     with pytest.raises(ValueError):
         minimal_copies_search(psi, psi, 1.0, 10**5)
+
+
+# ------------------------------------- block-spectral oracle vs the dense Gram
+
+
+def dense_gram(f, tol_psd=TOL_PSD):
+    """Reference oracle: eigvalsh of the full n x n Gram matrix M[g, h] = f(g^-1 h).
+
+    Returns (hermitian, min_eig, feasible, modulus_witness); min_eig and
+    feasible are None when M is not Hermitian.
+    """
+    group = f.group
+    n = group.order
+    M = f.values[group.mult[group.inv, :]]
+    herm_dev = float(np.abs(M - M.conj().T).max())
+    scale = max(1.0, float(np.abs(f.values).max()))
+    over = np.where(np.abs(f.values) > 1.0 + tol_psd)[0]
+    witness = int(over[0]) if over.size else None
+    if herm_dev > TOL_HERM * scale:
+        return False, None, None, witness
+    min_eig = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
+    return True, min_eig, min_eig >= -tol_psd * n, witness
+
+
+def dihedral_table(m):
+    """D_m of order 2m; r^i s^a has index i + m a and s r = r^-1 s."""
+    i, a = np.arange(2 * m) % m, np.arange(2 * m) // m
+    sign = np.where(a == 1, -1, 1)
+    return (i[:, None] + sign[:, None] * i[None, :]) % m + m * ((a[:, None] + a[None, :]) % 2)
+
+
+def symmetric_table(k, even=False):
+    """S_k (A_k if even) on sorted permutations, identity first; (p q)(x) = p(q(x))."""
+    perms = sorted(itertools.permutations(range(k)))
+    if even:
+        pairs = list(itertools.combinations(range(k), 2))
+        perms = [p for p in perms if sum(p[i] > p[j] for i, j in pairs) % 2 == 0]
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(p[x] for x in q)] for q in perms] for p in perms])
+
+
+def heisenberg_table(p):
+    """Upper unitriangular 3x3 matrices over Z_p, (a, b, c) at index (a p + b) p + c."""
+    a, b, c = (x.ravel() for x in np.meshgrid(*[np.arange(p)] * 3, indexing="ij"))
+    ab = ((a[:, None] + a[None, :]) % p) * p + (b[:, None] + b[None, :]) % p
+    return ab * p + (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % p
+
+
+BUILT = {
+    "Z_256": lambda: named_group("Z_256"),
+    "Z_2^8": lambda: named_group("x".join(["Z_2"] * 8)),
+    "Z_16xZ_16": lambda: named_group("Z_16xZ_16"),
+    "D_128": lambda: build_group(dihedral_table(128), name="D_128"),
+    "S_5": lambda: build_group(symmetric_table(5), name="S_5"),
+    "A_5": lambda: build_group(symmetric_table(5, even=True), name="A_5"),
+    "Heis_3": lambda: build_group(heisenberg_table(3), name="Heis_3"),
+}
+ORACLE_GROUPS = list(GROUP_NAMES) + list(BUILT)
+
+
+@pytest.fixture(scope="module")
+def oracle_group():
+    built = {}
+
+    def get(name):
+        if name not in built:
+            built[name] = BUILT[name]() if name in BUILT else named_group(name)
+        return built[name]
+
+    return get
+
+
+def random_hermitian(group, rng):
+    z = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+    return (z + z[group.inv].conj()) / 2.0
+
+
+def positive_type(group, rng):
+    """f(k) = sum_g conj v(g) v(g k) / |v|^2: its Gram matrix is a Gram of vectors."""
+    v = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+    return (v.conj()[:, None] * v[group.mult]).sum(axis=0) / np.vdot(v, v).real
+
+
+def irreps_by_dim(group):
+    """The cached irreps, one (n, count, d, d) array of matrices per dimension."""
+    basis, n = group.irreps, group.order
+    out, start = [], 0
+    for d, count in basis.dims:
+        out.append(basis.matrix[:, start : start + count * d * d].reshape(n, count, d, d))
+        start += count * d * d
+    return out
+
+
+def assert_matches_dense(values, group):
+    f = GroupFunction(group=group, values=values)
+    hermitian, min_eig, feasible, witness = dense_gram(f)
+    if not hermitian:
+        with pytest.raises(NotHermitian):
+            is_positive_definite(f)
+        return None
+    res = is_positive_definite(f)
+    assert abs(res.min_gram_eigenvalue - min_eig) <= 1e-10 * group.order
+    assert res.feasible == feasible
+    assert res.modulus_witness == witness
+    assert res.method == "gram"
+    return min_eig
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_block_oracle_matches_dense_gram(name, oracle_group):
+    group = oracle_group(name)
+    n, e = group.order, group.identity
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        assert_matches_dense(random_hermitian(group, rng), group)
+        assert assert_matches_dense(positive_type(group, rng), group) >= -1e-10 * n
+        # shift the spectrum so the minimum sits at 0.5 and 2 tolerances below 0
+        f = random_hermitian(group, rng)
+        lam = dense_gram(GroupFunction(group=group, values=f))[1]
+        for t, want in ((0.5, True), (2.0, False)):
+            g = f.copy()
+            g[e] -= lam + t * TOL_PSD * n
+            assert is_positive_definite(GroupFunction(group=group, values=g)).feasible == want
+            assert_matches_dense(g, group)
+    # one element off Hermitian: the same NotHermitian as the dense check
+    f = positive_type(group, rng)
+    if n > 1:
+        f[(e + 1) % n] += 1e-3j
+        assert not dense_gram(GroupFunction(group=group, values=f))[0]
+        assert_matches_dense(f, group)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_irrep_decomposition_invariants(name, oracle_group):
+    group = oracle_group(name)
+    n = group.order
+    stacks = irreps_by_dim(group)
+    assert sum(R.shape[1] * R.shape[2] ** 2 for R in stacks) == n
+    chars = np.concatenate([np.trace(R, axis1=2, axis2=3).T for R in stacks])
+    # Schur orthogonality: irreducible (norm n) and pairwise inequivalent
+    assert np.allclose(chars @ chars.conj().T, n * np.eye(len(chars)), atol=1e-8 * n)
+    for R in stacks:
+        eye = np.eye(R.shape[2])
+        assert np.abs(R[group.identity] - eye).max() <= 1e-10
+        assert np.abs(R @ R.conj().swapaxes(2, 3) - eye).max() <= 1e-10
+        # rho(a) rho(b) = rho(ab) for every pair
+        hom = max(
+            np.abs(np.einsum("cij,bcjk->bcik", R[a], R) - R[group.mult[a]]).max()
+            for a in range(n)
+        )
+        assert hom <= 1e-10
+
+
+def test_irrep_decomposition_is_deterministic(oracle_group):
+    for name in ("S_5", "Z_2^8", "Q_8"):
+        group = oracle_group(name)
+        assert group.irreps is group.irreps
+        fresh = build_group(group.mult.copy())
+        assert fresh.irreps is not group.irreps
+        assert fresh.irreps.dims == group.irreps.dims
+        assert np.array_equal(fresh.irreps.matrix, group.irreps.matrix)
+        f = random_hermitian(group, np.random.default_rng(5))
+        first = is_positive_definite(GroupFunction(group=group, values=f))
+        again = is_positive_definite(GroupFunction(group=fresh, values=f))
+        assert first.min_gram_eigenvalue == again.min_gram_eigenvalue
+
+
+def test_irrep_decomposition_failing_its_checks_is_a_typed_error(monkeypatch):
+    # one eigenvalue of multiplicity n: a single reducible "irrep" every time
+    monkeypatch.setattr(
+        groups.np.linalg, "eigh", lambda H: (np.zeros(len(H)), np.eye(len(H), dtype=complex))
+    )
+    with pytest.raises(SelfCheckFailed):
+        named_group("Z_3").irreps
+
+
+# Z_3 instances where |lambda_q|^M underflows a float: the Fourier weights
+# must stay finite and agree with the Gram verdict (rate 2.38 here).
+Z3_P, Z3_Q = (0.6, 0.3, 0.1), (0.8, 0.15, 0.05)
+
+
+@pytest.mark.parametrize(
+    "N, M", [(3000, 3000), (1500, 3000), (60, 60), (1000, 3000), (3000, 7500), (10**5, 2 * 10**5)]
+)
+def test_gram_and_fourier_agree_at_large_copy_numbers(N, M):
+    z3 = named_group("Z_3")
+    shape, elems = basis_elements(z3)
+    dists = [ChargeDistribution(shape=shape, probs=np.array(p)) for p in (Z3_P, Z3_Q)]
+    w, ok_fourier = fourier_weights(*dists, N, M)
+    assert np.isfinite(w).all()
+    chars = []
+    for d in dists:
+        vals = np.empty(3, dtype=complex)
+        vals[elems] = dual_fourier(d).values
+        chars.append(char_from_values(z3, vals))
+    ok_gram = feasible_exact(*chars, N, M).feasible
+    assert ok_fourier == ok_gram == (M / N < 2.38)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asym import (
     GeneratorSet,
@@ -86,6 +88,23 @@ def test_qfim_rejects_bad_density(spin_half):
         qfim(np.diag([0.7, 0.7]), spin_half)
     with pytest.raises(NotAState):
         qfim(np.array([[1.0, 0.5], [0.0, 0.0]]), spin_half)
+
+
+def test_qfim_matches_three_operand_einsum_reference(rng):
+    """The spectral formula with <k|X_i|l> from one einsum, as a reference."""
+    for d, m in ((3, 2), (16, 4), (24, 3)):
+        X = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+        gens = GeneratorSet(dim=d, generators=(X + X.conj().transpose(0, 2, 1)) / 2)
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = z @ z.conj().T
+        rho /= np.trace(rho).real
+        p, V = np.linalg.eigh(rho)
+        A = np.einsum("ak,mab,bl->mkl", V.conj(), gens.generators, V)
+        denom = p[:, None] + p[None, :]
+        W = 2.0 * (p[:, None] - p[None, :]) ** 2 / denom
+        F = np.real(np.einsum("kl,mkl,nkl->mn", W, A, A.conj()))
+        F = (F + F.T) / 2.0
+        assert np.abs(qfim(rho, gens) - F).max() <= 1e-12 * np.abs(F).max()
 
 
 def test_symmetrized_covariance_is_psd(spin_half, rng):
@@ -190,3 +209,32 @@ def test_clt_diagnostic_third_order_residual(spin_half, rng):
     assert small < 1e-8
     with pytest.raises(DimensionMismatch):
         clt_diagnostic(state, spin_half, [np.zeros(2)])
+
+
+# ------------------------------------------------------ non-finite input gates
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+def _spoil(a, data, bad, imaginary):
+    idx = tuple(data.draw(st.integers(0, n - 1)) for n in a.shape)
+    a[idx] += 1j * bad if imaginary else bad
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), m=st.integers(1, 3), data=st.data(), bad=NON_FINITE,
+       imaginary=st.booleans())
+def test_generator_set_rejects_non_finite(d, m, data, bad, imaginary):
+    gens = _spoil(np.zeros((m, d, d), dtype=complex), data, bad, imaginary)
+    with pytest.raises(DomainError):
+        GeneratorSet(dim=d, generators=gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), data=st.data(), bad=NON_FINITE, imaginary=st.booleans())
+def test_density_gate_rejects_non_finite(d, data, bad, imaginary):
+    rho = _spoil(np.eye(d, dtype=complex) / d, data, bad, imaginary)
+    gens = GeneratorSet(dim=d, generators=np.zeros((1, d, d)))
+    with pytest.raises(NotAState):
+        qfim(rho, gens)
