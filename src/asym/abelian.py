@@ -1,10 +1,12 @@
-"""Fourier-domain oracle for finite abelian groups.
+"""Fourier-domain view of the feasibility decision for finite abelian groups.
 
 Charge distributions are probability vectors over dual-group labels; their
-discrete Fourier transform reproduces the characteristic function, and the
-convolution condition p = q * w turns single-shot feasibility into
-nonnegativity of an inverse DFT. Dual labels reuse the group's own product
-Z_{n_1} x ... x Z_{n_k} indexing.
+discrete Fourier transform reproduces the characteristic function. The
+sectors of a state come from one FFT over its orbit under the basis
+generators. The convolution condition p = q * w turns single-shot
+feasibility into nonnegativity of an inverse DFT, and |G| * w is the Gram
+spectrum of the general oracle, so both read one decision. Dual labels reuse
+the group's own product Z_{n_1} x ... x Z_{n_k} indexing.
 """
 
 from __future__ import annotations
@@ -14,16 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .charfn import TOL_ZERO
+from .convertibility import TOL_PSD
 from .errors import (
     NotAbelian,
     NotSimultaneouslyDiagonalizable,
     SelfCheckFailed,
     ShapeMismatch,
 )
-from .groups import FiniteGroup, ProjectiveRep, PureState, subgroup_closure
+from .groups import FiniteGroup, ProjectiveRep, PureState
 
 TOL_W = 1e-9
-TOL_NORM = 1e-10
 TOL_EIG = 1e-8
 
 
@@ -58,6 +61,44 @@ class DualCoefficients:
         return self.values.reshape(self.shape)
 
 
+def _decompose(group: FiniteGroup) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Greedy cyclic decomposition of an abelian table and its label map.
+
+    Each step takes the first element of largest order t modulo the subgroup
+    H found so far, lifts it within its coset to an element c with c^t = e,
+    and extends the row-major label -> element map from H to H<c> = {h c^s}.
+    H and <c> meet only in e, so the map stays a bijection onto H<c>.
+    """
+    if not group.is_abelian():
+        raise NotAbelian("multiplication table is not symmetric")
+    n, mult, e = group.order, group.mult, group.identity
+    g = np.arange(n)
+    powers = [np.full(n, e)]  # powers[k][g] = g^k for k = 0..n
+    for _ in range(n):
+        powers.append(mult[powers[-1], g])
+    powers = np.array(powers)
+    basis: list[tuple[int, int]] = []
+    elems = np.array([e], dtype=np.intp)
+    while elems.size < n:
+        in_h = np.isin(g, elems)
+        # order of every element modulo H: the smallest t >= 1 with g^t in H
+        order = np.argmax(in_h[powers[1:]], axis=0) + 1
+        order[in_h] = 0
+        best = int(np.argmax(order))
+        t = int(order[best])
+        # lift: the first h in H with (best h)^t = best^t h^t = e
+        hs = np.flatnonzero(in_h)
+        lifts = mult[best, hs[mult[powers[t, best], powers[t, hs]] == e]]
+        if not lifts.size:  # cannot happen for abelian tables; guard anyway
+            raise NotAbelian("failed to lift a basis generator")
+        c = int(lifts[0])
+        elems = mult[elems[:, None], powers[:t, c]].ravel()
+        basis.append((c, t))
+    if np.unique(elems).size != n:
+        raise NotAbelian("basis decomposition failed the bijection check")
+    return basis, elems
+
+
 def abelian_basis(group: FiniteGroup) -> list[tuple[int, int]]:
     """Deterministic cyclic decomposition of an abelian group table.
 
@@ -66,93 +107,34 @@ def abelian_basis(group: FiniteGroup) -> list[tuple[int, int]]:
     Greedy maximal-quotient-order choice with a coset adjustment so every
     chosen generator satisfies g^order = e exactly.
     """
-    if not group.is_abelian():
-        raise NotAbelian("multiplication table is not symmetric")
-    n = group.order
-    e = group.identity
-    H = frozenset({e})
-    basis: list[tuple[int, int]] = []
-    while len(H) < n:
-        best_g, best_t = None, 0
-        for g in range(n):
-            if g in H:
-                continue
-            x, t = g, 1
-            while x not in H:
-                x = int(group.mult[x, g])
-                t += 1
-            if t > best_t:
-                best_g, best_t = g, t
-        # adjust within the coset so the lift has exact order best_t
-        chosen = None
-        for h in sorted(H):
-            cand = int(group.mult[best_g, h])
-            x = e
-            for _ in range(best_t):
-                x = int(group.mult[x, cand])
-            if x == e:
-                chosen = cand
-                break
-        if chosen is None:  # cannot happen for abelian tables; guard anyway
-            raise NotAbelian("failed to lift a basis generator")
-        basis.append((chosen, best_t))
-        H = subgroup_closure(group, set(H) | {chosen})
-    # verify the product map is a bijection
-    seen = set()
-    for k in itertools.product(*[range(t) for _, t in basis]):
-        x = e
-        for (g, _), kj in zip(basis, k):
-            for _ in range(kj):
-                x = int(group.mult[x, g])
-        seen.add(x)
-    if len(seen) != n:
-        raise NotAbelian("basis decomposition failed the bijection check")
-    return basis
+    return _decompose(group)[0]
 
 
 def basis_elements(group: FiniteGroup) -> tuple[tuple[int, ...], np.ndarray]:
     """Shape of the cyclic decomposition plus the label -> element index map."""
-    basis = abelian_basis(group)
-    shape = tuple(t for _, t in basis) if basis else (1,)
-    if not basis:
-        return shape, np.array([group.identity], dtype=np.intp)
-    elems = np.empty(shape, dtype=np.intp)
-    for k in itertools.product(*[range(t) for t in shape]):
-        x = group.identity
-        for (g, _), kj in zip(basis, k):
-            for _ in range(kj):
-                x = int(group.mult[x, g])
-        elems[k] = x
-    return shape, elems.ravel()
-
-
-def _orth(cols: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
-    if cols.size == 0:
-        return cols.reshape(cols.shape[0], 0)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, s > tol]
+    basis, elems = _decompose(group)
+    return tuple(t for _, t in basis) or (1,), elems
 
 
 def charge_distribution(rep: ProjectiveRep, state: PureState) -> ChargeDistribution:
     """Decompose a state into charge sectors of an abelian representation.
 
-    Simultaneously block-diagonalizes the commuting unitaries via exact
-    character-averaged spectral projectors of each basis generator (after a
-    per-generator phase gauge making U^order = I), then measures the squared
-    projection of the state onto each joint sector.
+    Phase-gauges each basis generator U_j of order t_j to V_j with
+    V_j^{t_j} = I, builds the orbit T[a] = V_1^{a_1} ... V_m^{a_m} psi over
+    the label grid, and takes its DFT over the labels divided by |G|: entry
+    k is the projection of psi onto the joint eigenspace where V_j acts as
+    exp(2 pi i k_j / t_j), and p_k is its squared norm.
     """
     group = rep.group
     basis = abelian_basis(group)
-    mats = rep.matrices
-    gens = [mats[g] for g, _ in basis]
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if np.abs(gens[i] @ gens[j] - gens[j] @ gens[i]).max() > TOL_EIG:
-                raise NotSimultaneouslyDiagonalizable(
-                    "generator matrices do not commute (projective obstruction)"
-                )
+    gens = [rep.matrices[g] for g, _ in basis]
+    for A, B in itertools.combinations(gens, 2):
+        if np.abs(A @ B - B @ A).max() > TOL_EIG:
+            raise NotSimultaneouslyDiagonalizable(
+                "generator matrices do not commute (projective obstruction)"
+            )
     d = rep.dim
-    gauged = []
+    orbit = state.amplitudes[None, :]  # rows: the orbit over the labels so far
     for (g, t), U in zip(basis, gens):
         P = np.linalg.matrix_power(U, t)
         z = P[0, 0]
@@ -160,28 +142,15 @@ def charge_distribution(rep: ProjectiveRep, state: PureState) -> ChargeDistribut
             raise NotSimultaneouslyDiagonalizable(
                 f"U^{t} for generator {g} is not a phase multiple of the identity"
             )
-        gauged.append(U * np.exp(-1j * np.angle(z) / t))
-
-    shape = tuple(t for _, t in basis) if basis else (1,)
-    subspaces: list[tuple[np.ndarray, tuple[int, ...]]] = [(np.eye(d, dtype=complex), ())]
-    for (g, t), U in zip(basis, gauged):
-        pows = [np.eye(d, dtype=complex)]
+        Vt = (U * np.exp(-1j * np.angle(z) / t)).T
+        rows = [orbit]
         for _ in range(t - 1):
-            pows.append(pows[-1] @ U)
-        refined = []
-        for B, lab in subspaces:
-            for k in range(t):
-                # exact spectral projector onto the e^{2 pi i k / t} eigenspace
-                P = sum(np.exp(-2j * np.pi * k * s / t) * pows[s] for s in range(t)) / t
-                Q = _orth(P @ B)
-                if Q.shape[1]:
-                    refined.append((Q, lab + (k,)))
-        subspaces = refined
+            rows.append(rows[-1] @ Vt)
+        orbit = np.stack(rows, axis=1).reshape(-1, d)
 
-    psi = state.amplitudes
-    probs = np.zeros(shape)
-    for B, lab in subspaces:
-        probs[lab if lab else (0,)] = float(np.linalg.norm(B.conj().T @ psi) ** 2)
+    shape = tuple(t for _, t in basis) or (1,)
+    sectors = np.fft.fftn(orbit.reshape(*shape, d), axes=range(len(shape))) / group.order
+    probs = (sectors.real**2 + sectors.imag**2).sum(axis=-1)
     total = probs.sum()
     if abs(total - 1.0) > 1e-8:
         raise NotSimultaneouslyDiagonalizable(
@@ -209,22 +178,26 @@ def fourier_weights(
     q: ChargeDistribution,
     N: int,
     M: int,
-    tol_w: float = TOL_W,
-    tol_zero: float = 1e-10,
+    tol_psd: float = TOL_PSD,
+    tol_zero: float = TOL_ZERO,
 ) -> tuple[np.ndarray, bool]:
     """Candidate convolution weights w with p^N-sector = q^M-sector * w.
 
     Sets lambda(w) = lambda(p)^N / lambda(q)^M off the q zero set and 0 on
-    it; feasible iff the inverse DFT is nonnegative, sums to one, and the
-    zero-set rule holds (lambda(p)^N must vanish wherever lambda(q)^M does).
-    The ratio is formed in log-modulus, so powers that underflow a float on
-    their own still give a finite ratio.
+    it. |G| * w is the spectrum of the Gram matrix of that interpolator, so
+    the rule is the Gram oracle's: feasible iff the zero-set rule holds
+    (lambda(p)^N must vanish wherever lambda(q)^M does) and w >= -tol_psd,
+    i.e. the minimum Gram eigenvalue is >= -tol_psd * |G|. lambda(0) is
+    pinned to 1, as chi(e) is, so w sums to one. The ratio is formed in
+    log-modulus, so powers that underflow a float on their own still give a
+    finite ratio.
     """
     if p.shape != q.shape:
         raise ShapeMismatch(f"shapes differ: {p.shape} vs {q.shape}")
     lam_p = dual_fourier(p).values
     lam_q = dual_fourier(q).values
-    zero_q = np.abs(lam_q) <= tol_zero
+    lam_p[0] = lam_q[0] = 1.0
+    zero_q = (np.abs(lam_q) <= tol_zero) & (M > 0)  # q^0 is trivial: no zeros
     zero_ok = bool(np.all(np.abs(lam_p[zero_q]) <= tol_zero))
     log_w = _log_power(lam_p, N) - _log_power(np.where(zero_q, 1.0, lam_q), M)
     # cap the log-ratio as build_interpolator does: a grossly infeasible
@@ -234,12 +207,7 @@ def fourier_weights(
     lam_w[zero_q] = 0.0
     w = np.fft.fftn(lam_w.reshape(p.shape)) / lam_w.size
     w = np.real_if_close(w, tol=1e6).real.ravel()
-    feasible = (
-        zero_ok
-        and float(w.min()) >= -tol_w
-        and abs(float(w.sum()) - 1.0) <= max(TOL_NORM, 1e-9 * w.size)
-    )
-    return w, feasible
+    return w, zero_ok and float(w.min()) >= -tol_psd
 
 
 def shift_canonicalize(dist: ChargeDistribution, tol_one: float = 1e-10) -> ChargeDistribution:

@@ -133,7 +133,7 @@ def can_generate_from_uniform(
     n = group.order
     ind = uni.values()
     with np.errstate(under="ignore"):
-        prod_mod = ind * np.exp(np.where(np.isneginf(char_phi.logmod), -np.inf, char_phi.logmod) * n * M)
+        prod_mod = ind * np.exp(char_phi.logmod * n * M)
     if not np.abs(prod_mod - ind).max() <= n * M * tol_one * 10 + 1e-12:
         raise SelfCheckFailed("chi_uni * |chi_phi|^(|G| M) differs from chi_uni")
     return True

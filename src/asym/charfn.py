@@ -78,6 +78,11 @@ def resource_measure_L(char: CharFunction, g: int) -> float:
     return math.inf if np.isneginf(lm) else float(-lm) + 0.0
 
 
+def zero_mask(char: CharFunction, tol_zero: float = TOL_ZERO) -> np.ndarray:
+    """Where chi counts as zero: |chi| <= tol_zero, exact zeros included."""
+    return char.logmod <= math.log(tol_zero)
+
+
 def classify_sets(char: CharFunction, tol_one: float = TOL_ONE, tol_zero: float = TOL_ZERO) -> ClassSets:
     """Split G into the |chi| = 1 subgroup and the chi = 0 set.
 
@@ -88,10 +93,7 @@ def classify_sets(char: CharFunction, tol_one: float = TOL_ONE, tol_zero: float 
     if not (0 < tol_one < 1 and 0 < tol_zero < 1):
         raise DomainError("tolerances must lie in (0, 1)")
     sym = frozenset(int(g) for g in np.where(char.logmod >= math.log1p(-tol_one))[0])
-    zero = frozenset(
-        int(g)
-        for g in np.where(np.isneginf(char.logmod) | (char.logmod <= math.log(tol_zero)))[0]
-    )
+    zero = frozenset(int(g) for g in np.where(zero_mask(char, tol_zero))[0])
     if subgroup_closure(char.group, sym) != sym:
         raise SymNotSubgroup(f"{sorted(sym)} is not closed under the group law")
     return ClassSets(sym=sym, zero=zero)

@@ -101,7 +101,6 @@ def _tolerances(args) -> dict:
         "tol_one": args.tol_one,
         "tol_zero": args.tol_zero,
         "tol_psd": args.tol_psd,
-        "tol_w": args.tol_w,
     }
 
 
@@ -110,13 +109,14 @@ def _base_report(args, inputs: dict[str, str], result: dict) -> dict:
         "subcommand": args.subcommand,
         "inputs": {k: {"path": v, "sha256": _digest(v)} for k, v in inputs.items()},
         "tolerances": _tolerances(args),
-        "seed": args.seed,
         "result": result,
     }
 
 
-def _char_of(args, rep, path):
-    return charfn.char_function(rep, io.load_state(path))
+def _chars(args):
+    """Characteristic functions of the --psi and --phi states under --rep."""
+    _, rep = _load_char_pair(args)
+    return [charfn.char_function(rep, io.load_state(path)) for path in (args.psi, args.phi)]
 
 
 def _rate_dict(report: RateReport) -> dict:
@@ -128,8 +128,6 @@ def _rate_dict(report: RateReport) -> dict:
     }
     if report.kind == FINITE:
         out["value"] = report.value
-    if report.n_bound is not None:
-        out["n_bound"] = report.n_bound
     return out
 
 
@@ -163,9 +161,7 @@ def _load_char_pair(args):
 
 
 def cmd_rate_exact(args) -> dict:
-    _, rep = _load_char_pair(args)
-    c_psi = _char_of(args, rep, args.psi)
-    c_phi = _char_of(args, rep, args.phi)
+    c_psi, c_phi = _chars(args)
     report = compute_exact_rate(c_psi, c_phi, args.commutative, args.tol_one, args.tol_zero)
     return _base_report(
         args,
@@ -175,9 +171,7 @@ def cmd_rate_exact(args) -> dict:
 
 
 def cmd_convert(args) -> dict:
-    _, rep = _load_char_pair(args)
-    c_psi = _char_of(args, rep, args.psi)
-    c_phi = _char_of(args, rep, args.phi)
+    c_psi, c_phi = _chars(args)
     N, M = args.copies
     res = convertibility.feasible_exact(c_psi, c_phi, N, M, args.tol_psd, args.tol_zero)
     return _base_report(
@@ -195,9 +189,7 @@ def cmd_convert(args) -> dict:
 
 
 def cmd_min_copies(args) -> dict:
-    _, rep = _load_char_pair(args)
-    c_psi = _char_of(args, rep, args.psi)
-    c_phi = _char_of(args, rep, args.phi)
+    c_psi, c_phi = _chars(args)
     found = convertibility.minimal_copies_search(
         c_psi, c_phi, args.rate, args.nmax, args.tol_psd, args.tol_zero
     )
@@ -228,7 +220,7 @@ def cmd_convert_abelian(args) -> dict:
     p = io.load_distribution(args.p)
     q = io.load_distribution(args.q)
     N, M = args.copies
-    w, feasible = abelian.fourier_weights(p, q, N, M, args.tol_w, args.tol_zero)
+    w, feasible = abelian.fourier_weights(p, q, N, M, args.tol_psd, args.tol_zero)
     return _base_report(
         args,
         {"p": args.p, "q": args.q},
@@ -244,9 +236,7 @@ def cmd_convert_abelian(args) -> dict:
 
 
 def cmd_approx(args) -> dict:
-    _, rep = _load_char_pair(args)
-    c_psi = _char_of(args, rep, args.psi)
-    c_phi = _char_of(args, rep, args.phi)
+    c_psi, c_phi = _chars(args)
     report = approx.approx_rate_class(c_psi, c_phi, args.tol_one, args.tol_zero)
     result = {
         "classification": report.classification,
@@ -310,11 +300,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", choices=["json", "table"], default="table")
     p.add_argument("--json", dest="output", action="store_const", const="json")
     p.add_argument("--table", dest="output", action="store_const", const="table")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol-one", type=float, default=charfn.TOL_ONE, dest="tol_one")
     p.add_argument("--tol-zero", type=float, default=charfn.TOL_ZERO, dest="tol_zero")
     p.add_argument("--tol-psd", type=float, default=convertibility.TOL_PSD, dest="tol_psd")
-    p.add_argument("--tol-w", type=float, default=abelian.TOL_W, dest="tol_w")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import TOL_ZERO, CharFunction, char_power, trivial_char
+from .charfn import TOL_ZERO, CharFunction, char_power, trivial_char, zero_mask
 from .errors import GroupMismatch, NotHermitian, ZeroSetViolation
 from .groups import FiniteGroup
 
@@ -62,11 +62,10 @@ def build_interpolator(
     """
     if not char_psi.group.same_as(char_phi.group):
         raise GroupMismatch("characteristic functions live on different groups")
-    log_tz = math.log(tol_zero)
     if phi_zero is None:
-        phi_zero = np.isneginf(char_phi.logmod) | (char_phi.logmod <= log_tz)
+        phi_zero = zero_mask(char_phi, tol_zero)
     if psi_zero is None:
-        psi_zero = np.isneginf(char_psi.logmod) | (char_psi.logmod <= log_tz)
+        psi_zero = zero_mask(char_psi, tol_zero)
     bad = np.where(phi_zero & ~psi_zero)[0]
     if bad.size:
         raise ZeroSetViolation(int(bad[0]))
@@ -127,14 +126,13 @@ def feasible_exact(
     exactly when chi does, while a fixed tolerance on |chi|^M would
     misclassify benign small moduli at large M.
     """
-    log_tz = math.log(tol_zero)
-    psi_zero = np.isneginf(char_psi.logmod) | (char_psi.logmod <= log_tz)
+    psi_zero = zero_mask(char_psi, tol_zero)
     if M == 0:
         target = trivial_char(char_phi.group)
         phi_zero = np.zeros(char_phi.group.order, dtype=bool)
     else:
         target = char_power(char_phi, M)
-        phi_zero = np.isneginf(char_phi.logmod) | (char_phi.logmod <= log_tz)
+        phi_zero = zero_mask(char_phi, tol_zero)
     f = build_interpolator(
         char_power(char_psi, N), target, tol_zero, psi_zero=psi_zero, phi_zero=phi_zero
     )

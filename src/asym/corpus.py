@@ -26,10 +26,6 @@ from . import io
 GROUP_NAMES = ["Z_2", "Z_3", "Z_4", "Z_2xZ_2", "S_3", "D_4", "Q_8"]
 
 
-def corpus_group(name: str) -> FiniteGroup:
-    return named_group(name)
-
-
 def _cyclic_rep(n: int) -> np.ndarray:
     # direct sum of all characters: U(k) = diag(omega^{jk}), faithful
     omega = np.exp(2j * np.pi / n)
@@ -102,7 +98,7 @@ _REP_BUILDERS = {
 
 
 def corpus_rep(name: str, group: FiniteGroup | None = None) -> ProjectiveRep:
-    group = group if group is not None else corpus_group(name)
+    group = group if group is not None else named_group(name)
     return validate_projective_rep(group, _REP_BUILDERS[name]())
 
 
@@ -127,8 +123,8 @@ def write_corpus(directory) -> dict[str, dict[str, Path]]:
     directory.mkdir(parents=True, exist_ok=True)
     written: dict[str, dict[str, Path]] = {}
     for name in GROUP_NAMES:
-        slug = name.lower().replace("_", "").replace("x", "x")
-        group = corpus_group(name)
+        slug = name.lower().replace("_", "")
+        group = named_group(name)
         rep = corpus_rep(name, group)
         gpath = directory / f"{slug}.json"
         rpath = directory / f"{slug}_rep.json"

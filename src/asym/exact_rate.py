@@ -22,7 +22,6 @@ class RateReport:
     witness: int | None  # minimizing element (smallest index on ties)
     assumption_ok: bool
     excluded: frozenset[int]
-    n_bound: int | None = None
 
     @property
     def is_zero(self) -> bool:

@@ -7,6 +7,7 @@ put the identity at element index 0.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -38,6 +39,20 @@ def _require(data: dict, key: str, path) -> object:
     return data[key]
 
 
+def _ints(data: dict, key: str, path, ndim: int) -> np.ndarray:
+    """data[key] as an ndim-dimensional index array of JSON integers only: not
+    bool (an int subclass) and not float (which a cast would truncate)."""
+    leaves = [_require(data, key, path)]
+    for _ in range(ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    try:
+        if set(map(type, leaves)) <= {int}:
+            return np.asarray(data[key], dtype=np.intp)
+    except (TypeError, OverflowError, ValueError):  # not nested ndim deep, too big, ragged
+        pass
+    raise ValidationError(f"{path}: {key} must be JSON integers nested {ndim} deep")
+
+
 def _complex_array(entries, path, what: str) -> np.ndarray:
     arr = np.asarray(entries, dtype=float)
     if arr.shape[-1] != 2:
@@ -47,8 +62,8 @@ def _complex_array(entries, path, what: str) -> np.ndarray:
 
 def load_group(path) -> FiniteGroup:
     data = _load_json(path)
-    mult = _require(data, "mult_table", path)
-    order = int(_require(data, "order", path))
+    mult = _ints(data, "mult_table", path, 2)
+    order = int(_ints(data, "order", path, 0))
     group = build_group(mult, name=data.get("name"))
     if group.order != order:
         raise ValidationError(f"{path}: declared order {order} != table size {group.order}")
@@ -59,7 +74,7 @@ def load_group(path) -> FiniteGroup:
 
 def load_rep(path, group: FiniteGroup) -> ProjectiveRep:
     data = _load_json(path)
-    dim = int(_require(data, "dim", path))
+    dim = int(_ints(data, "dim", path, 0))
     mats = _complex_array(_require(data, "matrices", path), path, "matrix")
     if mats.shape != (group.order, dim, dim):
         raise ValidationError(
@@ -70,7 +85,7 @@ def load_rep(path, group: FiniteGroup) -> ProjectiveRep:
 
 def load_state(path) -> PureState:
     data = _load_json(path)
-    dim = int(_require(data, "dim", path))
+    dim = int(_ints(data, "dim", path, 0))
     amps = _complex_array(_require(data, "amplitudes", path), path, "amplitude")
     if amps.shape != (dim,):
         raise ValidationError(f"{path}: expected {dim} amplitudes, got {amps.shape}")
@@ -79,14 +94,14 @@ def load_state(path) -> PureState:
 
 def load_distribution(path) -> ChargeDistribution:
     data = _load_json(path)
-    shape = tuple(int(x) for x in _require(data, "shape", path))
+    shape = tuple(int(x) for x in _ints(data, "shape", path, 1))
     probs = np.asarray(_require(data, "probs", path), dtype=float)
     return ChargeDistribution(shape=shape, probs=probs)
 
 
 def load_generators(path) -> GeneratorSet:
     data = _load_json(path)
-    dim = int(_require(data, "dim", path))
+    dim = int(_ints(data, "dim", path, 0))
     gens = _complex_array(_require(data, "generators", path), path, "generator")
     return GeneratorSet(dim=dim, generators=gens)
 

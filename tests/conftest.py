@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from asym.corpus import GROUP_NAMES, corpus_group, corpus_rep
+from asym.corpus import GROUP_NAMES, corpus_rep
+from asym.groups import named_group
 
 
 @pytest.fixture(scope="session")
@@ -9,7 +10,7 @@ def corpus():
     """Every corpus group with its faithful representation."""
     out = {}
     for name in GROUP_NAMES:
-        group = corpus_group(name)
+        group = named_group(name)
         out[name] = (group, corpus_rep(name, group))
     return out
 

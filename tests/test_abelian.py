@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from asym import (
     abelian_basis,
+    build_group,
     char_from_values,
     char_function,
     charge_distribution,
@@ -16,7 +19,8 @@ from asym import (
 )
 from asym.abelian import ChargeDistribution, basis_elements
 from asym.corpus import corpus_rep, random_distribution, random_state, z2_population_state
-from asym.errors import NotAbelian, ShapeMismatch
+from asym.errors import NotAbelian, NotSimultaneouslyDiagonalizable, ShapeMismatch
+from asym.groups import ProjectiveRep, PureState, subgroup_closure
 
 
 def dist(shape, probs):
@@ -107,6 +111,9 @@ def test_fourier_weights_zero_set_rule():
     assert not ok
     _, ok = fourier_weights(flat, biased, 1, 1)
     assert ok
+    # phi^0 is the trivial state, which has no zeros: always reachable
+    _, ok = fourier_weights(biased, flat, 1, 0)
+    assert ok
 
 
 def test_fourier_weights_shape_mismatch():
@@ -181,3 +188,186 @@ def test_dual_fourier_structural_properties(data):
     # round trip back to probabilities
     back = np.fft.fft(lam) / n
     assert np.allclose(back.real, p, atol=1e-12)
+
+
+# ------------------------------------------------- references: the former loops
+
+
+def ref_abelian_basis(group):
+    """The former greedy decomposition, one element and one coset at a time."""
+    n, e = group.order, group.identity
+    H = frozenset({e})
+    basis = []
+    while len(H) < n:
+        best_g, best_t = None, 0
+        for g in range(n):
+            if g in H:
+                continue
+            x, t = g, 1
+            while x not in H:
+                x = int(group.mult[x, g])
+                t += 1
+            if t > best_t:
+                best_g, best_t = g, t
+        for h in sorted(H):
+            cand = int(group.mult[best_g, h])
+            x = e
+            for _ in range(best_t):
+                x = int(group.mult[x, cand])
+            if x == e:
+                break
+        basis.append((cand, best_t))
+        H = subgroup_closure(group, set(H) | {cand})
+    return basis
+
+
+def ref_label_map(group, basis):
+    """The former label -> element loop over the grid of a given basis."""
+    shape = tuple(t for _, t in basis) if basis else (1,)
+    elems = np.empty(shape, dtype=np.intp)
+    for k in itertools.product(*[range(t) for t in shape]):
+        x = group.identity
+        for (g, _), kj in zip(basis, k):
+            for _ in range(kj):
+                x = int(group.mult[x, g])
+        elems[k] = x
+    return shape, elems.ravel()
+
+
+def ref_charge_distribution(rep, state):
+    """The former sector weights: spectral projectors summed over every power
+    of each gauged generator, refined subspace by subspace with an SVD."""
+    basis = ref_abelian_basis(rep.group)
+    d = rep.dim
+    gauged = []
+    for (g, t) in basis:
+        U = rep.matrices[g]
+        z = np.linalg.matrix_power(U, t)[0, 0]
+        gauged.append(U * np.exp(-1j * np.angle(z) / t))
+    subspaces = [(np.eye(d, dtype=complex), ())]
+    for (g, t), U in zip(basis, gauged):
+        pows = [np.eye(d, dtype=complex)]
+        for _ in range(t - 1):
+            pows.append(pows[-1] @ U)
+        refined = []
+        for B, lab in subspaces:
+            for k in range(t):
+                P = sum(np.exp(-2j * np.pi * k * s / t) * pows[s] for s in range(t)) / t
+                u, sv, _ = np.linalg.svd(P @ B, full_matrices=False)
+                Q = u[:, sv > 1e-8]
+                if Q.shape[1]:
+                    refined.append((Q, lab + (k,)))
+        subspaces = refined
+    shape = tuple(t for _, t in basis) if basis else (1,)
+    probs = np.zeros(shape)
+    for B, lab in subspaces:
+        probs[lab if lab else (0,)] = float(np.linalg.norm(B.conj().T @ state.amplitudes) ** 2)
+    return shape, (probs / probs.sum()).ravel()
+
+
+def product_group(moduli):
+    """Z_m1 x ... x Z_mk with elements in row-major order of their coordinates."""
+    coords = np.array(list(itertools.product(*[range(m) for m in moduli])))
+    strides = np.cumprod((1,) + tuple(moduli[:0:-1]))[::-1]
+    table = ((coords[:, None, :] + coords[None, :, :]) % moduli) @ strides
+    return build_group(table), coords
+
+
+def diagonal_rep(moduli, d, rng, theta=None):
+    """V diag(exp(2 pi i c.a / m)) V^+ over random charges c and a random
+    unitary V, times exp(i theta.a) per label a when theta is given: a
+    projective rep with U^t = exp(i t theta_j) I on the cyclic factors.
+    The ProjectiveRep is built directly, skipping the O(n^2 d^3) validation:
+    charge_distribution reads only the group and the matrices, so the
+    cocycle is left zero."""
+    group, coords = product_group(moduli)
+    charges = rng.integers(0, moduli, size=(d, len(moduli)))
+    V, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    phases = np.exp(2j * np.pi * (coords / np.array(moduli)) @ charges.T)
+    if theta is not None:
+        phases *= np.exp(1j * coords @ np.asarray(theta))[:, None]
+    mats = np.einsum("ij,gj,kj->gik", V, phases, V.conj())
+    return ProjectiveRep(group=group, dim=d, matrices=mats, cocycle=np.zeros((len(coords),) * 2))
+
+
+def relabelled(group, rng):
+    perm = rng.permutation(group.order)
+    table = np.empty_like(group.mult)
+    table[np.ix_(perm, perm)] = perm[group.mult]
+    return build_group(table)
+
+
+# ------------------------------------------------- new paths against the references
+
+
+@pytest.mark.parametrize(
+    "moduli, d, theta",
+    [
+        ((256,), 16, None),
+        ((2,) * 8, 16, None),
+        ((16, 16), 32, None),
+        ((64,), 64, None),
+        ((256,), 16, (0.3,)),
+        ((2,) * 8, 16, (0.4, 1.1, 0.2, 2.0, 0.7, 0.5, 1.3, 0.9)),
+        ((6, 4), 8, (0.25, 1.7)),
+    ],
+    ids=["Z_256", "Z_2^8", "Z_16xZ_16", "Z_64", "Z_256-gauged", "Z_2^8-gauged", "Z_6xZ_4-gauged"],
+)
+def test_charge_distribution_matches_subspace_reference(moduli, d, theta, rng):
+    rep = diagonal_rep(moduli, d, rng, theta)
+    if theta is not None:
+        g, t = abelian_basis(rep.group)[0]
+        z = np.linalg.matrix_power(rep.matrices[g], t)[0, 0]
+        assert abs(z - 1.0) > 1e-3  # the gauge is exercised
+    for _ in range(2):
+        state = random_state(d, rng)
+        shape, ref = ref_charge_distribution(rep, state)
+        got = charge_distribution(rep, state)
+        assert got.shape == shape
+        assert np.abs(got.probs - ref).max() <= 1e-12
+
+
+def test_charge_distribution_rejects_non_phase_power():
+    # Z_2 -> diag(1, -1) scaled by a non-uniform phase: U^2 is not z I
+    rep = ProjectiveRep(
+        group=named_group("Z_2"),
+        dim=2,
+        matrices=np.array([np.eye(2), np.diag([1.0, 1j])], dtype=complex),
+        cocycle=np.zeros((2, 2)),
+    )
+    with pytest.raises(NotSimultaneouslyDiagonalizable):
+        charge_distribution(rep, PureState(2, np.array([1.0, 0.0])))
+
+
+ABELIAN_NAMES = ["Z_1", "Z_2", "Z_3", "Z_4", "Z_2xZ_2", "Z_2xZ_3", "Z_12", "Z_6xZ_4",
+                 "Z_2xZ_2xZ_2xZ_2", "Z_3xZ_3xZ_3", "Z_4xZ_2xZ_6", "Z_64", "Z_8xZ_8"]
+
+
+@pytest.mark.parametrize("name", ABELIAN_NAMES)
+def test_decomposition_matches_reference_loops(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    named = named_group(name)
+    for group in [named] + [relabelled(named, rng) for _ in range(5)]:
+        ref = ref_abelian_basis(group)
+        basis = abelian_basis(group)
+        assert basis == ref
+        assert all(type(g) is int and type(t) is int for g, t in basis)
+        shape, elems = basis_elements(group)
+        ref_shape, ref_elems = ref_label_map(group, ref)
+        assert shape == ref_shape
+        assert elems.dtype == np.intp and np.array_equal(elems, ref_elems)
+
+
+@pytest.mark.parametrize("NM", [1, 10, 1000])
+def test_fourier_view_agrees_with_gram_on_unnormalized_input(NM):
+    """Probabilities that the distribution gate accepts but that sum to
+    1 + 5e-9: lambda(0) is pinned to 1 on both views, so they agree."""
+    group = named_group("Z_2")
+    p = dist((2,), [0.75, 0.25 + 5e-9])
+    q = dist((2,), [0.9, 0.1])
+    w, ok_fourier = fourier_weights(p, q, NM, NM)
+    chars = [char_from_values(group, dual_fourier(x).values) for x in (p, q)]
+    gram = feasible_exact(*chars, NM, NM)
+    assert ok_fourier == gram.feasible
+    assert ok_fourier
+    assert abs(w.sum() - 1.0) <= 1e-15

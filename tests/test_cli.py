@@ -121,6 +121,51 @@ def test_io_rejects_non_finite_literals(tmp_path_factory, kind, literal, data):
     assert str(path) in str(exc.value)
 
 
+# Each document holds one field that is not a JSON integer (or, last group
+# case, an integer no index array can hold).
+NON_INTEGER_DOCS = {
+    "table-overflow": ("group", '{"order": 1, "mult_table": [[1e999]]}'),
+    "table-fraction": ("group", '{"order": 1, "mult_table": [[0.5]]}'),
+    "table-float": ("group", '{"order": 1, "mult_table": [[0.0]]}'),
+    "table-false": ("group", '{"order": 1, "mult_table": [[false]]}'),
+    "table-true": ("group", '{"order": 2, "mult_table": [[0, true], [true, 0]]}'),
+    "table-flat": ("group", '{"order": 1, "mult_table": [0]}'),
+    "table-string": ("group", '{"order": 1, "mult_table": [["0"]]}'),
+    "table-huge": ("group", '{"order": 1, "mult_table": [[100000000000000000000000000000]]}'),
+    "order-float": ("group", '{"order": 1.7, "mult_table": [[0]]}'),
+    "order-bool": ("group", '{"order": true, "mult_table": [[0]]}'),
+    "rep-dim": ("rep", '{"dim": 1.0, "matrices": [[[[1, 0]]]]}'),
+    "state-dim": ("state", '{"dim": 1.5, "amplitudes": [[1, 0]]}'),
+    "state-dim-bool": ("state", '{"dim": true, "amplitudes": [[1, 0]]}'),
+    "shape-float": ("distribution", '{"shape": [2.0], "probs": [0.5, 0.5]}'),
+    "shape-bool": ("distribution", '{"shape": [true, 2], "probs": [0.5, 0.5]}'),
+    "shape-scalar": ("distribution", '{"shape": 2, "probs": [0.5, 0.5]}'),
+    "generators-dim": ("generators", '{"dim": 1.0, "generators": [[[[1, 0]]]]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_DOCS))
+def test_io_requires_json_integers(tmp_path, case):
+    kind, text = NON_INTEGER_DOCS[case]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as exc:
+        NON_FINITE_DOCS[kind][0](path)
+    assert str(path) in str(exc.value)
+
+
+def test_cli_exit_2_on_overflowing_table_entry(capsys, tmp_path, corpus_dir):
+    bad = tmp_path / "group.json"
+    bad.write_text('{"order": 1, "mult_table": [[1e999]]}')
+    code, out, err = run(
+        capsys,
+        ["chi", "--group", bad, "--rep", corpus_dir / "z2_rep.json",
+         "--state", corpus_dir / "z2_psi08.json"],
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ValidationError"
+
+
 # ------------------------------------------------------------------ subcommands
 
 
@@ -226,6 +271,26 @@ def test_cli_convert_abelian(capsys, tmp_path):
     assert report["result"]["weights"] == pytest.approx([0.8125, 0.1875], abs=1e-9)
     report = run_json(capsys, ["convert-abelian", "--p", q, "--q", p, "--copies", "1", "1"])
     assert report["result"]["feasible"] is False
+
+
+def test_cli_convert_abelian_reads_tol_psd(capsys, tmp_path):
+    # lambda_1(p) / lambda_1(q) = 1 + 2e-7, so w = (1 + 1e-7, -1e-7): the
+    # verdict turns on the Gram tolerance, whose cut on w is -tol_psd
+    p = tmp_path / "p.json"
+    q = tmp_path / "q.json"
+    io.save_distribution(p, ChargeDistribution(shape=(2,), probs=np.array([0.90000008, 0.09999992])))
+    io.save_distribution(q, ChargeDistribution(shape=(2,), probs=np.array([0.9, 0.1])))
+    argv = ["convert-abelian", "--p", p, "--q", q, "--copies", "1", "1"]
+    report = run_json(capsys, argv)
+    assert report["result"]["min_weight"] == pytest.approx(-1e-7, rel=1e-6)
+    assert report["result"]["feasible"] is False
+    report = run_json(capsys, argv + ["--tol-psd", "1e-6"])
+    assert report["result"]["feasible"] is True
+    assert report["tolerances"] == {"tol_one": 1e-10, "tol_zero": 1e-10, "tol_psd": 1e-6}
+    assert "seed" not in report
+    for gone in (["--tol-w", "1e-6"], ["--seed", "3"]):
+        code, out, _ = run(capsys, argv + gone)
+        assert (code, out) == (2, "")
 
 
 def test_cli_approx_with_curve(capsys, corpus_dir):
