@@ -1,12 +1,14 @@
 """Fourier-domain view of the feasibility decision for finite abelian groups.
 
 Charge distributions are probability vectors over dual-group labels; their
-discrete Fourier transform reproduces the characteristic function. The
-sectors of a state come from one FFT over its orbit under the basis
-generators. The convolution condition p = q * w turns single-shot
-feasibility into nonnegativity of an inverse DFT, and |G| * w is the Gram
-spectrum of the general oracle, so both read one decision. Dual labels reuse
-the group's own product Z_{n_1} x ... x Z_{n_k} indexing.
+discrete Fourier transform reproduces the characteristic function. Labels
+come from the group's cached `cyclic_decomposition` (the product
+Z_{n_1} x ... x Z_{n_k} indexing that also gives the group's characters as
+its irreps). The sectors of a state come from one FFT over its orbit under
+the basis generators. The convolution condition p = q * w turns single-shot
+feasibility into nonnegativity of an inverse DFT of the interpolator that
+`convertibility.interpolate` builds for the Gram view too; |G| * w is that
+view's Gram spectrum, so both read one decision.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import TOL_ZERO
-from .convertibility import TOL_PSD
+from .convertibility import TOL_PSD, interpolate
 from .errors import (
-    NotAbelian,
     NotSimultaneouslyDiagonalizable,
     SelfCheckFailed,
     ShapeMismatch,
@@ -61,58 +62,14 @@ class DualCoefficients:
         return self.values.reshape(self.shape)
 
 
-def _decompose(group: FiniteGroup) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Greedy cyclic decomposition of an abelian table and its label map.
-
-    Each step takes the first element of largest order t modulo the subgroup
-    H found so far, lifts it within its coset to an element c with c^t = e,
-    and extends the row-major label -> element map from H to H<c> = {h c^s}.
-    H and <c> meet only in e, so the map stays a bijection onto H<c>.
-    """
-    if not group.is_abelian():
-        raise NotAbelian("multiplication table is not symmetric")
-    n, mult, e = group.order, group.mult, group.identity
-    g = np.arange(n)
-    powers = [np.full(n, e)]  # powers[k][g] = g^k for k = 0..n
-    for _ in range(n):
-        powers.append(mult[powers[-1], g])
-    powers = np.array(powers)
-    basis: list[tuple[int, int]] = []
-    elems = np.array([e], dtype=np.intp)
-    while elems.size < n:
-        in_h = np.isin(g, elems)
-        # order of every element modulo H: the smallest t >= 1 with g^t in H
-        order = np.argmax(in_h[powers[1:]], axis=0) + 1
-        order[in_h] = 0
-        best = int(np.argmax(order))
-        t = int(order[best])
-        # lift: the first h in H with (best h)^t = best^t h^t = e
-        hs = np.flatnonzero(in_h)
-        lifts = mult[best, hs[mult[powers[t, best], powers[t, hs]] == e]]
-        if not lifts.size:  # cannot happen for abelian tables; guard anyway
-            raise NotAbelian("failed to lift a basis generator")
-        c = int(lifts[0])
-        elems = mult[elems[:, None], powers[:t, c]].ravel()
-        basis.append((c, t))
-    if np.unique(elems).size != n:
-        raise NotAbelian("basis decomposition failed the bijection check")
-    return basis, elems
-
-
 def abelian_basis(group: FiniteGroup) -> list[tuple[int, int]]:
-    """Deterministic cyclic decomposition of an abelian group table.
-
-    Returns [(generator, order), ...] with orders in non-increasing order;
-    the map (k_1, ..., k_m) -> prod g_j^{k_j} is a bijection onto G.
-    Greedy maximal-quotient-order choice with a coset adjustment so every
-    chosen generator satisfies g^order = e exactly.
-    """
-    return _decompose(group)[0]
+    """[(generator, order), ...] of the group's cached `cyclic_decomposition`."""
+    return list(group.cyclic_decomposition[0])
 
 
 def basis_elements(group: FiniteGroup) -> tuple[tuple[int, ...], np.ndarray]:
     """Shape of the cyclic decomposition plus the label -> element index map."""
-    basis, elems = _decompose(group)
+    basis, elems = group.cyclic_decomposition
     return tuple(t for _, t in basis) or (1,), elems
 
 
@@ -166,13 +123,6 @@ def dual_fourier(dist: ChargeDistribution) -> DualCoefficients:
     return DualCoefficients(shape=dist.shape, values=lam.ravel())
 
 
-def _log_power(lam: np.ndarray, k: int) -> np.ndarray:
-    """log(lam^k) = k log|lam| + i k arg(lam), with 0^k = 0 and 0^0 = 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logmod = np.where(lam == 0, -np.inf if k else 0.0, k * np.log(np.abs(lam)))
-    return logmod + 1j * k * np.angle(lam)
-
-
 def fourier_weights(
     p: ChargeDistribution,
     q: ChargeDistribution,
@@ -183,31 +133,22 @@ def fourier_weights(
 ) -> tuple[np.ndarray, bool]:
     """Candidate convolution weights w with p^N-sector = q^M-sector * w.
 
-    Sets lambda(w) = lambda(p)^N / lambda(q)^M off the q zero set and 0 on
-    it. |G| * w is the spectrum of the Gram matrix of that interpolator, so
-    the rule is the Gram oracle's: feasible iff the zero-set rule holds
-    (lambda(p)^N must vanish wherever lambda(q)^M does) and w >= -tol_psd,
-    i.e. the minimum Gram eigenvalue is >= -tol_psd * |G|. lambda(0) is
-    pinned to 1, as chi(e) is, so w sums to one. The ratio is formed in
-    log-modulus, so powers that underflow a float on their own still give a
-    finite ratio.
+    lambda(w) = lambda(p)^N / lambda(q)^M off the q zero set and 0 on it, from
+    `convertibility.interpolate`, the core of the Gram view, so the rules are
+    the Gram oracle's: feasible iff the zero-set rule holds and w >= -tol_psd,
+    i.e. the minimum Gram eigenvalue (|G| * w) is >= -tol_psd * |G|. lambda(0)
+    is pinned to 1, as chi(e) is, so w sums to one.
     """
     if p.shape != q.shape:
         raise ShapeMismatch(f"shapes differ: {p.shape} vs {q.shape}")
-    lam_p = dual_fourier(p).values
-    lam_q = dual_fourier(q).values
-    lam_p[0] = lam_q[0] = 1.0
-    zero_q = (np.abs(lam_q) <= tol_zero) & (M > 0)  # q^0 is trivial: no zeros
-    zero_ok = bool(np.all(np.abs(lam_p[zero_q]) <= tol_zero))
-    log_w = _log_power(lam_p, N) - _log_power(np.where(zero_q, 1.0, lam_q), M)
-    # cap the log-ratio as build_interpolator does: a grossly infeasible
-    # instance gets a huge finite weight instead of an overflow
-    with np.errstate(under="ignore"):
-        lam_w = np.exp(np.minimum(log_w.real, 350.0) + 1j * log_w.imag)
-    lam_w[zero_q] = 0.0
-    w = np.fft.fftn(lam_w.reshape(p.shape)) / lam_w.size
-    w = np.real_if_close(w, tol=1e6).real.ravel()
-    return w, zero_ok and float(w.min()) >= -tol_psd
+    lam = np.stack([dual_fourier(p).values, dual_fourier(q).values])
+    lam[:, 0] = 1.0
+    with np.errstate(divide="ignore"):
+        logmod = np.log(np.abs(lam))
+    phase = np.angle(lam)
+    lam_w, violation = interpolate(logmod[0], phase[0], logmod[1], phase[1], N, M, tol_zero)
+    w = (np.fft.fftn(lam_w.reshape(p.shape)) / lam_w.size).real.ravel()
+    return w, violation is None and float(w.min()) >= -tol_psd
 
 
 def shift_canonicalize(dist: ChargeDistribution, tol_one: float = 1e-10) -> ChargeDistribution:

@@ -42,7 +42,7 @@ class ClassSets:
     zero: frozenset[int]
 
 
-def _wrap_phase(phi: np.ndarray) -> np.ndarray:
+def wrap_phase(phi: np.ndarray) -> np.ndarray:
     return np.angle(np.exp(1j * phi))
 
 
@@ -78,9 +78,9 @@ def resource_measure_L(char: CharFunction, g: int) -> float:
     return math.inf if np.isneginf(lm) else float(-lm) + 0.0
 
 
-def zero_mask(char: CharFunction, tol_zero: float = TOL_ZERO) -> np.ndarray:
-    """Where chi counts as zero: |chi| <= tol_zero, exact zeros included."""
-    return char.logmod <= math.log(tol_zero)
+def zero_mask(logmod: np.ndarray, tol_zero: float = TOL_ZERO) -> np.ndarray:
+    """Where |chi| <= tol_zero, from logmod = log|chi| (-inf for exact zeros)."""
+    return logmod <= math.log(tol_zero)
 
 
 def classify_sets(char: CharFunction, tol_one: float = TOL_ONE, tol_zero: float = TOL_ZERO) -> ClassSets:
@@ -93,7 +93,7 @@ def classify_sets(char: CharFunction, tol_one: float = TOL_ONE, tol_zero: float 
     if not (0 < tol_one < 1 and 0 < tol_zero < 1):
         raise DomainError("tolerances must lie in (0, 1)")
     sym = frozenset(int(g) for g in np.where(char.logmod >= math.log1p(-tol_one))[0])
-    zero = frozenset(int(g) for g in np.where(zero_mask(char, tol_zero))[0])
+    zero = frozenset(int(g) for g in np.where(zero_mask(char.logmod, tol_zero))[0])
     if subgroup_closure(char.group, sym) != sym:
         raise SymNotSubgroup(f"{sorted(sym)} is not closed under the group law")
     return ClassSets(sym=sym, zero=zero)
@@ -106,11 +106,5 @@ def char_power(char: CharFunction, N: int) -> CharFunction:
     with np.errstate(invalid="ignore"):
         logmod = char.logmod * N
     logmod[np.isneginf(char.logmod)] = -np.inf
-    return CharFunction(group=char.group, logmod=logmod, phase=_wrap_phase(char.phase * N))
+    return CharFunction(group=char.group, logmod=logmod, phase=wrap_phase(char.phase * N))
 
-
-def trivial_char(group: FiniteGroup) -> CharFunction:
-    """chi of the trivial (fully symmetric) state: identically 1."""
-    return CharFunction(
-        group=group, logmod=np.zeros(group.order), phase=np.zeros(group.order)
-    )

@@ -2,7 +2,8 @@
 
 A conversion psi -> phi under G-covariant operations is possible iff
 chi_psi = chi_phi * f for some positive definite f on G; the candidate f is
-the ratio of characteristic functions (zero where chi_phi vanishes) and
+the ratio of characteristic functions (zero where chi_phi vanishes), built by
+`interpolate` for this Gram view and the abelian Fourier view alike, and
 positive definiteness is decided by the minimum eigenvalue of the Gram
 matrix M[g, h] = f(g^-1 h).
 
@@ -10,7 +11,8 @@ M is a convolution operator, M = sum_k f(k) R(k) over the right translations
 R(k), so its spectrum is the union of the spectra of the Fourier blocks
 f^(rho) = sum_k f(k) rho(k), one d_rho x d_rho block per irrep rho. The
 oracle never forms M: it reads the blocks off the group's cached irrep basis
-(`FiniteGroup.irreps`) and takes one batched `eigvalsh` per irrep dimension.
+(`FiniteGroup.irreps`; the characters, 1 x 1 blocks, for an abelian group)
+and takes one batched `eigvalsh` per irrep dimension.
 Cost: a one-off O(n^3) decomposition per group object, then O(n * sum d^2)
 = O(n^2) per call, against O(n^3) for a dense eigendecomposition of M.
 """
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import TOL_ZERO, CharFunction, char_power, trivial_char, zero_mask
-from .errors import GroupMismatch, NotHermitian, ZeroSetViolation
+from .charfn import TOL_ZERO, CharFunction, wrap_phase, zero_mask
+from .errors import DomainError, GroupMismatch, NotHermitian, ZeroSetViolation
 from .groups import FiniteGroup
 
 TOL_PSD = 1e-9
@@ -45,38 +47,63 @@ class FeasibilityResult:
     modulus_witness: int | None = None  # smallest g with |f(g)| > 1, if any
 
 
-def build_interpolator(
-    char_psi: CharFunction,
-    char_phi: CharFunction,
+def interpolate(
+    psi_logmod: np.ndarray,
+    psi_phase: np.ndarray,
+    phi_logmod: np.ndarray,
+    phi_phase: np.ndarray,
+    N: int,
+    M: int,
     tol_zero: float = TOL_ZERO,
-    *,
-    psi_zero: np.ndarray | None = None,
-    phi_zero: np.ndarray | None = None,
+) -> tuple[np.ndarray, int | None]:
+    """f = chi_psi^N / chi_phi^M from log-polar chi, 0 on the chi_phi zero set.
+
+    Returns the values and the first index where chi_phi vanishes but chi_psi
+    does not, or None. Zero sets are classified on the single-copy functions
+    (chi^N vanishes exactly where chi does); M = 0 is the trivial target,
+    identically 1. Shared by the Gram view (chi on G) and the Fourier view
+    (dual coefficients).
+    """
+    if N < 1 or M < 0:
+        raise DomainError(f"copy numbers must be N >= 1 and M >= 0, got ({N}, {M})")
+    psi_zero = zero_mask(psi_logmod, tol_zero)
+    phi_zero = zero_mask(phi_logmod, tol_zero)
+    target = M * np.where(phi_zero, 0.0, phi_logmod)  # log|chi_phi^M|, no 0 * -inf
+    phi_zero &= M > 0  # phi^0 is the trivial state: no zeros
+    bad = np.flatnonzero(phi_zero & ~psi_zero)
+    with np.errstate(invalid="ignore", under="ignore", over="ignore"):
+        logmod = N * psi_logmod
+        # cap the log-ratio so a grossly infeasible instance yields a huge
+        # finite |f| (clearly failing the Gram test) instead of overflow
+        dlog = np.minimum(logmod - target, 350.0)
+        vals = np.exp(dlog + 1j * (wrap_phase(N * psi_phase) - wrap_phase(M * phi_phase)))
+    vals[phi_zero | np.isneginf(logmod)] = 0.0
+    return vals, int(bad[0]) if bad.size else None
+
+
+def _interpolator(
+    char_psi: CharFunction, char_phi: CharFunction, N: int, M: int, tol_zero: float
+) -> GroupFunction:
+    """`interpolate` on one group; ZeroSetViolation if no interpolator exists."""
+    if not char_psi.group.same_as(char_phi.group):
+        raise GroupMismatch("characteristic functions live on different groups")
+    vals, bad = interpolate(
+        char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M, tol_zero
+    )
+    if bad is not None:
+        raise ZeroSetViolation(bad)
+    return GroupFunction(group=char_psi.group, values=vals)
+
+
+def build_interpolator(
+    char_psi: CharFunction, char_phi: CharFunction, tol_zero: float = TOL_ZERO
 ) -> GroupFunction:
     """f = chi_psi / chi_phi off the phi zero set, 0 on it.
 
     Raises ZeroSetViolation when chi_phi vanishes somewhere chi_psi does not;
     no interpolating function can exist there and the conversion rate is zero.
-    Zero masks may be supplied explicitly (tensor-power callers classify on
-    the single-copy functions, where the tolerance is meaningful).
     """
-    if not char_psi.group.same_as(char_phi.group):
-        raise GroupMismatch("characteristic functions live on different groups")
-    if phi_zero is None:
-        phi_zero = zero_mask(char_phi, tol_zero)
-    if psi_zero is None:
-        psi_zero = zero_mask(char_psi, tol_zero)
-    bad = np.where(phi_zero & ~psi_zero)[0]
-    if bad.size:
-        raise ZeroSetViolation(int(bad[0]))
-    with np.errstate(invalid="ignore", under="ignore", over="ignore"):
-        # cap the log-ratio so a grossly infeasible instance yields a huge
-        # finite |f| (clearly failing the Gram test) instead of overflow
-        dlog = np.minimum(char_psi.logmod - char_phi.logmod, 350.0)
-        vals = np.exp(dlog + 1j * (char_psi.phase - char_phi.phase))
-    vals[phi_zero] = 0.0
-    vals[np.isneginf(char_psi.logmod) & ~phi_zero] = 0.0
-    return GroupFunction(group=char_psi.group, values=vals)
+    return _interpolator(char_psi, char_phi, 1, 1, tol_zero)
 
 
 def is_positive_definite(f: GroupFunction, tol_psd: float = TOL_PSD) -> FeasibilityResult:
@@ -121,22 +148,9 @@ def feasible_exact(
     """Feasibility of psi^N -> phi^M under G-covariant operations.
 
     M = 0 is accepted as the trivial (symmetric) target, which is always
-    reachable; M >= 1 runs the interpolator construction plus Gram test.
-    Zero sets are classified on the single-copy functions: chi^N vanishes
-    exactly when chi does, while a fixed tolerance on |chi|^M would
-    misclassify benign small moduli at large M.
+    reachable; the interpolator of `interpolate` goes to the Gram test.
     """
-    psi_zero = zero_mask(char_psi, tol_zero)
-    if M == 0:
-        target = trivial_char(char_phi.group)
-        phi_zero = np.zeros(char_phi.group.order, dtype=bool)
-    else:
-        target = char_power(char_phi, M)
-        phi_zero = zero_mask(char_phi, tol_zero)
-    f = build_interpolator(
-        char_power(char_psi, N), target, tol_zero, psi_zero=psi_zero, phi_zero=phi_zero
-    )
-    return is_positive_definite(f, tol_psd)
+    return is_positive_definite(_interpolator(char_psi, char_phi, N, M, tol_zero), tol_psd)
 
 
 def minimal_copies_search(

@@ -2,7 +2,9 @@
 
 Groups are always materialized as full n x n tables (desk scale, n <= 256);
 the feasibility machinery downstream is O(n^2) anyway. All types are
-immutable after construction and all operations are pure.
+immutable after construction and all operations are pure. A group caches
+its irreps on first use: an abelian group reads its characters off its
+cached cyclic decomposition, any other group gets them by Dixon's method.
 
 Validation cost: the associativity check of `build_group` is O(n^3) table
 lookups, and `validate_projective_rep` is O(n^2 d^3) flops in batched BLAS
@@ -25,6 +27,7 @@ from .errors import (
     AxiomViolation,
     DimensionMismatch,
     DomainError,
+    NotAbelian,
     NotAState,
     NotProjective,
     NotUnitary,
@@ -55,29 +58,18 @@ class FiniteGroup:
     inv: np.ndarray  # (n,) element indices
     name: str | None = None
 
-    def op(self, a: int, b: int) -> int:
-        return int(self.mult[a, b])
-
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mult, self.mult.T))
-
-    def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != self.identity:
-            x = int(self.mult[x, g])
-            k += 1
-        return k
-
-    def power(self, g: int, k: int) -> int:
-        x = self.identity
-        for _ in range(k % self.element_order(g) if k >= 0 else 0):
-            x = int(self.mult[x, g])
-        return x
 
     def same_as(self, other: "FiniteGroup") -> bool:
         return self is other or (
             self.order == other.order and np.array_equal(self.mult, other.mult)
         )
+
+    @functools.cached_property
+    def cyclic_decomposition(self) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+        """Cyclic basis and label map of an abelian group, computed on first use and kept."""
+        return decompose_abelian(self)
 
     @functools.cached_property
     def irreps(self) -> "IrrepBasis":
@@ -360,6 +352,47 @@ def subgroup_closure(group: FiniteGroup, seed) -> frozenset[int]:
     return frozenset(closed)
 
 
+def decompose_abelian(group: FiniteGroup) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """Greedy cyclic decomposition of an abelian table and its label map.
+
+    Returns the basis ((g_1, t_1), ...), orders non-increasing, and the
+    row-major label -> element map elems[a] = prod_j g_j^{a_j}, a bijection
+    onto G. Each step takes the first element of largest order t modulo the
+    subgroup H found so far, lifts it within its coset to an element c with
+    c^t = e, and extends the map from H to H<c> = {h c^s}; H and <c> meet
+    only in e, so the map stays a bijection. NotAbelian if not abelian.
+    """
+    if not group.is_abelian():
+        raise NotAbelian("multiplication table is not symmetric")
+    n, mult, e = group.order, group.mult, group.identity
+    g = np.arange(n)
+    powers = [np.full(n, e)]  # powers[k][g] = g^k for k = 0..n
+    for _ in range(n):
+        powers.append(mult[powers[-1], g])
+    powers = np.array(powers)
+    basis: list[tuple[int, int]] = []
+    elems = np.array([e], dtype=np.intp)
+    while elems.size < n:
+        in_h = np.isin(g, elems)
+        # order of every element modulo H: the smallest t >= 1 with g^t in H
+        order = np.argmax(in_h[powers[1:]], axis=0) + 1
+        order[in_h] = 0
+        best = int(np.argmax(order))
+        t = int(order[best])
+        # lift: the first h in H with (best h)^t = best^t h^t = e
+        hs = np.flatnonzero(in_h)
+        lifts = mult[best, hs[mult[powers[t, best], powers[t, hs]] == e]]
+        if not lifts.size:  # cannot happen for abelian tables; guard anyway
+            raise NotAbelian("failed to lift a basis generator")
+        c = int(lifts[0])
+        elems = mult[elems[:, None], powers[:t, c]].ravel()
+        basis.append((c, t))
+    if np.unique(elems).size != n:
+        raise NotAbelian("basis decomposition failed the bijection check")
+    elems.flags.writeable = False  # shared by every reader of the cache
+    return tuple(basis), elems
+
+
 # Fixed seeds of the random commutant elements tried by `regular_irreps`.
 _IRREP_SEEDS = 3
 
@@ -398,10 +431,13 @@ def _cluster_reps(group: FiniteGroup, W: np.ndarray) -> np.ndarray:
 
 
 def regular_irreps(group: FiniteGroup) -> IrrepBasis:
-    """The irreps of G, from one eigendecomposition of the regular representation.
+    """The irreps of G: its characters if abelian, else by Dixon's method.
 
-    A random Hermitian H[g, h] = c(g h^-1), c(k^-1) = conj c(k), commutes with
-    every right translation, so each of its eigenspaces is invariant under
+    An abelian table's irreps are read off its cached cyclic decomposition:
+    irrep k sends the element of label a to exp(2 pi i sum_j a_j k_j / t_j).
+    Otherwise one eigendecomposition of the regular representation gives
+    them. A random Hermitian H[g, h] = c(g h^-1), c(k^-1) = conj c(k), commutes
+    with every right translation, so each of its eigenspaces is invariant under
     them and, for generic c, carries one irrep; an irrep of dimension d gives
     d eigenvalues of multiplicity d (Dixon, Math. Comp. 24, 1970). One
     eigenspace per character is kept. The result must pass sum d^2 = n,
@@ -410,6 +446,14 @@ def regular_irreps(group: FiniteGroup) -> IrrepBasis:
     none passes. Cost: one n x n `eigh`, plus O(n d^3) per eigenspace.
     """
     n = group.order
+    if group.is_abelian():
+        basis, elems = group.cyclic_decomposition
+        t = np.array([t for _, t in basis] or [1])
+        labels = np.indices(t).reshape(len(t), n).T  # row a: the label of elems[a]
+        lcm = int(np.lcm.reduce(t))
+        charge = (labels * (lcm // t)) @ labels.T % lcm / lcm  # sum_j a_j k_j / t_j mod 1
+        # row g of the matrix is the row of the label a with elems[a] = g
+        return IrrepBasis(matrix=np.exp(2j * np.pi * charge)[np.argsort(elems)], dims=((1, n),))
     for seed in range(_IRREP_SEEDS):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from asym import (
     abelian_basis,
+    groups,
+    io,
     build_group,
     char_from_values,
     char_function,
@@ -18,8 +21,9 @@ from asym import (
     shift_canonicalize,
 )
 from asym.abelian import ChargeDistribution, basis_elements
+from asym.cli import main
 from asym.corpus import corpus_rep, random_distribution, random_state, z2_population_state
-from asym.errors import NotAbelian, NotSimultaneouslyDiagonalizable, ShapeMismatch
+from asym.errors import DomainError, NotAbelian, NotSimultaneouslyDiagonalizable, ShapeMismatch
 from asym.groups import ProjectiveRep, PureState, subgroup_closure
 
 
@@ -371,3 +375,87 @@ def test_fourier_view_agrees_with_gram_on_unnormalized_input(NM):
     assert ok_fourier == gram.feasible
     assert ok_fourier
     assert abs(w.sum() - 1.0) <= 1e-15
+
+
+# ------------------------------------- one decomposition and one interpolator core
+
+
+def convert_abelian(capsys, tmp_path, shape, p, q, N, M):
+    """Exit code, stdout JSON (or None) and stderr JSON (or None) of convert-abelian."""
+    paths = [tmp_path / "p.json", tmp_path / "q.json"]
+    for path, probs in zip(paths, (p, q)):
+        io.save_distribution(path, dist(shape, probs))
+    argv = ["convert-abelian", "--p", paths[0], "--q", paths[1], "--copies", N, M, "--json"]
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out and json.loads(out), err and json.loads(err)
+
+
+def test_fourier_weights_rejects_zero_copies(capsys, tmp_path):
+    # psi^0 is the trivial state: the Gram view raises DomainError, so does this one
+    flat = dist((2,), [0.5, 0.5])
+    with pytest.raises(DomainError):
+        fourier_weights(flat, flat, 0, 1)
+    code, out, err = convert_abelian(capsys, tmp_path, (2,), [0.5, 0.5], [0.5, 0.5], 0, 1)
+    assert (code, out, err["error"]) == (1, "", "DomainError")
+
+
+# q vanishes off the identity where p does not; the weights are 0 on the zero set
+ZERO_SET_FAILURES = [
+    ((2,), [0.8, 0.2], [0.5, 0.5], 1, 1, [0.5, 0.5]),
+    ((4,), [0.4, 0.3, 0.2, 0.1], [0.5, 0.0, 0.5, 0.0], 2, 3, [0.26, 0.24, 0.26, 0.24]),
+]
+
+
+@pytest.mark.parametrize("shape, p, q, N, M, want", ZERO_SET_FAILURES)
+def test_weights_stay_finite_on_a_zero_set_violation(shape, p, q, N, M, want, capsys, tmp_path):
+    w, ok = fourier_weights(dist(shape, p), dist(shape, q), N, M)
+    assert ok is False
+    assert np.isfinite(w).all()
+    assert np.allclose(w, want, atol=1e-15)
+    code, out, err = convert_abelian(capsys, tmp_path, shape, p, q, N, M)
+    assert (code, err) == (0, "")
+    result = out["result"]
+    assert result["feasible"] is False
+    assert np.isfinite(result["weights"]).all() and np.isfinite(result["min_weight"])
+    assert np.allclose(result["weights"], want, atol=1e-15)
+    assert result["min_weight"] == pytest.approx(min(want), abs=1e-15)
+
+
+def test_charge_distribution_decomposes_each_group_once(monkeypatch, rng):
+    calls = []
+    decompose = groups.decompose_abelian
+    monkeypatch.setattr(groups, "decompose_abelian", lambda g: calls.append(g) or decompose(g))
+    rep = diagonal_rep((6, 4), 8, rng)
+    state = random_state(8, rng)
+    first = charge_distribution(rep, state)
+    second = charge_distribution(rep, state)
+    assert calls == [rep.group]
+    assert np.array_equal(first.probs, second.probs)
+    group = rep.group
+    assert group.cyclic_decomposition is group.cyclic_decomposition
+    assert abelian_basis(group) == list(group.cyclic_decomposition[0])
+    assert basis_elements(group)[1] is group.cyclic_decomposition[1]
+
+
+@pytest.mark.parametrize("name", ["Z_3", "Z_4", "Z_2xZ_2"])
+def test_gram_blocks_are_the_fourier_weights(name, rng):
+    """Both views read one spectrum: the 1 x 1 Fourier blocks of the Gram
+    interpolator are |G| w, the block of charge k at the weight of charge -k
+    (the characters are exp(+2 pi i a.k / t), the weights an FFT)."""
+    rep = corpus_rep(name)
+    group, n = rep.group, rep.group.order
+    shape, elems = basis_elements(group)
+    axes = tuple(range(len(shape)))
+    psi, phi = random_state(rep.dim, rng), random_state(rep.dim, rng)
+    p, q = charge_distribution(rep, psi), charge_distribution(rep, phi)
+    for N, M in ((1, 1), (2, 1), (3, 4)):
+        w, ok = fourier_weights(p, q, N, M)
+        gram = feasible_exact(char_function(rep, psi), char_function(rep, phi), N, M)
+        assert gram.feasible == ok
+        (blocks,) = group.irreps.fourier_blocks(gram.f.values)
+        w_neg = np.roll(np.flip(w.reshape(shape), axes), 1, axes).ravel()
+        assert np.abs(blocks.ravel() - n * w_neg).max() <= 1e-10 * n
+        # the interpolator on G, read in label order, is the inverse DFT of w
+        lam_w = np.fft.ifftn(w.reshape(shape)).ravel() * n
+        assert np.abs(gram.f.values[elems] - lam_w).max() <= 1e-10

@@ -369,7 +369,7 @@ def test_irrep_decomposition_failing_its_checks_is_a_typed_error(monkeypatch):
         groups.np.linalg, "eigh", lambda H: (np.zeros(len(H)), np.eye(len(H), dtype=complex))
     )
     with pytest.raises(SelfCheckFailed):
-        named_group("Z_3").irreps
+        named_group("S_3").irreps  # abelian tables take their characters, not eigh
 
 
 # Z_3 instances where |lambda_q|^M underflows a float: the Fourier weights
