@@ -3,6 +3,7 @@ conversion rates, single-shot feasibility oracles, and quantum Fisher
 information rate bounds.
 """
 
+from .tolerances import Tolerances
 from .groups import (
     FiniteGroup,
     ProjectiveRep,
@@ -61,6 +62,7 @@ from .lie import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Tolerances",
     "FiniteGroup",
     "ProjectiveRep",
     "PureState",

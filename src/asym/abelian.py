@@ -18,17 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import TOL_ZERO
-from .convertibility import TOL_PSD, interpolate
+from .convertibility import interpolate
 from .errors import (
     NotSimultaneouslyDiagonalizable,
     SelfCheckFailed,
     ShapeMismatch,
 )
 from .groups import FiniteGroup, ProjectiveRep, PureState
-
-TOL_W = 1e-9
-TOL_EIG = 1e-8
+from .tolerances import DEFAULT, TOL_PROB, TOL_SECTOR, TOL_SELF, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +40,9 @@ class ChargeDistribution:
             raise ShapeMismatch(f"expected {size} probabilities, got shape {p.shape}")
         if not np.isfinite(p).all():
             raise ShapeMismatch("non-finite probability")
-        if p.min() < -TOL_W:
+        if p.min() < -TOL_PROB:
             raise ShapeMismatch(f"negative probability {p.min():.3e}")
-        if abs(p.sum() - 1.0) > 1e-8:
+        if abs(p.sum() - 1.0) > TOL_SECTOR:
             raise ShapeMismatch(f"probabilities sum to {p.sum()!r}")
         object.__setattr__(self, "probs", p)
 
@@ -86,7 +83,7 @@ def charge_distribution(rep: ProjectiveRep, state: PureState) -> ChargeDistribut
     basis = abelian_basis(group)
     gens = [rep.matrices[g] for g, _ in basis]
     for A, B in itertools.combinations(gens, 2):
-        if np.abs(A @ B - B @ A).max() > TOL_EIG:
+        if np.abs(A @ B - B @ A).max() > TOL_SECTOR:
             raise NotSimultaneouslyDiagonalizable(
                 "generator matrices do not commute (projective obstruction)"
             )
@@ -95,7 +92,7 @@ def charge_distribution(rep: ProjectiveRep, state: PureState) -> ChargeDistribut
     for (g, t), U in zip(basis, gens):
         P = np.linalg.matrix_power(U, t)
         z = P[0, 0]
-        if abs(abs(z) - 1.0) > TOL_EIG or np.abs(P - z * np.eye(d)).max() > TOL_EIG:
+        if abs(abs(z) - 1.0) > TOL_SECTOR or np.abs(P - z * np.eye(d)).max() > TOL_SECTOR:
             raise NotSimultaneouslyDiagonalizable(
                 f"U^{t} for generator {g} is not a phase multiple of the identity"
             )
@@ -109,7 +106,7 @@ def charge_distribution(rep: ProjectiveRep, state: PureState) -> ChargeDistribut
     sectors = np.fft.fftn(orbit.reshape(*shape, d), axes=range(len(shape))) / group.order
     probs = (sectors.real**2 + sectors.imag**2).sum(axis=-1)
     total = probs.sum()
-    if abs(total - 1.0) > 1e-8:
+    if abs(total - 1.0) > TOL_SECTOR:
         raise NotSimultaneouslyDiagonalizable(
             f"sector weights sum to {total!r}; diagonalization lost probability"
         )
@@ -128,15 +125,14 @@ def fourier_weights(
     q: ChargeDistribution,
     N: int,
     M: int,
-    tol_psd: float = TOL_PSD,
-    tol_zero: float = TOL_ZERO,
+    tol: Tolerances = DEFAULT,
 ) -> tuple[np.ndarray, bool]:
     """Candidate convolution weights w with p^N-sector = q^M-sector * w.
 
     lambda(w) = lambda(p)^N / lambda(q)^M off the q zero set and 0 on it, from
     `convertibility.interpolate`, the core of the Gram view, so the rules are
-    the Gram oracle's: feasible iff the zero-set rule holds and w >= -tol_psd,
-    i.e. the minimum Gram eigenvalue (|G| * w) is >= -tol_psd * |G|. lambda(0)
+    the Gram oracle's: feasible iff the zero-set rule holds and w >= -tol.tol_psd,
+    i.e. the minimum Gram eigenvalue (|G| * w) is >= -tol.tol_psd * |G|. lambda(0)
     is pinned to 1, as chi(e) is, so w sums to one.
     """
     if p.shape != q.shape:
@@ -146,13 +142,13 @@ def fourier_weights(
     with np.errstate(divide="ignore"):
         logmod = np.log(np.abs(lam))
     phase = np.angle(lam)
-    lam_w, violation = interpolate(logmod[0], phase[0], logmod[1], phase[1], N, M, tol_zero)
+    lam_w, violation = interpolate(logmod[0], phase[0], logmod[1], phase[1], N, M, tol)
     w = (np.fft.fftn(lam_w.reshape(p.shape)) / lam_w.size).real.ravel()
-    return w, violation is None and float(w.min()) >= -tol_psd
+    return w, violation is None and float(w.min()) >= -tol.tol_psd
 
 
-def shift_canonicalize(dist: ChargeDistribution, tol_one: float = 1e-10) -> ChargeDistribution:
-    """Translate the support so every unit-modulus dual coefficient equals 1.
+def shift_canonicalize(dist: ChargeDistribution) -> ChargeDistribution:
+    """Translate the support so every dual coefficient of modulus >= 1 - tol_one is 1.
 
     A single shift by any support label does it: if |lambda_a| = 1 then all
     support labels share the same character phase at a, so re-centering on
@@ -167,7 +163,7 @@ def shift_canonicalize(dist: ChargeDistribution, tol_one: float = 1e-10) -> Char
     shifted = np.roll(grid, shift=tuple(-int(k) for k in k1), axis=tuple(range(grid.ndim)))
     out = ChargeDistribution(shape=dist.shape, probs=shifted.ravel())
     lam = dual_fourier(out).values
-    unit = np.abs(lam) >= 1.0 - tol_one
-    if not np.allclose(lam[unit], 1.0, atol=1e-8):
+    unit = np.abs(lam) >= 1.0 - DEFAULT.tol_one
+    if not np.allclose(lam[unit], 1.0, atol=TOL_SELF):
         raise SelfCheckFailed("shift canonicalization left a unit-modulus coefficient != 1")
     return out

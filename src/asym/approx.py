@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import TOL_ONE, TOL_ZERO, CharFunction, classify_sets
-from .errors import GroupMismatch, NoDecay, NotASubgroup, SelfCheckFailed
+from .charfn import CharFunction, check_same_group, classify_sets
+from .errors import NoDecay, NotASubgroup, SelfCheckFailed
 from .groups import FiniteGroup, subgroup_closure
+from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +79,7 @@ def _decay_base(char_psi: CharFunction, sym: frozenset[int]) -> float:
 def convergence_to_uniform(
     char_psi: CharFunction,
     N_list,
-    tol_one: float = TOL_ONE,
-    tol_zero: float = TOL_ZERO,
+    tol: Tolerances = DEFAULT,
 ) -> ConvergenceReport:
     """Exponential convergence of psi^{|G| N} to the uniform state of sym(psi).
 
@@ -88,10 +88,10 @@ def convergence_to_uniform(
     (1/2) sum over g off sym of |chi(g)|^{|G| N}; the proxy never exceeds
     the bound.
     """
-    sets = classify_sets(char_psi, tol_one, tol_zero)
+    sets = classify_sets(char_psi, tol)
     n = char_psi.group.order
     s = _decay_base(char_psi, sets.sym)
-    if len(sets.sym) < n and s >= 1.0 - tol_one:
+    if len(sets.sym) < n and s >= 1.0 - tol.tol_one:
         raise NoDecay(f"largest off-symmetry |chi| = {s!r}")
     log_s = math.log(s) if s > 0 else -math.inf
     points = []
@@ -118,8 +118,7 @@ def can_generate_from_uniform(
     H,
     char_phi: CharFunction,
     M: int,
-    tol_one: float = TOL_ONE,
-    tol_zero: float = TOL_ZERO,
+    tol: Tolerances = DEFAULT,
 ) -> bool:
     """Whether phi^{|G| M} is exactly reachable from the uniform state of H.
 
@@ -127,14 +126,14 @@ def can_generate_from_uniform(
     chi_uni = chi_uni * chi_phi^{|G| M} is re-verified numerically.
     """
     uni = uniform_char(group, H)
-    sets_phi = classify_sets(char_phi, tol_one, tol_zero)
+    sets_phi = classify_sets(char_phi, tol)
     if not uni.subgroup <= sets_phi.sym:
         return False
     n = group.order
     ind = uni.values()
     with np.errstate(under="ignore"):
         prod_mod = ind * np.exp(char_phi.logmod * n * M)
-    if not np.abs(prod_mod - ind).max() <= n * M * tol_one * 10 + 1e-12:
+    if not np.abs(prod_mod - ind).max() <= n * M * tol.tol_one * 10 + 1e-12:
         raise SelfCheckFailed("chi_uni * |chi_phi|^(|G| M) differs from chi_uni")
     return True
 
@@ -142,18 +141,16 @@ def can_generate_from_uniform(
 def approx_rate_class(
     char_psi: CharFunction,
     char_phi: CharFunction,
-    tol_one: float = TOL_ONE,
-    tol_zero: float = TOL_ZERO,
+    tol: Tolerances = DEFAULT,
 ) -> ApproxReport:
     """Unbounded iff sym(psi) is contained in sym(phi); zero otherwise."""
-    if not char_psi.group.same_as(char_phi.group):
-        raise GroupMismatch("characteristic functions live on different groups")
-    sets_psi = classify_sets(char_psi, tol_one, tol_zero)
-    sets_phi = classify_sets(char_phi, tol_one, tol_zero)
+    check_same_group(char_psi, char_phi)
+    sets_psi = classify_sets(char_psi, tol)
+    sets_phi = classify_sets(char_phi, tol)
     if sets_psi.sym <= sets_phi.sym:
         s = _decay_base(char_psi, sets_psi.sym)
         gen_ok = can_generate_from_uniform(
-            char_psi.group, sets_psi.sym, char_phi, 1, tol_one, tol_zero
+            char_psi.group, sets_psi.sym, char_phi, 1, tol
         )
         return ApproxReport(
             classification="unbounded",

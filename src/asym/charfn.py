@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, SymNotSubgroup
+from .errors import DimensionMismatch, DomainError, GroupMismatch, SymNotSubgroup
 from .groups import FiniteGroup, ProjectiveRep, PureState, subgroup_closure
-
-TOL_ONE = 1e-10
-TOL_ZERO = 1e-10
+from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,6 +38,11 @@ class CharFunction:
 class ClassSets:
     sym: frozenset[int]
     zero: frozenset[int]
+
+
+def check_same_group(a: CharFunction, b: CharFunction) -> None:
+    if not a.group.same_as(b.group):
+        raise GroupMismatch("characteristic functions live on different groups")
 
 
 def wrap_phase(phi: np.ndarray) -> np.ndarray:
@@ -78,22 +81,20 @@ def resource_measure_L(char: CharFunction, g: int) -> float:
     return math.inf if np.isneginf(lm) else float(-lm) + 0.0
 
 
-def zero_mask(logmod: np.ndarray, tol_zero: float = TOL_ZERO) -> np.ndarray:
-    """Where |chi| <= tol_zero, from logmod = log|chi| (-inf for exact zeros)."""
-    return logmod <= math.log(tol_zero)
+def zero_mask(logmod: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Where |chi| <= tol.tol_zero, from logmod = log|chi| (-inf for exact zeros)."""
+    return logmod <= math.log(tol.tol_zero)
 
 
-def classify_sets(char: CharFunction, tol_one: float = TOL_ONE, tol_zero: float = TOL_ZERO) -> ClassSets:
+def classify_sets(char: CharFunction, tol: Tolerances = DEFAULT) -> ClassSets:
     """Split G into the |chi| = 1 subgroup and the chi = 0 set.
 
     Raises SymNotSubgroup when the tolerance-thresholded sym set fails the
     subgroup check: the exact |chi| = 1 set is always a subgroup, so failure
     signals a misconfigured tolerance.
     """
-    if not (0 < tol_one < 1 and 0 < tol_zero < 1):
-        raise DomainError("tolerances must lie in (0, 1)")
-    sym = frozenset(int(g) for g in np.where(char.logmod >= math.log1p(-tol_one))[0])
-    zero = frozenset(int(g) for g in np.where(zero_mask(char.logmod, tol_zero))[0])
+    sym = frozenset(int(g) for g in np.where(char.logmod >= math.log1p(-tol.tol_one))[0])
+    zero = frozenset(int(g) for g in np.where(zero_mask(char.logmod, tol))[0])
     if subgroup_closure(char.group, sym) != sym:
         raise SymNotSubgroup(f"{sorted(sym)} is not closed under the group law")
     return ClassSets(sym=sym, zero=zero)

@@ -8,6 +8,7 @@ fixture. Exit codes: 0 success, 1 domain error, 2 parse/validation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,6 +20,7 @@ from . import abelian, approx, charfn, convertibility, io, lie
 from .errors import AsymError, ValidationError
 from .exact_rate import FINITE, RateReport
 from .exact_rate import exact_rate as compute_exact_rate
+from .tolerances import Tolerances
 
 
 def _digest(path: str) -> str:
@@ -96,19 +98,11 @@ def _render(v) -> str:
     return str(v)
 
 
-def _tolerances(args) -> dict:
-    return {
-        "tol_one": args.tol_one,
-        "tol_zero": args.tol_zero,
-        "tol_psd": args.tol_psd,
-    }
-
-
 def _base_report(args, inputs: dict[str, str], result: dict) -> dict:
     return {
         "subcommand": args.subcommand,
         "inputs": {k: {"path": v, "sha256": _digest(v)} for k, v in inputs.items()},
-        "tolerances": _tolerances(args),
+        "tolerances": dataclasses.asdict(args.tol),
         "result": result,
     }
 
@@ -136,7 +130,7 @@ def cmd_chi(args) -> dict:
     char = charfn.char_function(rep, io.load_state(args.state))
     if args.power > 1:
         char = charfn.char_power(char, args.power)
-    sets = charfn.classify_sets(char, args.tol_one, args.tol_zero)
+    sets = charfn.classify_sets(char, args.tol)
     elements = []
     for g in range(group.order):
         elements.append(
@@ -162,7 +156,7 @@ def _load_char_pair(args):
 
 def cmd_rate_exact(args) -> dict:
     c_psi, c_phi = _chars(args)
-    report = compute_exact_rate(c_psi, c_phi, args.commutative, args.tol_one, args.tol_zero)
+    report = compute_exact_rate(c_psi, c_phi, args.commutative, args.tol)
     return _base_report(
         args,
         {"group": args.group, "rep": args.rep, "psi": args.psi, "phi": args.phi},
@@ -173,7 +167,7 @@ def cmd_rate_exact(args) -> dict:
 def cmd_convert(args) -> dict:
     c_psi, c_phi = _chars(args)
     N, M = args.copies
-    res = convertibility.feasible_exact(c_psi, c_phi, N, M, args.tol_psd, args.tol_zero)
+    res = convertibility.feasible_exact(c_psi, c_phi, N, M, args.tol)
     return _base_report(
         args,
         {"group": args.group, "rep": args.rep, "psi": args.psi, "phi": args.phi},
@@ -190,9 +184,7 @@ def cmd_convert(args) -> dict:
 
 def cmd_min_copies(args) -> dict:
     c_psi, c_phi = _chars(args)
-    found = convertibility.minimal_copies_search(
-        c_psi, c_phi, args.rate, args.nmax, args.tol_psd, args.tol_zero
-    )
+    found = convertibility.minimal_copies_search(c_psi, c_phi, args.rate, args.nmax, args.tol)
     return _base_report(
         args,
         {"group": args.group, "rep": args.rep, "psi": args.psi, "phi": args.phi},
@@ -220,7 +212,7 @@ def cmd_convert_abelian(args) -> dict:
     p = io.load_distribution(args.p)
     q = io.load_distribution(args.q)
     N, M = args.copies
-    w, feasible = abelian.fourier_weights(p, q, N, M, args.tol_psd, args.tol_zero)
+    w, feasible = abelian.fourier_weights(p, q, N, M, args.tol)
     return _base_report(
         args,
         {"p": args.p, "q": args.q},
@@ -237,7 +229,7 @@ def cmd_convert_abelian(args) -> dict:
 
 def cmd_approx(args) -> dict:
     c_psi, c_phi = _chars(args)
-    report = approx.approx_rate_class(c_psi, c_phi, args.tol_one, args.tol_zero)
+    report = approx.approx_rate_class(c_psi, c_phi, args.tol)
     result = {
         "classification": report.classification,
         "sym_psi": report.sym_psi,
@@ -246,9 +238,7 @@ def cmd_approx(args) -> dict:
         "generation_ok": report.generation_ok,
     }
     if args.curve and report.classification == "unbounded":
-        curve = approx.convergence_to_uniform(
-            c_psi, args.curve, args.tol_one, args.tol_zero
-        )
+        curve = approx.convergence_to_uniform(c_psi, args.curve, args.tol)
         result["curve"] = [
             {"N": pt.N, "bound": pt.bound, "distance": pt.distance} for pt in curve.points
         ]
@@ -300,9 +290,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", choices=["json", "table"], default="table")
     p.add_argument("--json", dest="output", action="store_const", const="json")
     p.add_argument("--table", dest="output", action="store_const", const="table")
-    p.add_argument("--tol-one", type=float, default=charfn.TOL_ONE, dest="tol_one")
-    p.add_argument("--tol-zero", type=float, default=charfn.TOL_ZERO, dest="tol_zero")
-    p.add_argument("--tol-psd", type=float, default=convertibility.TOL_PSD, dest="tol_psd")
+    for field in dataclasses.fields(Tolerances):  # --tol-one, --tol-zero, --tol-psd
+        p.add_argument("--" + field.name.replace("_", "-"), type=float, default=field.default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,6 +344,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        args.tol = Tolerances(args.tol_one, args.tol_zero, args.tol_psd)
         report = args.func(args)
     # LinAlgError and JSONDecodeError subclass ValueError; clause order matters
     except np.linalg.LinAlgError as exc:

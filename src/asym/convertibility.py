@@ -24,12 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import TOL_ZERO, CharFunction, wrap_phase, zero_mask
-from .errors import DomainError, GroupMismatch, NotHermitian, ZeroSetViolation
+from .charfn import CharFunction, check_same_group, wrap_phase, zero_mask
+from .errors import DomainError, NotHermitian, ZeroSetViolation
 from .groups import FiniteGroup
-
-TOL_PSD = 1e-9
-TOL_HERM = 1e-8
+from .tolerances import DEFAULT, TOL_HERM, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +52,7 @@ def interpolate(
     phi_phase: np.ndarray,
     N: int,
     M: int,
-    tol_zero: float = TOL_ZERO,
+    tol: Tolerances = DEFAULT,
 ) -> tuple[np.ndarray, int | None]:
     """f = chi_psi^N / chi_phi^M from log-polar chi, 0 on the chi_phi zero set.
 
@@ -66,8 +64,8 @@ def interpolate(
     """
     if N < 1 or M < 0:
         raise DomainError(f"copy numbers must be N >= 1 and M >= 0, got ({N}, {M})")
-    psi_zero = zero_mask(psi_logmod, tol_zero)
-    phi_zero = zero_mask(phi_logmod, tol_zero)
+    psi_zero = zero_mask(psi_logmod, tol)
+    phi_zero = zero_mask(phi_logmod, tol)
     target = M * np.where(phi_zero, 0.0, phi_logmod)  # log|chi_phi^M|, no 0 * -inf
     phi_zero &= M > 0  # phi^0 is the trivial state: no zeros
     bad = np.flatnonzero(phi_zero & ~psi_zero)
@@ -82,13 +80,12 @@ def interpolate(
 
 
 def _interpolator(
-    char_psi: CharFunction, char_phi: CharFunction, N: int, M: int, tol_zero: float
+    char_psi: CharFunction, char_phi: CharFunction, N: int, M: int, tol: Tolerances
 ) -> GroupFunction:
     """`interpolate` on one group; ZeroSetViolation if no interpolator exists."""
-    if not char_psi.group.same_as(char_phi.group):
-        raise GroupMismatch("characteristic functions live on different groups")
+    check_same_group(char_psi, char_phi)
     vals, bad = interpolate(
-        char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M, tol_zero
+        char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M, tol
     )
     if bad is not None:
         raise ZeroSetViolation(bad)
@@ -96,21 +93,21 @@ def _interpolator(
 
 
 def build_interpolator(
-    char_psi: CharFunction, char_phi: CharFunction, tol_zero: float = TOL_ZERO
+    char_psi: CharFunction, char_phi: CharFunction, tol: Tolerances = DEFAULT
 ) -> GroupFunction:
     """f = chi_psi / chi_phi off the phi zero set, 0 on it.
 
     Raises ZeroSetViolation when chi_phi vanishes somewhere chi_psi does not;
     no interpolating function can exist there and the conversion rate is zero.
     """
-    return _interpolator(char_psi, char_phi, 1, 1, tol_zero)
+    return _interpolator(char_psi, char_phi, 1, 1, tol)
 
 
-def is_positive_definite(f: GroupFunction, tol_psd: float = TOL_PSD) -> FeasibilityResult:
+def is_positive_definite(f: GroupFunction, tol: Tolerances = DEFAULT) -> FeasibilityResult:
     """Gram-matrix positive semidefiniteness test for a function on G.
 
     Reports feasible iff the minimum eigenvalue of M[g, h] = f(g^-1 h) is
-    >= -tol_psd * |G|, computed block by block from the Fourier transform of
+    >= -tol.tol_psd * |G|, computed block by block from the Fourier transform of
     f. M is Hermitian iff f(g^-1) = conj f(g); a function that is not (or is
     not finite) cannot be positive definite and is reported as an error.
     """
@@ -127,9 +124,9 @@ def is_positive_definite(f: GroupFunction, tol_psd: float = TOL_PSD) -> Feasibil
         float(np.linalg.eigvalsh((B + B.conj().swapaxes(1, 2)) / 2.0)[:, 0].min())
         for B in group.irreps.fourier_blocks(vals)
     )
-    over = np.where(np.abs(vals) > 1.0 + tol_psd)[0]
+    over = np.where(np.abs(vals) > 1.0 + tol.tol_psd)[0]
     return FeasibilityResult(
-        feasible=min_eig >= -tol_psd * n,
+        feasible=min_eig >= -tol.tol_psd * n,
         min_gram_eigenvalue=min_eig,
         f=f,
         method="gram",
@@ -142,15 +139,14 @@ def feasible_exact(
     char_phi: CharFunction,
     N: int,
     M: int,
-    tol_psd: float = TOL_PSD,
-    tol_zero: float = TOL_ZERO,
+    tol: Tolerances = DEFAULT,
 ) -> FeasibilityResult:
     """Feasibility of psi^N -> phi^M under G-covariant operations.
 
     M = 0 is accepted as the trivial (symmetric) target, which is always
     reachable; the interpolator of `interpolate` goes to the Gram test.
     """
-    return is_positive_definite(_interpolator(char_psi, char_phi, N, M, tol_zero), tol_psd)
+    return is_positive_definite(_interpolator(char_psi, char_phi, N, M, tol), tol)
 
 
 def minimal_copies_search(
@@ -158,8 +154,7 @@ def minimal_copies_search(
     char_phi: CharFunction,
     r: float,
     n_max: int,
-    tol_psd: float = TOL_PSD,
-    tol_zero: float = TOL_ZERO,
+    tol: Tolerances = DEFAULT,
 ) -> int | None:
     """Smallest N <= n_max from which psi^N -> phi^{floor(rN)} stays feasible.
 
@@ -167,13 +162,15 @@ def minimal_copies_search(
     Returns None when no such N exists (in particular whenever r exceeds the
     optimal exact rate and the witness inequality eventually fails).
     """
+    if not math.isfinite(r):
+        raise DomainError(f"rate must be finite, got {r}")
     if n_max < 1 or n_max > 10**4:
         raise ValueError(f"n_max must be in [1, 10^4], got {n_max}")
     first = None
     for N in range(n_max, 0, -1):
         M = math.floor(r * N + 1e-12)
         try:
-            ok = feasible_exact(char_psi, char_phi, N, M, tol_psd, tol_zero).feasible
+            ok = feasible_exact(char_psi, char_phi, N, M, tol).feasible
         except ZeroSetViolation:
             ok = False
         if not ok:

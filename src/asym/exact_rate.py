@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import TOL_ONE, TOL_ZERO, CharFunction, classify_sets
-from .errors import GroupMismatch, RateNotBelowOptimal
+from .charfn import CharFunction, check_same_group, classify_sets
+from .errors import RateNotBelowOptimal
+from .tolerances import DEFAULT, Tolerances
 
 ZERO = "zero"
 FINITE = "finite"
@@ -28,34 +29,24 @@ class RateReport:
         return self.kind == ZERO
 
 
-def _check_same_group(a: CharFunction, b: CharFunction) -> None:
-    if not a.group.same_as(b.group):
-        raise GroupMismatch("characteristic functions live on different groups")
-
-
-def _excluded_set(char_phi: CharFunction, commutative: bool, tol_one: float, tol_zero: float):
+def _excluded_set(char_phi: CharFunction, commutative: bool, tol: Tolerances):
     """Excluded elements for the rate minimum, plus the assumption flag.
 
     The general finite-group formula removes {e} and the chi_phi zero set and
     requires sym(phi) = {e}; the commutative variant removes all of sym(phi).
-    For nonabelian phi with nontrivial symmetry we still evaluate the formula
-    over G \\ (sym(phi) u zeros) but flag the result as not guaranteed.
+    Both remove sym(phi) u zeros. For nonabelian phi with nontrivial symmetry
+    we still evaluate the formula there but flag the result as not guaranteed.
     """
-    sets_phi = classify_sets(char_phi, tol_one, tol_zero)
-    e = char_phi.group.identity
-    if commutative:
-        return sets_phi, sets_phi.sym | sets_phi.zero, True
-    if sets_phi.sym == frozenset({e}):
-        return sets_phi, frozenset({e}) | sets_phi.zero, True
-    return sets_phi, sets_phi.sym | sets_phi.zero, False
+    sets_phi = classify_sets(char_phi, tol)
+    ok = commutative or sets_phi.sym == frozenset({char_phi.group.identity})
+    return sets_phi, sets_phi.sym | sets_phi.zero, ok
 
 
 def exact_rate(
     char_psi: CharFunction,
     char_phi: CharFunction,
     commutative: bool = False,
-    tol_one: float = TOL_ONE,
-    tol_zero: float = TOL_ZERO,
+    tol: Tolerances = DEFAULT,
 ) -> RateReport:
     """min over non-excluded g of L(psi,g)/L(phi,g), with the zero-rate branch.
 
@@ -63,27 +54,23 @@ def exact_rate(
     (modulus monotonicity makes even a single copy of phi unreachable).
     An empty or all-infinite minimum means the rate is unbounded.
     """
-    _check_same_group(char_psi, char_phi)
-    sets_phi, excluded, assumption_ok = _excluded_set(char_phi, commutative, tol_one, tol_zero)
-    sets_psi = classify_sets(char_psi, tol_one, tol_zero)
+    check_same_group(char_psi, char_phi)
+    sets_phi, excluded, assumption_ok = _excluded_set(char_phi, commutative, tol)
+    sets_psi = classify_sets(char_psi, tol)
 
     if not sets_phi.zero <= sets_psi.zero:
         return RateReport(kind=ZERO, value=None, witness=None,
                           assumption_ok=assumption_ok, excluded=excluded)
 
-    best, best_g = math.inf, None
-    for g in range(char_psi.group.order):
-        if g in excluded:
-            continue
-        L_phi = -char_phi.logmod[g]
-        L_psi = -char_psi.logmod[g]
-        ratio = math.inf if np.isinf(L_psi) else float(L_psi / L_phi)
-        if ratio < best:
-            best, best_g = ratio, g
-    if best_g is None or math.isinf(best):
+    keep = np.setdiff1d(np.arange(char_psi.group.order), list(excluded))  # increasing
+    L_psi, L_phi = -char_psi.logmod[keep], -char_phi.logmod[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(np.isinf(L_psi), np.inf, L_psi / L_phi)
+    best = int(np.argmin(ratio)) if ratio.size else None  # the first minimum: smallest g
+    if best is None or np.isinf(ratio[best]):
         return RateReport(kind=UNBOUNDED, value=None, witness=None,
                           assumption_ok=assumption_ok, excluded=excluded)
-    return RateReport(kind=FINITE, value=best, witness=best_g,
+    return RateReport(kind=FINITE, value=float(ratio[best]), witness=int(keep[best]),
                       assumption_ok=assumption_ok, excluded=excluded)
 
 
@@ -92,8 +79,7 @@ def copies_bound(
     char_phi: CharFunction,
     r: float,
     commutative: bool = False,
-    tol_one: float = TOL_ONE,
-    tol_zero: float = TOL_ZERO,
+    tol: Tolerances = DEFAULT,
 ) -> int:
     """Copy number above which feasibility at sub-optimal rate r is guaranteed.
 
@@ -101,16 +87,13 @@ def copies_bound(
     conversion psi^N -> phi^{floor(rN)} is feasible whenever
     N > 2 log|G| / (-log s); returns that threshold rounded up plus one.
     """
-    _check_same_group(char_psi, char_phi)
-    if r <= 0:
-        raise RateNotBelowOptimal("rate must be positive")
-    _, excluded, _ = _excluded_set(char_phi, commutative, tol_one, tol_zero)
-    log_s = -math.inf
-    for g in range(char_psi.group.order):
-        if g in excluded:
-            continue
-        val = char_psi.logmod[g] - r * char_phi.logmod[g]
-        log_s = max(log_s, float(val))
+    check_same_group(char_psi, char_phi)
+    if not 0 < r < math.inf:
+        raise RateNotBelowOptimal(f"rate must be positive and finite, got {r}")
+    _, excluded, _ = _excluded_set(char_phi, commutative, tol)
+    keep = np.setdiff1d(np.arange(char_psi.group.order), list(excluded))  # increasing
+    log_s = char_psi.logmod[keep] - r * char_phi.logmod[keep]
+    log_s = float(log_s.max()) if log_s.size else -math.inf
     if math.isinf(log_s) and log_s < 0:
         return 1  # nothing constrains the conversion
     if log_s >= 0:

@@ -34,9 +34,7 @@ from .errors import (
     SelfCheckFailed,
     UnknownGroupName,
 )
-
-TOL_UNITARY = 1e-10
-TOL_NORM = 1e-10
+from .tolerances import TOL_NORM, TOL_PHASE, TOL_UNITARY
 
 MAX_ORDER = 256
 
@@ -271,7 +269,7 @@ def _law_deviation(prod: np.ndarray) -> float:
     entry times I; from the entry itself times I when it is off the unit circle.
     """
     z = prod[0, 0]
-    if abs(abs(z) - 1.0) <= 1e-6:
+    if abs(abs(z) - 1.0) <= TOL_PHASE:
         z = z / abs(z)
     return float(np.abs(prod - z * np.eye(len(prod))).max())
 
@@ -321,7 +319,7 @@ def validate_projective_rep(group: FiniteGroup, matrices) -> ProjectiveRep:
                 # prod -= phase * I, on the diagonal of the contiguous block
                 prod.reshape(*z.shape, d * d)[:, :, :: d + 1] -= phase[:, :, None]
                 dev = np.abs(prod).max(axis=(2, 3))
-            bad = ~(np.abs(modulus - 1.0) <= 1e-6) | ~(dev <= TOL_UNITARY * max(1.0, d))
+            bad = ~(np.abs(modulus - 1.0) <= TOL_PHASE) | ~(dev <= TOL_UNITARY * max(1.0, d))
             if bad.any():
                 i, j = np.argwhere(bad)[0]
                 g, h = g0 + int(i), h0 + int(j)

@@ -12,10 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotAState, SelfCheckFailed
 from .groups import PureState
-
-TOL_HERM = 1e-10
-TOL_SUPP = 1e-12
-TOL_PSD = 1e-10
+from .tolerances import TOL_DENSITY, TOL_HERM, TOL_PENCIL, TOL_PURE, TOL_SELF, TOL_SUPP
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +29,7 @@ class GeneratorSet:
         if not np.isfinite(gens).all():
             raise DomainError("generators have a non-finite entry")
         dev = np.abs(gens - gens.conj().transpose(0, 2, 1)).max() if gens.size else 0.0
-        if not dev <= TOL_HERM * 100:
+        if not dev <= TOL_HERM:
             raise DomainError(f"generators deviate from Hermitian by {dev:.3e}")
         object.__setattr__(self, "generators", gens)
 
@@ -54,11 +51,11 @@ def _check_density(rho: np.ndarray) -> np.ndarray:
         raise NotAState(f"density matrix must be square, got {rho.shape}")
     if not np.isfinite(rho).all():
         raise NotAState("density matrix has a non-finite entry")
-    if not np.abs(rho - rho.conj().T).max() <= 1e-8:
+    if not np.abs(rho - rho.conj().T).max() <= TOL_HERM:
         raise NotAState("density matrix is not Hermitian")
-    if not abs(np.trace(rho).real - 1.0) <= 1e-8:
+    if not abs(np.trace(rho).real - 1.0) <= TOL_DENSITY:
         raise NotAState(f"trace is {np.trace(rho)!r}")
-    if np.linalg.eigvalsh(rho)[0] < -1e-8:
+    if np.linalg.eigvalsh(rho)[0] < -TOL_DENSITY:
         raise NotAState("density matrix has a negative eigenvalue")
     return rho
 
@@ -77,11 +74,11 @@ def symmetrized_covariance(state: PureState, gens: GeneratorSet) -> np.ndarray:
     return (second + second.T) / 2.0 - np.outer(means, means)
 
 
-def qfim(rho, gens: GeneratorSet, tol_supp: float = TOL_SUPP) -> np.ndarray:
+def qfim(rho, gens: GeneratorSet) -> np.ndarray:
     """SLD quantum Fisher information matrix of rho for the given generators.
 
     Spectral form: F_ij = sum over eigenpairs (k, l) with p_k + p_l above the
-    support cutoff of 2 (p_k - p_l)^2 / (p_k + p_l) <k|X_i|l><l|X_j|k>,
+    support cutoff TOL_SUPP of 2 (p_k - p_l)^2 / (p_k + p_l) <k|X_i|l><l|X_j|k>,
     symmetrized. For (numerically) pure inputs the pure-state identity
     F = 4 Cov_sym is re-checked; a mismatch raises SelfCheckFailed.
     """
@@ -93,14 +90,14 @@ def qfim(rho, gens: GeneratorSet, tol_supp: float = TOL_SUPP) -> np.ndarray:
     A = V.conj().T @ gens.generators @ V  # (m, d, d): <k|X_i|l>
     denom = p[:, None] + p[None, :]
     num = (p[:, None] - p[None, :]) ** 2
-    W = np.where(denom > tol_supp, 2.0 * num / np.where(denom > tol_supp, denom, 1.0), 0.0)
+    W = np.where(denom > TOL_SUPP, 2.0 * num / np.where(denom > TOL_SUPP, denom, 1.0), 0.0)
     F = np.real(np.einsum("kl,mkl,nkl->mn", W, A, A.conj()))
     F = (F + F.T) / 2.0
 
-    if p[-1] > 1.0 - 1e-10:  # pure input: cross-check against 4 * Cov_sym
+    if p[-1] > 1.0 - TOL_PURE:  # pure input: cross-check against 4 * Cov_sym
         psi = PureState(dim=rho.shape[0], amplitudes=V[:, -1])
         F_cov = 4.0 * symmetrized_covariance(psi, gens)
-        if not np.abs(F - F_cov).max() <= 1e-8 * max(1.0, np.abs(F).max()):
+        if not np.abs(F - F_cov).max() <= TOL_SELF * max(1.0, np.abs(F).max()):
             raise SelfCheckFailed("spectral QFIM of a pure state differs from 4 Cov_sym")
     return F
 
@@ -110,16 +107,12 @@ def qfim_pure(state: PureState, gens: GeneratorSet) -> np.ndarray:
     return 4.0 * symmetrized_covariance(state, gens)
 
 
-def _min_eig(M: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(M)[0])
-
-
-def rf_ratio(F_psi, F_phi, tol: float = TOL_PSD) -> RfResult:
+def rf_ratio(F_psi, F_phi) -> RfResult:
     """sup { r : F_psi - r F_phi is positive semidefinite }.
 
     Positive definite F_phi admits the closed form: the minimum eigenvalue of
     F_phi^{-1/2} F_psi F_phi^{-1/2}. A singular F_phi is handled by bisection
-    on r with a PSD test (the Schur-complement infimum on range(F_phi));
+    on r with the TOL_PENCIL PSD test (the Schur-complement infimum on range(F_phi));
     F_phi = 0 gives +inf.
     """
     F_psi = np.asarray(F_psi, dtype=float)
@@ -127,11 +120,11 @@ def rf_ratio(F_psi, F_phi, tol: float = TOL_PSD) -> RfResult:
     if F_psi.shape != F_phi.shape or F_psi.ndim != 2:
         raise DimensionMismatch(f"QFIM shapes differ: {F_psi.shape} vs {F_phi.shape}")
     scale = max(np.abs(F_phi).max(), np.abs(F_psi).max(), 1.0)
-    if np.abs(F_phi).max() <= tol:
+    if np.abs(F_phi).max() <= TOL_PENCIL:
         return RfResult(r_f=math.inf, direction=None, method="closed_form")
 
     w, V = np.linalg.eigh(F_phi)
-    if w[0] > tol * scale:
+    if w[0] > TOL_PENCIL * scale:
         inv_sqrt = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
         pencil = inv_sqrt @ F_psi @ inv_sqrt
         vals, vecs = np.linalg.eigh(pencil)
@@ -141,7 +134,7 @@ def rf_ratio(F_psi, F_phi, tol: float = TOL_PSD) -> RfResult:
         return RfResult(r_f=r_f, direction=direction, method="closed_form")
 
     def psd(r: float) -> bool:
-        return _min_eig(F_psi - r * F_phi) >= -tol * scale * max(1.0, r)
+        return float(np.linalg.eigvalsh(F_psi - r * F_phi)[0]) >= -TOL_PENCIL * scale * max(1.0, r)
 
     if not psd(0.0):
         return RfResult(r_f=0.0, direction=_pencil_direction(F_psi, F_phi, 0.0), method="bisection")
@@ -193,10 +186,10 @@ def converse_certificate(F_psi, F_phi, r: float, delta: float):
     impossibility iff g(T) strictly exceeds 4 sqrt(delta). Returns
     (impossible, witness_direction, T).
     """
-    if r <= 0:
-        raise DomainError(f"rate must be positive, got {r}")
-    if delta < 0:
-        raise DomainError(f"error must be nonnegative, got {delta}")
+    if not 0 < r < math.inf:
+        raise DomainError(f"rate must be positive and finite, got {r}")
+    if not 0 <= delta < math.inf:
+        raise DomainError(f"error must be nonnegative and finite, got {delta}")
     rf = rf_ratio(F_psi, F_phi)
     if not rf.r_f < r or rf.direction is None:
         return False, None, None

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from asym.errors import ValidationError
 from asym.corpus import corpus_rep, random_state, write_corpus, z2_population_state
 from asym.groups import PureState
 from asym.lie import GeneratorSet
+from asym.tolerances import Tolerances
 
 
 @pytest.fixture(scope="session")
@@ -394,3 +396,73 @@ def test_cli_exit_1_on_linalg_error(capsys, corpus_dir, monkeypatch):
 
 def test_cli_exit_2_on_unknown_subcommand(capsys):
     assert main(["no-such-command"]) == 2
+
+
+# ------------------------------------------------- tolerance, rate and error gates
+
+
+def valid_argv(sub, corpus_dir, tmp_path):
+    """A call of each subcommand that succeeds with the default tolerances."""
+    c = corpus_dir
+    pair = ["--psi", c / "z2_psi068.json", "--phi", c / "z2_psi08.json"]
+    on_z2 = ["--group", c / "z2.json", "--rep", c / "z2_rep.json"]
+    p, q = tmp_path / "p.json", tmp_path / "q.json"
+    io.save_distribution(p, ChargeDistribution(shape=(2,), probs=np.array([0.75, 0.25])))
+    io.save_distribution(q, ChargeDistribution(shape=(2,), probs=np.array([0.9, 0.1])))
+    return {
+        "chi": on_z2 + ["--state", c / "z2_psi08.json"],
+        "rate-exact": on_z2 + pair,
+        "convert": on_z2 + pair + ["--copies", "1", "2"],
+        "min-copies": on_z2 + pair + ["--rate", "1.5", "--nmax", "8"],
+        "charges": on_z2 + ["--state", c / "z2_psi08.json"],
+        "convert-abelian": ["--p", p, "--q", q, "--copies", "1", "1"],
+        "approx": on_z2 + pair + ["--curve", "1,2"],
+        "qfim": ["--state", c / "z2_psi08.json", "--generators", c / "spin_half_gens.json"],
+        "rf": pair + ["--generators", c / "spin_half_gens.json", "--rate", "2.0"],
+    }[sub]
+
+
+SUBCOMMANDS = ["chi", "rate-exact", "convert", "min-copies", "charges", "convert-abelian",
+               "approx", "qfim", "rf"]
+
+
+def assert_domain_error(capsys, argv):
+    code, out, err = run(capsys, argv + ["--json"])
+    assert (code, out) == (1, ""), (argv, err)
+    assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_cli_rejects_bad_tolerances(capsys, corpus_dir, tmp_path, sub):
+    # nan, inf, -1 and 2 used to give a verdict (exit 0); 0 exited 2 on
+    # math.log or, for --tol-one, 1 only where classify_sets ran
+    argv = [sub] + valid_argv(sub, corpus_dir, tmp_path)
+    for flag in ("--tol-one", "--tol-zero", "--tol-psd"):
+        for bad in ("nan", "inf", "-inf", "-1", "0", "1", "2"):
+            assert_domain_error(capsys, argv + [f"{flag}={bad}"])
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_cli_reports_the_tolerances_it_ran_with(capsys, corpus_dir, tmp_path, sub):
+    argv = [sub] + valid_argv(sub, corpus_dir, tmp_path)
+    assert run_json(capsys, argv)["tolerances"] == dataclasses.asdict(Tolerances())
+    custom = ["--tol-one", "1e-6", "--tol-zero", "1e-8", "--tol-psd", "1e-7"]
+    want = dataclasses.asdict(Tolerances(tol_one=1e-6, tol_zero=1e-8, tol_psd=1e-7))
+    assert run_json(capsys, argv + custom)["tolerances"] == want
+
+
+@pytest.mark.parametrize(
+    "sub, extra",
+    [
+        ("min-copies", ["--rate", "inf"]),
+        ("min-copies", ["--rate", "nan"]),
+        ("rf", ["--rate", "nan"]),
+        ("rf", ["--rate", "inf"]),
+        ("rf", ["--delta", "nan"]),
+        ("rf", ["--delta", "inf"]),
+    ],
+)
+def test_cli_rejects_non_finite_rate_and_error(capsys, corpus_dir, tmp_path, sub, extra):
+    # min-copies --rate inf printed a traceback; rf --rate nan reported
+    # "impossible: false"; later flags override the valid ones
+    assert_domain_error(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path) + extra)

@@ -19,9 +19,12 @@ from asym import (
     named_group,
 )
 from asym.abelian import ChargeDistribution, basis_elements
-from asym.convertibility import TOL_HERM, TOL_PSD, GroupFunction
+from asym.convertibility import GroupFunction
 from asym.corpus import GROUP_NAMES
-from asym.errors import NotHermitian, SelfCheckFailed, ZeroSetViolation
+from asym.errors import DomainError, NotHermitian, SelfCheckFailed, ZeroSetViolation
+from asym.tolerances import DEFAULT, TOL_HERM
+
+TOL_PSD = DEFAULT.tol_psd
 
 
 @pytest.fixture
@@ -196,6 +199,14 @@ def test_minimal_copies_rejects_bad_nmax(z2):
         minimal_copies_search(psi, psi, 1.0, 0)
     with pytest.raises(ValueError):
         minimal_copies_search(psi, psi, 1.0, 10**5)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_minimal_copies_rejects_a_non_finite_rate(z2, r):
+    # inf used to raise OverflowError and nan a bare ValueError from math.floor
+    psi = chi(z2, [0.6])
+    with pytest.raises(DomainError):
+        minimal_copies_search(psi, chi(z2, [0.8]), r, 8)
 
 
 # ------------------------------------- block-spectral oracle vs the dense Gram

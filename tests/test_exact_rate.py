@@ -10,9 +10,12 @@ from asym import (
     exact_rate,
     named_group,
 )
+from asym.charfn import classify_sets
 from asym.corpus import corpus_rep, random_state, z2_population_state
-from asym.errors import GroupMismatch, RateNotBelowOptimal
-from asym.exact_rate import FINITE, UNBOUNDED, ZERO
+from asym.errors import GroupMismatch, RateNotBelowOptimal, SymNotSubgroup
+from asym.exact_rate import FINITE, UNBOUNDED, ZERO, _excluded_set
+from asym.groups import ProjectiveRep, PureState
+from asym.tolerances import DEFAULT
 
 
 @pytest.fixture
@@ -130,3 +133,96 @@ def test_copies_bound_population_states():
     report = exact_rate(psi, psi, commutative=True)
     assert report.value == pytest.approx(1.0)
     assert copies_bound(psi, psi, 0.5, commutative=True) >= 1
+
+
+# ------------------------------------------- array pass against the element loops
+
+
+def loop_exact_rate(char_psi, char_phi, commutative=False):
+    """The per-element loop that `exact_rate` replaced, kept as the reference."""
+    sets_phi, excluded, _ = _excluded_set(char_phi, commutative, DEFAULT)
+    if not sets_phi.zero <= classify_sets(char_psi).zero:
+        return ZERO, None, None
+    best, best_g = math.inf, None
+    for g in range(char_psi.group.order):
+        if g in excluded:
+            continue
+        L_phi = -char_phi.logmod[g]
+        L_psi = -char_psi.logmod[g]
+        ratio = math.inf if np.isinf(L_psi) else float(L_psi / L_phi)
+        if ratio < best:
+            best, best_g = ratio, g
+    if best_g is None or math.isinf(best):
+        return UNBOUNDED, None, None
+    return FINITE, best, best_g
+
+
+def loop_copies_bound(char_psi, char_phi, r, commutative=False):
+    """The per-element loop that `copies_bound` replaced; None where it raises."""
+    _, excluded, _ = _excluded_set(char_phi, commutative, DEFAULT)
+    log_s = -math.inf
+    for g in range(char_psi.group.order):
+        if g in excluded:
+            continue
+        log_s = max(log_s, float(char_psi.logmod[g] - r * char_phi.logmod[g]))
+    if math.isinf(log_s) and log_s < 0:
+        return 1
+    if log_s >= 0:
+        return None
+    return math.ceil(2.0 * math.log(char_psi.group.order) / (-log_s)) + 1
+
+
+def _z256_rep(rng, step):
+    # charges that are multiples of step: |chi| = 1 on the subgroup of order step
+    charges = step * rng.choice(256 // step, size=16, replace=False)
+    g = np.arange(256)[:, None]
+    mats = np.zeros((256, 16, 16), dtype=complex)
+    mats[:, np.arange(16), np.arange(16)] = np.exp(2j * np.pi * g * charges / 256)
+    return ProjectiveRep(named_group("Z_256"), 16, mats, np.zeros((256, 256)))  # a true rep
+
+
+def _states(rep, rng):
+    d, small = rep.dim, rep.group.order < 256
+    if small:  # |chi| = 1 everywhere; the closure of G is slow at n = 256
+        yield PureState(d, np.eye(d)[0])
+    yield PureState(d, np.ones(d) / np.sqrt(d))  # zeros on the cyclic groups
+    for _ in range(4 if small else 3):
+        yield random_state(d, rng)
+    amp = np.zeros(d, dtype=complex)
+    amp[: max(1, d // 2)] = rng.standard_normal(max(1, d // 2))
+    yield PureState(d, amp / np.linalg.norm(amp))
+
+
+def test_exact_rate_and_copies_bound_match_the_element_loops(corpus, rng):
+    reps = [rep for _, rep in corpus.values()] + [_z256_rep(rng, s) for s in (1, 8)]
+    compared = finite = 0
+    for rep in reps:
+        chars = [char_function(rep, s) for s in _states(rep, rng)]
+        for a in chars:
+            for b in chars:
+                for commutative in (False, True):
+                    try:
+                        want = loop_exact_rate(a, b, commutative)
+                    except SymNotSubgroup:
+                        continue
+                    got = exact_rate(a, b, commutative)
+                    assert (got.kind, got.value, got.witness) == want
+                    compared += 1
+                    rates = [0.5 * want[1], 0.999 * want[1]] if want[1] else [0.3]
+                    for r in rates:
+                        expect = loop_copies_bound(a, b, r, commutative)
+                        if expect is None:
+                            with pytest.raises(RateNotBelowOptimal):
+                                copies_bound(a, b, r, commutative)
+                        else:
+                            assert copies_bound(a, b, r, commutative) == expect
+                            finite += 1
+    assert compared > 500 and finite > 500
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_copies_bound_rejects_a_non_finite_rate(z2, r):
+    # nan used to return 1, a promise of feasibility from one copy
+    chi = chi_z2(z2, 0.6)
+    with pytest.raises(RateNotBelowOptimal):
+        copies_bound(chi, chi_z2(z2, 0.8), r, commutative=True)

@@ -19,7 +19,8 @@ from asym.errors import (
     ShapeMismatch,
     UnknownGroupName,
 )
-from asym.groups import TOL_UNITARY, PureState
+from asym.groups import PureState
+from asym.tolerances import TOL_UNITARY
 
 
 def test_trivial_group():

@@ -199,6 +199,15 @@ def test_converse_certificate_input_validation():
         converse_certificate(np.eye(2), np.eye(2), r=1.0, delta=-1e-3)
 
 
+@pytest.mark.parametrize(
+    "r, delta", [(math.nan, 0.0), (math.inf, 0.0), (2.0, math.nan), (2.0, math.inf)]
+)
+def test_converse_certificate_rejects_non_finite_rate_and_error(r, delta):
+    # a NaN rate used to skip the certificate and report "not impossible"
+    with pytest.raises(DomainError):
+        converse_certificate(np.diag([4.0, 2.0]), np.diag([1.0, 2.0]), r=r, delta=delta)
+
+
 def test_clt_diagnostic_third_order_residual(spin_half, rng):
     state = random_state(2, rng)
     grid_big = [0.01 * v for v in (np.eye(3)[i] for i in range(3))]
