@@ -142,9 +142,9 @@ def fourier_weights(
     with np.errstate(divide="ignore"):
         logmod = np.log(np.abs(lam))
     phase = np.angle(lam)
-    lam_w, violation = interpolate(logmod[0], phase[0], logmod[1], phase[1], N, M, tol)
+    (lam_w,), (violation,) = interpolate(logmod[0], phase[0], logmod[1], phase[1], N, M, tol)
     w = (np.fft.fftn(lam_w.reshape(p.shape)) / lam_w.size).real.ravel()
-    return w, violation is None and float(w.min()) >= -tol.tol_psd
+    return w, bool(violation < 0) and float(w.min()) >= -tol.tol_psd
 
 
 def shift_canonicalize(dist: ChargeDistribution) -> ChargeDistribution:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .charfn import CharFunction, check_same_group, classify_sets
 from .errors import NoDecay, NotASubgroup, SelfCheckFailed
-from .groups import FiniteGroup, subgroup_closure
+from .groups import FiniteGroup, is_subgroup
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -64,7 +64,7 @@ class ApproxReport:
 def uniform_char(group: FiniteGroup, H) -> UniformCharFunction:
     """Indicator characteristic function of a subgroup H."""
     Hs = frozenset(int(h) for h in H)
-    if subgroup_closure(group, Hs) != Hs:
+    if not is_subgroup(group, Hs):
         raise NotASubgroup(f"{sorted(Hs)} is not a subgroup")
     return UniformCharFunction(group=group, subgroup=Hs)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, GroupMismatch, SymNotSubgroup
-from .groups import FiniteGroup, ProjectiveRep, PureState, subgroup_closure
+from .groups import FiniteGroup, ProjectiveRep, PureState, is_subgroup
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -95,7 +95,7 @@ def classify_sets(char: CharFunction, tol: Tolerances = DEFAULT) -> ClassSets:
     """
     sym = frozenset(int(g) for g in np.where(char.logmod >= math.log1p(-tol.tol_one))[0])
     zero = frozenset(int(g) for g in np.where(zero_mask(char.logmod, tol))[0])
-    if subgroup_closure(char.group, sym) != sym:
+    if not is_subgroup(char.group, sym):
         raise SymNotSubgroup(f"{sorted(sym)} is not closed under the group law")
     return ClassSets(sym=sym, zero=zero)
 

@@ -14,7 +14,15 @@ oracle never forms M: it reads the blocks off the group's cached irrep basis
 (`FiniteGroup.irreps`; the characters, 1 x 1 blocks, for an abelian group)
 and takes one batched `eigvalsh` per irrep dimension.
 Cost: a one-off O(n^3) decomposition per group object, then O(n * sum d^2)
-= O(n^2) per call, against O(n^3) for a dense eigendecomposition of M.
+= O(n^2) per copy number, against O(n^3) for a dense eigendecomposition of M.
+
+`interpolate` and `gram_min_eigenvalues` work on rows of copy numbers;
+`feasible_exact` and `is_positive_definite` are their single-row case, and
+`minimal_copies_search` decides a block of copy numbers per pass: one
+interpolation, one matmul against the irrep basis and one batched `eigvalsh`
+per irrep dimension, with as many rows per block as fit in
+`groups._CHUNK_BYTES` (64 rows at n = 256). The search costs O(n_max * n^2)
+time; its memory beyond the irrep basis is a few blocks, whatever n_max is.
 """
 
 from __future__ import annotations
@@ -24,10 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharFunction, check_same_group, wrap_phase, zero_mask
+from .charfn import CharFunction, check_same_group, zero_mask
 from .errors import DomainError, NotHermitian, ZeroSetViolation
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _block_rows
 from .tolerances import DEFAULT, TOL_HERM, Tolerances
+
+MAX_SEARCH_COPIES = 10**4  # largest n_max of `minimal_copies_search`
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,33 +60,39 @@ def interpolate(
     psi_phase: np.ndarray,
     phi_logmod: np.ndarray,
     phi_phase: np.ndarray,
-    N: int,
-    M: int,
+    N: int | np.ndarray,
+    M: int | np.ndarray,
     tol: Tolerances = DEFAULT,
-) -> tuple[np.ndarray, int | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """f = chi_psi^N / chi_phi^M from log-polar chi, 0 on the chi_phi zero set.
 
-    Returns the values and the first index where chi_phi vanishes but chi_psi
-    does not, or None. Zero sets are classified on the single-copy functions
-    (chi^N vanishes exactly where chi does); M = 0 is the trivial target,
-    identically 1. Shared by the Gram view (chi on G) and the Fourier view
-    (dual coefficients).
+    N and M are copy numbers: two ints, or K each (any shape with K entries)
+    for K rows at once. Returns the (K, n) values and, per row, the first
+    index where chi_phi^M vanishes but chi_psi^N does not, or -1. Zero sets
+    are classified once, on the single-copy functions (chi^N vanishes exactly
+    where chi does); M = 0 is the trivial target, identically 1. Shared by
+    the Gram view (chi on G) and the Fourier view (dual coefficients).
     """
-    if N < 1 or M < 0:
-        raise DomainError(f"copy numbers must be N >= 1 and M >= 0, got ({N}, {M})")
+    copies = N, M
+    N, M = (np.reshape(np.asarray(x, dtype=float), (-1, 1)) for x in copies)
+    low = np.flatnonzero(~((N >= 1) & (M >= 0)))
+    if low.size:
+        got = tuple(np.ravel(x)[low[0]] for x in copies)
+        raise DomainError(f"copy numbers must be N >= 1 and M >= 0, got ({got[0]}, {got[1]})")
     psi_zero = zero_mask(psi_logmod, tol)
     phi_zero = zero_mask(phi_logmod, tol)
-    target = M * np.where(phi_zero, 0.0, phi_logmod)  # log|chi_phi^M|, no 0 * -inf
-    phi_zero &= M > 0  # phi^0 is the trivial state: no zeros
     bad = np.flatnonzero(phi_zero & ~psi_zero)
+    violation = np.where(M[:, 0] > 0, bad[0] if bad.size else -1, -1)
+    target = M * np.where(phi_zero, 0.0, phi_logmod)  # log|chi_phi^M|, no 0 * -inf
+    phi_zero = phi_zero & (M > 0)  # phi^0 is the trivial state: no zeros
     with np.errstate(invalid="ignore", under="ignore", over="ignore"):
         logmod = N * psi_logmod
         # cap the log-ratio so a grossly infeasible instance yields a huge
         # finite |f| (clearly failing the Gram test) instead of overflow
         dlog = np.minimum(logmod - target, 350.0)
-        vals = np.exp(dlog + 1j * (wrap_phase(N * psi_phase) - wrap_phase(M * phi_phase)))
+        vals = np.exp(dlog + 1j * (N * psi_phase - M * phi_phase))
     vals[phi_zero | np.isneginf(logmod)] = 0.0
-    return vals, int(bad[0]) if bad.size else None
+    return vals, violation
 
 
 def _interpolator(
@@ -84,11 +100,11 @@ def _interpolator(
 ) -> GroupFunction:
     """`interpolate` on one group; ZeroSetViolation if no interpolator exists."""
     check_same_group(char_psi, char_phi)
-    vals, bad = interpolate(
+    (vals,), (bad,) = interpolate(
         char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M, tol
     )
-    if bad is not None:
-        raise ZeroSetViolation(bad)
+    if bad >= 0:
+        raise ZeroSetViolation(int(bad))
     return GroupFunction(group=char_psi.group, values=vals)
 
 
@@ -103,6 +119,31 @@ def build_interpolator(
     return _interpolator(char_psi, char_phi, 1, 1, tol)
 
 
+def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum eigenvalue of M[g, h] = f(g^-1 h) for each row f of values (K, n).
+
+    Returns the K minimum eigenvalues, NaN where M is not Hermitian, and the
+    K Hermitian deviations. M is Hermitian iff f(g^-1) = conj f(g): the
+    entries of M - M^+ are exactly these n differences, which must stay within
+    TOL_HERM * max(1, max |f|); a row that is not finite fails. The spectrum
+    comes from one matmul against the irrep basis and one batched `eigvalsh`
+    per irrep dimension.
+    """
+    with np.errstate(invalid="ignore"):
+        herm_dev = np.abs(values - values[:, group.inv].conj()).max(axis=1)
+        hermitian = herm_dev <= TOL_HERM * np.maximum(1.0, np.abs(values).max(axis=1))
+    min_eig = np.full(len(values), np.nan)
+    blocks = group.irreps.fourier_blocks(values[hermitian])
+    min_eig[hermitian] = np.min(
+        [
+            np.linalg.eigvalsh((B + B.conj().swapaxes(-1, -2)) / 2.0)[..., 0].min(axis=-1)
+            for B in blocks
+        ],
+        axis=0,
+    )
+    return min_eig, herm_dev
+
+
 def is_positive_definite(f: GroupFunction, tol: Tolerances = DEFAULT) -> FeasibilityResult:
     """Gram-matrix positive semidefiniteness test for a function on G.
 
@@ -111,23 +152,13 @@ def is_positive_definite(f: GroupFunction, tol: Tolerances = DEFAULT) -> Feasibi
     f. M is Hermitian iff f(g^-1) = conj f(g); a function that is not (or is
     not finite) cannot be positive definite and is reported as an error.
     """
-    group = f.group
-    n = group.order
-    vals = f.values
-    # the entries of M - M^+ are exactly these n differences (NaN if f is not finite)
-    with np.errstate(invalid="ignore"):
-        herm_dev = float(np.abs(vals - vals[group.inv].conj()).max())
-    scale = max(1.0, float(np.abs(vals).max()))
-    if not herm_dev <= TOL_HERM * scale:
+    (min_eig,), (herm_dev,) = gram_min_eigenvalues(f.group, f.values[None])
+    if math.isnan(min_eig):
         raise NotHermitian(f"Gram matrix deviates from Hermitian by {herm_dev:.3e}")
-    min_eig = min(
-        float(np.linalg.eigvalsh((B + B.conj().swapaxes(1, 2)) / 2.0)[:, 0].min())
-        for B in group.irreps.fourier_blocks(vals)
-    )
-    over = np.where(np.abs(vals) > 1.0 + tol.tol_psd)[0]
+    over = np.flatnonzero(np.abs(f.values) > 1.0 + tol.tol_psd)
     return FeasibilityResult(
-        feasible=min_eig >= -tol.tol_psd * n,
-        min_gram_eigenvalue=min_eig,
+        feasible=bool(min_eig >= -tol.tol_psd * f.group.order),
+        min_gram_eigenvalue=float(min_eig),
         f=f,
         method="gram",
         modulus_witness=int(over[0]) if over.size else None,
@@ -161,19 +192,34 @@ def minimal_copies_search(
     Persistence is required: every N' in [N, n_max] must pass the oracle.
     Returns None when no such N exists (in particular whenever r exceeds the
     optimal exact rate and the witness inequality eventually fails).
+
+    The scan runs from n_max down, a block of copy numbers at a time, and
+    stops at the first N that fails: a zero-set violation or a minimum Gram
+    eigenvalue below -tol.tol_psd * |G|. NotHermitian if that N's Gram
+    matrix is not Hermitian.
     """
-    if not math.isfinite(r):
-        raise DomainError(f"rate must be finite, got {r}")
-    if n_max < 1 or n_max > 10**4:
-        raise ValueError(f"n_max must be in [1, 10^4], got {n_max}")
+    if not (math.isfinite(r) and r >= 0):
+        raise DomainError(f"rate must be a finite number >= 0, got {r}")
+    if not 1 <= n_max <= MAX_SEARCH_COPIES:
+        raise DomainError(f"n_max must be in [1, {MAX_SEARCH_COPIES}], got {n_max}")
+    check_same_group(char_psi, char_phi)
+    group = char_psi.group
+    rows = _block_rows(group.order * np.dtype(complex).itemsize)
     first = None
-    for N in range(n_max, 0, -1):
-        M = math.floor(r * N + 1e-12)
-        try:
-            ok = feasible_exact(char_psi, char_phi, N, M, tol).feasible
-        except ZeroSetViolation:
-            ok = False
-        if not ok:
-            break
-        first = N
+    for top in range(n_max, 0, -rows):
+        N = np.arange(top, max(top - rows, 0), -1)
+        M = np.floor(r * N + 1e-12)
+        vals, violation = interpolate(
+            char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M, tol
+        )
+        min_eig, herm_dev = gram_min_eigenvalues(group, vals)
+        fails = np.flatnonzero((violation >= 0) | ~(min_eig >= -tol.tol_psd * group.order))
+        if fails.size:
+            i = fails[0]
+            if violation[i] < 0 and np.isnan(min_eig[i]):
+                raise NotHermitian(
+                    f"Gram matrix at N = {N[i]} deviates from Hermitian by {herm_dev[i]:.3e}"
+                )
+            return int(N[i - 1]) if i else first
+        first = int(N[-1])
     return first

@@ -89,11 +89,14 @@ class IrrepBasis:
     dims: tuple[tuple[int, int], ...]
 
     def fourier_blocks(self, values: np.ndarray) -> list[np.ndarray]:
-        """Fourier blocks sum_k f(k) rho(k): one (count, d, d) array per dimension."""
+        """Fourier blocks sum_k f(k) rho(k) of f = values (n,), or of each row of
+        values (K, n): one (count, d, d), or (K, count, d, d), array per dimension.
+        """
         flat = values @ self.matrix
+        lead = flat.shape[:-1]
         blocks, start = [], 0
         for d, count in self.dims:
-            blocks.append(flat[start : start + count * d * d].reshape(count, d, d))
+            blocks.append(flat[..., start : start + count * d * d].reshape(*lead, count, d, d))
             start += count * d * d
         return blocks
 
@@ -348,6 +351,23 @@ def subgroup_closure(group: FiniteGroup, seed) -> frozenset[int]:
                     closed.add(c)
                     changed = True
     return frozenset(closed)
+
+
+def is_subgroup(group: FiniteGroup, elements) -> bool:
+    """Whether the elements form a subgroup, i.e. subgroup_closure(group, S) == S.
+
+    One table test: e is in S and every product of two elements of S is in S.
+    A finite set closed under the product holds the inverse of each element
+    (a power of it), so nothing else is needed; the empty set is not a subgroup.
+    """
+    S = np.fromiter(elements, dtype=np.intp)
+    n = group.order
+    if S.size and not (0 <= S.min() and S.max() < n):
+        bad = S[(S < 0) | (S >= n)][0]
+        raise DomainError(f"element index {bad} out of range [0, {n})")
+    member = np.zeros(n, dtype=bool)
+    member[S] = True
+    return bool(member[group.identity] and member[group.mult[S[:, None], S]].all())
 
 
 def decompose_abelian(group: FiniteGroup) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:

@@ -460,9 +460,13 @@ def test_cli_reports_the_tolerances_it_ran_with(capsys, corpus_dir, tmp_path, su
         ("rf", ["--rate", "inf"]),
         ("rf", ["--delta", "nan"]),
         ("rf", ["--delta", "inf"]),
+        ("min-copies", ["--rate", "-1"]),
+        ("min-copies", ["--nmax", "0"]),
+        ("min-copies", ["--nmax", "100000"]),
     ],
 )
 def test_cli_rejects_non_finite_rate_and_error(capsys, corpus_dir, tmp_path, sub, extra):
-    # min-copies --rate inf printed a traceback; rf --rate nan reported
+    # min-copies --rate inf printed a traceback, --rate -1 blamed a copy
+    # number and an --nmax out of range exited 2; rf --rate nan reported
     # "impossible: false"; later flags override the valid ones
     assert_domain_error(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path) + extra)

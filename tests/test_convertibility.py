@@ -1,27 +1,37 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from asym import (
     build_group,
     build_interpolator,
     char_from_values,
+    char_function,
     dual_fourier,
+    exact_rate,
     feasible_exact,
     fourier_weights,
     groups,
     is_positive_definite,
     minimal_copies_search,
     named_group,
+    validate_projective_rep,
 )
 from asym.abelian import ChargeDistribution, basis_elements
-from asym.convertibility import GroupFunction
-from asym.corpus import GROUP_NAMES
+from asym.convertibility import (
+    MAX_SEARCH_COPIES,
+    GroupFunction,
+    gram_min_eigenvalues,
+    interpolate,
+)
+from asym.corpus import GROUP_NAMES, random_state
 from asym.errors import DomainError, NotHermitian, SelfCheckFailed, ZeroSetViolation
+from asym.groups import PureState
 from asym.tolerances import DEFAULT, TOL_HERM
 
 TOL_PSD = DEFAULT.tol_psd
@@ -195,10 +205,17 @@ def test_minimal_copies_matches_brute_force_persistence(z3):
 
 def test_minimal_copies_rejects_bad_nmax(z2):
     psi = chi(z2, [0.6])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         minimal_copies_search(psi, psi, 1.0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         minimal_copies_search(psi, psi, 1.0, 10**5)
+
+
+def test_minimal_copies_rejects_a_negative_rate(z2):
+    # it used to report a copy-number error, "got (5, -5)", for r = -1
+    psi = chi(z2, [0.6])
+    with pytest.raises(DomainError, match="rate"):
+        minimal_copies_search(psi, psi, -1.0, 8)
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
@@ -404,3 +421,156 @@ def test_gram_and_fourier_agree_at_large_copy_numbers(N, M):
         chars.append(char_from_values(z3, vals))
     ok_gram = feasible_exact(*chars, N, M).feasible
     assert ok_fourier == ok_gram == (M / N < 2.38)
+
+
+# ----------------------------------------- batched copy-number scan vs the per-N loop
+
+
+def reference_min_copies(char_psi, char_phi, r, n_max):
+    """The per-N loop the batched scan replaced: one `feasible_exact` per N,
+    from n_max down, up to the first N that fails."""
+    first = None
+    for N in range(n_max, 0, -1):
+        M = math.floor(r * N + 1e-12)
+        try:
+            ok = feasible_exact(char_psi, char_phi, N, M).feasible
+        except ZeroSetViolation:
+            ok = False
+        if not ok:
+            break
+        first = N
+    return first
+
+
+RATE_FRACTIONS = (0.5, 0.9, 1.0, 1.2)
+
+
+def rates(char_psi, char_phi):
+    """The fractions of the exact rate the scan is checked at (of 1 when it is 0 or infinite)."""
+    rep = exact_rate(char_psi, char_phi)
+    R = rep.value if rep.kind == "finite" and rep.value > 0 else 1.0
+    return [frac * R for frac in RATE_FRACTIONS]
+
+
+def assert_scan_matches_loop(char_psi, char_phi, n_max, rows=None):
+    """Same answer as the loop, with the default blocks and with blocks of `rows` rows."""
+    n = char_psi.group.order
+    for r in rates(char_psi, char_phi):
+        want = reference_min_copies(char_psi, char_phi, r, n_max)
+        assert minimal_copies_search(char_psi, char_phi, r, n_max) == want, r
+        if rows is not None:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(groups, "_CHUNK_BYTES", rows * n * 16)
+                assert minimal_copies_search(char_psi, char_phi, r, n_max) == want, (r, rows)
+
+
+def concentrated_type(group, rng, terms=3):
+    """A positive-type f whose state spans few irrep coefficients, so |f| is near 1
+    on much of G, and may be 1 on a subgroup or 0 somewhere."""
+    cols = rng.choice(group.order, size=terms, replace=False)
+    v = group.irreps.matrix[:, cols] @ (rng.standard_normal(terms) + 1j * rng.standard_normal(terms))
+    return (v.conj()[:, None] * v[group.mult]).sum(axis=0) / np.vdot(v, v).real
+
+
+def test_scan_matches_loop_on_corpus_pairs(corpus):
+    rng = np.random.default_rng(8)
+    for name, (group, rep) in corpus.items():
+        states = [random_state(rep.dim, rng) for _ in range(3)]
+        states += [PureState(rep.dim, np.eye(rep.dim)[k]) for k in range(min(rep.dim, 2))]
+        chars = [char_function(rep, s) for s in states]
+        for i, j in itertools.permutations(range(len(chars)), 2):
+            assert_scan_matches_loop(chars[i], chars[j], 40, rows=3)
+
+
+@pytest.mark.parametrize("name", list(BUILT))
+def test_scan_matches_loop_on_large_groups(name, oracle_group):
+    group = oracle_group(name)
+    rng = np.random.default_rng(group.order + 1)
+    for make in (positive_type, concentrated_type):
+        psi, phi = (char_from_values(group, make(group, rng)) for _ in range(2))
+        assert_scan_matches_loop(psi, phi, 130)
+
+
+def test_scan_counts_a_rounded_down_rate_times_n_as_its_integer(z2):
+    # 0.29 * 100 = 28.999999999999996 in floats: M = 29 at N = 100, where the
+    # rate 0.2899 makes the conversion infeasible
+    psi, phi = chi(z2, [0.5**0.2899]), chi(z2, [0.5])
+    assert 0.29 * 100 < 29
+    assert minimal_copies_search(psi, phi, 0.29, 100) is None
+    assert reference_min_copies(psi, phi, 0.29, 100) is None
+
+
+def regular_rep(group):
+    """L(g) e_h = e_{gh}."""
+    n = group.order
+    mats = np.zeros((n, n, n))
+    mats[np.arange(n)[:, None], group.mult, np.arange(n)[None, :]] = 1.0
+    return validate_projective_rep(group, mats)
+
+
+SCAN_GROUPS = {name: regular_rep(named_group(name)) for name in ("S_3", "D_4", "Q_8", "Z_6")}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SCAN_GROUPS)),
+    amps=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=32, max_size=32),
+)
+def test_scan_matches_loop_on_drawn_states(name, amps):
+    rep = SCAN_GROUPS[name]
+    n = rep.dim
+    vecs = np.array(amps).reshape(2, 2, 8)[:, :, :n]
+    vecs = vecs[:, 0] + 1j * vecs[:, 1]
+    norms = np.linalg.norm(vecs, axis=1)
+    assume(norms.min() > 0.1)
+    psi, phi = (char_function(rep, PureState(n, v / nrm)) for v, nrm in zip(vecs, norms))
+    assert_scan_matches_loop(psi, phi, 40, rows=3)
+
+
+@pytest.mark.parametrize("name", ["Z_256", "D_128", "S_5", "Q_8"])
+def test_batched_min_eigenvalues_match_feasible_exact(name, oracle_group):
+    group = oracle_group(name)
+    n = group.order
+    rng = np.random.default_rng(n)
+    psi, phi = (char_from_values(group, concentrated_type(group, rng, terms=4)) for _ in range(2))
+    N = np.arange(1, 151)
+    for r in rates(psi, phi)[:3]:  # r <= the exact rate: |f| <= 1
+        M = np.floor(r * N + 1e-12)
+        vals, violation = interpolate(psi.logmod, psi.phase, phi.logmod, phi.phase, N, M)
+        min_eig, _ = gram_min_eigenvalues(group, vals)
+        for k in np.flatnonzero(violation < 0):
+            one = feasible_exact(psi, phi, int(N[k]), int(M[k])).min_gram_eigenvalue
+            assert abs(min_eig[k] - one) <= 1e-10 * n, (r, N[k])
+
+
+def test_scan_and_loop_both_reject_a_non_hermitian_chi():
+    z3 = named_group("Z_3")
+    psi = char_from_values(z3, [1.0, 0.5, 0.9])  # chi(g^-1) != conj chi(g)
+    phi = char_from_values(z3, [1.0, 0.8, 0.8])
+    for rows in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(groups, "_CHUNK_BYTES", rows * 3 * 16)
+            with pytest.raises(NotHermitian):
+                minimal_copies_search(psi, phi, 0.2, 8)
+    with pytest.raises(NotHermitian):
+        reference_min_copies(psi, phi, 0.2, 8)
+
+
+def test_scan_memory_stays_bounded_at_the_largest_size(oracle_group):
+    group = oracle_group("Z_256")
+    rng = np.random.default_rng(3)
+    psi, phi = (char_from_values(group, concentrated_type(group, rng, terms=4)) for _ in range(2))
+    r = 0.9 * exact_rate(psi, phi).value
+    group.irreps  # the cached basis belongs to the group, not to the search
+    tracemalloc.start()
+    try:
+        found = minimal_copies_search(psi, phi, r, MAX_SEARCH_COPIES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert found is not None
+    assert feasible_exact(psi, phi, found, math.floor(r * found + 1e-12)).feasible
+    if found > 1:
+        assert not feasible_exact(psi, phi, found - 1, math.floor(r * (found - 1) + 1e-12)).feasible

@@ -12,6 +12,7 @@ from asym.charfn import char_function
 from asym.corpus import corpus_rep, random_state
 from asym.errors import (
     AxiomViolation,
+    DomainError,
     NotAState,
     NotProjective,
     NotUnitary,
@@ -110,6 +111,25 @@ def test_subgroup_closure_z4():
     g = named_group("Z_4")
     assert subgroup_closure(g, {2}) == frozenset({0, 2})
     assert subgroup_closure(g, set()) == frozenset({0})
+
+
+SMALL_GROUPS = {name: named_group(name) for name in ("S_3", "D_4", "Q_8", "Z_2xZ_2xZ_2")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(SMALL_GROUPS)), bits=st.integers(min_value=0, max_value=255))
+def test_is_subgroup_agrees_with_subgroup_closure(name, bits):
+    """The one-table closedness test against the closure loop, on every kind of subset."""
+    g = SMALL_GROUPS[name]
+    S = frozenset(k for k in range(g.order) if bits >> k & 1)  # bits = 0 is the empty set
+    assert groups.is_subgroup(g, S) == (subgroup_closure(g, S) == S)
+
+
+def test_is_subgroup_rejects_out_of_range_elements():
+    g = named_group("Z_4")
+    for bad in ({0, 4}, {-1, 0}):
+        with pytest.raises(DomainError):
+            groups.is_subgroup(g, bad)
 
 
 def test_subgroup_closure_s3_three_cycle():
