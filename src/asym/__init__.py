@@ -26,7 +26,6 @@ from .exact_rate import RateReport, copies_bound, exact_rate
 from .convertibility import (
     FeasibilityResult,
     GroupFunction,
-    build_interpolator,
     feasible_exact,
     is_positive_definite,
     minimal_copies_search,
@@ -82,7 +81,6 @@ __all__ = [
     "exact_rate",
     "FeasibilityResult",
     "GroupFunction",
-    "build_interpolator",
     "feasible_exact",
     "is_positive_definite",
     "minimal_copies_search",

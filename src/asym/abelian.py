@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convertibility import interpolate
+from .convertibility import _first_failure, interpolate
 from .errors import (
     NotSimultaneouslyDiagonalizable,
     SelfCheckFailed,
@@ -130,10 +130,11 @@ def fourier_weights(
     """Candidate convolution weights w with p^N-sector = q^M-sector * w.
 
     lambda(w) = lambda(p)^N / lambda(q)^M off the q zero set and 0 on it, from
-    `convertibility.interpolate`, the core of the Gram view, so the rules are
-    the Gram oracle's: feasible iff the zero-set rule holds and w >= -tol.tol_psd,
-    i.e. the minimum Gram eigenvalue (|G| * w) is >= -tol.tol_psd * |G|. lambda(0)
-    is pinned to 1, as chi(e) is, so w sums to one.
+    `convertibility.interpolate`, the core of the Gram view, and the verdict is
+    the Gram view's rule with min eig = |G| * min w: feasible iff the zero-set
+    rule holds and |G| * min w >= -tol.tol_psd * |G|. lambda(w) is Hermitian,
+    as the dual coefficients of a distribution are. lambda(0) is pinned to 1,
+    as chi(e) is, so w sums to one.
     """
     if p.shape != q.shape:
         raise ShapeMismatch(f"shapes differ: {p.shape} vs {q.shape}")
@@ -144,7 +145,8 @@ def fourier_weights(
     phase = np.angle(lam)
     (lam_w,), (violation,) = interpolate(logmod[0], phase[0], logmod[1], phase[1], N, M, tol)
     w = (np.fft.fftn(lam_w.reshape(p.shape)) / lam_w.size).real.ravel()
-    return w, bool(violation < 0) and float(w.min()) >= -tol.tol_psd
+    n = lam_w.size
+    return w, _first_failure(np.array([n * w.min()]), violation, n, tol, (0.0,)) < 0
 
 
 def shift_canonicalize(dist: ChargeDistribution) -> ChargeDistribution:

@@ -23,10 +23,6 @@ class CharFunction:
     logmod: np.ndarray  # (n,) float, <= 0, -inf means chi(g) = 0
     phase: np.ndarray  # (n,) float, radians
 
-    def modulus(self) -> np.ndarray:
-        with np.errstate(under="ignore"):
-            return np.exp(self.logmod)
-
     def values(self) -> np.ndarray:
         with np.errstate(under="ignore", invalid="ignore"):
             out = np.exp(self.logmod + 1j * self.phase)
@@ -43,10 +39,6 @@ class ClassSets:
 def check_same_group(a: CharFunction, b: CharFunction) -> None:
     if not a.group.same_as(b.group):
         raise GroupMismatch("characteristic functions live on different groups")
-
-
-def wrap_phase(phi: np.ndarray) -> np.ndarray:
-    return np.angle(np.exp(1j * phi))
 
 
 def char_from_values(group: FiniteGroup, values) -> CharFunction:
@@ -107,5 +99,6 @@ def char_power(char: CharFunction, N: int) -> CharFunction:
     with np.errstate(invalid="ignore"):
         logmod = char.logmod * N
     logmod[np.isneginf(char.logmod)] = -np.inf
-    return CharFunction(group=char.group, logmod=logmod, phase=wrap_phase(char.phase * N))
+    phase = np.angle(np.exp(1j * (char.phase * N)))  # wrapped to (-pi, pi]
+    return CharFunction(group=char.group, logmod=logmod, phase=phase)
 

@@ -176,8 +176,9 @@ def cmd_convert(args) -> dict:
             "M": M,
             "feasible": res.feasible,
             "min_gram_eigenvalue": res.min_gram_eigenvalue,
-            "method": res.method,
+            "method": "gram",
             "modulus_witness": res.modulus_witness,
+            "zero_set_witness": res.zero_set_witness,
         },
     )
 

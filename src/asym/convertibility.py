@@ -5,22 +5,26 @@ chi_psi = chi_phi * f for some positive definite f on G; the candidate f is
 the ratio of characteristic functions (zero where chi_phi vanishes), built by
 `interpolate` for this Gram view and the abelian Fourier view alike, and
 positive definiteness is decided by the minimum eigenvalue of the Gram
-matrix M[g, h] = f(g^-1 h).
+matrix M[g, h] = f(g^-1 h). Where chi_phi vanishes and chi_psi does not, no
+f exists: that is an infeasible verdict with the element as its witness,
+not an error. `_first_failure` states the rule once (no such element, and a
+minimum Gram eigenvalue >= -tol_psd * |G|) for `is_positive_definite`, the
+copy-number scan and the Fourier view.
 
 M is a convolution operator, M = sum_k f(k) R(k) over the right translations
 R(k), so its spectrum is the union of the spectra of the Fourier blocks
 f^(rho) = sum_k f(k) rho(k), one d_rho x d_rho block per irrep rho. The
 oracle never forms M: it reads the blocks off the group's cached irrep basis
 (`FiniteGroup.irreps`; the characters, 1 x 1 blocks, for an abelian group)
-and takes one batched `eigvalsh` per irrep dimension.
+and takes one batched `eigvalsh` per irrep dimension above 1.
 Cost: a one-off O(n^3) decomposition per group object, then O(n * sum d^2)
 = O(n^2) per copy number, against O(n^3) for a dense eigendecomposition of M.
 
 `interpolate` and `gram_min_eigenvalues` work on rows of copy numbers;
 `feasible_exact` and `is_positive_definite` are their single-row case, and
 `minimal_copies_search` decides a block of copy numbers per pass: one
-interpolation, one matmul against the irrep basis and one batched `eigvalsh`
-per irrep dimension, with as many rows per block as fit in
+interpolation, one matmul against the irrep basis and the block spectra,
+with as many rows per block as fit in
 `groups._CHUNK_BYTES` (64 rows at n = 256). The search costs O(n_max * n^2)
 time; its memory beyond the irrep basis is a few blocks, whatever n_max is.
 """
@@ -28,12 +32,12 @@ time; its memory beyond the irrep basis is a few blocks, whatever n_max is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .charfn import CharFunction, check_same_group, zero_mask
-from .errors import DomainError, NotHermitian, ZeroSetViolation
+from .errors import DomainError, NotHermitian
 from .groups import FiniteGroup, _block_rows
 from .tolerances import DEFAULT, TOL_HERM, Tolerances
 
@@ -51,8 +55,8 @@ class FeasibilityResult:
     feasible: bool
     min_gram_eigenvalue: float
     f: GroupFunction
-    method: str  # 'gram': the verdict reads the Gram spectrum
     modulus_witness: int | None = None  # smallest g with |f(g)| > 1, if any
+    zero_set_witness: int | None = None  # smallest g with chi_phi^M(g) = 0 != chi_psi^N(g)
 
 
 def interpolate(
@@ -95,30 +99,6 @@ def interpolate(
     return vals, violation
 
 
-def _interpolator(
-    char_psi: CharFunction, char_phi: CharFunction, N: int, M: int, tol: Tolerances
-) -> GroupFunction:
-    """`interpolate` on one group; ZeroSetViolation if no interpolator exists."""
-    check_same_group(char_psi, char_phi)
-    (vals,), (bad,) = interpolate(
-        char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M, tol
-    )
-    if bad >= 0:
-        raise ZeroSetViolation(int(bad))
-    return GroupFunction(group=char_psi.group, values=vals)
-
-
-def build_interpolator(
-    char_psi: CharFunction, char_phi: CharFunction, tol: Tolerances = DEFAULT
-) -> GroupFunction:
-    """f = chi_psi / chi_phi off the phi zero set, 0 on it.
-
-    Raises ZeroSetViolation when chi_phi vanishes somewhere chi_psi does not;
-    no interpolating function can exist there and the conversion rate is zero.
-    """
-    return _interpolator(char_psi, char_phi, 1, 1, tol)
-
-
 def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum eigenvalue of M[g, h] = f(g^-1 h) for each row f of values (K, n).
 
@@ -127,7 +107,8 @@ def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> tuple[np.nda
     entries of M - M^+ are exactly these n differences, which must stay within
     TOL_HERM * max(1, max |f|); a row that is not finite fails. The spectrum
     comes from one matmul against the irrep basis and one batched `eigvalsh`
-    per irrep dimension.
+    per irrep dimension d > 1; a 1 x 1 block (a character) is its own
+    eigenvalue, the real part of the Hermitian row's block.
     """
     with np.errstate(invalid="ignore"):
         herm_dev = np.abs(values - values[:, group.inv].conj()).max(axis=1)
@@ -136,12 +117,32 @@ def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> tuple[np.nda
     blocks = group.irreps.fourier_blocks(values[hermitian])
     min_eig[hermitian] = np.min(
         [
-            np.linalg.eigvalsh((B + B.conj().swapaxes(-1, -2)) / 2.0)[..., 0].min(axis=-1)
+            B[..., 0, 0].real.min(axis=-1)
+            if B.shape[-1] == 1
+            else np.linalg.eigvalsh((B + B.conj().swapaxes(-1, -2)) / 2.0)[..., 0].min(axis=-1)
             for B in blocks
         ],
         axis=0,
     )
     return min_eig, herm_dev
+
+
+def _first_failure(min_eig: np.ndarray, violation, order: int, tol: Tolerances, herm_dev) -> int:
+    """The feasibility rule over rows in scan order: the first row it rejects, or -1.
+
+    A row is feasible iff it has no zero-set violation (violation < 0, one
+    value or one per row) and its minimum Gram eigenvalue is
+    >= -tol.tol_psd * order. The first rejected row raises NotHermitian
+    instead when its Gram matrix is not Hermitian (min_eig NaN, deviation
+    herm_dev), whatever its zero set.
+    """
+    fails = np.flatnonzero((violation >= 0) | ~(min_eig >= -tol.tol_psd * order))
+    if not fails.size:
+        return -1
+    i = fails[0]
+    if np.isnan(min_eig[i]):
+        raise NotHermitian(f"Gram matrix deviates from Hermitian by {herm_dev[i]:.3e}")
+    return int(i)
 
 
 def is_positive_definite(f: GroupFunction, tol: Tolerances = DEFAULT) -> FeasibilityResult:
@@ -152,15 +153,12 @@ def is_positive_definite(f: GroupFunction, tol: Tolerances = DEFAULT) -> Feasibi
     f. M is Hermitian iff f(g^-1) = conj f(g); a function that is not (or is
     not finite) cannot be positive definite and is reported as an error.
     """
-    (min_eig,), (herm_dev,) = gram_min_eigenvalues(f.group, f.values[None])
-    if math.isnan(min_eig):
-        raise NotHermitian(f"Gram matrix deviates from Hermitian by {herm_dev:.3e}")
+    min_eig, herm_dev = gram_min_eigenvalues(f.group, f.values[None])
     over = np.flatnonzero(np.abs(f.values) > 1.0 + tol.tol_psd)
     return FeasibilityResult(
-        feasible=bool(min_eig >= -tol.tol_psd * f.group.order),
-        min_gram_eigenvalue=float(min_eig),
+        feasible=_first_failure(min_eig, -1, f.group.order, tol, herm_dev) < 0,
+        min_gram_eigenvalue=float(min_eig[0]),
         f=f,
-        method="gram",
         modulus_witness=int(over[0]) if over.size else None,
     )
 
@@ -174,10 +172,18 @@ def feasible_exact(
 ) -> FeasibilityResult:
     """Feasibility of psi^N -> phi^M under G-covariant operations.
 
-    M = 0 is accepted as the trivial (symmetric) target, which is always
-    reachable; the interpolator of `interpolate` goes to the Gram test.
+    The interpolator of `interpolate` goes to the Gram test. Where chi_phi^M
+    vanishes and chi_psi^N does not, the answer is infeasible, with the
+    smallest such element as `zero_set_witness`. M = 0 is accepted as the
+    trivial (symmetric) target, which is always reachable. NotHermitian if
+    the interpolator's Gram matrix is not Hermitian.
     """
-    return is_positive_definite(_interpolator(char_psi, char_phi, N, M, tol), tol)
+    check_same_group(char_psi, char_phi)
+    (vals,), (bad,) = interpolate(
+        char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M, tol
+    )
+    res = is_positive_definite(GroupFunction(group=char_psi.group, values=vals), tol)
+    return res if bad < 0 else replace(res, feasible=False, zero_set_witness=int(bad))
 
 
 def minimal_copies_search(
@@ -194,9 +200,8 @@ def minimal_copies_search(
     optimal exact rate and the witness inequality eventually fails).
 
     The scan runs from n_max down, a block of copy numbers at a time, and
-    stops at the first N that fails: a zero-set violation or a minimum Gram
-    eigenvalue below -tol.tol_psd * |G|. NotHermitian if that N's Gram
-    matrix is not Hermitian.
+    stops at the first N that `feasible_exact` would reject, or would raise
+    NotHermitian for.
     """
     if not (math.isfinite(r) and r >= 0):
         raise DomainError(f"rate must be a finite number >= 0, got {r}")
@@ -213,13 +218,8 @@ def minimal_copies_search(
             char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M, tol
         )
         min_eig, herm_dev = gram_min_eigenvalues(group, vals)
-        fails = np.flatnonzero((violation >= 0) | ~(min_eig >= -tol.tol_psd * group.order))
-        if fails.size:
-            i = fails[0]
-            if violation[i] < 0 and np.isnan(min_eig[i]):
-                raise NotHermitian(
-                    f"Gram matrix at N = {N[i]} deviates from Hermitian by {herm_dev[i]:.3e}"
-                )
+        i = _first_failure(min_eig, violation, group.order, tol, herm_dev)
+        if i >= 0:
             return int(N[i - 1]) if i else first
         first = int(N[-1])
     return first

@@ -1,8 +1,9 @@
 """Exception hierarchy for the asym package.
 
 Input-validation failures (bad tables, non-unitary matrices, malformed
-files) and domain failures (rate not below optimal, no interpolator) are
-kept distinct so the CLI can map them to different exit codes.
+files) and domain failures (rate not below optimal, a non-Hermitian
+candidate) are kept distinct so the CLI can map them to different exit
+codes. A conversion that is impossible is a verdict, not an error.
 """
 
 
@@ -75,14 +76,6 @@ class SelfCheckFailed(AsymError):
 
 class RateNotBelowOptimal(AsymError):
     """Requested rate is not strictly below the optimal exact rate (s >= 1)."""
-
-
-class ZeroSetViolation(AsymError):
-    """chi_phi(g) = 0 while chi_psi(g) != 0: no interpolating function exists."""
-
-    def __init__(self, element: int):
-        self.element = element
-        super().__init__(f"chi_phi vanishes at element {element} but chi_psi does not")
 
 
 class NotHermitian(AsymError):

@@ -168,20 +168,11 @@ def build_group(mult_table, name: str | None = None) -> FiniteGroup:
     return FiniteGroup(order=n, mult=mult, identity=e, inv=inv, name=name)
 
 
-def _cyclic_table(n: int) -> np.ndarray:
-    a = np.arange(n)
-    return (a[:, None] + a[None, :]) % n
-
-
 def _product_table(shape: tuple[int, ...]) -> np.ndarray:
-    labels = list(itertools.product(*[range(m) for m in shape]))
-    index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    mult = np.empty((n, n), dtype=np.intp)
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            mult[i, j] = index[tuple((x + y) % m for x, y, m in zip(a, b, shape))]
-    return mult
+    """Z_{m_1} x ... x Z_{m_k}, elements the label tuples in row-major order."""
+    labels = np.indices(shape).reshape(len(shape), -1)  # (k, n)
+    sums = (labels[:, :, None] + labels[:, None, :]) % np.reshape(shape, (-1, 1, 1))
+    return np.ravel_multi_index(tuple(sums), shape)
 
 
 def _s3_table() -> np.ndarray:
@@ -258,8 +249,6 @@ def named_group(name: str) -> FiniteGroup:
         if k < 1:
             raise UnknownGroupName(f"modulus must be >= 1 in {name!r}")
         moduli.append(k)
-    if len(moduli) == 1:
-        return build_group(_cyclic_table(moduli[0]), name=name)
     return build_group(_product_table(tuple(moduli)), name=name)
 
 

@@ -422,6 +422,27 @@ def test_weights_stay_finite_on_a_zero_set_violation(shape, p, q, N, M, want, ca
     assert result["min_weight"] == pytest.approx(min(want), abs=1e-15)
 
 
+@pytest.mark.parametrize("shape, p, q, N, M, want", ZERO_SET_FAILURES)
+def test_gram_view_rejects_a_zero_set_violation_with_its_element(shape, p, q, N, M, want):
+    """Both views say no; the Gram witness is the smallest element whose
+    label has lambda(q) = 0 != lambda(p), on the named and relabelled groups."""
+    lam_p, lam_q = (dual_fourier(dist(shape, x)).values for x in (p, q))
+    labels = np.flatnonzero((np.abs(lam_q) < 1e-12) & (np.abs(lam_p) > 1e-12))
+    assert labels.size
+    named = named_group("x".join(f"Z_{m}" for m in shape))
+    for group in (named, relabelled(named, np.random.default_rng(len(p)))):
+        _, elems = basis_elements(group)
+        chars = []
+        for lam in (lam_p, lam_q):
+            vals = np.empty(group.order, dtype=complex)
+            vals[elems] = lam
+            chars.append(char_from_values(group, vals))
+        res = feasible_exact(*chars, N, M)
+        assert res.feasible is False
+        assert res.zero_set_witness == elems[labels].min()
+        assert fourier_weights(dist(shape, p), dist(shape, q), N, M)[1] is False
+
+
 def test_charge_distribution_decomposes_each_group_once(monkeypatch, rng):
     calls = []
     decompose = groups.decompose_abelian

@@ -226,14 +226,24 @@ def test_cli_rate_exact(capsys, corpus_dir):
     assert report["result"]["witness"] == 1
 
 
-def test_cli_convert(capsys, corpus_dir):
-    base = ["convert", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
-            "--psi", corpus_dir / "z2_psi068.json", "--phi", corpus_dir / "z2_psi08.json"]
+def test_cli_convert(capsys, corpus_dir, tmp_path):
+    on_z2 = ["convert", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json"]
+    base = on_z2 + ["--psi", corpus_dir / "z2_psi068.json", "--phi", corpus_dir / "z2_psi08.json"]
     ok = run_json(capsys, base + ["--copies", "1", "2"])
     assert ok["result"]["feasible"] is True
+    assert ok["result"]["method"] == "gram"
+    assert ok["result"]["zero_set_witness"] is None
     bad = run_json(capsys, base + ["--copies", "1", "3"])
     assert bad["result"]["feasible"] is False
     assert bad["result"]["modulus_witness"] == 1
+    # chi_phi(1) = 0 where chi_psi(1) = 0.6: a verdict with its witness, exit 0
+    flat = tmp_path / "flat.json"
+    io.save_state(flat, z2_population_state(0.5))
+    argv = on_z2 + ["--psi", corpus_dir / "z2_psi08.json", "--phi", flat, "--copies", "1", "1"]
+    none = run_json(capsys, argv)["result"]
+    assert none["feasible"] is False
+    assert none["zero_set_witness"] == 1
+    assert none["modulus_witness"] is None
 
 
 def test_cli_min_copies(capsys, corpus_dir):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from asym import (
     build_group,
-    build_interpolator,
     char_from_values,
     char_function,
     dual_fourier,
@@ -30,7 +29,7 @@ from asym.convertibility import (
     interpolate,
 )
 from asym.corpus import GROUP_NAMES, random_state
-from asym.errors import DomainError, NotHermitian, SelfCheckFailed, ZeroSetViolation
+from asym.errors import DomainError, NotHermitian, SelfCheckFailed
 from asym.groups import PureState
 from asym.tolerances import DEFAULT, TOL_HERM
 
@@ -52,19 +51,22 @@ def chi(group, tail):
 
 
 def test_interpolator_ratio(z2):
-    f = build_interpolator(chi(z2, [0.36]), chi(z2, [0.6]))
+    f = feasible_exact(chi(z2, [0.36]), chi(z2, [0.6]), 1, 1).f
     assert np.allclose(f.values, [1.0, 0.6], atol=1e-14)
 
 
 def test_interpolator_zero_over_zero_is_zero(z2):
-    f = build_interpolator(chi(z2, [0.0]), chi(z2, [0.0]))
+    f = feasible_exact(chi(z2, [0.0]), chi(z2, [0.0]), 1, 1).f
     assert f.values[1] == 0.0
 
 
 def test_interpolator_zero_set_violation(z2):
-    with pytest.raises(ZeroSetViolation) as exc:
-        build_interpolator(chi(z2, [0.5]), chi(z2, [0.0]))
-    assert exc.value.element == 1
+    # chi_phi vanishes where chi_psi does not: no interpolator, an infeasible verdict
+    res = feasible_exact(chi(z2, [0.5]), chi(z2, [0.0]), 1, 1)
+    assert res.feasible is False
+    assert res.zero_set_witness == 1
+    assert res.f.values[1] == 0.0 and np.isfinite(res.min_gram_eigenvalue)
+    assert feasible_exact(chi(z2, [0.5]), chi(z2, [0.8]), 1, 1).zero_set_witness is None
 
 
 def test_gram_matrix_matches_brute_force(z3, rng):
@@ -191,10 +193,7 @@ def test_minimal_copies_matches_brute_force_persistence(z3):
         ok = []
         for N in range(1, n_max + 1):
             M = math.floor(r * N + 1e-12)
-            try:
-                ok.append(feasible_exact(psi, phi, N, M).feasible)
-            except ZeroSetViolation:
-                ok.append(False)
+            ok.append(feasible_exact(psi, phi, N, M).feasible)
         expect = None
         for N in range(n_max, 0, -1):
             if not ok[N - 1]:
@@ -328,7 +327,6 @@ def assert_matches_dense(values, group):
     assert abs(res.min_gram_eigenvalue - min_eig) <= 1e-10 * group.order
     assert res.feasible == feasible
     assert res.modulus_witness == witness
-    assert res.method == "gram"
     return min_eig
 
 
@@ -432,11 +430,7 @@ def reference_min_copies(char_psi, char_phi, r, n_max):
     first = None
     for N in range(n_max, 0, -1):
         M = math.floor(r * N + 1e-12)
-        try:
-            ok = feasible_exact(char_psi, char_phi, N, M).feasible
-        except ZeroSetViolation:
-            ok = False
-        if not ok:
+        if not feasible_exact(char_psi, char_phi, N, M).feasible:
             break
         first = N
     return first
@@ -452,16 +446,20 @@ def rates(char_psi, char_phi):
     return [frac * R for frac in RATE_FRACTIONS]
 
 
-def assert_scan_matches_loop(char_psi, char_phi, n_max, rows=None):
-    """Same answer as the loop, with the default blocks and with blocks of `rows` rows."""
+def assert_scan_matches_loop(char_psi, char_phi, n_max, rows=None, extra_rates=()):
+    """Same answer as the loop, with the default blocks and with blocks of `rows` rows,
+    at `rates` and `extra_rates`; returns the answers."""
     n = char_psi.group.order
-    for r in rates(char_psi, char_phi):
+    answers = []
+    for r in (*extra_rates, *rates(char_psi, char_phi)):
         want = reference_min_copies(char_psi, char_phi, r, n_max)
+        answers.append(want)
         assert minimal_copies_search(char_psi, char_phi, r, n_max) == want, r
         if rows is not None:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(groups, "_CHUNK_BYTES", rows * n * 16)
                 assert minimal_copies_search(char_psi, char_phi, r, n_max) == want, (r, rows)
+    return answers
 
 
 def concentrated_type(group, rng, terms=3):
@@ -541,6 +539,59 @@ def test_batched_min_eigenvalues_match_feasible_exact(name, oracle_group):
         for k in np.flatnonzero(violation < 0):
             one = feasible_exact(psi, phi, int(N[k]), int(M[k])).min_gram_eigenvalue
             assert abs(min_eig[k] - one) <= 1e-10 * n, (r, N[k])
+
+
+def index_two_indicator(group):
+    """1 on the kernel of a real nontrivial character (a subgroup of index 2),
+    0 elsewhere: a positive-type function, so its product with one is too."""
+    d, count = group.irreps.dims[0]
+    assert d == 1
+    chars = group.irreps.matrix[:, :count]
+    sign = next(c for c in chars.T if np.allclose(c, np.sign(c.real)) and c.real.min() < 0)
+    return (sign.real > 0).astype(float)
+
+
+@pytest.mark.parametrize("name", ["D_4", "Q_8", "S_3", "Z_256", "D_128", "S_5"])
+def test_scan_matches_loop_where_chi_phi_vanishes(name, oracle_group):
+    """chi_phi zero off a subgroup of index 2: against a psi that does not vanish
+    there the answer turns on the zero-set rule and the M = 0 rows below 1 / r;
+    against a psi with the same zeros, on the Gram spectrum."""
+    group = oracle_group(name)
+    rng = np.random.default_rng(group.order + 2)
+    cut = index_two_indicator(group)
+    assert 2 * cut.sum() == group.order
+    psi, psi_cut, phi_cut = (
+        char_from_values(group, positive_type(group, rng) * c) for c in (1.0, cut, cut)
+    )
+    answers = set()
+    for a, b in ((psi, phi_cut), (psi_cut, phi_cut), (phi_cut, psi_cut)):
+        answers.update(assert_scan_matches_loop(a, b, 60, rows=3, extra_rates=(0.0, 0.01, 0.02)))
+    assert {1, None} < answers  # and some answer in between, read off the spectrum
+    # r = 0.02: M = 0 up to N = 49, M = 1 above, where chi_phi^M vanishes and chi_psi^N does not
+    assert minimal_copies_search(psi, phi_cut, 0.02, 49) == 1
+    assert minimal_copies_search(psi, phi_cut, 0.02, 50) is None
+    assert feasible_exact(psi, phi_cut, 50, 1).zero_set_witness == int(np.argmin(cut))
+
+
+def test_a_non_hermitian_candidate_with_a_zero_set_violation_is_an_error():
+    # f(1) != conj f(3), and chi_phi vanishes at 2 where chi_psi does not:
+    # NotHermitian comes before the zero-set rule, in the loop and the scan alike
+    z4 = named_group("Z_4")
+    psi = char_from_values(z4, [1.0, 0.5, 0.3, 0.9])
+    phi = char_from_values(z4, [1.0, 0.8, 0.0, 0.8])
+    with pytest.raises(NotHermitian):
+        feasible_exact(psi, phi, 1, 1)
+    for rows in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(groups, "_CHUNK_BYTES", rows * 4 * 16)
+            with pytest.raises(NotHermitian):
+                minimal_copies_search(psi, phi, 1.0, 8)
+    with pytest.raises(NotHermitian):
+        reference_min_copies(psi, phi, 1.0, 8)
+    # M = 0 is the trivial target: f = chi_psi^N, no violation, still not Hermitian
+    with pytest.raises(NotHermitian):
+        feasible_exact(psi, phi, 1, 0)
 
 
 def test_scan_and_loop_both_reject_a_non_hermitian_chi():

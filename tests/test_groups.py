@@ -84,6 +84,18 @@ def test_named_group_products_and_unknown():
         named_group("E_8")
 
 
+@pytest.mark.parametrize("shape", [(16, 16), (2,) * 8, (256,), (3, 4, 5), (1,)])
+def test_named_product_table_matches_the_label_loop(shape):
+    """Elements are the label tuples in itertools.product order, as the double loop had them."""
+    labels = list(itertools.product(*[range(m) for m in shape]))
+    index = {lab: i for i, lab in enumerate(labels)}
+    ref = [[index[tuple((x + y) % m for x, y, m in zip(a, b, shape))] for b in labels]
+           for a in labels]
+    group = named_group("x".join(f"Z_{m}" for m in shape))
+    assert group.mult.dtype == np.intp
+    assert np.array_equal(group.mult, ref)
+
+
 def test_validate_rep_z2_diagonal():
     g = named_group("Z_2")
     rep = validate_projective_rep(g, [np.eye(2), np.diag([1.0, -1.0])])
