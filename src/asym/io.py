@@ -53,8 +53,17 @@ def _ints(data: dict, key: str, path, ndim: int) -> np.ndarray:
     raise ValidationError(f"{path}: {key} must be JSON integers nested {ndim} deep")
 
 
-def _complex_array(entries, path, what: str) -> np.ndarray:
+def _finite_floats(entries, path, what: str) -> np.ndarray:
+    """entries as a float array. An overflowing literal such as 1e999 parses
+    to inf without reaching parse_constant, so finiteness is checked here."""
     arr = np.asarray(entries, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{path}: non-finite {what} entry")
+    return arr
+
+
+def _complex_array(entries, path, what: str) -> np.ndarray:
+    arr = _finite_floats(entries, path, what)
     if arr.shape[-1] != 2:
         raise ValidationError(f"{path}: {what} entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -95,7 +104,7 @@ def load_state(path) -> PureState:
 def load_distribution(path) -> ChargeDistribution:
     data = _load_json(path)
     shape = tuple(int(x) for x in _ints(data, "shape", path, 1))
-    probs = np.asarray(_require(data, "probs", path), dtype=float)
+    probs = _finite_floats(_require(data, "probs", path), path, "probability")
     return ChargeDistribution(shape=shape, probs=probs)
 
 

@@ -2,15 +2,18 @@
 
 perfbench/spans.py wraps the functions listed in its TRACED table, and the
 workloads call asym.<name> directly. A rename in asym would otherwise only
-show when the benchmark runs.
+show when the benchmark runs. Likewise the BENCH_*.json trend files at the
+root may only name workloads and metrics that BENCHMARK.json declares.
 """
 
 import importlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_spans():
@@ -52,3 +55,16 @@ def test_names_the_workloads_use_exist():
             resolve(ref)
         except (AttributeError, ImportError) as exc:
             raise AssertionError(f"{filename} uses {ref}, which does not exist") from exc
+
+
+def test_bench_files_name_declared_workloads_and_metrics():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    units = {m["name"]: m["unit"] for m in spec["end_to_end"] + spec["per_layer"]}
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        for row in json.loads(path.read_text())["results"]:
+            where = f"{path.name}: {row['workload']} {row['metric']}"
+            assert row["workload"] in workloads, where
+            assert units.get(row["metric"]) == row["unit"], where

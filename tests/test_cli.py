@@ -109,7 +109,7 @@ NON_FINITE_DOCS = {
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(sorted(NON_FINITE_DOCS)),
-    literal=st.sampled_from(["NaN", "Infinity", "-Infinity"]),
+    literal=st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e999"]),
     data=st.data(),
 )
 def test_io_rejects_non_finite_literals(tmp_path_factory, kind, literal, data):

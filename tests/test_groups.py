@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from asym import build_group, groups, named_group, subgroup_closure, validate_projective_rep
 from asym.abelian import ChargeDistribution
 from asym.charfn import char_function
-from asym.corpus import corpus_rep, random_state
+from asym.corpus import GROUP_NAMES, corpus_rep, random_state
 from asym.errors import (
     AxiomViolation,
     DomainError,
@@ -313,6 +313,138 @@ def test_associativity_witness_past_first_block(monkeypatch):
             build_group(table)
         assert exc.value.axiom == "associativity"
         assert exc.value.witness == expected
+
+
+# ------------------------------------------- Light's test vs brute-force loop
+
+
+def reference_build(table):
+    """(identity, inv) of a table with an identity, else (axiom, witness): the
+    n^3 associativity loop and the per-element inverse loop."""
+    t = np.asarray(table)
+    n = len(t)
+    e = next(a for a in range(n) if all(t[a, x] == x == t[x, a] for x in range(n)))
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if t[t[a, b], c] != t[a, t[b, c]]:
+            return "associativity", (a, b, c)
+    inv = []
+    for a in range(n):
+        bs = [b for b in range(n) if t[a, b] == e]
+        if len(bs) != 1 or t[bs[0], a] != e:
+            return "inverses", a
+        inv.append(bs[0])
+    return e, inv
+
+
+def build_outcome(table):
+    try:
+        g = build_group(table)
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness
+    return g.identity, g.inv.tolist()
+
+
+def relabel(table, perm):
+    """The table with element x renamed perm[x]."""
+    table, perm = np.asarray(table), np.asarray(perm)
+    back = np.argsort(perm)
+    return perm[table[back][:, back]]
+
+
+def random_loop(n, rng):
+    """A random Latin square with identity 0, by randomized backtracking."""
+    sq = np.full((n, n), -1)
+    sq[0] = sq[:, 0] = np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        for v in rng.permutation(n):
+            if v not in sq[i] and v not in sq[:, j]:
+                sq[i, j] = v
+                if fill(k + 1):
+                    return True
+                sq[i, j] = -1
+        return False
+
+    fill(0)  # a Latin square with identity exists for every n
+    return sq
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["magma", "loop", "group"]), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_light_test_matches_brute_force(kind, n, seed):
+    """Verdict and witness of build_group equal the n^3 loop's, identity anywhere."""
+    rng = np.random.default_rng(seed)
+    if kind == "magma":  # any table with an identity, n <= 6
+        n = min(n, 6)
+        table = rng.integers(0, n, size=(n, n))
+        table[0] = table[:, 0] = np.arange(n)
+    elif kind == "loop":
+        table = random_loop(n, rng)
+    else:  # n picks one of the small groups
+        table = named_group(["Z_1", "Z_2", "Z_2xZ_2", "S_3", "D_4", "Q_8"][n % 6]).mult
+    table = relabel(table, rng.permutation(len(table)))
+    assert build_outcome(table) == reference_build(table)
+
+
+def test_light_test_checks_every_generator():
+    """Z_2 = {0, 1} with 2 adjoined: generator 1 passes, only generator 2 fails."""
+    table = [[0, 1, 2], [1, 0, 2], [2, 2, 1]]
+    assert groups._right_generators(np.array(table), 0) == [1, 2]
+    assert build_outcome(table) == reference_build(table) == ("associativity", (1, 2, 2))
+
+
+def dihedral_table(m):
+    """r^i s^a at index i + m a, with s r = r^-1 s."""
+    i, a = np.arange(2 * m) % m, np.arange(2 * m) // m
+    sign = np.where(a == 1, -1, 1)
+    return (i[:, None] + sign[:, None] * i[None, :]) % m + m * ((a[:, None] + a[None, :]) % 2)
+
+
+def symmetric_table(k):
+    perms = sorted(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(p[x] for x in q)] for q in perms] for p in perms])
+
+
+LIGHT_GROUPS = {
+    **{name: named_group(name).mult for name in
+       ["Z_1", "Z_7", "Z_256", "Z_2xZ_2xZ_2", "Z_2xZ_2xZ_2xZ_2xZ_2xZ_2xZ_2xZ_2", "Z_16xZ_16",
+        *GROUP_NAMES]},
+    **{f"D_{m}": dihedral_table(m) for m in (3, 8, 64, 128)},
+    "S_5": symmetric_table(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIGHT_GROUPS))
+def test_groups_need_at_most_log2_n_generators(name):
+    table = LIGHT_GROUPS[name]
+    gens = groups._right_generators(table, 0)
+    assert len(gens) <= np.log2(len(table))
+    assert groups.subgroup_closure(build_group(table), gens) == frozenset(range(len(table)))
+
+
+@pytest.mark.parametrize("name", ["Z_256", "Z_2xZ_2xZ_2xZ_2xZ_2xZ_2xZ_2xZ_2", "Z_16xZ_16", "D_128"])
+def test_valid_table_never_enters_the_witness_scan(monkeypatch, name):
+    def scan(mult):
+        raise AssertionError("witness scan on a valid table")
+
+    monkeypatch.setattr(groups, "_associativity_witness", scan)
+    assert build_group(LIGHT_GROUPS[name]).order == 256
+
+
+def test_left_zero_monoid_needs_every_generator_and_fails_inverses():
+    """e adjoined to x y = x: associative, every non-identity element is a generator."""
+    n = 64
+    table = np.repeat(np.arange(n)[:, None], n, axis=1)
+    table[0] = np.arange(n)
+    assert groups._right_generators(table, 0) == list(range(1, n))
+    with pytest.raises(AxiomViolation) as exc:
+        build_group(table)
+    assert (exc.value.axiom, exc.value.witness) == ("inverses", 1)
 
 
 def test_q8_table_self_check_is_a_typed_error(monkeypatch):
