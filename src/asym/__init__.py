@@ -10,7 +10,6 @@ from .groups import (
     PureState,
     build_group,
     named_group,
-    subgroup_closure,
     validate_projective_rep,
 )
 from .charfn import (
@@ -67,7 +66,6 @@ __all__ = [
     "PureState",
     "build_group",
     "named_group",
-    "subgroup_closure",
     "validate_projective_rep",
     "CharFunction",
     "ClassSets",

@@ -10,11 +10,16 @@ Validation cost: `build_group` decides associativity by Light's test, 2 n^2
 table lookups per element of a greedy generating set S: O(n^2 log n) for a
 group (|S| <= log2 n), and never more than the 2 n^3 of a full scan. Only
 a table it rejects pays that O(n^3) scan, which names the first witness.
-`validate_projective_rep` is O(n^2 d^3) flops in batched BLAS matmuls for n
-elements of dimension d. The scan and the matmuls run over blocks of at
-most `_CHUNK_BYTES` (256 KB) of intermediate results, so their working
-memory is O(chunk) beyond the input, whatever n and d are. Non-finite
-amplitudes and matrix entries are rejected like any other invalid value.
+`validate_projective_rep` checks unitarity in O(n d^3) flops for n elements
+of dimension d, and the projective law by the same lemma at the rows e and
+S, O(|S| n d^3), with a proved error bound along the words in S. Only a rep
+that the bound cannot vouch for pays the O(n^2 d^3) scan of every pair,
+which decides and names the first failing pair; the cocycle table comes
+from that scan, run on its first read. All of these run as batched BLAS
+matmuls over blocks of at most `_CHUNK_BYTES` (256 KB) of intermediate
+results, so their working memory is O(chunk) beyond the input, whatever n
+and d are. Non-finite amplitudes and matrix entries are rejected like any
+other invalid value.
 """
 
 from __future__ import annotations
@@ -126,7 +131,12 @@ class ProjectiveRep:
     group: FiniteGroup
     dim: int
     matrices: np.ndarray  # (n, d, d) complex
-    cocycle: np.ndarray  # (n, n) phases in radians
+
+    @functools.cached_property
+    def cocycle(self) -> np.ndarray:
+        """(n, n) phases omega(g, h) in radians of U(g)U(h)U(gh)^+, computed on
+        first read by the blocked scan of the group law and kept."""
+        return _law_scan(self.group, self.matrices)
 
 
 def build_group(mult_table, name: str | None = None) -> FiniteGroup:
@@ -319,32 +329,123 @@ def _law_deviation(prod: np.ndarray) -> float:
 
 
 def validate_projective_rep(group: FiniteGroup, matrices) -> ProjectiveRep:
-    """Check unitarity and the projective group law; extract the cocycle table.
+    """Check unitarity and the projective group law U(g)U(h) = omega(g, h) U(gh).
 
-    omega(g, g') is read off the (0, 0) entry of U(g)U(g')U(gg')^+, which must
-    be a phase multiple of the identity within TOL_UNITARY. Both checks run as
-    batched matmuls over blocks of elements; a failure names the first failing
-    element, or (g, g') pair in row-major order. Non-finite matrices are not
-    unitary.
+    A failure names the first non-unitary element, else the row-major first
+    (g, h) whose U(g)U(h)U(gh)^+ has a (0, 0) entry off the unit circle by
+    more than TOL_PHASE or lies farther than TOL_UNITARY * max(1, d) in
+    max-abs from its phase times I. Non-finite matrices are not unitary. The
+    cocycle is not computed here: `ProjectiveRep.cocycle` scans for it on
+    first read, unless the scan below already ran.
+
+    The law is checked at a generating set (Light's lemma, as in
+    `build_group`): the g with U(g)U(h) ~ U(gh) for every h are closed under
+    products, so only the rows r in {e} + S, S from `_right_generators`, are
+    measured, at O(|S| n d^3) flops: delta = max ||U(r)U(h) - phi U(rh)||_F,
+    phi the normalised (0, 0) phase of U(r)U(h)U(rh)^+. The bound: let u be
+    the largest ||U U^+ - I||_F, nu = sqrt(1 + u) >= ||U||_2 and L the depth
+    of the breadth-first search g -> s g over S from e. If g = s g' with g'
+    at depth k - 1 and ||U(g')U(h) - w U(g'h)||_2 <= eps_{k-1}, then
+    U(g)U(h) = conj phi(s, g') U(s)U(g')U(h) + E1 U(h), ||E1|| <= delta,
+    and expanding U(g')U(h) and U(s)U(g'h) gives
+    eps_k <= nu eps_{k-1} + (1 + nu) delta, eps_0 = delta, so
+    eps_L <= delta (1 + (1 + nu) L) nu^L, and every pair has
+    ||U(g)U(h)U(gh)^+ - omega I||_2 <= eta = nu eps_L + u. An entry of a
+    matrix is at most its 2-norm, so the (0, 0) entry z is within eta of
+    omega, hence within eta of the unit circle and z/|z| within 2 eta of
+    omega: both cuts hold at every pair once eta <= TOL_PHASE and
+    3 eta <= TOL_UNITARY * max(1, d), less an allowance for the rounding
+    of these products and of the scan's. When the bound cannot vouch for
+    every pair, or a measured row breaks it, the blocked scan of all n^2
+    pairs decides instead (O(n^2 d^3)), names the first failing pair and
+    keeps the cocycle it computed. Every check runs over blocks of at most
+    `_CHUNK_BYTES` of products, so memory beyond the input stays O(chunk).
     """
     mats = np.asarray(matrices, dtype=complex)
     n = group.order
-    if mats.ndim != 3 or mats.shape[0] != n or mats.shape[1] != mats.shape[2]:
+    if mats.ndim != 3 or mats.shape[0] != n or mats.shape[1] != mats.shape[2] or not mats.shape[1]:
         raise DimensionMismatch(f"expected {n} square matrices, got shape {mats.shape}")
     d = mats.shape[1]
     eye = np.eye(d)
-    mat_bytes = d * d * mats.itemsize
 
-    rows = _block_rows(mat_bytes)
+    u = 0.0  # the largest ||U U^+ - I||_F
+    rows = _block_rows(d * d * mats.itemsize)
     for g0 in range(0, n, rows):
         block = mats[g0 : g0 + rows]
         with np.errstate(invalid="ignore", over="ignore"):
-            dev = np.abs(block @ _adjoint(block) - eye).max(axis=(1, 2))
+            diff = block @ _adjoint(block) - eye
+            dev = np.abs(diff).max(axis=(1, 2))
+            u = max(u, float(np.linalg.norm(diff, axis=(1, 2)).max()))
         bad = ~(dev <= TOL_UNITARY) | ~np.isfinite(block).all(axis=(1, 2))
         if bad.any():
             g = int(np.argmax(bad))
             raise NotUnitary(g0 + g, float(dev[g]))
 
+    rep = ProjectiveRep(group=group, dim=d, matrices=mats)
+    if not _law_holds_at_generators(group, mats, u):
+        rep.__dict__["cocycle"] = _law_scan(group, mats)  # the cached_property's slot
+    return rep
+
+
+def _law_holds_at_generators(group: FiniteGroup, mats: np.ndarray, u: float) -> bool:
+    """Whether the bound of `validate_projective_rep` proves the projective law
+    at every pair of unitaries mats, from the rows e and S alone; u is the
+    largest ||U U^+ - I||_F. False as soon as a measured row breaks it.
+    """
+    n, d = mats.shape[:2]
+    mult, e = group.mult, group.identity
+    gens = _right_generators(mult, e)
+    depth = _left_word_depth(mult, e, gens)
+    # rounding: a d x d product of unitaries is off by at most d^2 eps / 2 in
+    # Frobenius norm (Higham, Accuracy and Stability, 3.5), so this covers the
+    # measured delta and u and every entry the scan would compute
+    slack = (d * d + 8 * d) * np.finfo(float).eps
+    nu = np.sqrt(1.0 + u + slack)
+    eta = min(TOL_PHASE, TOL_UNITARY * max(1.0, d) / 3) - slack
+    # eta = nu delta (1 + (1 + nu) L) nu^L + u, solved for the largest delta,
+    # with u and delta each up to slack above their measured values
+    max_delta = (eta - u - slack) / ((1 + (1 + nu) * depth) * nu ** (depth + 1)) - slack
+    if not max_delta > 0:
+        return False
+
+    cols = _block_rows(d * d * mats.itemsize)
+    for r in [e, *gens]:
+        for h0 in range(0, n, cols):
+            prod = mats[r] @ mats[h0 : h0 + cols]  # U(r)U(h)
+            target = mats[mult[r, h0 : h0 + cols]]  # U(rh)
+            z = (prod[:, 0] * target[:, 0].conj()).sum(axis=1)  # (U(r)U(h)U(rh)^+)[0, 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                target *= (z / np.abs(z))[:, None, None]
+            prod -= target
+            delta = np.linalg.norm(prod, axis=(1, 2)).max()
+            if not delta <= max_delta:  # a NaN phase (z = 0) fails too
+                return False
+    return True
+
+
+def _left_word_depth(mult: np.ndarray, e: int, gens: list[int]) -> float:
+    """Depth of the breadth-first search g -> s g over gens from e; inf when
+    it does not reach every element."""
+    n = len(mult)
+    rows = [mult[s].tolist() for s in gens]
+    level = [-1] * n
+    level[e] = 0
+    queue = [e]
+    for g in queue:  # grows while it is read
+        for row in rows:
+            x = row[g]
+            if level[x] < 0:
+                level[x] = level[g] + 1
+                queue.append(x)
+    return level[queue[-1]] if len(queue) == n else np.inf
+
+
+def _law_scan(group: FiniteGroup, mats: np.ndarray) -> np.ndarray:
+    """The cocycle table of unitaries mats, or NotProjective at the row-major
+    first pair that breaks the law: every U(g)U(h)U(gh)^+ in blocks of g x h.
+    """
+    n, d = mats.shape[:2]
+    mat_bytes = d * d * mats.itemsize
     # Blocks of g x all h; when one row of products exceeds the chunk, rows
     # is 1 and the h axis is tiled instead, so the scan stays row-major.
     cols = min(n, _block_rows(mat_bytes))
@@ -369,33 +470,11 @@ def validate_projective_rep(group: FiniteGroup, matrices) -> ProjectiveRep:
                 g, h = g0 + int(i), h0 + int(j)
                 prod = mats[g] @ mats[h] @ _adjoint(mats[group.mult[g, h]])
                 raise NotProjective(g, h, _law_deviation(prod))
-    return ProjectiveRep(group=group, dim=d, matrices=mats, cocycle=cocycle)
-
-
-def subgroup_closure(group: FiniteGroup, seed) -> frozenset[int]:
-    """Smallest subgroup containing the seed elements; always contains e."""
-    n = group.order
-    for s in seed:
-        if not 0 <= int(s) < n:
-            raise DomainError(f"element index {s} out of range [0, {n})")
-    closed = {group.identity}
-    frontier = list(set(int(s) for s in seed))
-    closed.update(group.inv[g] for g in frontier)
-    closed.update(frontier)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(closed):
-            for b in list(closed):
-                c = int(group.mult[a, b])
-                if c not in closed:
-                    closed.add(c)
-                    changed = True
-    return frozenset(closed)
+    return cocycle
 
 
 def is_subgroup(group: FiniteGroup, elements) -> bool:
-    """Whether the elements form a subgroup, i.e. subgroup_closure(group, S) == S.
+    """Whether the elements S form a subgroup, i.e. are their own closure.
 
     One table test: e is in S and every product of two elements of S is in S.
     A finite set closed under the product holds the inverse of each element

@@ -24,7 +24,8 @@ from asym.abelian import ChargeDistribution, basis_elements
 from asym.cli import main
 from asym.corpus import corpus_rep, random_distribution, random_state, z2_population_state
 from asym.errors import DomainError, NotAbelian, NotSimultaneouslyDiagonalizable, ShapeMismatch
-from asym.groups import ProjectiveRep, PureState, subgroup_closure
+from asym.groups import ProjectiveRep, PureState
+from reference import subgroup_closure
 
 
 def dist(shape, probs):
@@ -281,9 +282,8 @@ def diagonal_rep(moduli, d, rng, theta=None):
     """V diag(exp(2 pi i c.a / m)) V^+ over random charges c and a random
     unitary V, times exp(i theta.a) per label a when theta is given: a
     projective rep with U^t = exp(i t theta_j) I on the cyclic factors.
-    The ProjectiveRep is built directly, skipping the O(n^2 d^3) validation:
-    charge_distribution reads only the group and the matrices, so the
-    cocycle is left zero."""
+    The ProjectiveRep is built directly, skipping validation:
+    charge_distribution reads only the group and the matrices."""
     group, coords = product_group(moduli)
     charges = rng.integers(0, moduli, size=(d, len(moduli)))
     V, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
@@ -291,7 +291,7 @@ def diagonal_rep(moduli, d, rng, theta=None):
     if theta is not None:
         phases *= np.exp(1j * coords @ np.asarray(theta))[:, None]
     mats = np.einsum("ij,gj,kj->gik", V, phases, V.conj())
-    return ProjectiveRep(group=group, dim=d, matrices=mats, cocycle=np.zeros((len(coords),) * 2))
+    return ProjectiveRep(group=group, dim=d, matrices=mats)
 
 
 def relabelled(group, rng):
@@ -337,7 +337,6 @@ def test_charge_distribution_rejects_non_phase_power():
         group=named_group("Z_2"),
         dim=2,
         matrices=np.array([np.eye(2), np.diag([1.0, 1j])], dtype=complex),
-        cocycle=np.zeros((2, 2)),
     )
     with pytest.raises(NotSimultaneouslyDiagonalizable):
         charge_distribution(rep, PureState(2, np.array([1.0, 0.0])))

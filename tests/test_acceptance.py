@@ -30,13 +30,13 @@ from asym import (
     qfim,
     qfim_pure,
     rf_ratio,
-    subgroup_closure,
 )
 from asym.abelian import ChargeDistribution, basis_elements
 from asym.corpus import GROUP_NAMES, corpus_rep, random_state, z2_population_state
 from asym.exact_rate import FINITE
 from asym.groups import PureState
 from asym.lie import pure_density, symmetrized_covariance
+from reference import subgroup_closure
 
 
 def z2_char(a):

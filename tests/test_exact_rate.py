@@ -178,7 +178,7 @@ def _z256_rep(rng, step):
     g = np.arange(256)[:, None]
     mats = np.zeros((256, 16, 16), dtype=complex)
     mats[:, np.arange(16), np.arange(16)] = np.exp(2j * np.pi * g * charges / 256)
-    return ProjectiveRep(named_group("Z_256"), 16, mats, np.zeros((256, 256)))  # a true rep
+    return ProjectiveRep(named_group("Z_256"), 16, mats)  # a true rep
 
 
 def _states(rep, rng):

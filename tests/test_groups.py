@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asym import build_group, groups, named_group, subgroup_closure, validate_projective_rep
+from asym import build_group, groups, named_group, validate_projective_rep
 from asym.abelian import ChargeDistribution
 from asym.charfn import char_function
 from asym.corpus import GROUP_NAMES, corpus_rep, random_state
 from asym.errors import (
     AxiomViolation,
+    DimensionMismatch,
     DomainError,
     NotAState,
     NotProjective,
@@ -22,6 +24,7 @@ from asym.errors import (
 )
 from asym.groups import PureState
 from asym.tolerances import TOL_UNITARY
+from reference import subgroup_closure
 
 
 def test_trivial_group():
@@ -244,6 +247,13 @@ def conjugated_cyclic_rep(n, d, rng):
     return mats * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))[:, None, None]
 
 
+def pauli_rep():
+    """1, X, Z, XZ on Z_2 x Z_2: a genuinely projective rep."""
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    Z = np.diag([1.0, -1.0]).astype(complex)
+    return np.array([np.eye(2), X, Z, X @ Z])
+
+
 # chunk sizes: the default, one matrix per block, and a few matrices per block
 CHUNKS = [None, 1, 3 * 16 * 16, 40 * 16]
 
@@ -263,9 +273,7 @@ def test_batched_validation_matches_reference_on_cyclic_reps(chunk, n, d):
 
 
 def test_batched_validation_matches_reference_on_pauli_rep(chunk):
-    X = np.array([[0, 1], [1, 0]], dtype=complex)
-    Z = np.diag([1.0, -1.0]).astype(complex)
-    cocycle = assert_same_outcome(named_group("Z_2xZ_2"), np.array([np.eye(2), X, Z, X @ Z]))
+    cocycle = assert_same_outcome(named_group("Z_2xZ_2"), pauli_rep())
     assert np.abs(cocycle).max() > 1.0  # genuinely projective: omega = -1 somewhere
 
 
@@ -297,6 +305,144 @@ def test_zero_leading_entry_raises_without_warning():
             validate_projective_rep(named_group("Z_2"), [X, np.eye(2)])
     assert exc.value.pair == (0, 0)
     assert exc.value.deviation == 1.0
+
+
+def test_zero_dimensional_rep_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        validate_projective_rep(named_group("Z_4"), np.zeros((4, 0, 0)))
+
+
+# ------------------------------------------- the law checked at a generating set
+
+
+def small_unitary(eps, d, rng):
+    """W diag(exp(i eps t)) W^+ with t in [-1, 1]: a unitary eps away from I."""
+    W = haar_unitary(d, rng)
+    return (W * np.exp(1j * eps * rng.uniform(-1, 1, size=d))) @ W.conj().T
+
+
+def dihedral_rep(m, ks, rng):
+    """Direct sum of the 2-dim irreps r^i s^a -> R(2 pi k i / m) diag(1, (-1)^a) of
+    `dihedral_table(m)`, conjugated by a random unitary."""
+    i, a = np.arange(2 * m) % m, np.arange(2 * m) // m
+    reflection = np.array([np.eye(2), np.diag([1.0, -1.0])])[a]
+    mats = np.zeros((2 * m, 2 * len(ks), 2 * len(ks)), dtype=complex)
+    for b, k in enumerate(ks):
+        t = 2 * np.pi * k * i / m
+        rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]).transpose(2, 0, 1)
+        mats[:, 2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = rot @ reflection
+    V = haar_unitary(2 * len(ks), rng)
+    return V @ mats @ V.conj().T
+
+
+def permutation_rep(k, rng):
+    """P(p) + sgn(p) P(p) on the elements of `symmetric_table(k)`, conjugated."""
+    perms = sorted(itertools.permutations(range(k)))
+    mats = np.zeros((len(perms), 2 * k, 2 * k), dtype=complex)
+    for g, p in enumerate(perms):
+        P = np.eye(k)[:, list(p)]  # P e_x = e_{p(x)}
+        mats[g, :k, :k], mats[g, k:, k:] = P, np.linalg.det(P) * P
+    V = haar_unitary(2 * k, rng)
+    return V @ mats @ V.conj().T
+
+
+def product_rep(moduli, d, rng):
+    """V diag(exp(2 pi i c.a / m)) V^+ on the named product group, labels a in
+    row-major order, charges c random."""
+    labels = np.indices(moduli).reshape(len(moduli), -1).T
+    charges = rng.integers(0, moduli, size=(d, len(moduli)))
+    V = haar_unitary(d, rng)
+    return np.einsum("ij,gj,kj->gik", V, np.exp(2j * np.pi * (labels / moduli) @ charges.T), V.conj())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["cyclic", "dihedral", "pauli"]),
+    n=st.integers(1, 24),  # Z_1: S is empty and only the row of e is measured
+    d=st.integers(1, 4),
+    log_eps=st.floats(-13, -6),
+    unitary=st.booleans(),
+    chunk=st.sampled_from(CHUNKS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generator_check_matches_reference(kind, n, d, log_eps, unitary, chunk, seed):
+    """Verdict, witness, deviation and cocycle bit for bit, with one element
+    perturbed by 1e-13 to 1e-6, across the unitarity and the law cuts."""
+    rng = np.random.default_rng(seed)
+    if kind == "cyclic":
+        group, mats = named_group(f"Z_{n}"), conjugated_cyclic_rep(n, d, rng)
+    elif kind == "dihedral":
+        m = max(3, n // 2)
+        group = build_group(dihedral_table(m))
+        mats = dihedral_rep(m, rng.integers(1, m, size=(d + 1) // 2), rng)
+    else:
+        group, mats = named_group("Z_2xZ_2"), pauli_rep()
+    mats = mats * np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(mats)))[:, None, None]
+    k, eps, dim = int(rng.integers(len(mats))), 10.0**log_eps, mats.shape[1]
+    if unitary:
+        mats[k] = mats[k] @ small_unitary(eps, dim, rng)
+    else:
+        mats[k] += eps * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(groups, "_CHUNK_BYTES", chunk)
+        assert_same_outcome(group, mats)
+
+
+BENCHMARK_SHAPES = {
+    "Z_256, d=16": lambda rng: (named_group("Z_256"), conjugated_cyclic_rep(256, 16, rng)),
+    "Z_64, d=64": lambda rng: (named_group("Z_64"), conjugated_cyclic_rep(64, 64, rng)),
+    "Z_2^8, d=16": lambda rng: (named_group("x".join(["Z_2"] * 8)), product_rep((2,) * 8, 16, rng)),
+    "D_128, d=16": lambda rng: (build_group(dihedral_table(128)),
+                                dihedral_rep(128, [1, 11, 30, 43, 50, 57, 62, 19], rng)),
+    "S_5, d=10": lambda rng: (build_group(symmetric_table(5)), permutation_rep(5, rng)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
+def test_benchmark_shapes_never_enter_the_full_scan(chunk, monkeypatch, shape):
+    """Accepted at the generators, with the cocycle left for its first read."""
+    group, mats = BENCHMARK_SHAPES[shape](np.random.default_rng(11))
+
+    def scan(group, mats):
+        raise AssertionError("full scan of the projective law")
+
+    monkeypatch.setattr(groups, "_law_scan", scan)
+    rep = validate_projective_rep(group, mats)
+    assert rep.matrices is mats and "cocycle" not in vars(rep)
+
+
+def test_rep_the_bound_cannot_vouch_for_runs_the_scan_once(monkeypatch):
+    """U(1) off by 1e-11: every pair passes, but 63 steps along the words in
+    S = {1} could add up to more than the cut, so the scan decides."""
+    n, d = 64, 4
+    rng = np.random.default_rng(3)
+    mats = conjugated_cyclic_rep(n, d, rng)
+    mats[1] = mats[1] @ small_unitary(1e-11, d, rng)
+    calls = []
+    scan = groups._law_scan
+    monkeypatch.setattr(groups, "_law_scan", lambda *args: calls.append(args) or scan(*args))
+    group = named_group(f"Z_{n}")
+    rep = validate_projective_rep(group, mats)
+    assert len(calls) == 1
+    assert np.array_equal(rep.cocycle, reference_validate(group, mats))
+    assert len(calls) == 1  # the scan's cocycle was kept
+
+
+@pytest.mark.parametrize("n,d", [(64, 64), (256, 16)])
+def test_validation_memory_stays_within_a_few_chunks(n, d):
+    """Peak traced memory of a call beyond its complex input, which np.asarray
+    does not copy: the blocks of products, never the n x n table of them."""
+    group, mats = named_group(f"Z_{n}"), conjugated_cyclic_rep(n, d, np.random.default_rng(n))
+    validate_projective_rep(group, mats)  # warm any lazy imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        validate_projective_rep(group, mats)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * groups._CHUNK_BYTES
 
 
 def test_associativity_witness_past_first_block(monkeypatch):
@@ -424,7 +570,7 @@ def test_groups_need_at_most_log2_n_generators(name):
     table = LIGHT_GROUPS[name]
     gens = groups._right_generators(table, 0)
     assert len(gens) <= np.log2(len(table))
-    assert groups.subgroup_closure(build_group(table), gens) == frozenset(range(len(table)))
+    assert subgroup_closure(build_group(table), gens) == frozenset(range(len(table)))
 
 
 @pytest.mark.parametrize("name", ["Z_256", "Z_2xZ_2xZ_2xZ_2xZ_2xZ_2xZ_2xZ_2", "Z_16xZ_16", "D_128"])
