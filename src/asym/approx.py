@@ -30,13 +30,6 @@ class UniformCharFunction:
         out[list(self.subgroup)] = 1.0
         return out
 
-    def as_char(self) -> CharFunction:
-        logmod = np.full(self.group.order, -np.inf)
-        logmod[list(self.subgroup)] = 0.0
-        return CharFunction(
-            group=self.group, logmod=logmod, phase=np.zeros(self.group.order)
-        )
-
 
 @dataclass(frozen=True)
 class ConvergencePoint:

@@ -1,14 +1,19 @@
 """Command-line entry point: `asym SUBCOMMAND ...`.
 
-Every report carries the subcommand name, sha256 digests of the input
-files, and the effective tolerances, so a JSON report doubles as a test
-fixture. Exit codes: 0 success, 1 domain error, 2 parse/validation error.
+One static table, `SUBCOMMANDS`, declares each subcommand: its handler, its
+input file flags in load order and its other options; the parser is built
+from it once per process. `main` loads the inputs (`rep` reads the loaded
+`group`), calls the handler on them and wraps its bare result in the report
+envelope: the subcommand name, sha256 digests of the input files and the
+effective tolerances, so a JSON report doubles as a test fixture. Exit
+codes: 0 success, 1 domain error, 2 parse/validation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -18,8 +23,7 @@ import numpy as np
 
 from . import abelian, approx, charfn, convertibility, io, lie
 from .errors import AsymError, ValidationError
-from .exact_rate import FINITE, RateReport
-from .exact_rate import exact_rate as compute_exact_rate
+from .exact_rate import FINITE, exact_rate as compute_exact_rate
 from .tolerances import Tolerances
 
 
@@ -98,22 +102,29 @@ def _render(v) -> str:
     return str(v)
 
 
-def _base_report(args, inputs: dict[str, str], result: dict) -> dict:
-    return {
-        "subcommand": args.subcommand,
-        "inputs": {k: {"path": v, "sha256": _digest(v)} for k, v in inputs.items()},
-        "tolerances": dataclasses.asdict(args.tol),
-        "result": result,
-    }
+def cmd_chi(args, group, rep, state) -> dict:
+    char = charfn.char_function(rep, state)
+    if args.power != 1:
+        char = charfn.char_power(char, args.power)
+    sets = charfn.classify_sets(char, args.tol)
+    elements = [
+        {
+            "element": g,
+            "abs_chi": float(np.exp(char.logmod[g])) if not np.isneginf(char.logmod[g]) else 0.0,
+            "phase": float(char.phase[g]),
+            "L": charfn.resource_measure_L(char, g),
+        }
+        for g in range(group.order)
+    ]
+    return {"power": args.power, "elements": elements, "sym": sets.sym, "zero": sets.zero}
 
 
-def _chars(args):
-    """Characteristic functions of the --psi and --phi states under --rep."""
-    _, rep = _load_char_pair(args)
-    return [charfn.char_function(rep, io.load_state(path)) for path in (args.psi, args.phi)]
+def _chars(rep, psi, phi):
+    return charfn.char_function(rep, psi), charfn.char_function(rep, phi)
 
 
-def _rate_dict(report: RateReport) -> dict:
+def cmd_rate_exact(args, group, rep, psi, phi) -> dict:
+    report = compute_exact_rate(*_chars(rep, psi, phi), args.commutative, args.tol)
     out = {
         "rate": report.kind,
         "witness": report.witness,
@@ -125,111 +136,42 @@ def _rate_dict(report: RateReport) -> dict:
     return out
 
 
-def cmd_chi(args) -> dict:
-    group, rep = _load_char_pair(args)
-    char = charfn.char_function(rep, io.load_state(args.state))
-    if args.power > 1:
-        char = charfn.char_power(char, args.power)
-    sets = charfn.classify_sets(char, args.tol)
-    elements = []
-    for g in range(group.order):
-        elements.append(
-            {
-                "element": g,
-                "abs_chi": float(np.exp(char.logmod[g])) if not np.isneginf(char.logmod[g]) else 0.0,
-                "phase": float(char.phase[g]),
-                "L": charfn.resource_measure_L(char, g),
-            }
-        )
-    return _base_report(
-        args,
-        {"group": args.group, "rep": args.rep, "state": args.state},
-        {"power": args.power, "elements": elements, "sym": sets.sym, "zero": sets.zero},
-    )
-
-
-def _load_char_pair(args):
-    group = io.load_group(args.group)
-    rep = io.load_rep(args.rep, group)
-    return group, rep
-
-
-def cmd_rate_exact(args) -> dict:
-    c_psi, c_phi = _chars(args)
-    report = compute_exact_rate(c_psi, c_phi, args.commutative, args.tol)
-    return _base_report(
-        args,
-        {"group": args.group, "rep": args.rep, "psi": args.psi, "phi": args.phi},
-        _rate_dict(report),
-    )
-
-
-def cmd_convert(args) -> dict:
-    c_psi, c_phi = _chars(args)
+def cmd_convert(args, group, rep, psi, phi) -> dict:
     N, M = args.copies
-    res = convertibility.feasible_exact(c_psi, c_phi, N, M, args.tol)
-    return _base_report(
-        args,
-        {"group": args.group, "rep": args.rep, "psi": args.psi, "phi": args.phi},
-        {
-            "N": N,
-            "M": M,
-            "feasible": res.feasible,
-            "min_gram_eigenvalue": res.min_gram_eigenvalue,
-            "method": "gram",
-            "modulus_witness": res.modulus_witness,
-            "zero_set_witness": res.zero_set_witness,
-        },
-    )
+    res = convertibility.feasible_exact(*_chars(rep, psi, phi), N, M, args.tol)
+    return {
+        "N": N, "M": M, "feasible": res.feasible, "min_gram_eigenvalue": res.min_gram_eigenvalue,
+        "modulus_witness": res.modulus_witness, "zero_set_witness": res.zero_set_witness,
+    }
 
 
-def cmd_min_copies(args) -> dict:
-    c_psi, c_phi = _chars(args)
+def cmd_min_copies(args, group, rep, psi, phi) -> dict:
+    c_psi, c_phi = _chars(rep, psi, phi)
     found = convertibility.minimal_copies_search(c_psi, c_phi, args.rate, args.nmax, args.tol)
-    return _base_report(
-        args,
-        {"group": args.group, "rep": args.rep, "psi": args.psi, "phi": args.phi},
-        {"rate": args.rate, "n_max": args.nmax, "min_copies": found},
-    )
+    return {"rate": args.rate, "n_max": args.nmax, "min_copies": found}
 
 
-def cmd_charges(args) -> dict:
-    _, rep = _load_char_pair(args)
-    state = io.load_state(args.state)
+def cmd_charges(args, group, rep, state) -> dict:
     dist = abelian.charge_distribution(rep, state)
     lam = abelian.dual_fourier(dist)
-    return _base_report(
-        args,
-        {"group": args.group, "rep": args.rep, "state": args.state},
-        {
-            "shape": list(dist.shape),
-            "probs": [float(x) for x in dist.probs],
-            "dual_coefficients": [[float(z.real), float(z.imag)] for z in lam.values],
-        },
-    )
+    return {
+        "shape": list(dist.shape),
+        "probs": [float(x) for x in dist.probs],
+        "dual_coefficients": [[float(z.real), float(z.imag)] for z in lam.values],
+    }
 
 
-def cmd_convert_abelian(args) -> dict:
-    p = io.load_distribution(args.p)
-    q = io.load_distribution(args.q)
+def cmd_convert_abelian(args, p, q) -> dict:
     N, M = args.copies
     w, feasible = abelian.fourier_weights(p, q, N, M, args.tol)
-    return _base_report(
-        args,
-        {"p": args.p, "q": args.q},
-        {
-            "N": N,
-            "M": M,
-            "feasible": feasible,
-            "weights": [float(x) for x in w],
-            "min_weight": float(np.min(w)),
-            "method": "fourier",
-        },
-    )
+    return {
+        "N": N, "M": M, "feasible": feasible,
+        "weights": [float(x) for x in w], "min_weight": float(np.min(w)),
+    }
 
 
-def cmd_approx(args) -> dict:
-    c_psi, c_phi = _chars(args)
+def cmd_approx(args, group, rep, psi, phi) -> dict:
+    c_psi, c_phi = _chars(rep, psi, phi)
     report = approx.approx_rate_class(c_psi, c_phi, args.tol)
     result = {
         "classification": report.classification,
@@ -243,28 +185,17 @@ def cmd_approx(args) -> dict:
         result["curve"] = [
             {"N": pt.N, "bound": pt.bound, "distance": pt.distance} for pt in curve.points
         ]
-    return _base_report(
-        args,
-        {"group": args.group, "rep": args.rep, "psi": args.psi, "phi": args.phi},
-        result,
-    )
+    return result
 
 
-def cmd_qfim(args) -> dict:
-    state = io.load_state(args.state)
-    gens = io.load_generators(args.generators)
-    F = lie.qfim(lie.pure_density(state), gens)
-    return _base_report(
-        args,
-        {"state": args.state, "generators": args.generators},
-        {"qfim": [[float(x) for x in row] for row in F]},
-    )
+def cmd_qfim(args, state, generators) -> dict:
+    F = lie.qfim(lie.pure_density(state), generators)
+    return {"qfim": [[float(x) for x in row] for row in F]}
 
 
-def cmd_rf(args) -> dict:
-    gens = io.load_generators(args.generators)
-    F_psi = lie.qfim(lie.pure_density(io.load_state(args.psi)), gens)
-    F_phi = lie.qfim(lie.pure_density(io.load_state(args.phi)), gens)
+def cmd_rf(args, generators, psi, phi) -> dict:
+    F_psi = lie.qfim(lie.pure_density(psi), generators)
+    F_phi = lie.qfim(lie.pure_density(phi), generators)
     res = lie.rf_ratio(F_psi, F_phi)
     result = {
         "r_f": res.r_f,
@@ -272,9 +203,7 @@ def cmd_rf(args) -> dict:
         "method": res.method,
     }
     if args.rate is not None:
-        impossible, v, T = lie.converse_certificate(
-            F_psi, F_phi, args.rate, args.delta
-        )
+        impossible, v, T = lie.converse_certificate(F_psi, F_phi, args.rate, args.delta)
         result["certificate"] = {
             "rate": args.rate,
             "delta": args.delta,
@@ -282,71 +211,85 @@ def cmd_rf(args) -> dict:
             "T": T,
             "witness_direction": [float(x) for x in v] if v is not None else None,
         }
-    return _base_report(
-        args, {"psi": args.psi, "phi": args.phi, "generators": args.generators}, result
-    )
+    return result
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", choices=["json", "table"], default="table")
-    p.add_argument("--json", dest="output", action="store_const", const="json")
-    p.add_argument("--table", dest="output", action="store_const", const="table")
-    for field in dataclasses.fields(Tolerances):  # --tol-one, --tol-zero, --tol-psd
-        p.add_argument("--" + field.name.replace("_", "-"), type=float, default=field.default)
+# One loader per input flag kind, each called as loader(path, inputs loaded so far).
+# They look `io` up at call time, so a patched or traced loader is the one called.
+_LOADERS = {
+    "group": lambda path, loaded: io.load_group(path),
+    "rep": lambda path, loaded: io.load_rep(path, loaded["group"]),
+    "generators": lambda path, loaded: io.load_generators(path),
+    **dict.fromkeys(("state", "psi", "phi"), lambda path, loaded: io.load_state(path)),
+    **dict.fromkeys(("p", "q"), lambda path, loaded: io.load_distribution(path)),
+}
+
+_PAIR = ("group", "rep", "psi", "phi")
+_COPIES = {"--copies": dict(type=int, nargs=2, required=True, metavar=("N", "M"))}
+
+# name -> (handler, input file flags in load order, {option: add_argument kwargs})
+SUBCOMMANDS = {
+    "chi": (cmd_chi, ("group", "rep", "state"), {"--power": dict(type=int, default=1)}),
+    "rate-exact": (cmd_rate_exact, _PAIR, {"--commutative": dict(action="store_true")}),
+    "convert": (cmd_convert, _PAIR, _COPIES),
+    "min-copies": (
+        cmd_min_copies,
+        _PAIR,
+        {"--rate": dict(type=float, required=True), "--nmax": dict(type=int, required=True)},
+    ),
+    "charges": (cmd_charges, ("group", "rep", "state"), {}),
+    "convert-abelian": (cmd_convert_abelian, ("p", "q"), _COPIES),
+    "approx": (
+        cmd_approx,
+        _PAIR,
+        {"--curve": dict(type=lambda s: [int(x) for x in s.split(",")], default=None)},
+    ),
+    "qfim": (cmd_qfim, ("state", "generators"), {}),
+    "rf": (
+        cmd_rf,
+        ("generators", "psi", "phi"),
+        {"--rate": dict(type=float, default=None), "--delta": dict(type=float, default=0.0)},
+    ),
+}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="asym")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, func, **files):
+    for name, (_, inputs, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
-        for flag, required in files.items():
-            p.add_argument(f"--{flag}", required=required)
-        _add_common(p)
-        p.set_defaults(func=func)
-        return p
-
-    p = add("chi", cmd_chi, group=True, rep=True, state=True)
-    p.add_argument("--power", type=int, default=1)
-
-    add("rate-exact", cmd_rate_exact, group=True, rep=True, psi=True, phi=True).add_argument(
-        "--commutative", action="store_true"
-    )
-
-    p = add("convert", cmd_convert, group=True, rep=True, psi=True, phi=True)
-    p.add_argument("--copies", type=int, nargs=2, required=True, metavar=("N", "M"))
-
-    p = add("min-copies", cmd_min_copies, group=True, rep=True, psi=True, phi=True)
-    p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-
-    add("charges", cmd_charges, group=True, rep=True, state=True)
-
-    p = add("convert-abelian", cmd_convert_abelian, p=True, q=True)
-    p.add_argument("--copies", type=int, nargs=2, required=True, metavar=("N", "M"))
-
-    p = add("approx", cmd_approx, group=True, rep=True, psi=True, phi=True)
-    p.add_argument("--curve", type=lambda s: [int(x) for x in s.split(",")], default=None)
-
-    add("qfim", cmd_qfim, state=True, generators=True)
-
-    p = add("rf", cmd_rf, psi=True, phi=True, generators=True)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--delta", type=float, default=0.0)
-
+        p.set_defaults(output="table")
+        for flag in inputs:
+            p.add_argument(f"--{flag}", required=True)
+        p.add_argument("--json", dest="output", action="store_const", const="json")
+        p.add_argument("--table", dest="output", action="store_const", const="table")
+        for field in dataclasses.fields(Tolerances):  # --tol-one, --tol-zero, --tol-psd
+            p.add_argument("--" + field.name.replace("_", "-"), type=float, default=field.default)
+        for option, kwargs in options.items():
+            p.add_argument(option, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    handler, inputs, _ = SUBCOMMANDS[args.subcommand]
+    paths = {flag: getattr(args, flag) for flag in inputs}
     try:
         args.tol = Tolerances(args.tol_one, args.tol_zero, args.tol_psd)
-        report = args.func(args)
+        loaded = {}
+        for flag, path in paths.items():
+            loaded[flag] = _LOADERS[flag](path, loaded)
+        result = handler(args, **loaded)
+        report = {
+            "subcommand": args.subcommand,
+            "inputs": {f: {"path": p, "sha256": _digest(p)} for f, p in paths.items()},
+            "tolerances": dataclasses.asdict(args.tol),
+            "result": result,
+        }
     # LinAlgError and JSONDecodeError subclass ValueError; clause order matters
     except np.linalg.LinAlgError as exc:
         return _fail(exc, 1)

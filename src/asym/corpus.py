@@ -17,7 +17,9 @@ from .groups import (
     FiniteGroup,
     ProjectiveRep,
     PureState,
+    dihedral_matrices,
     named_group,
+    permutation_matrices,
     quaternion_matrices,
     validate_projective_rep,
 )
@@ -41,49 +43,26 @@ def _z2z2_rep() -> np.ndarray:
     return np.array(mats)
 
 
-def _s3_rep() -> np.ndarray:
-    perms = sorted(itertools.permutations(range(3)))
-    mats = []
-    for p in perms:
-        P = np.zeros((3, 3), dtype=complex)
-        for j in range(3):
-            P[p[j], j] = 1.0
-        mats.append(P)
-    return np.array(mats)
+def _with_characters(two: np.ndarray, *chars) -> np.ndarray:
+    """The direct sum of a 2-dim rep and one-dimensional characters."""
+    out = np.zeros((len(two), 2 + len(chars), 2 + len(chars)), dtype=complex)
+    out[:, :2, :2] = two
+    for k, char in enumerate(chars):
+        out[:, 2 + k, 2 + k] = char
+    return out
 
 
 def _d4_rep() -> np.ndarray:
     # 2-dim irrep of r^i s^j (index i + 4j) plus the character r -> -1, s -> -1
-    R = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-    S = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    mats = []
-    for j in range(2):
-        for i in range(4):
-            two = np.linalg.matrix_power(R, i) @ np.linalg.matrix_power(S, j)
-            char = (-1.0) ** i * (-1.0) ** j
-            U = np.zeros((3, 3), dtype=complex)
-            U[:2, :2] = two
-            U[2, 2] = char
-            mats.append(U)
-    order = [i + 4 * j for j in range(2) for i in range(4)]
-    out = np.empty((8, 3, 3), dtype=complex)
-    for pos, idx in enumerate(order):
-        out[idx] = mats[pos]
-    return out
+    return _with_characters(dihedral_matrices(), [(-1.0) ** (g % 4 + g // 4) for g in range(8)])
 
 
 def _q8_rep() -> np.ndarray:
-    # 2-dim irrep plus the two sign characters factoring through Q_8 / {+-1}
-    two = quaternion_matrices()
-    # element order (1, -1, i, -i, j, -j, k, -k)
-    char_i = np.array([1, 1, -1, -1, 1, 1, -1, -1], dtype=float)
-    char_j = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=float)
-    out = np.zeros((8, 4, 4), dtype=complex)
-    for g in range(8):
-        out[g, :2, :2] = two[g]
-        out[g, 2, 2] = char_i[g]
-        out[g, 3, 3] = char_j[g]
-    return out
+    # 2-dim irrep plus the two sign characters factoring through Q_8 / {+-1},
+    # in element order (1, -1, i, -i, j, -j, k, -k)
+    char_i = [1, 1, -1, -1, 1, 1, -1, -1]
+    char_j = [1, 1, 1, 1, -1, -1, -1, -1]
+    return _with_characters(quaternion_matrices(), char_i, char_j)
 
 
 _REP_BUILDERS = {
@@ -91,7 +70,7 @@ _REP_BUILDERS = {
     "Z_3": lambda: _cyclic_rep(3),
     "Z_4": lambda: _cyclic_rep(4),
     "Z_2xZ_2": _z2z2_rep,
-    "S_3": _s3_rep,
+    "S_3": permutation_matrices,
     "D_4": _d4_rep,
     "Q_8": _q8_rep,
 }

@@ -24,10 +24,6 @@ class RateReport:
     assumption_ok: bool
     excluded: frozenset[int]
 
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == ZERO
-
 
 def _excluded_set(char_phi: CharFunction, commutative: bool, tol: Tolerances):
     """Excluded elements for the rate minimum, plus the assumption flag.

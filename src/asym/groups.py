@@ -237,30 +237,20 @@ def _product_table(shape: tuple[int, ...]) -> np.ndarray:
     return np.ravel_multi_index(tuple(sums), shape)
 
 
-def _s3_table() -> np.ndarray:
-    perms = sorted(itertools.permutations(range(3)))  # identity first
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    mult = np.empty((n, n), dtype=np.intp)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            mult[i, j] = index[tuple(p[q[k]] for k in range(3))]
-    return mult
+def permutation_matrices() -> np.ndarray:
+    """The 3x3 permutation matrices of S_3, P e_j = e_p(j), in sorted order of
+    the permutations p (identity first)."""
+    perms = sorted(itertools.permutations(range(3)))
+    return np.array([np.eye(3, dtype=complex)[:, p] for p in perms])
 
 
-def _d4_table() -> np.ndarray:
-    # elements r^i s^j indexed i + 4j; s r = r^{-1} s
-    def idx(i, j):
-        return i % 4 + 4 * (j % 2)
-
-    mult = np.empty((8, 8), dtype=np.intp)
-    for i in range(4):
-        for j in range(2):
-            for k in range(4):
-                for l in range(2):
-                    ii = (i + (-k if j else k)) % 4
-                    mult[idx(i, j), idx(k, l)] = idx(ii, j + l)
-    return mult
+def dihedral_matrices() -> np.ndarray:
+    """The faithful 2-dim rep of D_4, r^i s^j at index i + 4j: r the rotation by
+    pi/2 and s the reflection in the x axis, so that s r = r^{-1} s."""
+    R = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+    S = np.diag([1.0, -1.0]).astype(complex)
+    return np.array([np.linalg.matrix_power(R, i) @ np.linalg.matrix_power(S, j)
+                     for j in range(2) for i in range(4)])
 
 
 def quaternion_matrices() -> np.ndarray:
@@ -272,18 +262,17 @@ def quaternion_matrices() -> np.ndarray:
     return np.array([I2, -I2, qi, -qi, qj, -qj, qk, -qk])
 
 
-def _q8_table() -> np.ndarray:
-    mats = quaternion_matrices()
-    n = len(mats)
-    mult = np.empty((n, n), dtype=np.intp)
-    for a in range(n):
-        for b in range(n):
-            prod = mats[a] @ mats[b]
-            hits = [c for c in range(n) if np.allclose(prod, mats[c])]
-            if len(hits) != 1:
-                raise SelfCheckFailed(f"Q_8 product of elements {a}, {b} matched {hits}")
-            mult[a, b] = hits[0]
-    return mult
+def _table_of(mats: np.ndarray) -> np.ndarray:
+    """The product table of a faithful matrix group: mult[a, b] is the one c
+    with mats[a] @ mats[b] close to mats[c]."""
+    prods = np.einsum("aij,bjk->abik", mats, mats)
+    hits = np.isclose(prods[:, :, None], mats).all(axis=(-2, -1))  # (a, b, c)
+    counts = hits.sum(axis=-1)
+    if (counts != 1).any():
+        a, b = np.argwhere(counts != 1)[0]
+        matched = np.flatnonzero(hits[a, b]).tolist()
+        raise SelfCheckFailed(f"product of elements {a}, {b} matched {matched}")
+    return hits.argmax(axis=-1)
 
 
 _CYCLIC_RE = re.compile(r"^Z_(\d+)$")
@@ -296,11 +285,11 @@ def named_group(name: str) -> FiniteGroup:
     """
     clean = name.replace("×", "x").strip()
     if clean == "S_3":
-        return build_group(_s3_table(), name=name)
+        return build_group(_table_of(permutation_matrices()), name=name)
     if clean == "D_4":
-        return build_group(_d4_table(), name=name)
+        return build_group(_table_of(dihedral_matrices()), name=name)
     if clean == "Q_8":
-        return build_group(_q8_table(), name=name)
+        return build_group(_table_of(quaternion_matrices()), name=name)
     parts = clean.split("x")
     moduli = []
     for part in parts:

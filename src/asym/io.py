@@ -30,7 +30,10 @@ def _load_json(path) -> dict:
         raise ValidationError(f"{path}: non-finite number {literal}")
 
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=non_finite)
+        data = json.load(fh, parse_constant=non_finite)
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: top-level JSON value must be an object")
+    return data
 
 
 def _require(data: dict, key: str, path) -> object:
@@ -64,7 +67,7 @@ def _finite_floats(entries, path, what: str) -> np.ndarray:
 
 def _complex_array(entries, path, what: str) -> np.ndarray:
     arr = _finite_floats(entries, path, what)
-    if arr.shape[-1] != 2:
+    if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValidationError(f"{path}: {what} entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 

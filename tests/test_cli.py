@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +158,62 @@ def test_io_requires_json_integers(tmp_path, case):
     assert str(path) in str(exc.value)
 
 
+# Each document is JSON of the wrong shape: a top-level string (whose first
+# key lookup once indexed the string) or a scalar where [re, im] pairs belong.
+MALFORMED_DOCS = {
+    "group-string": ("group", '"mult_table"'),
+    "rep-string": ("rep", '"dim"'),
+    "state-string": ("state", '"dimension"'),
+    "distribution-string": ("distribution", '"shape"'),
+    "generators-string": ("generators", '"dimension"'),
+    "rep-scalar": ("rep", '{"dim": 1, "matrices": 5}'),
+    "state-scalar": ("state", '{"dim": 2, "amplitudes": 5}'),
+    "generators-scalar": ("generators", '{"dim": 2, "generators": 5}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
+def test_io_rejects_malformed_documents(tmp_path, case):
+    kind, text = MALFORMED_DOCS[case]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as exc:
+        NON_FINITE_DOCS[kind][0](path)
+    assert str(path) in str(exc.value)
+
+
+def test_cli_exit_2_on_scalar_amplitudes(capsys, tmp_path, corpus_dir):
+    bad = tmp_path / "state.json"
+    bad.write_text('{"dim": 2, "amplitudes": 5}')
+    code, out, err = run(
+        capsys,
+        ["chi", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
+         "--state", bad],
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_write_corpus_matches_committed_corpus(tmp_path):
+    """Integer fields match exactly, float entries to 1e-15 (not bytewise, so
+    that a numpy version may round the last bit differently)."""
+    write_corpus(tmp_path)
+    committed = Path(__file__).resolve().parent.parent / "corpus"
+    names = sorted(p.name for p in committed.glob("*.json"))
+    assert names == sorted(p.name for p in tmp_path.glob("*.json"))
+    for name in names:
+        want = json.loads((committed / name).read_text())
+        got = json.loads((tmp_path / name).read_text())
+        assert sorted(got) == sorted(want), name
+        for key in want:
+            a, b = np.asarray(want[key]), np.asarray(got[key])
+            assert (a.dtype.kind, a.shape) == (b.dtype.kind, b.shape), (name, key)
+            if a.dtype.kind == "f":
+                assert np.allclose(a, b, rtol=0, atol=1e-15), (name, key)
+            else:
+                assert np.array_equal(a, b), (name, key)
+
+
 def test_cli_exit_2_on_overflowing_table_entry(capsys, tmp_path, corpus_dir):
     bad = tmp_path / "group.json"
     bad.write_text('{"order": 1, "mult_table": [[1e999]]}')
@@ -195,6 +253,16 @@ def test_cli_chi_power(capsys, corpus_dir):
     assert report["result"]["elements"][1]["abs_chi"] == pytest.approx(0.36, abs=1e-9)
 
 
+@pytest.mark.parametrize("power", ["0", "-2"])
+def test_cli_chi_rejects_power_below_one(capsys, corpus_dir, power):
+    # used to exit 0 with the single-copy table labelled "power": 0
+    assert_domain_error(
+        capsys,
+        ["chi", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
+         "--state", corpus_dir / "z2_psi08.json", "--power", power],
+    )
+
+
 def test_cli_chi_table_output(capsys, corpus_dir):
     code, out, _ = run(
         capsys,
@@ -231,7 +299,6 @@ def test_cli_convert(capsys, corpus_dir, tmp_path):
     base = on_z2 + ["--psi", corpus_dir / "z2_psi068.json", "--phi", corpus_dir / "z2_psi08.json"]
     ok = run_json(capsys, base + ["--copies", "1", "2"])
     assert ok["result"]["feasible"] is True
-    assert ok["result"]["method"] == "gram"
     assert ok["result"]["zero_set_witness"] is None
     bad = run_json(capsys, base + ["--copies", "1", "3"])
     assert bad["result"]["feasible"] is False
@@ -480,3 +547,44 @@ def test_cli_rejects_non_finite_rate_and_error(capsys, corpus_dir, tmp_path, sub
     # number and an --nmax out of range exited 2; rf --rate nan reported
     # "impossible: false"; later flags override the valid ones
     assert_domain_error(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path) + extra)
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of each `asym ...` call in README's "Command line" block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    calls = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    return [argv[1:] for argv in calls if argv and argv[0] == "asym"]
+
+
+def test_cli_runs_every_readme_example(capsys, tmp_path, monkeypatch):
+    write_corpus(tmp_path / "corpus")
+    io.save_distribution(tmp_path / "p.json", ChargeDistribution((2,), np.array([0.75, 0.25])))
+    io.save_distribution(tmp_path / "q.json", ChargeDistribution((2,), np.array([0.9, 0.1])))
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert sorted({argv[0] for argv in examples}) == sorted(SUBCOMMANDS)
+    for argv in examples:
+        code, _, err = run(capsys, argv)
+        assert code == 0, (argv, err)
+
+
+RESULT_KEYS = {
+    "chi": ["elements", "power", "sym", "zero"],
+    "rate-exact": ["assumption_ok", "excluded_set", "rate", "value", "witness"],
+    "convert": ["M", "N", "feasible", "min_gram_eigenvalue", "modulus_witness",
+                "zero_set_witness"],
+    "min-copies": ["min_copies", "n_max", "rate"],
+    "charges": ["dual_coefficients", "probs", "shape"],
+    "convert-abelian": ["M", "N", "feasible", "min_weight", "weights"],
+    "approx": ["classification", "curve", "generation_ok", "s", "sym_phi", "sym_psi"],
+    "qfim": ["qfim"],
+    "rf": ["certificate", "direction", "method", "r_f"],
+}
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_cli_result_keys(capsys, corpus_dir, tmp_path, sub):
+    report = run_json(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path))
+    assert sorted(report) == ["inputs", "result", "subcommand", "tolerances"]
+    assert sorted(report["result"]) == RESULT_KEYS[sub]
