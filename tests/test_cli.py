@@ -159,7 +159,9 @@ def test_io_requires_json_integers(tmp_path, case):
 
 
 # Each document is JSON of the wrong shape: a top-level string (whose first
-# key lookup once indexed the string) or a scalar where [re, im] pairs belong.
+# key lookup once indexed the string), a scalar where [re, im] pairs belong,
+# a float payload that is ragged or not made of JSON numbers (numpy would
+# read "0.6" and true as numbers), or nesting too deep for the parser.
 MALFORMED_DOCS = {
     "group-string": ("group", '"mult_table"'),
     "rep-string": ("rep", '"dim"'),
@@ -169,6 +171,14 @@ MALFORMED_DOCS = {
     "rep-scalar": ("rep", '{"dim": 1, "matrices": 5}'),
     "state-scalar": ("state", '{"dim": 2, "amplitudes": 5}'),
     "generators-scalar": ("generators", '{"dim": 2, "generators": 5}'),
+    "rep-ragged": ("rep", '{"dim": 1, "matrices": [[[[1, 0], [0]]]]}'),
+    "state-ragged": ("state", '{"dim": 2, "amplitudes": [[1, 0], [0]]}'),
+    "generators-ragged": ("generators", '{"dim": 1, "generators": [[[[1, 0]]], [[1]]]}'),
+    "state-text": ("state", '{"dim": 2, "amplitudes": "ab"}'),
+    "state-numeric-strings": ("state", '{"dim": 2, "amplitudes": [["0.6", "0"], ["0.8", "0"]]}'),
+    "distribution-numeric-strings": ("distribution", '{"shape": [2], "probs": ["0.5", "0.5"]}'),
+    "state-booleans": ("state", '{"dim": 1, "amplitudes": [[true, true]]}'),
+    "state-deep": ("state", '{"dim": 2, "amplitudes": ' + "[" * 100_000 + "]" * 100_000 + "}"),
 }
 
 
@@ -192,6 +202,21 @@ def test_cli_exit_2_on_scalar_amplitudes(capsys, tmp_path, corpus_dir):
     )
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("case", [c for c in sorted(MALFORMED_DOCS) if c.startswith("state-")])
+def test_cli_exit_2_on_malformed_state(capsys, tmp_path, corpus_dir, case):
+    bad = tmp_path / "state.json"
+    bad.write_text(MALFORMED_DOCS[case][1])
+    code, out, err = run(
+        capsys,
+        ["chi", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
+         "--state", bad],
+    )
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ValidationError"
+    assert str(bad) in error["message"]
 
 
 def test_write_corpus_matches_committed_corpus(tmp_path):
