@@ -4,9 +4,10 @@ One static table, `SUBCOMMANDS`, declares each subcommand: its handler, its
 input file flags in load order and its other options; the parser is built
 from it once per process. `main` loads the inputs (`rep` reads the loaded
 `group`), calls the handler on them and wraps its bare result in the report
-envelope: the subcommand name, sha256 digests of the input files and the
-effective tolerances, so a JSON report doubles as a test fixture. Exit
-codes: 0 success, 1 domain error, 2 parse/validation error.
+envelope: the subcommand name, the sha256 of the bytes parsed from each input
+file (each read once, see `io.HashingPath`) and the effective tolerances, so
+a JSON report doubles as a test fixture. Exit codes: 0 success, 1 domain
+error, 2 parse/validation error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -25,11 +25,6 @@ from . import abelian, approx, charfn, convertibility, io, lie
 from .errors import AsymError, ValidationError
 from .exact_rate import FINITE, exact_rate as compute_exact_rate
 from .tolerances import Tolerances
-
-
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _jsonable(obj):
@@ -277,7 +272,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     handler, inputs, _ = SUBCOMMANDS[args.subcommand]
-    paths = {flag: getattr(args, flag) for flag in inputs}
+    # each file is read once, by its loader, which records the digest of what it parsed
+    paths = {flag: io.HashingPath(getattr(args, flag)) for flag in inputs}
     try:
         args.tol = Tolerances(args.tol_one, args.tol_zero, args.tol_psd)
         loaded = {}
@@ -286,7 +282,7 @@ def main(argv=None) -> int:
         result = handler(args, **loaded)
         report = {
             "subcommand": args.subcommand,
-            "inputs": {f: {"path": p, "sha256": _digest(p)} for f, p in paths.items()},
+            "inputs": {f: {"path": p.path, "sha256": p.sha256} for f, p in paths.items()},
             "tolerances": dataclasses.asdict(args.tol),
             "result": result,
         }

@@ -12,14 +12,19 @@ tree is freed while the collector is still off and never counts towards a
 collection. A caller that had switched the collector off finds it off again
 afterwards; one that had it on finds it on, whether the loader returned or
 raised.
+
+A loader takes a path, or a `HashingPath`, through which it reads the file
+once and records the sha256 of exactly the bytes it parsed.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
+import hashlib
 import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -53,15 +58,52 @@ def _gc_paused(load):
     return paused
 
 
+class HashingPath(os.PathLike):
+    """A file path whose `read_bytes` also records the sha256 of what it read.
+
+    Handing one to a loader in place of a plain path makes `sha256` the digest
+    of the very bytes that loader parsed, with no second read of the file.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.sha256: str | None = None  # set by read_bytes
+
+    def __fspath__(self) -> str:
+        return self.path
+
+    def __str__(self) -> str:
+        return self.path
+
+    def read_bytes(self) -> bytes:
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        self.sha256 = hashlib.sha256(data).hexdigest()
+        return data
+
+
+def _read_text(path) -> str:
+    """The file as UTF-8 text with universal newlines, as text-mode open reads it."""
+    if isinstance(path, HashingPath):
+        data = path.read_bytes()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _load_json(path) -> dict:
     def non_finite(literal: str):
         raise ValidationError(f"{path}: non-finite number {literal}")
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh, parse_constant=non_finite)
-        except RecursionError:
-            raise ValidationError(f"{path}: JSON nested too deeply to parse") from None
+    text = _read_text(path)
+    try:
+        data = json.loads(text, parse_constant=non_finite)
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: top-level JSON value must be an object")
     return data

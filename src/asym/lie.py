@@ -110,16 +110,37 @@ def qfim_pure(state: PureState, gens: GeneratorSet) -> np.ndarray:
 def rf_ratio(F_psi, F_phi) -> RfResult:
     """sup { r : F_psi - r F_phi is positive semidefinite }.
 
+    Both matrices must be square, of one shape m x m with m >= 1, finite and
+    symmetric to within TOL_HERM times the larger of their largest entries
+    and 1; otherwise this raises DimensionMismatch or DomainError.
+
     Positive definite F_phi admits the closed form: the minimum eigenvalue of
     F_phi^{-1/2} F_psi F_phi^{-1/2}. A singular F_phi is handled by bisection
     on r with the TOL_PENCIL PSD test (the Schur-complement infimum on range(F_phi));
     F_phi = 0 gives +inf.
+
+    The bisection keeps psd(lo) true and psd(hi) false. It stops once the
+    midpoint of [lo, hi] is not strictly between them, which is when lo and
+    hi are adjacent doubles (about 55 halvings), or after 200 halvings,
+    which still decides an r_f below 2^-200. A further halving would round
+    the midpoint to lo or hi and, psd being deterministic, leave both bounds
+    unchanged, so the result is bit for bit that of running all 200.
     """
     F_psi = np.asarray(F_psi, dtype=float)
     F_phi = np.asarray(F_phi, dtype=float)
-    if F_psi.shape != F_phi.shape or F_psi.ndim != 2:
-        raise DimensionMismatch(f"QFIM shapes differ: {F_psi.shape} vs {F_phi.shape}")
+    if F_psi.shape != F_phi.shape or F_psi.ndim != 2 or F_psi.shape[0] != F_psi.shape[1]:
+        raise DimensionMismatch(
+            f"QFIMs must be square, of one shape: {F_psi.shape} vs {F_phi.shape}"
+        )
+    if F_psi.size == 0:
+        raise DimensionMismatch("QFIMs are 0 x 0: the pencil has no direction")
+    if not (np.isfinite(F_psi).all() and np.isfinite(F_phi).all()):
+        raise DomainError("QFIM has a non-finite entry")
     scale = max(np.abs(F_phi).max(), np.abs(F_psi).max(), 1.0)
+    for name, F in (("F_psi", F_psi), ("F_phi", F_phi)):
+        dev = np.abs(F - F.T).max()
+        if not dev <= TOL_HERM * scale:
+            raise DomainError(f"{name} deviates from symmetric by {dev:.3e}")
     if np.abs(F_phi).max() <= TOL_PENCIL:
         return RfResult(r_f=math.inf, direction=None, method="closed_form")
 
@@ -146,6 +167,8 @@ def rf_ratio(F_psi, F_phi) -> RfResult:
     lo = 0.0
     for _ in range(200):
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break
         if psd(mid):
             lo = mid
         else:

@@ -1,6 +1,12 @@
 """Brute-force references that the tests compare the package against."""
 
+import math
+
+import numpy as np
+
 from asym.errors import DomainError
+from asym.lie import RfResult, _pencil_direction
+from asym.tolerances import TOL_PENCIL
 
 
 def subgroup_closure(group, seed) -> frozenset[int]:
@@ -24,3 +30,31 @@ def subgroup_closure(group, seed) -> frozenset[int]:
                     closed.add(c)
                     changed = True
     return frozenset(closed)
+
+
+def rf_ratio_200_steps(F_psi, F_phi) -> RfResult:
+    """`lie.rf_ratio` on a singular, nonzero F_phi, bisected for a fixed 200
+    halvings however early the bracket stops shrinking; no input gate. The
+    early stop of `rf_ratio` must return bit for bit what this returns."""
+    F_psi = np.asarray(F_psi, dtype=float)
+    F_phi = np.asarray(F_phi, dtype=float)
+    scale = max(np.abs(F_phi).max(), np.abs(F_psi).max(), 1.0)
+
+    def psd(r: float) -> bool:
+        return float(np.linalg.eigvalsh(F_psi - r * F_phi)[0]) >= -TOL_PENCIL * scale * max(1.0, r)
+
+    if not psd(0.0):
+        return RfResult(0.0, _pencil_direction(F_psi, F_phi, 0.0), "bisection")
+    hi = 1.0
+    while psd(hi):
+        hi *= 2.0
+        if hi > 1e15:
+            return RfResult(math.inf, None, "bisection")
+    lo = 0.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if psd(mid):
+            lo = mid
+        else:
+            hi = mid
+    return RfResult(lo, _pencil_direction(F_psi, F_phi, lo), "bisection")

@@ -1,5 +1,9 @@
+import builtins
+import collections
 import dataclasses
+import hashlib
 import json
+import os
 import shlex
 from pathlib import Path
 
@@ -8,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asym import convertibility, io, named_group
+from asym import cli, convertibility, io, named_group
 from asym.abelian import ChargeDistribution
 from asym.cli import main
 from asym.errors import ValidationError
@@ -613,3 +617,43 @@ def test_cli_result_keys(capsys, corpus_dir, tmp_path, sub):
     report = run_json(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path))
     assert sorted(report) == ["inputs", "result", "subcommand", "tolerances"]
     assert sorted(report["result"]) == RESULT_KEYS[sub]
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_cli_reads_each_input_once_and_digests_it(capsys, corpus_dir, tmp_path, monkeypatch, sub):
+    argv = [sub] + valid_argv(sub, corpus_dir, tmp_path)
+    paths = [str(a) for a in argv if isinstance(a, Path)]
+    assert len(set(paths)) == len(paths) == len(cli.SUBCOMMANDS[sub][1])
+    opened = collections.Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[os.fspath(file) if isinstance(file, (str, os.PathLike)) else file] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    report = run_json(capsys, argv)
+    monkeypatch.undo()
+    assert {p: opened[p] for p in paths} == dict.fromkeys(paths, 1)
+    for entry in report["inputs"].values():
+        assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
+
+
+def test_cli_digest_names_the_bytes_parsed(capsys, corpus_dir, tmp_path, monkeypatch):
+    """A file replaced after its loader read it: the report digests what was parsed."""
+    psi = tmp_path / "psi.json"
+    original = (corpus_dir / "z2_psi08.json").read_bytes()
+    psi.write_bytes(original)
+    load_state = io.load_state
+
+    def load_then_replace(path):
+        state = load_state(path)
+        if os.fspath(path) == str(psi):
+            io.save_state(psi, PureState(2, np.array([0.0, 1.0])))
+        return state
+
+    monkeypatch.setattr(io, "load_state", load_then_replace)
+    report = run_json(capsys, ["chi", "--group", corpus_dir / "z2.json",
+                               "--rep", corpus_dir / "z2_rep.json", "--state", psi])
+    assert report["inputs"]["state"]["sha256"] == hashlib.sha256(original).hexdigest()
+    assert psi.read_bytes() != original

@@ -1,7 +1,9 @@
 """The io loaders: the collector pause and the arrays they return."""
 
 import gc
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -82,3 +84,56 @@ def test_corpus_file_loads_to_reference_arrays(name):
     else:
         gens = io.load_generators(path)
         assert np.array_equal(gens.generators, _reference(doc, "generators"))
+
+
+def _text_mode_outcome(path):
+    """What the loaders saw before they read bytes: json.load on a text-mode open."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        return type(exc), str(exc)
+
+
+STATE = '{"dim": 1,\n "amplitudes": [[1, 0]]}'
+ENCODINGS = {
+    "utf-8": STATE.encode(),
+    "crlf": STATE.replace("\n", "\r\n").encode(),
+    "cr": STATE.replace("\n", "\r").encode(),
+    "crlf-syntax-error": b'{"dim": 1,\r\n\r\n "amplitudes": [[1, 0]],}',
+    "cr-syntax-error": b'{"dim": 1,\r\r "amplitudes": [[1 0]]}',
+    "bom": b"\xef\xbb\xbf" + STATE.encode(),
+    "utf-16": STATE.encode("utf-16"),
+    "invalid-utf-8": b'{"dim": 1, "amplitudes": [[1, 0]], "x": "\xff"}',
+    "non-ascii": '{"dim": 1, "amplitudes": [[1, 0]], "name": "ψ"}'.encode(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENCODINGS))
+@pytest.mark.parametrize("hashing", [False, True])
+def test_loader_decodes_as_text_mode_open(tmp_path, name, hashing):
+    """Bytes read once are decoded as UTF-8 with universal newlines, the way a
+    text-mode open decodes them: same documents, same errors and messages;
+    a BOM or UTF-16 is still an error."""
+    path = tmp_path / "state.json"
+    path.write_bytes(ENCODINGS[name])
+    want = _text_mode_outcome(path)
+    try:
+        got = io._load_json(io.HashingPath(str(path)) if hashing else path)
+    except ValueError as exc:
+        got = type(exc), str(exc)
+    assert got == want
+    if name in ("bom", "utf-16", "invalid-utf-8") or "error" in name:
+        assert isinstance(want, tuple)
+
+
+def test_hashing_path_records_the_digest_of_the_bytes_parsed(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_bytes(ENCODINGS["crlf"])
+    source = io.HashingPath(str(path))
+    assert source.sha256 is None
+    state = io.load_state(source)
+    assert state.amplitudes.tolist() == [1 + 0j]
+    assert source.sha256 == hashlib.sha256(ENCODINGS["crlf"]).hexdigest()
+    assert (str(source), os.fspath(source), os.path.getsize(source)) == (
+        str(path), str(path), len(ENCODINGS["crlf"]))

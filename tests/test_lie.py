@@ -1,4 +1,7 @@
+import collections
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,9 @@ from asym.corpus import random_state
 from asym.errors import DimensionMismatch, DomainError, NotAState
 from asym.groups import PureState
 from asym.lie import pure_density, symmetrized_covariance
+from asym.tolerances import TOL_PENCIL
+
+from reference import rf_ratio_200_steps
 
 
 @pytest.fixture
@@ -131,9 +137,9 @@ def test_rf_ratio_zero_phi_is_infinite():
     assert res.r_f == math.inf
 
 
-def test_rf_ratio_unbounded_when_phi_null_space_unconstrained():
-    # F_phi supported only where F_psi is strictly larger than any multiple?
-    # no: diag(1, 0) target with psi = identity is capped at r = 1
+def test_rf_ratio_singular_phi_capped_by_its_range():
+    # F_phi = diag(1, 0) puts no bound along its null space e_2; along its
+    # range e_1, F_psi = I needs 1 - r >= 0, so r_f = 1
     res = rf_ratio(np.eye(2), np.diag([1.0, 0.0]))
     assert res.r_f == pytest.approx(1.0, rel=1e-9)
 
@@ -153,6 +159,188 @@ def test_rf_ratio_boundary_bracketing(rng):
         assert hi <= 1e-7
         v = res.direction
         assert (v @ F_psi @ v) / (v @ F_phi @ v) == pytest.approx(res.r_f, abs=1e-6)
+
+
+# ------------------------------------- singular pencils: the bisection's early stop
+
+
+def count_eigvalsh(monkeypatch) -> list[int]:
+    """Patch np.linalg.eigvalsh to count its calls in a one-element list."""
+    calls = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls[0] += 1
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def singular_pencil(rng, kind):
+    """(F_psi, F_phi) with F_phi of rank below m <= 8, at scales from 1e-6 to 1e6.
+
+    kind 0: F_psi positive definite. 1: F_psi symmetric and shifted, often not
+    PSD. 2: F_phi negative semidefinite, so r_f = inf. 3: F_psi diagonal with
+    one entry exactly at the PSD cut -TOL_PENCIL * scale; eigvalsh rounding on
+    the slightly perturbed pencils then often leaves r_f below 2^-200.
+    """
+    m = int(rng.integers(2, 9))
+    B = rng.standard_normal((m, int(rng.integers(1, m))))
+    F_phi = 10 ** rng.uniform(-6, 6) * (B @ B.T)
+    if kind == 2:
+        F_phi = -F_phi
+    if kind == 3:
+        d = np.zeros(m)
+        d[rng.integers(m)] = 1.0
+        d[rng.integers(m)] = -TOL_PENCIL * max(np.abs(F_phi).max(), 1.0)
+        return np.diag(d), F_phi
+    C = rng.standard_normal((m, m))
+    if kind == 1:
+        F_psi = (C + C.T) / 2 + rng.uniform(-1.0, 3.0) * np.eye(m)
+    else:
+        F_psi = C @ C.T
+    return 10 ** rng.uniform(-6, 6) * F_psi, F_phi
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_rf_ratio_matches_200_step_reference(monkeypatch):
+    """Leaving the bisection once lo and hi are adjacent doubles returns bit
+    for bit what 200 halvings return, on every branch of the singular path."""
+    calls = count_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(14)
+    branches = collections.Counter()
+    for i in range(2000):
+        F_psi, F_phi = singular_pencil(rng, i % 4)
+        calls[0] = 0
+        want = rf_ratio_200_steps(F_psi, F_phi)
+        want_calls, calls[0] = calls[0], 0
+        got = rf_ratio(F_psi, F_phi)
+        assert got.method == want.method == "bisection"
+        assert bits(got.r_f) == bits(want.r_f), (i, got.r_f, want.r_f)
+        assert (got.direction is None) == (want.direction is None)
+        if want.direction is not None:
+            assert bits(got.direction) == bits(want.direction)
+        assert calls[0] <= want_calls
+        if want.r_f == math.inf:
+            branches["inf"] += 1
+        elif want_calls == 1:  # psd(0) alone
+            branches["psd(0) false"] += 1
+        elif want.r_f < 2.0**-200:
+            branches["below 2^-200"] += 1
+            assert calls[0] == want_calls  # the 200-step cap still decides
+        else:
+            branches["bracketed"] += 1
+            assert calls[0] < want_calls
+    assert min(branches[b] for b in ("inf", "psd(0) false", "below 2^-200", "bracketed")) > 0, (
+        branches
+    )
+
+
+def test_rf_ratio_keeps_the_200_step_cap(monkeypatch):
+    """psd true at r = 0 only, as for a pencil with r_f below 2^-200: mid stays
+    strictly between 0 and hi, so the cap ends the bisection after psd(0),
+    psd(1) and 200 halvings, with r_f = 0."""
+    F_psi, F_phi = np.diag([0.0, 1.0]), np.diag([1.0, 0.0])  # F_psi - r F_phi != F_psi for r > 0
+    eigvalsh = np.linalg.eigvalsh
+    calls = [0]
+
+    def psd_at_zero_only(a):
+        calls[0] += 1
+        return eigvalsh(a) - (0.0 if np.array_equal(a, F_psi) else 10.0)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", psd_at_zero_only)
+    want = rf_ratio_200_steps(F_psi, F_phi)
+    calls[0] = 0
+    got = rf_ratio(F_psi, F_phi)
+    assert (got.r_f, got.method) == (want.r_f, want.method) == (0.0, "bisection")
+    assert bits(got.direction) == bits(want.direction)
+    assert calls[0] == 202
+
+
+def _with(entry, value, base=None):
+    F = np.eye(2) if base is None else np.array(base, dtype=float)
+    F[entry] = value
+    return F
+
+
+GOOD = np.diag([4.0, 2.0])
+REJECTED_PENCILS = [
+    # a NaN in F_psi would come out as r_f = nan from the closed form
+    pytest.param(_with((0, 0), np.nan), GOOD, DomainError, id="nan-psi"),
+    # a NaN in F_phi would come out as r_f = 0.0, and in converse_certificate as
+    # an error from g
+    pytest.param(GOOD, _with((1, 1), np.nan), DomainError, id="nan-phi"),
+    # an inf in F_psi would come out as r_f = 0.0, certified "impossible"
+    pytest.param(_with((0, 1), np.inf), GOOD, DomainError, id="inf-psi"),
+    pytest.param(GOOD, _with((1, 0), -np.inf), DomainError, id="-inf-phi"),
+    # eigh and eigvalsh would read the lower triangle only
+    pytest.param(np.array([[1.0, 5.0], [0.0, 1.0]]), GOOD, DomainError, id="asymmetric-psi"),
+    pytest.param(GOOD, np.array([[1.0, 5.0], [0.0, 1.0]]), DomainError, id="asymmetric-phi"),
+    pytest.param(GOOD, _with((0, 1), 1e-6, np.eye(2) * 10.0), DomainError, id="asymmetric-1e-6"),
+    # numpy would raise a bare ValueError or LinAlgError
+    pytest.param(np.zeros((0, 0)), np.zeros((0, 0)), DimensionMismatch, id="0x0"),
+    pytest.param(np.ones((2, 3)), np.ones((2, 3)), DimensionMismatch, id="2x3"),
+    pytest.param(np.eye(2), np.eye(3), DimensionMismatch, id="shapes-differ"),
+    pytest.param(np.ones(2), np.ones(2), DimensionMismatch, id="vector"),
+]
+
+
+@pytest.mark.parametrize("F_psi, F_phi, error", REJECTED_PENCILS)
+def test_rf_ratio_rejects_bad_pencils(F_psi, F_phi, error):
+    with pytest.raises(error):
+        rf_ratio(F_psi, F_phi)
+    with pytest.raises(error):
+        converse_certificate(F_psi, F_phi, r=2.0, delta=0.0)
+
+
+def test_rf_ratio_symmetry_cut_scales_with_the_entries():
+    # TOL_HERM = 1e-8 times the largest entry, at least 1: 1e-6 off at scale 1e3
+    # passes, where at scale 10 it is rejected (REJECTED_PENCILS)
+    big = np.diag([1e3, 2e3])
+    assert rf_ratio(_with((0, 1), 1e-6, big), np.eye(2)).r_f == pytest.approx(1e3)
+    assert rf_ratio(big, _with((1, 0), 1e-6, big)).r_f == pytest.approx(1.0)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("seed", [7, 9001])
+def test_benchmark_singular_pencils_take_at_most_70_eigvalsh_calls(monkeypatch, tmp_path, seed):
+    """The singular rf_ratio calls of the charge_fisher workload, built by its own set-up."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.setup_charge_fisher(seed, lambda build: build(), tmp_path)
+    singular = [op for op in ops if op.name.endswith("singular.rf_ratio")]
+    assert len(singular) == 2
+    calls = count_eigvalsh(monkeypatch)
+    for op in singular:
+        calls[0] = 0
+        res = op.call()
+        assert res.method == "bisection" and math.isfinite(res.r_f)
+        assert calls[0] <= 70, (op.name, calls[0])
+
+
+@pytest.mark.parametrize("twice_j", [2, 3, 15])
+def test_spin_dicke_pencils_take_at_most_70_eigvalsh_calls(monkeypatch, rng, twice_j):
+    """Random spin-j states against |j, j>, whose QFIM has rank 2, as in the
+    benchmark's CLI calls (j = 1, 3/2). Spin 1/2 is left out: there F_psi has
+    rank 2 too and r_f sits at the PSD cut, near 1e-9, where reaching adjacent
+    doubles from [0, 1] takes about 30 more halvings."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    J = importlib.import_module("inputs").spin_generators(twice_j)
+    gens = GeneratorSet(dim=twice_j + 1, generators=J)
+    F_phi = qfim_pure(PureState(twice_j + 1, np.eye(twice_j + 1)[0]), gens)
+    calls = count_eigvalsh(monkeypatch)
+    for _ in range(20):
+        F_psi = qfim_pure(random_state(twice_j + 1, rng), gens)
+        calls[0] = 0
+        res = rf_ratio(F_psi, F_phi)
+        assert res.method == "bisection" and math.isfinite(res.r_f)
+        assert calls[0] <= 70, calls[0]
 
 
 def test_g_function_values():
