@@ -40,11 +40,8 @@ from .abelian import (
 )
 from .approx import (
     ApproxReport,
-    UniformCharFunction,
     approx_rate_class,
-    can_generate_from_uniform,
     convergence_to_uniform,
-    uniform_char,
 )
 from .lie import (
     GeneratorSet,
@@ -90,11 +87,8 @@ __all__ = [
     "fourier_weights",
     "shift_canonicalize",
     "ApproxReport",
-    "UniformCharFunction",
     "approx_rate_class",
-    "can_generate_from_uniform",
     "convergence_to_uniform",
-    "uniform_char",
     "GeneratorSet",
     "RfResult",
     "clt_diagnostic",

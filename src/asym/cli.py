@@ -173,7 +173,6 @@ def cmd_approx(args, group, rep, psi, phi) -> dict:
         "sym_psi": report.sym_psi,
         "sym_phi": report.sym_phi,
         "s": report.s,
-        "generation_ok": report.generation_ok,
     }
     if args.curve and report.classification == "unbounded":
         curve = approx.convergence_to_uniform(c_psi, args.curve, args.tol)

@@ -88,11 +88,3 @@ class NotAbelian(AsymError):
 
 class NotSimultaneouslyDiagonalizable(AsymError):
     """The representation matrices do not commute (genuinely projective rep)."""
-
-
-class NotASubgroup(AsymError):
-    pass
-
-
-class NoDecay(AsymError):
-    """Largest off-symmetry |chi| is 1 within tolerance; no exponential decay."""

@@ -12,7 +12,16 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotAState, SelfCheckFailed
 from .groups import PureState
-from .tolerances import TOL_DENSITY, TOL_HERM, TOL_PENCIL, TOL_PURE, TOL_SELF, TOL_SUPP
+from .tolerances import (
+    TOL_CLIP_T,
+    TOL_DENSITY,
+    TOL_DIRECTION,
+    TOL_HERM,
+    TOL_PENCIL,
+    TOL_PURE,
+    TOL_SELF,
+    TOL_SUPP,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +195,7 @@ def _pencil_direction(F_psi: np.ndarray, F_phi: np.ndarray, r_f: float) -> np.nd
     vals, vecs = np.linalg.eigh(F_psi - r_f * F_phi)
     for idx in np.argsort(vals):
         v = vecs[:, idx]
-        if float(v @ F_phi @ v) > 1e-12 * max(np.abs(F_phi).max(), 1.0):
+        if float(v @ F_phi @ v) > TOL_DIRECTION * max(np.abs(F_phi).max(), 1.0):
             return v
     return vecs[:, int(np.argmin(vals))]
 
@@ -221,7 +230,7 @@ def converse_certificate(F_psi, F_phi, r: float, delta: float):
     F_phi = np.asarray(F_phi, dtype=float)
     num = float(v @ F_psi @ v)
     den = float(r * (v @ F_phi @ v))
-    T = min(max(num / den, 0.0), 1.0 - 1e-15)
+    T = min(max(num / den, 0.0), 1.0 - TOL_CLIP_T)
     impossible = g_function(T) > 4.0 * math.sqrt(delta)
     return impossible, v, T
 

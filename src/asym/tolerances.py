@@ -37,3 +37,6 @@ TOL_SUPP = 1e-12  # p_k + p_l at or below it drops a term of the SLD QFIM
 TOL_PENCIL = 1e-10  # PSD cut of F_psi - r F_phi, relative to the larger scale
 TOL_PURE = 1e-10  # a density matrix with an eigenvalue above 1 - TOL_PURE is pure
 TOL_SELF = 1e-8  # self-checks: qfim against 4 Cov_sym, shift_canonicalize's coefficients
+TOL_CURVE = 1e-15  # absolute slack of the convergence self-check distance <= bound
+TOL_DIRECTION = 1e-12  # least F_phi weight of a pencil direction, relative to max(|F_phi|, 1)
+TOL_CLIP_T = 1e-15  # converse_certificate clips T to [0, 1 - TOL_CLIP_T], inside g's domain

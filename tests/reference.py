@@ -6,7 +6,7 @@ import numpy as np
 
 from asym.errors import DomainError
 from asym.lie import RfResult, _pencil_direction
-from asym.tolerances import TOL_PENCIL
+from asym.tolerances import DEFAULT, TOL_PENCIL
 
 
 def subgroup_closure(group, seed) -> frozenset[int]:
@@ -58,3 +58,30 @@ def rf_ratio_200_steps(F_psi, F_phi) -> RfResult:
         else:
             hi = mid
     return RfResult(lo, _pencil_direction(F_psi, F_phi, lo), "bisection")
+
+
+def convergence_per_element(char_psi, N_list, tol=DEFAULT):
+    """The symmetry set, decay base and distance curve of psi, one element at
+    a time: sym(psi) by the `classify_sets` cut, s = max |chi| off it (0 when
+    nothing is off it) and, for each N, the bound |G| s^{|G| N} / 2 and the
+    distance (1/2) sum off sym of |chi(g)|^{|G| N}, summed in Python. The
+    masked numpy sums of `approx` must agree with it. Returns (sym, s, points)
+    with points a list of (N, bound, distance)."""
+    n = char_psi.group.order
+    lm = char_psi.logmod
+    sym = frozenset(g for g in range(n) if lm[g] >= math.log1p(-tol.tol_one))
+    rest = [lm[g] for g in range(n) if g not in sym]
+    s = float(np.exp(max(rest))) if rest else 0.0
+    log_s = math.log(s) if s > 0 else -math.inf
+    points = []
+    for N in N_list:
+        eps = 0.5 * n * math.exp(n * N * log_s) if s > 0 else 0.0
+        delta = 0.5 * float(
+            sum(
+                math.exp(n * N * lm[g])
+                for g in range(n)
+                if g not in sym and not np.isneginf(lm[g])
+            )
+        )
+        points.append((N, eps, delta))
+    return sym, s, points

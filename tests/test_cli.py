@@ -414,6 +414,26 @@ def test_cli_approx_with_curve(capsys, corpus_dir):
     assert curve[0]["bound"] == pytest.approx(0.6**2, rel=1e-9)
 
 
+@pytest.mark.parametrize("curve", ["0", "0,2", "-3"])
+def test_cli_approx_rejects_curve_below_one(capsys, corpus_dir, tmp_path, curve):
+    # used to exit 0, skipping such N: "0,2" reported N = 2 only, "-3" "curve": []
+    on_z2 = ["--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json"]
+    assert_domain_error(
+        capsys,
+        ["approx"] + on_z2 + ["--psi", corpus_dir / "z2_psi08.json",
+                              "--phi", corpus_dir / "z2_psi068.json", f"--curve={curve}"],
+    )
+    # a zero-class pair computes no curve, so there is no copy number to reject
+    io.save_state(tmp_path / "sym.json", PureState(2, np.array([1.0, 0.0])))
+    report = run_json(
+        capsys,
+        ["approx"] + on_z2 + ["--psi", tmp_path / "sym.json",
+                              "--phi", corpus_dir / "z2_psi08.json", f"--curve={curve}"],
+    )
+    assert report["result"]["classification"] == "zero"
+    assert "curve" not in report["result"]
+
+
 def test_cli_qfim_and_rf(capsys, corpus_dir):
     report = run_json(
         capsys,
@@ -606,7 +626,7 @@ RESULT_KEYS = {
     "min-copies": ["min_copies", "n_max", "rate"],
     "charges": ["dual_coefficients", "probs", "shape"],
     "convert-abelian": ["M", "N", "feasible", "min_weight", "weights"],
-    "approx": ["classification", "curve", "generation_ok", "s", "sym_phi", "sym_psi"],
+    "approx": ["classification", "curve", "s", "sym_phi", "sym_psi"],
     "qfim": ["qfim"],
     "rf": ["certificate", "direction", "method", "r_f"],
 }
