@@ -61,11 +61,15 @@ def convergence_to_uniform(
     (1/2) sum over g off sym of |chi(g)|^{|G| N}; the proxy never exceeds
     the bound. DomainError for a copy number below 1.
     """
+    return _convergence(char_psi, classify_sets(char_psi, tol).sym, N_list)
+
+
+def _convergence(char_psi: CharFunction, sym: frozenset[int], N_list) -> ConvergenceReport:
+    """`convergence_to_uniform` with sym(psi) already taken from `classify_sets`."""
     N_list = list(N_list)
     for N in N_list:
         if N < 1:
             raise DomainError(f"copy number must be >= 1, got {N}")
-    sym = classify_sets(char_psi, tol).sym
     n = char_psi.group.order
     off = np.delete(char_psi.logmod, list(sym))
     s = _decay_base(off)

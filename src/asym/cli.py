@@ -175,7 +175,7 @@ def cmd_approx(args, group, rep, psi, phi) -> dict:
         "s": report.s,
     }
     if args.curve and report.classification == "unbounded":
-        curve = approx.convergence_to_uniform(c_psi, args.curve, args.tol)
+        curve = approx._convergence(c_psi, report.sym_psi, args.curve)  # psi classified once
         result["curve"] = [
             {"N": pt.N, "bound": pt.bound, "distance": pt.distance} for pt in curve.points
         ]

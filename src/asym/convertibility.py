@@ -16,7 +16,9 @@ R(k), so its spectrum is the union of the spectra of the Fourier blocks
 f^(rho) = sum_k f(k) rho(k), one d_rho x d_rho block per irrep rho. The
 oracle never forms M: it reads the blocks off the group's cached irrep basis
 (`FiniteGroup.irreps`; the characters, 1 x 1 blocks, for an abelian group)
-and takes one batched `eigvalsh` per irrep dimension above 1.
+and takes the minimum eigenvalue of each block: the block itself for d = 1,
+a closed form for d = 2 (the dihedral groups, S_3, Q_8), and one batched
+`eigvalsh` per irrep dimension above 2.
 Cost: a one-off O(n^3) decomposition per group object, then O(n * sum d^2)
 = O(n^2) per copy number, against O(n^3) for a dense eigendecomposition of M.
 
@@ -39,7 +41,7 @@ import numpy as np
 from .charfn import CharFunction, check_same_group, zero_mask
 from .errors import DomainError, NotHermitian
 from .groups import FiniteGroup, _block_rows
-from .tolerances import DEFAULT, TOL_HERM, Tolerances
+from .tolerances import DEFAULT, TOL_FLOOR, TOL_HERM, Tolerances
 
 MAX_SEARCH_COPIES = 10**4  # largest n_max of `minimal_copies_search`
 
@@ -106,25 +108,35 @@ def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> tuple[np.nda
     K Hermitian deviations. M is Hermitian iff f(g^-1) = conj f(g): the
     entries of M - M^+ are exactly these n differences, which must stay within
     TOL_HERM * max(1, max |f|); a row that is not finite fails. The spectrum
-    comes from one matmul against the irrep basis and one batched `eigvalsh`
-    per irrep dimension d > 1; a 1 x 1 block (a character) is its own
-    eigenvalue, the real part of the Hermitian row's block.
+    comes from one matmul against the irrep basis and `_block_min_eig` per
+    irrep dimension d: a 1 x 1 block (a character) is its own eigenvalue, the
+    real part of the Hermitian row's block; a 2 x 2 block's minimum is taken
+    in closed form; above 2, one batched `eigvalsh` per dimension.
     """
     with np.errstate(invalid="ignore"):
         herm_dev = np.abs(values - values[:, group.inv].conj()).max(axis=1)
         hermitian = herm_dev <= TOL_HERM * np.maximum(1.0, np.abs(values).max(axis=1))
     min_eig = np.full(len(values), np.nan)
     blocks = group.irreps.fourier_blocks(values[hermitian])
-    min_eig[hermitian] = np.min(
-        [
-            B[..., 0, 0].real.min(axis=-1)
-            if B.shape[-1] == 1
-            else np.linalg.eigvalsh((B + B.conj().swapaxes(-1, -2)) / 2.0)[..., 0].min(axis=-1)
-            for B in blocks
-        ],
-        axis=0,
-    )
+    min_eig[hermitian] = np.min([_block_min_eig(B).min(axis=-1) for B in blocks], axis=0)
     return min_eig, herm_dev
+
+
+def _block_min_eig(B: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of the Hermitian part (B + B^+)/2 of each d x d block B (..., d, d).
+
+    d = 1: the real part. d = 2: the closed form (a + c)/2 - hypot((a - c)/2, |b|),
+    with a, c the real parts of the diagonal and b = (B01 + conj B10)/2, with
+    no LAPACK call. d > 2: one batched `eigvalsh`.
+    """
+    d = B.shape[-1]
+    if d == 1:
+        return B[..., 0, 0].real
+    if d == 2:
+        a, c = B[..., 0, 0].real, B[..., 1, 1].real
+        b = (B[..., 0, 1] + B[..., 1, 0].conj()) / 2.0
+        return (a + c) / 2.0 - np.hypot((a - c) / 2.0, np.abs(b))
+    return np.linalg.eigvalsh((B + B.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
 
 
 def _first_failure(min_eig: np.ndarray, violation, order: int, tol: Tolerances, herm_dev) -> int:
@@ -213,7 +225,7 @@ def minimal_copies_search(
     first = None
     for top in range(n_max, 0, -rows):
         N = np.arange(top, max(top - rows, 0), -1)
-        M = np.floor(r * N + 1e-12)
+        M = np.floor(r * N + TOL_FLOOR)
         vals, violation = interpolate(
             char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M, tol
         )

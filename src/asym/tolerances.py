@@ -40,3 +40,4 @@ TOL_SELF = 1e-8  # self-checks: qfim against 4 Cov_sym, shift_canonicalize's coe
 TOL_CURVE = 1e-15  # absolute slack of the convergence self-check distance <= bound
 TOL_DIRECTION = 1e-12  # least F_phi weight of a pencil direction, relative to max(|F_phi|, 1)
 TOL_CLIP_T = 1e-15  # converse_certificate clips T to [0, 1 - TOL_CLIP_T], inside g's domain
+TOL_FLOOR = 1e-12  # M = floor(r N + TOL_FLOOR) in the copy-number scan: r N a hair below k gives k

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asym import cli, convertibility, io, named_group
+from asym import approx, cli, convertibility, io, named_group
 from asym.abelian import ChargeDistribution
 from asym.cli import main
 from asym.errors import ValidationError
@@ -412,6 +412,20 @@ def test_cli_approx_with_curve(capsys, corpus_dir):
     curve = report["result"]["curve"]
     assert [pt["N"] for pt in curve] == [1, 2, 4]
     assert curve[0]["bound"] == pytest.approx(0.6**2, rel=1e-9)
+
+
+def test_cli_approx_classifies_each_state_once(capsys, corpus_dir, monkeypatch):
+    # the curve reuses the report's sym(psi): psi and phi go to classify_sets once each
+    seen, classify = [], approx.classify_sets
+    monkeypatch.setattr(approx, "classify_sets", lambda c, tol: seen.append(c) or classify(c, tol))
+    report = run_json(
+        capsys,
+        ["approx", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
+         "--psi", corpus_dir / "z2_psi08.json", "--phi", corpus_dir / "z2_psi068.json",
+         "--curve", "1,2,4"],
+    )
+    assert len(report["result"]["curve"]) == 3
+    assert len(seen) == 2 and seen[0] is not seen[1]
 
 
 @pytest.mark.parametrize("curve", ["0", "0,2", "-3"])

@@ -25,6 +25,7 @@ from asym.abelian import ChargeDistribution, basis_elements
 from asym.convertibility import (
     MAX_SEARCH_COPIES,
     GroupFunction,
+    _block_min_eig,
     gram_min_eigenvalues,
     interpolate,
 )
@@ -352,6 +353,106 @@ def test_block_oracle_matches_dense_gram(name, oracle_group):
         f[(e + 1) % n] += 1e-3j
         assert not dense_gram(GroupFunction(group=group, values=f))[0]
         assert_matches_dense(f, group)
+
+
+def sym_min_eig(B):
+    """Reference: eigvalsh of the Hermitian part (B + B^+)/2 of each block."""
+    return np.linalg.eigvalsh((B + B.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
+
+
+def hermitian_blocks(rng, shape, d=2):
+    z = rng.standard_normal((*shape, d, d)) + 1j * rng.standard_normal((*shape, d, d))
+    return (z + z.conj().swapaxes(-1, -2)) / 2.0
+
+
+def assert_closed_form_matches(B):
+    got, want = _block_min_eig(B), sym_min_eig(B)
+    assert got.shape == want.shape == B.shape[:-2]
+    scale = np.abs(B).max(axis=(-1, -2), initial=0.0)
+    assert np.all(np.abs(got - want) <= 4e-15 * scale), np.abs(got - want).max()
+
+
+def test_closed_form_2x2_matches_eigvalsh_on_random_hermitian_batches():
+    rng = np.random.default_rng(16)
+    for shape in ((1, 1), (3, 5), (64, 63)):
+        assert_closed_form_matches(hermitian_blocks(rng, shape))
+
+
+def test_closed_form_2x2_on_a_diagonal_block_and_on_equal_diagonals():
+    rng = np.random.default_rng(17)
+    a, c = rng.standard_normal((2, 200))
+    b = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    diagonal = np.zeros((200, 2, 2), dtype=complex)
+    diagonal[:, 0, 0], diagonal[:, 1, 1] = a, c
+    assert_closed_form_matches(diagonal)
+    assert np.allclose(_block_min_eig(diagonal), np.minimum(a, c), rtol=0, atol=1e-15)
+    equal = np.stack([np.stack([a, b], -1), np.stack([b.conj(), a], -1)], -2)
+    assert_closed_form_matches(equal)
+    assert np.array_equal(_block_min_eig(equal), a - np.abs(b))  # hypot(0, |b|) is exact
+
+
+def test_closed_form_2x2_is_zero_on_rank_one_psd_blocks():
+    # v v^+ for a Pythagorean v: every step of the closed form is exact
+    for v in ([3, 4], [4j, -3], [5, 12j], [0, 1], [0.0, 0.0]):
+        v = np.asarray(v, dtype=complex)
+        assert _block_min_eig(np.outer(v, v.conj())[None]) == [0.0]
+    rng = np.random.default_rng(18)
+    v = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+    B = v[:, :, None] * v.conj()[:, None, :]
+    assert_closed_form_matches(B)
+    assert np.all(np.abs(_block_min_eig(B)) <= 4e-15 * np.abs(B).max(axis=(-1, -2)))
+
+
+def test_closed_form_2x2_symmetrises_a_block_off_hermitian_within_tol_herm():
+    rng = np.random.default_rng(19)
+    B = hermitian_blocks(rng, (300,))
+    B += TOL_HERM * rng.uniform(-1, 1, B.shape) * np.exp(2j * np.pi * rng.uniform(size=B.shape))
+    assert_closed_form_matches(B)
+    # the off-diagonal entry is the mean of B01 and conj B10, not either one alone
+    skew = np.array([[[1.0, 1.0], [1.0 + 2 * TOL_HERM, 1.0]]], dtype=complex)
+    assert _block_min_eig(skew) == pytest.approx(-TOL_HERM, rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e100, 1e152])
+def test_closed_form_2x2_across_entry_scales(scale):
+    # 1e152 ~ exp(350), the cap on |f| that `interpolate` puts on log-ratios
+    rng = np.random.default_rng(20)
+    assert_closed_form_matches(scale * hermitian_blocks(rng, (8, 63)))
+    v = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    assert_closed_form_matches(scale * v[:, :, None] * v.conj()[:, None, :])
+
+
+def test_closed_form_2x2_on_an_empty_batch(oracle_group):
+    assert _block_min_eig(np.zeros((0, 63, 2, 2), dtype=complex)).shape == (0, 63)
+    min_eig, herm_dev = gram_min_eigenvalues(oracle_group("D_128"), np.zeros((0, 256), complex))
+    assert min_eig.shape == herm_dev.shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["D_128", "S_3", "S_5"])
+def test_eigvalsh_is_reached_only_above_dimension_two(name, oracle_group, monkeypatch):
+    group = oracle_group(name)
+    group.irreps  # decompose before eigvalsh is watched
+    seen, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: seen.append(A.shape[-1]) or eigvalsh(A))
+    rng = np.random.default_rng(21)
+    gram_min_eigenvalues(group, np.stack([random_hermitian(group, rng) for _ in range(3)]))
+    assert seen == [d for d, _ in group.irreps.dims if d > 2]
+
+
+@pytest.mark.parametrize("name", ["D_4", "Q_8", "D_128"])
+def test_positive_type_from_one_two_dim_irrep_has_min_eigenvalue_zero(name, oracle_group):
+    # f(k) = v^+ rho(k) v: M[g, h] = (rho(g) v)^+ (rho(h) v) is PSD of rank 2 < |G|
+    group = oracle_group(name)
+    rho = irreps_by_dim(group)[[d for d, _ in group.irreps.dims].index(2)][:, 0]
+    rng = np.random.default_rng(22)
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v /= np.linalg.norm(v)
+    f = np.einsum("i,kij,j->k", v.conj(), rho, v)
+    min_eig = assert_matches_dense(f, group)
+    res = is_positive_definite(GroupFunction(group=group, values=f))
+    assert res.feasible
+    assert abs(res.min_gram_eigenvalue) <= 1e-10 * group.order
+    assert abs(min_eig) <= 1e-10 * group.order
 
 
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
