@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .charfn import unit_mask
 from .convertibility import _first_failure, interpolate
 from .errors import (
     NotSimultaneouslyDiagonalizable,
@@ -25,7 +26,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .groups import FiniteGroup, ProjectiveRep, PureState
-from .tolerances import DEFAULT, TOL_PROB, TOL_SECTOR, TOL_SELF, Tolerances
+from .tolerances import DEFAULT, TOL_CHARGE, TOL_PROB, TOL_SECTOR, TOL_SELF, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +151,7 @@ def fourier_weights(
 
 
 def shift_canonicalize(dist: ChargeDistribution) -> ChargeDistribution:
-    """Translate the support so every dual coefficient of modulus >= 1 - tol_one is 1.
+    """Translate the support so every dual coefficient that `charfn.unit_mask` keeps is 1.
 
     A single shift by any support label does it: if |lambda_a| = 1 then all
     support labels share the same character phase at a, so re-centering on
@@ -158,14 +159,15 @@ def shift_canonicalize(dist: ChargeDistribution) -> ChargeDistribution:
     multiset is unchanged.
     """
     grid = dist.grid()
-    support = np.argwhere(grid > 1e-15)
+    support = np.argwhere(grid > TOL_CHARGE)
     if support.size == 0:
         return dist
     k1 = support[0]
     shifted = np.roll(grid, shift=tuple(-int(k) for k in k1), axis=tuple(range(grid.ndim)))
     out = ChargeDistribution(shape=dist.shape, probs=shifted.ravel())
     lam = dual_fourier(out).values
-    unit = np.abs(lam) >= 1.0 - DEFAULT.tol_one
+    with np.errstate(divide="ignore"):
+        unit = unit_mask(np.log(np.abs(lam)))
     if not np.allclose(lam[unit], 1.0, atol=TOL_SELF):
         raise SelfCheckFailed("shift canonicalization left a unit-modulus coefficient != 1")
     return out

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharFunction, check_same_group, classify_sets
-from .errors import DomainError, SelfCheckFailed
+from .charfn import CharFunction, check_same_group, classify_sets, copy_number
+from .errors import SelfCheckFailed
 from .tolerances import DEFAULT, TOL_CURVE, Tolerances
 
 
@@ -59,7 +59,7 @@ def convergence_to_uniform(
     For each N >= 1 emits the proven overlap bound |G| s^{|G| N} / 2 with
     s = max |chi| off the symmetry subgroup, and the measured proxy
     (1/2) sum over g off sym of |chi(g)|^{|G| N}; the proxy never exceeds
-    the bound. DomainError for a copy number below 1.
+    the bound. DomainError for a copy number below 1 or beyond the float range.
     """
     return _convergence(char_psi, classify_sets(char_psi, tol).sym, N_list)
 
@@ -67,18 +67,16 @@ def convergence_to_uniform(
 def _convergence(char_psi: CharFunction, sym: frozenset[int], N_list) -> ConvergenceReport:
     """`convergence_to_uniform` with sym(psi) already taken from `classify_sets`."""
     N_list = list(N_list)
-    for N in N_list:
-        if N < 1:
-            raise DomainError(f"copy number must be >= 1, got {N}")
+    copies = [copy_number(N) for N in N_list]
     n = char_psi.group.order
     off = np.delete(char_psi.logmod, list(sym))
     s = _decay_base(off)
     log_s = math.log(s) if s > 0 else -math.inf
     points = []
-    for N in N_list:
+    for N, N_float in zip(N_list, copies):
         with np.errstate(under="ignore"):
-            eps = 0.5 * n * math.exp(n * N * log_s) if s > 0 else 0.0
-            delta = 0.5 * float(np.exp(n * N * off).sum())
+            eps = 0.5 * n * math.exp(n * N_float * log_s) if s > 0 else 0.0
+            delta = 0.5 * float(np.exp(n * N_float * off).sum())
         if not delta <= eps + TOL_CURVE:
             raise SelfCheckFailed(f"distance {delta!r} exceeds the bound {eps!r} at N = {N}")
         points.append(ConvergencePoint(N=int(N), bound=eps, distance=delta))

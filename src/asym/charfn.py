@@ -78,6 +78,11 @@ def zero_mask(logmod: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     return logmod <= math.log(tol.tol_zero)
 
 
+def unit_mask(logmod: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Where |chi| >= 1 - tol.tol_one, from logmod = log|chi|: the symmetry cut."""
+    return logmod >= math.log1p(-tol.tol_one)
+
+
 def classify_sets(char: CharFunction, tol: Tolerances = DEFAULT) -> ClassSets:
     """Split G into the |chi| = 1 subgroup and the chi = 0 set.
 
@@ -85,17 +90,27 @@ def classify_sets(char: CharFunction, tol: Tolerances = DEFAULT) -> ClassSets:
     subgroup check: the exact |chi| = 1 set is always a subgroup, so failure
     signals a misconfigured tolerance.
     """
-    sym = frozenset(int(g) for g in np.where(char.logmod >= math.log1p(-tol.tol_one))[0])
+    sym = frozenset(int(g) for g in np.where(unit_mask(char.logmod, tol))[0])
     zero = frozenset(int(g) for g in np.where(zero_mask(char.logmod, tol))[0])
     if not is_subgroup(char.group, sym):
         raise SymNotSubgroup(f"{sorted(sym)} is not closed under the group law")
     return ClassSets(sym=sym, zero=zero)
 
 
+def copy_number(N: int) -> float:
+    """N as a float; DomainError below 1 or beyond the float range (N * logmod is a float)."""
+    try:
+        x = float(N)
+    except OverflowError:
+        raise DomainError("copy number too large for a float") from None
+    if not x >= 1:
+        raise DomainError(f"copy number must be >= 1, got {N}")
+    return x
+
+
 def char_power(char: CharFunction, N: int) -> CharFunction:
     """Characteristic function of the N-fold tensor power state."""
-    if N < 1:
-        raise DomainError(f"copy number must be >= 1, got {N}")
+    copy_number(N)
     with np.errstate(invalid="ignore"):
         logmod = char.logmod * N
     logmod[np.isneginf(char.logmod)] = -np.inf

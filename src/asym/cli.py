@@ -1,19 +1,19 @@
 """Command-line entry point: `asym SUBCOMMAND ...`.
 
 One static table, `SUBCOMMANDS`, declares each subcommand: its handler, its
-input file flags in load order and its other options; the parser is built
-from it once per process. `main` loads the inputs (`rep` reads the loaded
-`group`), calls the handler on them and wraps its bare result in the report
-envelope: the subcommand name, the sha256 of the bytes parsed from each input
-file (each read once, see `io.HashingPath`) and the effective tolerances, so
-a JSON report doubles as a test fixture. Exit codes: 0 success, 1 domain
-error, 2 parse/validation error.
+input file flags in load order, the `Tolerances` fields the handler reads (its
+only `--tol-*` flags; the rest keep their defaults) and its other options; the
+parser is built from it once per process. `main` loads the inputs (`rep` reads
+the loaded `group`), calls the handler on them and wraps its bare result in the
+report envelope: the subcommand name, the sha256 of the bytes parsed from each
+input file (each read once, see `io.HashingPath`) and the tolerances the handler
+read, so a JSON report doubles as a test fixture. Exit codes: 0 success, 1
+domain error, 2 parse/validation error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -24,7 +24,7 @@ import numpy as np
 from . import abelian, approx, charfn, convertibility, io, lie
 from .errors import AsymError, ValidationError
 from .exact_rate import FINITE, exact_rate as compute_exact_rate
-from .tolerances import Tolerances
+from .tolerances import DEFAULT, Tolerances
 
 
 def _jsonable(obj):
@@ -119,7 +119,7 @@ def _chars(rep, psi, phi):
 
 
 def cmd_rate_exact(args, group, rep, psi, phi) -> dict:
-    report = compute_exact_rate(*_chars(rep, psi, phi), args.commutative, args.tol)
+    report = compute_exact_rate(*_chars(rep, psi, phi), args.tol)
     out = {
         "rate": report.kind,
         "witness": report.witness,
@@ -220,28 +220,27 @@ _LOADERS = {
 
 _PAIR = ("group", "rep", "psi", "phi")
 _COPIES = {"--copies": dict(type=int, nargs=2, required=True, metavar=("N", "M"))}
+_SETS = ("tol_one", "tol_zero")  # classify_sets
+_GRAM = ("tol_zero", "tol_psd")  # interpolate's zero sets and the Gram rule
 
-# name -> (handler, input file flags in load order, {option: add_argument kwargs})
+# name -> (handler, input file flags in load order, Tolerances fields read, {option: kwargs})
 SUBCOMMANDS = {
-    "chi": (cmd_chi, ("group", "rep", "state"), {"--power": dict(type=int, default=1)}),
-    "rate-exact": (cmd_rate_exact, _PAIR, {"--commutative": dict(action="store_true")}),
-    "convert": (cmd_convert, _PAIR, _COPIES),
+    "chi": (cmd_chi, ("group", "rep", "state"), _SETS, {"--power": dict(type=int, default=1)}),
+    "rate-exact": (cmd_rate_exact, _PAIR, _SETS, {}),
+    "convert": (cmd_convert, _PAIR, _GRAM, _COPIES),
     "min-copies": (
-        cmd_min_copies,
-        _PAIR,
+        cmd_min_copies, _PAIR, _GRAM,
         {"--rate": dict(type=float, required=True), "--nmax": dict(type=int, required=True)},
     ),
-    "charges": (cmd_charges, ("group", "rep", "state"), {}),
-    "convert-abelian": (cmd_convert_abelian, ("p", "q"), _COPIES),
+    "charges": (cmd_charges, ("group", "rep", "state"), (), {}),
+    "convert-abelian": (cmd_convert_abelian, ("p", "q"), _GRAM, _COPIES),
     "approx": (
-        cmd_approx,
-        _PAIR,
+        cmd_approx, _PAIR, _SETS,
         {"--curve": dict(type=lambda s: [int(x) for x in s.split(",")], default=None)},
     ),
-    "qfim": (cmd_qfim, ("state", "generators"), {}),
+    "qfim": (cmd_qfim, ("state", "generators"), (), {}),
     "rf": (
-        cmd_rf,
-        ("generators", "psi", "phi"),
+        cmd_rf, ("generators", "psi", "phi"), (),
         {"--rate": dict(type=float, default=None), "--delta": dict(type=float, default=0.0)},
     ),
 }
@@ -251,15 +250,15 @@ SUBCOMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="asym")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, inputs, options) in SUBCOMMANDS.items():
+    for name, (_, inputs, tols, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(output="table")
         for flag in inputs:
             p.add_argument(f"--{flag}", required=True)
         p.add_argument("--json", dest="output", action="store_const", const="json")
         p.add_argument("--table", dest="output", action="store_const", const="table")
-        for field in dataclasses.fields(Tolerances):  # --tol-one, --tol-zero, --tol-psd
-            p.add_argument("--" + field.name.replace("_", "-"), type=float, default=field.default)
+        for field in tols:  # tol_one -> --tol-one
+            p.add_argument("--" + field.replace("_", "-"), type=float, default=getattr(DEFAULT, field))
         for option, kwargs in options.items():
             p.add_argument(option, **kwargs)
     return parser
@@ -270,11 +269,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handler, inputs, _ = SUBCOMMANDS[args.subcommand]
+    handler, inputs, tols, _ = SUBCOMMANDS[args.subcommand]
     # each file is read once, by its loader, which records the digest of what it parsed
     paths = {flag: io.HashingPath(getattr(args, flag)) for flag in inputs}
     try:
-        args.tol = Tolerances(args.tol_one, args.tol_zero, args.tol_psd)
+        args.tol = Tolerances(**{field: getattr(args, field) for field in tols})
         loaded = {}
         for flag, path in paths.items():
             loaded[flag] = _LOADERS[flag](path, loaded)
@@ -282,7 +281,7 @@ def main(argv=None) -> int:
         report = {
             "subcommand": args.subcommand,
             "inputs": {f: {"path": p.path, "sha256": p.sha256} for f, p in paths.items()},
-            "tolerances": dataclasses.asdict(args.tol),
+            "tolerances": {field: getattr(args.tol, field) for field in tols},
             "result": result,
         }
     # LinAlgError and JSONDecodeError subclass ValueError; clause order matters

@@ -76,11 +76,15 @@ def interpolate(
     for K rows at once. Returns the (K, n) values and, per row, the first
     index where chi_phi^M vanishes but chi_psi^N does not, or -1. Zero sets
     are classified once, on the single-copy functions (chi^N vanishes exactly
-    where chi does); M = 0 is the trivial target, identically 1. Shared by
+    where chi does); M = 0 is the trivial target, identically 1. DomainError
+    for N < 1, M < 0 or a copy number beyond the float range. Shared by
     the Gram view (chi on G) and the Fourier view (dual coefficients).
     """
     copies = N, M
-    N, M = (np.reshape(np.asarray(x, dtype=float), (-1, 1)) for x in copies)
+    try:
+        N, M = (np.reshape(np.asarray(x, dtype=float), (-1, 1)) for x in copies)
+    except OverflowError:
+        raise DomainError("copy number too large for a float") from None
     low = np.flatnonzero(~((N >= 1) & (M >= 0)))
     if low.size:
         got = tuple(np.ravel(x)[low[0]] for x in copies)

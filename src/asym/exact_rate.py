@@ -25,23 +25,20 @@ class RateReport:
     excluded: frozenset[int]
 
 
-def _excluded_set(char_phi: CharFunction, commutative: bool, tol: Tolerances):
-    """Excluded elements for the rate minimum, plus the assumption flag.
+def _excluded_set(char_phi: CharFunction, tol: Tolerances):
+    """The classification of phi and the elements excluded from the rate minimum.
 
-    The general finite-group formula removes {e} and the chi_phi zero set and
-    requires sym(phi) = {e}; the commutative variant removes all of sym(phi).
-    Both remove sym(phi) u zeros. For nonabelian phi with nontrivial symmetry
-    we still evaluate the formula there but flag the result as not guaranteed.
+    Both forms of the formula exclude sym(phi) u zeros: the commutative one
+    removes all of sym(phi), the general finite-group one {e} and the chi_phi
+    zero set, where it requires sym(phi) = {e}.
     """
     sets_phi = classify_sets(char_phi, tol)
-    ok = commutative or sets_phi.sym == frozenset({char_phi.group.identity})
-    return sets_phi, sets_phi.sym | sets_phi.zero, ok
+    return sets_phi, sets_phi.sym | sets_phi.zero
 
 
 def exact_rate(
     char_psi: CharFunction,
     char_phi: CharFunction,
-    commutative: bool = False,
     tol: Tolerances = DEFAULT,
 ) -> RateReport:
     """min over non-excluded g of L(psi,g)/L(phi,g), with the zero-rate branch.
@@ -49,9 +46,13 @@ def exact_rate(
     The rate is zero when phi has a vanishing chi where psi does not
     (modulus monotonicity makes even a single copy of phi unreachable).
     An empty or all-infinite minimum means the rate is unbounded.
+    `assumption_ok` says the formula is proved here: the group is abelian
+    or sym(phi) = {e}. Elsewhere it is evaluated all the same.
     """
     check_same_group(char_psi, char_phi)
-    sets_phi, excluded, assumption_ok = _excluded_set(char_phi, commutative, tol)
+    sets_phi, excluded = _excluded_set(char_phi, tol)
+    group = char_phi.group
+    assumption_ok = sets_phi.sym == frozenset({group.identity}) or group.is_abelian()
     sets_psi = classify_sets(char_psi, tol)
 
     if not sets_phi.zero <= sets_psi.zero:
@@ -74,19 +75,18 @@ def copies_bound(
     char_psi: CharFunction,
     char_phi: CharFunction,
     r: float,
-    commutative: bool = False,
     tol: Tolerances = DEFAULT,
 ) -> int:
     """Copy number above which feasibility at sub-optimal rate r is guaranteed.
 
-    With s = max over non-excluded g of |chi_psi(g)| / |chi_phi(g)|^r, the
+    With s = max over g off sym(phi) u zeros of |chi_psi(g)| / |chi_phi(g)|^r, the
     conversion psi^N -> phi^{floor(rN)} is feasible whenever
     N > 2 log|G| / (-log s); returns that threshold rounded up plus one.
     """
     check_same_group(char_psi, char_phi)
     if not 0 < r < math.inf:
         raise RateNotBelowOptimal(f"rate must be positive and finite, got {r}")
-    _, excluded, _ = _excluded_set(char_phi, commutative, tol)
+    _, excluded = _excluded_set(char_phi, tol)
     keep = np.setdiff1d(np.arange(char_psi.group.order), list(excluded))  # increasing
     log_s = char_psi.logmod[keep] - r * char_phi.logmod[keep]
     log_s = float(log_s.max()) if log_s.size else -math.inf

@@ -399,6 +399,13 @@ def test_fourier_weights_rejects_zero_copies(capsys, tmp_path):
     assert (code, out, err["error"]) == (1, "", "DomainError")
 
 
+@pytest.mark.parametrize("N, M", [(10**400, 1), (1, 10**400)], ids=["N", "M"])
+def test_fourier_weights_rejects_a_copy_number_beyond_a_float(N, M):
+    p = dist((2,), [0.8, 0.2])
+    with pytest.raises(DomainError):
+        fourier_weights(p, p, N, M)
+
+
 # q vanishes off the identity where p does not; the weights are 0 on the zero set
 ZERO_SET_FAILURES = [
     ((2,), [0.8, 0.2], [0.5, 0.5], 1, 1, [0.5, 0.5]),

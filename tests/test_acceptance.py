@@ -53,11 +53,11 @@ def test_ac1_two_outcome_rate_and_copy_thresholds():
         a_p = a_q**R  # p, q in (0.5, 1) via a = 2p - 1
         psi, phi = z2_char(a_p), z2_char(a_q)
 
-        report = exact_rate(psi, phi, commutative=True)
+        report = exact_rate(psi, phi)
         assert report.kind == FINITE
         assert abs(report.value - math.log(a_p) / math.log(a_q)) < 1e-10
 
-        bound = copies_bound(psi, phi, 0.95 * R, commutative=True)
+        bound = copies_bound(psi, phi, 0.95 * R)
         found = minimal_copies_search(psi, phi, 0.95 * R, min(bound, 10**4))
         assert found is not None and found <= bound
 

@@ -119,6 +119,15 @@ def test_convergence_rejects_copy_number_below_one(z4, N_list):
         convergence_to_uniform(chi, N_list)
 
 
+def test_convergence_copy_numbers_at_the_float_range(z4):
+    # 10^400 used to raise an untyped OverflowError, and so did |G| N past the range
+    chi = char_from_values(z4, [1.0, 0.5, 0.25, 0.5])
+    with pytest.raises(DomainError):
+        convergence_to_uniform(chi, [1, 10**400])
+    (point,) = convergence_to_uniform(chi, [10**308]).points
+    assert (point.N, point.bound, point.distance) == (10**308, 0.0, 0.0)
+
+
 def test_convergence_at_the_tolerance_edge():
     # |chi(1)| is just below the classify_sets cut but rounds to 1 - tol_one:
     # a second cut s >= 1 - tol_one used to refuse the curve that the

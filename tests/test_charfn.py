@@ -13,7 +13,7 @@ from asym import (
     validate_projective_rep,
 )
 from asym.corpus import corpus_rep, random_state, z2_population_state
-from asym.errors import DimensionMismatch
+from asym.errors import DimensionMismatch, DomainError
 from asym.groups import PureState
 
 
@@ -83,6 +83,14 @@ def test_char_power_identity_and_zero():
     char = char_from_values(g, [1.0, 0.0])
     assert np.allclose(char_power(char, 1).values(), char.values(), equal_nan=True)
     assert char_power(char, 7).values()[1] == 0.0
+
+
+def test_char_power_rejects_a_copy_number_beyond_a_float(z2_rep):
+    # 10^400 used to raise an untyped OverflowError from logmod * N
+    char = char_function(z2_rep, z2_population_state(0.8))
+    with pytest.raises(DomainError):
+        char_power(char, 10**400)
+    assert char_power(char, 10**300).values()[1] == 0.0
 
 
 @pytest.mark.parametrize("name", ["Z_2", "Z_3", "Z_4"])

@@ -315,12 +315,32 @@ def test_cli_rate_exact(capsys, corpus_dir):
     report = run_json(
         capsys,
         ["rate-exact", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
-         "--psi", corpus_dir / "z2_psi068.json", "--phi", corpus_dir / "z2_psi08.json",
-         "--commutative"],
+         "--psi", corpus_dir / "z2_psi068.json", "--phi", corpus_dir / "z2_psi08.json"],
     )
     assert report["result"]["rate"] == "finite"
     assert report["result"]["value"] == pytest.approx(2.0, rel=1e-9)
     assert report["result"]["witness"] == 1
+    assert report["result"]["assumption_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "name, phi, ok",
+    [("z4", [0.8, 0.0, 0.6, 0.0], True), ("s3", [0.5, 0.5, 0.7], False)],
+    ids=["z4", "s3"],
+)
+def test_cli_rate_exact_assumption_ok_reads_the_group(capsys, corpus_dir, tmp_path, name, phi, ok):
+    # sym(phi) = {0, 2} on Z_4 and {e, (01)} on S_3: the formula is proved on
+    # the abelian group only
+    amps = np.array(phi) / np.linalg.norm(phi)
+    io.save_state(tmp_path / "phi.json", PureState(len(phi), amps))
+    io.save_state(tmp_path / "psi.json", random_state(len(phi), np.random.default_rng(0)))
+    result = run_json(
+        capsys,
+        ["rate-exact", "--group", corpus_dir / f"{name}.json", "--rep", corpus_dir / f"{name}_rep.json",
+         "--psi", tmp_path / "psi.json", "--phi", tmp_path / "phi.json"],
+    )["result"]
+    assert len(result["excluded_set"]) == 2
+    assert (result["rate"], result["assumption_ok"]) == ("finite", ok)
 
 
 def test_cli_convert(capsys, corpus_dir, tmp_path):
@@ -394,7 +414,7 @@ def test_cli_convert_abelian_reads_tol_psd(capsys, tmp_path):
     assert report["result"]["feasible"] is False
     report = run_json(capsys, argv + ["--tol-psd", "1e-6"])
     assert report["result"]["feasible"] is True
-    assert report["tolerances"] == {"tol_one": 1e-10, "tol_zero": 1e-10, "tol_psd": 1e-6}
+    assert report["tolerances"] == {"tol_zero": 1e-10, "tol_psd": 1e-6}
     assert "seed" not in report
     for gone in (["--tol-w", "1e-6"], ["--seed", "3"]):
         code, out, _ = run(capsys, argv + gone)
@@ -572,23 +592,75 @@ def assert_domain_error(capsys, argv):
     assert json.loads(err)["error"] == "DomainError"
 
 
+def assert_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv + ["--json"])
+    assert (code, out) == (2, ""), (argv, err)
+    assert "unrecognized arguments" in err
+
+
+TOLERANCE_FIELDS = [field.name for field in dataclasses.fields(Tolerances)]
+
+
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_cli_rejects_bad_tolerances(capsys, corpus_dir, tmp_path, sub):
     # nan, inf, -1 and 2 used to give a verdict (exit 0); 0 exited 2 on
-    # math.log or, for --tol-one, 1 only where classify_sets ran
+    # math.log or, for --tol-one, 1 only where classify_sets ran. A tolerance
+    # the subcommand does not read is a usage error whatever its value, and so
+    # is --commutative: whether the group is abelian is read off its table.
     argv = [sub] + valid_argv(sub, corpus_dir, tmp_path)
-    for flag in ("--tol-one", "--tol-zero", "--tol-psd"):
+    for field in TOLERANCE_FIELDS:
         for bad in ("nan", "inf", "-inf", "-1", "0", "1", "2"):
-            assert_domain_error(capsys, argv + [f"{flag}={bad}"])
+            extra = [f"--{field.replace('_', '-')}={bad}"]
+            if field in cli.SUBCOMMANDS[sub][2]:
+                assert_domain_error(capsys, argv + extra)
+            else:
+                assert_usage_error(capsys, argv + extra)
+    assert_usage_error(capsys, argv + ["--commutative"])
 
 
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_cli_reports_the_tolerances_it_ran_with(capsys, corpus_dir, tmp_path, sub):
     argv = [sub] + valid_argv(sub, corpus_dir, tmp_path)
-    assert run_json(capsys, argv)["tolerances"] == dataclasses.asdict(Tolerances())
-    custom = ["--tol-one", "1e-6", "--tol-zero", "1e-8", "--tol-psd", "1e-7"]
-    want = dataclasses.asdict(Tolerances(tol_one=1e-6, tol_zero=1e-8, tol_psd=1e-7))
-    assert run_json(capsys, argv + custom)["tolerances"] == want
+    declared = cli.SUBCOMMANDS[sub][2]
+    want = {field: getattr(Tolerances(), field) for field in declared}
+    assert run_json(capsys, argv)["tolerances"] == want
+    custom = {"tol_one": 1e-6, "tol_zero": 1e-8, "tol_psd": 1e-7}
+    flags = [f"--{field.replace('_', '-')}={custom[field]}" for field in declared]
+    want = {field: custom[field] for field in declared}
+    assert run_json(capsys, argv + flags)["tolerances"] == want
+
+
+READS = {
+    **dict.fromkeys(["chi", "rate-exact", "approx"], ["tol_one", "tol_zero"]),
+    **dict.fromkeys(["convert", "min-copies", "convert-abelian"], ["tol_psd", "tol_zero"]),
+    **dict.fromkeys(["charges", "qfim", "rf"], []),
+}
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_cli_declares_the_tolerances_its_handler_reads(capsys, corpus_dir, tmp_path, monkeypatch, sub):
+    # the fields read while the handler runs, not while main validates or reports them
+    reads, armed = set(), [False]
+
+    class Recording(Tolerances):
+        def __getattribute__(self, name):
+            if armed[0] and name in TOLERANCE_FIELDS:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    handler, inputs, declared, options = cli.SUBCOMMANDS[sub]
+
+    def armed_handler(*args, **kwargs):
+        armed[0] = True
+        try:
+            return handler(*args, **kwargs)
+        finally:
+            armed[0] = False
+
+    monkeypatch.setattr(cli, "Tolerances", Recording)
+    monkeypatch.setitem(cli.SUBCOMMANDS, sub, (armed_handler, inputs, declared, options))
+    run_json(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path))
+    assert sorted(reads) == sorted(declared) == READS[sub]
 
 
 @pytest.mark.parametrize(
@@ -609,6 +681,27 @@ def test_cli_rejects_non_finite_rate_and_error(capsys, corpus_dir, tmp_path, sub
     # min-copies --rate inf printed a traceback, --rate -1 blamed a copy
     # number and an --nmax out of range exited 2; rf --rate nan reported
     # "impossible: false"; later flags override the valid ones
+    assert_domain_error(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path) + extra)
+
+
+HUGE = str(10**400)  # a copy number beyond the float range
+
+
+@pytest.mark.parametrize(
+    "sub, extra",
+    [
+        ("chi", ["--power", HUGE]),
+        ("convert", ["--copies", HUGE, "1"]),
+        ("convert", ["--copies", "1", HUGE]),
+        ("convert-abelian", ["--copies", HUGE, "1"]),
+        ("convert-abelian", ["--copies", "1", HUGE]),
+        ("approx", ["--curve", "1," + HUGE]),
+    ],
+    ids=["chi-power", "convert-N", "convert-M", "convert-abelian-N", "convert-abelian-M",
+         "approx-curve"],
+)
+def test_cli_rejects_copy_numbers_beyond_a_float(capsys, corpus_dir, tmp_path, sub, extra):
+    # each used to exit 1 with an OverflowError traceback and no JSON error
     assert_domain_error(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path) + extra)
 
 

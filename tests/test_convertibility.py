@@ -211,6 +211,14 @@ def test_minimal_copies_rejects_bad_nmax(z2):
         minimal_copies_search(psi, psi, 1.0, 10**5)
 
 
+@pytest.mark.parametrize("N, M", [(10**400, 1), (1, 10**400)], ids=["N", "M"])
+def test_feasible_exact_rejects_a_copy_number_beyond_a_float(z2, N, M):
+    # used to raise an untyped OverflowError converting the copy numbers
+    psi = chi(z2, [0.6])
+    with pytest.raises(DomainError):
+        feasible_exact(psi, psi, N, M)
+
+
 def test_minimal_copies_rejects_a_negative_rate(z2):
     # it used to report a copy-number error, "got (5, -5)", for r = -1
     psi = chi(z2, [0.6])

@@ -30,53 +30,65 @@ def chi_z2(group, value):
 def test_rate_z2_halving(z2):
     # oracle: L ratio = ln(0.36) / ln(0.6) = 2, so psi = chi 0.36 into
     # phi = chi 0.6 goes at rate exactly 2
-    report = exact_rate(chi_z2(z2, 0.36), chi_z2(z2, 0.6), commutative=True)
+    report = exact_rate(chi_z2(z2, 0.36), chi_z2(z2, 0.6))
     assert report.kind == FINITE
     assert report.value == pytest.approx(2.0, rel=1e-12)
     assert report.witness == 1
 
 
 def test_rate_direction_reversal_is_reciprocal(z2):
-    fwd = exact_rate(chi_z2(z2, 0.36), chi_z2(z2, 0.6), commutative=True)
-    rev = exact_rate(chi_z2(z2, 0.6), chi_z2(z2, 0.36), commutative=True)
+    fwd = exact_rate(chi_z2(z2, 0.36), chi_z2(z2, 0.6))
+    rev = exact_rate(chi_z2(z2, 0.6), chi_z2(z2, 0.36))
     assert fwd.value * rev.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rate_zero_branch(z2):
     # phi vanishes where psi does not: not even one copy of phi is reachable
-    report = exact_rate(chi_z2(z2, 0.6), chi_z2(z2, 0.0), commutative=True)
+    report = exact_rate(chi_z2(z2, 0.6), chi_z2(z2, 0.0))
     assert report.kind == ZERO
 
 
 def test_rate_unbounded_for_symmetric_target(z2):
     # phi symmetric: everything is excluded, the minimum is over nothing
-    report = exact_rate(chi_z2(z2, 0.6), chi_z2(z2, 1.0), commutative=True)
+    report = exact_rate(chi_z2(z2, 0.6), chi_z2(z2, 1.0))
     assert report.kind == UNBOUNDED
 
 
 def test_rate_unbounded_when_psi_vanishes_off_excluded(z2):
-    report = exact_rate(chi_z2(z2, 0.0), chi_z2(z2, 0.6), commutative=True)
+    report = exact_rate(chi_z2(z2, 0.0), chi_z2(z2, 0.6))
     assert report.kind == UNBOUNDED
 
 
 def test_rate_excluded_set_general_vs_commutative():
     g = named_group("Z_4")
-    # phi with sym = {0, 2}: the general formula's assumption fails
+    # phi with sym = {0, 2}: the general formula's assumption fails, but Z_4 is
+    # abelian, so the commutative one holds; both exclude all of sym(phi)
     chi_phi = char_from_values(g, [1.0, 0.5, 1.0, 0.5])
     chi_psi = char_from_values(g, [1.0, 0.25, 1.0, 0.25])
-    commut = exact_rate(chi_psi, chi_phi, commutative=True)
-    assert commut.assumption_ok
-    assert commut.excluded == frozenset({0, 2})
-    general = exact_rate(chi_psi, chi_phi, commutative=False)
-    assert not general.assumption_ok
-    assert general.value == pytest.approx(2.0, rel=1e-12)
+    report = exact_rate(chi_psi, chi_phi)
+    assert report.assumption_ok
+    assert report.excluded == frozenset({0, 2})
+    assert report.value == pytest.approx(2.0, rel=1e-12)
+
+
+def test_rate_assumption_ok_off_an_abelian_group():
+    # S_3 with sym(phi) = {e, (01)}: neither form of the formula is proved there
+    rep = corpus_rep("S_3")
+    phi = char_function(rep, PureState(3, np.array([0.5, 0.5, 0.7]) / np.sqrt(0.99)))
+    psi = char_function(rep, random_state(3, np.random.default_rng(0)))
+    sym = classify_sets(phi).sym
+    assert len(sym) == 2
+    report = exact_rate(psi, phi)
+    assert not report.assumption_ok
+    assert report.excluded == sym
+    assert exact_rate(psi, psi).assumption_ok  # sym(psi) = {e}
 
 
 def test_rate_min_over_elements():
     g = named_group("Z_4")
     chi_psi = char_from_values(g, [1.0, 0.5, 0.3, 0.5])
     chi_phi = char_from_values(g, [1.0, 0.6, 0.4, 0.6])
-    report = exact_rate(chi_psi, chi_phi, commutative=True)
+    report = exact_rate(chi_psi, chi_phi)
     # oracle: elementwise ratios, numpy-computed
     ratios = np.log([0.5, 0.3, 0.5]) / np.log([0.6, 0.4, 0.6])
     assert report.value == pytest.approx(ratios.min(), rel=1e-12)
@@ -105,7 +117,7 @@ def test_copies_bound_z2_quarter_rate(z2):
     # s = 0.6 / 0.6^0.25 = 0.6^0.75, N = ceil(2 ln 2 / (0.75 ln(1/0.6))) + 1
     # = ceil(3.6186...) + 1 = 5
     chi = chi_z2(z2, 0.6)
-    assert copies_bound(chi, chi, 0.25, commutative=True) == 5
+    assert copies_bound(chi, chi, 0.25) == 5
 
 
 def test_copies_bound_formula_matches_log_expression(z2):
@@ -113,33 +125,33 @@ def test_copies_bound_formula_matches_log_expression(z2):
     chi_phi = chi_z2(z2, 0.6)
     r = 1.5
     expect = math.ceil(2 * math.log(2) / -(math.log(0.36) - r * math.log(0.6))) + 1
-    assert copies_bound(chi_psi, chi_phi, r, commutative=True) == expect
+    assert copies_bound(chi_psi, chi_phi, r) == expect
 
 
 def test_copies_bound_rejects_rate_at_or_above_optimal(z2):
     chi = chi_z2(z2, 0.6)
     with pytest.raises(RateNotBelowOptimal):
-        copies_bound(chi, chi, 1.0, commutative=True)
+        copies_bound(chi, chi, 1.0)
     with pytest.raises(RateNotBelowOptimal):
-        copies_bound(chi, chi, 1.3, commutative=True)
+        copies_bound(chi, chi, 1.3)
     with pytest.raises(RateNotBelowOptimal):
-        copies_bound(chi, chi, -0.5, commutative=True)
+        copies_bound(chi, chi, -0.5)
 
 
 def test_copies_bound_population_states():
     z2 = named_group("Z_2")
     psi = char_function(corpus_rep("Z_2"), z2_population_state(0.8))
-    report = exact_rate(psi, psi, commutative=True)
+    report = exact_rate(psi, psi)
     assert report.value == pytest.approx(1.0)
-    assert copies_bound(psi, psi, 0.5, commutative=True) >= 1
+    assert copies_bound(psi, psi, 0.5) >= 1
 
 
 # ------------------------------------------- array pass against the element loops
 
 
-def loop_exact_rate(char_psi, char_phi, commutative=False):
+def loop_exact_rate(char_psi, char_phi):
     """The per-element loop that `exact_rate` replaced, kept as the reference."""
-    sets_phi, excluded, _ = _excluded_set(char_phi, commutative, DEFAULT)
+    sets_phi, excluded = _excluded_set(char_phi, DEFAULT)
     if not sets_phi.zero <= classify_sets(char_psi).zero:
         return ZERO, None, None
     best, best_g = math.inf, None
@@ -156,9 +168,9 @@ def loop_exact_rate(char_psi, char_phi, commutative=False):
     return FINITE, best, best_g
 
 
-def loop_copies_bound(char_psi, char_phi, r, commutative=False):
+def loop_copies_bound(char_psi, char_phi, r):
     """The per-element loop that `copies_bound` replaced; None where it raises."""
-    _, excluded, _ = _excluded_set(char_phi, commutative, DEFAULT)
+    _, excluded = _excluded_set(char_phi, DEFAULT)
     log_s = -math.inf
     for g in range(char_psi.group.order):
         if g in excluded:
@@ -185,7 +197,7 @@ def _states(rep, rng):
     if small:  # |chi| = 1 everywhere; the closure of G is slow at n = 256
         yield PureState(d, np.eye(d)[0])
     yield PureState(d, np.ones(d) / np.sqrt(d))  # zeros on the cyclic groups
-    for _ in range(4 if small else 3):
+    for _ in range(6 if small else 4):
         yield random_state(d, rng)
     amp = np.zeros(d, dtype=complex)
     amp[: max(1, d // 2)] = rng.standard_normal(max(1, d // 2))
@@ -197,25 +209,28 @@ def test_exact_rate_and_copies_bound_match_the_element_loops(corpus, rng):
     compared = finite = 0
     for rep in reps:
         chars = [char_function(rep, s) for s in _states(rep, rng)]
+        table = rep.group.mult
+        abelian = all(table[g, h] == table[h, g] for g in range(len(table)) for h in range(g))
         for a in chars:
             for b in chars:
-                for commutative in (False, True):
-                    try:
-                        want = loop_exact_rate(a, b, commutative)
-                    except SymNotSubgroup:
-                        continue
-                    got = exact_rate(a, b, commutative)
-                    assert (got.kind, got.value, got.witness) == want
-                    compared += 1
-                    rates = [0.5 * want[1], 0.999 * want[1]] if want[1] else [0.3]
-                    for r in rates:
-                        expect = loop_copies_bound(a, b, r, commutative)
-                        if expect is None:
-                            with pytest.raises(RateNotBelowOptimal):
-                                copies_bound(a, b, r, commutative)
-                        else:
-                            assert copies_bound(a, b, r, commutative) == expect
-                            finite += 1
+                try:
+                    want = loop_exact_rate(a, b)
+                    trivial = classify_sets(b).sym == {rep.group.identity}
+                except SymNotSubgroup:
+                    continue
+                got = exact_rate(a, b)
+                assert (got.kind, got.value, got.witness) == want
+                assert got.assumption_ok == (abelian or trivial)
+                compared += 1
+                rates = [0.5 * want[1], 0.999 * want[1]] if want[1] else [0.3]
+                for r in rates:
+                    expect = loop_copies_bound(a, b, r)
+                    if expect is None:
+                        with pytest.raises(RateNotBelowOptimal):
+                            copies_bound(a, b, r)
+                    else:
+                        assert copies_bound(a, b, r) == expect
+                        finite += 1
     assert compared > 500 and finite > 500
 
 
@@ -224,4 +239,4 @@ def test_copies_bound_rejects_a_non_finite_rate(z2, r):
     # nan used to return 1, a promise of feasibility from one copy
     chi = chi_z2(z2, 0.6)
     with pytest.raises(RateNotBelowOptimal):
-        copies_bound(chi, chi_z2(z2, 0.8), r, commutative=True)
+        copies_bound(chi, chi_z2(z2, 0.8), r)
