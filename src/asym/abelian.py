@@ -13,7 +13,6 @@ view's Gram spectrum, so both read one decision.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import (
     SelfCheckFailed,
     ShapeMismatch,
 )
-from .groups import FiniteGroup, ProjectiveRep, PureState
+from .groups import FiniteGroup, ProjectiveRep, PureState, matrices_commute
 from .tolerances import DEFAULT, TOL_CHARGE, TOL_PROB, TOL_SECTOR, TOL_SELF, Tolerances
 
 
@@ -83,11 +82,10 @@ def charge_distribution(rep: ProjectiveRep, state: PureState) -> ChargeDistribut
     group = rep.group
     basis = abelian_basis(group)
     gens = [rep.matrices[g] for g, _ in basis]
-    for A, B in itertools.combinations(gens, 2):
-        if np.abs(A @ B - B @ A).max() > TOL_SECTOR:
-            raise NotSimultaneouslyDiagonalizable(
-                "generator matrices do not commute (projective obstruction)"
-            )
+    if not matrices_commute(gens):
+        raise NotSimultaneouslyDiagonalizable(
+            "generator matrices do not commute (projective obstruction)"
+        )
     d = rep.dim
     orbit = state.amplitudes[None, :]  # rows: the orbit over the labels so far
     for (g, t), U in zip(basis, gens):

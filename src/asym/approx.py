@@ -6,8 +6,8 @@ with s = max |chi_psi| off H, the distance after |G| N copies is at most
 |G| s^{|G| N} / 2. That uniform state generates any phi with H contained in
 sym(phi) exactly, so the approximate rate is unbounded iff sym(psi) is
 contained in sym(phi), and zero otherwise. Both subgroups, and the elements
-off H, are those of `classify_sets`; nothing here cuts |chi| a second time,
-since the bound holds at any s.
+off H, are those of `symmetry_subgroup`; nothing here cuts |chi| a second
+time, since the bound holds at any s, and nothing reads the zero set.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharFunction, check_same_group, classify_sets, copy_number
+from .charfn import CharFunction, check_same_group, copy_numbers, symmetry_subgroup
 from .errors import SelfCheckFailed
 from .tolerances import DEFAULT, TOL_CURVE, Tolerances
 
@@ -59,15 +59,15 @@ def convergence_to_uniform(
     For each N >= 1 emits the proven overlap bound |G| s^{|G| N} / 2 with
     s = max |chi| off the symmetry subgroup, and the measured proxy
     (1/2) sum over g off sym of |chi(g)|^{|G| N}; the proxy never exceeds
-    the bound. DomainError for a copy number below 1 or beyond the float range.
+    the bound. DomainError for a copy number below 1 or above MAX_COPIES.
     """
-    return _convergence(char_psi, classify_sets(char_psi, tol).sym, N_list)
+    return _convergence(char_psi, symmetry_subgroup(char_psi, tol), N_list)
 
 
 def _convergence(char_psi: CharFunction, sym: frozenset[int], N_list) -> ConvergenceReport:
-    """`convergence_to_uniform` with sym(psi) already taken from `classify_sets`."""
+    """`convergence_to_uniform` with sym(psi) already taken from `symmetry_subgroup`."""
     N_list = list(N_list)
-    copies = [copy_number(N) for N in N_list]
+    copies = copy_numbers(N_list).tolist()
     n = char_psi.group.order
     off = np.delete(char_psi.logmod, list(sym))
     s = _decay_base(off)
@@ -90,8 +90,8 @@ def approx_rate_class(
 ) -> ApproxReport:
     """Unbounded iff sym(psi) is contained in sym(phi); zero otherwise."""
     check_same_group(char_psi, char_phi)
-    sym_psi = classify_sets(char_psi, tol).sym
-    sym_phi = classify_sets(char_phi, tol).sym
+    sym_psi = symmetry_subgroup(char_psi, tol)
+    sym_phi = symmetry_subgroup(char_phi, tol)
     unbounded = sym_psi <= sym_phi
     return ApproxReport(
         classification="unbounded" if unbounded else "zero",

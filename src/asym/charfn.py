@@ -8,6 +8,7 @@ an underflowing float. logmod = -inf encodes an exact zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ class CharFunction:
     group: FiniteGroup
     logmod: np.ndarray  # (n,) float, <= 0, -inf means chi(g) = 0
     phase: np.ndarray  # (n,) float, radians
+    commutative: bool = False  # the rep's U(g) commute (ProjectiveRep.commutative)
 
     def values(self) -> np.ndarray:
         with np.errstate(under="ignore", invalid="ignore"):
@@ -42,7 +44,12 @@ def check_same_group(a: CharFunction, b: CharFunction) -> None:
 
 
 def char_from_values(group: FiniteGroup, values) -> CharFunction:
-    """Build a CharFunction from plain complex values (chi(e) forced to 1)."""
+    """Build a CharFunction from plain complex values (chi(e) forced to 1) of a
+    linear rep, whose matrices commute exactly when the group is abelian."""
+    return _char(group, values, group.is_abelian())
+
+
+def _char(group: FiniteGroup, values, commutative: bool) -> CharFunction:
     vals = np.asarray(values, dtype=complex)
     if vals.shape != (group.order,):
         raise DimensionMismatch(f"expected {group.order} values, got shape {vals.shape}")
@@ -53,7 +60,7 @@ def char_from_values(group: FiniteGroup, values) -> CharFunction:
     phase = np.where(mod > 0, np.angle(vals), 0.0)
     logmod[group.identity] = 0.0
     phase[group.identity] = 0.0
-    return CharFunction(group=group, logmod=logmod, phase=phase)
+    return CharFunction(group=group, logmod=logmod, phase=phase, commutative=commutative)
 
 
 def char_function(rep: ProjectiveRep, state: PureState) -> CharFunction:
@@ -62,7 +69,7 @@ def char_function(rep: ProjectiveRep, state: PureState) -> CharFunction:
         raise DimensionMismatch(f"state dim {state.dim} != rep dim {rep.dim}")
     psi = state.amplitudes
     vals = np.einsum("i,gij,j->g", psi.conj(), rep.matrices, psi)
-    return char_from_values(rep.group, vals)
+    return _char(rep.group, vals, rep.commutative)
 
 
 def resource_measure_L(char: CharFunction, g: int) -> float:
@@ -83,37 +90,53 @@ def unit_mask(logmod: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     return logmod >= math.log1p(-tol.tol_one)
 
 
-def classify_sets(char: CharFunction, tol: Tolerances = DEFAULT) -> ClassSets:
-    """Split G into the |chi| = 1 subgroup and the chi = 0 set.
+def symmetry_subgroup(char: CharFunction, tol: Tolerances = DEFAULT) -> frozenset[int]:
+    """The |chi| = 1 subgroup, cut at 1 - tol.tol_one.
 
-    Raises SymNotSubgroup when the tolerance-thresholded sym set fails the
-    subgroup check: the exact |chi| = 1 set is always a subgroup, so failure
-    signals a misconfigured tolerance.
+    Raises SymNotSubgroup when the thresholded set fails the subgroup check:
+    the exact |chi| = 1 set is always a subgroup, so failure signals a
+    misconfigured tolerance.
     """
     sym = frozenset(int(g) for g in np.where(unit_mask(char.logmod, tol))[0])
-    zero = frozenset(int(g) for g in np.where(zero_mask(char.logmod, tol))[0])
     if not is_subgroup(char.group, sym):
         raise SymNotSubgroup(f"{sorted(sym)} is not closed under the group law")
-    return ClassSets(sym=sym, zero=zero)
+    return sym
 
 
-def copy_number(N: int) -> float:
-    """N as a float; DomainError below 1 or beyond the float range (N * logmod is a float)."""
+def classify_sets(char: CharFunction, tol: Tolerances = DEFAULT) -> ClassSets:
+    """Split G into the |chi| = 1 subgroup and the chi = 0 set."""
+    zero = frozenset(int(g) for g in np.where(zero_mask(char.logmod, tol))[0])
+    return ClassSets(sym=symmetry_subgroup(char, tol), zero=zero)
+
+
+# Copy numbers multiply phases in (-pi, pi]: up to this bound N phase, and a
+# difference N a - M b of two such products, stay finite floats.
+MAX_COPIES = sys.float_info.max / (2 * math.pi)
+
+
+def copy_numbers(N, low: int = 1) -> np.ndarray:
+    """Copy numbers (an int or an array of them) as floats; DomainError for
+    one below low or above MAX_COPIES (about 2.9e307)."""
     try:
-        x = float(N)
+        x = np.asarray(N, dtype=float)
     except OverflowError:
-        raise DomainError("copy number too large for a float") from None
-    if not x >= 1:
-        raise DomainError(f"copy number must be >= 1, got {N}")
+        raise DomainError(f"copy number above {MAX_COPIES:.3g}") from None
+    if x.ndim == 0:  # one copy number, the common case: Python beats two ufuncs
+        inside = low <= float(x) <= MAX_COPIES
+    else:
+        inside = ((x >= low) & (x <= MAX_COPIES)).all()
+    if not inside:
+        got = next(v for v in x.flat if not low <= v <= MAX_COPIES)
+        raise DomainError(f"copy number must lie in [{low}, {MAX_COPIES:.3g}], got {got:g}")
     return x
 
 
 def char_power(char: CharFunction, N: int) -> CharFunction:
     """Characteristic function of the N-fold tensor power state."""
-    copy_number(N)
+    n = float(copy_numbers(N))
     with np.errstate(invalid="ignore"):
-        logmod = char.logmod * N
+        logmod = char.logmod * n
     logmod[np.isneginf(char.logmod)] = -np.inf
-    phase = np.angle(np.exp(1j * (char.phase * N)))  # wrapped to (-pi, pi]
-    return CharFunction(group=char.group, logmod=logmod, phase=phase)
-
+    phase = np.angle(np.exp(1j * (char.phase * n)))  # wrapped to (-pi, pi]
+    return CharFunction(group=char.group, logmod=logmod, phase=phase,
+                        commutative=char.commutative)

@@ -235,7 +235,7 @@ SUBCOMMANDS = {
     "charges": (cmd_charges, ("group", "rep", "state"), (), {}),
     "convert-abelian": (cmd_convert_abelian, ("p", "q"), _GRAM, _COPIES),
     "approx": (
-        cmd_approx, _PAIR, _SETS,
+        cmd_approx, _PAIR, ("tol_one",),  # symmetry_subgroup
         {"--curve": dict(type=lambda s: [int(x) for x in s.split(",")], default=None)},
     ),
     "qfim": (cmd_qfim, ("state", "generators"), (), {}),

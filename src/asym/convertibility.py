@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charfn import CharFunction, check_same_group, zero_mask
+from .charfn import CharFunction, check_same_group, copy_numbers, zero_mask
 from .errors import DomainError, NotHermitian
 from .groups import FiniteGroup, _block_rows
 from .tolerances import DEFAULT, TOL_FLOOR, TOL_HERM, Tolerances
@@ -77,18 +77,10 @@ def interpolate(
     index where chi_phi^M vanishes but chi_psi^N does not, or -1. Zero sets
     are classified once, on the single-copy functions (chi^N vanishes exactly
     where chi does); M = 0 is the trivial target, identically 1. DomainError
-    for N < 1, M < 0 or a copy number beyond the float range. Shared by
+    for N < 1, M < 0 or a copy number above MAX_COPIES. Shared by
     the Gram view (chi on G) and the Fourier view (dual coefficients).
     """
-    copies = N, M
-    try:
-        N, M = (np.reshape(np.asarray(x, dtype=float), (-1, 1)) for x in copies)
-    except OverflowError:
-        raise DomainError("copy number too large for a float") from None
-    low = np.flatnonzero(~((N >= 1) & (M >= 0)))
-    if low.size:
-        got = tuple(np.ravel(x)[low[0]] for x in copies)
-        raise DomainError(f"copy numbers must be N >= 1 and M >= 0, got ({got[0]}, {got[1]})")
+    N, M = (np.reshape(copy_numbers(x, low), (-1, 1)) for x, low in ((N, 1), (M, 0)))
     psi_zero = zero_mask(psi_logmod, tol)
     phi_zero = zero_mask(phi_logmod, tol)
     bad = np.flatnonzero(phi_zero & ~psi_zero)

@@ -29,8 +29,9 @@ def _excluded_set(char_phi: CharFunction, tol: Tolerances):
     """The classification of phi and the elements excluded from the rate minimum.
 
     Both forms of the formula exclude sym(phi) u zeros: the commutative one
-    removes all of sym(phi), the general finite-group one {e} and the chi_phi
-    zero set, where it requires sym(phi) = {e}.
+    (both reps' matrices commute) removes all of sym(phi), the general
+    finite-group one {e} and the chi_phi zero set, where it requires
+    sym(phi) = {e}.
     """
     sets_phi = classify_sets(char_phi, tol)
     return sets_phi, sets_phi.sym | sets_phi.zero
@@ -46,13 +47,17 @@ def exact_rate(
     The rate is zero when phi has a vanishing chi where psi does not
     (modulus monotonicity makes even a single copy of phi unreachable).
     An empty or all-infinite minimum means the rate is unbounded.
-    `assumption_ok` says the formula is proved here: the group is abelian
-    or sym(phi) = {e}. Elsewhere it is evaluated all the same.
+    `assumption_ok` says the formula is proved here: sym(phi) = {e}, or the
+    matrices of each rep commute (an abelian group, and a cocycle with
+    omega(g, h) = omega(h, g)), so both states split into charge sectors.
+    A projective rep of an abelian group may not commute: it is then a rep
+    of a nonabelian central extension. Elsewhere the formula is evaluated
+    all the same.
     """
     check_same_group(char_psi, char_phi)
     sets_phi, excluded = _excluded_set(char_phi, tol)
-    group = char_phi.group
-    assumption_ok = sets_phi.sym == frozenset({group.identity}) or group.is_abelian()
+    trivial = sets_phi.sym == frozenset({char_phi.group.identity})
+    assumption_ok = trivial or (char_psi.commutative and char_phi.commutative)
     sets_psi = classify_sets(char_psi, tol)
 
     if not sets_phi.zero <= sets_psi.zero:

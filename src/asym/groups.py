@@ -42,7 +42,7 @@ from .errors import (
     SelfCheckFailed,
     UnknownGroupName,
 )
-from .tolerances import TOL_NORM, TOL_PHASE, TOL_UNITARY
+from .tolerances import TOL_NORM, TOL_PHASE, TOL_SECTOR, TOL_UNITARY
 
 MAX_ORDER = 256
 
@@ -137,6 +137,23 @@ class ProjectiveRep:
         """(n, n) phases omega(g, h) in radians of U(g)U(h)U(gh)^+, computed on
         first read by the blocked scan of the group law and kept."""
         return _law_scan(self.group, self.matrices)
+
+    @functools.cached_property
+    def commutative(self) -> bool:
+        """Whether the U(g) commute: the group is abelian and omega(g, h) =
+        omega(h, g). Tested on a generating set, since every U(g) is a phase
+        times a word in the generators' matrices; computed on first read and kept."""
+        group = self.group
+        if not group.is_abelian():
+            return False
+        return matrices_commute(self.matrices[_right_generators(group.mult, group.identity)])
+
+
+def matrices_commute(mats) -> bool:
+    """Whether every two of the matrices commute, to TOL_SECTOR in max-abs."""
+    return all(
+        np.abs(A @ B - B @ A).max() <= TOL_SECTOR for A, B in itertools.combinations(mats, 2)
+    )
 
 
 def build_group(mult_table, name: str | None = None) -> FiniteGroup:

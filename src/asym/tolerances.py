@@ -33,7 +33,7 @@ TOL_HERM = 1e-8  # max |A - A^+| of generators, density and (per max |f|) Gram m
 TOL_DENSITY = 1e-8  # |tr rho - 1| and the most negative eigenvalue of a density matrix
 TOL_PROB = 1e-9  # the most negative probability of a charge distribution
 TOL_CHARGE = 1e-15  # p_k above it puts charge k in the support (shift_canonicalize)
-TOL_SECTOR = 1e-8  # charge sectors: commutators, U^t = z I, |z| = 1 and weights summing to 1
+TOL_SECTOR = 1e-8  # commuting rep matrices; charge sectors: U^t = z I, |z| = 1, weights sum to 1
 TOL_SUPP = 1e-12  # p_k + p_l at or below it drops a term of the SLD QFIM
 TOL_PENCIL = 1e-10  # PSD cut of F_psi - r F_phi, relative to the larger scale
 TOL_PURE = 1e-10  # a density matrix with an eigenvalue above 1 - TOL_PURE is pure

@@ -19,6 +19,7 @@ from asym import (
     fourier_weights,
     named_group,
     shift_canonicalize,
+    validate_projective_rep,
 )
 from asym.abelian import ChargeDistribution, basis_elements
 from asym.cli import main
@@ -342,6 +343,15 @@ def test_charge_distribution_rejects_non_phase_power():
         charge_distribution(rep, PureState(2, np.array([1.0, 0.0])))
 
 
+def test_charge_distribution_rejects_non_commuting_matrices():
+    # the Pauli rep X^a Z^b of Z_2 x Z_2: X Z = -Z X, so no charge sectors
+    X, Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    rep = validate_projective_rep(named_group("Z_2xZ_2"), [np.eye(2), Z, X, X @ Z])
+    assert not rep.commutative
+    with pytest.raises(NotSimultaneouslyDiagonalizable, match="do not commute"):
+        charge_distribution(rep, PureState(2, np.array([1.0, 0.0])))
+
+
 ABELIAN_NAMES = ["Z_1", "Z_2", "Z_3", "Z_4", "Z_2xZ_2", "Z_2xZ_3", "Z_12", "Z_6xZ_4",
                  "Z_2xZ_2xZ_2xZ_2", "Z_3xZ_3xZ_3", "Z_4xZ_2xZ_6", "Z_64", "Z_8xZ_8"]
 
@@ -399,7 +409,10 @@ def test_fourier_weights_rejects_zero_copies(capsys, tmp_path):
     assert (code, out, err["error"]) == (1, "", "DomainError")
 
 
-@pytest.mark.parametrize("N, M", [(10**400, 1), (1, 10**400)], ids=["N", "M"])
+@pytest.mark.parametrize(
+    "N, M", [(10**400, 1), (1, 10**400), (10**308, 1), (1, 10**308)],
+    ids=["N", "M", "N-beyond-phase", "M-beyond-phase"],
+)
 def test_fourier_weights_rejects_a_copy_number_beyond_a_float(N, M):
     p = dist((2,), [0.8, 0.2])
     with pytest.raises(DomainError):

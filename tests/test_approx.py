@@ -120,12 +120,14 @@ def test_convergence_rejects_copy_number_below_one(z4, N_list):
 
 
 def test_convergence_copy_numbers_at_the_float_range(z4):
-    # 10^400 used to raise an untyped OverflowError, and so did |G| N past the range
+    # 10^400 used to raise an untyped OverflowError, and so did |G| N past the range;
+    # every copy number stops at MAX_COPIES (about 2.9e307)
     chi = char_from_values(z4, [1.0, 0.5, 0.25, 0.5])
-    with pytest.raises(DomainError):
-        convergence_to_uniform(chi, [1, 10**400])
-    (point,) = convergence_to_uniform(chi, [10**308]).points
-    assert (point.N, point.bound, point.distance) == (10**308, 0.0, 0.0)
+    for N in (10**400, 10**308):
+        with pytest.raises(DomainError):
+            convergence_to_uniform(chi, [1, N])
+    (point,) = convergence_to_uniform(chi, [10**307]).points
+    assert (point.N, point.bound, point.distance) == (10**307, 0.0, 0.0)
 
 
 def test_convergence_at_the_tolerance_edge():

@@ -12,6 +12,7 @@ from asym import (
     resource_measure_L,
     validate_projective_rep,
 )
+from asym.charfn import MAX_COPIES
 from asym.corpus import corpus_rep, random_state, z2_population_state
 from asym.errors import DimensionMismatch, DomainError
 from asym.groups import PureState
@@ -85,12 +86,16 @@ def test_char_power_identity_and_zero():
     assert char_power(char, 7).values()[1] == 0.0
 
 
-def test_char_power_rejects_a_copy_number_beyond_a_float(z2_rep):
-    # 10^400 used to raise an untyped OverflowError from logmod * N
-    char = char_function(z2_rep, z2_population_state(0.8))
+@pytest.mark.parametrize("N", [10**400, 10**308], ids=["beyond-float", "beyond-phase"])
+def test_char_power_rejects_a_copy_number_beyond_a_float(N):
+    # 10^400 used to raise an untyped OverflowError from logmod * N, and
+    # 10^308 to give phase pi N = inf and a NaN phase
+    char = char_from_values(named_group("Z_2"), [1.0, -0.6])
     with pytest.raises(DomainError):
-        char_power(char, 10**400)
-    assert char_power(char, 10**300).values()[1] == 0.0
+        char_power(char, N)
+    for fits in (10**300, int(MAX_COPIES)):
+        power = char_power(char, fits)
+        assert power.values()[1] == 0.0 and np.isfinite(power.phase).all()
 
 
 @pytest.mark.parametrize("name", ["Z_2", "Z_3", "Z_4"])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asym import approx, cli, convertibility, io, named_group
+from asym import approx, cli, convertibility, io, named_group, validate_projective_rep
 from asym.abelian import ChargeDistribution
 from asym.cli import main
 from asym.errors import ValidationError
@@ -343,6 +343,24 @@ def test_cli_rate_exact_assumption_ok_reads_the_group(capsys, corpus_dir, tmp_pa
     assert (result["rate"], result["assumption_ok"]) == ("finite", ok)
 
 
+def test_cli_rate_exact_assumption_ok_reads_the_rep(capsys, tmp_path):
+    # the Pauli rep X^a Z^b of Z_2 x Z_2 is projective and its matrices do not
+    # commute: with sym(phi) = {e, X} at phi = |+>, the formula is not proved
+    group = named_group("Z_2xZ_2")
+    X, Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    io.save_group(tmp_path / "g.json", group)
+    io.save_rep(tmp_path / "rep.json", validate_projective_rep(group, [np.eye(2), Z, X, X @ Z]))
+    io.save_state(tmp_path / "phi.json", PureState(2, np.array([1.0, 1.0]) / np.sqrt(2)))
+    io.save_state(tmp_path / "psi.json", random_state(2, np.random.default_rng(0)))
+    result = run_json(
+        capsys,
+        ["rate-exact", "--group", tmp_path / "g.json", "--rep", tmp_path / "rep.json",
+         "--psi", tmp_path / "psi.json", "--phi", tmp_path / "phi.json"],
+    )["result"]
+    assert result["excluded_set"] == [0, 1, 2, 3]
+    assert (result["rate"], result["assumption_ok"]) == ("zero", False)
+
+
 def test_cli_convert(capsys, corpus_dir, tmp_path):
     on_z2 = ["convert", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json"]
     base = on_z2 + ["--psi", corpus_dir / "z2_psi068.json", "--phi", corpus_dir / "z2_psi08.json"]
@@ -435,9 +453,10 @@ def test_cli_approx_with_curve(capsys, corpus_dir):
 
 
 def test_cli_approx_classifies_each_state_once(capsys, corpus_dir, monkeypatch):
-    # the curve reuses the report's sym(psi): psi and phi go to classify_sets once each
-    seen, classify = [], approx.classify_sets
-    monkeypatch.setattr(approx, "classify_sets", lambda c, tol: seen.append(c) or classify(c, tol))
+    # the curve reuses the report's sym(psi): psi and phi go to symmetry_subgroup once each
+    seen, classify = [], approx.symmetry_subgroup
+    monkeypatch.setattr(approx, "symmetry_subgroup",
+                        lambda c, tol: seen.append(c) or classify(c, tol))
     report = run_json(
         capsys,
         ["approx", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
@@ -631,7 +650,8 @@ def test_cli_reports_the_tolerances_it_ran_with(capsys, corpus_dir, tmp_path, su
 
 
 READS = {
-    **dict.fromkeys(["chi", "rate-exact", "approx"], ["tol_one", "tol_zero"]),
+    **dict.fromkeys(["chi", "rate-exact"], ["tol_one", "tol_zero"]),
+    "approx": ["tol_one"],
     **dict.fromkeys(["convert", "min-copies", "convert-abelian"], ["tol_psd", "tol_zero"]),
     **dict.fromkeys(["charges", "qfim", "rf"], []),
 }
@@ -684,25 +704,26 @@ def test_cli_rejects_non_finite_rate_and_error(capsys, corpus_dir, tmp_path, sub
     assert_domain_error(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path) + extra)
 
 
-HUGE = str(10**400)  # a copy number beyond the float range
-
-
 @pytest.mark.parametrize(
     "sub, extra",
     [
-        ("chi", ["--power", HUGE]),
-        ("convert", ["--copies", HUGE, "1"]),
-        ("convert", ["--copies", "1", HUGE]),
-        ("convert-abelian", ["--copies", HUGE, "1"]),
-        ("convert-abelian", ["--copies", "1", HUGE]),
-        ("approx", ["--curve", "1," + HUGE]),
+        ("chi", ["--power", "{}"]),
+        ("convert", ["--copies", "{}", "1"]),
+        ("convert", ["--copies", "1", "{}"]),
+        ("convert-abelian", ["--copies", "{}", "1"]),
+        ("convert-abelian", ["--copies", "1", "{}"]),
+        ("approx", ["--curve", "1,{}"]),
     ],
     ids=["chi-power", "convert-N", "convert-M", "convert-abelian-N", "convert-abelian-M",
          "approx-curve"],
 )
 def test_cli_rejects_copy_numbers_beyond_a_float(capsys, corpus_dir, tmp_path, sub, extra):
-    # each used to exit 1 with an OverflowError traceback and no JSON error
-    assert_domain_error(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path) + extra)
+    # each used to exit 1 with an OverflowError traceback and no JSON error;
+    # 10^308 fits a float, but chi --power printed a NaN phase and convert
+    # blamed a non-Hermitian Gram matrix
+    for huge in (10**400, 10**308):
+        argv = [sub] + valid_argv(sub, corpus_dir, tmp_path) + [x.format(huge) for x in extra]
+        assert_domain_error(capsys, argv)
 
 
 def readme_examples() -> list[list[str]]:

@@ -211,7 +211,10 @@ def test_minimal_copies_rejects_bad_nmax(z2):
         minimal_copies_search(psi, psi, 1.0, 10**5)
 
 
-@pytest.mark.parametrize("N, M", [(10**400, 1), (1, 10**400)], ids=["N", "M"])
+@pytest.mark.parametrize(
+    "N, M", [(10**400, 1), (1, 10**400), (10**308, 1), (1, 10**308)],
+    ids=["N", "M", "N-beyond-phase", "M-beyond-phase"],
+)
 def test_feasible_exact_rejects_a_copy_number_beyond_a_float(z2, N, M):
     # used to raise an untyped OverflowError converting the copy numbers
     psi = chi(z2, [0.6])

@@ -6,9 +6,11 @@ import pytest
 from asym import (
     char_from_values,
     char_function,
+    char_power,
     copies_bound,
     exact_rate,
     named_group,
+    validate_projective_rep,
 )
 from asym.charfn import classify_sets
 from asym.corpus import corpus_rep, random_state, z2_population_state
@@ -82,6 +84,31 @@ def test_rate_assumption_ok_off_an_abelian_group():
     assert not report.assumption_ok
     assert report.excluded == sym
     assert exact_rate(psi, psi).assumption_ok  # sym(psi) = {e}
+
+
+def pauli_rep():
+    """Z_2 x Z_2 -> X^a Z^b: projective, since X Z = -Z X."""
+    X, Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    return validate_projective_rep(named_group("Z_2xZ_2"), [np.eye(2), Z, X, X @ Z])
+
+
+def test_rate_assumption_ok_needs_commuting_matrices():
+    # phi = |+> has sym(phi) = {e, X}. The table is abelian, but the Pauli
+    # matrices do not commute: the rep is one of a nonabelian central
+    # extension, so the commutative proof does not apply
+    rep = pauli_rep()
+    plus = PureState(2, np.array([1.0, 1.0]) / np.sqrt(2))
+    phi = char_function(rep, plus)
+    psi = char_function(rep, random_state(2, np.random.default_rng(0)))
+    assert classify_sets(phi).sym == {0, 2}
+    assert not rep.commutative and not phi.commutative
+    assert not exact_rate(psi, phi).assumption_ok
+    assert not char_power(phi, 3).commutative
+    # the same chi from values is read as a linear rep's, which commutes
+    linear = char_from_values(phi.group, phi.values())
+    assert linear.commutative and exact_rate(psi, linear).assumption_ok is False
+    assert exact_rate(char_from_values(psi.group, psi.values()), linear).assumption_ok
+    assert corpus_rep("Z_2xZ_2").commutative
 
 
 def test_rate_min_over_elements():
