@@ -3,7 +3,6 @@ conversion rates, single-shot feasibility oracles, and quantum Fisher
 information rate bounds.
 """
 
-from .tolerances import Tolerances
 from .groups import (
     FiniteGroup,
     ProjectiveRep,
@@ -57,7 +56,6 @@ from .lie import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tolerances",
     "FiniteGroup",
     "ProjectiveRep",
     "PureState",

@@ -24,8 +24,8 @@ from .errors import (
     SelfCheckFailed,
     ShapeMismatch,
 )
-from .groups import FiniteGroup, ProjectiveRep, PureState, matrices_commute
-from .tolerances import DEFAULT, TOL_CHARGE, TOL_PROB, TOL_SECTOR, TOL_SELF, Tolerances
+from .groups import FiniteGroup, ProjectiveRep, PureState
+from .tolerances import TOL_CHARGE, TOL_PROB, TOL_SECTOR, TOL_SELF
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,11 +81,11 @@ def charge_distribution(rep: ProjectiveRep, state: PureState) -> ChargeDistribut
     """
     group = rep.group
     basis = abelian_basis(group)
-    gens = [rep.matrices[g] for g, _ in basis]
-    if not matrices_commute(gens):
+    if not rep.commutative:
         raise NotSimultaneouslyDiagonalizable(
             "generator matrices do not commute (projective obstruction)"
         )
+    gens = [rep.matrices[g] for g, _ in basis]
     d = rep.dim
     orbit = state.amplitudes[None, :]  # rows: the orbit over the labels so far
     for (g, t), U in zip(basis, gens):
@@ -120,19 +120,16 @@ def dual_fourier(dist: ChargeDistribution) -> DualCoefficients:
 
 
 def fourier_weights(
-    p: ChargeDistribution,
-    q: ChargeDistribution,
-    N: int,
-    M: int,
-    tol: Tolerances = DEFAULT,
+    p: ChargeDistribution, q: ChargeDistribution, N: int, M: int
 ) -> tuple[np.ndarray, bool]:
     """Candidate convolution weights w with p^N-sector = q^M-sector * w.
 
-    lambda(w) = lambda(p)^N / lambda(q)^M off the q zero set and 0 on it, from
-    `convertibility.interpolate`, the core of the Gram view, and the verdict is
-    the Gram view's rule with min eig = |G| * min w: feasible iff the zero-set
-    rule holds and |G| * min w >= -tol.tol_psd * |G|. lambda(w) is Hermitian,
-    as the dual coefficients of a distribution are. lambda(0) is pinned to 1,
+    lambda(w) = lambda(p)^N / lambda(q)^M off the q zero set (|lambda(q)| <=
+    TOL_ZERO) and 0 on it, from `convertibility.interpolate`, the core of the
+    Gram view, and the verdict is the Gram view's rule with min eig = |G| *
+    min w: feasible iff the zero-set rule holds and |G| * min w >= -TOL_PSD *
+    |G|, that is min w >= -TOL_PSD. lambda(w) is Hermitian, as the dual
+    coefficients of a distribution are. lambda(0) is pinned to 1,
     as chi(e) is, so w sums to one.
     """
     if p.shape != q.shape:
@@ -142,10 +139,10 @@ def fourier_weights(
     with np.errstate(divide="ignore"):
         logmod = np.log(np.abs(lam))
     phase = np.angle(lam)
-    (lam_w,), (violation,) = interpolate(logmod[0], phase[0], logmod[1], phase[1], N, M, tol)
+    (lam_w,), (violation,) = interpolate(logmod[0], phase[0], logmod[1], phase[1], N, M)
     w = (np.fft.fftn(lam_w.reshape(p.shape)) / lam_w.size).real.ravel()
     n = lam_w.size
-    return w, _first_failure(np.array([n * w.min()]), violation, n, tol, (0.0,)) < 0
+    return w, _first_failure(np.array([n * w.min()]), violation, n, (0.0,)) < 0
 
 
 def shift_canonicalize(dist: ChargeDistribution) -> ChargeDistribution:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .charfn import CharFunction, check_same_group, copy_numbers, symmetry_subgroup
 from .errors import SelfCheckFailed
-from .tolerances import DEFAULT, TOL_CURVE, Tolerances
+from .tolerances import TOL_CURVE
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,7 @@ def _decay_base(off: np.ndarray) -> float:
     return float(np.exp(np.max(off, initial=-np.inf)))
 
 
-def convergence_to_uniform(
-    char_psi: CharFunction,
-    N_list,
-    tol: Tolerances = DEFAULT,
-) -> ConvergenceReport:
+def convergence_to_uniform(char_psi: CharFunction, N_list) -> ConvergenceReport:
     """Exponential convergence of psi^{|G| N} to the uniform state of sym(psi).
 
     For each N >= 1 emits the proven overlap bound |G| s^{|G| N} / 2 with
@@ -61,7 +57,7 @@ def convergence_to_uniform(
     (1/2) sum over g off sym of |chi(g)|^{|G| N}; the proxy never exceeds
     the bound. DomainError for a copy number below 1 or above MAX_COPIES.
     """
-    return _convergence(char_psi, symmetry_subgroup(char_psi, tol), N_list)
+    return _convergence(char_psi, symmetry_subgroup(char_psi), N_list)
 
 
 def _convergence(char_psi: CharFunction, sym: frozenset[int], N_list) -> ConvergenceReport:
@@ -83,15 +79,11 @@ def _convergence(char_psi: CharFunction, sym: frozenset[int], N_list) -> Converg
     return ConvergenceReport(s=s, sym=sym, points=points)
 
 
-def approx_rate_class(
-    char_psi: CharFunction,
-    char_phi: CharFunction,
-    tol: Tolerances = DEFAULT,
-) -> ApproxReport:
+def approx_rate_class(char_psi: CharFunction, char_phi: CharFunction) -> ApproxReport:
     """Unbounded iff sym(psi) is contained in sym(phi); zero otherwise."""
     check_same_group(char_psi, char_phi)
-    sym_psi = symmetry_subgroup(char_psi, tol)
-    sym_phi = symmetry_subgroup(char_phi, tol)
+    sym_psi = symmetry_subgroup(char_psi)
+    sym_phi = symmetry_subgroup(char_phi)
     unbounded = sym_psi <= sym_phi
     return ApproxReport(
         classification="unbounded" if unbounded else "zero",

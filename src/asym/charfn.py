@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, GroupMismatch, SymNotSubgroup
 from .groups import FiniteGroup, ProjectiveRep, PureState, is_subgroup
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import TOL_ONE, TOL_ZERO
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,33 +80,33 @@ def resource_measure_L(char: CharFunction, g: int) -> float:
     return math.inf if np.isneginf(lm) else float(-lm) + 0.0
 
 
-def zero_mask(logmod: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Where |chi| <= tol.tol_zero, from logmod = log|chi| (-inf for exact zeros)."""
-    return logmod <= math.log(tol.tol_zero)
+def zero_mask(logmod: np.ndarray) -> np.ndarray:
+    """Where |chi| <= TOL_ZERO, from logmod = log|chi| (-inf for exact zeros)."""
+    return logmod <= math.log(TOL_ZERO)
 
 
-def unit_mask(logmod: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Where |chi| >= 1 - tol.tol_one, from logmod = log|chi|: the symmetry cut."""
-    return logmod >= math.log1p(-tol.tol_one)
+def unit_mask(logmod: np.ndarray) -> np.ndarray:
+    """Where |chi| >= 1 - TOL_ONE, from logmod = log|chi|: the symmetry cut."""
+    return logmod >= math.log1p(-TOL_ONE)
 
 
-def symmetry_subgroup(char: CharFunction, tol: Tolerances = DEFAULT) -> frozenset[int]:
-    """The |chi| = 1 subgroup, cut at 1 - tol.tol_one.
+def symmetry_subgroup(char: CharFunction) -> frozenset[int]:
+    """The |chi| = 1 subgroup, cut at 1 - TOL_ONE.
 
     Raises SymNotSubgroup when the thresholded set fails the subgroup check:
-    the exact |chi| = 1 set is always a subgroup, so failure signals a
-    misconfigured tolerance.
+    the exact |chi| = 1 set is always a subgroup, so failure signals a state
+    whose |chi| sits within TOL_ONE of 1 off that subgroup.
     """
-    sym = frozenset(int(g) for g in np.where(unit_mask(char.logmod, tol))[0])
+    sym = frozenset(int(g) for g in np.where(unit_mask(char.logmod))[0])
     if not is_subgroup(char.group, sym):
         raise SymNotSubgroup(f"{sorted(sym)} is not closed under the group law")
     return sym
 
 
-def classify_sets(char: CharFunction, tol: Tolerances = DEFAULT) -> ClassSets:
+def classify_sets(char: CharFunction) -> ClassSets:
     """Split G into the |chi| = 1 subgroup and the chi = 0 set."""
-    zero = frozenset(int(g) for g in np.where(zero_mask(char.logmod, tol))[0])
-    return ClassSets(sym=symmetry_subgroup(char, tol), zero=zero)
+    zero = frozenset(int(g) for g in np.where(zero_mask(char.logmod))[0])
+    return ClassSets(sym=symmetry_subgroup(char), zero=zero)
 
 
 # Copy numbers multiply phases in (-pi, pi]: up to this bound N phase, and a

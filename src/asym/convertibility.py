@@ -8,8 +8,9 @@ positive definiteness is decided by the minimum eigenvalue of the Gram
 matrix M[g, h] = f(g^-1 h). Where chi_phi vanishes and chi_psi does not, no
 f exists: that is an infeasible verdict with the element as its witness,
 not an error. `_first_failure` states the rule once (no such element, and a
-minimum Gram eigenvalue >= -tol_psd * |G|) for `is_positive_definite`, the
-copy-number scan and the Fourier view.
+minimum Gram eigenvalue >= -TOL_PSD * |G|) for `is_positive_definite`, the
+copy-number scan and the Fourier view. The zero sets are cut at TOL_ZERO
+(`charfn.zero_mask`).
 
 M is a convolution operator, M = sum_k f(k) R(k) over the right translations
 R(k), so its spectrum is the union of the spectra of the Fourier blocks
@@ -41,7 +42,7 @@ import numpy as np
 from .charfn import CharFunction, check_same_group, copy_numbers, zero_mask
 from .errors import DomainError, NotHermitian
 from .groups import FiniteGroup, _block_rows
-from .tolerances import DEFAULT, TOL_FLOOR, TOL_HERM, Tolerances
+from .tolerances import TOL_FLOOR, TOL_HERM, TOL_PSD
 
 MAX_SEARCH_COPIES = 10**4  # largest n_max of `minimal_copies_search`
 
@@ -68,7 +69,6 @@ def interpolate(
     phi_phase: np.ndarray,
     N: int | np.ndarray,
     M: int | np.ndarray,
-    tol: Tolerances = DEFAULT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """f = chi_psi^N / chi_phi^M from log-polar chi, 0 on the chi_phi zero set.
 
@@ -81,8 +81,8 @@ def interpolate(
     the Gram view (chi on G) and the Fourier view (dual coefficients).
     """
     N, M = (np.reshape(copy_numbers(x, low), (-1, 1)) for x, low in ((N, 1), (M, 0)))
-    psi_zero = zero_mask(psi_logmod, tol)
-    phi_zero = zero_mask(phi_logmod, tol)
+    psi_zero = zero_mask(psi_logmod)
+    phi_zero = zero_mask(phi_logmod)
     bad = np.flatnonzero(phi_zero & ~psi_zero)
     violation = np.where(M[:, 0] > 0, bad[0] if bad.size else -1, -1)
     target = M * np.where(phi_zero, 0.0, phi_logmod)  # log|chi_phi^M|, no 0 * -inf
@@ -135,16 +135,16 @@ def _block_min_eig(B: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((B + B.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
 
 
-def _first_failure(min_eig: np.ndarray, violation, order: int, tol: Tolerances, herm_dev) -> int:
+def _first_failure(min_eig: np.ndarray, violation, order: int, herm_dev) -> int:
     """The feasibility rule over rows in scan order: the first row it rejects, or -1.
 
     A row is feasible iff it has no zero-set violation (violation < 0, one
     value or one per row) and its minimum Gram eigenvalue is
-    >= -tol.tol_psd * order. The first rejected row raises NotHermitian
+    >= -TOL_PSD * order. The first rejected row raises NotHermitian
     instead when its Gram matrix is not Hermitian (min_eig NaN, deviation
     herm_dev), whatever its zero set.
     """
-    fails = np.flatnonzero((violation >= 0) | ~(min_eig >= -tol.tol_psd * order))
+    fails = np.flatnonzero((violation >= 0) | ~(min_eig >= -TOL_PSD * order))
     if not fails.size:
         return -1
     i = fails[0]
@@ -153,18 +153,18 @@ def _first_failure(min_eig: np.ndarray, violation, order: int, tol: Tolerances, 
     return int(i)
 
 
-def is_positive_definite(f: GroupFunction, tol: Tolerances = DEFAULT) -> FeasibilityResult:
+def is_positive_definite(f: GroupFunction) -> FeasibilityResult:
     """Gram-matrix positive semidefiniteness test for a function on G.
 
     Reports feasible iff the minimum eigenvalue of M[g, h] = f(g^-1 h) is
-    >= -tol.tol_psd * |G|, computed block by block from the Fourier transform of
+    >= -TOL_PSD * |G|, computed block by block from the Fourier transform of
     f. M is Hermitian iff f(g^-1) = conj f(g); a function that is not (or is
     not finite) cannot be positive definite and is reported as an error.
     """
     min_eig, herm_dev = gram_min_eigenvalues(f.group, f.values[None])
-    over = np.flatnonzero(np.abs(f.values) > 1.0 + tol.tol_psd)
+    over = np.flatnonzero(np.abs(f.values) > 1.0 + TOL_PSD)
     return FeasibilityResult(
-        feasible=_first_failure(min_eig, -1, f.group.order, tol, herm_dev) < 0,
+        feasible=_first_failure(min_eig, -1, f.group.order, herm_dev) < 0,
         min_gram_eigenvalue=float(min_eig[0]),
         f=f,
         modulus_witness=int(over[0]) if over.size else None,
@@ -172,11 +172,7 @@ def is_positive_definite(f: GroupFunction, tol: Tolerances = DEFAULT) -> Feasibi
 
 
 def feasible_exact(
-    char_psi: CharFunction,
-    char_phi: CharFunction,
-    N: int,
-    M: int,
-    tol: Tolerances = DEFAULT,
+    char_psi: CharFunction, char_phi: CharFunction, N: int, M: int
 ) -> FeasibilityResult:
     """Feasibility of psi^N -> phi^M under G-covariant operations.
 
@@ -188,9 +184,9 @@ def feasible_exact(
     """
     check_same_group(char_psi, char_phi)
     (vals,), (bad,) = interpolate(
-        char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M, tol
+        char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M
     )
-    res = is_positive_definite(GroupFunction(group=char_psi.group, values=vals), tol)
+    res = is_positive_definite(GroupFunction(group=char_psi.group, values=vals))
     return res if bad < 0 else replace(res, feasible=False, zero_set_witness=int(bad))
 
 
@@ -199,7 +195,6 @@ def minimal_copies_search(
     char_phi: CharFunction,
     r: float,
     n_max: int,
-    tol: Tolerances = DEFAULT,
 ) -> int | None:
     """Smallest N <= n_max from which psi^N -> phi^{floor(rN)} stays feasible.
 
@@ -223,10 +218,10 @@ def minimal_copies_search(
         N = np.arange(top, max(top - rows, 0), -1)
         M = np.floor(r * N + TOL_FLOOR)
         vals, violation = interpolate(
-            char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M, tol
+            char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M
         )
         min_eig, herm_dev = gram_min_eigenvalues(group, vals)
-        i = _first_failure(min_eig, violation, group.order, tol, herm_dev)
+        i = _first_failure(min_eig, violation, group.order, herm_dev)
         if i >= 0:
             return int(N[i - 1]) if i else first
         first = int(N[-1])

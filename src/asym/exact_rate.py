@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharFunction, check_same_group, classify_sets
+from .charfn import CharFunction, check_same_group, classify_sets, zero_mask
 from .errors import RateNotBelowOptimal
-from .tolerances import DEFAULT, Tolerances
 
 ZERO = "zero"
 FINITE = "finite"
@@ -25,7 +24,7 @@ class RateReport:
     excluded: frozenset[int]
 
 
-def _excluded_set(char_phi: CharFunction, tol: Tolerances):
+def _excluded_set(char_phi: CharFunction):
     """The classification of phi and the elements excluded from the rate minimum.
 
     Both forms of the formula exclude sym(phi) u zeros: the commutative one
@@ -33,15 +32,11 @@ def _excluded_set(char_phi: CharFunction, tol: Tolerances):
     finite-group one {e} and the chi_phi zero set, where it requires
     sym(phi) = {e}.
     """
-    sets_phi = classify_sets(char_phi, tol)
+    sets_phi = classify_sets(char_phi)
     return sets_phi, sets_phi.sym | sets_phi.zero
 
 
-def exact_rate(
-    char_psi: CharFunction,
-    char_phi: CharFunction,
-    tol: Tolerances = DEFAULT,
-) -> RateReport:
+def exact_rate(char_psi: CharFunction, char_phi: CharFunction) -> RateReport:
     """min over non-excluded g of L(psi,g)/L(phi,g), with the zero-rate branch.
 
     The rate is zero when phi has a vanishing chi where psi does not
@@ -52,15 +47,16 @@ def exact_rate(
     omega(g, h) = omega(h, g)), so both states split into charge sectors.
     A projective rep of an abelian group may not commute: it is then a rep
     of a nonabelian central extension. Elsewhere the formula is evaluated
-    all the same.
+    all the same. The formula never reads sym(psi), so psi goes through the
+    zero cut alone, not the subgroup check.
     """
     check_same_group(char_psi, char_phi)
-    sets_phi, excluded = _excluded_set(char_phi, tol)
+    sets_phi, excluded = _excluded_set(char_phi)
     trivial = sets_phi.sym == frozenset({char_phi.group.identity})
     assumption_ok = trivial or (char_psi.commutative and char_phi.commutative)
-    sets_psi = classify_sets(char_psi, tol)
+    psi_zero = zero_mask(char_psi.logmod)
 
-    if not sets_phi.zero <= sets_psi.zero:
+    if not psi_zero[list(sets_phi.zero)].all():
         return RateReport(kind=ZERO, value=None, witness=None,
                           assumption_ok=assumption_ok, excluded=excluded)
 
@@ -76,12 +72,7 @@ def exact_rate(
                       assumption_ok=assumption_ok, excluded=excluded)
 
 
-def copies_bound(
-    char_psi: CharFunction,
-    char_phi: CharFunction,
-    r: float,
-    tol: Tolerances = DEFAULT,
-) -> int:
+def copies_bound(char_psi: CharFunction, char_phi: CharFunction, r: float) -> int:
     """Copy number above which feasibility at sub-optimal rate r is guaranteed.
 
     With s = max over g off sym(phi) u zeros of |chi_psi(g)| / |chi_phi(g)|^r, the
@@ -91,7 +82,7 @@ def copies_bound(
     check_same_group(char_psi, char_phi)
     if not 0 < r < math.inf:
         raise RateNotBelowOptimal(f"rate must be positive and finite, got {r}")
-    _, excluded = _excluded_set(char_phi, tol)
+    _, excluded = _excluded_set(char_phi)
     keep = np.setdiff1d(np.arange(char_psi.group.order), list(excluded))  # increasing
     log_s = char_psi.logmod[keep] - r * char_phi.logmod[keep]
     log_s = float(log_s.max()) if log_s.size else -math.inf

@@ -142,18 +142,15 @@ class ProjectiveRep:
     def commutative(self) -> bool:
         """Whether the U(g) commute: the group is abelian and omega(g, h) =
         omega(h, g). Tested on a generating set, since every U(g) is a phase
-        times a word in the generators' matrices; computed on first read and kept."""
+        times a word in the generators' matrices; two matrices commute when
+        max |AB - BA| <= TOL_SECTOR. Computed on first read and kept."""
         group = self.group
         if not group.is_abelian():
             return False
-        return matrices_commute(self.matrices[_right_generators(group.mult, group.identity)])
-
-
-def matrices_commute(mats) -> bool:
-    """Whether every two of the matrices commute, to TOL_SECTOR in max-abs."""
-    return all(
-        np.abs(A @ B - B @ A).max() <= TOL_SECTOR for A, B in itertools.combinations(mats, 2)
-    )
+        gens = self.matrices[_right_generators(group.mult, group.identity)]
+        return all(
+            np.abs(A @ B - B @ A).max() <= TOL_SECTOR for A, B in itertools.combinations(gens, 2)
+        )
 
 
 def build_group(mult_table, name: str | None = None) -> FiniteGroup:

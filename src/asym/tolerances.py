@@ -1,31 +1,11 @@
-"""Every tolerance of the package: the three that a caller may set, as one
-validated `Tolerances`, and the fixed cuts of the input gates and self-checks.
+"""Every tolerance of the package, as fixed module constants: the three
+decision cuts (the symmetry set, the zero set and the Gram rule) and the cuts
+of the input gates and self-checks.
 """
 
-from __future__ import annotations
-
-import numbers
-from dataclasses import dataclass, fields
-
-from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    tol_one: float = 1e-10  # |chi(g)| >= 1 - tol_one: g is in the symmetry subgroup
-    tol_zero: float = 1e-10  # |chi(g)| <= tol_zero: g is in the zero set
-    tol_psd: float = 1e-9  # min Gram eigenvalue >= -tol_psd * |G|: positive definite
-
-    def __post_init__(self):
-        for field in fields(self):
-            x = getattr(self, field.name)
-            # NaN and +-inf fail the range test; so do 0 and 1, whose cuts are empty
-            if not (isinstance(x, numbers.Real) and 0 < x < 1):
-                raise DomainError(f"{field.name} must be a finite number in (0, 1), got {x!r}")
-
-
-DEFAULT = Tolerances()
-
+TOL_ONE = 1e-10  # |chi(g)| >= 1 - TOL_ONE: g is in the symmetry subgroup
+TOL_ZERO = 1e-10  # |chi(g)| <= TOL_ZERO: g is in the zero set
+TOL_PSD = 1e-9  # min Gram eigenvalue >= -TOL_PSD * |G|: positive definite
 TOL_UNITARY = 1e-10  # max |U U^+ - I|; per unit of dimension in the projective law
 TOL_PHASE = 1e-6  # | |omega| - 1 | of a projective phase U(g)U(h)U(gh)^+ = omega I
 TOL_NORM = 1e-10  # | ||psi|| - 1 | of a pure state

@@ -6,7 +6,7 @@ import numpy as np
 
 from asym.errors import DomainError
 from asym.lie import RfResult, _pencil_direction
-from asym.tolerances import DEFAULT, TOL_PENCIL
+from asym.tolerances import TOL_ONE, TOL_PENCIL
 
 
 def subgroup_closure(group, seed) -> frozenset[int]:
@@ -60,7 +60,7 @@ def rf_ratio_200_steps(F_psi, F_phi) -> RfResult:
     return RfResult(lo, _pencil_direction(F_psi, F_phi, lo), "bisection")
 
 
-def convergence_per_element(char_psi, N_list, tol=DEFAULT):
+def convergence_per_element(char_psi, N_list):
     """The symmetry set, decay base and distance curve of psi, one element at
     a time: sym(psi) by the `classify_sets` cut, s = max |chi| off it (0 when
     nothing is off it) and, for each N, the bound |G| s^{|G| N} / 2 and the
@@ -69,7 +69,7 @@ def convergence_per_element(char_psi, N_list, tol=DEFAULT):
     with points a list of (N, bound, distance)."""
     n = char_psi.group.order
     lm = char_psi.logmod
-    sym = frozenset(g for g in range(n) if lm[g] >= math.log1p(-tol.tol_one))
+    sym = frozenset(g for g in range(n) if lm[g] >= math.log1p(-TOL_ONE))
     rest = [lm[g] for g in range(n) if g not in sym]
     s = float(np.exp(max(rest))) if rest else 0.0
     log_s = math.log(s) if s > 0 else -math.inf

@@ -14,11 +14,11 @@ from asym import (
 from asym.corpus import GROUP_NAMES, corpus_rep, random_state, z2_population_state
 from asym.errors import DomainError, GroupMismatch
 from asym.groups import PureState
-from asym.tolerances import DEFAULT
+from asym.tolerances import TOL_ONE
 from reference import convergence_per_element, subgroup_closure
 
 # the largest log|chi| that classify_sets puts off the symmetry subgroup
-EDGE = float(np.nextafter(math.log1p(-DEFAULT.tol_one), -1.0))
+EDGE = float(np.nextafter(math.log1p(-TOL_ONE), -1.0))
 
 
 @pytest.fixture
@@ -131,15 +131,15 @@ def test_convergence_copy_numbers_at_the_float_range(z4):
 
 
 def test_convergence_at_the_tolerance_edge():
-    # |chi(1)| is just below the classify_sets cut but rounds to 1 - tol_one:
-    # a second cut s >= 1 - tol_one used to refuse the curve that the
+    # |chi(1)| is just below the classify_sets cut but rounds to 1 - TOL_ONE:
+    # a second cut s >= 1 - TOL_ONE used to refuse the curve that the
     # classification had promised; the bound holds at any s < 1
     z2 = named_group("Z_2")
     chi = CharFunction(group=z2, logmod=np.array([0.0, EDGE]), phase=np.zeros(2))
     report = approx_rate_class(chi, chi)
     assert report.classification == "unbounded"
     assert report.sym_psi == frozenset({0})
-    assert 1.0 - DEFAULT.tol_one <= report.s < 1.0
+    assert 1.0 - TOL_ONE <= report.s < 1.0
     curve = convergence_to_uniform(chi, [1, 2, 10**6])
     assert curve.s == report.s
     assert [pt.N for pt in curve.points] == [1, 2, 10**6]
@@ -164,7 +164,7 @@ def _random_chars(group, rep, rng, count):
         logmod = np.where(pick == 0, -np.inf,
                           np.where(pick == 1, EDGE, np.log(rng.uniform(1e-3, 1.0, size=n))))
         on_H = np.isin(np.arange(n), list(H))
-        logmod[on_H] = np.where(rng.random(n) < 0.5, 0.0, math.log1p(-DEFAULT.tol_one))[on_H]
+        logmod[on_H] = np.where(rng.random(n) < 0.5, 0.0, math.log1p(-TOL_ONE))[on_H]
         logmod[group.identity] = 0.0
         out.append(CharFunction(group=group, logmod=logmod,
                                 phase=rng.uniform(-np.pi, np.pi, size=n)))

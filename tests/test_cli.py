@@ -1,6 +1,5 @@
 import builtins
 import collections
-import dataclasses
 import hashlib
 import json
 import os
@@ -19,7 +18,6 @@ from asym.errors import ValidationError
 from asym.corpus import corpus_rep, random_state, write_corpus, z2_population_state
 from asym.groups import PureState
 from asym.lie import GeneratorSet
-from asym.tolerances import Tolerances
 
 
 @pytest.fixture(scope="session")
@@ -361,6 +359,21 @@ def test_cli_rate_exact_assumption_ok_reads_the_rep(capsys, tmp_path):
     assert (result["rate"], result["assumption_ok"]) == ("zero", False)
 
 
+def test_cli_rate_exact_near_the_symmetry_cut(capsys, corpus_dir, tmp_path):
+    # |chi_psi| - 1 = -8e-11, -1.6e-10, -8e-11 on Z_4: psi's unit set {0, 1, 3}
+    # is not a subgroup, which the rate never reads
+    psi = PureState(4, np.array([np.sqrt(1 - 8e-11), np.sqrt(8e-11), 0.0, 0.0]))
+    io.save_state(tmp_path / "psi.json", psi)
+    io.save_state(tmp_path / "phi.json", PureState(4, np.array([0.7, 0.5, 0.4, np.sqrt(0.1)])))
+    result = run_json(
+        capsys,
+        ["rate-exact", "--group", corpus_dir / "z4.json", "--rep", corpus_dir / "z4_rep.json",
+         "--psi", tmp_path / "psi.json", "--phi", tmp_path / "phi.json"],
+    )["result"]
+    assert (result["rate"], result["witness"], result["excluded_set"]) == ("finite", 1, [0])
+    assert 0 < result["value"] < 1e-9
+
+
 def test_cli_convert(capsys, corpus_dir, tmp_path):
     on_z2 = ["convert", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json"]
     base = on_z2 + ["--psi", corpus_dir / "z2_psi068.json", "--phi", corpus_dir / "z2_psi08.json"]
@@ -421,7 +434,7 @@ def test_cli_convert_abelian(capsys, tmp_path):
 
 def test_cli_convert_abelian_reads_tol_psd(capsys, tmp_path):
     # lambda_1(p) / lambda_1(q) = 1 + 2e-7, so w = (1 + 1e-7, -1e-7): the
-    # verdict turns on the Gram tolerance, whose cut on w is -tol_psd
+    # verdict turns on the Gram cut, which on w is -TOL_PSD = -1e-9
     p = tmp_path / "p.json"
     q = tmp_path / "q.json"
     io.save_distribution(p, ChargeDistribution(shape=(2,), probs=np.array([0.90000008, 0.09999992])))
@@ -430,11 +443,8 @@ def test_cli_convert_abelian_reads_tol_psd(capsys, tmp_path):
     report = run_json(capsys, argv)
     assert report["result"]["min_weight"] == pytest.approx(-1e-7, rel=1e-6)
     assert report["result"]["feasible"] is False
-    report = run_json(capsys, argv + ["--tol-psd", "1e-6"])
-    assert report["result"]["feasible"] is True
-    assert report["tolerances"] == {"tol_zero": 1e-10, "tol_psd": 1e-6}
-    assert "seed" not in report
-    for gone in (["--tol-w", "1e-6"], ["--seed", "3"]):
+    assert sorted(report) == ["inputs", "result", "subcommand"]
+    for gone in (["--tol-psd", "1e-6"], ["--tol-w", "1e-6"], ["--seed", "3"]):
         code, out, _ = run(capsys, argv + gone)
         assert (code, out) == (2, "")
 
@@ -456,7 +466,7 @@ def test_cli_approx_classifies_each_state_once(capsys, corpus_dir, monkeypatch):
     # the curve reuses the report's sym(psi): psi and phi go to symmetry_subgroup once each
     seen, classify = [], approx.symmetry_subgroup
     monkeypatch.setattr(approx, "symmetry_subgroup",
-                        lambda c, tol: seen.append(c) or classify(c, tol))
+                        lambda c: seen.append(c) or classify(c))
     report = run_json(
         capsys,
         ["approx", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
@@ -581,7 +591,7 @@ def test_cli_exit_2_on_unknown_subcommand(capsys):
 
 
 def valid_argv(sub, corpus_dir, tmp_path):
-    """A call of each subcommand that succeeds with the default tolerances."""
+    """A call of each subcommand that succeeds."""
     c = corpus_dir
     pair = ["--psi", c / "z2_psi068.json", "--phi", c / "z2_psi08.json"]
     on_z2 = ["--group", c / "z2.json", "--rep", c / "z2_rep.json"]
@@ -617,70 +627,16 @@ def assert_usage_error(capsys, argv):
     assert "unrecognized arguments" in err
 
 
-TOLERANCE_FIELDS = [field.name for field in dataclasses.fields(Tolerances)]
-
-
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_cli_rejects_bad_tolerances(capsys, corpus_dir, tmp_path, sub):
-    # nan, inf, -1 and 2 used to give a verdict (exit 0); 0 exited 2 on
-    # math.log or, for --tol-one, 1 only where classify_sets ran. A tolerance
-    # the subcommand does not read is a usage error whatever its value, and so
-    # is --commutative: whether the group is abelian is read off its table.
+    # the decision cuts are the constants TOL_ONE, TOL_ZERO and TOL_PSD: every
+    # --tol-* flag is a usage error whatever its value, and so is --commutative,
+    # since whether the group is abelian is read off its table
     argv = [sub] + valid_argv(sub, corpus_dir, tmp_path)
-    for field in TOLERANCE_FIELDS:
-        for bad in ("nan", "inf", "-inf", "-1", "0", "1", "2"):
-            extra = [f"--{field.replace('_', '-')}={bad}"]
-            if field in cli.SUBCOMMANDS[sub][2]:
-                assert_domain_error(capsys, argv + extra)
-            else:
-                assert_usage_error(capsys, argv + extra)
+    for flag in ("--tol-one", "--tol-zero", "--tol-psd"):
+        for value in ("1e-6", "nan", "0"):
+            assert_usage_error(capsys, argv + [f"{flag}={value}"])
     assert_usage_error(capsys, argv + ["--commutative"])
-
-
-@pytest.mark.parametrize("sub", SUBCOMMANDS)
-def test_cli_reports_the_tolerances_it_ran_with(capsys, corpus_dir, tmp_path, sub):
-    argv = [sub] + valid_argv(sub, corpus_dir, tmp_path)
-    declared = cli.SUBCOMMANDS[sub][2]
-    want = {field: getattr(Tolerances(), field) for field in declared}
-    assert run_json(capsys, argv)["tolerances"] == want
-    custom = {"tol_one": 1e-6, "tol_zero": 1e-8, "tol_psd": 1e-7}
-    flags = [f"--{field.replace('_', '-')}={custom[field]}" for field in declared]
-    want = {field: custom[field] for field in declared}
-    assert run_json(capsys, argv + flags)["tolerances"] == want
-
-
-READS = {
-    **dict.fromkeys(["chi", "rate-exact"], ["tol_one", "tol_zero"]),
-    "approx": ["tol_one"],
-    **dict.fromkeys(["convert", "min-copies", "convert-abelian"], ["tol_psd", "tol_zero"]),
-    **dict.fromkeys(["charges", "qfim", "rf"], []),
-}
-
-
-@pytest.mark.parametrize("sub", SUBCOMMANDS)
-def test_cli_declares_the_tolerances_its_handler_reads(capsys, corpus_dir, tmp_path, monkeypatch, sub):
-    # the fields read while the handler runs, not while main validates or reports them
-    reads, armed = set(), [False]
-
-    class Recording(Tolerances):
-        def __getattribute__(self, name):
-            if armed[0] and name in TOLERANCE_FIELDS:
-                reads.add(name)
-            return super().__getattribute__(name)
-
-    handler, inputs, declared, options = cli.SUBCOMMANDS[sub]
-
-    def armed_handler(*args, **kwargs):
-        armed[0] = True
-        try:
-            return handler(*args, **kwargs)
-        finally:
-            armed[0] = False
-
-    monkeypatch.setattr(cli, "Tolerances", Recording)
-    monkeypatch.setitem(cli.SUBCOMMANDS, sub, (armed_handler, inputs, declared, options))
-    run_json(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path))
-    assert sorted(reads) == sorted(declared) == READS[sub]
 
 
 @pytest.mark.parametrize(
@@ -763,7 +719,7 @@ RESULT_KEYS = {
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_cli_result_keys(capsys, corpus_dir, tmp_path, sub):
     report = run_json(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path))
-    assert sorted(report) == ["inputs", "result", "subcommand", "tolerances"]
+    assert sorted(report) == ["inputs", "result", "subcommand"]
     assert sorted(report["result"]) == RESULT_KEYS[sub]
 
 

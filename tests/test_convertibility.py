@@ -32,9 +32,7 @@ from asym.convertibility import (
 from asym.corpus import GROUP_NAMES, random_state
 from asym.errors import DomainError, NotHermitian, SelfCheckFailed
 from asym.groups import PureState
-from asym.tolerances import DEFAULT, TOL_HERM
-
-TOL_PSD = DEFAULT.tol_psd
+from asym.tolerances import TOL_HERM, TOL_PSD
 
 
 @pytest.fixture
@@ -240,7 +238,7 @@ def test_minimal_copies_rejects_a_non_finite_rate(z2, r):
 # ------------------------------------- block-spectral oracle vs the dense Gram
 
 
-def dense_gram(f, tol_psd=TOL_PSD):
+def dense_gram(f):
     """Reference oracle: eigvalsh of the full n x n Gram matrix M[g, h] = f(g^-1 h).
 
     Returns (hermitian, min_eig, feasible, modulus_witness); min_eig and
@@ -251,12 +249,12 @@ def dense_gram(f, tol_psd=TOL_PSD):
     M = f.values[group.mult[group.inv, :]]
     herm_dev = float(np.abs(M - M.conj().T).max())
     scale = max(1.0, float(np.abs(f.values).max()))
-    over = np.where(np.abs(f.values) > 1.0 + tol_psd)[0]
+    over = np.where(np.abs(f.values) > 1.0 + TOL_PSD)[0]
     witness = int(over[0]) if over.size else None
     if herm_dev > TOL_HERM * scale:
         return False, None, None, witness
     min_eig = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
-    return True, min_eig, min_eig >= -tol_psd * n, witness
+    return True, min_eig, min_eig >= -TOL_PSD * n, witness
 
 
 def dihedral_table(m):

@@ -17,7 +17,7 @@ from asym.corpus import corpus_rep, random_state, z2_population_state
 from asym.errors import GroupMismatch, RateNotBelowOptimal, SymNotSubgroup
 from asym.exact_rate import FINITE, UNBOUNDED, ZERO, _excluded_set
 from asym.groups import ProjectiveRep, PureState
-from asym.tolerances import DEFAULT
+from asym.tolerances import TOL_ZERO
 
 
 @pytest.fixture
@@ -122,6 +122,22 @@ def test_rate_min_over_elements():
     assert report.witness == int(ratios.argmin()) + 1
 
 
+def test_rate_never_cuts_sym_psi():
+    # the formula reads psi's zero set and L, not sym(psi): here |chi_psi| - 1
+    # is -8e-11, -1.6e-10, -8e-11 at g = 1, 2, 3, so the TOL_ONE cut keeps
+    # {0, 1, 3}, which is not a subgroup, and psi still gets its rate
+    rep = corpus_rep("Z_4")
+    psi = char_function(rep, PureState(4, np.array([math.sqrt(1 - 8e-11), math.sqrt(8e-11), 0, 0])))
+    phi = char_function(rep, PureState(4, np.array([0.7, 0.5, 0.4, math.sqrt(0.1)])))
+    with pytest.raises(SymNotSubgroup):
+        classify_sets(psi)
+    report = exact_rate(psi, phi)
+    assert report.kind == FINITE and report.excluded == {0}
+    ratios = psi.logmod[1:] / phi.logmod[1:]
+    assert report.value == pytest.approx(ratios.min(), rel=1e-12)
+    assert report.witness == int(ratios.argmin()) + 1
+
+
 def test_rate_group_mismatch(z2):
     g3 = named_group("Z_3")
     with pytest.raises(GroupMismatch):
@@ -178,8 +194,9 @@ def test_copies_bound_population_states():
 
 def loop_exact_rate(char_psi, char_phi):
     """The per-element loop that `exact_rate` replaced, kept as the reference."""
-    sets_phi, excluded = _excluded_set(char_phi, DEFAULT)
-    if not sets_phi.zero <= classify_sets(char_psi).zero:
+    sets_phi, excluded = _excluded_set(char_phi)
+    psi_zero = {g for g in range(char_psi.group.order) if char_psi.logmod[g] <= math.log(TOL_ZERO)}
+    if not sets_phi.zero <= psi_zero:
         return ZERO, None, None
     best, best_g = math.inf, None
     for g in range(char_psi.group.order):
@@ -197,7 +214,7 @@ def loop_exact_rate(char_psi, char_phi):
 
 def loop_copies_bound(char_psi, char_phi, r):
     """The per-element loop that `copies_bound` replaced; None where it raises."""
-    _, excluded = _excluded_set(char_phi, DEFAULT)
+    _, excluded = _excluded_set(char_phi)
     log_s = -math.inf
     for g in range(char_psi.group.order):
         if g in excluded:
