@@ -639,6 +639,55 @@ def test_cli_rejects_bad_tolerances(capsys, corpus_dir, tmp_path, sub):
     assert_usage_error(capsys, argv + ["--commutative"])
 
 
+def tolerance_keys(node):
+    """The keys of a JSON report, at any depth, that name a tolerance."""
+    if isinstance(node, dict):
+        return [k for k in node if "tol" in k] + [k for v in node.values() for k in tolerance_keys(v)]
+    if isinstance(node, list):
+        return [k for v in node for k in tolerance_keys(v)]
+    return []
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_cli_reports_the_tolerances_it_ran_with(capsys, corpus_dir, tmp_path, sub):
+    # every run is at the fixed cuts, so the report carries none and two runs agree
+    argv = [sub] + valid_argv(sub, corpus_dir, tmp_path)
+    report = run_json(capsys, argv)
+    assert tolerance_keys(report) == []
+    assert run_json(capsys, argv) == report
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert "tol" not in out.lower()
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_cli_declares_the_tolerances_its_handler_reads(capsys, corpus_dir, tmp_path, monkeypatch, sub):
+    # the handler reads from args exactly the options SUBCOMMANDS declares for
+    # it, none of them a tolerance, and the parser offers no --tol-* flag
+    reads = set()
+
+    class Recording:
+        def __init__(self, args):
+            self._args = args
+
+        def __getattr__(self, name):
+            reads.add(name)
+            return getattr(self._args, name)
+
+    handler, inputs, options = cli.SUBCOMMANDS[sub]
+    monkeypatch.setitem(
+        cli.SUBCOMMANDS, sub,
+        (lambda args, **loaded: handler(Recording(args), **loaded), inputs, options),
+    )
+    run_json(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path))
+    declared = {option.lstrip("-").replace("-", "_") for option in options}
+    assert reads == declared
+    assert not any("tol" in name for name in declared)
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    flags = [f for action in subparsers.choices[sub]._actions for f in action.option_strings]
+    assert not any(f.startswith("--tol") for f in flags)
+
+
 @pytest.mark.parametrize(
     "sub, extra",
     [
