@@ -2,9 +2,13 @@
 """Regenerate the bundled JSON corpus (groups, reps, example states)."""
 
 import argparse
+import sys
 from pathlib import Path
 
-from asym.corpus import write_corpus
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))  # the corpus builder lives with the tests
+
+from corpus import write_corpus
 
 
 def main() -> None:
@@ -12,7 +16,7 @@ def main() -> None:
     parser.add_argument(
         "directory",
         nargs="?",
-        default=Path(__file__).resolve().parent.parent / "corpus",
+        default=ROOT / "corpus",
         type=Path,
     )
     args = parser.parse_args()

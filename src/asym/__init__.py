@@ -23,7 +23,6 @@ from .charfn import (
 from .exact_rate import RateReport, copies_bound, exact_rate
 from .convertibility import (
     FeasibilityResult,
-    GroupFunction,
     feasible_exact,
     is_positive_definite,
     minimal_copies_search,
@@ -73,7 +72,6 @@ __all__ = [
     "copies_bound",
     "exact_rate",
     "FeasibilityResult",
-    "GroupFunction",
     "feasible_exact",
     "is_positive_definite",
     "minimal_copies_search",

@@ -100,7 +100,10 @@ def cmd_chi(args, group, rep, state) -> dict:
     char = charfn.char_function(rep, state)
     if args.power != 1:
         char = charfn.char_power(char, args.power)
-    sets = charfn.classify_sets(char)
+    # the raw cuts of chi^N: a table is still a table when the |chi| = 1 cut
+    # is no subgroup (`approx`, whose claim needs one, refuses that case)
+    sym, zero = (frozenset(np.flatnonzero(cut(char.logmod)).tolist())
+                 for cut in (charfn.unit_mask, charfn.zero_mask))
     elements = [
         {
             "element": g,
@@ -110,7 +113,7 @@ def cmd_chi(args, group, rep, state) -> dict:
         }
         for g in range(group.order)
     ]
-    return {"power": args.power, "elements": elements, "sym": sets.sym, "zero": sets.zero}
+    return {"power": args.power, "elements": elements, "sym": sym, "zero": zero}
 
 
 def _chars(rep, psi, phi):

@@ -48,16 +48,10 @@ MAX_SEARCH_COPIES = 10**4  # largest n_max of `minimal_copies_search`
 
 
 @dataclass(frozen=True, eq=False)
-class GroupFunction:
-    group: FiniteGroup
-    values: np.ndarray  # (n,) complex
-
-
-@dataclass(frozen=True, eq=False)
 class FeasibilityResult:
     feasible: bool
     min_gram_eigenvalue: float
-    f: GroupFunction
+    f: np.ndarray  # (n,) the interpolator, values on G
     modulus_witness: int | None = None  # smallest g with |f(g)| > 1, if any
     zero_set_witness: int | None = None  # smallest g with chi_phi^M(g) = 0 != chi_psi^N(g)
 
@@ -153,20 +147,20 @@ def _first_failure(min_eig: np.ndarray, violation, order: int, herm_dev) -> int:
     return int(i)
 
 
-def is_positive_definite(f: GroupFunction) -> FeasibilityResult:
-    """Gram-matrix positive semidefiniteness test for a function on G.
+def is_positive_definite(group: FiniteGroup, values: np.ndarray) -> FeasibilityResult:
+    """Gram-matrix positive semidefiniteness test for the function f = values (n,) on G.
 
     Reports feasible iff the minimum eigenvalue of M[g, h] = f(g^-1 h) is
     >= -TOL_PSD * |G|, computed block by block from the Fourier transform of
     f. M is Hermitian iff f(g^-1) = conj f(g); a function that is not (or is
     not finite) cannot be positive definite and is reported as an error.
     """
-    min_eig, herm_dev = gram_min_eigenvalues(f.group, f.values[None])
-    over = np.flatnonzero(np.abs(f.values) > 1.0 + TOL_PSD)
+    min_eig, herm_dev = gram_min_eigenvalues(group, values[None])
+    over = np.flatnonzero(np.abs(values) > 1.0 + TOL_PSD)
     return FeasibilityResult(
-        feasible=_first_failure(min_eig, -1, f.group.order, herm_dev) < 0,
+        feasible=_first_failure(min_eig, -1, group.order, herm_dev) < 0,
         min_gram_eigenvalue=float(min_eig[0]),
-        f=f,
+        f=values,
         modulus_witness=int(over[0]) if over.size else None,
     )
 
@@ -186,7 +180,7 @@ def feasible_exact(
     (vals,), (bad,) = interpolate(
         char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M
     )
-    res = is_positive_definite(GroupFunction(group=char_psi.group, values=vals))
+    res = is_positive_definite(char_psi.group, vals)
     return res if bad < 0 else replace(res, feasible=False, zero_set_witness=int(bad))
 
 

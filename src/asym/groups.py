@@ -14,12 +14,11 @@ a table it rejects pays that O(n^3) scan, which names the first witness.
 of dimension d, and the projective law by the same lemma at the rows e and
 S, O(|S| n d^3), with a proved error bound along the words in S. Only a rep
 that the bound cannot vouch for pays the O(n^2 d^3) scan of every pair,
-which decides and names the first failing pair; the cocycle table comes
-from that scan, run on its first read. All of these run as batched BLAS
-matmuls over blocks of at most `_CHUNK_BYTES` (256 KB) of intermediate
-results, so their working memory is O(chunk) beyond the input, whatever n
-and d are. Non-finite amplitudes and matrix entries are rejected like any
-other invalid value.
+which decides and names the first failing pair. All of these run as
+batched BLAS matmuls over blocks of at most `_CHUNK_BYTES` (256 KB) of
+intermediate results, so their working memory is O(chunk) beyond the
+input, whatever n and d are. Non-finite amplitudes and matrix entries are
+rejected like any other invalid value.
 """
 
 from __future__ import annotations
@@ -131,12 +130,6 @@ class ProjectiveRep:
     group: FiniteGroup
     dim: int
     matrices: np.ndarray  # (n, d, d) complex
-
-    @functools.cached_property
-    def cocycle(self) -> np.ndarray:
-        """(n, n) phases omega(g, h) in radians of U(g)U(h)U(gh)^+, computed on
-        first read by the blocked scan of the group law and kept."""
-        return _law_scan(self.group, self.matrices)
 
     @functools.cached_property
     def commutative(self) -> bool:
@@ -337,9 +330,7 @@ def validate_projective_rep(group: FiniteGroup, matrices) -> ProjectiveRep:
     A failure names the first non-unitary element, else the row-major first
     (g, h) whose U(g)U(h)U(gh)^+ has a (0, 0) entry off the unit circle by
     more than TOL_PHASE or lies farther than TOL_UNITARY * max(1, d) in
-    max-abs from its phase times I. Non-finite matrices are not unitary. The
-    cocycle is not computed here: `ProjectiveRep.cocycle` scans for it on
-    first read, unless the scan below already ran.
+    max-abs from its phase times I. Non-finite matrices are not unitary.
 
     The law is checked at a generating set (Light's lemma, as in
     `build_group`): the g with U(g)U(h) ~ U(gh) for every h are closed under
@@ -360,9 +351,9 @@ def validate_projective_rep(group: FiniteGroup, matrices) -> ProjectiveRep:
     3 eta <= TOL_UNITARY * max(1, d), less an allowance for the rounding
     of these products and of the scan's. When the bound cannot vouch for
     every pair, or a measured row breaks it, the blocked scan of all n^2
-    pairs decides instead (O(n^2 d^3)), names the first failing pair and
-    keeps the cocycle it computed. Every check runs over blocks of at most
-    `_CHUNK_BYTES` of products, so memory beyond the input stays O(chunk).
+    pairs decides instead (O(n^2 d^3)) and names the first failing pair.
+    Every check runs over blocks of at most `_CHUNK_BYTES` of products, so
+    memory beyond the input stays O(chunk).
     """
     mats = np.asarray(matrices, dtype=complex)
     n = group.order
@@ -384,10 +375,9 @@ def validate_projective_rep(group: FiniteGroup, matrices) -> ProjectiveRep:
             g = int(np.argmax(bad))
             raise NotUnitary(g0 + g, float(dev[g]))
 
-    rep = ProjectiveRep(group=group, dim=d, matrices=mats)
     if not _law_holds_at_generators(group, mats, u):
-        rep.__dict__["cocycle"] = _law_scan(group, mats)  # the cached_property's slot
-    return rep
+        _law_scan(group, mats)
+    return ProjectiveRep(group=group, dim=d, matrices=mats)
 
 
 def _law_holds_at_generators(group: FiniteGroup, mats: np.ndarray, u: float) -> bool:
@@ -443,9 +433,9 @@ def _left_word_depth(mult: np.ndarray, e: int, gens: list[int]) -> float:
     return level[queue[-1]] if len(queue) == n else np.inf
 
 
-def _law_scan(group: FiniteGroup, mats: np.ndarray) -> np.ndarray:
-    """The cocycle table of unitaries mats, or NotProjective at the row-major
-    first pair that breaks the law: every U(g)U(h)U(gh)^+ in blocks of g x h.
+def _law_scan(group: FiniteGroup, mats: np.ndarray) -> None:
+    """NotProjective at the row-major first pair of unitaries mats that breaks
+    the law: every U(g)U(h)U(gh)^+ in blocks of g x h, none of them kept.
     """
     n, d = mats.shape[:2]
     mat_bytes = d * d * mats.itemsize
@@ -453,7 +443,6 @@ def _law_scan(group: FiniteGroup, mats: np.ndarray) -> np.ndarray:
     # is 1 and the h axis is tiled instead, so the scan stays row-major.
     cols = min(n, _block_rows(mat_bytes))
     rows = _block_rows(cols * mat_bytes)
-    cocycle = np.zeros((n, n))
     for g0 in range(0, n, rows):
         for h0 in range(0, n, cols):
             gs, hs = slice(g0, g0 + rows), slice(h0, h0 + cols)
@@ -463,7 +452,6 @@ def _law_scan(group: FiniteGroup, mats: np.ndarray) -> np.ndarray:
             modulus = np.hypot(z.real, z.imag)
             with np.errstate(divide="ignore", invalid="ignore"):
                 phase = z / modulus
-                cocycle[gs, hs] = np.angle(phase)
                 # prod -= phase * I, on the diagonal of the contiguous block
                 prod.reshape(*z.shape, d * d)[:, :, :: d + 1] -= phase[:, :, None]
                 dev = np.abs(prod).max(axis=(2, 3))
@@ -473,7 +461,6 @@ def _law_scan(group: FiniteGroup, mats: np.ndarray) -> np.ndarray:
                 g, h = g0 + int(i), h0 + int(j)
                 prod = mats[g] @ mats[h] @ _adjoint(mats[group.mult[g, h]])
                 raise NotProjective(g, h, _law_deviation(prod))
-    return cocycle
 
 
 def is_subgroup(group: FiniteGroup, elements) -> bool:

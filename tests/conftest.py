@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from asym.corpus import GROUP_NAMES, corpus_rep
+from corpus import GROUP_NAMES, corpus_rep
 from asym.groups import named_group
 
 

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import (
+from asym import io
+from asym.groups import (
     FiniteGroup,
     ProjectiveRep,
     PureState,
@@ -23,7 +24,7 @@ from .groups import (
     quaternion_matrices,
     validate_projective_rep,
 )
-from . import io
+from asym.lie import GeneratorSet
 
 GROUP_NAMES = ["Z_2", "Z_3", "Z_4", "Z_2xZ_2", "S_3", "D_4", "Q_8"]
 
@@ -116,8 +117,6 @@ def write_corpus(directory) -> dict[str, dict[str, Path]]:
     )  # chi(g1) = 0.36 = 0.6^2
     rng = np.random.default_rng(0)
     io.save_state(directory / "s3_random.json", random_state(3, rng))
-    from .lie import GeneratorSet
-
     io.save_generators(
         directory / "spin_half_gens.json",
         GeneratorSet(

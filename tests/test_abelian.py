@@ -23,7 +23,7 @@ from asym import (
 )
 from asym.abelian import ChargeDistribution, basis_elements
 from asym.cli import main
-from asym.corpus import corpus_rep, random_distribution, random_state, z2_population_state
+from corpus import corpus_rep, random_distribution, random_state, z2_population_state
 from asym.errors import DomainError, NotAbelian, NotSimultaneouslyDiagonalizable, ShapeMismatch
 from asym.groups import ProjectiveRep, PureState
 from reference import subgroup_closure
@@ -493,9 +493,9 @@ def test_gram_blocks_are_the_fourier_weights(name, rng):
         w, ok = fourier_weights(p, q, N, M)
         gram = feasible_exact(char_function(rep, psi), char_function(rep, phi), N, M)
         assert gram.feasible == ok
-        (blocks,) = group.irreps.fourier_blocks(gram.f.values)
+        (blocks,) = group.irreps.fourier_blocks(gram.f)
         w_neg = np.roll(np.flip(w.reshape(shape), axes), 1, axes).ravel()
         assert np.abs(blocks.ravel() - n * w_neg).max() <= 1e-10 * n
         # the interpolator on G, read in label order, is the inverse DFT of w
         lam_w = np.fft.ifftn(w.reshape(shape)).ravel() * n
-        assert np.abs(gram.f.values[elems] - lam_w).max() <= 1e-10
+        assert np.abs(gram.f[elems] - lam_w).max() <= 1e-10

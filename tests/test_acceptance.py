@@ -32,7 +32,7 @@ from asym import (
     rf_ratio,
 )
 from asym.abelian import ChargeDistribution, basis_elements
-from asym.corpus import GROUP_NAMES, corpus_rep, random_state, z2_population_state
+from corpus import GROUP_NAMES, corpus_rep, random_state, z2_population_state
 from asym.exact_rate import FINITE
 from asym.groups import PureState
 from asym.lie import pure_density, symmetrized_covariance

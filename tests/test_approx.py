@@ -11,7 +11,7 @@ from asym import (
     convergence_to_uniform,
     named_group,
 )
-from asym.corpus import GROUP_NAMES, corpus_rep, random_state, z2_population_state
+from corpus import GROUP_NAMES, corpus_rep, random_state, z2_population_state
 from asym.errors import DomainError, GroupMismatch
 from asym.groups import PureState
 from asym.tolerances import TOL_ONE

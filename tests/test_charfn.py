@@ -13,7 +13,7 @@ from asym import (
     validate_projective_rep,
 )
 from asym.charfn import MAX_COPIES
-from asym.corpus import corpus_rep, random_state, z2_population_state
+from corpus import corpus_rep, random_state, z2_population_state
 from asym.errors import DimensionMismatch, DomainError
 from asym.groups import PureState
 

@@ -15,7 +15,7 @@ from asym import approx, cli, convertibility, io, named_group, validate_projecti
 from asym.abelian import ChargeDistribution
 from asym.cli import main
 from asym.errors import ValidationError
-from asym.corpus import corpus_rep, random_state, write_corpus, z2_population_state
+from corpus import corpus_rep, random_state, write_corpus, z2_population_state
 from asym.groups import PureState
 from asym.lie import GeneratorSet
 
@@ -299,6 +299,20 @@ def test_cli_chi_table_output(capsys, corpus_dir):
     assert code == 0
     assert "|chi|" in out
     assert "0.6" in out
+
+
+def test_cli_chi_tabulates_a_unit_cut_that_is_no_subgroup(capsys, corpus_dir, tmp_path):
+    """|chi| = 1 - 8e-11 at g = 1, 3 and 1 - 1.6e-10 at g = 2: the TOL_ONE cut
+    {0, 1, 3} is not closed. `chi` reports the raw cut; `approx` refuses it."""
+    p = 8e-11
+    state = tmp_path / "psi.json"
+    io.save_state(state, PureState(dim=4, amplitudes=np.sqrt([1 - p, p, 0.0, 0.0])))
+    on_z4 = ["--group", corpus_dir / "z4.json", "--rep", corpus_dir / "z4_rep.json"]
+    result = run_json(capsys, ["chi"] + on_z4 + ["--state", state])["result"]
+    assert (result["sym"], result["zero"]) == ([0, 1, 3], [])
+    code, out, err = run(capsys, ["approx"] + on_z4 + ["--psi", state, "--phi", state, "--json"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "SymNotSubgroup"
 
 
 def test_cli_output_is_deterministic(capsys, corpus_dir):

@@ -24,12 +24,11 @@ from asym import (
 from asym.abelian import ChargeDistribution, basis_elements
 from asym.convertibility import (
     MAX_SEARCH_COPIES,
-    GroupFunction,
     _block_min_eig,
     gram_min_eigenvalues,
     interpolate,
 )
-from asym.corpus import GROUP_NAMES, random_state
+from corpus import GROUP_NAMES, random_state
 from asym.errors import DomainError, NotHermitian, SelfCheckFailed
 from asym.groups import PureState
 from asym.tolerances import TOL_HERM, TOL_PSD
@@ -51,12 +50,12 @@ def chi(group, tail):
 
 def test_interpolator_ratio(z2):
     f = feasible_exact(chi(z2, [0.36]), chi(z2, [0.6]), 1, 1).f
-    assert np.allclose(f.values, [1.0, 0.6], atol=1e-14)
+    assert np.allclose(f, [1.0, 0.6], atol=1e-14)
 
 
 def test_interpolator_zero_over_zero_is_zero(z2):
     f = feasible_exact(chi(z2, [0.0]), chi(z2, [0.0]), 1, 1).f
-    assert f.values[1] == 0.0
+    assert f[1] == 0.0
 
 
 def test_interpolator_zero_set_violation(z2):
@@ -64,14 +63,13 @@ def test_interpolator_zero_set_violation(z2):
     res = feasible_exact(chi(z2, [0.5]), chi(z2, [0.0]), 1, 1)
     assert res.feasible is False
     assert res.zero_set_witness == 1
-    assert res.f.values[1] == 0.0 and np.isfinite(res.min_gram_eigenvalue)
+    assert res.f[1] == 0.0 and np.isfinite(res.min_gram_eigenvalue)
     assert feasible_exact(chi(z2, [0.5]), chi(z2, [0.8]), 1, 1).zero_set_witness is None
 
 
 def test_gram_matrix_matches_brute_force(z3, rng):
     vals = np.array([1.0, 0.4 + 0.2j, 0.4 - 0.2j])
-    f = GroupFunction(group=z3, values=vals)
-    res = is_positive_definite(f)
+    res = is_positive_definite(z3, vals)
     # oracle: explicit double loop over M[g, h] = f(g^-1 h)
     M = np.array(
         [[vals[z3.mult[z3.inv[g], h]] for h in range(3)] for g in range(3)]
@@ -84,30 +82,26 @@ def test_gram_matrix_matches_brute_force(z3, rng):
 def test_gram_circulant_eigenvalues(z3):
     # circulant oracle: f = (1, t, t) has eigenvalues 1 + 2t and 1 - t
     for t in (0.3, -0.3, -0.6, 0.9):
-        f = GroupFunction(group=z3, values=np.array([1.0, t, t]))
-        res = is_positive_definite(f)
+        res = is_positive_definite(z3, np.array([1.0, t, t]))
         assert res.min_gram_eigenvalue == pytest.approx(min(1 + 2 * t, 1 - t), abs=1e-12)
         assert res.feasible == (t >= -0.5)
 
 
 def test_non_hermitian_function_rejected(z3):
     # Hermitian Gram needs f(g^-1) = conj(f(g)); 0.9 != 0.5 breaks it
-    f = GroupFunction(group=z3, values=np.array([1.0, 0.5, 0.9]))
     with pytest.raises(NotHermitian):
-        is_positive_definite(f)
+        is_positive_definite(z3, np.array([1.0, 0.5, 0.9]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_function_rejected(z3, bad):
     # no min eigenvalue is computed, so no NaN can pass as a verdict
-    f = GroupFunction(group=z3, values=np.array([1.0, bad, bad]))
     with pytest.raises(NotHermitian):
-        is_positive_definite(f)
+        is_positive_definite(z3, np.array([1.0, bad, bad]))
 
 
 def test_modulus_witness_reported(z2):
-    f = GroupFunction(group=z2, values=np.array([1.0, 1.5]))
-    res = is_positive_definite(f)
+    res = is_positive_definite(z2, np.array([1.0, 1.5]))
     assert not res.feasible
     assert res.modulus_witness == 1
 
@@ -159,12 +153,11 @@ def test_schur_product_preserves_feasibility(data):
     z3 = named_group("Z_3")
     t1 = data.draw(st.floats(min_value=-0.45, max_value=0.95))
     t2 = data.draw(st.floats(min_value=-0.45, max_value=0.95))
-    f1 = GroupFunction(group=z3, values=np.array([1.0, t1, t1]))
-    f2 = GroupFunction(group=z3, values=np.array([1.0, t2, t2]))
-    prod = GroupFunction(group=z3, values=f1.values * f2.values)
-    assert is_positive_definite(f1).feasible
-    assert is_positive_definite(f2).feasible
-    assert is_positive_definite(prod).feasible
+    f1 = np.array([1.0, t1, t1])
+    f2 = np.array([1.0, t2, t2])
+    assert is_positive_definite(z3, f1).feasible
+    assert is_positive_definite(z3, f2).feasible
+    assert is_positive_definite(z3, f1 * f2).feasible
 
 
 def test_minimal_copies_trivially_feasible_rate(z2):
@@ -238,18 +231,18 @@ def test_minimal_copies_rejects_a_non_finite_rate(z2, r):
 # ------------------------------------- block-spectral oracle vs the dense Gram
 
 
-def dense_gram(f):
-    """Reference oracle: eigvalsh of the full n x n Gram matrix M[g, h] = f(g^-1 h).
+def dense_gram(group, values):
+    """Reference oracle: eigvalsh of the full n x n Gram matrix M[g, h] = f(g^-1 h)
+    of f = values.
 
     Returns (hermitian, min_eig, feasible, modulus_witness); min_eig and
     feasible are None when M is not Hermitian.
     """
-    group = f.group
     n = group.order
-    M = f.values[group.mult[group.inv, :]]
+    M = values[group.mult[group.inv, :]]
     herm_dev = float(np.abs(M - M.conj().T).max())
-    scale = max(1.0, float(np.abs(f.values).max()))
-    over = np.where(np.abs(f.values) > 1.0 + TOL_PSD)[0]
+    scale = max(1.0, float(np.abs(values).max()))
+    over = np.where(np.abs(values) > 1.0 + TOL_PSD)[0]
     witness = int(over[0]) if over.size else None
     if herm_dev > TOL_HERM * scale:
         return False, None, None, witness
@@ -327,13 +320,12 @@ def irreps_by_dim(group):
 
 
 def assert_matches_dense(values, group):
-    f = GroupFunction(group=group, values=values)
-    hermitian, min_eig, feasible, witness = dense_gram(f)
+    hermitian, min_eig, feasible, witness = dense_gram(group, values)
     if not hermitian:
         with pytest.raises(NotHermitian):
-            is_positive_definite(f)
+            is_positive_definite(group, values)
         return None
-    res = is_positive_definite(f)
+    res = is_positive_definite(group, values)
     assert abs(res.min_gram_eigenvalue - min_eig) <= 1e-10 * group.order
     assert res.feasible == feasible
     assert res.modulus_witness == witness
@@ -350,17 +342,17 @@ def test_block_oracle_matches_dense_gram(name, oracle_group):
         assert assert_matches_dense(positive_type(group, rng), group) >= -1e-10 * n
         # shift the spectrum so the minimum sits at 0.5 and 2 tolerances below 0
         f = random_hermitian(group, rng)
-        lam = dense_gram(GroupFunction(group=group, values=f))[1]
+        lam = dense_gram(group, f)[1]
         for t, want in ((0.5, True), (2.0, False)):
             g = f.copy()
             g[e] -= lam + t * TOL_PSD * n
-            assert is_positive_definite(GroupFunction(group=group, values=g)).feasible == want
+            assert is_positive_definite(group, g).feasible == want
             assert_matches_dense(g, group)
     # one element off Hermitian: the same NotHermitian as the dense check
     f = positive_type(group, rng)
     if n > 1:
         f[(e + 1) % n] += 1e-3j
-        assert not dense_gram(GroupFunction(group=group, values=f))[0]
+        assert not dense_gram(group, f)[0]
         assert_matches_dense(f, group)
 
 
@@ -458,7 +450,7 @@ def test_positive_type_from_one_two_dim_irrep_has_min_eigenvalue_zero(name, orac
     v /= np.linalg.norm(v)
     f = np.einsum("i,kij,j->k", v.conj(), rho, v)
     min_eig = assert_matches_dense(f, group)
-    res = is_positive_definite(GroupFunction(group=group, values=f))
+    res = is_positive_definite(group, f)
     assert res.feasible
     assert abs(res.min_gram_eigenvalue) <= 1e-10 * group.order
     assert abs(min_eig) <= 1e-10 * group.order
@@ -494,8 +486,8 @@ def test_irrep_decomposition_is_deterministic(oracle_group):
         assert fresh.irreps.dims == group.irreps.dims
         assert np.array_equal(fresh.irreps.matrix, group.irreps.matrix)
         f = random_hermitian(group, np.random.default_rng(5))
-        first = is_positive_definite(GroupFunction(group=group, values=f))
-        again = is_positive_definite(GroupFunction(group=fresh, values=f))
+        first = is_positive_definite(group, f)
+        again = is_positive_definite(fresh, f)
         assert first.min_gram_eigenvalue == again.min_gram_eigenvalue
 
 

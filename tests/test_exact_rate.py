@@ -13,7 +13,7 @@ from asym import (
     validate_projective_rep,
 )
 from asym.charfn import classify_sets
-from asym.corpus import corpus_rep, random_state, z2_population_state
+from corpus import corpus_rep, random_state, z2_population_state
 from asym.errors import GroupMismatch, RateNotBelowOptimal, SymNotSubgroup
 from asym.exact_rate import FINITE, UNBOUNDED, ZERO, _excluded_set
 from asym.groups import ProjectiveRep, PureState

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from asym import build_group, groups, named_group, validate_projective_rep
 from asym.abelian import ChargeDistribution
 from asym.charfn import char_function
-from asym.corpus import GROUP_NAMES, corpus_rep, random_state
+from corpus import GROUP_NAMES, corpus_rep, random_state
 from asym.errors import (
     AxiomViolation,
     DimensionMismatch,
@@ -101,8 +101,9 @@ def test_named_product_table_matches_the_label_loop(shape):
 
 def test_validate_rep_z2_diagonal():
     g = named_group("Z_2")
-    rep = validate_projective_rep(g, [np.eye(2), np.diag([1.0, -1.0])])
-    assert np.allclose(rep.cocycle, 0.0)
+    mats = [np.eye(2), np.diag([1.0, -1.0])]
+    validate_projective_rep(g, mats)
+    assert np.allclose(reference_validate(g, mats), 0.0)
 
 
 def test_validate_rep_z4_powers_of_i():
@@ -112,8 +113,8 @@ def test_validate_rep_z4_powers_of_i():
     for a in range(4):
         for b in range(4):
             assert np.allclose(mats[a] @ mats[b], mats[(a + b) % 4])
-    rep = validate_projective_rep(g, mats)
-    assert np.allclose(rep.cocycle, 0.0)
+    validate_projective_rep(g, mats)
+    assert np.allclose(reference_validate(g, mats), 0.0)
 
 
 def test_validate_rep_rejects_non_unitary():
@@ -176,7 +177,7 @@ def test_gauge_invariance_of_chi_modulus(name, rng):
 def test_cyclic_roots_of_unity_rep_has_zero_cocycle():
     for n in (2, 3, 4):
         rep = corpus_rep(f"Z_{n}")
-        assert np.abs(rep.cocycle).max() < 1e-9
+        assert np.abs(reference_validate(rep.group, rep.matrices)).max() < 1e-9
 
 
 def test_pure_state_norm_enforced():
@@ -214,21 +215,21 @@ def reference_validate(group, matrices):
 
 
 def outcome(func, group, mats):
-    """Cocycle on success, else (exception type, witness, deviation)."""
+    """func's result on success, else (exception type, witness, deviation)."""
     try:
-        result = func(group, mats)
+        return func(group, mats)
     except (NotUnitary, NotProjective) as exc:
         witness = exc.element if isinstance(exc, NotUnitary) else exc.pair
         return type(exc), witness, exc.deviation
-    return result.cocycle if hasattr(result, "cocycle") else result
 
 
 def assert_same_outcome(group, mats):
+    """The reference's outcome (its cocycle table on success), which the
+    validation must match: accept, or raise at the same witness and deviation."""
     ref = outcome(reference_validate, group, mats)
     new = outcome(validate_projective_rep, group, mats)
     if isinstance(ref, np.ndarray):
-        assert isinstance(new, np.ndarray), new
-        assert np.array_equal(ref, new)
+        assert isinstance(new, groups.ProjectiveRep), new
     else:
         assert new == ref
     return ref
@@ -366,7 +367,7 @@ def product_rep(moduli, d, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_generator_check_matches_reference(kind, n, d, log_eps, unitary, chunk, seed):
-    """Verdict, witness, deviation and cocycle bit for bit, with one element
+    """Verdict, witness and deviation bit for bit, with one element
     perturbed by 1e-13 to 1e-6, across the unitarity and the law cuts."""
     rng = np.random.default_rng(seed)
     if kind == "cyclic":
@@ -401,7 +402,7 @@ BENCHMARK_SHAPES = {
 
 @pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
 def test_benchmark_shapes_never_enter_the_full_scan(chunk, monkeypatch, shape):
-    """Accepted at the generators, with the cocycle left for its first read."""
+    """Accepted at the generators, without the scan of every pair."""
     group, mats = BENCHMARK_SHAPES[shape](np.random.default_rng(11))
 
     def scan(group, mats):
@@ -409,7 +410,7 @@ def test_benchmark_shapes_never_enter_the_full_scan(chunk, monkeypatch, shape):
 
     monkeypatch.setattr(groups, "_law_scan", scan)
     rep = validate_projective_rep(group, mats)
-    assert rep.matrices is mats and "cocycle" not in vars(rep)
+    assert rep.matrices is mats
 
 
 def test_rep_the_bound_cannot_vouch_for_runs_the_scan_once(monkeypatch):
@@ -424,25 +425,28 @@ def test_rep_the_bound_cannot_vouch_for_runs_the_scan_once(monkeypatch):
     monkeypatch.setattr(groups, "_law_scan", lambda *args: calls.append(args) or scan(*args))
     group = named_group(f"Z_{n}")
     rep = validate_projective_rep(group, mats)
-    assert len(calls) == 1
-    assert np.array_equal(rep.cocycle, reference_validate(group, mats))
-    assert len(calls) == 1  # the scan's cocycle was kept
+    assert len(calls) == 1 and rep.matrices is mats
+    reference_validate(group, mats)  # which accepts it too
 
 
 @pytest.mark.parametrize("n,d", [(64, 64), (256, 16)])
-def test_validation_memory_stays_within_a_few_chunks(n, d):
+def test_validation_memory_stays_within_a_few_chunks(monkeypatch, n, d):
     """Peak traced memory of a call beyond its complex input, which np.asarray
-    does not copy: the blocks of products, never the n x n table of them."""
+    does not copy: the blocks of products, never the n x n table of them, on
+    the path of the generating set and on the scan of every pair."""
     group, mats = named_group(f"Z_{n}"), conjugated_cyclic_rep(n, d, np.random.default_rng(n))
-    validate_projective_rep(group, mats)  # warm any lazy imports
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        validate_projective_rep(group, mats)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * groups._CHUNK_BYTES
+    for path in ("generators", "full scan"):
+        if path == "full scan":
+            monkeypatch.setattr(groups, "_law_holds_at_generators", lambda *args: False)
+        validate_projective_rep(group, mats)  # warm any lazy imports
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            validate_projective_rep(group, mats)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * groups._CHUNK_BYTES, path
 
 
 def test_associativity_witness_past_first_block(monkeypatch):

@@ -17,7 +17,7 @@ from asym import (
     qfim_pure,
     rf_ratio,
 )
-from asym.corpus import random_state
+from corpus import random_state
 from asym.errors import DimensionMismatch, DomainError, NotAState
 from asym.groups import PureState
 from asym.lie import pure_density, symmetrized_covariance
