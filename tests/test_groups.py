@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from asym import build_group, groups, named_group, validate_projective_rep
 from asym.abelian import ChargeDistribution
-from asym.charfn import char_function
+from asym.charfn import char_function, classify_sets
 from corpus import GROUP_NAMES, corpus_rep, random_state
 from asym.errors import (
     AxiomViolation,
@@ -172,6 +172,20 @@ def test_gauge_invariance_of_chi_modulus(name, rng):
     gauged = validate_projective_rep(rep.group, rep.matrices * phases[:, None, None])
     regauged = np.abs(char_function(gauged, state).values())
     assert np.allclose(base, regauged, atol=1e-12)
+
+
+def test_gauge_keeps_a_small_chi_and_its_zero_set():
+    """Re-phasing U(1) = Z of Z_2 to i Z (omega(1, 1) = -1) leaves |chi| = 3e-9
+    and the zero set alone: chi(1) = i chi(1)^* is no rounding error."""
+    group = named_group("Z_2")
+    z = np.diag([1.0, -1.0])
+    plain = validate_projective_rep(group, np.stack([np.eye(2), z]))
+    gauged = validate_projective_rep(group, np.stack([np.eye(2), 1j * z]))
+    state = PureState(2, np.sqrt([(1 + 3e-9) / 2, (1 - 3e-9) / 2]))
+    base, phased = (char_function(rep, state) for rep in (plain, gauged))
+    assert np.allclose(np.abs(phased.values()), np.abs(base.values()), rtol=1e-6, atol=0)
+    assert abs(abs(phased.values()[1]) - 3e-9) < 1e-15
+    assert classify_sets(phased).zero == classify_sets(base).zero == frozenset()
 
 
 def test_cyclic_roots_of_unity_rep_has_zero_cocycle():
