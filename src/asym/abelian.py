@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import unit_mask
+from .charfn import unit_mask, zero_mask
 from .convertibility import _first_failure, interpolate
 from .errors import (
     NotSimultaneouslyDiagonalizable,
@@ -139,7 +139,8 @@ def fourier_weights(
     with np.errstate(divide="ignore"):
         logmod = np.log(np.abs(lam))
     phase = np.angle(lam)
-    (lam_w,), (violation,) = interpolate(logmod[0], phase[0], logmod[1], phase[1], N, M)
+    psi, phi = ((logmod[i], phase[i], zero_mask(logmod[i])) for i in (0, 1))
+    (lam_w,), (violation,) = interpolate(psi, phi, N, M)
     w = (np.fft.fftn(lam_w.reshape(p.shape)) / lam_w.size).real.ravel()
     n = lam_w.size
     return w, _first_failure(np.array([n * w.min()]), violation, n, (0.0,)) < 0

@@ -7,6 +7,7 @@ an underflowing float. logmod = -inf encodes an exact zero.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .tolerances import TOL_ONE, TOL_ZERO
 
 @dataclass(frozen=True, eq=False)
 class CharFunction:
+    # chi(e) = 1: logmod and phase are 0 at the identity (every constructor sets them)
     group: FiniteGroup
     logmod: np.ndarray  # (n,) float, <= 0, -inf means chi(g) = 0
     phase: np.ndarray  # (n,) float, radians
@@ -30,6 +32,23 @@ class CharFunction:
             out = np.exp(self.logmod + 1j * self.phase)
         out[np.isneginf(self.logmod)] = 0.0
         return out
+
+    @functools.cached_property
+    def zero(self) -> np.ndarray:
+        """The zero set as a read-only mask, `zero_mask(logmod)`, cut once and kept."""
+        return _frozen(zero_mask(self.logmod))
+
+    @functools.cached_property
+    def phase_defect(self) -> np.ndarray:
+        """phase(g) + phase(g^-1) wrapped to (-pi, pi], read-only and kept: 0
+        where chi(g^-1) = conj chi(g) in phase, as for a linear rep."""
+        s = self.phase + self.phase[self.group.inv]
+        return _frozen(np.angle(np.exp(1j * s)))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -105,7 +124,7 @@ def symmetry_subgroup(char: CharFunction) -> frozenset[int]:
 
 def classify_sets(char: CharFunction) -> ClassSets:
     """Split G into the |chi| = 1 subgroup and the chi = 0 set."""
-    zero = frozenset(int(g) for g in np.where(zero_mask(char.logmod))[0])
+    zero = frozenset(int(g) for g in np.flatnonzero(char.zero))
     return ClassSets(sym=symmetry_subgroup(char), zero=zero)
 
 

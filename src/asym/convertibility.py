@@ -10,7 +10,7 @@ f exists: that is an infeasible verdict with the element as its witness,
 not an error. `_first_failure` states the rule once (no such element, and a
 minimum Gram eigenvalue >= -TOL_PSD * |G|) for `is_positive_definite`, the
 copy-number scan and the Fourier view. The zero sets are cut at TOL_ZERO
-(`charfn.zero_mask`).
+(`charfn.zero_mask`), once per characteristic function (`CharFunction.zero`).
 
 M is a convolution operator, M = sum_k f(k) R(k) over the right translations
 R(k), so its spectrum is the union of the spectra of the Fourier blocks
@@ -25,11 +25,19 @@ Cost: a one-off O(n^3) decomposition per group object, then O(n * sum d^2)
 
 `interpolate` and `gram_min_eigenvalues` work on rows of copy numbers;
 `feasible_exact` and `is_positive_definite` are their single-row case, and
-`minimal_copies_search` decides a block of copy numbers per pass: one
-interpolation, one matmul against the irrep basis and the block spectra,
-with as many rows per block as fit in
-`groups._CHUNK_BYTES` (64 rows at n = 256). The search costs O(n_max * n^2)
-time; its memory beyond the irrep basis is a few blocks, whatever n_max is.
+`minimal_copies_search` decides a block of copy numbers per pass, with as
+many rows per block as fit in `groups._CHUNK_BYTES` (64 rows at n = 256).
+It first settles what it can from m = |f| alone (`_settle`): the Gram
+matrix has a unit diagonal and off-diagonal row moduli summing to
+sum_{g != e} m(g), whatever the irreps, so a sum <= 1 is feasible by
+Gershgorin; a zero-set violation, or max m above 1 by a margin, is
+infeasible by a 2 x 2 principal minor. A row is settled only when a bound on
+its Hermitian deviation shows the Gram test would not raise NotHermitian
+for it. Only the unsettled rows before a block's first row settled
+infeasible go through the interpolation, the matmul against the irrep
+basis and the block spectra. The search costs O(n) real work per settled
+row and O(n^2) per unsettled one, so O(n_max * n^2) at worst; its memory
+beyond the irrep basis is a few blocks, whatever n_max is.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charfn import CharFunction, check_same_group, copy_numbers, zero_mask
+from .charfn import CharFunction, check_same_group, copy_numbers
 from .errors import DomainError, NotHermitian
 from .groups import FiniteGroup, _block_rows
 from .tolerances import TOL_FLOOR, TOL_HERM, TOL_PSD
@@ -56,39 +64,56 @@ class FeasibilityResult:
     zero_set_witness: int | None = None  # smallest g with chi_phi^M(g) = 0 != chi_psi^N(g)
 
 
-def interpolate(
-    psi_logmod: np.ndarray,
-    psi_phase: np.ndarray,
-    phi_logmod: np.ndarray,
-    phi_phase: np.ndarray,
-    N: int | np.ndarray,
-    M: int | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """f = chi_psi^N / chi_phi^M from log-polar chi, 0 on the chi_phi zero set.
+def _log_ratio(psi, phi, N: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log|f| of f = chi_psi^N / chi_phi^M for rows of copy numbers N, M (K, 1).
 
-    N and M are copy numbers: two ints, or K each (any shape with K entries)
-    for K rows at once. Returns the (K, n) values and, per row, the first
-    index where chi_phi^M vanishes but chi_psi^N does not, or -1. Zero sets
-    are classified once, on the single-copy functions (chi^N vanishes exactly
-    where chi does); M = 0 is the trivial target, identically 1. DomainError
-    for N < 1, M < 0 or a copy number above MAX_COPIES. Shared by
-    the Gram view (chi on G) and the Fourier view (dual coefficients).
+    psi and phi are (logmod, phase, zero mask) triples. The log-ratio is
+    capped at 350, so a grossly infeasible instance yields a huge finite |f|
+    (clearly failing the Gram test) instead of overflow, and it is -inf
+    exactly where f is 0: on the chi_phi zero set when M > 0 (phi^0 is the
+    trivial state: no zeros) and where chi_psi^N is an exact 0. Returns the
+    (K, n) log-ratios and, per row, the first index where chi_phi^M vanishes
+    but chi_psi^N does not, or -1.
     """
-    N, M = (np.reshape(copy_numbers(x, low), (-1, 1)) for x, low in ((N, 1), (M, 0)))
-    psi_zero = zero_mask(psi_logmod)
-    phi_zero = zero_mask(phi_logmod)
+    psi_logmod, _, psi_zero = psi
+    phi_logmod, _, phi_zero = phi
     bad = np.flatnonzero(phi_zero & ~psi_zero)
     violation = np.where(M[:, 0] > 0, bad[0] if bad.size else -1, -1)
     target = M * np.where(phi_zero, 0.0, phi_logmod)  # log|chi_phi^M|, no 0 * -inf
-    phi_zero = phi_zero & (M > 0)  # phi^0 is the trivial state: no zeros
-    with np.errstate(invalid="ignore", under="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         logmod = N * psi_logmod
-        # cap the log-ratio so a grossly infeasible instance yields a huge
-        # finite |f| (clearly failing the Gram test) instead of overflow
         dlog = np.minimum(logmod - target, 350.0)
-        vals = np.exp(dlog + 1j * (N * psi_phase - M * phi_phase))
-    vals[phi_zero | np.isneginf(logmod)] = 0.0
-    return vals, violation
+    dlog[(phi_zero & (M > 0)) | np.isneginf(logmod)] = -np.inf
+    return dlog, violation
+
+
+def interpolate(
+    psi, phi, N: int | np.ndarray, M: int | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """f = chi_psi^N / chi_phi^M from log-polar chi, 0 on the chi_phi zero set.
+
+    psi and phi are (logmod, phase, zero mask) triples: a CharFunction's
+    `logmod`, `phase` and `zero`, or the Fourier view's dual coefficients
+    with their own cut. N and M are copy numbers: two ints, or K each (any
+    shape with K entries) for K rows at once. Returns the (K, n) values and,
+    per row, the first index where chi_phi^M vanishes but chi_psi^N does not,
+    or -1. Zero sets are classified once, on the single-copy functions
+    (chi^N vanishes exactly where chi does); M = 0 is the trivial target,
+    identically 1. DomainError for N < 1, M < 0 or a copy number above
+    MAX_COPIES. Shared by the Gram view (chi on G) and the Fourier view (dual
+    coefficients).
+    """
+    N, M = (np.reshape(copy_numbers(x, low), (-1, 1)) for x, low in ((N, 1), (M, 0)))
+    dlog, violation = _log_ratio(psi, phi, N, M)
+    return _values(dlog, psi, phi, N, M), violation
+
+
+def _values(dlog: np.ndarray, psi, phi, N: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """f = exp(dlog + i (N phase_psi - M phase_phi)), exactly 0 where dlog is -inf."""
+    with np.errstate(invalid="ignore", under="ignore"):
+        vals = np.exp(dlog + 1j * (N * psi[1] - M * phi[1]))
+    vals[np.isneginf(dlog)] = 0.0
+    return vals
 
 
 def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,11 +202,84 @@ def feasible_exact(
     the interpolator's Gram matrix is not Hermitian.
     """
     check_same_group(char_psi, char_phi)
-    (vals,), (bad,) = interpolate(
-        char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M
-    )
+    (vals,), (bad,) = interpolate(_polar(char_psi), _polar(char_phi), N, M)
     res = is_positive_definite(char_psi.group, vals)
     return res if bad < 0 else replace(res, feasible=False, zero_set_witness=int(bad))
+
+
+def _polar(char: CharFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return char.logmod, char.phase, char.zero
+
+
+def _settle(
+    char_psi: CharFunction,
+    char_phi: CharFunction,
+    N: np.ndarray,
+    M: np.ndarray,
+    dlog: np.ndarray,
+    violation: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of copy numbers N, M (K, 1) that the Gram test would decide, decided from |f|.
+
+    dlog and violation are `_log_ratio`'s for these rows, so m = |f| =
+    exp(dlog), raised to e^-600 where it is smaller (or where `interpolate`
+    zeroes f), and f(e) = 1 since chi(e) = 1. Returns two K-entry masks: the rows settled feasible
+    and those settled infeasible; a row in neither needs the Gram spectrum.
+
+    Row g of the Gram matrix M[g, h] = f(g^-1 h) holds f(e) = 1 on the
+    diagonal and f(k), k != e, off it, so its off-diagonal moduli sum to
+    S = sum_{k != e} m(k); so do those of the Hermitian part
+    H = (M + M^+)/2 that the test reads, as k -> k^-1 permutes G - {e}. No
+    irrep enters, so this holds for projective ones too. With u the unit
+    roundoff and n = |G|:
+
+    Hermitian. The Gram test raises NotHermitian when max_g |f(g) - conj
+    f(g^-1)| exceeds TOL_HERM * max(1, max m). With f = m e^{i theta},
+    theta = N alpha - M beta and |e^{ix} - 1| <= |x|, that deviation is at
+    most dev(g) = |m(g) - m(g^-1)| + m(g^-1) |N da(g) - M db(g)|, where
+    da = alpha(g) + alpha(g^-1) wrapped (`CharFunction.phase_defect`; N and M
+    are integers, so the wrap shifts N da by a multiple of 2 pi). The
+    rounding of the computed f, of its phase N alpha - M beta and of da, db
+    adds at most (m(g) + m(g^-1)) 4 pi (N + M + 1) u <= 8 pi (N + M + 1) u S
+    at g != e, and nothing at e, where f(e) = 1 is exact and da(e) = 0; the
+    floor of m lowers |m(g) - m(g^-1)| by at most e^-600. A row is settled
+    only while this bound stays below half the cut: the computed deviation,
+    a few u (relative) from the bound's own terms, then passes the cut, and
+    every row the test would raise for is left to it.
+
+    Feasible: no zero-set violation and S <= 1 (the floor only raises S). By
+    Gershgorin every eigenvalue of H is >= 1 - S >= 0, and the computed
+    minimum is off by rounding only, far less than TOL_PSD * n.
+
+    Infeasible: a zero-set violation, or m(k) = max m with
+    m(k) (1 - TOL_PSD n - TOL_HERM) > 1 + TOL_PSD n. The 2 x 2 principal
+    submatrix of H at rows (g, g k) is [[1, b], [conj b, 1]] with
+    b = (f(k) + conj f(k^-1))/2, so |b| >= m(k) - dev(k)/2 > m(k) - TOL_HERM
+    m(k)/4, and by interlacing lambda_min(H) <= 1 - |b|
+    < -TOL_PSD n - (TOL_PSD n + 3 TOL_HERM / 4) m(k). The computed minimum is
+    below the cut -TOL_PSD n while its error is below TOL_PSD n max |f|, ten
+    times the 1e-10 n to which the block spectra are tested against a dense
+    eigendecomposition at |f| of order 1.
+
+    Cost: O(n) real work per row, against O(n^2) complex work for the Gram
+    spectrum.
+    """
+    n, e = char_psi.group.order, char_psi.group.identity
+    with np.errstate(over="ignore"):  # an inf bound settles nothing
+        # exp, and products with m, are many times slower where they
+        # underflow; m is raised to e^-600 (3e-261), far below every cut here
+        m = np.exp(np.maximum(dlog, -600.0))
+        m_inv = m[:, char_psi.group.inv]
+        dev = np.abs(N * char_psi.phase_defect - M * char_phi.phase_defect)
+        dev *= m_inv
+        dev += np.abs(m - m_inv)
+        top = m.max(axis=1)
+        off = m.sum(axis=1) - m[:, e]  # S
+        rounding = 8.0 * math.pi * np.finfo(float).eps * (N[:, 0] + M[:, 0] + 1.0) * off
+        hermitian = dev.max(axis=1) + rounding < 0.5 * TOL_HERM * np.maximum(1.0, top)
+    feasible = hermitian & (violation < 0) & (off <= 1.0)
+    over = top * (1.0 - TOL_PSD * n - TOL_HERM) > 1.0 + TOL_PSD * n
+    return feasible, hermitian & ((violation >= 0) | over)
 
 
 def minimal_copies_search(
@@ -198,25 +296,35 @@ def minimal_copies_search(
 
     The scan runs from n_max down, a block of copy numbers at a time, and
     stops at the first N that `feasible_exact` would reject, or would raise
-    NotHermitian for.
+    NotHermitian for. `_settle` decides what it can of each block from |f|;
+    only the unsettled rows before the block's first row settled infeasible
+    get their values and the Gram test. DomainError for a copy number
+    `interpolate` would refuse.
     """
     if not (math.isfinite(r) and r >= 0):
         raise DomainError(f"rate must be a finite number >= 0, got {r}")
     if not 1 <= n_max <= MAX_SEARCH_COPIES:
         raise DomainError(f"n_max must be in [1, {MAX_SEARCH_COPIES}], got {n_max}")
     check_same_group(char_psi, char_phi)
+    copy_numbers(np.floor(r * n_max + TOL_FLOOR), 0)  # the largest M of the scan
     group = char_psi.group
+    psi, phi = _polar(char_psi), _polar(char_phi)
     rows = _block_rows(group.order * np.dtype(complex).itemsize)
     first = None
     for top in range(n_max, 0, -rows):
-        N = np.arange(top, max(top - rows, 0), -1)
+        N = np.arange(top, max(top - rows, 0), -1.0)[:, None]
         M = np.floor(r * N + TOL_FLOOR)
-        vals, violation = interpolate(
-            char_psi.logmod, char_psi.phase, char_phi.logmod, char_phi.phase, N, M
-        )
-        min_eig, herm_dev = gram_min_eigenvalues(group, vals)
-        i = _first_failure(min_eig, violation, group.order, herm_dev)
+        dlog, violation = _log_ratio(psi, phi, N, M)
+        feasible, infeasible = _settle(char_psi, char_phi, N, M, dlog, violation)
+        i = int(np.argmax(infeasible)) if infeasible.any() else -1
+        todo = np.flatnonzero(~feasible[: i if i >= 0 else None])
+        if todo.size:
+            vals = _values(dlog[todo], psi, phi, N[todo], M[todo])
+            min_eig, herm_dev = gram_min_eigenvalues(group, vals)
+            j = _first_failure(min_eig, violation[todo], group.order, herm_dev)
+            if j >= 0:
+                i = int(todo[j])
         if i >= 0:
-            return int(N[i - 1]) if i else first
-        first = int(N[-1])
+            return int(N[i - 1, 0]) if i else first
+        first = int(N[-1, 0])
     return first

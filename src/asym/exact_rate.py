@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharFunction, check_same_group, classify_sets, zero_mask
+from .charfn import CharFunction, check_same_group, classify_sets
 from .errors import RateNotBelowOptimal
 
 ZERO = "zero"
@@ -54,9 +54,8 @@ def exact_rate(char_psi: CharFunction, char_phi: CharFunction) -> RateReport:
     sets_phi, excluded = _excluded_set(char_phi)
     trivial = sets_phi.sym == frozenset({char_phi.group.identity})
     assumption_ok = trivial or (char_psi.commutative and char_phi.commutative)
-    psi_zero = zero_mask(char_psi.logmod)
 
-    if not psi_zero[list(sets_phi.zero)].all():
+    if not char_psi.zero[list(sets_phi.zero)].all():
         return RateReport(kind=ZERO, value=None, witness=None,
                           assumption_ok=assumption_ok, excluded=excluded)
 

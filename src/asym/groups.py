@@ -438,11 +438,14 @@ def _law_scan(group: FiniteGroup, mats: np.ndarray) -> None:
     the law: every U(g)U(h)U(gh)^+ in blocks of g x h, none of them kept.
     """
     n, d = mats.shape[:2]
-    mat_bytes = d * d * mats.itemsize
-    # Blocks of g x all h; when one row of products exceeds the chunk, rows
+    # A pair's share of a block: its d x d product and the 64 bytes of
+    # scalars kept per pair (the table index, z, its modulus and phase, the
+    # deviation, the masks), which outweigh the product at d = 1.
+    pair_bytes = d * d * mats.itemsize + 64
+    # Blocks of g x all h; when one row of pairs exceeds the chunk, rows
     # is 1 and the h axis is tiled instead, so the scan stays row-major.
-    cols = min(n, _block_rows(mat_bytes))
-    rows = _block_rows(cols * mat_bytes)
+    cols = min(n, _block_rows(pair_bytes))
+    rows = _block_rows(cols * pair_bytes)
     for g0 in range(0, n, rows):
         for h0 in range(0, n, cols):
             gs, hs = slice(g0, g0 + rows), slice(h0, h0 + cols)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from asym import (
     build_group,
     char_from_values,
     char_function,
+    classify_sets,
+    copies_bound,
     dual_fourier,
     exact_rate,
     feasible_exact,
@@ -25,13 +28,16 @@ from asym.abelian import ChargeDistribution, basis_elements
 from asym.convertibility import (
     MAX_SEARCH_COPIES,
     _block_min_eig,
+    _log_ratio,
+    _polar,
+    _settle,
     gram_min_eigenvalues,
     interpolate,
 )
 from corpus import GROUP_NAMES, random_state
 from asym.errors import DomainError, NotHermitian, SelfCheckFailed
 from asym.groups import PureState
-from asym.tolerances import TOL_HERM, TOL_PSD
+from asym.tolerances import TOL_FLOOR, TOL_HERM, TOL_PSD
 
 
 @pytest.fixture
@@ -226,6 +232,22 @@ def test_minimal_copies_rejects_a_non_finite_rate(z2, r):
     psi = chi(z2, [0.6])
     with pytest.raises(DomainError):
         minimal_copies_search(psi, chi(z2, [0.8]), r, 8)
+
+
+def test_minimal_copies_at_a_huge_rate_is_an_error_without_warnings(z2):
+    # M = floor(r N) near the float limit: |f| reaches the 350 cap, and with a
+    # phase of pi the rounding of M pi breaks Hermiticity, as in the per-N loop;
+    # beyond MAX_COPIES the target copy number itself is refused
+    psi, phi = chi(z2, [-0.6]), chi(z2, [-0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert minimal_copies_search(chi(z2, [0.6]), chi(z2, [0.8]), 1e306, 20) is None
+        with pytest.raises(NotHermitian):
+            minimal_copies_search(psi, phi, 1e306, 20)
+        with pytest.raises(NotHermitian):
+            reference_min_copies(psi, phi, 1e306, 20)
+    with pytest.raises(DomainError, match="copy number"):
+        minimal_copies_search(psi, phi, 2.5e307, 20)
 
 
 # ------------------------------------- block-spectral oracle vs the dense Gram
@@ -636,7 +658,9 @@ def test_batched_min_eigenvalues_match_feasible_exact(name, oracle_group):
     N = np.arange(1, 151)
     for r in rates(psi, phi)[:3]:  # r <= the exact rate: |f| <= 1
         M = np.floor(r * N + 1e-12)
-        vals, violation = interpolate(psi.logmod, psi.phase, phi.logmod, phi.phase, N, M)
+        vals, violation = interpolate(
+            (psi.logmod, psi.phase, psi.zero), (phi.logmod, phi.phase, phi.zero), N, M
+        )
         min_eig, _ = gram_min_eigenvalues(group, vals)
         for k in np.flatnonzero(violation < 0):
             one = feasible_exact(psi, phi, int(N[k]), int(M[k])).min_gram_eigenvalue
@@ -727,3 +751,108 @@ def test_scan_memory_stays_bounded_at_the_largest_size(oracle_group):
     assert feasible_exact(psi, phi, found, math.floor(r * found + 1e-12)).feasible
     if found > 1:
         assert not feasible_exact(psi, phi, found - 1, math.floor(r * (found - 1) + 1e-12)).feasible
+
+
+# ------------------------------------------ rows settled from |f| alone (`_settle`)
+
+
+def settle(char_psi, char_phi, r, N):
+    """The scan's certificate on the rows N (ints) at rate r: (M, settled feasible,
+    settled infeasible), one entry per row."""
+    N = np.asarray(N, dtype=float)[:, None]
+    M = np.floor(r * N + TOL_FLOOR)
+    dlog, violation = _log_ratio(_polar(char_psi), _polar(char_phi), N, M)
+    feasible, infeasible = _settle(char_psi, char_phi, N, M, dlog, violation)
+    return M[:, 0].astype(int), feasible, infeasible
+
+
+def assert_settled_rows_agree(char_psi, char_phi, n_max, extra_rates=()):
+    """Every row the certificate settles gets its verdict from `feasible_exact`;
+    returns how many rows it settled feasible and infeasible."""
+    counts = np.zeros(2, dtype=int)
+    N = np.arange(1, n_max + 1)
+    for r in (*extra_rates, *rates(char_psi, char_phi)):
+        M, feasible, infeasible = settle(char_psi, char_phi, r, N)
+        assert not (feasible & infeasible).any()
+        for k in np.flatnonzero(feasible | infeasible):
+            got = feasible_exact(char_psi, char_phi, int(N[k]), int(M[k])).feasible
+            assert got == feasible[k], (r, N[k], M[k])
+        counts += feasible.sum(), infeasible.sum()
+    return counts
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SCAN_GROUPS)),
+    amps=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=32, max_size=32),
+)
+def test_settled_rows_get_the_verdict_of_feasible_exact_on_drawn_states(name, amps):
+    rep = SCAN_GROUPS[name]
+    n = rep.dim
+    vecs = np.array(amps).reshape(2, 2, 8)[:, :, :n]
+    vecs = vecs[:, 0] + 1j * vecs[:, 1]
+    norms = np.linalg.norm(vecs, axis=1)
+    assume(norms.min() > 0.1)
+    psi, phi = (char_function(rep, PureState(n, v / nrm)) for v, nrm in zip(vecs, norms))
+    assert_settled_rows_agree(psi, phi, 40)
+
+
+@pytest.mark.parametrize("name", list(BUILT))
+def test_settled_rows_get_the_verdict_of_feasible_exact_on_large_groups(name, oracle_group):
+    group = oracle_group(name)
+    rng = np.random.default_rng(group.order + 3)
+    counts = np.zeros(2, dtype=int)
+    for make in (positive_type, concentrated_type):
+        psi, phi = (char_from_values(group, make(group, rng)) for _ in range(2))
+        counts += assert_settled_rows_agree(psi, phi, 60)
+    assert counts.min() > 0, counts  # both ways, on every group
+
+
+@pytest.mark.parametrize("name", ["D_4", "Q_8", "S_3", "Z_256", "D_128", "S_5"])
+def test_settled_rows_agree_where_chi_phi_vanishes(name, oracle_group):
+    # chi_phi zero off a subgroup of index 2: rows with M > 0 against a psi
+    # without those zeros are settled infeasible by the zero-set rule
+    group = oracle_group(name)
+    rng = np.random.default_rng(group.order + 4)
+    cut = index_two_indicator(group)
+    psi, phi_cut = (char_from_values(group, positive_type(group, rng) * c) for c in (1.0, cut))
+    M, feasible, infeasible = settle(psi, phi_cut, 0.02, np.arange(1, 61))
+    assert infeasible[M > 0].all() and not feasible[M > 0].any()
+    assert_settled_rows_agree(psi, phi_cut, 60, extra_rates=(0.0, 0.02))
+
+
+def test_a_non_hermitian_chi_that_gershgorin_would_settle_still_raises():
+    # chi(g^-1) = chi(g) rather than its conjugate: moduli agree, phases do not.
+    # |f| is small, so the Gershgorin sum would settle every row feasible; the
+    # Hermitian bound keeps the rows whose deviation the Gram test sees
+    z3 = named_group("Z_3")
+    psi = char_from_values(z3, [1.0, 0.1 * np.exp(0.3j), 0.1 * np.exp(0.3j)])
+    phi = char_from_values(z3, [1.0, 0.8, 0.8])
+    N = np.arange(1, 9)
+    M, feasible, infeasible = settle(psi, phi, 0.5, N)
+    dlog, _ = _log_ratio(_polar(psi), _polar(phi), N[:, None] * 1.0, M[:, None] * 1.0)
+    assert (np.exp(dlog).sum(axis=1) - 1.0 <= 1.0).all()  # Gershgorin alone: feasible
+    assert not (feasible | infeasible).any()
+    for rows in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(groups, "_CHUNK_BYTES", rows * 3 * 16)
+            with pytest.raises(NotHermitian):
+                minimal_copies_search(psi, phi, 0.5, 8)
+    with pytest.raises(NotHermitian):
+        reference_min_copies(psi, phi, 0.5, 8)
+
+
+@pytest.mark.parametrize("name", ["S_3", "D_4", "Q_8", "S_5", "A_5", "D_128"])
+def test_rows_from_the_copies_bound_on_are_settled_feasible(name, oracle_group):
+    """sym(phi) = {e} and no zeros of chi_phi: from N = copies_bound(r) on,
+    |f| <= s^N <= |G|^-2 off e, so the off-diagonal sum is below 1."""
+    group = oracle_group(name)
+    rng = np.random.default_rng(group.order + 5)
+    psi, phi = (char_from_values(group, positive_type(group, rng)) for _ in range(2))
+    sets = classify_sets(phi)
+    assert sets.sym == {group.identity} and not sets.zero
+    for r in rates(psi, phi)[:2]:
+        b = copies_bound(psi, phi, r)
+        M, feasible, infeasible = settle(psi, phi, r, np.arange(b, b + 200))
+        assert feasible.all() and not infeasible.any(), (r, b)

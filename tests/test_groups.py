@@ -443,7 +443,7 @@ def test_rep_the_bound_cannot_vouch_for_runs_the_scan_once(monkeypatch):
     reference_validate(group, mats)  # which accepts it too
 
 
-@pytest.mark.parametrize("n,d", [(64, 64), (256, 16)])
+@pytest.mark.parametrize("n,d", [(64, 64), (256, 16), (256, 1)])
 def test_validation_memory_stays_within_a_few_chunks(monkeypatch, n, d):
     """Peak traced memory of a call beyond its complex input, which np.asarray
     does not copy: the blocks of products, never the n x n table of them, on
