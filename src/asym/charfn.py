@@ -3,6 +3,13 @@
 Values are stored as (log-modulus, phase) so that tensor powers up to very
 large copy numbers stay representable: |chi|^N lives as N * logmod, never as
 an underflowing float. logmod = -inf encodes an exact zero.
+
+A `CharFunction` is immutable: its logmod and phase arrays are read-only,
+so what is derived from them is computed on first read and kept. Cached
+are the zero mask, the phase defect, the classification `sets` (sym(chi)
+and the zero set), the `excluded` set sym u zero and the `kept` indices off
+it. A `SymNotSubgroup` is not cached: every read of `sets`, `excluded` or
+`kept` re-runs the subgroup check and raises again.
 """
 
 from __future__ import annotations
@@ -27,6 +34,11 @@ class CharFunction:
     phase: np.ndarray  # (n,) float, radians
     commutative: bool = False  # the rep's U(g) commute (ProjectiveRep.commutative)
 
+    def __post_init__(self):
+        # read-only copies, so that no cached mask or set can go stale
+        for name in ("logmod", "phase"):
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
+
     def values(self) -> np.ndarray:
         with np.errstate(under="ignore", invalid="ignore"):
             out = np.exp(self.logmod + 1j * self.phase)
@@ -44,6 +56,26 @@ class CharFunction:
         where chi(g^-1) = conj chi(g) in phase, as for a linear rep."""
         s = self.phase + self.phase[self.group.inv]
         return _frozen(np.angle(np.exp(1j * s)))
+
+    @functools.cached_property
+    def sets(self) -> ClassSets:
+        """sym(chi) from `symmetry_subgroup` and the zero set, classified once
+        and kept. A SymNotSubgroup leaves nothing cached, so it is raised on
+        every read."""
+        zero = frozenset(np.flatnonzero(self.zero).tolist())
+        return ClassSets(sym=symmetry_subgroup(self), zero=zero)
+
+    @functools.cached_property
+    def excluded(self) -> frozenset[int]:
+        """sym(chi) u zeros: the elements the rate formula leaves out, kept."""
+        return self.sets.sym | self.sets.zero
+
+    @functools.cached_property
+    def kept(self) -> np.ndarray:
+        """The elements off `excluded`, increasing, as a read-only index array."""
+        off = ~self.zero
+        off[list(self.sets.sym)] = False
+        return _frozen(np.flatnonzero(off))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -65,10 +97,11 @@ def check_same_group(a: CharFunction, b: CharFunction) -> None:
 def char_from_values(group: FiniteGroup, values) -> CharFunction:
     """Build a CharFunction from plain complex values (chi(e) forced to 1) of a
     linear rep, whose matrices commute exactly when the group is abelian."""
-    return _char(group, values, group.is_abelian())
+    return CharFunction(group, *_polar(group, values), commutative=group.is_abelian())
 
 
-def _char(group: FiniteGroup, values, commutative: bool) -> CharFunction:
+def _polar(group: FiniteGroup, values) -> tuple[np.ndarray, np.ndarray]:
+    """(log|chi|, phase) of complex values, set to (0, 0) at the identity."""
     vals = np.asarray(values, dtype=complex)
     if vals.shape != (group.order,):
         raise DimensionMismatch(f"expected {group.order} values, got shape {vals.shape}")
@@ -79,16 +112,37 @@ def _char(group: FiniteGroup, values, commutative: bool) -> CharFunction:
     phase = np.where(mod > 0, np.angle(vals), 0.0)
     logmod[group.identity] = 0.0
     phase[group.identity] = 0.0
-    return CharFunction(group=group, logmod=logmod, phase=phase, commutative=commutative)
+    return logmod, phase
 
 
 def char_function(rep: ProjectiveRep, state: PureState) -> CharFunction:
-    """chi(g) = <psi|U(g)|psi> for every group element."""
+    """chi(g) = <psi|U(g)|psi> for every group element.
+
+    U(g^-1) = omega U(g)^+ with omega = omega(g, g^-1) (`rep.inverse_phase`),
+    so chi(g^-1) = omega conj chi(g). That holds exactly here, not up to the
+    rounding of two separate sums. On an involution chi(g) lies on the line
+    sqrt(omega) R, and is projected onto it. For g < g^-1, chi(g^-1) takes
+    the log-modulus of chi(g) and the phase arg omega - phase(g). On a linear
+    rep (omega = 1) chi(g^-1) is then conj chi(g) bit for bit, so
+    f = chi_psi^N / chi_phi^M is Hermitian however small |chi_phi| is.
+    |chi| moves only at rounding level.
+    """
     if state.dim != rep.dim:
         raise DimensionMismatch(f"state dim {state.dim} != rep dim {rep.dim}")
     psi = state.amplitudes
     vals = np.einsum("i,gij,j->g", psi.conj(), rep.matrices, psi)
-    return _char(rep.group, vals, rep.commutative)
+    inv, omega = rep.group.inv, rep.inverse_phase
+    g = np.arange(rep.group.order)
+    own = g[g == inv]  # e and the involutions
+    root = np.sqrt(omega[own])
+    vals[own] = root * (root.conj() * vals[own]).real
+    logmod, phase = _polar(rep.group, vals)
+    first = g[g < inv]
+    logmod[inv[first]] = logmod[first]
+    turn = np.angle(omega[first]) - phase[first]  # in (-2 pi, 2 pi), wrapped to (-pi, pi]
+    turn = np.where(turn <= -np.pi, turn + 2 * np.pi, np.where(turn > np.pi, turn - 2 * np.pi, turn))
+    phase[inv[first]] = np.where(np.isneginf(logmod[first]), 0.0, turn)
+    return CharFunction(rep.group, logmod, phase, commutative=rep.commutative)
 
 
 def resource_measure_L(char: CharFunction, g: int) -> float:
@@ -123,9 +177,10 @@ def symmetry_subgroup(char: CharFunction) -> frozenset[int]:
 
 
 def classify_sets(char: CharFunction) -> ClassSets:
-    """Split G into the |chi| = 1 subgroup and the chi = 0 set."""
-    zero = frozenset(int(g) for g in np.flatnonzero(char.zero))
-    return ClassSets(sym=symmetry_subgroup(char), zero=zero)
+    """Split G into the |chi| = 1 subgroup and the chi = 0 set: `char.sets`,
+    computed on the first call and kept; a SymNotSubgroup is raised on every
+    call, never kept."""
+    return char.sets
 
 
 # Copy numbers multiply phases in (-pi, pi]: up to this bound N phase, and a

@@ -177,7 +177,7 @@ def cmd_approx(args, group, rep, psi, phi) -> dict:
         "s": report.s,
     }
     if args.curve and report.classification == "unbounded":
-        curve = approx._convergence(c_psi, report.sym_psi, args.curve)  # psi classified once
+        curve = approx._convergence(c_psi, report.s, args.curve)  # the report's decay base
         result["curve"] = [
             {"N": pt.N, "bound": pt.bound, "distance": pt.distance} for pt in curve.points
         ]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharFunction, check_same_group, classify_sets
+from .charfn import CharFunction, check_same_group
 from .errors import RateNotBelowOptimal
 
 ZERO = "zero"
@@ -24,18 +24,6 @@ class RateReport:
     excluded: frozenset[int]
 
 
-def _excluded_set(char_phi: CharFunction):
-    """The classification of phi and the elements excluded from the rate minimum.
-
-    Both forms of the formula exclude sym(phi) u zeros: the commutative one
-    (both reps' matrices commute) removes all of sym(phi), the general
-    finite-group one {e} and the chi_phi zero set, where it requires
-    sym(phi) = {e}.
-    """
-    sets_phi = classify_sets(char_phi)
-    return sets_phi, sets_phi.sym | sets_phi.zero
-
-
 def exact_rate(char_psi: CharFunction, char_phi: CharFunction) -> RateReport:
     """min over non-excluded g of L(psi,g)/L(phi,g), with the zero-rate branch.
 
@@ -49,17 +37,25 @@ def exact_rate(char_psi: CharFunction, char_phi: CharFunction) -> RateReport:
     of a nonabelian central extension. Elsewhere the formula is evaluated
     all the same. The formula never reads sym(psi), so psi goes through the
     zero cut alone, not the subgroup check.
+
+    Both forms of the formula exclude sym(phi) u zeros: the commutative one
+    removes all of sym(phi), the general finite-group one {e} and the chi_phi
+    zero set, where it requires sym(phi) = {e}. phi's classification, that
+    excluded set and the increasing index of the elements off it are cached
+    on `char_phi` (`sets`, `excluded`, `kept`), so a second call with the
+    same phi does O(n) array work and no subgroup check; a SymNotSubgroup is
+    not cached and is raised on every call.
     """
     check_same_group(char_psi, char_phi)
-    sets_phi, excluded = _excluded_set(char_phi)
+    sets_phi, excluded = char_phi.sets, char_phi.excluded
     trivial = sets_phi.sym == frozenset({char_phi.group.identity})
     assumption_ok = trivial or (char_psi.commutative and char_phi.commutative)
 
-    if not char_psi.zero[list(sets_phi.zero)].all():
+    if (char_phi.zero & ~char_psi.zero).any():
         return RateReport(kind=ZERO, value=None, witness=None,
                           assumption_ok=assumption_ok, excluded=excluded)
 
-    keep = np.setdiff1d(np.arange(char_psi.group.order), list(excluded))  # increasing
+    keep = char_phi.kept
     L_psi, L_phi = -char_psi.logmod[keep], -char_phi.logmod[keep]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.isinf(L_psi), np.inf, L_psi / L_phi)
@@ -77,12 +73,12 @@ def copies_bound(char_psi: CharFunction, char_phi: CharFunction, r: float) -> in
     With s = max over g off sym(phi) u zeros of |chi_psi(g)| / |chi_phi(g)|^r, the
     conversion psi^N -> phi^{floor(rN)} is feasible whenever
     N > 2 log|G| / (-log s); returns that threshold rounded up plus one.
+    The elements off sym(phi) u zeros are read from the cache on `char_phi`.
     """
     check_same_group(char_psi, char_phi)
     if not 0 < r < math.inf:
         raise RateNotBelowOptimal(f"rate must be positive and finite, got {r}")
-    _, excluded = _excluded_set(char_phi)
-    keep = np.setdiff1d(np.arange(char_psi.group.order), list(excluded))  # increasing
+    keep = char_phi.kept
     log_s = char_psi.logmod[keep] - r * char_phi.logmod[keep]
     log_s = float(log_s.max()) if log_s.size else -math.inf
     if math.isinf(log_s) and log_s < 0:

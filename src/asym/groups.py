@@ -145,6 +145,22 @@ class ProjectiveRep:
             np.abs(A @ B - B @ A).max() <= TOL_SECTOR for A, B in itertools.combinations(gens, 2)
         )
 
+    @functools.cached_property
+    def inverse_phase(self) -> np.ndarray:
+        """omega(g, g^-1) for every g, read off U(g)U(g^-1) = omega I as
+        tr U(g)U(g^-1) / d and scaled onto the unit circle: read-only, O(n d^2)
+        in blocks of `_CHUNK_BYTES`, computed on first read and kept. On a
+        linear rep it is 1 up to rounding (exactly 1 for permutation matrices)."""
+        mats, inv, d = self.matrices, self.group.inv, self.dim
+        omega = np.empty(self.group.order, dtype=complex)
+        rows = _block_rows(d * d * mats.itemsize)
+        for g0 in range(0, len(mats), rows):
+            gs = slice(g0, g0 + rows)
+            omega[gs] = np.einsum("gij,gji->g", mats[gs], mats[inv[gs]]) / d
+        omega /= np.abs(omega)
+        omega.setflags(write=False)
+        return omega
+
 
 def build_group(mult_table, name: str | None = None) -> FiniteGroup:
     """Validate a multiplication table and derive identity and inverses.

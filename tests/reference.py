@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 
-from asym.errors import DomainError
+from asym.charfn import ClassSets, symmetry_subgroup, zero_mask
+from asym.errors import DomainError, RateNotBelowOptimal
+from asym.exact_rate import FINITE, UNBOUNDED, ZERO, RateReport
 from asym.lie import RfResult, _pencil_direction
 from asym.tolerances import TOL_ONE, TOL_PENCIL
 
@@ -85,3 +87,49 @@ def convergence_per_element(char_psi, N_list):
         )
         points.append((N, eps, delta))
     return sym, s, points
+
+
+def uncached_sets(char) -> ClassSets:
+    """phi's classification from scratch, bypassing the cache on `CharFunction`:
+    the `symmetry_subgroup` cut and check, and the `zero_mask` cut of logmod."""
+    zero = frozenset(int(g) for g in np.flatnonzero(zero_mask(char.logmod)))
+    return ClassSets(sym=symmetry_subgroup(char), zero=zero)
+
+
+def _kept(char_phi):
+    """(sets, excluded, increasing elements off sym(phi) u zeros) by setdiff1d."""
+    sets = uncached_sets(char_phi)
+    excluded = sets.sym | sets.zero
+    return sets, excluded, np.setdiff1d(np.arange(char_phi.group.order), list(excluded))
+
+
+def setdiff1d_exact_rate(char_psi, char_phi) -> RateReport:
+    """`exact_rate` as it was before the classification was cached: phi
+    classified on every call and the kept elements taken by `np.setdiff1d`.
+    The cached `exact_rate` must return this report bit for bit."""
+    sets, excluded, keep = _kept(char_phi)
+    ok = sets.sym == frozenset({char_phi.group.identity}) or (
+        char_psi.commutative and char_phi.commutative)
+    if not zero_mask(char_psi.logmod)[list(sets.zero)].all():
+        return RateReport(kind=ZERO, value=None, witness=None, assumption_ok=ok, excluded=excluded)
+    L_psi, L_phi = -char_psi.logmod[keep], -char_phi.logmod[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(np.isinf(L_psi), np.inf, L_psi / L_phi)
+    best = int(np.argmin(ratio)) if ratio.size else None
+    if best is None or np.isinf(ratio[best]):
+        return RateReport(kind=UNBOUNDED, value=None, witness=None, assumption_ok=ok,
+                          excluded=excluded)
+    return RateReport(kind=FINITE, value=float(ratio[best]), witness=int(keep[best]),
+                      assumption_ok=ok, excluded=excluded)
+
+
+def setdiff1d_copies_bound(char_psi, char_phi, r) -> int:
+    """`copies_bound` before the cache, for 0 < r < inf, as `setdiff1d_exact_rate`."""
+    _, _, keep = _kept(char_phi)
+    log_s = char_psi.logmod[keep] - r * char_phi.logmod[keep]
+    log_s = float(log_s.max()) if log_s.size else -math.inf
+    if math.isinf(log_s) and log_s < 0:
+        return 1
+    if log_s >= 0:
+        raise RateNotBelowOptimal(f"s = {math.exp(min(log_s, 700)):.6g} >= 1 at rate {r}")
+    return math.ceil(2.0 * math.log(char_psi.group.order) / (-log_s)) + 1

@@ -12,7 +12,7 @@ from asym import (
     resource_measure_L,
     validate_projective_rep,
 )
-from asym.charfn import MAX_COPIES
+from asym.charfn import MAX_COPIES, CharFunction
 from corpus import corpus_rep, random_state, z2_population_state
 from asym.errors import DimensionMismatch, DomainError
 from asym.groups import PureState
@@ -137,3 +137,21 @@ def test_global_phase_invariance(rng):
     a = np.abs(char_function(rep, state).values())
     b = np.abs(char_function(rep, rotated).values())
     assert np.allclose(a, b, atol=1e-14)
+
+
+def test_char_function_arrays_are_read_only(z2_rep):
+    # the cached masks and sets are derived from logmod and phase, so neither may change
+    built = char_function(z2_rep, z2_population_state(0.8))
+    logmod, phase = np.array([0.0, -0.5]), np.array([0.0, 0.3])
+    by_hand = CharFunction(group=built.group, logmod=logmod, phase=phase)
+    for char in (built, char_power(built, 3), char_from_values(built.group, [1.0, 0.0]), by_hand):
+        for arr in (char.logmod, char.phase):
+            with pytest.raises(ValueError):
+                arr[1] = -1.0
+            with pytest.raises(ValueError):
+                arr += 0.0
+        assert not char.zero.flags.writeable and not char.phase_defect.flags.writeable
+    # the caller's arrays are copied, not frozen: writing into them later leaves chi alone
+    assert classify_sets(by_hand).zero == frozenset()
+    logmod[1] = -np.inf
+    assert by_hand.logmod[1] == -0.5 and classify_sets(by_hand).zero == frozenset()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asym import approx, cli, convertibility, io, named_group, validate_projective_rep
+from asym import charfn, cli, convertibility, io, named_group, validate_projective_rep
 from asym.abelian import ChargeDistribution
 from asym.cli import main
 from asym.errors import ValidationError
@@ -477,9 +477,10 @@ def test_cli_approx_with_curve(capsys, corpus_dir):
 
 
 def test_cli_approx_classifies_each_state_once(capsys, corpus_dir, monkeypatch):
-    # the curve reuses the report's sym(psi): psi and phi go to symmetry_subgroup once each
-    seen, classify = [], approx.symmetry_subgroup
-    monkeypatch.setattr(approx, "symmetry_subgroup",
+    # the curve reuses the report's decay base and psi's cached sym(psi): psi
+    # and phi go to symmetry_subgroup once each
+    seen, classify = [], charfn.symmetry_subgroup
+    monkeypatch.setattr(charfn, "symmetry_subgroup",
                         lambda c: seen.append(c) or classify(c))
     report = run_json(
         capsys,

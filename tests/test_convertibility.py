@@ -649,6 +649,46 @@ def test_scan_matches_loop_on_drawn_states(name, amps):
     assert_scan_matches_loop(psi, phi, 40, rows=3)
 
 
+def assert_hermitian_bit_for_bit(char):
+    """chi(g^-1) = conj chi(g) in (logmod, phase) form: the same log-modulus,
+    the negated phase off the involutions, and a phase of 0 or pi on them."""
+    inv = char.group.inv
+    own = inv == np.arange(char.group.order)
+    assert np.array_equal(char.logmod[inv], char.logmod)
+    assert np.array_equal(char.phase[inv][~own], -char.phase[~own])
+    assert np.isin(char.phase[own], [0.0, np.pi]).all()
+
+
+def test_scan_matches_loop_on_the_drawn_pair_that_raised_not_hermitian():
+    # Hypothesis seed 0's D_4 pair: |chi_phi| is about 1e-9 at some g. When
+    # chi(g) and chi(g^-1) came from separate sums their phases differed by
+    # about 1e-8 rad, and f = chi_psi^N / chi_phi^M multiplied that by M until
+    # feasible_exact raised NotHermitian. chi(g^-1) = conj chi(g) now holds
+    # bit for bit on this linear rep
+    rep = SCAN_GROUPS["D_4"]
+    psi = np.zeros(8, dtype=complex)
+    psi[[1, 5, 6]] = 1j
+    phi = np.array([0, 1, 0, 1 + 1j, 0, 1j, 0, 1e-9])
+    chars = [char_function(rep, PureState(8, v / np.linalg.norm(v))) for v in (psi, phi)]
+    for char in chars:
+        assert_hermitian_bit_for_bit(char)
+    assert np.exp(chars[1].logmod).min() < 1e-8
+    assert_scan_matches_loop(*chars, 40, rows=3)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_GROUPS))
+def test_chi_is_hermitian_bit_for_bit_on_a_linear_rep(name, rng):
+    rep = SCAN_GROUPS[name]
+    assert np.array_equal(rep.inverse_phase, np.ones(rep.group.order))
+    for _ in range(20):
+        state = random_state(rep.dim, rng)
+        char = char_function(rep, state)
+        assert_hermitian_bit_for_bit(char)
+        psi = state.amplitudes  # one sum per element, as before the pairing
+        plain = np.einsum("i,gij,j->g", psi.conj(), rep.matrices, psi)
+        assert np.abs(char.values() - plain).max() < 1e-15
+
+
 @pytest.mark.parametrize("name", ["Z_256", "D_128", "S_5", "Q_8"])
 def test_batched_min_eigenvalues_match_feasible_exact(name, oracle_group):
     group = oracle_group(name)

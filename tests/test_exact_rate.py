@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from asym import (
+    approx_rate_class,
     char_from_values,
     char_function,
     char_power,
@@ -12,10 +14,13 @@ from asym import (
     named_group,
     validate_projective_rep,
 )
+from asym import charfn
 from asym.charfn import classify_sets
 from corpus import corpus_rep, random_state, z2_population_state
+from reference import setdiff1d_copies_bound, setdiff1d_exact_rate, subgroup_closure, uncached_sets
+from test_convertibility import BUILT, positive_type
 from asym.errors import GroupMismatch, RateNotBelowOptimal, SymNotSubgroup
-from asym.exact_rate import FINITE, UNBOUNDED, ZERO, _excluded_set
+from asym.exact_rate import FINITE, UNBOUNDED, ZERO
 from asym.groups import ProjectiveRep, PureState
 from asym.tolerances import TOL_ZERO
 
@@ -194,7 +199,8 @@ def test_copies_bound_population_states():
 
 def loop_exact_rate(char_psi, char_phi):
     """The per-element loop that `exact_rate` replaced, kept as the reference."""
-    sets_phi, excluded = _excluded_set(char_phi)
+    sets_phi = uncached_sets(char_phi)
+    excluded = sets_phi.sym | sets_phi.zero
     psi_zero = {g for g in range(char_psi.group.order) if char_psi.logmod[g] <= math.log(TOL_ZERO)}
     if not sets_phi.zero <= psi_zero:
         return ZERO, None, None
@@ -214,7 +220,8 @@ def loop_exact_rate(char_psi, char_phi):
 
 def loop_copies_bound(char_psi, char_phi, r):
     """The per-element loop that `copies_bound` replaced; None where it raises."""
-    _, excluded = _excluded_set(char_phi)
+    sets_phi = uncached_sets(char_phi)
+    excluded = sets_phi.sym | sets_phi.zero
     log_s = -math.inf
     for g in range(char_psi.group.order):
         if g in excluded:
@@ -284,3 +291,108 @@ def test_copies_bound_rejects_a_non_finite_rate(z2, r):
     chi = chi_z2(z2, 0.6)
     with pytest.raises(RateNotBelowOptimal):
         copies_bound(chi, chi_z2(z2, 0.8), r)
+
+
+# ------------------------------------------------ the classification cached on phi
+
+
+def _built_chars(group, rng):
+    """chi with sym = {e} and no zeros, the same with zeros, one with sym a
+    proper cyclic subgroup H != {e}, that one with zeros off H, and chi = 1."""
+    n = group.order
+    plain = positive_type(group, rng)
+    holes = rng.choice(np.flatnonzero(np.arange(n) != group.identity), size=max(1, n // 8),
+                       replace=False)
+    holes = np.union1d(holes, group.inv[holes])  # chi(g) and chi(g^-1) vanish together
+    # the first proper cyclic subgroup != {e} met in a random order
+    cyclic = (subgroup_closure(group, [g]) for g in rng.permutation(n) if g != group.identity)
+    H = sorted(next(c for c in cyclic if len(c) < n))
+    on_H = np.isin(np.arange(n), H)
+    sym = np.where(on_H, 1.0, 0.5 * positive_type(group, rng))
+    out = []
+    for values in (plain, sym):
+        out.append(char_from_values(group, values))
+        cut = values.copy()
+        cut[np.setdiff1d(holes, H)] = 0.0
+        out.append(char_from_values(group, cut))
+    # read through the reference, so that each cache is still empty here
+    assert uncached_sets(out[1]).zero and len(uncached_sets(out[2]).sym) > 1
+    assert uncached_sets(out[3]).zero
+    return out + [char_from_values(group, np.ones(n))]  # sym = G: an unbounded target
+
+
+def assert_same_report(got, want):
+    assert got == want and repr(got.value) == repr(want.value)
+
+
+@pytest.mark.parametrize("name", list(BUILT))
+def test_cached_rate_and_copies_bound_match_the_setdiff1d_reference(name):
+    group = BUILT[name]()
+    rng = np.random.default_rng(group.order + 11)
+    chars = _built_chars(group, rng)
+    kinds = set()
+    for a in chars:
+        for b in chars:
+            want = setdiff1d_exact_rate(a, b)
+            for _ in range(2):  # a call that may fill b's cache, then one that reads it
+                assert_same_report(exact_rate(a, b), want)
+            kinds.add(want.kind)
+            v = want.value
+            for r in ([0.5 * v, 0.999 * v, 1.5 * v] if v else [0.3, 1.0, 7.0]):
+                try:
+                    expect = setdiff1d_copies_bound(a, b, r)
+                except RateNotBelowOptimal as err:
+                    with pytest.raises(RateNotBelowOptimal, match=re.escape(str(err))):
+                        copies_bound(a, b, r)
+                else:
+                    assert copies_bound(a, b, r) == expect
+    assert kinds == {ZERO, FINITE, UNBOUNDED}
+
+
+def count_classifications(monkeypatch):
+    seen = []
+    classify = charfn.symmetry_subgroup
+    monkeypatch.setattr(charfn, "symmetry_subgroup", lambda c: seen.append(c) or classify(c))
+    return seen
+
+
+def test_each_char_function_is_classified_once(monkeypatch):
+    rep = corpus_rep("S_3")
+    rng = np.random.default_rng(5)
+    psi, phi = (char_function(rep, random_state(3, rng)) for _ in range(2))
+    seen = count_classifications(monkeypatch)
+    for _ in range(3):
+        report = exact_rate(psi, phi)
+        copies_bound(psi, phi, 0.5 * report.value)
+        classify_sets(phi)
+        approx_rate_class(psi, phi)
+        approx_rate_class(phi, psi)
+    assert sorted(map(id, seen)) == sorted([id(psi), id(phi)])
+    assert phi.sets is classify_sets(phi) and phi.excluded == report.excluded
+    assert not phi.kept.flags.writeable and list(phi.kept) == [1, 2, 3, 4, 5]
+
+
+def test_sym_not_subgroup_is_raised_on_every_call(monkeypatch):
+    # |chi| sits within TOL_ONE of 1 at g = 1, 3 but not at 2: {0, 1, 3} is no subgroup
+    rep = corpus_rep("Z_4")
+    bad = char_function(rep, PureState(4, np.array([math.sqrt(1 - 8e-11), math.sqrt(8e-11), 0, 0])))
+    other = char_function(rep, PureState(4, np.array([0.7, 0.5, 0.4, math.sqrt(0.1)])))
+    seen = count_classifications(monkeypatch)
+    calls = [
+        lambda: exact_rate(other, bad),
+        lambda: copies_bound(other, bad, 0.5),
+        lambda: classify_sets(bad),
+        lambda: approx_rate_class(bad, other),
+        lambda: approx_rate_class(other, bad),
+    ]
+    for k in range(2):
+        for i, call in enumerate(calls):
+            with pytest.raises(SymNotSubgroup):
+                call()
+            assert seen[-1] is bad
+    for attr in ("sets", "excluded", "kept"):
+        assert attr not in vars(bad)
+        with pytest.raises(SymNotSubgroup):
+            getattr(bad, attr)
+    assert sum(c is bad for c in seen) == 2 * len(calls) + 3
+    assert exact_rate(bad, other).kind == FINITE  # as psi, only its zero set is read

@@ -188,6 +188,35 @@ def test_gauge_keeps_a_small_chi_and_its_zero_set():
     assert classify_sets(phased).zero == classify_sets(base).zero == frozenset()
 
 
+def test_inverse_phase_reads_omega_of_g_and_its_inverse(monkeypatch):
+    # Pauli rep of Z_2 x Z_2: Z Z = X X = I, (XZ)(XZ) = -I; i Z on Z_2: (iZ)^2 = -I
+    X, Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    pauli = validate_projective_rep(named_group("Z_2xZ_2"), [np.eye(2), Z, X, X @ Z])
+    iz = validate_projective_rep(named_group("Z_2"), [np.eye(2), 1j * Z])
+    for rep, want in ((pauli, [1, 1, 1, -1]), (iz, [1, -1])):
+        assert np.abs(rep.inverse_phase - want).max() < 1e-15
+        assert not rep.inverse_phase.flags.writeable
+    rng = np.random.default_rng(3)
+    for name in GROUP_NAMES:
+        rep = corpus_rep(name)
+        # omega(g, g^-1) is 1 on every corpus rep; so is it block by block
+        assert np.abs(rep.inverse_phase - 1).max() < 1e-15
+        with monkeypatch.context() as mp:
+            mp.setattr(groups, "_CHUNK_BYTES", rep.dim**2 * 16)  # one element per block
+            fresh = validate_projective_rep(rep.group, rep.matrices)
+            assert np.array_equal(fresh.inverse_phase, rep.inverse_phase)
+        # a gauge U(g) -> e^{i t_g} U(g) multiplies omega(g, g^-1) by e^{i (t_g + t_g^-1)}
+        t = rng.uniform(-np.pi, np.pi, rep.group.order)
+        t[rep.group.identity] = 0.0
+        gauged = validate_projective_rep(rep.group, rep.matrices * np.exp(1j * t)[:, None, None])
+        want = np.exp(1j * (t + t[rep.group.inv])) * rep.inverse_phase
+        assert np.abs(gauged.inverse_phase - want).max() < 1e-14
+        state = random_state(rep.dim, rng)
+        chi = char_function(gauged, state).values()
+        assert np.abs(chi[rep.group.inv] - gauged.inverse_phase * chi.conj()).max() < 1e-15
+        assert np.abs(np.abs(chi) - np.abs(char_function(rep, state).values())).max() < 1e-14
+
+
 def test_cyclic_roots_of_unity_rep_has_zero_cocycle():
     for n in (2, 3, 4):
         rep = corpus_rep(f"Z_{n}")
