@@ -143,7 +143,7 @@ def fourier_weights(
     (lam_w,), (violation,) = interpolate(psi, phi, N, M)
     w = (np.fft.fftn(lam_w.reshape(p.shape)) / lam_w.size).real.ravel()
     n = lam_w.size
-    return w, _first_failure(np.array([n * w.min()]), violation, n, (0.0,)) < 0
+    return w, _first_failure(np.array([n * w.min()]), violation, n) < 0
 
 
 def shift_canonicalize(dist: ChargeDistribution) -> ChargeDistribution:

@@ -2,14 +2,16 @@
 
 Values are stored as (log-modulus, phase) so that tensor powers up to very
 large copy numbers stay representable: |chi|^N lives as N * logmod, never as
-an underflowing float. logmod = -inf encodes an exact zero.
+an underflowing float. logmod = -inf encodes an exact zero. |chi(g^-1)| =
+|chi(g)| is stored exactly, and so is chi(g^-1) = conj chi(g) for a linear
+rep (`CharFunction.linear`), the only kind the Gram view takes.
 
 A `CharFunction` is immutable: its logmod and phase arrays are read-only,
 so what is derived from them is computed on first read and kept. Cached
-are the zero mask, the phase defect, the classification `sets` (sym(chi)
-and the zero set), the `excluded` set sym u zero and the `kept` indices off
-it. A `SymNotSubgroup` is not cached: every read of `sets`, `excluded` or
-`kept` re-runs the subgroup check and raises again.
+are the zero mask, the classification `sets` (sym(chi) and the zero set),
+the `excluded` set sym u zero and the `kept` indices off it. A
+`SymNotSubgroup` is not cached: every read of `sets`, `excluded` or `kept`
+re-runs the subgroup check and raises again.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, GroupMismatch, SymNotSubgroup
+from .errors import DimensionMismatch, DomainError, GroupMismatch, NotHermitian, SymNotSubgroup
 from .groups import FiniteGroup, ProjectiveRep, PureState, is_subgroup
-from .tolerances import TOL_ONE, TOL_ZERO
+from .tolerances import TOL_HERM, TOL_ONE, TOL_ZERO
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +35,7 @@ class CharFunction:
     logmod: np.ndarray  # (n,) float, <= 0, -inf means chi(g) = 0
     phase: np.ndarray  # (n,) float, radians
     commutative: bool = False  # the rep's U(g) commute (ProjectiveRep.commutative)
+    linear: bool = False  # chi of a linear rep, stored with chi(g^-1) = conj chi(g)
 
     def __post_init__(self):
         # read-only copies, so that no cached mask or set can go stale
@@ -49,13 +52,6 @@ class CharFunction:
     def zero(self) -> np.ndarray:
         """The zero set as a read-only mask, `zero_mask(logmod)`, cut once and kept."""
         return _frozen(zero_mask(self.logmod))
-
-    @functools.cached_property
-    def phase_defect(self) -> np.ndarray:
-        """phase(g) + phase(g^-1) wrapped to (-pi, pi], read-only and kept: 0
-        where chi(g^-1) = conj chi(g) in phase, as for a linear rep."""
-        s = self.phase + self.phase[self.group.inv]
-        return _frozen(np.angle(np.exp(1j * s)))
 
     @functools.cached_property
     def sets(self) -> ClassSets:
@@ -96,15 +92,34 @@ def check_same_group(a: CharFunction, b: CharFunction) -> None:
 
 def char_from_values(group: FiniteGroup, values) -> CharFunction:
     """Build a CharFunction from plain complex values (chi(e) forced to 1) of a
-    linear rep, whose matrices commute exactly when the group is abelian."""
-    return CharFunction(group, *_polar(group, values), commutative=group.is_abelian())
-
-
-def _polar(group: FiniteGroup, values) -> tuple[np.ndarray, np.ndarray]:
-    """(log|chi|, phase) of complex values, set to (0, 0) at the identity."""
-    vals = np.asarray(values, dtype=complex)
+    linear rep, whose matrices commute exactly when the group is abelian.
+    NotHermitian unless the values are finite with chi(g^-1) = conj chi(g) to
+    within TOL_HERM; that symmetry is then made exact (`_conjugate_pairs`)."""
+    vals = np.array(values, dtype=complex)
     if vals.shape != (group.order,):
         raise DimensionMismatch(f"expected {group.order} values, got shape {vals.shape}")
+    vals[group.identity] = 1.0
+    dev = np.abs(vals - vals[group.inv].conj()).max() if np.isfinite(vals).all() else np.nan
+    if not dev <= TOL_HERM:
+        raise NotHermitian(f"chi(g^-1) deviates from conj chi(g) by {dev:.3e}")
+    _conjugate_pairs(group, vals)
+    return CharFunction(group, *_polar(group, vals), commutative=group.is_abelian(), linear=True)
+
+
+def _conjugate_pairs(group: FiniteGroup, vals: np.ndarray) -> None:
+    """Make chi(g^-1) = conj chi(g) exact in vals (n,), in place: real on e
+    and the involutions, conj chi(g) at g^-1 for g < g^-1 (+ 0.0 turns an
+    imaginary -0.0 into +0.0, so phases stay in (-pi, pi])."""
+    g = np.arange(group.order)
+    own, first = g == group.inv, g < group.inv
+    vals[own] = vals[own].real
+    vals[group.inv[first]] = vals[first].conj() + 0.0
+
+
+def _polar(group: FiniteGroup, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log|chi|, phase) of the complex values vals (n,), (0, 0) at the identity;
+    |chi(g^-1)| = |chi(g)| on every projective rep, so g^-1 takes the
+    log-modulus of chi(g) for g < g^-1."""
     mod = np.abs(vals)
     with np.errstate(divide="ignore"):
         logmod = np.where(mod > 0, np.log(np.maximum(mod, 1e-320)), -np.inf)
@@ -112,37 +127,26 @@ def _polar(group: FiniteGroup, values) -> tuple[np.ndarray, np.ndarray]:
     phase = np.where(mod > 0, np.angle(vals), 0.0)
     logmod[group.identity] = 0.0
     phase[group.identity] = 0.0
+    first = np.flatnonzero(np.arange(group.order) < group.inv)
+    logmod[group.inv[first]] = logmod[first]
     return logmod, phase
 
 
 def char_function(rep: ProjectiveRep, state: PureState) -> CharFunction:
-    """chi(g) = <psi|U(g)|psi> for every group element.
-
-    U(g^-1) = omega U(g)^+ with omega = omega(g, g^-1) (`rep.inverse_phase`),
-    so chi(g^-1) = omega conj chi(g). That holds exactly here, not up to the
-    rounding of two separate sums. On an involution chi(g) lies on the line
-    sqrt(omega) R, and is projected onto it. For g < g^-1, chi(g^-1) takes
-    the log-modulus of chi(g) and the phase arg omega - phase(g). On a linear
-    rep (omega = 1) chi(g^-1) is then conj chi(g) bit for bit, so
-    f = chi_psi^N / chi_phi^M is Hermitian however small |chi_phi| is.
-    |chi| moves only at rounding level.
-    """
+    """chi(g) = <psi|U(g)|psi> for every group element, one sum per pair
+    {g, g^-1}: U(g^-1) is a phase times U(g)^+, so |chi(g^-1)| = |chi(g)|
+    (`_polar`), and on a linear rep (`rep.linear`) chi(g^-1) = conj chi(g)
+    (`_conjugate_pairs`). On any other rep chi(g^-1) keeps the phase of its
+    own sum: `exact_rate` and `approx` read |chi| alone, and the Gram view
+    refuses such a rep."""
     if state.dim != rep.dim:
         raise DimensionMismatch(f"state dim {state.dim} != rep dim {rep.dim}")
     psi = state.amplitudes
     vals = np.einsum("i,gij,j->g", psi.conj(), rep.matrices, psi)
-    inv, omega = rep.group.inv, rep.inverse_phase
-    g = np.arange(rep.group.order)
-    own = g[g == inv]  # e and the involutions
-    root = np.sqrt(omega[own])
-    vals[own] = root * (root.conj() * vals[own]).real
-    logmod, phase = _polar(rep.group, vals)
-    first = g[g < inv]
-    logmod[inv[first]] = logmod[first]
-    turn = np.angle(omega[first]) - phase[first]  # in (-2 pi, 2 pi), wrapped to (-pi, pi]
-    turn = np.where(turn <= -np.pi, turn + 2 * np.pi, np.where(turn > np.pi, turn - 2 * np.pi, turn))
-    phase[inv[first]] = np.where(np.isneginf(logmod[first]), 0.0, turn)
-    return CharFunction(rep.group, logmod, phase, commutative=rep.commutative)
+    if rep.linear:
+        _conjugate_pairs(rep.group, vals)
+    return CharFunction(rep.group, *_polar(rep.group, vals),
+                        commutative=rep.commutative, linear=rep.linear)
 
 
 def resource_measure_L(char: CharFunction, g: int) -> float:
@@ -213,4 +217,4 @@ def char_power(char: CharFunction, N: int) -> CharFunction:
     logmod[np.isneginf(char.logmod)] = -np.inf
     phase = np.angle(np.exp(1j * (char.phase * n)))  # wrapped to (-pi, pi]
     return CharFunction(group=char.group, logmod=logmod, phase=phase,
-                        commutative=char.commutative)
+                        commutative=char.commutative, linear=char.linear)

@@ -11,6 +11,11 @@ not an error. `_first_failure` states the rule once (no such element, and a
 minimum Gram eigenvalue >= -TOL_PSD * |G|) for `is_positive_definite`, the
 copy-number scan and the Fourier view. The zero sets are cut at TOL_ZERO
 (`charfn.zero_mask`), once per characteristic function (`CharFunction.zero`).
+The Gram test is the criterion on a linear rep only (on a projective one
+the kernel carries omega^(N-M)), so `feasible_exact` and
+`minimal_copies_search` raise DomainError unless `CharFunction.linear`
+holds for both. There `_hermitian` makes f Hermitian bit for bit; only
+`is_positive_definite` checks the Hermiticity of values a caller passes.
 
 M is a convolution operator, M = sum_k f(k) R(k) over the right translations
 R(k), so its spectrum is the union of the spectra of the Fourier blocks
@@ -31,13 +36,12 @@ It first settles what it can from m = |f| alone (`_settle`): the Gram
 matrix has a unit diagonal and off-diagonal row moduli summing to
 sum_{g != e} m(g), whatever the irreps, so a sum <= 1 is feasible by
 Gershgorin; a zero-set violation, or max m above 1 by a margin, is
-infeasible by a 2 x 2 principal minor. A row is settled only when a bound on
-its Hermitian deviation shows the Gram test would not raise NotHermitian
-for it. Only the unsettled rows before a block's first row settled
-infeasible go through the interpolation, the matmul against the irrep
-basis and the block spectra. The search costs O(n) real work per settled
-row and O(n^2) per unsettled one, so O(n_max * n^2) at worst; its memory
-beyond the irrep basis is a few blocks, whatever n_max is.
+infeasible by a 2 x 2 principal minor. Only the unsettled rows before a
+block's first row settled infeasible go through the interpolation, the
+matmul against the irrep basis and the block spectra. The search costs O(n)
+real work per settled row and O(n^2) per unsettled one, so O(n_max * n^2)
+at worst; its memory beyond the irrep basis is a few blocks, whatever n_max
+is.
 """
 
 from __future__ import annotations
@@ -116,25 +120,18 @@ def _values(dlog: np.ndarray, psi, phi, N: np.ndarray, M: np.ndarray) -> np.ndar
     return vals
 
 
-def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of M[g, h] = f(g^-1 h) for each row f of values (K, n).
 
-    Returns the K minimum eigenvalues, NaN where M is not Hermitian, and the
-    K Hermitian deviations. M is Hermitian iff f(g^-1) = conj f(g): the
-    entries of M - M^+ are exactly these n differences, which must stay within
-    TOL_HERM * max(1, max |f|); a row that is not finite fails. The spectrum
-    comes from one matmul against the irrep basis and `_block_min_eig` per
-    irrep dimension d: a 1 x 1 block (a character) is its own eigenvalue, the
-    real part of the Hermitian row's block; a 2 x 2 block's minimum is taken
-    in closed form; above 2, one batched `eigvalsh` per dimension.
+    M is Hermitian iff f(g^-1) = conj f(g), as `_hermitian` makes f and
+    `is_positive_definite` checks it. The spectrum comes from one matmul
+    against the irrep basis and `_block_min_eig` per irrep dimension d: a
+    1 x 1 block (a character) is its own eigenvalue, the real part of the
+    Hermitian row's block; a 2 x 2 block's minimum is taken in closed form;
+    above 2, one batched `eigvalsh` per dimension.
     """
-    with np.errstate(invalid="ignore"):
-        herm_dev = np.abs(values - values[:, group.inv].conj()).max(axis=1)
-        hermitian = herm_dev <= TOL_HERM * np.maximum(1.0, np.abs(values).max(axis=1))
-    min_eig = np.full(len(values), np.nan)
-    blocks = group.irreps.fourier_blocks(values[hermitian])
-    min_eig[hermitian] = np.min([_block_min_eig(B).min(axis=-1) for B in blocks], axis=0)
-    return min_eig, herm_dev
+    blocks = group.irreps.fourier_blocks(values)
+    return np.min([_block_min_eig(B).min(axis=-1) for B in blocks], axis=0)
 
 
 def _block_min_eig(B: np.ndarray) -> np.ndarray:
@@ -154,22 +151,15 @@ def _block_min_eig(B: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((B + B.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
 
 
-def _first_failure(min_eig: np.ndarray, violation, order: int, herm_dev) -> int:
+def _first_failure(min_eig: np.ndarray, violation, order: int) -> int:
     """The feasibility rule over rows in scan order: the first row it rejects, or -1.
 
     A row is feasible iff it has no zero-set violation (violation < 0, one
     value or one per row) and its minimum Gram eigenvalue is
-    >= -TOL_PSD * order. The first rejected row raises NotHermitian
-    instead when its Gram matrix is not Hermitian (min_eig NaN, deviation
-    herm_dev), whatever its zero set.
+    >= -TOL_PSD * order; a NaN minimum fails.
     """
     fails = np.flatnonzero((violation >= 0) | ~(min_eig >= -TOL_PSD * order))
-    if not fails.size:
-        return -1
-    i = fails[0]
-    if np.isnan(min_eig[i]):
-        raise NotHermitian(f"Gram matrix deviates from Hermitian by {herm_dev[i]:.3e}")
-    return int(i)
+    return int(fails[0]) if fails.size else -1
 
 
 def is_positive_definite(group: FiniteGroup, values: np.ndarray) -> FeasibilityResult:
@@ -177,17 +167,43 @@ def is_positive_definite(group: FiniteGroup, values: np.ndarray) -> FeasibilityR
 
     Reports feasible iff the minimum eigenvalue of M[g, h] = f(g^-1 h) is
     >= -TOL_PSD * |G|, computed block by block from the Fourier transform of
-    f. M is Hermitian iff f(g^-1) = conj f(g); a function that is not (or is
-    not finite) cannot be positive definite and is reported as an error.
+    f. M is Hermitian iff f(g^-1) = conj f(g); values that miss it by more
+    than TOL_HERM * max(1, max |f|), or are not finite, cannot be positive
+    definite and raise NotHermitian.
     """
-    min_eig, herm_dev = gram_min_eigenvalues(group, values[None])
+    dev = np.abs(values - values[group.inv].conj()).max() if np.isfinite(values).all() else np.nan
+    if not dev <= TOL_HERM * max(1.0, np.abs(values).max()):
+        raise NotHermitian(f"Gram matrix deviates from Hermitian by {dev:.3e}")
+    min_eig = gram_min_eigenvalues(group, values[None])
     over = np.flatnonzero(np.abs(values) > 1.0 + TOL_PSD)
     return FeasibilityResult(
-        feasible=_first_failure(min_eig, -1, group.order, herm_dev) < 0,
+        feasible=_first_failure(min_eig, -1, group.order) < 0,
         min_gram_eigenvalue=float(min_eig[0]),
         f=values,
         modulus_witness=int(over[0]) if over.size else None,
     )
+
+
+def _require_linear(char_psi: CharFunction, char_phi: CharFunction) -> None:
+    if not (char_psi.linear and char_phi.linear):
+        raise DomainError(
+            "the Gram test takes a linear rep (omega = 1); for a commuting projective rep, "
+            "use `asym charges` and `asym convert-abelian`, which phase-gauge it"
+        )
+
+
+def _hermitian(group: FiniteGroup, vals: np.ndarray, psi, phi, N, M) -> np.ndarray:
+    """Rows f = chi_psi^N / chi_phi^M (K, n) made Hermitian in place. On a
+    linear rep chi(g^-1) = conj chi(g), so f(g^-1) is set to conj f(g) for
+    g < g^-1; on e and the involutions chi is real, and f = +-|f| takes the
+    sign (-1)^(N [chi_psi < 0] + M [chi_phi < 0]) from the parities of N
+    and M, not from exp(i N pi). So the Gram matrix is Hermitian bit for bit."""
+    g = np.arange(group.order)
+    own, first = g == group.inv, g < group.inv
+    vals[:, group.inv[first]] = vals[:, first].conj()
+    odd = N % 2 * (np.abs(psi[1][own]) > np.pi / 2) + M % 2 * (np.abs(phi[1][own]) > np.pi / 2)
+    vals[:, own] = np.where(odd % 2 == 1, -1.0, 1.0) * np.abs(vals[:, own])
+    return vals
 
 
 def feasible_exact(
@@ -195,15 +211,18 @@ def feasible_exact(
 ) -> FeasibilityResult:
     """Feasibility of psi^N -> phi^M under G-covariant operations.
 
-    The interpolator of `interpolate` goes to the Gram test. Where chi_phi^M
-    vanishes and chi_psi^N does not, the answer is infeasible, with the
-    smallest such element as `zero_set_witness`. M = 0 is accepted as the
-    trivial (symmetric) target, which is always reachable. NotHermitian if
-    the interpolator's Gram matrix is not Hermitian.
+    The interpolator of `interpolate`, made Hermitian by `_hermitian`, goes
+    to the Gram test. Where chi_phi^M vanishes and chi_psi^N does not, the
+    answer is infeasible, with the smallest such element as
+    `zero_set_witness`. M = 0 is accepted as the trivial (symmetric) target,
+    which is always reachable. DomainError unless both characteristic
+    functions come from a linear rep (`CharFunction.linear`).
     """
     check_same_group(char_psi, char_phi)
-    (vals,), (bad,) = interpolate(_polar(char_psi), _polar(char_phi), N, M)
-    res = is_positive_definite(char_psi.group, vals)
+    _require_linear(char_psi, char_phi)
+    group, psi, phi = char_psi.group, _polar(char_psi), _polar(char_phi)
+    vals, (bad,) = interpolate(psi, phi, N, M)
+    res = is_positive_definite(group, _hermitian(group, vals, psi, phi, N, M)[0])
     return res if bad < 0 else replace(res, feasible=False, zero_set_witness=int(bad))
 
 
@@ -211,75 +230,44 @@ def _polar(char: CharFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return char.logmod, char.phase, char.zero
 
 
-def _settle(
-    char_psi: CharFunction,
-    char_phi: CharFunction,
-    N: np.ndarray,
-    M: np.ndarray,
-    dlog: np.ndarray,
-    violation: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of copy numbers N, M (K, 1) that the Gram test would decide, decided from |f|.
+def _settle(group: FiniteGroup, dlog, violation) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of copy numbers that the Gram test would decide, decided from |f|.
 
-    dlog and violation are `_log_ratio`'s for these rows, so m = |f| =
+    dlog and violation are `_log_ratio`'s for K rows, so m = |f| =
     exp(dlog), raised to e^-600 where it is smaller (or where `interpolate`
-    zeroes f), and f(e) = 1 since chi(e) = 1. Returns two K-entry masks: the rows settled feasible
-    and those settled infeasible; a row in neither needs the Gram spectrum.
+    zeroes f), and f(e) = 1 since chi(e) = 1. Returns two K-entry masks: the
+    rows settled feasible and those settled infeasible; a row in neither
+    needs the Gram spectrum.
 
     Row g of the Gram matrix M[g, h] = f(g^-1 h) holds f(e) = 1 on the
     diagonal and f(k), k != e, off it, so its off-diagonal moduli sum to
-    S = sum_{k != e} m(k); so do those of the Hermitian part
-    H = (M + M^+)/2 that the test reads, as k -> k^-1 permutes G - {e}. No
-    irrep enters, so this holds for projective ones too. With u the unit
-    roundoff and n = |G|:
-
-    Hermitian. The Gram test raises NotHermitian when max_g |f(g) - conj
-    f(g^-1)| exceeds TOL_HERM * max(1, max m). With f = m e^{i theta},
-    theta = N alpha - M beta and |e^{ix} - 1| <= |x|, that deviation is at
-    most dev(g) = |m(g) - m(g^-1)| + m(g^-1) |N da(g) - M db(g)|, where
-    da = alpha(g) + alpha(g^-1) wrapped (`CharFunction.phase_defect`; N and M
-    are integers, so the wrap shifts N da by a multiple of 2 pi). The
-    rounding of the computed f, of its phase N alpha - M beta and of da, db
-    adds at most (m(g) + m(g^-1)) 4 pi (N + M + 1) u <= 8 pi (N + M + 1) u S
-    at g != e, and nothing at e, where f(e) = 1 is exact and da(e) = 0; the
-    floor of m lowers |m(g) - m(g^-1)| by at most e^-600. A row is settled
-    only while this bound stays below half the cut: the computed deviation,
-    a few u (relative) from the bound's own terms, then passes the cut, and
-    every row the test would raise for is left to it.
+    S = sum_{k != e} m(k). M is Hermitian by construction (`_hermitian`),
+    and no irrep enters, so this holds for every group. With n = |G|:
 
     Feasible: no zero-set violation and S <= 1 (the floor only raises S). By
-    Gershgorin every eigenvalue of H is >= 1 - S >= 0, and the computed
+    Gershgorin every eigenvalue of M is >= 1 - S >= 0, and the computed
     minimum is off by rounding only, far less than TOL_PSD * n.
 
     Infeasible: a zero-set violation, or m(k) = max m with
-    m(k) (1 - TOL_PSD n - TOL_HERM) > 1 + TOL_PSD n. The 2 x 2 principal
-    submatrix of H at rows (g, g k) is [[1, b], [conj b, 1]] with
-    b = (f(k) + conj f(k^-1))/2, so |b| >= m(k) - dev(k)/2 > m(k) - TOL_HERM
-    m(k)/4, and by interlacing lambda_min(H) <= 1 - |b|
-    < -TOL_PSD n - (TOL_PSD n + 3 TOL_HERM / 4) m(k). The computed minimum is
-    below the cut -TOL_PSD n while its error is below TOL_PSD n max |f|, ten
-    times the 1e-10 n to which the block spectra are tested against a dense
-    eigendecomposition at |f| of order 1.
-
-    Cost: O(n) real work per row, against O(n^2) complex work for the Gram
-    spectrum.
+    m(k) (1 - TOL_PSD n) > 1 + TOL_PSD n. The 2 x 2 principal submatrix of
+    M at rows (g, g k) is [[1, b], [conj b, 1]] with b = f(k), |b| = m(k),
+    so by interlacing lambda_min(M) <= 1 - m(k) < -TOL_PSD n - TOL_PSD n m(k).
+    The computed minimum is below the cut -TOL_PSD n while its error is
+    below TOL_PSD n max |f|, ten times the 1e-10 n to which the block spectra
+    are tested against a dense eigendecomposition at |f| of order 1; the
+    complex exp that gives f(k) moves |b| from m(k) by a few units of
+    roundoff, relative, far inside that margin. Cost: O(n) real work per
+    row, against O(n^2) complex work for the Gram spectrum.
     """
-    n, e = char_psi.group.order, char_psi.group.identity
-    with np.errstate(over="ignore"):  # an inf bound settles nothing
-        # exp, and products with m, are many times slower where they
-        # underflow; m is raised to e^-600 (3e-261), far below every cut here
-        m = np.exp(np.maximum(dlog, -600.0))
-        m_inv = m[:, char_psi.group.inv]
-        dev = np.abs(N * char_psi.phase_defect - M * char_phi.phase_defect)
-        dev *= m_inv
-        dev += np.abs(m - m_inv)
-        top = m.max(axis=1)
-        off = m.sum(axis=1) - m[:, e]  # S
-        rounding = 8.0 * math.pi * np.finfo(float).eps * (N[:, 0] + M[:, 0] + 1.0) * off
-        hermitian = dev.max(axis=1) + rounding < 0.5 * TOL_HERM * np.maximum(1.0, top)
-    feasible = hermitian & (violation < 0) & (off <= 1.0)
-    over = top * (1.0 - TOL_PSD * n - TOL_HERM) > 1.0 + TOL_PSD * n
-    return feasible, hermitian & ((violation >= 0) | over)
+    n = group.order
+    # exp, and sums of m, are many times slower where they underflow; m is
+    # raised to e^-600 (3e-261), far below every cut here
+    m = np.exp(np.maximum(dlog, -600.0))
+    top = m.max(axis=1)
+    off = m.sum(axis=1) - m[:, group.identity]  # S
+    feasible = (violation < 0) & (off <= 1.0)
+    over = top * (1.0 - TOL_PSD * n) > 1.0 + TOL_PSD * n
+    return feasible, (violation >= 0) | over
 
 
 def minimal_copies_search(
@@ -295,17 +283,18 @@ def minimal_copies_search(
     optimal exact rate and the witness inequality eventually fails).
 
     The scan runs from n_max down, a block of copy numbers at a time, and
-    stops at the first N that `feasible_exact` would reject, or would raise
-    NotHermitian for. `_settle` decides what it can of each block from |f|;
-    only the unsettled rows before the block's first row settled infeasible
-    get their values and the Gram test. DomainError for a copy number
-    `interpolate` would refuse.
+    stops at the first N that `feasible_exact` would reject. `_settle`
+    decides what it can of each block from |f|; only the unsettled rows
+    before the block's first row settled infeasible get their values and the
+    Gram test. DomainError for a copy number `interpolate` would refuse, and
+    unless both characteristic functions come from a linear rep.
     """
     if not (math.isfinite(r) and r >= 0):
         raise DomainError(f"rate must be a finite number >= 0, got {r}")
     if not 1 <= n_max <= MAX_SEARCH_COPIES:
         raise DomainError(f"n_max must be in [1, {MAX_SEARCH_COPIES}], got {n_max}")
     check_same_group(char_psi, char_phi)
+    _require_linear(char_psi, char_phi)
     copy_numbers(np.floor(r * n_max + TOL_FLOOR), 0)  # the largest M of the scan
     group = char_psi.group
     psi, phi = _polar(char_psi), _polar(char_phi)
@@ -315,13 +304,14 @@ def minimal_copies_search(
         N = np.arange(top, max(top - rows, 0), -1.0)[:, None]
         M = np.floor(r * N + TOL_FLOOR)
         dlog, violation = _log_ratio(psi, phi, N, M)
-        feasible, infeasible = _settle(char_psi, char_phi, N, M, dlog, violation)
+        feasible, infeasible = _settle(group, dlog, violation)
         i = int(np.argmax(infeasible)) if infeasible.any() else -1
         todo = np.flatnonzero(~feasible[: i if i >= 0 else None])
         if todo.size:
-            vals = _values(dlog[todo], psi, phi, N[todo], M[todo])
-            min_eig, herm_dev = gram_min_eigenvalues(group, vals)
-            j = _first_failure(min_eig, violation[todo], group.order, herm_dev)
+            vals = _hermitian(group, _values(dlog[todo], psi, phi, N[todo], M[todo]),
+                              psi, phi, N[todo], M[todo])
+            min_eig = gram_min_eigenvalues(group, vals)
+            j = _first_failure(min_eig, violation[todo], group.order)
             if j >= 0:
                 i = int(todo[j])
         if i >= 0:

@@ -1,8 +1,8 @@
 """Exception hierarchy for the asym package.
 
 Input-validation failures (bad tables, non-unitary matrices, malformed
-files) and domain failures (rate not below optimal, a non-Hermitian
-candidate) are kept distinct so the CLI can map them to different exit
+files) and domain failures (rate not below optimal, a projective rep in the
+Gram view) are kept distinct so the CLI can map them to different exit
 codes. A conversion that is impossible is a verdict, not an error.
 """
 
@@ -79,7 +79,7 @@ class RateNotBelowOptimal(AsymError):
 
 
 class NotHermitian(AsymError):
-    """Gram matrix of the candidate function is not Hermitian."""
+    """Values a caller passes miss f(g^-1) = conj f(g), or are not finite."""
 
 
 class NotAbelian(AsymError):

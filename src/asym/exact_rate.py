@@ -36,7 +36,7 @@ def exact_rate(char_psi: CharFunction, char_phi: CharFunction) -> RateReport:
     A projective rep of an abelian group may not commute: it is then a rep
     of a nonabelian central extension. Elsewhere the formula is evaluated
     all the same. The formula never reads sym(psi), so psi goes through the
-    zero cut alone, not the subgroup check.
+    zero cut alone (L(psi, g) = inf there), not the subgroup check.
 
     Both forms of the formula exclude sym(phi) u zeros: the commutative one
     removes all of sym(phi), the general finite-group one {e} and the chi_phi
@@ -58,7 +58,7 @@ def exact_rate(char_psi: CharFunction, char_phi: CharFunction) -> RateReport:
     keep = char_phi.kept
     L_psi, L_phi = -char_psi.logmod[keep], -char_phi.logmod[keep]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.isinf(L_psi), np.inf, L_psi / L_phi)
+        ratio = np.where(char_psi.zero[keep], np.inf, L_psi / L_phi)
     best = int(np.argmin(ratio)) if ratio.size else None  # the first minimum: smallest g
     if best is None or np.isinf(ratio[best]):
         return RateReport(kind=UNBOUNDED, value=None, witness=None,
@@ -79,7 +79,8 @@ def copies_bound(char_psi: CharFunction, char_phi: CharFunction, r: float) -> in
     if not 0 < r < math.inf:
         raise RateNotBelowOptimal(f"rate must be positive and finite, got {r}")
     keep = char_phi.kept
-    log_s = char_psi.logmod[keep] - r * char_phi.logmod[keep]
+    logmod_psi = np.where(char_psi.zero[keep], -np.inf, char_psi.logmod[keep])  # 0 on psi's zeros
+    log_s = logmod_psi - r * char_phi.logmod[keep]
     log_s = float(log_s.max()) if log_s.size else -math.inf
     if math.isinf(log_s) and log_s < 0:
         return 1  # nothing constrains the conversion

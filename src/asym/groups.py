@@ -14,11 +14,12 @@ a table it rejects pays that O(n^3) scan, which names the first witness.
 of dimension d, and the projective law by the same lemma at the rows e and
 S, O(|S| n d^3), with a proved error bound along the words in S. Only a rep
 that the bound cannot vouch for pays the O(n^2 d^3) scan of every pair,
-which decides and names the first failing pair. All of these run as
-batched BLAS matmuls over blocks of at most `_CHUNK_BYTES` (256 KB) of
-intermediate results, so their working memory is O(chunk) beyond the
-input, whatever n and d are. Non-finite amplitudes and matrix entries are
-rejected like any other invalid value.
+which decides and names the first failing pair. The same products decide
+whether the rep is linear (omega = 1), as the Gram view requires. All of
+these run as batched BLAS matmuls over blocks of at most `_CHUNK_BYTES`
+(256 KB) of intermediate results, so their working memory is O(chunk)
+beyond the input, whatever n and d are. Non-finite amplitudes and matrix
+entries are rejected like any other invalid value.
 """
 
 from __future__ import annotations
@@ -129,7 +130,14 @@ class PureState:
 class ProjectiveRep:
     group: FiniteGroup
     dim: int
-    matrices: np.ndarray  # (n, d, d) complex
+    matrices: np.ndarray  # (n, d, d) complex, read-only
+    linear: bool = False  # omega = 1: U(g)U(h) = U(gh) (set by `validate_projective_rep`)
+
+    def __post_init__(self):
+        # a read-only copy, so that `commutative` and `linear` cannot go stale
+        # and the caller's array is never frozen in place
+        object.__setattr__(self, "matrices", np.array(self.matrices, dtype=complex))
+        self.matrices.setflags(write=False)
 
     @functools.cached_property
     def commutative(self) -> bool:
@@ -144,22 +152,6 @@ class ProjectiveRep:
         return all(
             np.abs(A @ B - B @ A).max() <= TOL_SECTOR for A, B in itertools.combinations(gens, 2)
         )
-
-    @functools.cached_property
-    def inverse_phase(self) -> np.ndarray:
-        """omega(g, g^-1) for every g, read off U(g)U(g^-1) = omega I as
-        tr U(g)U(g^-1) / d and scaled onto the unit circle: read-only, O(n d^2)
-        in blocks of `_CHUNK_BYTES`, computed on first read and kept. On a
-        linear rep it is 1 up to rounding (exactly 1 for permutation matrices)."""
-        mats, inv, d = self.matrices, self.group.inv, self.dim
-        omega = np.empty(self.group.order, dtype=complex)
-        rows = _block_rows(d * d * mats.itemsize)
-        for g0 in range(0, len(mats), rows):
-            gs = slice(g0, g0 + rows)
-            omega[gs] = np.einsum("gij,gji->g", mats[gs], mats[inv[gs]]) / d
-        omega /= np.abs(omega)
-        omega.setflags(write=False)
-        return omega
 
 
 def build_group(mult_table, name: str | None = None) -> FiniteGroup:
@@ -369,7 +361,10 @@ def validate_projective_rep(group: FiniteGroup, matrices) -> ProjectiveRep:
     every pair, or a measured row breaks it, the blocked scan of all n^2
     pairs decides instead (O(n^2 d^3)) and names the first failing pair.
     Every check runs over blocks of at most `_CHUNK_BYTES` of products, so
-    memory beyond the input stays O(chunk).
+    working memory beyond the input (and the rep's copy of it) stays O(chunk).
+    `linear` is max |z - 1| <= TOL_UNITARY * max(1, d), the law's own cut,
+    over the z these checks compute: on the rows e and S (omega = 1 there
+    gives omega = 1 everywhere, by the same induction), or on every pair.
     """
     mats = np.asarray(matrices, dtype=complex)
     n = group.order
@@ -391,15 +386,17 @@ def validate_projective_rep(group: FiniteGroup, matrices) -> ProjectiveRep:
             g = int(np.argmax(bad))
             raise NotUnitary(g0 + g, float(dev[g]))
 
-    if not _law_holds_at_generators(group, mats, u):
-        _law_scan(group, mats)
-    return ProjectiveRep(group=group, dim=d, matrices=mats)
+    omega_dev = _law_at_generators(group, mats, u)
+    if omega_dev is None:
+        omega_dev = _law_scan(group, mats)
+    return ProjectiveRep(group, d, mats, linear=omega_dev <= TOL_UNITARY * max(1.0, d))
 
 
-def _law_holds_at_generators(group: FiniteGroup, mats: np.ndarray, u: float) -> bool:
-    """Whether the bound of `validate_projective_rep` proves the projective law
-    at every pair of unitaries mats, from the rows e and S alone; u is the
-    largest ||U U^+ - I||_F. False as soon as a measured row breaks it.
+def _law_at_generators(group: FiniteGroup, mats: np.ndarray, u: float) -> float | None:
+    """The largest |z - 1| on the rows e and S, z = (U(r)U(h)U(rh)^+)[0, 0],
+    when the bound of `validate_projective_rep` proves the projective law at
+    every pair of unitaries mats from those rows; u is the largest
+    ||U U^+ - I||_F. None as soon as a measured row breaks the bound.
     """
     n, d = mats.shape[:2]
     mult, e = group.mult, group.identity
@@ -415,9 +412,10 @@ def _law_holds_at_generators(group: FiniteGroup, mats: np.ndarray, u: float) -> 
     # with u and delta each up to slack above their measured values
     max_delta = (eta - u - slack) / ((1 + (1 + nu) * depth) * nu ** (depth + 1)) - slack
     if not max_delta > 0:
-        return False
+        return None
 
     cols = _block_rows(d * d * mats.itemsize)
+    omega_dev = 0.0
     for r in [e, *gens]:
         for h0 in range(0, n, cols):
             prod = mats[r] @ mats[h0 : h0 + cols]  # U(r)U(h)
@@ -428,8 +426,9 @@ def _law_holds_at_generators(group: FiniteGroup, mats: np.ndarray, u: float) -> 
             prod -= target
             delta = np.linalg.norm(prod, axis=(1, 2)).max()
             if not delta <= max_delta:  # a NaN phase (z = 0) fails too
-                return False
-    return True
+                return None
+            omega_dev = max(omega_dev, float(np.abs(z - 1.0).max()))
+    return omega_dev
 
 
 def _left_word_depth(mult: np.ndarray, e: int, gens: list[int]) -> float:
@@ -449,10 +448,10 @@ def _left_word_depth(mult: np.ndarray, e: int, gens: list[int]) -> float:
     return level[queue[-1]] if len(queue) == n else np.inf
 
 
-def _law_scan(group: FiniteGroup, mats: np.ndarray) -> None:
+def _law_scan(group: FiniteGroup, mats: np.ndarray) -> float:
     """NotProjective at the row-major first pair of unitaries mats that breaks
     the law: every U(g)U(h)U(gh)^+ in blocks of g x h, none of them kept.
-    """
+    Else the largest |z - 1|, z its (0, 0) entry."""
     n, d = mats.shape[:2]
     # A pair's share of a block: its d x d product and the 64 bytes of
     # scalars kept per pair (the table index, z, its modulus and phase, the
@@ -462,6 +461,7 @@ def _law_scan(group: FiniteGroup, mats: np.ndarray) -> None:
     # is 1 and the h axis is tiled instead, so the scan stays row-major.
     cols = min(n, _block_rows(pair_bytes))
     rows = _block_rows(cols * pair_bytes)
+    omega_dev = 0.0
     for g0 in range(0, n, rows):
         for h0 in range(0, n, cols):
             gs, hs = slice(g0, g0 + rows), slice(h0, h0 + cols)
@@ -480,6 +480,8 @@ def _law_scan(group: FiniteGroup, mats: np.ndarray) -> None:
                 g, h = g0 + int(i), h0 + int(j)
                 prod = mats[g] @ mats[h] @ _adjoint(mats[group.mult[g, h]])
                 raise NotProjective(g, h, _law_deviation(prod))
+            omega_dev = max(omega_dev, float(np.abs(z - 1.0).max()))
+    return omega_dev
 
 
 def is_subgroup(group: FiniteGroup, elements) -> bool:

@@ -9,7 +9,7 @@ TOL_PSD = 1e-9  # min Gram eigenvalue >= -TOL_PSD * |G|: positive definite
 TOL_UNITARY = 1e-10  # max |U U^+ - I|; per unit of dimension in the projective law
 TOL_PHASE = 1e-6  # | |omega| - 1 | of a projective phase U(g)U(h)U(gh)^+ = omega I
 TOL_NORM = 1e-10  # | ||psi|| - 1 | of a pure state
-TOL_HERM = 1e-8  # max |A - A^+| of generators, density and (per max |f|) Gram matrices
+TOL_HERM = 1e-8  # max |A - A^+| of generators, density matrices and caller-supplied chi or f
 TOL_DENSITY = 1e-8  # |tr rho - 1| and the most negative eigenvalue of a density matrix
 TOL_PROB = 1e-9  # the most negative probability of a charge distribution
 TOL_CHARGE = 1e-15  # p_k above it puts charge k in the support (shift_canonicalize)

@@ -82,6 +82,18 @@ def corpus_rep(name: str, group: FiniteGroup | None = None) -> ProjectiveRep:
     return validate_projective_rep(group, _REP_BUILDERS[name]())
 
 
+def gauged_rep(label: str) -> ProjectiveRep:
+    """A non-linear rep gauge-equivalent to a linear corpus rep: "iZ" is
+    U(1) = iZ on Z_2 (omega(1, 1) = -1); "Z_3" is the corpus Z_3 rep times
+    e^{i theta_k}, theta = (0, 1, -1), where omega(g, g^-1) = 1 but
+    omega(1, 1) = e^{3i}."""
+    name, phases = {
+        "iZ": ("Z_2", np.array([1.0, 1j])),
+        "Z_3": ("Z_3", np.exp(1j * np.array([0.0, 1.0, -1.0]))),
+    }[label]
+    return validate_projective_rep(named_group(name), _REP_BUILDERS[name]() * phases[:, None, None])
+
+
 def z2_population_state(p: float) -> PureState:
     """(sqrt(p), sqrt(1-p)) under the Z_2 corpus rep: chi(g1) = 2p - 1."""
     return PureState(dim=2, amplitudes=np.array([np.sqrt(p), np.sqrt(1.0 - p)]))

@@ -55,10 +55,10 @@ def test_convergence_symmetric_state_is_exact(z4):
 
 
 def test_convergence_rejects_non_subgroup_sym(z4):
-    # thresholded |chi| = 1 set {0, 1} is not closed under the group law
+    # thresholded |chi| = 1 set {0, 1, 3} is not closed under the group law
     from asym.errors import SymNotSubgroup
 
-    chi = char_from_values(z4, [1.0, 1.0, 0.5, 0.5])
+    chi = char_from_values(z4, [1.0, 1.0, 0.5, 1.0])
     with pytest.raises(SymNotSubgroup):
         convergence_to_uniform(chi, [1])
 

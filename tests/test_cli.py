@@ -15,7 +15,7 @@ from asym import charfn, cli, convertibility, io, named_group, validate_projecti
 from asym.abelian import ChargeDistribution
 from asym.cli import main
 from asym.errors import ValidationError
-from corpus import corpus_rep, random_state, write_corpus, z2_population_state
+from corpus import corpus_rep, gauged_rep, random_state, write_corpus, z2_population_state
 from asym.groups import PureState
 from asym.lie import GeneratorSet
 
@@ -405,6 +405,23 @@ def test_cli_convert(capsys, corpus_dir, tmp_path):
     assert none["feasible"] is False
     assert none["zero_set_witness"] == 1
     assert none["modulus_witness"] is None
+
+
+def test_cli_refuses_a_non_linear_rep_in_the_gram_view(capsys, corpus_dir, tmp_path):
+    # U(1) = iZ is gauge-equivalent to the corpus Z_2 rep; (2, 2) read feasible
+    # on it once. convert and min-copies exit 1 with a DomainError, while
+    # rate-exact, which reads |chi| alone, gives the corpus rep's report
+    io.save_rep(tmp_path / "iz.json", gauged_rep("iZ"))
+    pair = ["--group", corpus_dir / "z2.json", "--psi", corpus_dir / "z2_psi068.json",
+            "--phi", corpus_dir / "z2_psi08.json"]
+    for argv in (["convert", "--copies", "2", "2"], ["convert", "--copies", "1", "0"],
+                 ["min-copies", "--rate", "1.0", "--nmax", "8"]):
+        code, out, err = run(capsys, argv + pair + ["--rep", tmp_path / "iz.json", "--json"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "DomainError"
+    linear, gauged = (run_json(capsys, ["rate-exact", "--rep", rep] + pair)["result"]
+                      for rep in (corpus_dir / "z2_rep.json", tmp_path / "iz.json"))
+    assert gauged == linear and gauged["value"] == 2.0
 
 
 def test_cli_min_copies(capsys, corpus_dir):

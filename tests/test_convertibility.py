@@ -9,11 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from asym import (
+    approx_rate_class,
     build_group,
     char_from_values,
     char_function,
     classify_sets,
     copies_bound,
+    charge_distribution,
     dual_fourier,
     exact_rate,
     feasible_exact,
@@ -34,7 +36,7 @@ from asym.convertibility import (
     gram_min_eigenvalues,
     interpolate,
 )
-from corpus import GROUP_NAMES, random_state
+from corpus import GROUP_NAMES, gauged_rep, random_state
 from asym.errors import DomainError, NotHermitian, SelfCheckFailed
 from asym.groups import PureState
 from asym.tolerances import TOL_FLOOR, TOL_HERM, TOL_PSD
@@ -235,17 +237,16 @@ def test_minimal_copies_rejects_a_non_finite_rate(z2, r):
 
 
 def test_minimal_copies_at_a_huge_rate_is_an_error_without_warnings(z2):
-    # M = floor(r N) near the float limit: |f| reaches the 350 cap, and with a
-    # phase of pi the rounding of M pi breaks Hermiticity, as in the per-N loop;
-    # beyond MAX_COPIES the target copy number itself is refused
+    # M = floor(r N) near the float limit: |f| reaches the 350 cap. With a
+    # phase of pi, f on the involution takes its sign from the parities of N
+    # and M, so it stays real and the verdict is infeasible, as in the per-N
+    # loop; beyond MAX_COPIES the target copy number itself is refused
     psi, phi = chi(z2, [-0.6]), chi(z2, [-0.8])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert minimal_copies_search(chi(z2, [0.6]), chi(z2, [0.8]), 1e306, 20) is None
-        with pytest.raises(NotHermitian):
-            minimal_copies_search(psi, phi, 1e306, 20)
-        with pytest.raises(NotHermitian):
-            reference_min_copies(psi, phi, 1e306, 20)
+        assert minimal_copies_search(psi, phi, 1e306, 20) is None
+        assert reference_min_copies(psi, phi, 1e306, 20) is None
     with pytest.raises(DomainError, match="copy number"):
         minimal_copies_search(psi, phi, 2.5e307, 20)
 
@@ -447,8 +448,8 @@ def test_closed_form_2x2_across_entry_scales(scale):
 
 def test_closed_form_2x2_on_an_empty_batch(oracle_group):
     assert _block_min_eig(np.zeros((0, 63, 2, 2), dtype=complex)).shape == (0, 63)
-    min_eig, herm_dev = gram_min_eigenvalues(oracle_group("D_128"), np.zeros((0, 256), complex))
-    assert min_eig.shape == herm_dev.shape == (0,)
+    min_eig = gram_min_eigenvalues(oracle_group("D_128"), np.zeros((0, 256), complex))
+    assert min_eig.shape == (0,)
 
 
 @pytest.mark.parametrize("name", ["D_128", "S_3", "S_5"])
@@ -676,10 +677,50 @@ def test_scan_matches_loop_on_the_drawn_pair_that_raised_not_hermitian():
     assert_scan_matches_loop(*chars, 40, rows=3)
 
 
+@pytest.mark.parametrize(
+    "name", [n for n in ORACLE_GROUPS if n not in ("Z_256", "Z_2^8", "Z_16xZ_16", "D_128")]
+)
+def test_regular_reps_are_linear(name, oracle_group):
+    # the groups of order 256 are left out: a regular rep takes 268 MB as complex
+    rep = regular_rep(oracle_group(name))
+    assert rep.linear and char_function(rep, random_state(rep.dim, np.random.default_rng(1))).linear
+
+
+@pytest.mark.parametrize("label", ["iZ", "Z_3"])
+def test_the_gram_view_refuses_a_non_linear_rep(label, corpus):
+    """A rep gauge-equivalent to a linear one (`corpus.gauged_rep`): the Gram
+    view refuses it, whatever N and M, while what reads |chi| alone, or
+    gauges the rep itself, gives the linear rep's answers."""
+    rep = gauged_rep(label)
+    linear = corpus[rep.group.name][1]
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        states = [random_state(rep.dim, rng) for _ in range(2)]
+        psi, phi = (char_function(rep, s) for s in states)
+        lpsi, lphi = (char_function(linear, s) for s in states)
+        assert not (rep.linear or psi.linear) and linear.linear and lpsi.linear
+        for a, b in ((psi, phi), (lpsi, phi), (psi, lphi)):
+            for N, M in ((1, 0), (1, 1), (2, 1), (2, 2), (3, 2)):
+                with pytest.raises(DomainError, match="linear"):
+                    feasible_exact(a, b, N, M)
+            with pytest.raises(DomainError, match="linear"):
+                minimal_copies_search(a, b, 1.0, 8)
+        got, want = exact_rate(psi, phi), exact_rate(lpsi, lphi)
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert (got.kind, got.witness, got.excluded) == (want.kind, want.witness, want.excluded)
+        got, want = approx_rate_class(psi, phi), approx_rate_class(lpsi, lphi)
+        assert got.s == pytest.approx(want.s, rel=1e-12)
+        assert (got.classification, got.sym_psi, got.sym_phi) == (
+            want.classification, want.sym_psi, want.sym_phi)
+        for s in states:
+            assert np.abs(charge_distribution(rep, s).probs
+                          - charge_distribution(linear, s).probs).max() < 1e-12
+
+
 @pytest.mark.parametrize("name", sorted(SCAN_GROUPS))
 def test_chi_is_hermitian_bit_for_bit_on_a_linear_rep(name, rng):
     rep = SCAN_GROUPS[name]
-    assert np.array_equal(rep.inverse_phase, np.ones(rep.group.order))
+    assert rep.linear
     for _ in range(20):
         state = random_state(rep.dim, rng)
         char = char_function(rep, state)
@@ -701,7 +742,7 @@ def test_batched_min_eigenvalues_match_feasible_exact(name, oracle_group):
         vals, violation = interpolate(
             (psi.logmod, psi.phase, psi.zero), (phi.logmod, phi.phase, phi.zero), N, M
         )
-        min_eig, _ = gram_min_eigenvalues(group, vals)
+        min_eig = gram_min_eigenvalues(group, vals)
         for k in np.flatnonzero(violation < 0):
             one = feasible_exact(psi, phi, int(N[k]), int(M[k])).min_gram_eigenvalue
             assert abs(min_eig[k] - one) <= 1e-10 * n, (r, N[k])
@@ -740,38 +781,27 @@ def test_scan_matches_loop_where_chi_phi_vanishes(name, oracle_group):
 
 
 def test_a_non_hermitian_candidate_with_a_zero_set_violation_is_an_error():
-    # f(1) != conj f(3), and chi_phi vanishes at 2 where chi_psi does not:
-    # NotHermitian comes before the zero-set rule, in the loop and the scan alike
+    # chi(1) != conj chi(3): no linear rep has this chi, so char_from_values
+    # refuses it, before the zero-set rule or the Gram test could see it
     z4 = named_group("Z_4")
-    psi = char_from_values(z4, [1.0, 0.5, 0.3, 0.9])
-    phi = char_from_values(z4, [1.0, 0.8, 0.0, 0.8])
     with pytest.raises(NotHermitian):
-        feasible_exact(psi, phi, 1, 1)
-    for rows in (None, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            if rows is not None:
-                mp.setattr(groups, "_CHUNK_BYTES", rows * 4 * 16)
-            with pytest.raises(NotHermitian):
-                minimal_copies_search(psi, phi, 1.0, 8)
-    with pytest.raises(NotHermitian):
-        reference_min_copies(psi, phi, 1.0, 8)
-    # M = 0 is the trivial target: f = chi_psi^N, no violation, still not Hermitian
-    with pytest.raises(NotHermitian):
-        feasible_exact(psi, phi, 1, 0)
+        char_from_values(z4, [1.0, 0.5, 0.3, 0.9])
+    # made Hermitian, the same pair meets the zero-set rule at 2
+    psi, phi = (char_from_values(z4, v) for v in ([1.0, 0.5, 0.3, 0.5], [1.0, 0.8, 0.0, 0.8]))
+    assert feasible_exact(psi, phi, 1, 1).zero_set_witness == 2
 
 
 def test_scan_and_loop_both_reject_a_non_hermitian_chi():
+    # chi(g^-1) != conj chi(g): refused where it is built, so neither the scan
+    # nor the per-N loop meets it; so is a value that is not finite
     z3 = named_group("Z_3")
-    psi = char_from_values(z3, [1.0, 0.5, 0.9])  # chi(g^-1) != conj chi(g)
-    phi = char_from_values(z3, [1.0, 0.8, 0.8])
-    for rows in (None, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            if rows is not None:
-                mp.setattr(groups, "_CHUNK_BYTES", rows * 3 * 16)
-            with pytest.raises(NotHermitian):
-                minimal_copies_search(psi, phi, 0.2, 8)
-    with pytest.raises(NotHermitian):
-        reference_min_copies(psi, phi, 0.2, 8)
+    for bad in ([1, 0.5, 0.9], [1, 0.5 + 1e-7j, 0.5], [1, np.nan, np.nan], [1, np.inf, 0.5]):
+        with pytest.raises(NotHermitian):
+            char_from_values(z3, bad)
+    # within TOL_HERM the values pass, and are stored Hermitian bit for bit
+    char = char_from_values(z3, [1.0, 0.5 + 1e-9j, 0.5])
+    assert char.linear
+    assert_hermitian_bit_for_bit(char)
 
 
 def test_scan_memory_stays_bounded_at_the_largest_size(oracle_group):
@@ -802,7 +832,7 @@ def settle(char_psi, char_phi, r, N):
     N = np.asarray(N, dtype=float)[:, None]
     M = np.floor(r * N + TOL_FLOOR)
     dlog, violation = _log_ratio(_polar(char_psi), _polar(char_phi), N, M)
-    feasible, infeasible = _settle(char_psi, char_phi, N, M, dlog, violation)
+    feasible, infeasible = _settle(char_psi.group, dlog, violation)
     return M[:, 0].astype(int), feasible, infeasible
 
 
@@ -862,25 +892,25 @@ def test_settled_rows_agree_where_chi_phi_vanishes(name, oracle_group):
 
 
 def test_a_non_hermitian_chi_that_gershgorin_would_settle_still_raises():
-    # chi(g^-1) = chi(g) rather than its conjugate: moduli agree, phases do not.
-    # |f| is small, so the Gershgorin sum would settle every row feasible; the
-    # Hermitian bound keeps the rows whose deviation the Gram test sees
+    # chi(g^-1) = chi(g) rather than its conjugate: moduli agree, phases do
+    # not. |f| would be small enough for Gershgorin to settle every row
+    # feasible, but char_from_values refuses the chi, so no row is settled
     z3 = named_group("Z_3")
-    psi = char_from_values(z3, [1.0, 0.1 * np.exp(0.3j), 0.1 * np.exp(0.3j)])
-    phi = char_from_values(z3, [1.0, 0.8, 0.8])
-    N = np.arange(1, 9)
-    M, feasible, infeasible = settle(psi, phi, 0.5, N)
-    dlog, _ = _log_ratio(_polar(psi), _polar(phi), N[:, None] * 1.0, M[:, None] * 1.0)
-    assert (np.exp(dlog).sum(axis=1) - 1.0 <= 1.0).all()  # Gershgorin alone: feasible
-    assert not (feasible | infeasible).any()
-    for rows in (None, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            if rows is not None:
-                mp.setattr(groups, "_CHUNK_BYTES", rows * 3 * 16)
-            with pytest.raises(NotHermitian):
-                minimal_copies_search(psi, phi, 0.5, 8)
     with pytest.raises(NotHermitian):
-        reference_min_copies(psi, phi, 0.5, 8)
+        char_from_values(z3, [1.0, 0.1 * np.exp(0.3j), 0.1 * np.exp(0.3j)])
+
+
+def test_a_modulus_within_the_margin_is_left_to_the_gram_test(z2):
+    # |f(1)| = 1 + TOL_PSD: the Gram minimum 1 - |f(1)| = -TOL_PSD is inside
+    # the cut -TOL_PSD |G|, so the row is feasible and must not be settled
+    # infeasible; a modulus above 1 by the margin is
+    phi = chi(z2, [0.5])
+    for excess, want in ((1, True), (5, False)):
+        psi = chi(z2, [0.5 * (1 + excess * TOL_PSD)])
+        assert feasible_exact(psi, phi, 1, 1).feasible is want
+        _, feasible, infeasible = settle(psi, phi, 1.0, [1])
+        assert (feasible[0], infeasible[0]) == (False, not want)
+        assert minimal_copies_search(psi, phi, 1.0, 1) == (1 if want else None)
 
 
 @pytest.mark.parametrize("name", ["S_3", "D_4", "Q_8", "S_5", "A_5", "D_128"])

@@ -109,11 +109,29 @@ def test_rate_assumption_ok_needs_commuting_matrices():
     assert not rep.commutative and not phi.commutative
     assert not exact_rate(psi, phi).assumption_ok
     assert not char_power(phi, 3).commutative
-    # the same chi from values is read as a linear rep's, which commutes
-    linear = char_from_values(phi.group, phi.values())
+    # the same |chi| from values is read as a linear rep's, which commutes
+    # (chi itself is imaginary at XZ, (XZ)^2 = -I, so no linear rep has it)
+    linear = char_from_values(phi.group, np.abs(phi.values()))
     assert linear.commutative and exact_rate(psi, linear).assumption_ok is False
-    assert exact_rate(char_from_values(psi.group, psi.values()), linear).assumption_ok
+    assert exact_rate(char_from_values(psi.group, np.abs(psi.values())), linear).assumption_ok
     assert corpus_rep("Z_2xZ_2").commutative
+
+
+def test_rate_reads_infinite_L_on_the_zero_set_of_psi(corpus):
+    # the uniform state on the corpus Z_4 rep has chi = 0 off e, up to
+    # rounding: L_psi = inf there, so noise at the 1e-17 level moves nothing
+    group, rep = corpus["Z_4"]
+    psi = char_function(rep, PureState(4, np.full(4, 0.5)))
+    phi = char_function(rep, random_state(4, np.random.default_rng(4)))
+    assert classify_sets(psi).zero == {1, 2, 3} and not classify_sets(phi).zero
+    report, bound = exact_rate(psi, phi), copies_bound(psi, phi, 1.0)
+    assert (report.kind, bound) == ("unbounded", 1)
+    rng = np.random.default_rng(5)
+    for scale in (1e-17, 1e-13):
+        z = scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        noisy = char_from_values(group, psi.values() + z + z[group.inv].conj())
+        assert exact_rate(noisy, phi) == report
+        assert copies_bound(noisy, phi, 1.0) == bound
 
 
 def test_rate_min_over_elements():
@@ -209,7 +227,7 @@ def loop_exact_rate(char_psi, char_phi):
         if g in excluded:
             continue
         L_phi = -char_phi.logmod[g]
-        L_psi = -char_psi.logmod[g]
+        L_psi = math.inf if g in psi_zero else -char_psi.logmod[g]
         ratio = math.inf if np.isinf(L_psi) else float(L_psi / L_phi)
         if ratio < best:
             best, best_g = ratio, g
@@ -224,7 +242,7 @@ def loop_copies_bound(char_psi, char_phi, r):
     excluded = sets_phi.sym | sets_phi.zero
     log_s = -math.inf
     for g in range(char_psi.group.order):
-        if g in excluded:
+        if g in excluded or char_psi.logmod[g] <= math.log(TOL_ZERO):  # |chi_psi| = 0 there
             continue
         log_s = max(log_s, float(char_psi.logmod[g] - r * char_phi.logmod[g]))
     if math.isinf(log_s) and log_s < 0:

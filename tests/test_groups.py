@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from asym import build_group, groups, named_group, validate_projective_rep
 from asym.abelian import ChargeDistribution
 from asym.charfn import char_function, classify_sets
-from corpus import GROUP_NAMES, corpus_rep, random_state
+from corpus import GROUP_NAMES, corpus_rep, gauged_rep, random_state
 from asym.errors import (
     AxiomViolation,
     DimensionMismatch,
@@ -188,33 +188,45 @@ def test_gauge_keeps_a_small_chi_and_its_zero_set():
     assert classify_sets(phased).zero == classify_sets(base).zero == frozenset()
 
 
-def test_inverse_phase_reads_omega_of_g_and_its_inverse(monkeypatch):
-    # Pauli rep of Z_2 x Z_2: Z Z = X X = I, (XZ)(XZ) = -I; i Z on Z_2: (iZ)^2 = -I
-    X, Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
-    pauli = validate_projective_rep(named_group("Z_2xZ_2"), [np.eye(2), Z, X, X @ Z])
-    iz = validate_projective_rep(named_group("Z_2"), [np.eye(2), 1j * Z])
-    for rep, want in ((pauli, [1, 1, 1, -1]), (iz, [1, -1])):
-        assert np.abs(rep.inverse_phase - want).max() < 1e-15
-        assert not rep.inverse_phase.flags.writeable
+def test_linear_is_read_off_the_law_check(monkeypatch):
+    # omega = 1 on every corpus rep, on the generator rows and on the scan of
+    # every pair alike; not on the Pauli rep of Z_2 x Z_2, on i Z of Z_2, or on
+    # the Z_3 gauge, where omega(g, g^-1) = 1 but omega(1, 1) = e^{3i}
+    nonlinear = [(named_group("Z_2xZ_2"), pauli_rep())]
+    nonlinear += [(rep.group, rep.matrices) for rep in (gauged_rep("iZ"), gauged_rep("Z_3"))]
     rng = np.random.default_rng(3)
-    for name in GROUP_NAMES:
-        rep = corpus_rep(name)
-        # omega(g, g^-1) is 1 on every corpus rep; so is it block by block
-        assert np.abs(rep.inverse_phase - 1).max() < 1e-15
-        with monkeypatch.context() as mp:
-            mp.setattr(groups, "_CHUNK_BYTES", rep.dim**2 * 16)  # one element per block
-            fresh = validate_projective_rep(rep.group, rep.matrices)
-            assert np.array_equal(fresh.inverse_phase, rep.inverse_phase)
-        # a gauge U(g) -> e^{i t_g} U(g) multiplies omega(g, g^-1) by e^{i (t_g + t_g^-1)}
-        t = rng.uniform(-np.pi, np.pi, rep.group.order)
-        t[rep.group.identity] = 0.0
-        gauged = validate_projective_rep(rep.group, rep.matrices * np.exp(1j * t)[:, None, None])
-        want = np.exp(1j * (t + t[rep.group.inv])) * rep.inverse_phase
-        assert np.abs(gauged.inverse_phase - want).max() < 1e-14
-        state = random_state(rep.dim, rng)
-        chi = char_function(gauged, state).values()
-        assert np.abs(chi[rep.group.inv] - gauged.inverse_phase * chi.conj()).max() < 1e-15
-        assert np.abs(np.abs(chi) - np.abs(char_function(rep, state).values())).max() < 1e-14
+    for path in ("generators", "full scan"):
+        if path == "full scan":
+            monkeypatch.setattr(groups, "_law_at_generators", lambda *args: None)
+        for name in GROUP_NAMES:
+            rep = corpus_rep(name)
+            assert rep.linear, (name, path)
+            # a gauge U(g) -> e^{i t_g} U(g) makes omega(g, h) = e^{i (t_g + t_h - t_gh)}
+            t = rng.uniform(-np.pi, np.pi, rep.group.order)
+            t[rep.group.identity] = 0.0
+            gauged = rep.matrices * np.exp(1j * t)[:, None, None]
+            assert not validate_projective_rep(rep.group, gauged).linear, (name, path)
+        for group, mats in nonlinear:
+            assert not validate_projective_rep(group, mats).linear, path
+
+
+def test_rep_matrices_are_read_only_and_the_callers_array_is_not():
+    # commutative and linear are cached from the matrices, so they may not change
+    group = named_group("Z_2")
+    mats = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex)
+    rep = validate_projective_rep(group, mats)
+    assert rep.commutative and rep.linear
+    with pytest.raises(ValueError):
+        rep.matrices[1] *= 1j
+    # the caller's array was copied, not frozen: writing into it leaves the rep alone
+    mats[1] *= 1j
+    assert rep.matrices[1, 0, 0] == 1.0 and rep.linear
+    assert not validate_projective_rep(group, mats).linear
+    listed = validate_projective_rep(group, mats.tolist())
+    for other in (listed, groups.ProjectiveRep(group, 2, mats)):
+        with pytest.raises(ValueError):
+            other.matrices[0, 0, 0] = 0.0
+    assert mats.flags.writeable
 
 
 def test_cyclic_roots_of_unity_rep_has_zero_cocycle():
@@ -453,7 +465,7 @@ def test_benchmark_shapes_never_enter_the_full_scan(chunk, monkeypatch, shape):
 
     monkeypatch.setattr(groups, "_law_scan", scan)
     rep = validate_projective_rep(group, mats)
-    assert rep.matrices is mats
+    assert np.array_equal(rep.matrices, mats)
 
 
 def test_rep_the_bound_cannot_vouch_for_runs_the_scan_once(monkeypatch):
@@ -468,19 +480,20 @@ def test_rep_the_bound_cannot_vouch_for_runs_the_scan_once(monkeypatch):
     monkeypatch.setattr(groups, "_law_scan", lambda *args: calls.append(args) or scan(*args))
     group = named_group(f"Z_{n}")
     rep = validate_projective_rep(group, mats)
-    assert len(calls) == 1 and rep.matrices is mats
+    assert len(calls) == 1 and np.array_equal(rep.matrices, mats) and not rep.linear
     reference_validate(group, mats)  # which accepts it too
 
 
 @pytest.mark.parametrize("n,d", [(64, 64), (256, 16), (256, 1)])
 def test_validation_memory_stays_within_a_few_chunks(monkeypatch, n, d):
-    """Peak traced memory of a call beyond its complex input, which np.asarray
-    does not copy: the blocks of products, never the n x n table of them, on
-    the path of the generating set and on the scan of every pair."""
+    """Peak traced memory of a call beyond its complex input and the
+    read-only copy of it that the rep keeps: the blocks of products, never
+    the n x n table of them, on the path of the generating set and on the
+    scan of every pair."""
     group, mats = named_group(f"Z_{n}"), conjugated_cyclic_rep(n, d, np.random.default_rng(n))
     for path in ("generators", "full scan"):
         if path == "full scan":
-            monkeypatch.setattr(groups, "_law_holds_at_generators", lambda *args: False)
+            monkeypatch.setattr(groups, "_law_at_generators", lambda *args: None)
         validate_projective_rep(group, mats)  # warm any lazy imports
         tracemalloc.start()
         try:
@@ -489,7 +502,7 @@ def test_validation_memory_stays_within_a_few_chunks(monkeypatch, n, d):
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * groups._CHUNK_BYTES, path
+        assert peak - mats.nbytes <= 6 * groups._CHUNK_BYTES, path
 
 
 def test_associativity_witness_past_first_block(monkeypatch):
