@@ -210,11 +210,17 @@ def copy_numbers(N, low: int = 1) -> np.ndarray:
 
 
 def char_power(char: CharFunction, N: int) -> CharFunction:
-    """Characteristic function of the N-fold tensor power state."""
+    """Characteristic function of the N-fold tensor power state. On a linear
+    rep chi is real on e and the involutions, and chi^N stays real there: its
+    phase is pi where chi < 0 and N is odd, else 0, read from the parity of
+    N, not from exp(i N pi)."""
     n = float(copy_numbers(N))
     with np.errstate(invalid="ignore"):
         logmod = char.logmod * n
     logmod[np.isneginf(char.logmod)] = -np.inf
     phase = np.angle(np.exp(1j * (char.phase * n)))  # wrapped to (-pi, pi]
+    if char.linear:
+        own = np.arange(char.group.order) == char.group.inv
+        phase[own] = np.where((np.abs(char.phase[own]) > np.pi / 2) & (N % 2 == 1), np.pi, 0.0)
     return CharFunction(group=char.group, logmod=logmod, phase=phase,
                         commutative=char.commutative, linear=char.linear)

@@ -7,13 +7,17 @@ constants `TOL_ONE`, `TOL_ZERO` and `TOL_PSD` of `asym.tolerances`. `main`
 loads the inputs (`rep` reads the loaded `group`), calls the handler on them and
 wraps its bare result in the report envelope: the subcommand name and the sha256
 of the bytes parsed from each input file (each read once, see `io.HashingPath`),
-so a JSON report doubles as a test fixture. Exit codes: 0 success, 1 domain
-error, 2 parse/validation error.
+so a JSON report doubles as a test fixture. Handlers return the library's
+values as they are; `_jsonable` alone writes them, once per report: `--json`
+dumps what it returns, and `--table` prints the same JSON values, one key path
+per row (`certificate.T`, `curve.0.bound`), with the `chi` elements as columns.
+Exit codes: 0 success, 1 domain error, 2 parse/validation error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -27,7 +31,10 @@ from .exact_rate import FINITE, exact_rate as compute_exact_rate
 
 
 def _jsonable(obj):
-    """Round floats to 12 significant digits; map non-finite values to strings."""
+    """The one writer of a result value, for JSON and table alike: floats to 12
+    significant digits and non-finite ones to strings, numpy values to Python
+    ones, complex numbers to [re, im], sets to sorted lists and dataclasses to
+    dicts of their fields."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -41,56 +48,45 @@ def _jsonable(obj):
         if math.isnan(x):
             return "nan"
         return float(format(x, ".12g"))
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, complex):
         return [_jsonable(obj.real), _jsonable(obj.imag)]
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
+    if dataclasses.is_dataclass(obj):
+        return _jsonable(vars(obj))
     return obj
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".10g")
-    return str(x)
-
-
 def _print_report(report: dict, output: str) -> None:
+    report = _jsonable(report)
     if output == "json":
-        print(json.dumps(_jsonable(report), sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
         return
-    result = dict(report["result"])
+    result = report["result"]
     elements = result.pop("elements", None)
     rows = _flatten("", result)
-    width = max(len(k) for k, _ in rows) if rows else 0
+    width = max((len(k) for k, _ in rows), default=0)
     for key, val in rows:
         print(f"{key.ljust(width)}  {val}")
     if elements:
         print(f"{'g':>4} {'|chi|':>16} {'phase':>16} {'L':>16}")
         for el in elements:
-            print(
-                f"{el['element']:>4} {_fmt(el['abs_chi']):>16} "
-                f"{_fmt(el['phase']):>16} {_fmt(el['L']):>16}"
-            )
+            print(f"{el['element']:>4} {el['abs_chi']:>16} {el['phase']:>16} {el['L']:>16}")
 
 
 def _flatten(prefix: str, obj) -> list[tuple[str, str]]:
+    """(key path, cell) rows of a JSON-ready value; dicts, and lists of them
+    (keyed by position), open into one row per leaf."""
+    if isinstance(obj, list) and obj and all(isinstance(x, dict) for x in obj):
+        obj = dict(enumerate(obj))
     if isinstance(obj, dict):
-        out = []
-        for k, v in obj.items():
-            out.extend(_flatten(f"{prefix}{k}." if prefix else f"{k}.", v) if isinstance(v, (dict,)) else [(f"{prefix}{k}", _render(v))])
-        return out
+        return [row for k, v in obj.items() for row in _flatten(f"{prefix}{k}.", v)]
     return [(prefix.rstrip("."), _render(obj))]
 
 
 def _render(v) -> str:
-    if isinstance(v, (frozenset, set)):
-        return "{" + ", ".join(str(x) for x in sorted(v)) + "}"
-    if isinstance(v, float):
-        return _fmt(v)
     if isinstance(v, list):
         return "[" + ", ".join(_render(x) for x in v) + "]"
     return str(v)
@@ -102,16 +98,11 @@ def cmd_chi(args, group, rep, state) -> dict:
         char = charfn.char_power(char, args.power)
     # the raw cuts of chi^N: a table is still a table when the |chi| = 1 cut
     # is no subgroup (`approx`, whose claim needs one, refuses that case)
-    sym, zero = (frozenset(np.flatnonzero(cut(char.logmod)).tolist())
-                 for cut in (charfn.unit_mask, charfn.zero_mask))
+    sym, zero = (np.flatnonzero(cut(char.logmod)) for cut in (charfn.unit_mask, charfn.zero_mask))
     elements = [
-        {
-            "element": g,
-            "abs_chi": float(np.exp(char.logmod[g])) if not np.isneginf(char.logmod[g]) else 0.0,
-            "phase": float(char.phase[g]),
-            "L": charfn.resource_measure_L(char, g),
-        }
-        for g in range(group.order)
+        {"element": g, "abs_chi": np.exp(logmod), "phase": phase,
+         "L": charfn.resource_measure_L(char, g)}
+        for g, (logmod, phase) in enumerate(zip(char.logmod, char.phase))
     ]
     return {"power": args.power, "elements": elements, "sym": sym, "zero": zero}
 
@@ -126,7 +117,7 @@ def cmd_rate_exact(args, group, rep, psi, phi) -> dict:
         "rate": report.kind,
         "witness": report.witness,
         "assumption_ok": report.assumption_ok,
-        "excluded_set": sorted(report.excluded),
+        "excluded_set": report.excluded,
     }
     if report.kind == FINITE:
         out["value"] = report.value
@@ -151,20 +142,13 @@ def cmd_min_copies(args, group, rep, psi, phi) -> dict:
 def cmd_charges(args, group, rep, state) -> dict:
     dist = abelian.charge_distribution(rep, state)
     lam = abelian.dual_fourier(dist)
-    return {
-        "shape": list(dist.shape),
-        "probs": [float(x) for x in dist.probs],
-        "dual_coefficients": [[float(z.real), float(z.imag)] for z in lam.values],
-    }
+    return {"shape": dist.shape, "probs": dist.probs, "dual_coefficients": lam.values}
 
 
 def cmd_convert_abelian(args, p, q) -> dict:
     N, M = args.copies
     w, feasible = abelian.fourier_weights(p, q, N, M)
-    return {
-        "N": N, "M": M, "feasible": feasible,
-        "weights": [float(x) for x in w], "min_weight": float(np.min(w)),
-    }
+    return {"N": N, "M": M, "feasible": feasible, "weights": w, "min_weight": w.min()}
 
 
 def cmd_approx(args, group, rep, psi, phi) -> dict:
@@ -178,34 +162,25 @@ def cmd_approx(args, group, rep, psi, phi) -> dict:
     }
     if args.curve and report.classification == "unbounded":
         curve = approx._convergence(c_psi, report.s, args.curve)  # the report's decay base
-        result["curve"] = [
-            {"N": pt.N, "bound": pt.bound, "distance": pt.distance} for pt in curve.points
-        ]
+        result["curve"] = curve.points
     return result
 
 
 def cmd_qfim(args, state, generators) -> dict:
-    F = lie.qfim(lie.pure_density(state), generators)
-    return {"qfim": [[float(x) for x in row] for row in F]}
+    return {"qfim": lie.qfim(lie.pure_density(state), generators)}
 
 
 def cmd_rf(args, generators, psi, phi) -> dict:
     F_psi = lie.qfim(lie.pure_density(psi), generators)
     F_phi = lie.qfim(lie.pure_density(phi), generators)
     res = lie.rf_ratio(F_psi, F_phi)
-    result = {
-        "r_f": res.r_f,
-        "direction": [float(x) for x in res.direction] if res.direction is not None else None,
-        "method": res.method,
-    }
+    result = {"r_f": res.r_f, "direction": res.direction, "method": res.method}
     if args.rate is not None:
-        impossible, v, T = lie.converse_certificate(F_psi, F_phi, args.rate, args.delta)
+        # the report's pencil ratio, not a second bisection
+        impossible, v, T = lie._certificate(res, F_psi, F_phi, args.rate, args.delta)
         result["certificate"] = {
-            "rate": args.rate,
-            "delta": args.delta,
-            "impossible": impossible,
-            "T": T,
-            "witness_direction": [float(x) for x in v] if v is not None else None,
+            "rate": args.rate, "delta": args.delta, "impossible": impossible, "T": T,
+            "witness_direction": v,
         }
     return result
 

@@ -64,7 +64,7 @@ class FeasibilityResult:
     feasible: bool
     min_gram_eigenvalue: float
     f: np.ndarray  # (n,) the interpolator, values on G
-    modulus_witness: int | None = None  # smallest g with |f(g)| > 1, if any
+    modulus_witness: int | None = None  # smallest k != e that `_minor_fails` at, if any
     zero_set_witness: int | None = None  # smallest g with chi_phi^M(g) = 0 != chi_psi^N(g)
 
 
@@ -172,16 +172,28 @@ def is_positive_definite(group: FiniteGroup, values: np.ndarray) -> FeasibilityR
     definite and raise NotHermitian.
     """
     dev = np.abs(values - values[group.inv].conj()).max() if np.isfinite(values).all() else np.nan
-    if not dev <= TOL_HERM * max(1.0, np.abs(values).max()):
+    m = np.abs(values)
+    if not dev <= TOL_HERM * max(1.0, m.max()):
         raise NotHermitian(f"Gram matrix deviates from Hermitian by {dev:.3e}")
     min_eig = gram_min_eigenvalues(group, values[None])
-    over = np.flatnonzero(np.abs(values) > 1.0 + TOL_PSD)
+    fails = _minor_fails(m, values[group.identity].real, group.order)
+    fails[group.identity] = False  # the minor takes k != e
+    over = np.flatnonzero(fails)
     return FeasibilityResult(
         feasible=_first_failure(min_eig, -1, group.order) < 0,
         min_gram_eigenvalue=float(min_eig[0]),
         f=values,
         modulus_witness=int(over[0]) if over.size else None,
     )
+
+
+def _minor_fails(m: np.ndarray, diag, n: int) -> np.ndarray:
+    """Where m = |f(k)|, k != e, proves that the Gram test fails, with diag =
+    Re f(e) and n = |G|: m (1 - TOL_PSD n) > diag + TOL_PSD n. The 2 x 2
+    principal minor of M at rows (g, g k) then has an eigenvalue
+    diag - m < -TOL_PSD n (1 + m), below the cut -TOL_PSD n by a margin that
+    the computed minimum keeps (`_settle`)."""
+    return m * (1.0 - TOL_PSD * n) > diag + TOL_PSD * n
 
 
 def _require_linear(char_psi: CharFunction, char_phi: CharFunction) -> None:
@@ -266,8 +278,7 @@ def _settle(group: FiniteGroup, dlog, violation) -> tuple[np.ndarray, np.ndarray
     top = m.max(axis=1)
     off = m.sum(axis=1) - m[:, group.identity]  # S
     feasible = (violation < 0) & (off <= 1.0)
-    over = top * (1.0 - TOL_PSD * n) > 1.0 + TOL_PSD * n
-    return feasible, (violation >= 0) | over
+    return feasible, (violation >= 0) | _minor_fails(top, 1.0, n)
 
 
 def minimal_copies_search(

@@ -218,11 +218,15 @@ def converse_certificate(F_psi, F_phi, r: float, delta: float):
     impossibility iff g(T) strictly exceeds 4 sqrt(delta). Returns
     (impossible, witness_direction, T).
     """
+    return _certificate(rf_ratio(F_psi, F_phi), F_psi, F_phi, r, delta)
+
+
+def _certificate(rf: RfResult, F_psi, F_phi, r: float, delta: float):
+    """`converse_certificate` from rf, the `rf_ratio` of (F_psi, F_phi)."""
     if not 0 < r < math.inf:
         raise DomainError(f"rate must be positive and finite, got {r}")
     if not 0 <= delta < math.inf:
         raise DomainError(f"error must be nonnegative and finite, got {delta}")
-    rf = rf_ratio(F_psi, F_phi)
     if not rf.r_f < r or rf.direction is None:
         return False, None, None
     v = rf.direction

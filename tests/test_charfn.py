@@ -86,6 +86,18 @@ def test_char_power_identity_and_zero():
     assert char_power(char, 7).values()[1] == 0.0
 
 
+@pytest.mark.parametrize("N, sign", [(2, 0.0), (3, np.pi)])
+def test_char_power_keeps_a_real_chi_real(N, sign):
+    # chi(1) = -0.6 on Z_2: chi^2 had phase -2.4e-16 from exp(2 i pi); on e and
+    # the involutions of a linear rep the phase of chi^N is 0 or pi exactly
+    z2 = char_power(char_from_values(named_group("Z_2"), [1.0, -0.6]), N)
+    assert z2.phase.tolist() == [0.0, sign]
+    chi = np.array([1.0, 0.3j, -0.5, -0.3j])
+    z4 = char_power(char_from_values(named_group("Z_4"), chi), N)
+    assert z4.phase[[0, 2]].tolist() == [0.0, sign]
+    assert np.allclose(z4.values(), chi**N, atol=1e-15)
+
+
 @pytest.mark.parametrize("N", [10**400, 10**308], ids=["beyond-float", "beyond-phase"])
 def test_char_power_rejects_a_copy_number_beyond_a_float(N):
     # 10^400 used to raise an untyped OverflowError from logmod * N, and

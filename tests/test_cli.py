@@ -3,6 +3,7 @@ import collections
 import hashlib
 import json
 import os
+import re
 import shlex
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asym import charfn, cli, convertibility, io, named_group, validate_projective_rep
+from asym import charfn, cli, convertibility, io, lie, named_group, validate_projective_rep
 from asym.abelian import ChargeDistribution
 from asym.cli import main
 from asym.errors import ValidationError
@@ -761,6 +762,86 @@ def test_cli_rejects_copy_numbers_beyond_a_float(capsys, corpus_dir, tmp_path, s
     for huge in (10**400, 10**308):
         argv = [sub] + valid_argv(sub, corpus_dir, tmp_path) + [x.format(huge) for x in extra]
         assert_domain_error(capsys, argv)
+
+
+# case -> (subcommand, arguments); "{valid}" expands to valid_argv's arguments
+TABLE_CASES = {
+    "chi": ("chi", ["{valid}"]),
+    "chi-power-2": ("chi", ["{valid}", "--power", "2"]),
+    "chi-power-3": ("chi", ["{valid}", "--power", "3"]),
+    "chi-zero": ("chi", ["{valid}", "--state", "{flat}"]),
+    "rate-exact": ("rate-exact", ["{valid}"]),
+    "convert": ("convert", ["{valid}"]),
+    "convert-witness": ("convert", ["{valid}", "--copies", "1", "3"]),
+    "min-copies": ("min-copies", ["{valid}"]),
+    "min-copies-none": ("min-copies", ["{valid}", "--rate", "2.5"]),
+    "charges": ("charges", ["{valid}"]),
+    "convert-abelian": ("convert-abelian", ["{valid}"]),
+    "approx": ("approx", ["{valid}"]),
+    "approx-readme": ("approx", ["{valid}", "--psi", "{psi08}", "--phi", "{psi068}",
+                                 "--curve", "1,2,4,8"]),
+    "qfim": ("qfim", ["{valid}"]),
+    "rf": ("rf", ["{valid}"]),
+    "rf-no-rate": ("rf", ["--psi", "{psi08}", "--phi", "{psi068}", "--generators", "{gens}"]),
+}
+
+
+def json_cells(node, prefix=""):
+    """Key path -> the scalars of a JSON result as strings, opened as the table
+    opens it: dicts, and lists of dicts by position, give a key each."""
+    if isinstance(node, list) and node and all(isinstance(x, dict) for x in node):
+        node = dict(enumerate(node))
+    if isinstance(node, dict):
+        return {k: v for key, val in node.items()
+                for k, v in json_cells(val, f"{prefix}{key}.").items()}
+
+    def scalars(x):
+        return [s for y in x for s in scalars(y)] if isinstance(x, list) else [str(x)]
+
+    return {prefix[:-1]: scalars(node)}
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_cli_table_prints_the_json_values(capsys, corpus_dir, tmp_path, case):
+    # the table used to print its own 10-digit floats (0.1295999999999998 in
+    # the approx curve where the JSON has 0.1296) and {}-sets
+    io.save_state(tmp_path / "flat.json", z2_population_state(0.5))
+    names = {"flat": tmp_path / "flat.json", "psi08": corpus_dir / "z2_psi08.json",
+             "psi068": corpus_dir / "z2_psi068.json", "gens": corpus_dir / "spin_half_gens.json"}
+    sub, template = TABLE_CASES[case]
+    argv = [sub]
+    for x in template:
+        argv += valid_argv(sub, corpus_dir, tmp_path) if x == "{valid}" else [x.format(**names)]
+    result = run_json(capsys, argv)["result"]
+    code, out, err = run(capsys, argv + ["--table"])
+    assert code == 0, err
+    lines = out.splitlines()
+    elements = result.pop("elements", [])
+    if elements:
+        header = lines.index(next(line for line in lines if line.split()[:1] == ["g"]))
+        lines, rows = lines[:header], lines[header + 1 :]
+        assert [row.split() for row in rows] == [
+            [str(el[k]) for k in ("element", "abs_chi", "phase", "L")] for el in elements
+        ]
+    cells = (line.split(None, 1) for line in lines)
+    table = {key: re.findall(r"[^\[\], ]+", cell) for key, cell in cells}
+    assert table == json_cells(result)
+
+
+def test_cli_rf_rate_computes_the_pencil_once(capsys, corpus_dir, tmp_path, monkeypatch):
+    # the certificate reads the report's r_f: on this singular pencil a second
+    # rf_ratio call repeated the whole bisection
+    calls, rf_ratio = [], lie.rf_ratio
+    monkeypatch.setattr(lie, "rf_ratio", lambda *a: calls.append(a) or rf_ratio(*a))
+    argv = ["rf", "--psi", corpus_dir / "z2_psi08.json", "--phi", corpus_dir / "z2_psi068.json",
+            "--generators", corpus_dir / "spin_half_gens.json", "--rate", "2.0", "--delta", "1e-4"]
+    result = run_json(capsys, argv)["result"]
+    assert len(calls) == 1
+    assert result["method"] == "bisection" and result["certificate"]["impossible"] is True
+    impossible, v, T = lie.converse_certificate(*calls[0], 2.0, 1e-4)
+    assert result["certificate"] == cli._jsonable(
+        {"rate": 2.0, "delta": 1e-4, "impossible": impossible, "T": T, "witness_direction": v}
+    )
 
 
 def readme_examples() -> list[list[str]]:

@@ -114,6 +114,20 @@ def test_modulus_witness_reported(z2):
     assert res.modulus_witness == 1
 
 
+@pytest.mark.parametrize(
+    "excess, feasible, witness",
+    [(1.5e-9, True, None), (3e-9, False, None), (5e-9, False, 1)],
+)
+def test_modulus_witness_only_where_a_minor_proves_infeasibility(z2, excess, feasible, witness):
+    # |f(1)| = 1 + excess gives min eigenvalue -excess against the cut -2e-9;
+    # the 2 x 2 minor proves infeasibility once |f(1)| (1 - 2e-9) > 1 + 2e-9,
+    # about excess > 4e-9. At 1.5e-9 the verdict was feasible with witness 1.
+    psi = char_from_values(z2, [1.0, 0.5 * (1.0 + excess)])
+    res = feasible_exact(psi, char_from_values(z2, [1.0, 0.5]), 1, 1)
+    assert res.min_gram_eigenvalue == pytest.approx(-excess, rel=1e-6)
+    assert (res.feasible, res.modulus_witness) == (feasible, witness)
+
+
 def test_feasible_exact_z2_halving(z2):
     psi = chi(z2, [0.36])
     phi = chi(z2, [0.6])
@@ -259,13 +273,16 @@ def dense_gram(group, values):
     of f = values.
 
     Returns (hermitian, min_eig, feasible, modulus_witness); min_eig and
-    feasible are None when M is not Hermitian.
+    feasible are None when M is not Hermitian. The witness is the smallest
+    k != e with |f(k)| (1 - TOL_PSD n) > Re f(e) + TOL_PSD n: the 2 x 2
+    principal minor at rows (g, g k) then proves the minimum below the cut.
     """
     n = group.order
     M = values[group.mult[group.inv, :]]
     herm_dev = float(np.abs(M - M.conj().T).max())
     scale = max(1.0, float(np.abs(values).max()))
-    over = np.where(np.abs(values) > 1.0 + TOL_PSD)[0]
+    off = np.arange(n) != group.identity
+    over = np.flatnonzero(off & (np.abs(values) * (1 - TOL_PSD * n) > values[group.identity].real + TOL_PSD * n))
     witness = int(over[0]) if over.size else None
     if herm_dev > TOL_HERM * scale:
         return False, None, None, witness
