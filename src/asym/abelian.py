@@ -7,17 +7,20 @@ Z_{n_1} x ... x Z_{n_k} indexing that also gives the group's characters as
 its irreps). The sectors of a state come from one FFT over its orbit under
 the basis generators. The convolution condition p = q * w turns single-shot
 feasibility into nonnegativity of an inverse DFT of the interpolator that
-`convertibility.interpolate` builds for the Gram view too; |G| * w is that
-view's Gram spectrum, so both read one decision.
+`convertibility.interpolate` builds for the Gram view too, over the label
+inverse a -> -a; |G| * w is that view's Gram spectrum, so both read one
+decision. A `ChargeDistribution` is immutable, so its dual coefficients and
+label inverse are computed on first read and kept.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import unit_mask, zero_mask
+from .charfn import _frozen, unit_mask, zero_mask
 from .convertibility import _first_failure, interpolate
 from .errors import (
     NotSimultaneouslyDiagonalizable,
@@ -34,7 +37,7 @@ class ChargeDistribution:
     probs: np.ndarray  # flat, row-major over the label grid
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = np.array(self.probs, dtype=float)  # a copy: made read-only below
         size = int(np.prod(self.shape))
         if p.shape != (size,):
             raise ShapeMismatch(f"expected {size} probabilities, got shape {p.shape}")
@@ -44,19 +47,31 @@ class ChargeDistribution:
             raise ShapeMismatch(f"negative probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > TOL_SECTOR:
             raise ShapeMismatch(f"probabilities sum to {p.sum()!r}")
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _frozen(p))
 
     def grid(self) -> np.ndarray:
         return self.probs.reshape(self.shape)
+
+    @functools.cached_property
+    def polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log|lambda|, phase, zero mask) of the dual coefficients; lambda(0) = chi(e) = 1."""
+        lam = dual_fourier(self).values
+        lam[0] = 1.0
+        with np.errstate(divide="ignore"):
+            logmod = np.log(np.abs(lam))
+        return _frozen(logmod), _frozen(np.angle(lam)), _frozen(zero_mask(logmod))
+
+    @functools.cached_property
+    def inv(self) -> np.ndarray:
+        """The flat index of -a (mod the shape) for each label a, kept."""
+        labels = np.arange(self.probs.size).reshape(self.shape)
+        return _frozen(np.roll(np.flip(labels), 1, axis=tuple(range(labels.ndim))).ravel())
 
 
 @dataclass(frozen=True, eq=False)
 class DualCoefficients:
     shape: tuple[int, ...]
     values: np.ndarray  # flat complex, values[0] = 1
-
-    def grid(self) -> np.ndarray:
-        return self.values.reshape(self.shape)
 
 
 def abelian_basis(group: FiniteGroup) -> list[tuple[int, int]]:
@@ -128,21 +143,14 @@ def fourier_weights(
     TOL_ZERO) and 0 on it, from `convertibility.interpolate`, the core of the
     Gram view, and the verdict is the Gram view's rule with min eig = |G| *
     min w: feasible iff the zero-set rule holds and |G| * min w >= -TOL_PSD *
-    |G|, that is min w >= -TOL_PSD. lambda(w) is Hermitian, as the dual
-    coefficients of a distribution are. lambda(0) is pinned to 1,
-    as chi(e) is, so w sums to one.
+    |G|, that is min w >= -TOL_PSD. lambda(w) is Hermitian bit for bit over
+    the label inverse `p.inv`. lambda(0) is 1, as chi(e) is, so w sums to one.
     """
     if p.shape != q.shape:
         raise ShapeMismatch(f"shapes differ: {p.shape} vs {q.shape}")
-    lam = np.stack([dual_fourier(p).values, dual_fourier(q).values])
-    lam[:, 0] = 1.0
-    with np.errstate(divide="ignore"):
-        logmod = np.log(np.abs(lam))
-    phase = np.angle(lam)
-    psi, phi = ((logmod[i], phase[i], zero_mask(logmod[i])) for i in (0, 1))
-    (lam_w,), (violation,) = interpolate(psi, phi, N, M)
-    w = (np.fft.fftn(lam_w.reshape(p.shape)) / lam_w.size).real.ravel()
+    (lam_w,), (violation,) = interpolate(p.polar, q.polar, N, M, p.inv)
     n = lam_w.size
+    w = (np.fft.fftn(lam_w.reshape(p.shape)) / n).real.ravel()
     return w, _first_failure(np.array([n * w.min()]), violation, n) < 0
 
 

@@ -4,7 +4,7 @@ Values are stored as (log-modulus, phase) so that tensor powers up to very
 large copy numbers stay representable: |chi|^N lives as N * logmod, never as
 an underflowing float. logmod = -inf encodes an exact zero. |chi(g^-1)| =
 |chi(g)| is stored exactly, and so is chi(g^-1) = conj chi(g) for a linear
-rep (`CharFunction.linear`), the only kind the Gram view takes.
+rep (`make_hermitian`, which pairs the interpolators of both views too).
 
 A `CharFunction` is immutable: its logmod and phase arrays are read-only,
 so what is derived from them is computed on first read and kept. Cached
@@ -94,7 +94,7 @@ def char_from_values(group: FiniteGroup, values) -> CharFunction:
     """Build a CharFunction from plain complex values (chi(e) forced to 1) of a
     linear rep, whose matrices commute exactly when the group is abelian.
     NotHermitian unless the values are finite with chi(g^-1) = conj chi(g) to
-    within TOL_HERM; that symmetry is then made exact (`_conjugate_pairs`)."""
+    within TOL_HERM; that symmetry is then made exact (`make_hermitian`)."""
     vals = np.array(values, dtype=complex)
     if vals.shape != (group.order,):
         raise DimensionMismatch(f"expected {group.order} values, got shape {vals.shape}")
@@ -102,18 +102,20 @@ def char_from_values(group: FiniteGroup, values) -> CharFunction:
     dev = np.abs(vals - vals[group.inv].conj()).max() if np.isfinite(vals).all() else np.nan
     if not dev <= TOL_HERM:
         raise NotHermitian(f"chi(g^-1) deviates from conj chi(g) by {dev:.3e}")
-    _conjugate_pairs(group, vals)
+    make_hermitian(vals, group.inv)
     return CharFunction(group, *_polar(group, vals), commutative=group.is_abelian(), linear=True)
 
 
-def _conjugate_pairs(group: FiniteGroup, vals: np.ndarray) -> None:
-    """Make chi(g^-1) = conj chi(g) exact in vals (n,), in place: real on e
-    and the involutions, conj chi(g) at g^-1 for g < g^-1 (+ 0.0 turns an
-    imaginary -0.0 into +0.0, so phases stay in (-pi, pi])."""
-    g = np.arange(group.order)
-    own, first = g == group.inv, g < group.inv
-    vals[own] = vals[own].real
-    vals[group.inv[first]] = vals[first].conj() + 0.0
+def make_hermitian(vals: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Make vals(g^-1) = conj vals(g) exact in vals (..., n), in place, for the
+    inverse map inv (n,): real on e and the involutions, conj vals(g) at g^-1
+    for g < g^-1 (+ 0.0 turns an imaginary -0.0 into +0.0, so phases stay in
+    (-pi, pi]). It pairs chi on a linear rep and every interpolator."""
+    g = np.arange(inv.size)
+    own, first = g == inv, g < inv
+    vals[..., own] = vals[..., own].real
+    vals[..., inv[first]] = vals[..., first].conj() + 0.0
+    return vals
 
 
 def _polar(group: FiniteGroup, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +138,7 @@ def char_function(rep: ProjectiveRep, state: PureState) -> CharFunction:
     """chi(g) = <psi|U(g)|psi> for every group element, one sum per pair
     {g, g^-1}: U(g^-1) is a phase times U(g)^+, so |chi(g^-1)| = |chi(g)|
     (`_polar`), and on a linear rep (`rep.linear`) chi(g^-1) = conj chi(g)
-    (`_conjugate_pairs`). On any other rep chi(g^-1) keeps the phase of its
+    (`make_hermitian`). On any other rep chi(g^-1) keeps the phase of its
     own sum: `exact_rate` and `approx` read |chi| alone, and the Gram view
     refuses such a rep."""
     if state.dim != rep.dim:
@@ -144,7 +146,7 @@ def char_function(rep: ProjectiveRep, state: PureState) -> CharFunction:
     psi = state.amplitudes
     vals = np.einsum("i,gij,j->g", psi.conj(), rep.matrices, psi)
     if rep.linear:
-        _conjugate_pairs(rep.group, vals)
+        make_hermitian(vals, rep.group.inv)
     return CharFunction(rep.group, *_polar(rep.group, vals),
                         commutative=rep.commutative, linear=rep.linear)
 

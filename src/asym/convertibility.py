@@ -14,7 +14,8 @@ copy-number scan and the Fourier view. The zero sets are cut at TOL_ZERO
 The Gram test is the criterion on a linear rep only (on a projective one
 the kernel carries omega^(N-M)), so `feasible_exact` and
 `minimal_copies_search` raise DomainError unless `CharFunction.linear`
-holds for both. There `_hermitian` makes f Hermitian bit for bit; only
+holds for both. `interpolate` makes f Hermitian bit for bit in both views,
+over the inverse map of G or of the charge labels; only
 `is_positive_definite` checks the Hermiticity of values a caller passes.
 
 M is a convolution operator, M = sum_k f(k) R(k) over the right translations
@@ -47,16 +48,17 @@ is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharFunction, check_same_group, copy_numbers
+from .charfn import CharFunction, check_same_group, copy_numbers, make_hermitian
 from .errors import DomainError, NotHermitian
 from .groups import FiniteGroup, _block_rows
 from .tolerances import TOL_FLOOR, TOL_HERM, TOL_PSD
 
 MAX_SEARCH_COPIES = 10**4  # largest n_max of `minimal_copies_search`
+_LOG_TINY = math.log(np.finfo(float).tiny)  # below it |f| would be subnormal: f is 0 there
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +77,10 @@ def _log_ratio(psi, phi, N: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.n
     capped at 350, so a grossly infeasible instance yields a huge finite |f|
     (clearly failing the Gram test) instead of overflow, and it is -inf
     exactly where f is 0: on the chi_phi zero set when M > 0 (phi^0 is the
-    trivial state: no zeros) and where chi_psi^N is an exact 0. Returns the
-    (K, n) log-ratios and, per row, the first index where chi_phi^M vanishes
-    but chi_psi^N does not, or -1.
+    trivial state: no zeros), where chi_psi^N is an exact 0, and where |f|
+    would be subnormal (numpy's complex exp is several times slower there;
+    no cut comes near it). Returns the (K, n) log-ratios and, per row, the
+    first index where chi_phi^M vanishes but chi_psi^N does not, or -1.
     """
     psi_logmod, _, psi_zero = psi
     phi_logmod, _, phi_zero = phi
@@ -87,43 +90,50 @@ def _log_ratio(psi, phi, N: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.n
     with np.errstate(invalid="ignore", over="ignore"):
         logmod = N * psi_logmod
         dlog = np.minimum(logmod - target, 350.0)
-    dlog[(phi_zero & (M > 0)) | np.isneginf(logmod)] = -np.inf
+    dlog[(phi_zero & (M > 0)) | np.isneginf(logmod) | (dlog < _LOG_TINY)] = -np.inf
     return dlog, violation
 
 
 def interpolate(
-    psi, phi, N: int | np.ndarray, M: int | np.ndarray
+    psi, phi, N: int | np.ndarray, M: int | np.ndarray, inv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """f = chi_psi^N / chi_phi^M from log-polar chi, 0 on the chi_phi zero set.
 
     psi and phi are (logmod, phase, zero mask) triples: a CharFunction's
-    `logmod`, `phase` and `zero`, or the Fourier view's dual coefficients
-    with their own cut. N and M are copy numbers: two ints, or K each (any
-    shape with K entries) for K rows at once. Returns the (K, n) values and,
-    per row, the first index where chi_phi^M vanishes but chi_psi^N does not,
-    or -1. Zero sets are classified once, on the single-copy functions
-    (chi^N vanishes exactly where chi does); M = 0 is the trivial target,
-    identically 1. DomainError for N < 1, M < 0 or a copy number above
-    MAX_COPIES. Shared by the Gram view (chi on G) and the Fourier view (dual
-    coefficients).
+    `logmod`, `phase` and `zero`, or `ChargeDistribution.polar`. inv (n,) is
+    the inverse map: `group.inv` in the Gram view, the negated charge label in
+    the Fourier view. N and M are copy numbers: two ints, or K each (any
+    shape with K entries) for K rows at once. Returns the (K, n) values,
+    Hermitian bit for bit (`_values`), and, per row, the first index where
+    chi_phi^M vanishes but chi_psi^N does not, or -1. Zero sets are
+    classified once, on the single-copy functions (chi^N vanishes exactly
+    where chi does); M = 0 is the trivial target, identically 1. DomainError
+    for N < 1, M < 0 or a copy number above MAX_COPIES.
     """
     N, M = (np.reshape(copy_numbers(x, low), (-1, 1)) for x, low in ((N, 1), (M, 0)))
     dlog, violation = _log_ratio(psi, phi, N, M)
-    return _values(dlog, psi, phi, N, M), violation
+    return _values(dlog, psi, phi, N, M, inv), violation
 
 
-def _values(dlog: np.ndarray, psi, phi, N: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """f = exp(dlog + i (N phase_psi - M phase_phi)), exactly 0 where dlog is -inf."""
+def _values(dlog: np.ndarray, psi, phi, N: np.ndarray, M: np.ndarray, inv) -> np.ndarray:
+    """f = exp(dlog + i (N phase_psi - M phase_phi)) (K, n), exactly 0 where
+    dlog is -inf, made Hermitian by `charfn.make_hermitian`. On e and the
+    involutions chi is real, so f takes the sign (-1)^(N [chi_psi < 0] +
+    M [chi_phi < 0]) from the parities of N and M, not exp(i M pi)."""
+    own = inv == np.arange(inv.size)
+    theta = N * psi[1] - M * phi[1]
+    odd = N % 2 * (np.abs(psi[1][own]) > np.pi / 2) + M % 2 * (np.abs(phi[1][own]) > np.pi / 2)
+    theta[:, own] = np.pi * (odd % 2)
     with np.errstate(invalid="ignore", under="ignore"):
-        vals = np.exp(dlog + 1j * (N * psi[1] - M * phi[1]))
+        vals = np.exp(dlog + 1j * theta)
     vals[np.isneginf(dlog)] = 0.0
-    return vals
+    return make_hermitian(vals, inv)
 
 
 def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of M[g, h] = f(g^-1 h) for each row f of values (K, n).
 
-    M is Hermitian iff f(g^-1) = conj f(g), as `_hermitian` makes f and
+    M is Hermitian iff f(g^-1) = conj f(g), as `interpolate` makes f and
     `is_positive_definite` checks it. The spectrum comes from one matmul
     against the irrep basis and `_block_min_eig` per irrep dimension d: a
     1 x 1 block (a character) is its own eigenvalue, the real part of the
@@ -165,25 +175,31 @@ def _first_failure(min_eig: np.ndarray, violation, order: int) -> int:
 def is_positive_definite(group: FiniteGroup, values: np.ndarray) -> FeasibilityResult:
     """Gram-matrix positive semidefiniteness test for the function f = values (n,) on G.
 
-    Reports feasible iff the minimum eigenvalue of M[g, h] = f(g^-1 h) is
-    >= -TOL_PSD * |G|, computed block by block from the Fourier transform of
-    f. M is Hermitian iff f(g^-1) = conj f(g); values that miss it by more
-    than TOL_HERM * max(1, max |f|), or are not finite, cannot be positive
-    definite and raise NotHermitian.
+    The Gram rule (`_verdict`) behind an input gate: M[g, h] = f(g^-1 h) is
+    Hermitian iff f(g^-1) = conj f(g), and values that miss it by more than
+    TOL_HERM * max(1, max |f|), or are not finite, raise NotHermitian.
     """
     dev = np.abs(values - values[group.inv].conj()).max() if np.isfinite(values).all() else np.nan
-    m = np.abs(values)
-    if not dev <= TOL_HERM * max(1.0, m.max()):
+    if not dev <= TOL_HERM * max(1.0, np.abs(values).max()):
         raise NotHermitian(f"Gram matrix deviates from Hermitian by {dev:.3e}")
+    return _verdict(group, values, -1)
+
+
+def _verdict(group: FiniteGroup, values: np.ndarray, bad: int) -> FeasibilityResult:
+    """The Gram rule on one Hermitian row f = values (n,) with zero-set
+    violation bad (an element, or -1): feasible iff bad < 0 and the minimum
+    eigenvalue of M[g, h] = f(g^-1 h), from its Fourier blocks, is
+    >= -TOL_PSD * |G|; with the witnesses of the report."""
     min_eig = gram_min_eigenvalues(group, values[None])
-    fails = _minor_fails(m, values[group.identity].real, group.order)
+    fails = _minor_fails(np.abs(values), values[group.identity].real, group.order)
     fails[group.identity] = False  # the minor takes k != e
     over = np.flatnonzero(fails)
     return FeasibilityResult(
-        feasible=_first_failure(min_eig, -1, group.order) < 0,
+        feasible=_first_failure(min_eig, bad, group.order) < 0,
         min_gram_eigenvalue=float(min_eig[0]),
         f=values,
         modulus_witness=int(over[0]) if over.size else None,
+        zero_set_witness=int(bad) if bad >= 0 else None,
     )
 
 
@@ -204,38 +220,23 @@ def _require_linear(char_psi: CharFunction, char_phi: CharFunction) -> None:
         )
 
 
-def _hermitian(group: FiniteGroup, vals: np.ndarray, psi, phi, N, M) -> np.ndarray:
-    """Rows f = chi_psi^N / chi_phi^M (K, n) made Hermitian in place. On a
-    linear rep chi(g^-1) = conj chi(g), so f(g^-1) is set to conj f(g) for
-    g < g^-1; on e and the involutions chi is real, and f = +-|f| takes the
-    sign (-1)^(N [chi_psi < 0] + M [chi_phi < 0]) from the parities of N
-    and M, not from exp(i N pi). So the Gram matrix is Hermitian bit for bit."""
-    g = np.arange(group.order)
-    own, first = g == group.inv, g < group.inv
-    vals[:, group.inv[first]] = vals[:, first].conj()
-    odd = N % 2 * (np.abs(psi[1][own]) > np.pi / 2) + M % 2 * (np.abs(phi[1][own]) > np.pi / 2)
-    vals[:, own] = np.where(odd % 2 == 1, -1.0, 1.0) * np.abs(vals[:, own])
-    return vals
-
-
 def feasible_exact(
     char_psi: CharFunction, char_phi: CharFunction, N: int, M: int
 ) -> FeasibilityResult:
     """Feasibility of psi^N -> phi^M under G-covariant operations.
 
-    The interpolator of `interpolate`, made Hermitian by `_hermitian`, goes
-    to the Gram test. Where chi_phi^M vanishes and chi_psi^N does not, the
-    answer is infeasible, with the smallest such element as
+    One row of the scan: the Hermitian interpolator of `interpolate` goes to
+    the Gram rule (`_verdict`). Where chi_phi^M vanishes and chi_psi^N does
+    not, the answer is infeasible, with the smallest such element as
     `zero_set_witness`. M = 0 is accepted as the trivial (symmetric) target,
     which is always reachable. DomainError unless both characteristic
     functions come from a linear rep (`CharFunction.linear`).
     """
     check_same_group(char_psi, char_phi)
     _require_linear(char_psi, char_phi)
-    group, psi, phi = char_psi.group, _polar(char_psi), _polar(char_phi)
-    vals, (bad,) = interpolate(psi, phi, N, M)
-    res = is_positive_definite(group, _hermitian(group, vals, psi, phi, N, M)[0])
-    return res if bad < 0 else replace(res, feasible=False, zero_set_witness=int(bad))
+    group = char_psi.group
+    (vals,), (bad,) = interpolate(_polar(char_psi), _polar(char_phi), N, M, group.inv)
+    return _verdict(group, vals, int(bad))
 
 
 def _polar(char: CharFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,7 +254,7 @@ def _settle(group: FiniteGroup, dlog, violation) -> tuple[np.ndarray, np.ndarray
 
     Row g of the Gram matrix M[g, h] = f(g^-1 h) holds f(e) = 1 on the
     diagonal and f(k), k != e, off it, so its off-diagonal moduli sum to
-    S = sum_{k != e} m(k). M is Hermitian by construction (`_hermitian`),
+    S = sum_{k != e} m(k). M is Hermitian by construction (`interpolate`),
     and no irrep enters, so this holds for every group. With n = |G|:
 
     Feasible: no zero-set violation and S <= 1 (the floor only raises S). By
@@ -319,8 +320,7 @@ def minimal_copies_search(
         i = int(np.argmax(infeasible)) if infeasible.any() else -1
         todo = np.flatnonzero(~feasible[: i if i >= 0 else None])
         if todo.size:
-            vals = _hermitian(group, _values(dlog[todo], psi, phi, N[todo], M[todo]),
-                              psi, phi, N[todo], M[todo])
+            vals = _values(dlog[todo], psi, phi, N[todo], M[todo], group.inv)
             min_eig = gram_min_eigenvalues(group, vals)
             j = _first_failure(min_eig, violation[todo], group.order)
             if j >= 0:

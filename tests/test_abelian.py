@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -21,12 +22,15 @@ from asym import (
     shift_canonicalize,
     validate_projective_rep,
 )
+from asym import abelian
 from asym.abelian import ChargeDistribution, basis_elements
+from asym.convertibility import interpolate
 from asym.cli import main
 from corpus import corpus_rep, random_distribution, random_state, z2_population_state
 from asym.errors import DomainError, NotAbelian, NotSimultaneouslyDiagonalizable, ShapeMismatch
 from asym.groups import ProjectiveRep, PureState
 from reference import subgroup_closure
+from test_convertibility import BUILT, concentrated_type
 
 
 def dist(shape, probs):
@@ -499,3 +503,98 @@ def test_gram_blocks_are_the_fourier_weights(name, rng):
         # the interpolator on G, read in label order, is the inverse DFT of w
         lam_w = np.fft.ifftn(w.reshape(shape)).ravel() * n
         assert np.abs(gram.f[elems] - lam_w).max() <= 1e-10
+
+
+# ------------------------------------------ one Hermitian interpolator, both views
+
+
+@pytest.mark.parametrize("M", [3, 10**15 + 1, 2**53 - 1])
+def test_the_sign_on_an_involution_comes_from_the_parity_of_M(M):
+    """Z_2 with p = delta_0 and q = delta_1: lambda(q) = (1, -1), so for odd M
+    the weights are delta_1. A sign taken from exp(i M pi) on a float M would
+    give (0.0036, 0.9964) at M = 10^15 + 1. The Gram view of the same pair on
+    the corpus Z_2 rep reads the same f and the same spectrum."""
+    w, ok = fourier_weights(dist((2,), [1, 0]), dist((2,), [0, 1]), 1, M)
+    assert ok is True
+    assert np.abs(w - [0.0, 1.0]).max() <= 1e-15
+    rep = corpus_rep("Z_2")
+    psi, phi = (char_function(rep, PureState(2, np.eye(2)[k])) for k in (0, 1))
+    gram = feasible_exact(psi, phi, 1, M)
+    assert gram.feasible is ok
+    assert np.array_equal(gram.f, [1.0, -1.0])
+    assert abs(gram.min_gram_eigenvalue - 2 * w.min()) <= 1e-15
+
+
+def assert_hermitian_rows(f, inv):
+    """f(g^-1) = conj f(g) bit for bit on every row, and f real on e and the involutions."""
+    assert np.array_equal(f[:, inv], f.conj())
+    assert (f[:, inv == np.arange(inv.size)].imag == 0).all()
+
+
+@functools.cache
+def built_group(name):
+    return BUILT[name]()
+
+
+LABEL_SHAPES = [(2,) * k for k in range(1, 9)] + [(3,), (16, 16), (256,)]
+# small copy numbers keep |f| off 0 and off the cap; large ones reach the float's last digits
+COPIES = st.one_of(st.integers(1, 8), st.integers(1, 2**53 - 1), st.just(2**53 - 1))
+ODD_COPIES = st.one_of(COPIES, COPIES.map(lambda m: m | 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["Z_256", "Z_2^8", "Z_16xZ_16"]),
+    seed=st.integers(0, 2**32 - 1),
+    N=COPIES,
+    M=ODD_COPIES,
+)
+def test_the_gram_view_interpolator_is_hermitian_bit_for_bit(name, seed, N, M):
+    group = built_group(name)
+    rng = np.random.default_rng(seed)
+    chars = [char_from_values(group, concentrated_type(group, rng, terms=2)) for _ in range(2)]
+    psi, phi = ((c.logmod, c.phase, c.zero) for c in chars)
+    f, _ = interpolate(psi, phi, [N, 1, N], [M, M, 0], group.inv)
+    assert_hermitian_rows(f, group.inv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(LABEL_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    support=st.integers(1, 4),
+    N=COPIES,
+    M=ODD_COPIES,
+)
+def test_the_fourier_view_interpolator_is_hermitian_bit_for_bit(shape, seed, support, N, M):
+    """Sparse distributions keep |lambda| at 1 on many labels, so f keeps its
+    phases at large copy numbers too."""
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    p, q = [], []
+    for out in (p, q):
+        probs = np.zeros(size)
+        probs[rng.choice(size, size=min(support, size), replace=False)] = rng.random(min(support, size))
+        out.append(dist(shape, probs / probs.sum()))
+    (p,), (q,) = p, q
+    labels = np.indices(shape).reshape(len(shape), -1)
+    assert np.array_equal(labels[:, p.inv], -labels % np.reshape(shape, (-1, 1)))
+    f, _ = interpolate(p.polar, q.polar, [N, 1, N], [M, M, 0], p.inv)
+    assert_hermitian_rows(f, p.inv)
+
+
+def test_each_charge_distribution_is_transformed_once(monkeypatch):
+    seen = []
+    transform = abelian.dual_fourier
+    monkeypatch.setattr(abelian, "dual_fourier", lambda d: seen.append(d) or transform(d))
+    given_probs = np.array([0.4, 0.3, 0.2, 0.1])
+    p, q = dist((4,), given_probs), dist((4,), [0.7, 0.1, 0.1, 0.1])
+    for N, M in ((1, 1), (2, 3), (3, 2)):
+        fourier_weights(p, q, N, M)
+        fourier_weights(q, p, N, M)
+    assert sorted(map(id, seen)) == sorted([id(p), id(q)])
+    with pytest.raises(ValueError):
+        p.probs[0] = 0.5
+    assert not any(a.flags.writeable for a in (*p.polar, p.inv))
+    given_probs[0] = 0.5  # the caller's array is copied, not frozen
+    assert p.probs[0] == 0.4

@@ -757,7 +757,7 @@ def test_batched_min_eigenvalues_match_feasible_exact(name, oracle_group):
     for r in rates(psi, phi)[:3]:  # r <= the exact rate: |f| <= 1
         M = np.floor(r * N + 1e-12)
         vals, violation = interpolate(
-            (psi.logmod, psi.phase, psi.zero), (phi.logmod, phi.phase, phi.zero), N, M
+            (psi.logmod, psi.phase, psi.zero), (phi.logmod, phi.phase, phi.zero), N, M, group.inv
         )
         min_eig = gram_min_eigenvalues(group, vals)
         for k in np.flatnonzero(violation < 0):
