@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import _frozen, unit_mask, zero_mask
+from .charfn import _from_polar, _frozen, _polar, make_hermitian, unit_mask, zero_mask
 from .convertibility import _first_failure, interpolate
 from .errors import (
     NotSimultaneouslyDiagonalizable,
@@ -54,12 +54,11 @@ class ChargeDistribution:
 
     @functools.cached_property
     def polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(log|lambda|, phase, zero mask) of the dual coefficients; lambda(0) = chi(e) = 1."""
-        lam = dual_fourier(self).values
-        lam[0] = 1.0
-        with np.errstate(divide="ignore"):
-            logmod = np.log(np.abs(lam))
-        return _frozen(logmod), _frozen(np.angle(lam)), _frozen(zero_mask(logmod))
+        """(log|lambda|, phase, zero mask) of the dual coefficients, made Hermitian
+        over `inv` and encoded as chi is (`charfn._polar`): lambda(0) = chi(e) = 1."""
+        lam = make_hermitian(dual_fourier(self).values, self.inv)
+        logmod, phase = _polar(lam, 0, self.inv)
+        return _frozen(logmod), _frozen(phase), _frozen(zero_mask(logmod))
 
     @functools.cached_property
     def inv(self) -> np.ndarray:
@@ -169,9 +168,8 @@ def shift_canonicalize(dist: ChargeDistribution) -> ChargeDistribution:
     k1 = support[0]
     shifted = np.roll(grid, shift=tuple(-int(k) for k in k1), axis=tuple(range(grid.ndim)))
     out = ChargeDistribution(shape=dist.shape, probs=shifted.ravel())
-    lam = dual_fourier(out).values
-    with np.errstate(divide="ignore"):
-        unit = unit_mask(np.log(np.abs(lam)))
-    if not np.allclose(lam[unit], 1.0, atol=TOL_SELF):
+    logmod, phase, _ = out.polar
+    unit = unit_mask(logmod)
+    if not np.allclose(_from_polar(logmod[unit], phase[unit]), 1.0, atol=TOL_SELF):
         raise SelfCheckFailed("shift canonicalization left a unit-modulus coefficient != 1")
     return out

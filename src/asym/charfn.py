@@ -2,9 +2,10 @@
 
 Values are stored as (log-modulus, phase) so that tensor powers up to very
 large copy numbers stay representable: |chi|^N lives as N * logmod, never as
-an underflowing float. logmod = -inf encodes an exact zero. |chi(g^-1)| =
-|chi(g)| is stored exactly, and so is chi(g^-1) = conj chi(g) for a linear
-rep (`make_hermitian`, which pairs the interpolators of both views too).
+an underflowing float. One codec encodes chi here and the inputs and f of
+both feasibility views: `_polar` (logmod <= 0, -inf at an exact zero,
+|chi(g^-1)| = |chi(g)|), `_from_polar`, `make_hermitian` (chi(g^-1) = conj
+chi(g) on a linear rep), `real_phase` and the gate `check_hermitian`.
 
 A `CharFunction` is immutable: its logmod and phase arrays are read-only,
 so what is derived from them is computed on first read and kept. Cached
@@ -43,10 +44,12 @@ class CharFunction:
             object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
 
     def values(self) -> np.ndarray:
-        with np.errstate(under="ignore", invalid="ignore"):
-            out = np.exp(self.logmod + 1j * self.phase)
-        out[np.isneginf(self.logmod)] = 0.0
-        return out
+        return _from_polar(self.logmod, self.phase)
+
+    @property
+    def polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(logmod, phase, zero mask): the triple `convertibility.interpolate` takes."""
+        return self.logmod, self.phase, self.zero
 
     @functools.cached_property
     def zero(self) -> np.ndarray:
@@ -99,18 +102,23 @@ def char_from_values(group: FiniteGroup, values) -> CharFunction:
     if vals.shape != (group.order,):
         raise DimensionMismatch(f"expected {group.order} values, got shape {vals.shape}")
     vals[group.identity] = 1.0
-    dev = np.abs(vals - vals[group.inv].conj()).max() if np.isfinite(vals).all() else np.nan
-    if not dev <= TOL_HERM:
-        raise NotHermitian(f"chi(g^-1) deviates from conj chi(g) by {dev:.3e}")
+    check_hermitian(vals, group.inv, 1.0, "chi")
     make_hermitian(vals, group.inv)
-    return CharFunction(group, *_polar(group, vals), commutative=group.is_abelian(), linear=True)
+    return CharFunction(group, *_polar(vals, group.identity, group.inv), group.is_abelian(), True)
+
+
+def check_hermitian(vals: np.ndarray, inv: np.ndarray, scale: float, name: str) -> None:
+    """NotHermitian unless vals (n,) are finite, vals(g^-1) = conj vals(g) to TOL_HERM * scale."""
+    dev = np.abs(vals - vals[inv].conj()).max() if np.isfinite(vals).all() else np.nan
+    if not dev <= TOL_HERM * scale:
+        raise NotHermitian(f"{name}(g^-1) deviates from conj {name}(g) by {dev:.3e}")
 
 
 def make_hermitian(vals: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Make vals(g^-1) = conj vals(g) exact in vals (..., n), in place, for the
     inverse map inv (n,): real on e and the involutions, conj vals(g) at g^-1
     for g < g^-1 (+ 0.0 turns an imaginary -0.0 into +0.0, so phases stay in
-    (-pi, pi]). It pairs chi on a linear rep and every interpolator."""
+    (-pi, pi]). It pairs chi, charge-distribution dual coefficients and f."""
     g = np.arange(inv.size)
     own, first = g == inv, g < inv
     vals[..., own] = vals[..., own].real
@@ -118,20 +126,34 @@ def make_hermitian(vals: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _polar(group: FiniteGroup, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log|chi|, phase) of the complex values vals (n,), (0, 0) at the identity;
-    |chi(g^-1)| = |chi(g)| on every projective rep, so g^-1 takes the
-    log-modulus of chi(g) for g < g^-1."""
+def _polar(vals: np.ndarray, identity: int, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The polar codec: (log|chi|, phase) of vals (n,), (0, 0) at the identity,
+    log|chi| <= 0 (round-off clipped) and -inf at exact zeros; |chi(g^-1)| =
+    |chi(g)|, so g^-1 takes the log-modulus of g < g^-1 under inv (n,)."""
     mod = np.abs(vals)
     with np.errstate(divide="ignore"):
-        logmod = np.where(mod > 0, np.log(np.maximum(mod, 1e-320)), -np.inf)
-    logmod = np.minimum(logmod, 0.0)  # clip |chi| <= 1 round-off overshoot
+        logmod = np.minimum(np.log(mod), 0.0)
     phase = np.where(mod > 0, np.angle(vals), 0.0)
-    logmod[group.identity] = 0.0
-    phase[group.identity] = 0.0
-    first = np.flatnonzero(np.arange(group.order) < group.inv)
-    logmod[group.inv[first]] = logmod[first]
+    logmod[identity] = phase[identity] = 0.0
+    first = np.flatnonzero(np.arange(inv.size) < inv)
+    logmod[inv[first]] = logmod[first]
     return logmod, phase
+
+
+def _from_polar(logmod: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """exp(logmod + i phase), exactly 0 where logmod is -inf: `_polar` inverted."""
+    with np.errstate(under="ignore", invalid="ignore"):
+        return np.where(np.isneginf(logmod), 0.0, np.exp(logmod + 1j * phase))
+
+
+def real_phase(phase: np.ndarray, inv: np.ndarray, *powers) -> np.ndarray:
+    """Set phase (..., n) of prod_i chi_i^N_i, powers the (phase_i, N_i), in
+    place on e and the involutions of inv (n,), where each chi_i is real: pi
+    iff an odd number of negative chi_i have odd N_i, not exp(i N pi)."""
+    own = inv == np.arange(inv.size)
+    odd = sum(N % 2 * (np.abs(p[own]) > np.pi / 2) for p, N in powers)
+    phase[..., own] = np.pi * (odd % 2)
+    return phase
 
 
 def char_function(rep: ProjectiveRep, state: PureState) -> CharFunction:
@@ -147,16 +169,15 @@ def char_function(rep: ProjectiveRep, state: PureState) -> CharFunction:
     vals = np.einsum("i,gij,j->g", psi.conj(), rep.matrices, psi)
     if rep.linear:
         make_hermitian(vals, rep.group.inv)
-    return CharFunction(rep.group, *_polar(rep.group, vals),
-                        commutative=rep.commutative, linear=rep.linear)
+    g = rep.group
+    return CharFunction(g, *_polar(vals, g.identity, g.inv), rep.commutative, rep.linear)
 
 
 def resource_measure_L(char: CharFunction, g: int) -> float:
     """-log|chi(g)|; +inf where chi vanishes, 0 on the symmetry subgroup."""
     if not 0 <= g < char.group.order:
         raise DomainError(f"element index {g} out of range")
-    lm = char.logmod[g]
-    return math.inf if np.isneginf(lm) else float(-lm) + 0.0
+    return float(-char.logmod[g]) + 0.0  # +inf at -inf, 0.0 (not -0.0) at 0
 
 
 def zero_mask(logmod: np.ndarray) -> np.ndarray:
@@ -212,17 +233,10 @@ def copy_numbers(N, low: int = 1) -> np.ndarray:
 
 
 def char_power(char: CharFunction, N: int) -> CharFunction:
-    """Characteristic function of the N-fold tensor power state. On a linear
-    rep chi is real on e and the involutions, and chi^N stays real there: its
-    phase is pi where chi < 0 and N is odd, else 0, read from the parity of
-    N, not from exp(i N pi)."""
+    """Characteristic function of the N-fold tensor power state; on a linear
+    rep chi^N stays real on e and the involutions (`real_phase`)."""
     n = float(copy_numbers(N))
-    with np.errstate(invalid="ignore"):
-        logmod = char.logmod * n
-    logmod[np.isneginf(char.logmod)] = -np.inf
     phase = np.angle(np.exp(1j * (char.phase * n)))  # wrapped to (-pi, pi]
     if char.linear:
-        own = np.arange(char.group.order) == char.group.inv
-        phase[own] = np.where((np.abs(char.phase[own]) > np.pi / 2) & (N % 2 == 1), np.pi, 0.0)
-    return CharFunction(group=char.group, logmod=logmod, phase=phase,
-                        commutative=char.commutative, linear=char.linear)
+        real_phase(phase, char.group.inv, (char.phase, N))
+    return CharFunction(char.group, char.logmod * n, phase, char.commutative, char.linear)

@@ -52,10 +52,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharFunction, check_same_group, copy_numbers, make_hermitian
-from .errors import DomainError, NotHermitian
+from .charfn import CharFunction, _from_polar, check_hermitian, check_same_group, copy_numbers
+from .charfn import make_hermitian, real_phase
+from .errors import DomainError
 from .groups import FiniteGroup, _block_rows
-from .tolerances import TOL_FLOOR, TOL_HERM, TOL_PSD
+from .tolerances import TOL_FLOOR, TOL_PSD
 
 MAX_SEARCH_COPIES = 10**4  # largest n_max of `minimal_copies_search`
 _LOG_TINY = math.log(np.finfo(float).tiny)  # below it |f| would be subnormal: f is 0 there
@@ -99,16 +100,16 @@ def interpolate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """f = chi_psi^N / chi_phi^M from log-polar chi, 0 on the chi_phi zero set.
 
-    psi and phi are (logmod, phase, zero mask) triples: a CharFunction's
-    `logmod`, `phase` and `zero`, or `ChargeDistribution.polar`. inv (n,) is
-    the inverse map: `group.inv` in the Gram view, the negated charge label in
+    psi and phi are (logmod, phase, zero mask) triples from charfn's codec:
+    `CharFunction.polar` or `ChargeDistribution.polar`. inv (n,) is the
+    inverse map: `group.inv` in the Gram view, the negated charge label in
     the Fourier view. N and M are copy numbers: two ints, or K each (any
     shape with K entries) for K rows at once. Returns the (K, n) values,
     Hermitian bit for bit (`_values`), and, per row, the first index where
     chi_phi^M vanishes but chi_psi^N does not, or -1. Zero sets are
     classified once, on the single-copy functions (chi^N vanishes exactly
     where chi does); M = 0 is the trivial target, identically 1. DomainError
-    for N < 1, M < 0 or a copy number above MAX_COPIES.
+    for N < 1, M < 0 or a copy number off the integers up to MAX_COPIES.
     """
     N, M = (np.reshape(copy_numbers(x, low), (-1, 1)) for x, low in ((N, 1), (M, 0)))
     dlog, violation = _log_ratio(psi, phi, N, M)
@@ -116,18 +117,11 @@ def interpolate(
 
 
 def _values(dlog: np.ndarray, psi, phi, N: np.ndarray, M: np.ndarray, inv) -> np.ndarray:
-    """f = exp(dlog + i (N phase_psi - M phase_phi)) (K, n), exactly 0 where
-    dlog is -inf, made Hermitian by `charfn.make_hermitian`. On e and the
-    involutions chi is real, so f takes the sign (-1)^(N [chi_psi < 0] +
-    M [chi_phi < 0]) from the parities of N and M, not exp(i M pi)."""
-    own = inv == np.arange(inv.size)
-    theta = N * psi[1] - M * phi[1]
-    odd = N % 2 * (np.abs(psi[1][own]) > np.pi / 2) + M % 2 * (np.abs(phi[1][own]) > np.pi / 2)
-    theta[:, own] = np.pi * (odd % 2)
-    with np.errstate(invalid="ignore", under="ignore"):
-        vals = np.exp(dlog + 1j * theta)
-    vals[np.isneginf(dlog)] = 0.0
-    return make_hermitian(vals, inv)
+    """f = exp(dlog + i (N phase_psi - M phase_phi)) (K, n) by charfn's codec:
+    real on e and the involutions with the sign from the parities of N and M
+    (`real_phase`), 0 where dlog is -inf (`_from_polar`), `make_hermitian`."""
+    theta = real_phase(N * psi[1] - M * phi[1], inv, (psi[1], N), (phi[1], M))
+    return make_hermitian(_from_polar(dlog, theta), inv)
 
 
 def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> np.ndarray:
@@ -179,9 +173,7 @@ def is_positive_definite(group: FiniteGroup, values: np.ndarray) -> FeasibilityR
     Hermitian iff f(g^-1) = conj f(g), and values that miss it by more than
     TOL_HERM * max(1, max |f|), or are not finite, raise NotHermitian.
     """
-    dev = np.abs(values - values[group.inv].conj()).max() if np.isfinite(values).all() else np.nan
-    if not dev <= TOL_HERM * max(1.0, np.abs(values).max()):
-        raise NotHermitian(f"Gram matrix deviates from Hermitian by {dev:.3e}")
+    check_hermitian(values, group.inv, max(1.0, np.abs(values).max()), "f")
     return _verdict(group, values, -1)
 
 
@@ -235,12 +227,8 @@ def feasible_exact(
     check_same_group(char_psi, char_phi)
     _require_linear(char_psi, char_phi)
     group = char_psi.group
-    (vals,), (bad,) = interpolate(_polar(char_psi), _polar(char_phi), N, M, group.inv)
+    (vals,), (bad,) = interpolate(char_psi.polar, char_phi.polar, N, M, group.inv)
     return _verdict(group, vals, int(bad))
-
-
-def _polar(char: CharFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return char.logmod, char.phase, char.zero
 
 
 def _settle(group: FiniteGroup, dlog, violation) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +297,7 @@ def minimal_copies_search(
     _require_linear(char_psi, char_phi)
     copy_numbers(np.floor(r * n_max + TOL_FLOOR), 0)  # the largest M of the scan
     group = char_psi.group
-    psi, phi = _polar(char_psi), _polar(char_phi)
+    psi, phi = char_psi.polar, char_phi.polar
     rows = _block_rows(group.order * np.dtype(complex).itemsize)
     first = None
     for top in range(n_max, 0, -rows):

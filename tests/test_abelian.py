@@ -598,3 +598,51 @@ def test_each_charge_distribution_is_transformed_once(monkeypatch):
     assert not any(a.flags.writeable for a in (*p.polar, p.inv))
     given_probs[0] = 0.5  # the caller's array is copied, not frozen
     assert p.probs[0] == 0.4
+
+
+# ---------------------------------- one codec: the Gram and Fourier views agree
+
+
+def gram_chars(group, dists):
+    """chi of each distribution on group, from its dual coefficients."""
+    _, elems = basis_elements(group)
+    chars = []
+    for d in dists:
+        vals = np.empty(group.order, dtype=complex)
+        vals[elems] = dual_fourier(d).values
+        chars.append(char_from_values(group, vals))
+    return chars
+
+
+def test_a_charge_shift_on_z8_is_feasible_in_both_views_at_ten_million_copies():
+    """p = delta_7 and q = delta_2: p^N -> q^M by a charge shift for every N
+    and M. |lambda_p| = 1 rounds to 1 + 2.2e-16 at some labels; the Fourier
+    view once took N times its log and read |G| min w = -8.9e-9, infeasible,
+    where the Gram view read -3.6e-9."""
+    group = named_group("Z_8")
+    p, q = (dist((8,), np.eye(8)[k]) for k in (7, 2))
+    N, M = 10**7, 10**7 - 1
+    w, ok = fourier_weights(p, q, N, M)
+    res = feasible_exact(*gram_chars(group, (p, q)), N, M)
+    assert ok and res.feasible
+    assert abs(8 * w.min() - res.min_gram_eigenvalue) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 12, 16, 32, 64])
+def test_both_views_give_one_verdict_on_shifted_sparse_distributions(n):
+    """q = p * delta_s for a sparse p on Z_n, so p^N -> q^M is feasible at M =
+    N and M = N - 1 (a charge shift, after p -> p at one copy). Both views
+    encode their inputs with one codec, so at N = 10^3 .. 10^8 they give one
+    verdict, whether or not the phases keep enough digits to say feasible."""
+    group = named_group(f"Z_{n}")
+    rng = np.random.default_rng(n)
+    for _ in range(12):
+        k = rng.integers(1, 3)
+        probs = np.zeros(n)
+        probs[rng.choice(n, k, replace=False)] = rng.dirichlet(np.ones(k))
+        p, q = dist((n,), probs), dist((n,), np.roll(probs, rng.integers(n)))
+        chars = gram_chars(group, (p, q))
+        for N in (10**e for e in range(3, 9)):
+            for M in (N, N - 1):
+                fourier = fourier_weights(p, q, N, M)[1]
+                assert fourier == feasible_exact(*chars, N, M).feasible, (probs, q.probs, N, M)

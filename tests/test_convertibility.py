@@ -31,7 +31,6 @@ from asym.convertibility import (
     MAX_SEARCH_COPIES,
     _block_min_eig,
     _log_ratio,
-    _polar,
     _settle,
     gram_min_eigenvalues,
     interpolate,
@@ -848,7 +847,7 @@ def settle(char_psi, char_phi, r, N):
     settled infeasible), one entry per row."""
     N = np.asarray(N, dtype=float)[:, None]
     M = np.floor(r * N + TOL_FLOOR)
-    dlog, violation = _log_ratio(_polar(char_psi), _polar(char_phi), N, M)
+    dlog, violation = _log_ratio(char_psi.polar, char_phi.polar, N, M)
     feasible, infeasible = _settle(char_psi.group, dlog, violation)
     return M[:, 0].astype(int), feasible, infeasible
 
