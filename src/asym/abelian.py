@@ -37,6 +37,8 @@ class ChargeDistribution:
     probs: np.ndarray  # flat, row-major over the label grid
 
     def __post_init__(self):
+        if not self.shape or min(self.shape) < 1:
+            raise ShapeMismatch(f"shape {self.shape} needs one or more entries, each >= 1")
         p = np.array(self.probs, dtype=float)  # a copy: made read-only below
         size = int(np.prod(self.shape))
         if p.shape != (size,):

@@ -217,18 +217,20 @@ MAX_COPIES = sys.float_info.max / (2 * math.pi)
 
 def copy_numbers(N, low: int = 1) -> np.ndarray:
     """Copy numbers (an int or an array of them) as floats; DomainError for
-    one below low or above MAX_COPIES (about 2.9e307)."""
+    one that is not an integer, below low or above MAX_COPIES (about 2.9e307)."""
     try:
         x = np.asarray(N, dtype=float)
     except OverflowError:
         raise DomainError(f"copy number above {MAX_COPIES:.3g}") from None
-    if x.ndim == 0:  # one copy number, the common case: Python beats two ufuncs
-        inside = low <= float(x) <= MAX_COPIES
+    if x.ndim == 0:  # one copy number, the common case: Python beats three ufuncs
+        inside = low <= float(x) <= MAX_COPIES and float(x).is_integer()
     else:
-        inside = ((x >= low) & (x <= MAX_COPIES)).all()
+        inside = ((x >= low) & (x <= MAX_COPIES) & (x % 1 == 0)).all()
     if not inside:
-        got = next(v for v in x.flat if not low <= v <= MAX_COPIES)
-        raise DomainError(f"copy number must lie in [{low}, {MAX_COPIES:.3g}], got {got:g}")
+        got = next(v for v in x.flat if not (low <= v <= MAX_COPIES and v % 1 == 0))
+        raise DomainError(
+            f"copy number must be an integer in [{low}, {MAX_COPIES:.3g}], got {got:g}"
+        )
     return x
 
 

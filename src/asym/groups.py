@@ -115,7 +115,7 @@ class PureState:
     amplitudes: np.ndarray  # (dim,) complex
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.array(self.amplitudes, dtype=complex)  # a copy: made read-only below
         if amp.shape != (self.dim,):
             raise NotAState(f"expected {self.dim} amplitudes, got shape {amp.shape}")
         if not np.isfinite(amp).all():
@@ -123,6 +123,7 @@ class PureState:
         nrm = np.linalg.norm(amp)
         if not abs(nrm - 1.0) <= TOL_NORM:
             raise NotAState(f"state norm {nrm!r} deviates from 1 beyond tolerance")
+        amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
 

@@ -30,7 +30,7 @@ class GeneratorSet:
     generators: np.ndarray  # (m, d, d) complex Hermitian
 
     def __post_init__(self):
-        gens = np.asarray(self.generators, dtype=complex)
+        gens = np.array(self.generators, dtype=complex)  # a copy: made read-only below
         if gens.ndim != 3 or gens.shape[1:] != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"expected (m, {self.dim}, {self.dim}) generators, got {gens.shape}"
@@ -40,6 +40,7 @@ class GeneratorSet:
         dev = np.abs(gens - gens.conj().transpose(0, 2, 1)).max() if gens.size else 0.0
         if not dev <= TOL_HERM:
             raise DomainError(f"generators deviate from Hermitian by {dev:.3e}")
+        gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
 
     @property
@@ -54,7 +55,9 @@ class RfResult:
     method: str  # 'closed_form' or 'bisection'
 
 
-def _check_density(rho: np.ndarray) -> np.ndarray:
+def _density_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a density matrix: NotAState unless it is square, finite,
+    Hermitian, of unit trace and has no eigenvalue below -TOL_DENSITY."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise NotAState(f"density matrix must be square, got {rho.shape}")
@@ -64,9 +67,10 @@ def _check_density(rho: np.ndarray) -> np.ndarray:
         raise NotAState("density matrix is not Hermitian")
     if not abs(np.trace(rho).real - 1.0) <= TOL_DENSITY:
         raise NotAState(f"trace is {np.trace(rho)!r}")
-    if np.linalg.eigvalsh(rho)[0] < -TOL_DENSITY:
+    p, V = np.linalg.eigh(rho)
+    if p[0] < -TOL_DENSITY:
         raise NotAState("density matrix has a negative eigenvalue")
-    return rho
+    return p, V
 
 
 def pure_density(state: PureState) -> np.ndarray:
@@ -91,10 +95,9 @@ def qfim(rho, gens: GeneratorSet) -> np.ndarray:
     symmetrized. For (numerically) pure inputs the pure-state identity
     F = 4 Cov_sym is re-checked; a mismatch raises SelfCheckFailed.
     """
-    rho = _check_density(rho)
-    if rho.shape[0] != gens.dim:
-        raise DimensionMismatch(f"rho dim {rho.shape[0]} != generator dim {gens.dim}")
-    p, V = np.linalg.eigh(rho)
+    p, V = _density_spectrum(rho)
+    if p.size != gens.dim:
+        raise DimensionMismatch(f"rho dim {p.size} != generator dim {gens.dim}")
     p = np.clip(p, 0.0, None)
     A = V.conj().T @ gens.generators @ V  # (m, d, d): <k|X_i|l>
     denom = p[:, None] + p[None, :]
@@ -104,7 +107,7 @@ def qfim(rho, gens: GeneratorSet) -> np.ndarray:
     F = (F + F.T) / 2.0
 
     if p[-1] > 1.0 - TOL_PURE:  # pure input: cross-check against 4 * Cov_sym
-        psi = PureState(dim=rho.shape[0], amplitudes=V[:, -1])
+        psi = PureState(dim=p.size, amplitudes=V[:, -1])
         F_cov = 4.0 * symmetrized_covariance(psi, gens)
         if not np.abs(F - F_cov).max() <= TOL_SELF * max(1.0, np.abs(F).max()):
             raise SelfCheckFailed("spectral QFIM of a pure state differs from 4 Cov_sym")

@@ -646,3 +646,21 @@ def test_both_views_give_one_verdict_on_shifted_sparse_distributions(n):
             for M in (N, N - 1):
                 fourier = fourier_weights(p, q, N, M)[1]
                 assert fourier == feasible_exact(*chars, N, M).feasible, (probs, q.probs, N, M)
+
+
+@pytest.mark.parametrize(
+    "shape, probs", [((), [1.0]), ((0,), []), ((2, 0), []), ((2, -1), [])],
+    ids=["empty", "zero", "zero-axis", "negative-axis"],
+)
+def test_a_shape_without_a_label_is_a_shape_mismatch(capsys, tmp_path, shape, probs):
+    # these used to pass the gate and fail later with a bare numpy ValueError
+    with pytest.raises(ShapeMismatch, match="shape"):
+        dist(shape, probs)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"shape": list(shape), "probs": probs}))
+    flat = tmp_path / "flat.json"
+    io.save_distribution(flat, dist((2,), [0.5, 0.5]))
+    for p, q in ((path, flat), (flat, path)):
+        code = main(["convert-abelian", "--p", str(p), "--q", str(q), "--copies", "1", "1", "--json"])
+        out, err = capsys.readouterr()
+        assert (code, out, json.loads(err)["error"]) == (2, "", "ShapeMismatch")

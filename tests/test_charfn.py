@@ -8,10 +8,14 @@ from asym import (
     char_function,
     char_power,
     classify_sets,
+    convergence_to_uniform,
+    feasible_exact,
+    fourier_weights,
     named_group,
     resource_measure_L,
     validate_projective_rep,
 )
+from asym.abelian import ChargeDistribution
 from asym.charfn import MAX_COPIES, CharFunction
 from corpus import corpus_rep, random_state, z2_population_state
 from asym.errors import DimensionMismatch, DomainError
@@ -167,3 +171,27 @@ def test_char_function_arrays_are_read_only(z2_rep):
     assert classify_sets(by_hand).zero == frozenset()
     logmod[1] = -np.inf
     assert by_hand.logmod[1] == -0.5 and classify_sets(by_hand).zero == frozenset()
+
+
+@pytest.mark.parametrize("N", [1.5, 2.25, np.float64(3.5)])
+def test_a_copy_number_off_the_integers_is_a_domain_error(N):
+    # feasible_exact(psi, phi, 1.5, 1) used to give a verdict, and
+    # convergence_to_uniform(chi, [1.5]) a point N = 1 with the bound of N = 1.5
+    group = named_group("Z_4")
+    psi = char_from_values(group, [1.0, 0.5j, 0.3, -0.5j])
+    phi = char_from_values(group, [1.0, 0.4, 0.2, 0.4])
+    p, q = (ChargeDistribution((4,), probs) for probs in ([0.4, 0.3, 0.2, 0.1], [0.7, 0.1, 0.1, 0.1]))
+    calls = [
+        lambda: char_power(psi, N),
+        lambda: feasible_exact(psi, phi, N, 1),
+        lambda: feasible_exact(psi, phi, 1, N),
+        lambda: fourier_weights(p, q, N, 1),
+        lambda: fourier_weights(p, q, 1, N),
+        lambda: convergence_to_uniform(psi, [1, N]),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="integer"):
+            call()
+    # an integer-valued float is a copy number
+    assert feasible_exact(psi, phi, 3.0, 2.0).feasible == feasible_exact(psi, phi, 3, 2).feasible
+    assert np.array_equal(char_power(psi, 3.0).values(), char_power(psi, 3).values())

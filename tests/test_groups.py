@@ -709,3 +709,13 @@ def test_validate_projective_rep_rejects_non_finite(n, d, data, bad, imaginary):
         with pytest.raises(NotUnitary) as exc:
             validate_projective_rep(named_group(f"Z_{n}"), mats)
     assert exc.value.element == g
+
+
+def test_pure_state_keeps_a_read_only_copy():
+    # a[0] = 5 after PureState(2, a) used to leave a validated state of norm 5
+    a = np.array([1.0, 0.0])
+    state = PureState(2, a)
+    a[0] = 5.0
+    assert state.amplitudes.tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 5.0

@@ -435,3 +435,24 @@ def test_density_gate_rejects_non_finite(d, data, bad, imaginary):
     gens = GeneratorSet(dim=d, generators=np.zeros((1, d, d)))
     with pytest.raises(NotAState):
         qfim(rho, gens)
+
+
+def test_generator_set_keeps_a_read_only_copy():
+    given_gens = np.array([[[0.5, 0.0], [0.0, -0.5]]], dtype=complex)
+    gens = GeneratorSet(dim=2, generators=given_gens)
+    given_gens[0, 0, 1] = 5.0  # the caller's array is copied, not frozen
+    assert gens.generators[0, 0, 1] == 0.0
+    with pytest.raises(ValueError):
+        gens.generators[0, 0, 0] = 5.0
+
+
+def test_qfim_decomposes_rho_once(spin_half, monkeypatch):
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda A, _f=real, _n=name: calls.update([_n]) or _f(A))
+    F = qfim(np.diag([0.7, 0.3]), spin_half)
+    assert dict(calls) == {"eigh": 1}
+    assert np.allclose(F, np.diag([0.16, 0.16, 0.0]), atol=1e-12)
+    with pytest.raises(NotAState, match="negative eigenvalue"):
+        qfim(np.diag([1.2, -0.2]), spin_half)
