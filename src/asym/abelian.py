@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import _from_polar, _frozen, _polar, make_hermitian, unit_mask, zero_mask
+from .charfn import _frozen, _polar, make_hermitian, unit_mask, zero_mask
 from .convertibility import _first_failure, interpolate
 from .errors import (
     NotSimultaneouslyDiagonalizable,
@@ -37,7 +37,7 @@ class ChargeDistribution:
     probs: np.ndarray  # flat, row-major over the label grid
 
     def __post_init__(self):
-        if not self.shape or min(self.shape) < 1:
+        if len(self.shape) == 0 or min(self.shape) < 1:
             raise ShapeMismatch(f"shape {self.shape} needs one or more entries, each >= 1")
         p = np.array(self.probs, dtype=float)  # a copy: made read-only below
         size = int(np.prod(self.shape))
@@ -170,8 +170,9 @@ def shift_canonicalize(dist: ChargeDistribution) -> ChargeDistribution:
     k1 = support[0]
     shifted = np.roll(grid, shift=tuple(-int(k) for k in k1), axis=tuple(range(grid.ndim)))
     out = ChargeDistribution(shape=dist.shape, probs=shifted.ravel())
-    logmod, phase, _ = out.polar
-    unit = unit_mask(logmod)
-    if not np.allclose(_from_polar(logmod[unit], phase[unit]), 1.0, atol=TOL_SELF):
+    lam = dual_fourier(out).values
+    with np.errstate(divide="ignore"):
+        unit = unit_mask(np.log(np.abs(lam)))
+    if not np.allclose(lam[unit], 1.0, atol=TOL_SELF):
         raise SelfCheckFailed("shift canonicalization left a unit-modulus coefficient != 1")
     return out

@@ -2,10 +2,9 @@
 
 Values are stored as (log-modulus, phase) so that tensor powers up to very
 large copy numbers stay representable: |chi|^N lives as N * logmod, never as
-an underflowing float. One codec encodes chi here and the inputs and f of
-both feasibility views: `_polar` (logmod <= 0, -inf at an exact zero,
-|chi(g^-1)| = |chi(g)|), `_from_polar`, `make_hermitian` (chi(g^-1) = conj
-chi(g) on a linear rep), `real_phase` and the gate `check_hermitian`.
+an underflowing float; logmod = -inf is an exact zero. One codec encodes chi
+here and the inputs and f of both feasibility views: `_polar`, `_from_polar`,
+`make_hermitian` (chi(g^-1) = conj chi(g)), `real_phase`, `check_hermitian`.
 
 A `CharFunction` is immutable: its logmod and phase arrays are read-only,
 so what is derived from them is computed on first read and kept. Cached
@@ -104,7 +103,8 @@ def char_from_values(group: FiniteGroup, values) -> CharFunction:
     vals[group.identity] = 1.0
     check_hermitian(vals, group.inv, 1.0, "chi")
     make_hermitian(vals, group.inv)
-    return CharFunction(group, *_polar(vals, group.identity, group.inv), group.is_abelian(), True)
+    return CharFunction(group, *_polar(vals, group.identity, group.inv), group.is_abelian(),
+                        linear=True)
 
 
 def check_hermitian(vals: np.ndarray, inv: np.ndarray, scale: float, name: str) -> None:

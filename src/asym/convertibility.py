@@ -169,9 +169,8 @@ def _first_failure(min_eig: np.ndarray, violation, order: int) -> int:
 def is_positive_definite(group: FiniteGroup, values: np.ndarray) -> FeasibilityResult:
     """Gram-matrix positive semidefiniteness test for the function f = values (n,) on G.
 
-    The Gram rule (`_verdict`) behind an input gate: M[g, h] = f(g^-1 h) is
-    Hermitian iff f(g^-1) = conj f(g), and values that miss it by more than
-    TOL_HERM * max(1, max |f|), or are not finite, raise NotHermitian.
+    The Gram rule (`_verdict`) behind the gate `charfn.check_hermitian` at
+    scale max(1, max |f|): M[g, h] = f(g^-1 h) is Hermitian iff f(g^-1) = conj f(g).
     """
     check_hermitian(values, group.inv, max(1.0, np.abs(values).max()), "f")
     return _verdict(group, values, -1)
