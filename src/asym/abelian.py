@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import _frozen, _polar, make_hermitian, unit_mask, zero_mask
-from .convertibility import _first_failure, interpolate
+from .charfn import SplitPolar, _polar, make_hermitian, split_polar, unit_mask, zero_mask
+from .convertibility import _first_failure, _interpolate
 from .errors import (
     NotSimultaneouslyDiagonalizable,
     SelfCheckFailed,
     ShapeMismatch,
 )
-from .groups import FiniteGroup, ProjectiveRep, PureState
+from .groups import FiniteGroup, ProjectiveRep, PureState, _frozen, pair_split
 from .tolerances import TOL_CHARGE, TOL_PROB, TOL_SECTOR, TOL_SELF
 
 
@@ -61,6 +61,11 @@ class ChargeDistribution:
         lam = make_hermitian(dual_fourier(self).values, self.inv)
         logmod, phase = _polar(lam, 0, self.inv)
         return _frozen(logmod), _frozen(phase), _frozen(zero_mask(logmod))
+
+    @functools.cached_property
+    def split_polar(self) -> SplitPolar:
+        """`polar` on the representatives of the label inverse `inv`, built once and kept."""
+        return split_polar(self.polar, pair_split(self.inv))
 
     @functools.cached_property
     def inv(self) -> np.ndarray:
@@ -141,15 +146,17 @@ def fourier_weights(
     """Candidate convolution weights w with p^N-sector = q^M-sector * w.
 
     lambda(w) = lambda(p)^N / lambda(q)^M off the q zero set (|lambda(q)| <=
-    TOL_ZERO) and 0 on it, from `convertibility.interpolate`, the core of the
-    Gram view, and the verdict is the Gram view's rule with min eig = |G| *
-    min w: feasible iff the zero-set rule holds and |G| * min w >= -TOL_PSD *
-    |G|, that is min w >= -TOL_PSD. lambda(w) is Hermitian bit for bit over
-    the label inverse `p.inv`. lambda(0) is 1, as chi(e) is, so w sums to one.
+    TOL_ZERO) and 0 on it, from `convertibility.interpolate`'s core, the
+    Gram view's too, and the verdict is the Gram view's rule with min eig =
+    |G| * min w: feasible iff the zero-set rule holds and |G| * min w >=
+    -TOL_PSD * |G|, that is min w >= -TOL_PSD. lambda(w) is Hermitian bit for
+    bit over the label inverse `p.inv`. lambda(0) is 1, as chi(e) is, so w
+    sums to one.
     """
     if p.shape != q.shape:
         raise ShapeMismatch(f"shapes differ: {p.shape} vs {q.shape}")
-    (lam_w,), (violation,) = interpolate(p.polar, q.polar, N, M, p.inv)
+    (coords,), (violation,) = _interpolate(p.split_polar, q.split_polar, N, M)
+    lam_w = p.split_polar.pairs.expand(coords)
     n = lam_w.size
     w = (np.fft.fftn(lam_w.reshape(p.shape)) / n).real.ravel()
     return w, _first_failure(np.array([n * w.min()]), violation, n) < 0

@@ -3,13 +3,17 @@
 Values are stored as (log-modulus, phase) so that tensor powers up to very
 large copy numbers stay representable: |chi|^N lives as N * logmod, never as
 an underflowing float; logmod = -inf is an exact zero. One codec encodes chi
-here and the inputs and f of both feasibility views: `_polar`, `_from_polar`,
-`make_hermitian` (chi(g^-1) = conj chi(g)), `real_phase`, `check_hermitian`.
+here and the inputs of both feasibility views: `_polar`, `_from_polar`,
+`make_hermitian` (chi(g^-1) = conj chi(g)), `real_phase` and
+`negative_parity` (the sign where chi is real), `check_hermitian`, and
+`split_polar`, which keeps a Hermitian chi on one element of each pair
+{g, g^-1} (`groups.PairSplit`), the slices the interpolator f reads.
 
 A `CharFunction` is immutable: its logmod and phase arrays are read-only,
 so what is derived from them is computed on first read and kept. Cached
 are the zero mask, the classification `sets` (sym(chi) and the zero set),
-the `excluded` set sym u zero and the `kept` indices off it. A
+the `excluded` set sym u zero, the `kept` indices off it and the
+`split_polar` slices. A
 `SymNotSubgroup` is not cached: every read of `sets`, `excluded` or `kept`
 re-runs the subgroup check and raises again.
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, GroupMismatch, NotHermitian, SymNotSubgroup
-from .groups import FiniteGroup, ProjectiveRep, PureState, is_subgroup
+from .groups import FiniteGroup, PairSplit, ProjectiveRep, PureState, _frozen, is_subgroup
 from .tolerances import TOL_HERM, TOL_ONE, TOL_ZERO
 
 
@@ -49,6 +53,11 @@ class CharFunction:
     def polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(logmod, phase, zero mask): the triple `convertibility.interpolate` takes."""
         return self.logmod, self.phase, self.zero
+
+    @functools.cached_property
+    def split_polar(self) -> SplitPolar:
+        """`polar` on the representatives of the group's `pairs`, built once and kept."""
+        return split_polar(self.polar, self.group.pairs)
 
     @functools.cached_property
     def zero(self) -> np.ndarray:
@@ -76,9 +85,31 @@ class CharFunction:
         return _frozen(np.flatnonzero(off))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+@dataclass(frozen=True, eq=False)
+class SplitPolar:
+    """A Hermitian chi (chi(g^-1) = conj chi(g)) in the polar codec, on the
+    representatives of its inverse map (`groups.PairSplit`), which fix it:
+    what the interpolator f = chi_psi^N / chi_phi^M reads of each chi."""
+
+    pairs: PairSplit
+    logmod: np.ndarray  # (n0 + p,) log|chi| on pairs.heads (own, then first)
+    target: np.ndarray  # (n0 + p,) logmod, 0 on the zero set: M * target has no 0 * -inf
+    zero: np.ndarray  # (n0 + p,) the zero mask on pairs.heads
+    phase: np.ndarray  # (p,) the phase on pairs.first
+    negative: np.ndarray  # (n0,) chi < 0 on pairs.own, where chi is real (`negative_parity`)
+
+
+def split_polar(polar: tuple[np.ndarray, np.ndarray, np.ndarray], pairs: PairSplit) -> SplitPolar:
+    """The `SplitPolar` of a (logmod, phase, zero mask) triple over pairs."""
+    logmod, phase, zero = (np.asarray(a)[pairs.heads] for a in polar)
+    return SplitPolar(
+        pairs=pairs,
+        logmod=_frozen(logmod),
+        target=_frozen(np.where(zero, 0.0, logmod)),
+        zero=_frozen(zero),
+        phase=_frozen(phase[pairs.own.size :]),
+        negative=_frozen(_negative(phase[: pairs.own.size])),
+    )
 
 
 @dataclass(frozen=True)
@@ -148,12 +179,24 @@ def _from_polar(logmod: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 def real_phase(phase: np.ndarray, inv: np.ndarray, *powers) -> np.ndarray:
     """Set phase (..., n) of prod_i chi_i^N_i, powers the (phase_i, N_i), in
-    place on e and the involutions of inv (n,), where each chi_i is real: pi
-    iff an odd number of negative chi_i have odd N_i, not exp(i N pi)."""
+    place on e and the involutions of inv (n,), where each chi_i is real:
+    pi where it is negative (`negative_parity`)."""
     own = inv == np.arange(inv.size)
-    odd = sum(N % 2 * (np.abs(p[own]) > np.pi / 2) for p, N in powers)
-    phase[..., own] = np.pi * (odd % 2)
+    phase[..., own] = np.pi * negative_parity(*((_negative(p[own]), N) for p, N in powers))
     return phase
+
+
+def _negative(phase: np.ndarray) -> np.ndarray:
+    """Where a real chi of this phase (0 or pi, up to rounding) is negative."""
+    return np.abs(phase) > np.pi / 2
+
+
+def negative_parity(*powers) -> np.ndarray:
+    """1 where prod_i chi_i^N_i is negative, else 0, on elements where each
+    chi_i is real, powers the (negative_i, N_i) with negative_i from
+    `_negative`: 1 iff an odd number of negative chi_i have odd N_i, not
+    exp(i N pi)."""
+    return sum(N % 2 * neg for neg, N in powers) % 2
 
 
 def char_function(rep: ProjectiveRep, state: PureState) -> CharFunction:

@@ -14,20 +14,27 @@ copy-number scan and the Fourier view. The zero sets are cut at TOL_ZERO
 The Gram test is the criterion on a linear rep only (on a projective one
 the kernel carries omega^(N-M)), so `feasible_exact` and
 `minimal_copies_search` raise DomainError unless `CharFunction.linear`
-holds for both. `interpolate` makes f Hermitian bit for bit in both views,
-over the inverse map of G or of the charge labels; only
-`is_positive_definite` checks the Hermiticity of values a caller passes.
+holds for both. On a linear rep chi(g^-1) = conj chi(g), and so is f: it
+is built as its n real coordinates (`groups.PairSplit`), f on e and the
+involutions and Re f, Im f on one element g < g^-1 of each other pair, read
+off the same coordinates of chi (`CharFunction.split_polar`); `interpolate`
+expands them to values, Hermitian bit for bit in both views, over the
+inverse map of G or of the charge labels. Only `is_positive_definite`
+checks the Hermiticity of values a caller passes.
 
 M is a convolution operator, M = sum_k f(k) R(k) over the right translations
 R(k), so its spectrum is the union of the spectra of the Fourier blocks
 f^(rho) = sum_k f(k) rho(k), one d_rho x d_rho block per irrep rho. The
-oracle never forms M: it reads the blocks off the group's cached irrep basis
-(`FiniteGroup.irreps`; the characters, 1 x 1 blocks, for an abelian group)
-and takes the minimum eigenvalue of each block: the block itself for d = 1,
-a closed form for d = 2 (the dihedral groups, S_3, Q_8), and one batched
-`eigvalsh` per irrep dimension above 2.
-Cost: a one-off O(n^3) decomposition per group object, then O(n * sum d^2)
-= O(n^2) per copy number, against O(n^3) for a dense eigendecomposition of M.
+oracle never forms M. Each block of a Hermitian f is Hermitian, with d^2
+real coordinates; sum d^2 = n, so one real n x n matrix per group
+(`IrrepBasis.real`, cached with the irreps; the characters for an abelian
+group) takes f's coordinates to all of them at once. The minimum eigenvalue
+of each block is the block itself for d = 1, a closed form for d = 2 (the
+dihedral groups, S_3, Q_8), and one batched `eigvalsh` per irrep dimension
+above 2.
+Cost: a one-off O(n^3) decomposition per group object, then per copy number
+O(n) transcendentals on the n/2 to n representatives and one real
+O(n^2) matmul, against O(n^3) for a dense eigendecomposition of M.
 
 `interpolate` and `gram_min_eigenvalues` work on rows of copy numbers;
 `feasible_exact` and `is_positive_definite` are their single-row case, and
@@ -38,11 +45,10 @@ matrix has a unit diagonal and off-diagonal row moduli summing to
 sum_{g != e} m(g), whatever the irreps, so a sum <= 1 is feasible by
 Gershgorin; a zero-set violation, or max m above 1 by a margin, is
 infeasible by a 2 x 2 principal minor. Only the unsettled rows before a
-block's first row settled infeasible go through the interpolation, the
-matmul against the irrep basis and the block spectra. The search costs O(n)
-real work per settled row and O(n^2) per unsettled one, so O(n_max * n^2)
-at worst; its memory beyond the irrep basis is a few blocks, whatever n_max
-is.
+block's first row settled infeasible go on to their coordinates, the
+matmul and the block spectra. The search costs O(n) real work per settled
+row and O(n^2) per unsettled one, so O(n_max * n^2) at worst; its memory
+beyond the irrep basis is a few blocks, whatever n_max is.
 """
 
 from __future__ import annotations
@@ -52,10 +58,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharFunction, _from_polar, check_hermitian, check_same_group, copy_numbers
-from .charfn import make_hermitian, real_phase
+from .charfn import CharFunction, SplitPolar, check_hermitian, check_same_group, copy_numbers
+from .charfn import negative_parity, split_polar
 from .errors import DomainError
-from .groups import FiniteGroup, _block_rows
+from .groups import FiniteGroup, _block_rows, hermitian_matrix, pair_split
 from .tolerances import TOL_FLOOR, TOL_PSD
 
 MAX_SEARCH_COPIES = 10**4  # largest n_max of `minimal_copies_search`
@@ -71,28 +77,51 @@ class FeasibilityResult:
     zero_set_witness: int | None = None  # smallest g with chi_phi^M(g) = 0 != chi_psi^N(g)
 
 
-def _log_ratio(psi, phi, N: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log|f| of f = chi_psi^N / chi_phi^M for rows of copy numbers N, M (K, 1).
+def _log_ratio(
+    psi: SplitPolar, phi: SplitPolar, N: np.ndarray, M: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """log|f| of f = chi_psi^N / chi_phi^M on the representatives, for rows of
+    copy numbers N, M (K, 1).
 
-    psi and phi are (logmod, phase, zero mask) triples. The log-ratio is
-    capped at 350, so a grossly infeasible instance yields a huge finite |f|
-    (clearly failing the Gram test) instead of overflow, and it is -inf
-    exactly where f is 0: on the chi_phi zero set when M > 0 (phi^0 is the
-    trivial state: no zeros), where chi_psi^N is an exact 0, and where |f|
-    would be subnormal (numpy's complex exp is several times slower there;
-    no cut comes near it). Returns the (K, n) log-ratios and, per row, the
-    first index where chi_phi^M vanishes but chi_psi^N does not, or -1.
+    The log-ratio is capped at 350, so a grossly infeasible instance yields a
+    huge finite |f| (clearly failing the Gram test) instead of overflow, and
+    it is -inf exactly where f is 0: on the chi_phi zero set when M > 0
+    (phi^0 is the trivial state: no zeros), where chi_psi^N is an exact 0,
+    and where |f| would be subnormal (exp is many times slower there; no
+    cut comes near it). Returns the (K, n0 + p) log-ratios on
+    `psi.pairs.heads` and, per row, the first element where chi_phi^M
+    vanishes but chi_psi^N does not, or -1.
     """
-    psi_logmod, _, psi_zero = psi
-    phi_logmod, _, phi_zero = phi
-    bad = np.flatnonzero(phi_zero & ~psi_zero)
-    violation = np.where(M[:, 0] > 0, bad[0] if bad.size else -1, -1)
-    target = M * np.where(phi_zero, 0.0, phi_logmod)  # log|chi_phi^M|, no 0 * -inf
+    bad = np.flatnonzero(phi.zero & ~psi.zero)
+    first_bad = int(psi.pairs.heads[bad].min()) if bad.size else -1
+    violation = np.where(M[:, 0] > 0, first_bad, -1)
     with np.errstate(invalid="ignore", over="ignore"):
-        logmod = N * psi_logmod
-        dlog = np.minimum(logmod - target, 350.0)
-    dlog[(phi_zero & (M > 0)) | np.isneginf(logmod) | (dlog < _LOG_TINY)] = -np.inf
+        logmod = N * psi.logmod
+        dlog = np.minimum(logmod - M * phi.target, 350.0)
+    dlog[(phi.zero & (M > 0)) | np.isneginf(logmod) | (dlog < _LOG_TINY)] = -np.inf
     return dlog, violation
+
+
+def _coords(dlog: np.ndarray, psi: SplitPolar, phi: SplitPolar, N, M) -> np.ndarray:
+    """The (K, n) real coordinates (`groups.PairSplit`) of f = exp(dlog + i
+    (N phase_psi - M phase_phi)): on e and the involutions f is real, with
+    the sign from the parities of N and M (`charfn.negative_parity`); 0
+    where dlog is -inf."""
+    n0 = psi.pairs.own.size
+    m = np.exp(dlog)
+    odd = negative_parity((psi.negative, N), (phi.negative, M))
+    theta = N * psi.phase - M * phi.phase
+    mp = m[:, n0:]
+    return np.concatenate([m[:, :n0] * (1.0 - 2.0 * odd), mp * np.cos(theta), mp * np.sin(theta)],
+                          axis=1)
+
+
+def _interpolate(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, np.ndarray]:
+    """`interpolate` on split characteristic functions, in coordinates: the
+    (K, n) coordinates of f and the (K,) zero-set violations."""
+    N, M = (np.reshape(copy_numbers(x, low), (-1, 1)) for x, low in ((N, 1), (M, 0)))
+    dlog, violation = _log_ratio(psi, phi, N, M)
+    return _coords(dlog, psi, phi, N, M), violation
 
 
 def interpolate(
@@ -105,54 +134,51 @@ def interpolate(
     inverse map: `group.inv` in the Gram view, the negated charge label in
     the Fourier view. N and M are copy numbers: two ints, or K each (any
     shape with K entries) for K rows at once. Returns the (K, n) values,
-    Hermitian bit for bit (`_values`), and, per row, the first index where
-    chi_phi^M vanishes but chi_psi^N does not, or -1. Zero sets are
-    classified once, on the single-copy functions (chi^N vanishes exactly
-    where chi does); M = 0 is the trivial target, identically 1. DomainError
-    for N < 1, M < 0 or a copy number off the integers up to MAX_COPIES.
+    Hermitian bit for bit (`PairSplit.expand`), and, per row, the first
+    index where chi_phi^M vanishes but chi_psi^N does not, or -1. Zero sets
+    are classified once, on the single-copy functions (chi^N vanishes
+    exactly where chi does); M = 0 is the trivial target, identically 1.
+    DomainError for N < 1, M < 0 or a copy number off the integers up to
+    MAX_COPIES.
     """
-    N, M = (np.reshape(copy_numbers(x, low), (-1, 1)) for x, low in ((N, 1), (M, 0)))
-    dlog, violation = _log_ratio(psi, phi, N, M)
-    return _values(dlog, psi, phi, N, M, inv), violation
-
-
-def _values(dlog: np.ndarray, psi, phi, N: np.ndarray, M: np.ndarray, inv) -> np.ndarray:
-    """f = exp(dlog + i (N phase_psi - M phase_phi)) (K, n) by charfn's codec:
-    real on e and the involutions with the sign from the parities of N and M
-    (`real_phase`), 0 where dlog is -inf (`_from_polar`), `make_hermitian`."""
-    theta = real_phase(N * psi[1] - M * phi[1], inv, (psi[1], N), (phi[1], M))
-    return make_hermitian(_from_polar(dlog, theta), inv)
+    pairs = pair_split(inv)
+    coords, violation = _interpolate(split_polar(psi, pairs), split_polar(phi, pairs), N, M)
+    return pairs.expand(coords), violation
 
 
 def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of M[g, h] = f(g^-1 h) for each row f of values (K, n).
 
     M is Hermitian iff f(g^-1) = conj f(g), as `interpolate` makes f and
-    `is_positive_definite` checks it. The spectrum comes from one matmul
-    against the irrep basis and `_block_min_eig` per irrep dimension d: a
-    1 x 1 block (a character) is its own eigenvalue, the real part of the
-    Hermitian row's block; a 2 x 2 block's minimum is taken in closed form;
-    above 2, one batched `eigvalsh` per dimension.
+    `is_positive_definite` checks it; the spectrum is that of f's Hermitian
+    part, read off its coordinates (`_min_eig`).
     """
-    blocks = group.irreps.fourier_blocks(values)
-    return np.min([_block_min_eig(B).min(axis=-1) for B in blocks], axis=0)
+    return _min_eig(group, group.pairs.coords(np.asarray(values)))
 
 
-def _block_min_eig(B: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of the Hermitian part (B + B^+)/2 of each d x d block B (..., d, d).
+def _min_eig(group: FiniteGroup, coords: np.ndarray) -> np.ndarray:
+    """Minimum Gram eigenvalue for each row of coordinates (K, n): one real
+    matmul against the irrep basis (`IrrepBasis.block_coords`) and
+    `_block_min_eig` per irrep dimension."""
+    blocks = group.irreps.block_coords(coords)
+    return np.min([_block_min_eig(C).min(axis=-1) for C in blocks], axis=0)
 
-    d = 1: the real part. d = 2: the closed form (a + c)/2 - hypot((a - c)/2, |b|),
-    with a, c the real parts of the diagonal and b = (B01 + conj B10)/2, with
-    no LAPACK call. d > 2: one batched `eigvalsh`.
+
+def _block_min_eig(C: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of each Hermitian d x d block with coordinates C
+    (..., d^2) (`groups.hermitian_coords`).
+
+    d = 1: the block itself. d = 2: the closed form
+    (a + c)/2 - hypot((a - c)/2, |b|), with a, c the diagonal and b the
+    upper entry, with no LAPACK call. d > 2: one batched `eigvalsh`.
     """
-    d = B.shape[-1]
-    if d == 1:
-        return B[..., 0, 0].real
-    if d == 2:
-        a, c = B[..., 0, 0].real, B[..., 1, 1].real
-        b = (B[..., 0, 1] + B[..., 1, 0].conj()) / 2.0
+    if C.shape[-1] == 1:
+        return C[..., 0]
+    if C.shape[-1] == 4:
+        a, c = C[..., 0], C[..., 1]
+        b = C[..., 2] + 1j * C[..., 3]  # complex abs and hypot of the parts differ in the last bit
         return (a + c) / 2.0 - np.hypot((a - c) / 2.0, np.abs(b))
-    return np.linalg.eigvalsh((B + B.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
+    return np.linalg.eigvalsh(hermitian_matrix(C))[..., 0]
 
 
 def _first_failure(min_eig: np.ndarray, violation, order: int) -> int:
@@ -173,22 +199,22 @@ def is_positive_definite(group: FiniteGroup, values: np.ndarray) -> FeasibilityR
     scale max(1, max |f|): M[g, h] = f(g^-1 h) is Hermitian iff f(g^-1) = conj f(g).
     """
     check_hermitian(values, group.inv, max(1.0, np.abs(values).max()), "f")
-    return _verdict(group, values, -1)
+    return _verdict(group, group.pairs.coords(values), values, -1)
 
 
-def _verdict(group: FiniteGroup, values: np.ndarray, bad: int) -> FeasibilityResult:
-    """The Gram rule on one Hermitian row f = values (n,) with zero-set
-    violation bad (an element, or -1): feasible iff bad < 0 and the minimum
-    eigenvalue of M[g, h] = f(g^-1 h), from its Fourier blocks, is
-    >= -TOL_PSD * |G|; with the witnesses of the report."""
-    min_eig = gram_min_eigenvalues(group, values[None])
-    fails = _minor_fails(np.abs(values), values[group.identity].real, group.order)
+def _verdict(group: FiniteGroup, coords: np.ndarray, f: np.ndarray, bad: int) -> FeasibilityResult:
+    """The Gram rule on one Hermitian row f (n,), of coordinates coords (n,),
+    with zero-set violation bad (an element, or -1): feasible iff bad < 0
+    and the minimum eigenvalue of M[g, h] = f(g^-1 h), from its Fourier
+    blocks, is >= -TOL_PSD * |G|; with the witnesses of the report."""
+    min_eig = _min_eig(group, coords[None])
+    fails = _minor_fails(np.abs(f), f[group.identity].real, group.order)
     fails[group.identity] = False  # the minor takes k != e
     over = np.flatnonzero(fails)
     return FeasibilityResult(
         feasible=_first_failure(min_eig, bad, group.order) < 0,
         min_gram_eigenvalue=float(min_eig[0]),
-        f=values,
+        f=f,
         modulus_witness=int(over[0]) if over.size else None,
         zero_set_witness=int(bad) if bad >= 0 else None,
     )
@@ -216,33 +242,35 @@ def feasible_exact(
 ) -> FeasibilityResult:
     """Feasibility of psi^N -> phi^M under G-covariant operations.
 
-    One row of the scan: the Hermitian interpolator of `interpolate` goes to
-    the Gram rule (`_verdict`). Where chi_phi^M vanishes and chi_psi^N does
-    not, the answer is infeasible, with the smallest such element as
-    `zero_set_witness`. M = 0 is accepted as the trivial (symmetric) target,
-    which is always reachable. DomainError unless both characteristic
-    functions come from a linear rep (`CharFunction.linear`).
+    One row of the scan: the coordinates of the Hermitian interpolator go to
+    the Gram rule (`_verdict`), and are expanded once, to the report's f.
+    Where chi_phi^M vanishes and chi_psi^N does not, the answer is
+    infeasible, with the smallest such element as `zero_set_witness`. M = 0
+    is accepted as the trivial (symmetric) target, which is always
+    reachable. DomainError unless both characteristic functions come from a
+    linear rep (`CharFunction.linear`).
     """
     check_same_group(char_psi, char_phi)
     _require_linear(char_psi, char_phi)
     group = char_psi.group
-    (vals,), (bad,) = interpolate(char_psi.polar, char_phi.polar, N, M, group.inv)
-    return _verdict(group, vals, int(bad))
+    (coords,), (bad,) = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
+    return _verdict(group, coords, group.pairs.expand(coords), int(bad))
 
 
 def _settle(group: FiniteGroup, dlog, violation) -> tuple[np.ndarray, np.ndarray]:
     """Rows of copy numbers that the Gram test would decide, decided from |f|.
 
     dlog and violation are `_log_ratio`'s for K rows, so m = |f| =
-    exp(dlog), raised to e^-600 where it is smaller (or where `interpolate`
-    zeroes f), and f(e) = 1 since chi(e) = 1. Returns two K-entry masks: the
-    rows settled feasible and those settled infeasible; a row in neither
-    needs the Gram spectrum.
+    exp(dlog) on the representatives (`PairSplit.heads`), raised to e^-600
+    where it is smaller (or where f is 0), and f(e) = 1 since chi(e) = 1.
+    Returns two K-entry masks: the rows settled feasible and those settled
+    infeasible; a row in neither needs the Gram spectrum.
 
     Row g of the Gram matrix M[g, h] = f(g^-1 h) holds f(e) = 1 on the
     diagonal and f(k), k != e, off it, so its off-diagonal moduli sum to
-    S = sum_{k != e} m(k). M is Hermitian by construction (`interpolate`),
-    and no irrep enters, so this holds for every group. With n = |G|:
+    S = sum_{k != e} m(k): m on the involutions, plus twice m on each
+    g < g^-1 (|f(g^-1)| = |f(g)|). M is Hermitian by construction, and no
+    irrep enters, so this holds for every group. With n = |G|:
 
     Feasible: no zero-set violation and S <= 1 (the floor only raises S). By
     Gershgorin every eigenvalue of M is >= 1 - S >= 0, and the computed
@@ -255,18 +283,21 @@ def _settle(group: FiniteGroup, dlog, violation) -> tuple[np.ndarray, np.ndarray
     The computed minimum is below the cut -TOL_PSD n while its error is
     below TOL_PSD n max |f|, ten times the 1e-10 n to which the block spectra
     are tested against a dense eigendecomposition at |f| of order 1; the
-    complex exp that gives f(k) moves |b| from m(k) by a few units of
+    exp, cos and sin that give f(k) move |b| from m(k) by a few units of
     roundoff, relative, far inside that margin. Cost: O(n) real work per
-    row, against O(n^2) complex work for the Gram spectrum.
+    row, against O(n^2) for the Gram spectrum.
     """
-    n = group.order
+    pairs = group.pairs
     # exp, and sums of m, are many times slower where they underflow; m is
     # raised to e^-600 (3e-261), far below every cut here
     m = np.exp(np.maximum(dlog, -600.0))
     top = m.max(axis=1)
-    off = m.sum(axis=1) - m[:, group.identity]  # S
+    weight = np.ones(m.shape[1])
+    weight[pairs.own.size :] = 2.0
+    weight[np.searchsorted(pairs.own, group.identity)] = 0.0
+    off = m @ weight  # S
     feasible = (violation < 0) & (off <= 1.0)
-    return feasible, (violation >= 0) | _minor_fails(top, 1.0, n)
+    return feasible, (violation >= 0) | _minor_fails(top, 1.0, group.order)
 
 
 def minimal_copies_search(
@@ -284,9 +315,9 @@ def minimal_copies_search(
     The scan runs from n_max down, a block of copy numbers at a time, and
     stops at the first N that `feasible_exact` would reject. `_settle`
     decides what it can of each block from |f|; only the unsettled rows
-    before the block's first row settled infeasible get their values and the
-    Gram test. DomainError for a copy number `interpolate` would refuse, and
-    unless both characteristic functions come from a linear rep.
+    before the block's first row settled infeasible get their coordinates
+    and the Gram test. DomainError for a copy number `interpolate` would
+    refuse, and unless both characteristic functions come from a linear rep.
     """
     if not (math.isfinite(r) and r >= 0):
         raise DomainError(f"rate must be a finite number >= 0, got {r}")
@@ -296,8 +327,9 @@ def minimal_copies_search(
     _require_linear(char_psi, char_phi)
     copy_numbers(np.floor(r * n_max + TOL_FLOOR), 0)  # the largest M of the scan
     group = char_psi.group
-    psi, phi = char_psi.polar, char_phi.polar
-    rows = _block_rows(group.order * np.dtype(complex).itemsize)
+    psi, phi = char_psi.split_polar, char_phi.split_polar
+    # a row's share of a block: its log-ratios and its coordinates, ~2n floats
+    rows = _block_rows(2 * group.order * np.dtype(float).itemsize)
     first = None
     for top in range(n_max, 0, -rows):
         N = np.arange(top, max(top - rows, 0), -1.0)[:, None]
@@ -307,8 +339,7 @@ def minimal_copies_search(
         i = int(np.argmax(infeasible)) if infeasible.any() else -1
         todo = np.flatnonzero(~feasible[: i if i >= 0 else None])
         if todo.size:
-            vals = _values(dlog[todo], psi, phi, N[todo], M[todo], group.inv)
-            min_eig = gram_min_eigenvalues(group, vals)
+            min_eig = _min_eig(group, _coords(dlog[todo], psi, phi, N[todo], M[todo]))
             j = _first_failure(min_eig, violation[todo], group.order)
             if j >= 0:
                 i = int(todo[j])

@@ -5,6 +5,10 @@ the feasibility machinery downstream is O(n^2) anyway. All types are
 immutable after construction and all operations are pure. A group caches
 its irreps on first use: an abelian group reads its characters off its
 cached cyclic decomposition, any other group gets them by Dixon's method.
+They are kept as one real n x n matrix (`IrrepBasis.real`) that takes the
+n real coordinates of a Hermitian function, f(g^-1) = conj f(g), to those
+of its Fourier blocks; the coordinates come from the group's split of G
+into the orbits {g, g^-1} (`PairSplit`), also cached.
 
 Validation cost: `build_group` decides associativity by Light's test, 2 n^2
 table lookups per element of a greedy generating set S: O(n^2 log n) for a
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -78,35 +83,177 @@ class FiniteGroup:
         return decompose_abelian(self)
 
     @functools.cached_property
+    def pairs(self) -> "PairSplit":
+        """The split of G under g -> g^-1 (`pair_split`), computed on first use and kept."""
+        return pair_split(self.inv)
+
+    @functools.cached_property
     def irreps(self) -> "IrrepBasis":
         """Every irrep of the group, computed on first use and kept."""
         return regular_irreps(self)
 
 
 @dataclass(frozen=True, eq=False)
-class IrrepBasis:
-    """The irreducible unitary representations of a finite group, in one matrix.
+class PairSplit:
+    """The orbits {g, g^-1} of an inverse map, and the real coordinates they give.
 
-    Row k of `matrix` holds rho(k), flattened row-major, for every irrep rho,
-    one after another and grouped by dimension; `dims` lists (d, count) for
-    each dimension in increasing order, so sum(count * d^2) = n and `matrix`
-    is n x n.
+    A Hermitian function, f(g^-1) = conj f(g), is fixed by its values on one
+    element of each orbit, the representatives: f(g), real, on each g with
+    g^-1 = g (`own`: e and the involutions), and Re f(g), Im f(g) on each
+    g < g^-1 (`first`). These n numbers are its coordinates, in the order
+    own, Re first, Im first.
     """
 
-    matrix: np.ndarray  # (n, n) complex
+    own: np.ndarray  # (n0,) the g with g^-1 = g, increasing
+    first: np.ndarray  # (p,) the g with g < g^-1, increasing
+    partner: np.ndarray  # (p,) g^-1 for each g of first
+
+    @functools.cached_property
+    def heads(self) -> np.ndarray:
+        """The representatives, own then first: (n0 + p,) element indices."""
+        return _frozen(np.concatenate([self.own, self.first]))
+
+    def coords(self, values: np.ndarray) -> np.ndarray:
+        """The (..., n) real coordinates of the Hermitian part (f + f*)/2 of
+        values (..., n), f*(g) = conj f(g^-1): of f itself where f is Hermitian."""
+        a, b = values[..., self.first], values[..., self.partner]
+        return np.concatenate(
+            [values[..., self.own].real, (a.real + b.real) / 2.0, (a.imag - b.imag) / 2.0], axis=-1
+        )
+
+    def expand(self, coords: np.ndarray) -> np.ndarray:
+        """The Hermitian function (..., n) with these real coordinates: f(g^-1)
+        = conj f(g) bit for bit, f real on `own`, and no -0.0 anywhere (so
+        phases stay in (-pi, pi])."""
+        n0, p = self.own.size, self.first.size
+        c = coords + 0.0  # -0.0 -> +0.0
+        f = np.zeros(c.shape, dtype=complex)
+        f.real[..., self.own] = c[..., :n0]
+        f.real[..., self.first] = f.real[..., self.partner] = c[..., n0 : n0 + p]
+        f.imag[..., self.first] = c[..., n0 + p :]
+        f.imag[..., self.partner] = 0.0 - c[..., n0 + p :]
+        return f
+
+
+def pair_split(inv: np.ndarray) -> PairSplit:
+    """The `PairSplit` of the inverse map inv (n,), an involution of range(n)."""
+    g = np.arange(inv.size)
+    first = np.flatnonzero(g < inv)
+    return PairSplit(
+        own=_frozen(np.flatnonzero(g == inv)), first=_frozen(first), partner=_frozen(inv[first])
+    )
+
+
+def hermitian_coords(B: np.ndarray) -> np.ndarray:
+    """The d^2 real coordinates (..., d^2) of the Hermitian part (B + B^+)/2 of
+    each d x d block B (..., d, d): its diagonal, then the real and the
+    imaginary parts of its upper triangle, row-major."""
+    j, k = _upper(B.shape[-1])
+    upper = (B[..., j, k] + B[..., k, j].conj()) / 2.0
+    diag = np.diagonal(B, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
+
+
+def hermitian_matrix(C: np.ndarray) -> np.ndarray:
+    """The Hermitian d x d blocks (..., d, d) with coordinates C (..., d^2):
+    `hermitian_coords` inverted."""
+    d = math.isqrt(C.shape[-1])
+    real, imag, sign = _hermitian_gather(d)
+    H = np.empty((*C.shape[:-1], d, d), dtype=complex)
+    H.real = C[..., real].reshape(H.shape)
+    H.imag = (C[..., imag] * sign).reshape(H.shape)
+    return H
+
+
+@functools.cache
+def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, column) indices of the strict upper triangle of a d x d block, row-major."""
+    return tuple(_frozen(a) for a in np.triu_indices(d, 1))
+
+
+@functools.cache
+def _hermitian_gather(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each entry of a d x d block, row-major: the coordinate of its real
+    part, that of its imaginary part and the sign this takes (0 on the
+    diagonal), in the layout of `hermitian_coords`."""
+    j, k = _upper(d)
+    real = np.zeros((d, d), dtype=np.intp)
+    imag = np.zeros((d, d), dtype=np.intp)
+    sign = np.zeros((d, d))
+    real[np.arange(d), np.arange(d)] = np.arange(d)
+    real[j, k] = real[k, j] = d + np.arange(j.size)
+    imag[j, k] = imag[k, j] = d + j.size + np.arange(j.size)
+    sign[j, k], sign[k, j] = 1.0, -1.0
+    return tuple(_frozen(a.ravel()) for a in (real, imag, sign))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: it is shared by every reader of a cache."""
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class IrrepBasis:
+    """The irreducible unitary representations of a finite group, in one real matrix.
+
+    For a Hermitian f, each Fourier block f^(rho) = sum_k f(k) rho(k) is
+    Hermitian (rho(k^-1) = rho(k)^+), so it has d^2 real coordinates
+    (`hermitian_coords`), linear in the n real coordinates of f
+    (`PairSplit`). Row j of `real` holds the block coordinates of the
+    Hermitian function with coordinate j = 1 and the others 0, for every
+    irrep rho, one after another and grouped by dimension: f's block
+    coordinates are coords(f) @ `real`. `dims` lists (d, count) for each
+    dimension in increasing order; sum(count * d^2) = n, so `real` is n x n.
+    """
+
+    real: np.ndarray  # (n, n) float
     dims: tuple[tuple[int, int], ...]
+    pairs: PairSplit  # the group's split, whose coordinates index the rows of `real`
+
+    def block_coords(self, coords: np.ndarray) -> list[np.ndarray]:
+        """Block coordinates of the Hermitian functions with coordinates coords
+        (..., n): one (..., count, d^2) array per dimension, from one real matmul."""
+        flat = coords @ self.real
+        lead = flat.shape[:-1]
+        blocks, start = [], 0
+        for d, count in self.dims:
+            blocks.append(flat[..., start : start + count * d * d].reshape(*lead, count, d * d))
+            start += count * d * d
+        return blocks
 
     def fourier_blocks(self, values: np.ndarray) -> list[np.ndarray]:
         """Fourier blocks sum_k f(k) rho(k) of f = values (n,), or of each row of
         values (K, n): one (count, d, d), or (K, count, d, d), array per dimension.
+        f = h + i h' with h, h' Hermitian (h' the Hermitian part of -i f), so
+        each block is the Hermitian block of h plus i times that of h'.
         """
-        flat = values @ self.matrix
-        lead = flat.shape[:-1]
-        blocks, start = [], 0
-        for d, count in self.dims:
-            blocks.append(flat[..., start : start + count * d * d].reshape(*lead, count, d, d))
-            start += count * d * d
-        return blocks
+        values = np.asarray(values)
+        h = self.block_coords(self.pairs.coords(values))
+        h_ = self.block_coords(self.pairs.coords(-1j * values))
+        return [hermitian_matrix(a) + 1j * hermitian_matrix(b) for a, b in zip(h, h_)]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """(n, n) complex: row k holds rho(k), flattened row-major, for every
+        irrep rho in the order of `dims`; rebuilt from `real` on each read."""
+        n = self.real.shape[0]
+        return np.concatenate([B.reshape(n, -1) for B in self.fourier_blocks(np.eye(n))], axis=1)
+
+
+def _real_basis(matrix: np.ndarray, dims, pairs: PairSplit) -> np.ndarray:
+    """`IrrepBasis.real` from the complex basis: row k of matrix (n, n) holds
+    rho(k) flattened, for every irrep of dims. The unit Hermitian functions
+    are delta_g on own, delta_g + delta_g^-1 and i (delta_g - delta_g^-1) on
+    first, so their blocks are sums of two rows of matrix: O(n^2)."""
+    a, b = matrix[pairs.first], matrix[pairs.partner]
+    flat = np.concatenate([matrix[pairs.own], a + b, 1j * (a - b)])
+    n, cols, start = len(matrix), [], 0
+    for d, count in dims:
+        B = flat[:, start : start + count * d * d].reshape(n, count, d, d)
+        cols.append(hermitian_coords(B).reshape(n, -1))
+        start += count * d * d
+    return np.concatenate(cols, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,10 +728,12 @@ def _cluster_reps(group: FiniteGroup, W: np.ndarray) -> np.ndarray:
 
 
 def regular_irreps(group: FiniteGroup) -> IrrepBasis:
-    """The irreps of G: its characters if abelian, else by Dixon's method.
+    """The irreps of G, as the real basis of `IrrepBasis`: its characters if
+    abelian, else by Dixon's method.
 
     An abelian table's irreps are read off its cached cyclic decomposition:
-    irrep k sends the element of label a to exp(2 pi i sum_j a_j k_j / t_j).
+    irrep k sends the element of label a to exp(2 pi i sum_j a_j k_j / t_j),
+    so the rows of the real basis are cosines and sines of these phases.
     Otherwise one eigendecomposition of the regular representation gives
     them. A random Hermitian H[g, h] = c(g h^-1), c(k^-1) = conj c(k), commutes
     with every right translation, so each of its eigenspaces is invariant under
@@ -593,7 +742,8 @@ def regular_irreps(group: FiniteGroup) -> IrrepBasis:
     eigenspace per character is kept. The result must pass sum d^2 = n,
     sum_k |chi(k)|^2 = n for each irrep and d eigenspaces per irrep of
     dimension d, else the next fixed seed is tried; SelfCheckFailed when
-    none passes. Cost: one n x n `eigh`, plus O(n d^3) per eigenspace.
+    none passes; the real basis is then read off rho(k) (`_real_basis`).
+    Cost: one n x n `eigh`, plus O(n d^3) per eigenspace.
     """
     n = group.order
     if group.is_abelian():
@@ -602,8 +752,14 @@ def regular_irreps(group: FiniteGroup) -> IrrepBasis:
         labels = np.indices(t).reshape(len(t), n).T  # row a: the label of elems[a]
         lcm = int(np.lcm.reduce(t))
         charge = (labels * (lcm // t)) @ labels.T % lcm / lcm  # sum_j a_j k_j / t_j mod 1
-        # row g of the matrix is the row of the label a with elems[a] = g
-        return IrrepBasis(matrix=np.exp(2j * np.pi * charge)[np.argsort(elems)], dims=((1, n),))
+        # row g holds the phases of chi_k(g): the row of the label a with elems[a] = g
+        phase = 2 * np.pi * charge[np.argsort(elems)]
+        pairs = group.pairs
+        own, first = phase[pairs.own], phase[pairs.first]
+        # the blocks of delta_g, delta_g + delta_g^-1 and i (delta_g - delta_g^-1): chi_k(g)
+        # (real on own), 2 Re chi_k(g) and -2 Im chi_k(g), as chi_k(g^-1) = conj chi_k(g)
+        real = np.concatenate([np.cos(own), 2 * np.cos(first), -2 * np.sin(first)])
+        return IrrepBasis(real=real, dims=((1, n),), pairs=pairs)
     for seed in range(_IRREP_SEEDS):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -633,5 +789,7 @@ def regular_irreps(group: FiniteGroup) -> IrrepBasis:
             dims.append((d, len(rho)))
             cols.append(rho.transpose(1, 0, 2, 3).reshape(n, -1))
         if ok and sum(d * d * m for d, m in dims) == n:
-            return IrrepBasis(matrix=np.concatenate(cols, axis=1), dims=tuple(dims))
+            matrix = np.concatenate(cols, axis=1)
+            return IrrepBasis(real=_real_basis(matrix, dims, group.pairs), dims=tuple(dims),
+                              pairs=group.pairs)
     raise SelfCheckFailed(f"no irrep decomposition of the group of order {n} passed its checks")

@@ -37,7 +37,7 @@ from asym.convertibility import (
 )
 from corpus import GROUP_NAMES, gauged_rep, random_state
 from asym.errors import DomainError, NotHermitian, SelfCheckFailed
-from asym.groups import PureState
+from asym.groups import PureState, hermitian_coords, hermitian_matrix
 from asym.tolerances import TOL_FLOOR, TOL_HERM, TOL_PSD
 
 
@@ -395,6 +395,11 @@ def test_block_oracle_matches_dense_gram(name, oracle_group):
         assert_matches_dense(f, group)
 
 
+def block_min_eig(B):
+    """`_block_min_eig` on the coordinates of the Hermitian part of blocks B (..., d, d)."""
+    return _block_min_eig(hermitian_coords(B))
+
+
 def sym_min_eig(B):
     """Reference: eigvalsh of the Hermitian part (B + B^+)/2 of each block."""
     return np.linalg.eigvalsh((B + B.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
@@ -406,7 +411,7 @@ def hermitian_blocks(rng, shape, d=2):
 
 
 def assert_closed_form_matches(B):
-    got, want = _block_min_eig(B), sym_min_eig(B)
+    got, want = block_min_eig(B), sym_min_eig(B)
     assert got.shape == want.shape == B.shape[:-2]
     scale = np.abs(B).max(axis=(-1, -2), initial=0.0)
     assert np.all(np.abs(got - want) <= 4e-15 * scale), np.abs(got - want).max()
@@ -425,22 +430,22 @@ def test_closed_form_2x2_on_a_diagonal_block_and_on_equal_diagonals():
     diagonal = np.zeros((200, 2, 2), dtype=complex)
     diagonal[:, 0, 0], diagonal[:, 1, 1] = a, c
     assert_closed_form_matches(diagonal)
-    assert np.allclose(_block_min_eig(diagonal), np.minimum(a, c), rtol=0, atol=1e-15)
+    assert np.allclose(block_min_eig(diagonal), np.minimum(a, c), rtol=0, atol=1e-15)
     equal = np.stack([np.stack([a, b], -1), np.stack([b.conj(), a], -1)], -2)
     assert_closed_form_matches(equal)
-    assert np.array_equal(_block_min_eig(equal), a - np.abs(b))  # hypot(0, |b|) is exact
+    assert np.array_equal(block_min_eig(equal), a - np.abs(b))  # hypot(0, |b|) is exact
 
 
 def test_closed_form_2x2_is_zero_on_rank_one_psd_blocks():
     # v v^+ for a Pythagorean v: every step of the closed form is exact
     for v in ([3, 4], [4j, -3], [5, 12j], [0, 1], [0.0, 0.0]):
         v = np.asarray(v, dtype=complex)
-        assert _block_min_eig(np.outer(v, v.conj())[None]) == [0.0]
+        assert block_min_eig(np.outer(v, v.conj())[None]) == [0.0]
     rng = np.random.default_rng(18)
     v = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
     B = v[:, :, None] * v.conj()[:, None, :]
     assert_closed_form_matches(B)
-    assert np.all(np.abs(_block_min_eig(B)) <= 4e-15 * np.abs(B).max(axis=(-1, -2)))
+    assert np.all(np.abs(block_min_eig(B)) <= 4e-15 * np.abs(B).max(axis=(-1, -2)))
 
 
 def test_closed_form_2x2_symmetrises_a_block_off_hermitian_within_tol_herm():
@@ -450,7 +455,7 @@ def test_closed_form_2x2_symmetrises_a_block_off_hermitian_within_tol_herm():
     assert_closed_form_matches(B)
     # the off-diagonal entry is the mean of B01 and conj B10, not either one alone
     skew = np.array([[[1.0, 1.0], [1.0 + 2 * TOL_HERM, 1.0]]], dtype=complex)
-    assert _block_min_eig(skew) == pytest.approx(-TOL_HERM, rel=1e-6)
+    assert block_min_eig(skew) == pytest.approx(-TOL_HERM, rel=1e-6)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e100, 1e152])
@@ -463,7 +468,7 @@ def test_closed_form_2x2_across_entry_scales(scale):
 
 
 def test_closed_form_2x2_on_an_empty_batch(oracle_group):
-    assert _block_min_eig(np.zeros((0, 63, 2, 2), dtype=complex)).shape == (0, 63)
+    assert block_min_eig(np.zeros((0, 63, 2, 2), dtype=complex)).shape == (0, 63)
     min_eig = gram_min_eigenvalues(oracle_group("D_128"), np.zeros((0, 256), complex))
     assert min_eig.shape == (0,)
 
@@ -528,6 +533,81 @@ def test_irrep_decomposition_is_deterministic(oracle_group):
         first = is_positive_definite(group, f)
         again = is_positive_definite(fresh, f)
         assert first.min_gram_eigenvalue == again.min_gram_eigenvalue
+
+
+# ------------------------------------------ the real transform: n coordinates, one n x n matmul
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_real_transform_matches_the_fourier_blocks_and_the_dense_gram_spectrum(
+    name, oracle_group, data
+):
+    """A Hermitian f has n real coordinates, and `IrrepBasis.real` is n x n:
+    it takes them to the coordinates of every Fourier block, whose spectra,
+    each eigenvalue d times, are the spectrum of M[g, h] = f(g^-1 h)."""
+    group = oracle_group(name)
+    n, pairs, basis = group.order, group.pairs, group.irreps
+    assert pairs.own.size + 2 * pairs.first.size == n
+    assert basis.real.shape == (n, n) and basis.real.dtype == float
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z *= data.draw(st.sampled_from([1e-6, 1.0, 1e6]), label="scale")
+    z[data.draw(st.lists(st.integers(0, n - 1), max_size=8), label="zeros")] = 0.0
+    f = (z + z[group.inv].conj()) / 2.0  # Hermitian bit for bit
+    coords = pairs.coords(f)
+    assert coords.shape == (n,)
+    assert np.array_equal(pairs.expand(coords), f)
+    blocks = basis.block_coords(coords)
+    for C, B in zip(blocks, basis.fourier_blocks(f)):
+        assert np.array_equal(hermitian_matrix(C), B)  # the anti-Hermitian part is exactly 0
+    spectrum = np.sort(np.concatenate([
+        np.repeat(np.linalg.eigvalsh(hermitian_matrix(C)).ravel(), d)
+        for (d, _), C in zip(basis.dims, blocks)
+    ]))
+    dense = np.linalg.eigvalsh(f[group.mult[group.inv, :]])
+    tol = 1e-10 * n * max(1.0, np.abs(f).max())
+    assert np.abs(spectrum - dense).max() <= tol
+    assert abs(gram_min_eigenvalues(group, f[None])[0] - dense[0]) <= tol
+
+
+@pytest.mark.parametrize(
+    "name, involutions, pairs",
+    [("Z_3", 0, 1), ("Heis_3", 0, 13), ("Z_2^8", 255, 0), ("Z_16xZ_16", 3, 126),
+     ("D_128", 129, 63), ("S_5", 25, 47)],
+)
+def test_pair_split_of_g_to_its_inverse(name, involutions, pairs, oracle_group):
+    """e and the involutions, one coordinate each, and the pairs g < g^-1, two
+    each: odd order has e alone, Z_2^8 no pairs at all."""
+    group = oracle_group(name)
+    split = group.pairs
+    assert split.own.size == involutions + 1 and split.first.size == pairs
+    assert group.identity in split.own
+    assert np.array_equal(group.inv[split.own], split.own)
+    assert np.array_equal(group.inv[split.first], split.partner)
+    assert (split.first < split.partner).all()
+    everything = np.concatenate([split.own, split.first, split.partner])
+    assert np.array_equal(np.sort(everything), np.arange(group.order))
+
+
+@pytest.mark.parametrize(
+    "N, M",
+    [(1, 0), (1, 1), (2, 1), (3, 2), (7, 3), (40, 41), (10**6, 10**6 - 1), (2**53 - 1, 2**52 + 1)],
+)
+def test_the_reported_interpolator_is_hermitian_bit_for_bit(corpus, N, M):
+    """`feasible_exact` reports f with f(g^-1) = conj f(g) exactly, f exactly
+    real on e and the involutions, and no -0.0 anywhere."""
+    rng = np.random.default_rng(N % 1000 + M % 997)
+    for group, rep in corpus.values():
+        states = [random_state(rep.dim, rng) for _ in range(3)]
+        states.append(PureState(rep.dim, np.eye(rep.dim)[0]))
+        own = group.inv == np.arange(group.order)
+        for a, b in itertools.permutations([char_function(rep, s) for s in states], 2):
+            f = feasible_exact(a, b, N, M).f
+            assert np.array_equal(f[group.inv], f.conj())
+            assert (f.imag[own] == 0).all()
+            assert not np.signbit(f.real[f.real == 0]).any()
+            assert not np.signbit(f.imag[f.imag == 0]).any()
 
 
 def test_irrep_decomposition_failing_its_checks_is_a_typed_error(monkeypatch):
@@ -847,7 +927,7 @@ def settle(char_psi, char_phi, r, N):
     settled infeasible), one entry per row."""
     N = np.asarray(N, dtype=float)[:, None]
     M = np.floor(r * N + TOL_FLOOR)
-    dlog, violation = _log_ratio(char_psi.polar, char_phi.polar, N, M)
+    dlog, violation = _log_ratio(char_psi.split_polar, char_phi.split_polar, N, M)
     feasible, infeasible = _settle(char_psi.group, dlog, violation)
     return M[:, 0].astype(int), feasible, infeasible
 
