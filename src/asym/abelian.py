@@ -5,12 +5,16 @@ discrete Fourier transform reproduces the characteristic function. Labels
 come from the group's cached `cyclic_decomposition` (the product
 Z_{n_1} x ... x Z_{n_k} indexing that also gives the group's characters as
 its irreps). The sectors of a state come from one FFT over its orbit under
-the basis generators. The convolution condition p = q * w turns single-shot
-feasibility into nonnegativity of an inverse DFT of the interpolator that
-`convertibility.interpolate` builds for the Gram view too, over the label
-inverse a -> -a; |G| * w is that view's Gram spectrum, so both read one
-decision. A `ChargeDistribution` is immutable, so its dual coefficients and
-label inverse are computed on first read and kept.
+the basis generators. A charge distribution's dual coefficients are a
+characteristic function on its label group (`groups.label_group`, the same
+product on the row-major label grid), so the convolution condition
+p = q * w is the Gram view's decision on that group, `feasible_exact`, and
+the weights w are its readout: the DFT of the interpolator f over the
+labels, divided by |G|. Each Fourier block of the label group is one
+number, |G| * w at one label, so |G| min w is the minimum Gram eigenvalue
+and there is one verdict. A `ChargeDistribution` is immutable, so its dual
+coefficients and characteristic function are computed on first read and
+kept.
 """
 
 from __future__ import annotations
@@ -20,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import SplitPolar, _polar, make_hermitian, split_polar, unit_mask, zero_mask
-from .convertibility import _first_failure, _interpolate
+from .charfn import CharFunction, char_from_values, unit_mask
+from .convertibility import FeasibilityResult, feasible_exact
 from .errors import (
     NotSimultaneouslyDiagonalizable,
     SelfCheckFailed,
     ShapeMismatch,
 )
-from .groups import FiniteGroup, ProjectiveRep, PureState, _frozen, pair_split
+from .groups import FiniteGroup, ProjectiveRep, PureState, _frozen, label_group
 from .tolerances import TOL_CHARGE, TOL_PROB, TOL_SECTOR, TOL_SELF
 
 
@@ -37,6 +41,7 @@ class ChargeDistribution:
     probs: np.ndarray  # flat, row-major over the label grid
 
     def __post_init__(self):
+        object.__setattr__(self, "shape", tuple(self.shape))  # a key of `label_group`
         if len(self.shape) == 0 or min(self.shape) < 1:
             raise ShapeMismatch(f"shape {self.shape} needs one or more entries, each >= 1")
         p = np.array(self.probs, dtype=float)  # a copy: made read-only below
@@ -55,23 +60,11 @@ class ChargeDistribution:
         return self.probs.reshape(self.shape)
 
     @functools.cached_property
-    def polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(log|lambda|, phase, zero mask) of the dual coefficients, made Hermitian
-        over `inv` and encoded as chi is (`charfn._polar`): lambda(0) = chi(e) = 1."""
-        lam = make_hermitian(dual_fourier(self).values, self.inv)
-        logmod, phase = _polar(lam, 0, self.inv)
-        return _frozen(logmod), _frozen(phase), _frozen(zero_mask(logmod))
-
-    @functools.cached_property
-    def split_polar(self) -> SplitPolar:
-        """`polar` on the representatives of the label inverse `inv`, built once and kept."""
-        return split_polar(self.polar, pair_split(self.inv))
-
-    @functools.cached_property
-    def inv(self) -> np.ndarray:
-        """The flat index of -a (mod the shape) for each label a, kept."""
-        labels = np.arange(self.probs.size).reshape(self.shape)
-        return _frozen(np.roll(np.flip(labels), 1, axis=tuple(range(labels.ndim))).ravel())
+    def char(self) -> CharFunction:
+        """chi on the label group (`groups.label_group`): the dual coefficients,
+        with lambda(0) = chi(e) = 1, built once and kept. ShapeMismatch above
+        MAX_ORDER labels."""
+        return char_from_values(label_group(self.shape), dual_fourier(self).values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,23 +136,31 @@ def dual_fourier(dist: ChargeDistribution) -> DualCoefficients:
 def fourier_weights(
     p: ChargeDistribution, q: ChargeDistribution, N: int, M: int
 ) -> tuple[np.ndarray, bool]:
-    """Candidate convolution weights w with p^N-sector = q^M-sector * w.
+    """Candidate convolution weights w with p^N-sector = q^M-sector * w, and the verdict.
 
-    lambda(w) = lambda(p)^N / lambda(q)^M off the q zero set (|lambda(q)| <=
-    TOL_ZERO) and 0 on it, from `convertibility.interpolate`'s core, the
-    Gram view's too, and the verdict is the Gram view's rule with min eig =
-    |G| * min w: feasible iff the zero-set rule holds and |G| * min w >=
-    -TOL_PSD * |G|, that is min w >= -TOL_PSD. lambda(w) is Hermitian bit for
-    bit over the label inverse `p.inv`. lambda(0) is 1, as chi(e) is, so w
-    sums to one.
+    Both are read off one decision, `feasibility`: w is `label_weights` of its
+    interpolator f, so |G| min w is its minimum Gram eigenvalue, and w sums
+    to one since f(0) = 1. There is no second rule: the verdict is the
+    decision's, zero-set rule included.
     """
+    res = feasibility(p, q, N, M)
+    return label_weights(res.f, p.shape), res.feasible
+
+
+def feasibility(p: ChargeDistribution, q: ChargeDistribution, N: int, M: int) -> FeasibilityResult:
+    """`feasible_exact` of p^N -> q^M on their label group, whose elements are
+    the row-major label indices. ShapeMismatch for different shapes or more
+    than MAX_ORDER labels."""
     if p.shape != q.shape:
         raise ShapeMismatch(f"shapes differ: {p.shape} vs {q.shape}")
-    (coords,), (violation,) = _interpolate(p.split_polar, q.split_polar, N, M)
-    lam_w = p.split_polar.pairs.expand(coords)
-    n = lam_w.size
-    w = (np.fft.fftn(lam_w.reshape(p.shape)) / n).real.ravel()
-    return w, _first_failure(np.array([n * w.min()]), violation, n) < 0
+    return feasible_exact(p.char, q.char, N, M)
+
+
+def label_weights(f: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """w = DFT(f) / |G| over the label grid: the Gram spectrum of an
+    interpolator f (n,) on the label group, one eigenvalue |G| w_k per label,
+    real since f is Hermitian."""
+    return (np.fft.fftn(f.reshape(shape)) / f.size).real.ravel()
 
 
 def shift_canonicalize(dist: ChargeDistribution) -> ChargeDistribution:

@@ -3,11 +3,12 @@
 Values are stored as (log-modulus, phase) so that tensor powers up to very
 large copy numbers stay representable: |chi|^N lives as N * logmod, never as
 an underflowing float; logmod = -inf is an exact zero. One codec encodes chi
-here and the inputs of both feasibility views: `_polar`, `_from_polar`,
-`make_hermitian` (chi(g^-1) = conj chi(g)), `real_phase` and
-`negative_parity` (the sign where chi is real), `check_hermitian`, and
-`split_polar`, which keeps a Hermitian chi on one element of each pair
-{g, g^-1} (`groups.PairSplit`), the slices the interpolator f reads.
+here, for every group and for the charge distributions of `abelian` alike
+(chi on the label group): `_polar`, `_from_polar`, `make_hermitian`
+(chi(g^-1) = conj chi(g)), `real_phase` and `negative_parity` (the sign
+where chi is real) and `check_hermitian`. `CharFunction.split_polar` keeps a
+Hermitian chi on one element of each pair {g, g^-1} (`groups.PairSplit`),
+the slices the interpolator f reads.
 
 A `CharFunction` is immutable: its logmod and phase arrays are read-only,
 so what is derived from them is computed on first read and kept. Cached
@@ -49,15 +50,20 @@ class CharFunction:
     def values(self) -> np.ndarray:
         return _from_polar(self.logmod, self.phase)
 
-    @property
-    def polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(logmod, phase, zero mask): the triple `convertibility.interpolate` takes."""
-        return self.logmod, self.phase, self.zero
-
     @functools.cached_property
     def split_polar(self) -> SplitPolar:
-        """`polar` on the representatives of the group's `pairs`, built once and kept."""
-        return split_polar(self.polar, self.group.pairs)
+        """logmod, phase and zero mask on the representatives of the group's
+        `pairs`, built once and kept."""
+        pairs = self.group.pairs
+        logmod, phase, zero = (a[pairs.heads] for a in (self.logmod, self.phase, self.zero))
+        return SplitPolar(
+            pairs=pairs,
+            logmod=_frozen(logmod),
+            target=_frozen(np.where(zero, 0.0, logmod)),
+            zero=_frozen(zero),
+            phase=_frozen(phase[pairs.own.size :]),
+            negative=_frozen(_negative(phase[: pairs.own.size])),
+        )
 
     @functools.cached_property
     def zero(self) -> np.ndarray:
@@ -99,19 +105,6 @@ class SplitPolar:
     negative: np.ndarray  # (n0,) chi < 0 on pairs.own, where chi is real (`negative_parity`)
 
 
-def split_polar(polar: tuple[np.ndarray, np.ndarray, np.ndarray], pairs: PairSplit) -> SplitPolar:
-    """The `SplitPolar` of a (logmod, phase, zero mask) triple over pairs."""
-    logmod, phase, zero = (np.asarray(a)[pairs.heads] for a in polar)
-    return SplitPolar(
-        pairs=pairs,
-        logmod=_frozen(logmod),
-        target=_frozen(np.where(zero, 0.0, logmod)),
-        zero=_frozen(zero),
-        phase=_frozen(phase[pairs.own.size :]),
-        negative=_frozen(_negative(phase[: pairs.own.size])),
-    )
-
-
 @dataclass(frozen=True)
 class ClassSets:
     sym: frozenset[int]
@@ -149,7 +142,8 @@ def make_hermitian(vals: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Make vals(g^-1) = conj vals(g) exact in vals (..., n), in place, for the
     inverse map inv (n,): real on e and the involutions, conj vals(g) at g^-1
     for g < g^-1 (+ 0.0 turns an imaginary -0.0 into +0.0, so phases stay in
-    (-pi, pi]). It pairs chi, charge-distribution dual coefficients and f."""
+    (-pi, pi]). It pairs chi, a charge distribution's dual coefficients among
+    them (`char_from_values` on the label group)."""
     g = np.arange(inv.size)
     own, first = g == inv, g < inv
     vals[..., own] = vals[..., own].real

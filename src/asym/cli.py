@@ -147,8 +147,12 @@ def cmd_charges(args, group, rep, state) -> dict:
 
 def cmd_convert_abelian(args, p, q) -> dict:
     N, M = args.copies
-    w, feasible = abelian.fourier_weights(p, q, N, M)
-    return {"N": N, "M": M, "feasible": feasible, "weights": w, "min_weight": w.min()}
+    res = abelian.feasibility(p, q, N, M)
+    w = abelian.label_weights(res.f, p.shape)
+    return {
+        "N": N, "M": M, "feasible": res.feasible, "weights": w, "min_weight": w.min(),
+        "modulus_witness": res.modulus_witness, "zero_set_witness": res.zero_set_witness,
+    }
 
 
 def cmd_approx(args, group, rep, psi, phi) -> dict:

@@ -3,24 +3,25 @@
 A conversion psi -> phi under G-covariant operations is possible iff
 chi_psi = chi_phi * f for some positive definite f on G; the candidate f is
 the ratio of characteristic functions (zero where chi_phi vanishes), built by
-`interpolate` for this Gram view and the abelian Fourier view alike, and
-positive definiteness is decided by the minimum eigenvalue of the Gram
-matrix M[g, h] = f(g^-1 h). Where chi_phi vanishes and chi_psi does not, no
-f exists: that is an infeasible verdict with the element as its witness,
-not an error. `_first_failure` states the rule once (no such element, and a
-minimum Gram eigenvalue >= -TOL_PSD * |G|) for `is_positive_definite`, the
-copy-number scan and the Fourier view. The zero sets are cut at TOL_ZERO
-(`charfn.zero_mask`), once per characteristic function (`CharFunction.zero`).
+`_interpolate`, and positive definiteness is decided by the minimum
+eigenvalue of the Gram matrix M[g, h] = f(g^-1 h). Where chi_phi vanishes
+and chi_psi does not, no f exists: that is an infeasible verdict with the
+element as its witness, not an error. `_first_failure` states the rule once
+(no such element, and a minimum Gram eigenvalue >= -TOL_PSD * |G|) for
+`feasible_exact`, `is_positive_definite` and the copy-number scan. The
+abelian Fourier view is `feasible_exact` on the label group of a charge
+distribution (`abelian.fourier_weights`), so it reads this decision too.
+The zero sets are cut at TOL_ZERO (`charfn.zero_mask`), once per
+characteristic function (`CharFunction.zero`).
 The Gram test is the criterion on a linear rep only (on a projective one
 the kernel carries omega^(N-M)), so `feasible_exact` and
 `minimal_copies_search` raise DomainError unless `CharFunction.linear`
 holds for both. On a linear rep chi(g^-1) = conj chi(g), and so is f: it
 is built as its n real coordinates (`groups.PairSplit`), f on e and the
 involutions and Re f, Im f on one element g < g^-1 of each other pair, read
-off the same coordinates of chi (`CharFunction.split_polar`); `interpolate`
-expands them to values, Hermitian bit for bit in both views, over the
-inverse map of G or of the charge labels. Only `is_positive_definite`
-checks the Hermiticity of values a caller passes.
+off the same coordinates of chi (`CharFunction.split_polar`), and
+`PairSplit.expand` takes them to values, Hermitian bit for bit. Only
+`is_positive_definite` checks the Hermiticity of values a caller passes.
 
 M is a convolution operator, M = sum_k f(k) R(k) over the right translations
 R(k), so its spectrum is the union of the spectra of the Fourier blocks
@@ -36,7 +37,7 @@ Cost: a one-off O(n^3) decomposition per group object, then per copy number
 O(n) transcendentals on the n/2 to n representatives and one real
 O(n^2) matmul, against O(n^3) for a dense eigendecomposition of M.
 
-`interpolate` and `gram_min_eigenvalues` work on rows of copy numbers;
+`_interpolate` and `gram_min_eigenvalues` work on rows of copy numbers;
 `feasible_exact` and `is_positive_definite` are their single-row case, and
 `minimal_copies_search` decides a block of copy numbers per pass, with as
 many rows per block as fit in `groups._CHUNK_BYTES` (64 rows at n = 256).
@@ -59,9 +60,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import CharFunction, SplitPolar, check_hermitian, check_same_group, copy_numbers
-from .charfn import negative_parity, split_polar
+from .charfn import negative_parity
 from .errors import DomainError
-from .groups import FiniteGroup, _block_rows, hermitian_matrix, pair_split
+from .groups import FiniteGroup, _block_rows, hermitian_matrix
 from .tolerances import TOL_FLOOR, TOL_PSD
 
 MAX_SEARCH_COPIES = 10**4  # largest n_max of `minimal_copies_search`
@@ -117,39 +118,26 @@ def _coords(dlog: np.ndarray, psi: SplitPolar, phi: SplitPolar, N, M) -> np.ndar
 
 
 def _interpolate(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, np.ndarray]:
-    """`interpolate` on split characteristic functions, in coordinates: the
-    (K, n) coordinates of f and the (K,) zero-set violations."""
+    """f = chi_psi^N / chi_phi^M, 0 on the chi_phi zero set, in coordinates.
+
+    psi and phi are split characteristic functions (`CharFunction.split_polar`).
+    N and M are copy numbers: two ints, or K each (any shape with K entries)
+    for K rows at once. Returns the (K, n) coordinates of f (`PairSplit.expand`
+    takes them to values, Hermitian bit for bit) and, per row, the first
+    element where chi_phi^M vanishes but chi_psi^N does not, or -1. Zero sets
+    are classified once, on the single-copy functions (chi^N vanishes exactly
+    where chi does); M = 0 is the trivial target, identically 1. DomainError
+    for N < 1, M < 0 or a copy number off the integers up to MAX_COPIES.
+    """
     N, M = (np.reshape(copy_numbers(x, low), (-1, 1)) for x, low in ((N, 1), (M, 0)))
     dlog, violation = _log_ratio(psi, phi, N, M)
     return _coords(dlog, psi, phi, N, M), violation
 
 
-def interpolate(
-    psi, phi, N: int | np.ndarray, M: int | np.ndarray, inv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """f = chi_psi^N / chi_phi^M from log-polar chi, 0 on the chi_phi zero set.
-
-    psi and phi are (logmod, phase, zero mask) triples from charfn's codec:
-    `CharFunction.polar` or `ChargeDistribution.polar`. inv (n,) is the
-    inverse map: `group.inv` in the Gram view, the negated charge label in
-    the Fourier view. N and M are copy numbers: two ints, or K each (any
-    shape with K entries) for K rows at once. Returns the (K, n) values,
-    Hermitian bit for bit (`PairSplit.expand`), and, per row, the first
-    index where chi_phi^M vanishes but chi_psi^N does not, or -1. Zero sets
-    are classified once, on the single-copy functions (chi^N vanishes
-    exactly where chi does); M = 0 is the trivial target, identically 1.
-    DomainError for N < 1, M < 0 or a copy number off the integers up to
-    MAX_COPIES.
-    """
-    pairs = pair_split(inv)
-    coords, violation = _interpolate(split_polar(psi, pairs), split_polar(phi, pairs), N, M)
-    return pairs.expand(coords), violation
-
-
 def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of M[g, h] = f(g^-1 h) for each row f of values (K, n).
 
-    M is Hermitian iff f(g^-1) = conj f(g), as `interpolate` makes f and
+    M is Hermitian iff f(g^-1) = conj f(g), as `_interpolate` makes f and
     `is_positive_definite` checks it; the spectrum is that of f's Hermitian
     part, read off its coordinates (`_min_eig`).
     """
@@ -316,7 +304,7 @@ def minimal_copies_search(
     stops at the first N that `feasible_exact` would reject. `_settle`
     decides what it can of each block from |f|; only the unsettled rows
     before the block's first row settled infeasible get their coordinates
-    and the Gram test. DomainError for a copy number `interpolate` would
+    and the Gram test. DomainError for a copy number `_interpolate` would
     refuse, and unless both characteristic functions come from a linear rep.
     """
     if not (math.isfinite(r) and r >= 0):

@@ -8,7 +8,8 @@ cached cyclic decomposition, any other group gets them by Dixon's method.
 They are kept as one real n x n matrix (`IrrepBasis.real`) that takes the
 n real coordinates of a Hermitian function, f(g^-1) = conj f(g), to those
 of its Fourier blocks; the coordinates come from the group's split of G
-into the orbits {g, g^-1} (`PairSplit`), also cached.
+into the orbits {g, g^-1} (`PairSplit`), also cached. `label_group` is the
+product of cyclic groups on a charge-label grid, kept per shape.
 
 Validation cost: `build_group` decides associativity by Light's test, 2 n^2
 table lookups per element of a greedy generating set S: O(n^2 log n) for a
@@ -45,6 +46,7 @@ from .errors import (
     NotProjective,
     NotUnitary,
     SelfCheckFailed,
+    ShapeMismatch,
     UnknownGroupName,
 )
 from .tolerances import TOL_NORM, TOL_PHASE, TOL_SECTOR, TOL_UNITARY
@@ -84,8 +86,11 @@ class FiniteGroup:
 
     @functools.cached_property
     def pairs(self) -> "PairSplit":
-        """The split of G under g -> g^-1 (`pair_split`), computed on first use and kept."""
-        return pair_split(self.inv)
+        """The split of G under g -> g^-1, computed on first use and kept."""
+        g = np.arange(self.order)
+        first = np.flatnonzero(g < self.inv)
+        return PairSplit(own=_frozen(np.flatnonzero(g == self.inv)), first=_frozen(first),
+                         partner=_frozen(self.inv[first]))
 
     @functools.cached_property
     def irreps(self) -> "IrrepBasis":
@@ -133,15 +138,6 @@ class PairSplit:
         f.imag[..., self.first] = c[..., n0 + p :]
         f.imag[..., self.partner] = 0.0 - c[..., n0 + p :]
         return f
-
-
-def pair_split(inv: np.ndarray) -> PairSplit:
-    """The `PairSplit` of the inverse map inv (n,), an involution of range(n)."""
-    g = np.arange(inv.size)
-    first = np.flatnonzero(g < inv)
-    return PairSplit(
-        own=_frozen(np.flatnonzero(g == inv)), first=_frozen(first), partner=_frozen(inv[first])
-    )
 
 
 def hermitian_coords(B: np.ndarray) -> np.ndarray:
@@ -391,6 +387,19 @@ def _associativity_witness(mult: np.ndarray) -> tuple[int, int, int]:
             a, b, c = np.argwhere(bad)[0]
             return int(a) + a0, int(b), int(c)
     raise SelfCheckFailed("Light's test rejected a table with no associativity witness")
+
+
+@functools.lru_cache(maxsize=8)
+def label_group(shape: tuple[int, ...]) -> FiniteGroup:
+    """Z_{n_1} x ... x Z_{n_k} on the row-major label grid of shape, kept for
+    the last few shapes, with a read-only table and inverse map, as every
+    caller shares it: the group a charge distribution's chi lives on.
+    ShapeMismatch above MAX_ORDER labels, before any table is allocated."""
+    if math.prod(shape) > MAX_ORDER:
+        raise ShapeMismatch(f"{math.prod(shape)} labels in shape {shape} exceed cap {MAX_ORDER}")
+    group = build_group(_frozen(_product_table(shape)))
+    _frozen(group.inv)
+    return group
 
 
 def _product_table(shape: tuple[int, ...]) -> np.ndarray:

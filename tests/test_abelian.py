@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,11 +25,12 @@ from asym import (
 )
 from asym import abelian
 from asym.abelian import ChargeDistribution, basis_elements
-from asym.convertibility import interpolate
+from asym.convertibility import _interpolate
 from asym.cli import main
 from corpus import corpus_rep, random_distribution, random_state, z2_population_state
 from asym.errors import DomainError, NotAbelian, NotSimultaneouslyDiagonalizable, ShapeMismatch
-from asym.groups import ProjectiveRep, PureState
+from asym.groups import MAX_ORDER, ProjectiveRep, PureState
+from asym.tolerances import TOL_PSD
 from reference import subgroup_closure
 from test_convertibility import BUILT, concentrated_type
 
@@ -443,6 +445,9 @@ def test_weights_stay_finite_on_a_zero_set_violation(shape, p, q, N, M, want, ca
     assert np.isfinite(result["weights"]).all() and np.isfinite(result["min_weight"])
     assert np.allclose(result["weights"], want, atol=1e-15)
     assert result["min_weight"] == pytest.approx(min(want), abs=1e-15)
+    lam_p, lam_q = (dual_fourier(dist(shape, x)).values for x in (p, q))
+    bad = np.flatnonzero((np.abs(lam_q) < 1e-12) & (np.abs(lam_p) > 1e-12))
+    assert result["zero_set_witness"] == bad[0]
 
 
 @pytest.mark.parametrize("shape, p, q, N, M, want", ZERO_SET_FAILURES)
@@ -552,35 +557,40 @@ ODD_COPIES = st.one_of(COPIES, COPIES.map(lambda m: m | 1))
 def test_the_gram_view_interpolator_is_hermitian_bit_for_bit(name, seed, N, M):
     group = built_group(name)
     rng = np.random.default_rng(seed)
-    chars = [char_from_values(group, concentrated_type(group, rng, terms=2)) for _ in range(2)]
-    psi, phi = ((c.logmod, c.phase, c.zero) for c in chars)
-    f, _ = interpolate(psi, phi, [N, 1, N], [M, M, 0], group.inv)
-    assert_hermitian_rows(f, group.inv)
+    psi, phi = (char_from_values(group, concentrated_type(group, rng, terms=2)) for _ in range(2))
+    coords, _ = _interpolate(psi.split_polar, phi.split_polar, [N, 1, N], [M, M, 0])
+    assert_hermitian_rows(group.pairs.expand(coords), group.inv)
+
+
+def sparse_or_dense(shape, seed, support, uniform=False):
+    """A distribution on support labels at random, or on every label when
+    support is 0; uniform on them, whose dual coefficients then have zeros
+    (two labels a, b: lambda vanishes where the character of a - b is -1),
+    or with random weights."""
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    k = min(support, size) or size
+    probs = np.zeros(size)
+    probs[rng.choice(size, size=k, replace=False)] = 1.0 if uniform else rng.random(k)
+    return dist(shape, probs / probs.sum())
+
+
+SEEDS = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    shape=st.sampled_from(LABEL_SHAPES),
-    seed=st.integers(0, 2**32 - 1),
-    support=st.integers(1, 4),
-    N=COPIES,
-    M=ODD_COPIES,
-)
-def test_the_fourier_view_interpolator_is_hermitian_bit_for_bit(shape, seed, support, N, M):
-    """Sparse distributions keep |lambda| at 1 on many labels, so f keeps its
-    phases at large copy numbers too."""
-    rng = np.random.default_rng(seed)
-    size = int(np.prod(shape))
-    p, q = [], []
-    for out in (p, q):
-        probs = np.zeros(size)
-        probs[rng.choice(size, size=min(support, size), replace=False)] = rng.random(min(support, size))
-        out.append(dist(shape, probs / probs.sum()))
-    (p,), (q,) = p, q
+@given(shape=st.sampled_from(LABEL_SHAPES), seeds=SEEDS, support=st.integers(1, 4), N=COPIES,
+       M=ODD_COPIES)
+def test_the_fourier_view_interpolator_is_hermitian_bit_for_bit(shape, seeds, support, N, M):
+    """The label group's inverse is the label negation a -> -a. Sparse
+    distributions keep |lambda| at 1 on many labels, so f keeps its phases
+    at large copy numbers too."""
+    p, q = (sparse_or_dense(shape, seed, support) for seed in seeds)
     labels = np.indices(shape).reshape(len(shape), -1)
-    assert np.array_equal(labels[:, p.inv], -labels % np.reshape(shape, (-1, 1)))
-    f, _ = interpolate(p.polar, q.polar, [N, 1, N], [M, M, 0], p.inv)
-    assert_hermitian_rows(f, p.inv)
+    inv = p.char.group.inv
+    assert np.array_equal(labels[:, inv], -labels % np.reshape(shape, (-1, 1)))
+    for n, m in ((N, M), (1, M), (N, 0)):
+        assert_hermitian_rows(feasible_exact(p.char, q.char, n, m).f[None], inv)
 
 
 def test_each_charge_distribution_is_transformed_once(monkeypatch):
@@ -595,9 +605,62 @@ def test_each_charge_distribution_is_transformed_once(monkeypatch):
     assert sorted(map(id, seen)) == sorted([id(p), id(q)])
     with pytest.raises(ValueError):
         p.probs[0] = 0.5
-    assert not any(a.flags.writeable for a in (*p.polar, p.inv))
+    group = p.char.group
+    assert not any(a.flags.writeable for a in (p.char.logmod, p.char.phase, p.char.zero,
+                                               group.mult, group.inv))
+    assert p.char.group is q.char.group  # one label group per shape
     given_probs[0] = 0.5  # the caller's array is copied, not frozen
     assert p.probs[0] == 0.4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(LABEL_SHAPES),
+    seeds=SEEDS,
+    support=st.integers(0, 4),
+    uniform=st.tuples(st.booleans(), st.booleans()),
+    N=COPIES,
+    M=st.one_of(st.just(0), COPIES),
+)
+def test_the_weights_are_the_readout_of_the_gram_decision(shape, seeds, support, uniform, N, M):
+    """w is the label group's Gram spectrum over |G|, and the verdict is that
+    decision's, zero-set rule included: a report's min_weight and feasible
+    cannot disagree. The spectra are compared relative to max(1, max |f|),
+    which the cap on log-ratios lets reach e^350."""
+    p, q = (sparse_or_dense(shape, *args) for args in zip(seeds, (support, support), uniform))
+    w, feasible = fourier_weights(p, q, N, M)
+    res = feasible_exact(p.char, q.char, N, M)
+    n = w.size
+    tol = 1e-12 * n * max(1.0, np.abs(res.f).max())
+    assert abs(n * w.min() - res.min_gram_eigenvalue) <= tol
+    (blocks,) = p.char.group.irreps.fourier_blocks(res.f)
+    assert np.abs(np.sort(n * w) - np.sort(blocks.real.ravel())).max() <= tol
+    assert feasible is res.feasible
+    assert feasible == (w.min() >= -TOL_PSD and res.zero_set_witness is None)
+
+
+@pytest.mark.parametrize("shape", [(MAX_ORDER + 1,), (2,) * 9, (10**6,)])
+def test_a_label_grid_above_max_order_is_refused_before_any_table(shape, capsys, tmp_path):
+    """More labels than a group may have elements: ShapeMismatch before the
+    n^2 product table of the label group is allocated (the FFT-only path
+    once accepted such grids; at 10^6 labels that table is 10^12 entries)."""
+    size = int(np.prod(shape))
+    p = dist(shape, np.full(size, 1.0 / size))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeMismatch, match="exceed cap"):
+            fourier_weights(p, p, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    if size > 2**10:
+        return  # the file would only be slow to write and read
+    path = tmp_path / "p.json"
+    io.save_distribution(path, p)
+    code = main(["convert-abelian", "--p", str(path), "--q", str(path), "--copies", "1", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out, json.loads(err)["error"]) == (2, "", "ShapeMismatch")
 
 
 # ---------------------------------- one codec: the Gram and Fourier views agree

@@ -460,8 +460,12 @@ def test_cli_convert_abelian(capsys, tmp_path):
     report = run_json(capsys, ["convert-abelian", "--p", p, "--q", q, "--copies", "1", "1"])
     assert report["result"]["feasible"] is True
     assert report["result"]["weights"] == pytest.approx([0.8125, 0.1875], abs=1e-9)
+    assert report["result"]["modulus_witness"] is None
+    # lambda_1 ratio 0.8 / 0.5 = 1.6 > 1: the 2 x 2 minor at label 1 proves it infeasible
     report = run_json(capsys, ["convert-abelian", "--p", q, "--q", p, "--copies", "1", "1"])
     assert report["result"]["feasible"] is False
+    assert report["result"]["modulus_witness"] == 1
+    assert report["result"]["zero_set_witness"] is None
 
 
 def test_cli_convert_abelian_reads_tol_psd(capsys, tmp_path):
@@ -871,7 +875,8 @@ RESULT_KEYS = {
                 "zero_set_witness"],
     "min-copies": ["min_copies", "n_max", "rate"],
     "charges": ["dual_coefficients", "probs", "shape"],
-    "convert-abelian": ["M", "N", "feasible", "min_weight", "weights"],
+    "convert-abelian": ["M", "N", "feasible", "min_weight", "modulus_witness", "weights",
+                        "zero_set_witness"],
     "approx": ["classification", "curve", "s", "sym_phi", "sym_psi"],
     "qfim": ["qfim"],
     "rf": ["certificate", "direction", "method", "r_f"],

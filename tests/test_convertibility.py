@@ -30,10 +30,10 @@ from asym.abelian import ChargeDistribution, basis_elements
 from asym.convertibility import (
     MAX_SEARCH_COPIES,
     _block_min_eig,
+    _interpolate,
     _log_ratio,
     _settle,
     gram_min_eigenvalues,
-    interpolate,
 )
 from corpus import GROUP_NAMES, gauged_rep, random_state
 from asym.errors import DomainError, NotHermitian, SelfCheckFailed
@@ -460,7 +460,7 @@ def test_closed_form_2x2_symmetrises_a_block_off_hermitian_within_tol_herm():
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e100, 1e152])
 def test_closed_form_2x2_across_entry_scales(scale):
-    # 1e152 ~ exp(350), the cap on |f| that `interpolate` puts on log-ratios
+    # 1e152 ~ exp(350), the cap on |f| that `_interpolate` puts on log-ratios
     rng = np.random.default_rng(20)
     assert_closed_form_matches(scale * hermitian_blocks(rng, (8, 63)))
     v = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
@@ -835,9 +835,8 @@ def test_batched_min_eigenvalues_match_feasible_exact(name, oracle_group):
     N = np.arange(1, 151)
     for r in rates(psi, phi)[:3]:  # r <= the exact rate: |f| <= 1
         M = np.floor(r * N + 1e-12)
-        vals, violation = interpolate(
-            (psi.logmod, psi.phase, psi.zero), (phi.logmod, phi.phase, phi.zero), N, M, group.inv
-        )
+        coords, violation = _interpolate(psi.split_polar, phi.split_polar, N, M)
+        vals = group.pairs.expand(coords)
         min_eig = gram_min_eigenvalues(group, vals)
         for k in np.flatnonzero(violation < 0):
             one = feasible_exact(psi, phi, int(N[k]), int(M[k])).min_gram_eigenvalue
