@@ -4,8 +4,13 @@ Charge distributions are probability vectors over dual-group labels; their
 discrete Fourier transform reproduces the characteristic function. Labels
 come from the group's cached `cyclic_decomposition` (the product
 Z_{n_1} x ... x Z_{n_k} indexing that also gives the group's characters as
-its irreps). The sectors of a state come from one FFT over its orbit under
-the basis generators. A charge distribution's dual coefficients are a
+its irreps). The sectors of a state are the DFT over the labels of its
+orbit under the phase-gauged basis generators. The gauged squarings
+V^(2^j) are computed once per rep and kept (`ProjectiveRep.gauge_squarings`):
+sum_j (bit_length(t_j) - 1) d x d squarings and sum_j bit_length(t_j) d^2
+complex entries. Per state the orbit grows one axis at a time by doubling,
+sum_j ceil(log2 t_j) block products, with one FFT along each axis on the
+block just built. A charge distribution's dual coefficients are a
 characteristic function on its label group (`groups.label_group`, the same
 product on the row-major label grid), so the convolution condition
 p = q * w is the Gram view's decision on that group, `feasible_exact`, and
@@ -87,43 +92,43 @@ def basis_elements(group: FiniteGroup) -> tuple[tuple[int, ...], np.ndarray]:
 def charge_distribution(rep: ProjectiveRep, state: PureState) -> ChargeDistribution:
     """Decompose a state into charge sectors of an abelian representation.
 
-    Phase-gauges each basis generator U_j of order t_j to V_j with
-    V_j^{t_j} = I, builds the orbit T[a] = V_1^{a_1} ... V_m^{a_m} psi over
-    the label grid, and takes its DFT over the labels divided by |G|: entry
-    k is the projection of psi onto the joint eigenspace where V_j acts as
-    exp(2 pi i k_j / t_j), and p_k is its squared norm.
-    """
-    group = rep.group
-    basis = abelian_basis(group)
-    if not rep.commutative:
-        raise NotSimultaneouslyDiagonalizable(
-            "generator matrices do not commute (projective obstruction)"
-        )
-    gens = [rep.matrices[g] for g, _ in basis]
-    d = rep.dim
-    orbit = state.amplitudes[None, :]  # rows: the orbit over the labels so far
-    for (g, t), U in zip(basis, gens):
-        P = np.linalg.matrix_power(U, t)
-        z = P[0, 0]
-        if abs(abs(z) - 1.0) > TOL_SECTOR or np.abs(P - z * np.eye(d)).max() > TOL_SECTOR:
-            raise NotSimultaneouslyDiagonalizable(
-                f"U^{t} for generator {g} is not a phase multiple of the identity"
-            )
-        Vt = (U * np.exp(-1j * np.angle(z) / t)).T
-        rows = [orbit]
-        for _ in range(t - 1):
-            rows.append(rows[-1] @ Vt)
-        orbit = np.stack(rows, axis=1).reshape(-1, d)
+    With each basis generator U_j of order t_j phase-gauged to V_j, V_j^{t_j} = I
+    (`ProjectiveRep.gauge_squarings`, kept per rep), the DFT over the labels
+    of the orbit T[a] = V_1^{a_1} ... V_m^{a_m} psi, divided by |G|, has at
+    label k the projection of psi onto the joint eigenspace where V_j acts
+    as exp(2 pi i k_j / t_j); p_k is its squared norm. One axis at a time,
+    last to first, the orbit grows by doubling: the rows a + m, a < m, are
+    the rows a times V_j^m, m = 1, 2, 4, ..., truncated at t_j, each step
+    one matrix product of the block built so far. One FFT along the new axis
+    then transforms that block; it commutes with the matrices of the axes
+    still to come, so the sectors are those of the full orbit's DFT.
 
-    shape = tuple(t for _, t in basis) or (1,)
-    sectors = np.fft.fftn(orbit.reshape(*shape, d), axes=range(len(shape))) / group.order
-    probs = (sectors.real**2 + sectors.imag**2).sum(axis=-1)
+    Cost: once per rep, sum_j (bit_length(t_j) - 1) d x d squarings (and
+    popcount(t_j) - 1 products for the U^t = z I check), keeping
+    sum_j bit_length(t_j) d^2 complex entries; per state, sum_j
+    ceil(log2 t_j) block products and one FFT per axis, on n x d entries.
+    """
+    basis = abelian_basis(rep.group)
+    squarings = rep.gauge_squarings
+    d = rep.dim
+    orbit = state.amplitudes[None, :]  # rows: labels of the axes done, transformed
+    for (_, t), Vt in zip(reversed(basis), reversed(squarings)):
+        block = np.empty((t, *orbit.shape), dtype=complex)
+        block[0] = orbit
+        for j in range((t - 1).bit_length()):  # rows [m, m + k) from rows [0, k)
+            m = 1 << j
+            k = min(m, t - m)
+            np.matmul(block[:k].reshape(-1, d), Vt[j], out=block[m:m + k].reshape(-1, d))
+        orbit = np.fft.fft(block, axis=0).reshape(-1, d)
+
+    shape, _ = basis_elements(rep.group)
+    probs = (orbit.real**2 + orbit.imag**2).sum(axis=-1) / float(rep.group.order) ** 2
     total = probs.sum()
     if abs(total - 1.0) > TOL_SECTOR:
         raise NotSimultaneouslyDiagonalizable(
             f"sector weights sum to {total!r}; diagonalization lost probability"
         )
-    return ChargeDistribution(shape=shape, probs=(probs / total).ravel())
+    return ChargeDistribution(shape=shape, probs=probs / total)
 
 
 def dual_fourier(dist: ChargeDistribution) -> DualCoefficients:

@@ -8,8 +8,11 @@ cached cyclic decomposition, any other group gets them by Dixon's method.
 They are kept as one real n x n matrix (`IrrepBasis.real`) that takes the
 n real coordinates of a Hermitian function, f(g^-1) = conj f(g), to those
 of its Fourier blocks; the coordinates come from the group's split of G
-into the orbits {g, g^-1} (`PairSplit`), also cached. `label_group` is the
-product of cyclic groups on a charge-label grid, kept per shape.
+into the orbits {g, g^-1} (`PairSplit`), also cached. A commuting rep keeps
+the phase-gauged squarings of its cyclic basis generators, from which
+`abelian.charge_distribution` builds each state's charge sectors.
+`label_group` is the product of cyclic groups on a charge-label grid, kept
+per shape.
 
 Validation cost: `build_group` decides associativity by Light's test, 2 n^2
 table lookups per element of a greedy generating set S: O(n^2 log n) for a
@@ -44,6 +47,7 @@ from .errors import (
     NotAbelian,
     NotAState,
     NotProjective,
+    NotSimultaneouslyDiagonalizable,
     NotUnitary,
     SelfCheckFailed,
     ShapeMismatch,
@@ -297,6 +301,45 @@ class ProjectiveRep:
             np.abs(A @ B - B @ A).max() <= TOL_SECTOR for A, B in itertools.combinations(gens, 2)
         )
 
+    @functools.cached_property
+    def gauge_squarings(self) -> tuple[np.ndarray, ...]:
+        """Per basis generator (g, t) of the group's cyclic decomposition, the
+        transposed squarings (V^(2^j))^T, j < bit_length(t), of its gauge
+        V = U(g) exp(-i arg(z) / t), where U(g)^t = z I, so that V^t = I: one
+        read-only (bit_length(t), d, d) array. They come from the squarings
+        U^(2^j) that also give U^t, bit_length(t) - 1 matrix squarings and
+        popcount(t) - 1 products per generator, and are computed on first read
+        and kept. NotAbelian for a non-abelian group; NotSimultaneouslyDiagonalizable
+        when the matrices do not commute (checked first) or some U^t is not
+        a unit phase times I, and then nothing is kept."""
+        basis = self.group.cyclic_decomposition[0]
+        if not self.commutative:
+            raise NotSimultaneouslyDiagonalizable(
+                "generator matrices do not commute (projective obstruction)"
+            )
+        return tuple(_gauge_squarings(self.matrices[g], t, g) for g, t in basis)
+
+
+def _gauge_squarings(U: np.ndarray, t: int, g: int) -> np.ndarray:
+    """(V^(2^j))^T, j < bit_length(t), for V = U exp(-i arg(z) / t) and U^t = z I."""
+    squares = [U]
+    for _ in range(t.bit_length() - 1):
+        squares.append(squares[-1] @ squares[-1])
+    P = functools.reduce(np.matmul, [S for j, S in enumerate(squares) if t >> j & 1])
+    z = P[0, 0]
+    if abs(abs(z) - 1.0) > TOL_SECTOR or np.abs(P - z * np.eye(len(U))).max() > TOL_SECTOR:
+        raise NotSimultaneouslyDiagonalizable(
+            f"U^{t} for generator {g} is not a phase multiple of the identity"
+        )
+    phases = np.exp(-1j * np.angle(z) * (2.0 ** np.arange(len(squares)) / t))
+    gauged = np.array(squares) * phases[:, None, None]
+    return _frozen(np.ascontiguousarray(gauged.swapaxes(1, 2)))
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise AxiomViolation("closure", witness=f"order {n} exceeds cap {MAX_ORDER}")
+
 
 def build_group(mult_table, name: str | None = None) -> FiniteGroup:
     """Validate a multiplication table and derive identity and inverses.
@@ -319,8 +362,7 @@ def build_group(mult_table, name: str | None = None) -> FiniteGroup:
     if mult.ndim != 2 or mult.shape[0] != mult.shape[1] or mult.shape[0] == 0:
         raise AxiomViolation("closure", witness=f"table shape {mult.shape}")
     n = mult.shape[0]
-    if n > MAX_ORDER:
-        raise AxiomViolation("closure", witness=f"order {n} exceeds cap {MAX_ORDER}")
+    _check_order(n)
     if mult.min() < 0 or mult.max() >= n:
         bad = np.argwhere((mult < 0) | (mult >= n))[0]
         raise AxiomViolation("closure", witness=tuple(int(x) for x in bad))
@@ -453,7 +495,9 @@ _CYCLIC_RE = re.compile(r"^Z_(\d+)$")
 def named_group(name: str) -> FiniteGroup:
     """Standard multiplication tables: Z_n, Z_n1x...xZ_nk, S_3, D_4, Q_8.
 
-    Product names accept either 'x' or the multiplication-sign separator.
+    Product names accept either 'x' or the multiplication-sign separator. A
+    product order above MAX_ORDER is refused, as `build_group` refuses it,
+    before its table is allocated.
     """
     clean = name.replace("×", "x").strip()
     if clean == "S_3":
@@ -472,6 +516,7 @@ def named_group(name: str) -> FiniteGroup:
         if k < 1:
             raise UnknownGroupName(f"modulus must be >= 1 in {name!r}")
         moduli.append(k)
+    _check_order(math.prod(moduli))  # before the n^2 table of a name too large to build
     return build_group(_product_table(tuple(moduli)), name=name)
 
 

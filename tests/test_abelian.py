@@ -321,8 +321,21 @@ def relabelled(group, rng):
         ((256,), 16, (0.3,)),
         ((2,) * 8, 16, (0.4, 1.1, 0.2, 2.0, 0.7, 0.5, 1.3, 0.9)),
         ((6, 4), 8, (0.25, 1.7)),
+        # orders off the powers of two: the doubling is truncated at t
+        ((3,), 4, None),
+        ((5,), 6, None),
+        ((12,), 8, None),
+        ((3, 5), 8, None),
+        ((255,), 8, None),  # every bit of t set
+        ((3,), 4, (0.7,)),
+        ((5,), 6, (1.9,)),
+        ((3, 3), 6, (0.4, 2.2)),
+        ((255,), 8, (0.3,)),
+        ((1,), 3, None),  # no basis generator: one label
     ],
-    ids=["Z_256", "Z_2^8", "Z_16xZ_16", "Z_64", "Z_256-gauged", "Z_2^8-gauged", "Z_6xZ_4-gauged"],
+    ids=["Z_256", "Z_2^8", "Z_16xZ_16", "Z_64", "Z_256-gauged", "Z_2^8-gauged", "Z_6xZ_4-gauged",
+         "Z_3", "Z_5", "Z_12", "Z_3xZ_5", "Z_255", "Z_3-gauged", "Z_5-gauged", "Z_3xZ_3-gauged",
+         "Z_255-gauged", "Z_1"],
 )
 def test_charge_distribution_matches_subspace_reference(moduli, d, theta, rng):
     rep = diagonal_rep(moduli, d, rng, theta)
@@ -347,6 +360,40 @@ def test_charge_distribution_rejects_non_phase_power():
     )
     with pytest.raises(NotSimultaneouslyDiagonalizable):
         charge_distribution(rep, PureState(2, np.array([1.0, 0.0])))
+
+
+def test_the_gauge_squarings_are_computed_once_per_rep(monkeypatch, rng):
+    calls = []
+    squarings = groups._gauge_squarings
+    monkeypatch.setattr(groups, "_gauge_squarings", lambda *a: calls.append(a[1:]) or squarings(*a))
+    rep = diagonal_rep((6, 4), 8, rng, (0.25, 1.7))
+    basis = abelian_basis(rep.group)
+    for _ in range(3):
+        charge_distribution(rep, random_state(8, rng))
+    assert calls == [(t, g) for g, t in basis]
+    kept = rep.gauge_squarings
+    assert [len(S) for S in kept] == [t.bit_length() for _, t in basis]
+    assert not any(S.flags.writeable for S in kept)
+    for (g, t), S in zip(basis, kept):  # (V^(2^j))^T, and V^t = I
+        V = S[0].T
+        assert all(np.allclose(S[j].T, np.linalg.matrix_power(V, 2**j)) for j in range(len(S)))
+        assert np.allclose(np.linalg.matrix_power(V, t), np.eye(8))
+
+
+def test_a_failed_gauge_check_keeps_nothing(monkeypatch):
+    calls = []
+    squarings = groups._gauge_squarings
+    monkeypatch.setattr(groups, "_gauge_squarings", lambda *a: calls.append(a[1:]) or squarings(*a))
+    rep = ProjectiveRep(
+        group=named_group("Z_2"),
+        dim=2,
+        matrices=np.array([np.eye(2), np.diag([1.0, 1j])], dtype=complex),
+    )
+    for attempt in range(1, 4):
+        with pytest.raises(NotSimultaneouslyDiagonalizable, match="not a phase multiple"):
+            charge_distribution(rep, PureState(2, np.array([1.0, 0.0])))
+        assert len(calls) == attempt
+        assert "gauge_squarings" not in rep.__dict__
 
 
 def test_charge_distribution_rejects_non_commuting_matrices():

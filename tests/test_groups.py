@@ -87,6 +87,24 @@ def test_named_group_products_and_unknown():
         named_group("E_8")
 
 
+@pytest.mark.parametrize("name", ["Z_2048", "Z_1000000", "Z_16xZ_17"])
+def test_a_name_above_max_order_is_refused_before_its_table(name):
+    """The cap's AxiomViolation comes before the n^2 product table: Z_2048
+    once peaked at 64 MB, and Z_1000000 would ask for 16 TB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(AxiomViolation, match=f"exceeds cap {groups.MAX_ORDER}"):
+            named_group(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_name_at_max_order_still_builds():
+    assert named_group(f"Z_{groups.MAX_ORDER}").order == groups.MAX_ORDER
+
+
 @pytest.mark.parametrize("shape", [(16, 16), (2,) * 8, (256,), (3, 4, 5), (1,)])
 def test_named_product_table_matches_the_label_loop(shape):
     """Elements are the label tuples in itertools.product order, as the double loop had them."""
