@@ -362,10 +362,16 @@ def test_charge_distribution_rejects_non_phase_power():
         charge_distribution(rep, PureState(2, np.array([1.0, 0.0])))
 
 
-def test_the_gauge_squarings_are_computed_once_per_rep(monkeypatch, rng):
+def count_gauge_squarings(monkeypatch):
+    """The (t, g) of each `groups._gauge_squarings` call from now on."""
     calls = []
     squarings = groups._gauge_squarings
     monkeypatch.setattr(groups, "_gauge_squarings", lambda *a: calls.append(a[1:]) or squarings(*a))
+    return calls
+
+
+def test_the_gauge_squarings_are_computed_once_per_rep(monkeypatch, rng):
+    calls = count_gauge_squarings(monkeypatch)
     rep = diagonal_rep((6, 4), 8, rng, (0.25, 1.7))
     basis = abelian_basis(rep.group)
     for _ in range(3):
@@ -381,9 +387,7 @@ def test_the_gauge_squarings_are_computed_once_per_rep(monkeypatch, rng):
 
 
 def test_a_failed_gauge_check_keeps_nothing(monkeypatch):
-    calls = []
-    squarings = groups._gauge_squarings
-    monkeypatch.setattr(groups, "_gauge_squarings", lambda *a: calls.append(a[1:]) or squarings(*a))
+    calls = count_gauge_squarings(monkeypatch)
     rep = ProjectiveRep(
         group=named_group("Z_2"),
         dim=2,
