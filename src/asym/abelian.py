@@ -12,14 +12,15 @@ complex entries. Per state the orbit grows one axis at a time by doubling,
 sum_j ceil(log2 t_j) block products, with one FFT along each axis on the
 block just built. A charge distribution's dual coefficients are a
 characteristic function on its label group (`groups.label_group`, the same
-product on the row-major label grid), so the convolution condition
-p = q * w is the Gram view's decision on that group, `feasible_exact`, and
-the weights w are its readout: the DFT of the interpolator f over the
-labels, divided by |G|. Each Fourier block of the label group is one
-number, |G| * w at one label, so |G| min w is the minimum Gram eigenvalue
-and there is one verdict. A `ChargeDistribution` is immutable, so its dual
-coefficients and characteristic function are computed on first read and
-kept.
+product on the row-major label grid, whose grid is its recorded cyclic
+decomposition), so the convolution condition p = q * w is the Gram view's
+decision on that group, `feasible_exact`, and the weights w are its
+readout. Each Fourier block of the label group is one number: the block
+of grid label k is |G| * w at label -k. So w is the decision's own blocks
+(`FeasibilityResult.block_min`) read in label order, with no transform,
+|G| min w is the minimum Gram eigenvalue, and there is one verdict. A
+`ChargeDistribution` is immutable, so its dual coefficients and
+characteristic function are computed on first read and kept.
 """
 
 from __future__ import annotations
@@ -144,12 +145,12 @@ def fourier_weights(
     """Candidate convolution weights w with p^N-sector = q^M-sector * w, and the verdict.
 
     Both are read off one decision, `feasibility`: w is `label_weights` of its
-    interpolator f, so |G| min w is its minimum Gram eigenvalue, and w sums
+    Fourier blocks, so |G| min w is its minimum Gram eigenvalue, and w sums
     to one since f(0) = 1. There is no second rule: the verdict is the
     decision's, zero-set rule included.
     """
     res = feasibility(p, q, N, M)
-    return label_weights(res.f, p.shape), res.feasible
+    return label_weights(res, p.char.group), res.feasible
 
 
 def feasibility(p: ChargeDistribution, q: ChargeDistribution, N: int, M: int) -> FeasibilityResult:
@@ -161,11 +162,13 @@ def feasibility(p: ChargeDistribution, q: ChargeDistribution, N: int, M: int) ->
     return feasible_exact(p.char, q.char, N, M)
 
 
-def label_weights(f: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """w = DFT(f) / |G| over the label grid: the Gram spectrum of an
-    interpolator f (n,) on the label group, one eigenvalue |G| w_k per label,
-    real since f is Hermitian."""
-    return (np.fft.fftn(f.reshape(shape)) / f.size).real.ravel()
+def label_weights(res: FeasibilityResult, group: FiniteGroup) -> np.ndarray:
+    """w_k = block_min[-k] / |G|: the Gram blocks of a decision on the label
+    group (`groups.label_group`), read in label order. Block k of an
+    interpolator f is sum_a f(a) exp(2 pi i a.k / n), one number, real since
+    f is Hermitian; at label -k it is the DFT of f at k, so w = DFT(f) / |G|
+    with no transform run."""
+    return res.block_min[group.inv] / group.order
 
 
 def shift_canonicalize(dist: ChargeDistribution) -> ChargeDistribution:

@@ -271,6 +271,19 @@ def copy_numbers(N, low: int = 1) -> np.ndarray:
     return x
 
 
+def exact_copy_numbers(N, low: int = 1) -> np.ndarray:
+    """`copy_numbers`, and DomainError for an integer that no float holds
+    exactly (most above 2^53): the Gram test reads the parity of N and M off
+    these floats, so a rounded copy number would decide another conversion."""
+    x = copy_numbers(N, low)
+    ints = np.asarray(N, dtype=object)  # a float compares to a Python int exactly
+    for n, f in zip(ints.flat, x.flat):
+        if isinstance(n, (int, np.integer)) and float(f) != int(n):
+            raise DomainError(f"copy number {int(n)} has no exact float (it would be read as "
+                              f"{f:.17g}); integers up to 2^53 are exact")
+    return x
+
+
 def char_power(char: CharFunction, N: int) -> CharFunction:
     """Characteristic function of the N-fold tensor power state; on a linear
     rep chi^N stays real on e and the involutions (`real_phase`)."""

@@ -148,7 +148,7 @@ def cmd_charges(args, group, rep, state) -> dict:
 def cmd_convert_abelian(args, p, q) -> dict:
     N, M = args.copies
     res = abelian.feasibility(p, q, N, M)
-    w = abelian.label_weights(res.f, p.shape)
+    w = abelian.label_weights(res, p.char.group)
     return {
         "N": N, "M": M, "feasible": res.feasible, "weights": w, "min_weight": w.min(),
         "modulus_witness": res.modulus_witness, "zero_set_witness": res.zero_set_witness,

@@ -10,7 +10,9 @@ element as its witness, not an error. `_first_failure` states the rule once
 (no such element, and a minimum Gram eigenvalue >= -TOL_PSD * |G|) for
 `feasible_exact`, `is_positive_definite` and the copy-number scan. The
 abelian Fourier view is `feasible_exact` on the label group of a charge
-distribution (`abelian.fourier_weights`), so it reads this decision too.
+distribution (`abelian.fourier_weights`), so it reads this decision too:
+its weights are the minima of the Gram blocks that the decision hands out
+(`FeasibilityResult.block_min`), each block one number on an abelian group.
 The zero sets are cut at TOL_ZERO (`charfn.zero_mask`), once per
 characteristic function (`CharFunction.zero`).
 The Gram test is the criterion on a linear rep only (on a projective one
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import CharFunction, SplitPolar, check_hermitian, check_same_group, copy_numbers
-from .charfn import negative_parity
+from .charfn import exact_copy_numbers, negative_parity
 from .errors import DomainError
 from .groups import FiniteGroup, _block_rows, hermitian_matrix
 from .tolerances import TOL_FLOOR, TOL_PSD
@@ -74,6 +76,7 @@ class FeasibilityResult:
     feasible: bool
     min_gram_eigenvalue: float
     f: np.ndarray  # (n,) the interpolator, values on G
+    block_min: np.ndarray  # minimum eigenvalue of each irrep block, in `IrrepBasis` order
     modulus_witness: int | None = None  # smallest k != e that `_minor_fails` at, if any
     zero_set_witness: int | None = None  # smallest g with chi_phi^M(g) = 0 != chi_psi^N(g)
 
@@ -127,9 +130,10 @@ def _interpolate(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, np
     element where chi_phi^M vanishes but chi_psi^N does not, or -1. Zero sets
     are classified once, on the single-copy functions (chi^N vanishes exactly
     where chi does); M = 0 is the trivial target, identically 1. DomainError
-    for N < 1, M < 0 or a copy number off the integers up to MAX_COPIES.
+    for N < 1, M < 0, a copy number off the integers up to MAX_COPIES or an
+    integer that no float holds exactly (`charfn.exact_copy_numbers`).
     """
-    N, M = (np.reshape(copy_numbers(x, low), (-1, 1)) for x, low in ((N, 1), (M, 0)))
+    N, M = (np.reshape(exact_copy_numbers(x, low), (-1, 1)) for x, low in ((N, 1), (M, 0)))
     dlog, violation = _log_ratio(psi, phi, N, M)
     return _coords(dlog, psi, phi, N, M), violation
 
@@ -145,11 +149,17 @@ def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> np.ndarray:
 
 
 def _min_eig(group: FiniteGroup, coords: np.ndarray) -> np.ndarray:
-    """Minimum Gram eigenvalue for each row of coordinates (K, n): one real
-    matmul against the irrep basis (`IrrepBasis.block_coords`) and
-    `_block_min_eig` per irrep dimension."""
-    blocks = group.irreps.block_coords(coords)
-    return np.min([_block_min_eig(C).min(axis=-1) for C in blocks], axis=0)
+    """Minimum Gram eigenvalue for each row of coordinates (K, n): the least
+    of `_block_mins`."""
+    return np.min([b.min(axis=-1) for b in _block_mins(group, coords)], axis=0)
+
+
+def _block_mins(group: FiniteGroup, coords: np.ndarray) -> list[np.ndarray]:
+    """Minimum eigenvalue of each irrep block for each row of coordinates
+    (K, n): one real matmul against the irrep basis
+    (`IrrepBasis.block_coords`) and `_block_min_eig` per irrep dimension,
+    one (K, count) array per dimension."""
+    return [_block_min_eig(C) for C in group.irreps.block_coords(coords)]
 
 
 def _block_min_eig(C: np.ndarray) -> np.ndarray:
@@ -194,8 +204,11 @@ def _verdict(group: FiniteGroup, coords: np.ndarray, f: np.ndarray, bad: int) ->
     """The Gram rule on one Hermitian row f (n,), of coordinates coords (n,),
     with zero-set violation bad (an element, or -1): feasible iff bad < 0
     and the minimum eigenvalue of M[g, h] = f(g^-1 h), from its Fourier
-    blocks, is >= -TOL_PSD * |G|; with the witnesses of the report."""
-    min_eig = _min_eig(group, coords[None])
+    blocks, is >= -TOL_PSD * |G|; with the witnesses of the report and the
+    minimum of each block, of which min_gram_eigenvalue is the least. On an
+    abelian group every block is 1 x 1, so these are the whole spectrum."""
+    block_min = np.concatenate(_block_mins(group, coords[None]), axis=-1)[0]
+    min_eig = block_min.min(keepdims=True)
     fails = _minor_fails(np.abs(f), f[group.identity].real, group.order)
     fails[group.identity] = False  # the minor takes k != e
     over = np.flatnonzero(fails)
@@ -203,6 +216,7 @@ def _verdict(group: FiniteGroup, coords: np.ndarray, f: np.ndarray, bad: int) ->
         feasible=_first_failure(min_eig, bad, group.order) < 0,
         min_gram_eigenvalue=float(min_eig[0]),
         f=f,
+        block_min=block_min,
         modulus_witness=int(over[0]) if over.size else None,
         zero_set_witness=int(bad) if bad >= 0 else None,
     )

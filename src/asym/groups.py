@@ -12,7 +12,7 @@ into the orbits {g, g^-1} (`PairSplit`), also cached. A commuting rep keeps
 the phase-gauged squarings of its cyclic basis generators, from which
 `abelian.charge_distribution` builds each state's charge sectors.
 `label_group` is the product of cyclic groups on a charge-label grid, kept
-per shape.
+per shape, with the grid recorded as its cyclic decomposition.
 
 Validation cost: `build_group` decides associativity by Light's test, 2 n^2
 table lookups per element of a greedy generating set S: O(n^2 log n) for a
@@ -436,11 +436,21 @@ def label_group(shape: tuple[int, ...]) -> FiniteGroup:
     """Z_{n_1} x ... x Z_{n_k} on the row-major label grid of shape, kept for
     the last few shapes, with a read-only table and inverse map, as every
     caller shares it: the group a charge distribution's chi lives on.
-    ShapeMismatch above MAX_ORDER labels, before any table is allocated."""
-    if math.prod(shape) > MAX_ORDER:
-        raise ShapeMismatch(f"{math.prod(shape)} labels in shape {shape} exceed cap {MAX_ORDER}")
+
+    The grid is its cyclic decomposition, recorded with the group so that
+    `decompose_abelian` never runs on it: the basis is the unit label of
+    each axis with n_j > 1, of order n_j, and the label map is the identity.
+    So irrep k of `regular_irreps` is the character of grid label k,
+    exp(2 pi i a.k / n) at label a. ShapeMismatch above MAX_ORDER labels,
+    before any table is allocated."""
+    n = math.prod(shape)
+    if n > MAX_ORDER:
+        raise ShapeMismatch(f"{n} labels in shape {shape} exceed cap {MAX_ORDER}")
     group = build_group(_frozen(_product_table(shape)))
     _frozen(group.inv)
+    strides = np.cumprod((1, *shape[:0:-1]))[::-1]  # row-major index of each unit label
+    basis = tuple((int(g), t) for g, t in zip(strides, shape) if t > 1)
+    group.__dict__["cyclic_decomposition"] = (basis, _frozen(np.arange(n)))
     return group
 
 

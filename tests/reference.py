@@ -34,6 +34,13 @@ def subgroup_closure(group, seed) -> frozenset[int]:
     return frozenset(closed)
 
 
+def fft_label_weights(f, shape) -> np.ndarray:
+    """w = DFT(f) / |G| over the label grid of shape, by one `np.fft.fftn`:
+    the weights of an interpolator f (n,) on the label group, as they were
+    computed before they were read off the Gram decision's blocks."""
+    return (np.fft.fftn(f.reshape(shape)) / f.size).real.ravel()
+
+
 def rf_ratio_200_steps(F_psi, F_phi) -> RfResult:
     """`lie.rf_ratio` on a singular, nonzero F_phi, bisected for a fixed 200
     halvings however early the bracket stops shrinking; no input gate. The

@@ -31,7 +31,7 @@ from corpus import corpus_rep, random_distribution, random_state, z2_population_
 from asym.errors import DomainError, NotAbelian, NotSimultaneouslyDiagonalizable, ShapeMismatch
 from asym.groups import MAX_ORDER, ProjectiveRep, PureState
 from asym.tolerances import TOL_PSD
-from reference import subgroup_closure
+from reference import fft_label_weights, subgroup_closure
 from test_convertibility import BUILT, concentrated_type
 
 
@@ -688,6 +688,81 @@ def test_the_weights_are_the_readout_of_the_gram_decision(shape, seeds, support,
     assert np.abs(np.sort(n * w) - np.sort(blocks.real.ravel())).max() <= tol
     assert feasible is res.feasible
     assert feasible == (w.min() >= -TOL_PSD and res.zero_set_witness is None)
+
+
+@pytest.mark.parametrize("shape", LABEL_SHAPES + [(1,), (2, 1, 3), (3, 2), (3, 5)])
+def test_the_weights_match_the_fft_of_the_interpolator(shape):
+    """The weights are the decision's blocks read in label order; the FFT of
+    f over the label grid, which they replace, gives the same numbers, and
+    the same verdict. The least weight is the least block over |G|, bit for
+    bit."""
+    for seed in range(6):
+        p, q = (sparse_or_dense(shape, seed + k, (0, 1, 2)[seed % 3], seed % 2 == 1)
+                for k in (0, 100))
+        for N, M in ((1, 1), (2, 1), (1, 3), (7, 5), (3, 0)):
+            w, feasible = fourier_weights(p, q, N, M)
+            res = feasible_exact(p.char, q.char, N, M)
+            ref = fft_label_weights(res.f, shape)
+            assert np.abs(w - ref).max() <= 1e-12 * max(1.0, np.abs(res.f).max())
+            assert feasible is res.feasible
+            assert feasible == (ref.min() >= -TOL_PSD and res.zero_set_witness is None)
+            assert w.min() == res.min_gram_eigenvalue / w.size
+            assert np.array_equal(np.sort(w), np.sort(res.block_min / w.size))
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (2, 1, 3), (3, 2), (2, 2, 2), (4, 6)])
+def test_the_label_group_is_never_decomposed(shape, monkeypatch):
+    """The grid is the label group's cyclic decomposition: a fresh label
+    group reads its basis, label map and characters without
+    `decompose_abelian`, and irrep k is the character of label k,
+    exp(2 pi i a.k / n) at label a."""
+    calls = []
+    monkeypatch.setattr(groups, "decompose_abelian", lambda g: calls.append(g))
+    groups.label_group.cache_clear()
+    group = groups.label_group(shape)
+    n = group.order
+    p, q = (sparse_or_dense(shape, seed, 0) for seed in (1, 2))
+    fourier_weights(p, q, 2, 1)
+    grid, elems = basis_elements(group)
+    assert grid == (tuple(t for t in shape if t > 1) or (1,))
+    assert np.array_equal(elems, np.arange(n))
+    labels = np.indices(shape).reshape(len(shape), -1).T  # row a: the label of element a
+    phase = (labels / np.array(shape)) @ labels.T  # sum_j a_j k_j / n_j
+    assert np.abs(group.irreps.matrix - np.exp(2j * np.pi * phase)).max() <= 1e-12
+    for g, t in abelian_basis(group):
+        assert np.count_nonzero(labels[g]) == 1 and labels[g].sum() == 1
+        assert shape[int(np.argmax(labels[g]))] == t
+    assert calls == []
+
+
+def test_a_charge_shift_on_a_product_grid_reads_the_negated_label(capsys, tmp_path):
+    """On Z_3 x Z_2, p = delta at label (1, 0) and q = delta_0: q -> p is the
+    shift by (1, 0), index 2, and p -> q the shift by (2, 0), index 4. A
+    readout that dropped the label negation would swap the two."""
+    for p, q, want in ((2, 0, 2), (0, 2, 4)):
+        code, out, _ = convert_abelian(capsys, tmp_path, (3, 2), np.eye(6)[p], np.eye(6)[q], 1, 1)
+        assert code == 0 and out["result"]["feasible"] is True
+        assert np.abs(np.array(out["result"]["weights"]) - np.eye(6)[want]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("M", [2**53 + 1, 10**16 + 1, np.int64(2**62 + 1), np.uint64(2**64 - 1)])
+def test_an_integer_copy_number_without_an_exact_float_is_refused(M, capsys, tmp_path):
+    """Read as a float, an odd M above 2^53 rounds to an even one, and the
+    Gram test reads its parity off that float: on Z_2 with p = delta_0 and
+    q = delta_1 it answered w = (1, 0) for M = 10^16 + 1, where the odd M
+    gives (0, 1). Such a copy number is refused; 2^53 itself is exact."""
+    p, q = dist((2,), [1, 0]), dist((2,), [0, 1])
+    for N_, M_ in ((1, M), (M, 1)):
+        with pytest.raises(DomainError, match="no exact float"):
+            fourier_weights(p, q, N_, M_)
+    code, out, err = convert_abelian(capsys, tmp_path, (2,), [1, 0], [0, 1], 1, int(M))
+    assert (code, out, err["error"]) == (1, "", "DomainError")
+    w, ok = fourier_weights(p, q, 1, 2**53)
+    assert ok and np.array_equal(w, [1.0, 0.0])
+    rows = _interpolate(p.char.split_polar, q.char.split_polar, np.array([1, 1]), np.array([3, 2**53]))
+    assert rows[0].shape == (2, 2)
+    with pytest.raises(DomainError, match="no exact float"):
+        _interpolate(p.char.split_polar, q.char.split_polar, [1, 1], [3, 2**53 + 1])
 
 
 @pytest.mark.parametrize("shape", [(MAX_ORDER + 1,), (2,) * 9, (10**6,)])

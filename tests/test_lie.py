@@ -408,6 +408,50 @@ def test_clt_diagnostic_third_order_residual(spin_half, rng):
         clt_diagnostic(state, spin_half, [np.zeros(2)])
 
 
+def clt_per_theta(state, gens, theta_grid):
+    """`clt_diagnostic` one theta at a time, with the unitary exp(-i theta.X)
+    built from its own `eigh`: the batched readout must agree with it."""
+    psi = state.amplitudes
+    means = np.array([np.real(psi.conj() @ (X @ psi)) for X in gens.generators])
+    F = qfim_pure(state, gens)
+    worst = 0.0
+    for theta in theta_grid:
+        w, V = np.linalg.eigh(np.tensordot(theta, gens.generators, axes=1))
+        chi = complex(psi.conj() @ ((V * np.exp(-1j * w)) @ V.conj().T @ psi))
+        worst = max(worst, abs(np.log(chi) - (-1j * float(theta @ means) - float(theta @ F @ theta) / 8)))
+    return worst
+
+
+@pytest.mark.parametrize("d, m, K", [(2, 3, 1), (4, 2, 5), (16, 3, 12)])
+def test_clt_diagnostic_batched_matches_the_per_theta_loop(d, m, K, rng):
+    gens = GeneratorSet(dim=d, generators=[(A + A.conj().T) / 2 for A in
+                                           rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))])
+    state = random_state(d, rng)
+    thetas = 0.01 * rng.standard_normal((K, m))
+    got = clt_diagnostic(state, gens, thetas)
+    assert abs(got - clt_per_theta(state, gens, thetas)) <= 1e-15
+    assert clt_diagnostic(state, gens, list(thetas)) == got
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clt_diagnostic_rejects_a_non_finite_theta(spin_half, bad, rng):
+    # max(0.0, nan) keeps 0.0: a NaN theta once read as a perfect second-order fit
+    grid = np.full((4, 3), 1e-3)
+    grid[2, 1] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        clt_diagnostic(random_state(2, rng), spin_half, grid)
+
+
+def test_clt_diagnostic_grid_shapes(spin_half, rng):
+    state = random_state(2, rng)
+    for ragged in ([np.zeros(3), np.zeros(2)], [np.zeros(3), np.zeros(4)], np.zeros((2, 2, 3)),
+                   np.zeros(3)):
+        with pytest.raises(DimensionMismatch):
+            clt_diagnostic(state, spin_half, ragged)
+    assert clt_diagnostic(state, spin_half, []) == 0.0
+    assert clt_diagnostic(state, spin_half, np.zeros((0, 3))) == 0.0
+
+
 # ------------------------------------------------------ non-finite input gates
 
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
