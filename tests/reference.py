@@ -7,7 +7,7 @@ import numpy as np
 from asym.charfn import ClassSets, symmetry_subgroup, zero_mask
 from asym.errors import DomainError, RateNotBelowOptimal
 from asym.exact_rate import FINITE, UNBOUNDED, ZERO, RateReport
-from asym.lie import RfResult, _pencil_direction
+from asym.lie import RfResult, _pencil_direction, qfim_pure
 from asym.tolerances import TOL_ONE, TOL_PENCIL
 
 
@@ -39,6 +39,20 @@ def fft_label_weights(f, shape) -> np.ndarray:
     the weights of an interpolator f (n,) on the label group, as they were
     computed before they were read off the Gram decision's blocks."""
     return (np.fft.fftn(f.reshape(shape)) / f.size).real.ravel()
+
+
+def clt_per_theta(state, gens, theta_grid):
+    """`clt_diagnostic` one theta at a time, with the unitary exp(-i theta.X)
+    built from its own `eigh`: the batched readout must agree with it."""
+    psi = state.amplitudes
+    means = np.array([np.real(psi.conj() @ (X @ psi)) for X in gens.generators])
+    F = qfim_pure(state, gens)
+    worst = 0.0
+    for theta in theta_grid:
+        w, V = np.linalg.eigh(np.tensordot(theta, gens.generators, axes=1))
+        chi = complex(psi.conj() @ ((V * np.exp(-1j * w)) @ V.conj().T @ psi))
+        worst = max(worst, abs(np.log(chi) - (-1j * float(theta @ means) - float(theta @ F @ theta) / 8)))
+    return worst
 
 
 def rf_ratio_200_steps(F_psi, F_phi) -> RfResult:

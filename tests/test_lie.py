@@ -23,7 +23,7 @@ from asym.groups import PureState
 from asym.lie import pure_density, symmetrized_covariance
 from asym.tolerances import TOL_PENCIL
 
-from reference import rf_ratio_200_steps
+from reference import clt_per_theta, rf_ratio_200_steps
 
 
 @pytest.fixture
@@ -406,20 +406,6 @@ def test_clt_diagnostic_third_order_residual(spin_half, rng):
     assert small < 1e-8
     with pytest.raises(DimensionMismatch):
         clt_diagnostic(state, spin_half, [np.zeros(2)])
-
-
-def clt_per_theta(state, gens, theta_grid):
-    """`clt_diagnostic` one theta at a time, with the unitary exp(-i theta.X)
-    built from its own `eigh`: the batched readout must agree with it."""
-    psi = state.amplitudes
-    means = np.array([np.real(psi.conj() @ (X @ psi)) for X in gens.generators])
-    F = qfim_pure(state, gens)
-    worst = 0.0
-    for theta in theta_grid:
-        w, V = np.linalg.eigh(np.tensordot(theta, gens.generators, axes=1))
-        chi = complex(psi.conj() @ ((V * np.exp(-1j * w)) @ V.conj().T @ psi))
-        worst = max(worst, abs(np.log(chi) - (-1j * float(theta @ means) - float(theta @ F @ theta) / 8)))
-    return worst
 
 
 @pytest.mark.parametrize("d, m, K", [(2, 3, 1), (4, 2, 5), (16, 3, 12)])
