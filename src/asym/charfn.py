@@ -276,8 +276,11 @@ def exact_copy_numbers(N, low: int = 1) -> np.ndarray:
     exactly (most above 2^53): the Gram test reads the parity of N and M off
     these floats, so a rounded copy number would decide another conversion."""
     x = copy_numbers(N, low)
-    ints = np.asarray(N, dtype=object)  # a float compares to a Python int exactly
-    for n, f in zip(ints.flat, x.flat):
+    if isinstance(N, (int, np.integer)):  # one copy number, the common case
+        pairs = ((N, x),)
+    else:  # as Python ints, which a float compares to exactly
+        pairs = zip(np.asarray(N, dtype=object).flat, x.flat)
+    for n, f in pairs:
         if isinstance(n, (int, np.integer)) and float(f) != int(n):
             raise DomainError(f"copy number {int(n)} has no exact float (it would be read as "
                               f"{f:.17g}); integers up to 2^53 are exact")

@@ -450,7 +450,7 @@ def label_group(shape: tuple[int, ...]) -> FiniteGroup:
     _frozen(group.inv)
     strides = np.cumprod((1, *shape[:0:-1]))[::-1]  # row-major index of each unit label
     basis = tuple((int(g), t) for g, t in zip(strides, shape) if t > 1)
-    group.__dict__["cyclic_decomposition"] = (basis, _frozen(np.arange(n)))
+    group.__dict__["cyclic_decomposition"] = (basis, _frozen(np.arange(n)))  # the cached value
     return group
 
 
