@@ -18,7 +18,9 @@ decision on that group, `feasible_exact`, and the weights w are its
 readout. Each Fourier block of the label group is one number: the block
 of grid label k is |G| * w at label -k. So w is the decision's own blocks
 (`FeasibilityResult.block_min`) read in label order, with no transform,
-|G| min w is the minimum Gram eigenvalue, and there is one verdict. A
+|G| min w is the minimum Gram eigenvalue, and there is one verdict. The
+interpolator f is never formed as values on the labels: the decision reads
+its real coordinates alone, and so do the weights. A
 `ChargeDistribution` is immutable, so its dual coefficients and
 characteristic function are computed on first read and kept.
 """

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, GroupMismatch, NotHermitian, SymNotSubgroup
-from .groups import FiniteGroup, PairSplit, ProjectiveRep, PureState, _frozen, is_subgroup
+from .groups import FiniteGroup, PairSplit, ProjectiveRep, PureState, _frozen, as_index, is_subgroup
 from .tolerances import TOL_HERM, TOL_ONE, TOL_ZERO
 
 
@@ -126,8 +126,8 @@ def char_from_values(group: FiniteGroup, values) -> CharFunction:
         raise DimensionMismatch(f"expected {group.order} values, got shape {vals.shape}")
     vals[group.identity] = 1.0
     check_hermitian(vals, group.inv, 1.0, "chi")
-    make_hermitian(vals, group.inv)
-    return CharFunction(group, *_polar(vals, group.identity, group.inv), group.is_abelian(),
+    make_hermitian(vals, group.pairs)
+    return CharFunction(group, *_polar(vals, group.identity, group.pairs), group.is_abelian(),
                         linear=True)
 
 
@@ -138,30 +138,27 @@ def check_hermitian(vals: np.ndarray, inv: np.ndarray, scale: float, name: str) 
         raise NotHermitian(f"{name}(g^-1) deviates from conj {name}(g) by {dev:.3e}")
 
 
-def make_hermitian(vals: np.ndarray, inv: np.ndarray) -> np.ndarray:
+def make_hermitian(vals: np.ndarray, pairs: PairSplit) -> np.ndarray:
     """Make vals(g^-1) = conj vals(g) exact in vals (..., n), in place, for the
-    inverse map inv (n,): real on e and the involutions, conj vals(g) at g^-1
-    for g < g^-1 (+ 0.0 turns an imaginary -0.0 into +0.0, so phases stay in
-    (-pi, pi]). It pairs chi, a charge distribution's dual coefficients among
-    them (`char_from_values` on the label group)."""
-    g = np.arange(inv.size)
-    own, first = g == inv, g < inv
-    vals[..., own] = vals[..., own].real
-    vals[..., inv[first]] = vals[..., first].conj() + 0.0
+    group's split `pairs`: real on e and the involutions (`own`), conj vals(g)
+    at g^-1 for g < g^-1 (`first`; + 0.0 turns an imaginary -0.0 into +0.0,
+    so phases stay in (-pi, pi]). It pairs chi, a charge distribution's dual
+    coefficients among them (`char_from_values` on the label group)."""
+    vals[..., pairs.own] = vals[..., pairs.own].real
+    vals[..., pairs.partner] = vals[..., pairs.first].conj() + 0.0
     return vals
 
 
-def _polar(vals: np.ndarray, identity: int, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polar(vals: np.ndarray, identity: int, pairs: PairSplit) -> tuple[np.ndarray, np.ndarray]:
     """The polar codec: (log|chi|, phase) of vals (n,), (0, 0) at the identity,
     log|chi| <= 0 (round-off clipped) and -inf at exact zeros; |chi(g^-1)| =
-    |chi(g)|, so g^-1 takes the log-modulus of g < g^-1 under inv (n,)."""
+    |chi(g)|, so g^-1 takes the log-modulus of g < g^-1 (`pairs`)."""
     mod = np.abs(vals)
     with np.errstate(divide="ignore"):
         logmod = np.minimum(np.log(mod), 0.0)
     phase = np.where(mod > 0, np.angle(vals), 0.0)
     logmod[identity] = phase[identity] = 0.0
-    first = np.flatnonzero(np.arange(inv.size) < inv)
-    logmod[inv[first]] = logmod[first]
+    logmod[pairs.partner] = logmod[pairs.first]
     return logmod, phase
 
 
@@ -171,11 +168,11 @@ def _from_polar(logmod: np.ndarray, phase: np.ndarray) -> np.ndarray:
         return np.where(np.isneginf(logmod), 0.0, np.exp(logmod + 1j * phase))
 
 
-def real_phase(phase: np.ndarray, inv: np.ndarray, *powers) -> np.ndarray:
+def real_phase(phase: np.ndarray, pairs: PairSplit, *powers) -> np.ndarray:
     """Set phase (..., n) of prod_i chi_i^N_i, powers the (phase_i, N_i), in
-    place on e and the involutions of inv (n,), where each chi_i is real:
+    place on e and the involutions (`pairs.own`), where each chi_i is real:
     pi where it is negative (`negative_parity`)."""
-    own = inv == np.arange(inv.size)
+    own = pairs.own
     phase[..., own] = np.pi * negative_parity(*((_negative(p[own]), N) for p, N in powers))
     return phase
 
@@ -204,14 +201,16 @@ def char_function(rep: ProjectiveRep, state: PureState) -> CharFunction:
         raise DimensionMismatch(f"state dim {state.dim} != rep dim {rep.dim}")
     psi = state.amplitudes
     vals = np.einsum("i,gij,j->g", psi.conj(), rep.matrices, psi)
-    if rep.linear:
-        make_hermitian(vals, rep.group.inv)
     g = rep.group
-    return CharFunction(g, *_polar(vals, g.identity, g.inv), rep.commutative, rep.linear)
+    if rep.linear:
+        make_hermitian(vals, g.pairs)
+    return CharFunction(g, *_polar(vals, g.identity, g.pairs), rep.commutative, rep.linear)
 
 
 def resource_measure_L(char: CharFunction, g: int) -> float:
-    """-log|chi(g)|; +inf where chi vanishes, 0 on the symmetry subgroup."""
+    """-log|chi(g)|; +inf where chi vanishes, 0 on the symmetry subgroup.
+    DomainError unless g is an integer index into the group."""
+    g = as_index(g, "element index")
     if not 0 <= g < char.group.order:
         raise DomainError(f"element index {g} out of range")
     return float(-char.logmod[g]) + 0.0  # +inf at -inf, 0.0 (not -0.0) at 0
@@ -293,5 +292,5 @@ def char_power(char: CharFunction, N: int) -> CharFunction:
     n = float(copy_numbers(N))
     phase = np.angle(np.exp(1j * (char.phase * n)))  # wrapped to (-pi, pi]
     if char.linear:
-        real_phase(phase, char.group.inv, (char.phase, N))
+        real_phase(phase, char.group.pairs, (char.phase, N))
     return CharFunction(char.group, char.logmod * n, phase, char.commutative, char.linear)

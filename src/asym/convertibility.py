@@ -21,9 +21,9 @@ the kernel carries omega^(N-M)), so `feasible_exact` and
 holds for both. On a linear rep chi(g^-1) = conj chi(g), and so is f: it
 is built as its n real coordinates (`groups.PairSplit`), f on e and the
 involutions and Re f, Im f on one element g < g^-1 of each other pair, read
-off the same coordinates of chi (`CharFunction.split_polar`), and
-`PairSplit.expand` takes them to values, Hermitian bit for bit. Only
-`is_positive_definite` checks the Hermiticity of values a caller passes.
+off the same coordinates of chi (`CharFunction.split_polar`). f is never
+formed as values: the spectrum and the witnesses are read off them. Only
+`is_positive_definite` takes values, and checks that they are Hermitian.
 
 M is a convolution operator, M = sum_k f(k) R(k) over the right translations
 R(k), so its spectrum is the union of the spectra of the Fourier blocks
@@ -39,7 +39,7 @@ Cost: a one-off O(n^3) decomposition per group object, then per copy number
 O(n) transcendentals on the n/2 to n representatives and one real
 O(n^2) matmul, against O(n^3) for a dense eigendecomposition of M.
 
-`_interpolate` and `gram_min_eigenvalues` work on rows of copy numbers;
+`_interpolate` and `_min_eig` work on rows of copy numbers;
 `feasible_exact` and `is_positive_definite` are their single-row case, and
 `minimal_copies_search` decides a block of copy numbers per pass, with as
 many rows per block as fit in `groups._CHUNK_BYTES` (64 rows at n = 256).
@@ -64,7 +64,7 @@ import numpy as np
 from .charfn import CharFunction, SplitPolar, check_hermitian, check_same_group, copy_numbers
 from .charfn import exact_copy_numbers, negative_parity
 from .errors import DomainError
-from .groups import FiniteGroup, _block_rows, hermitian_matrix
+from .groups import FiniteGroup, _block_rows, as_index, hermitian_matrix
 from .tolerances import TOL_FLOOR, TOL_PSD
 
 MAX_SEARCH_COPIES = 10**4  # largest n_max of `minimal_copies_search`
@@ -75,7 +75,6 @@ _LOG_TINY = math.log(np.finfo(float).tiny)  # below it |f| would be subnormal: f
 class FeasibilityResult:
     feasible: bool
     min_gram_eigenvalue: float
-    f: np.ndarray  # (n,) the interpolator, values on G
     block_min: np.ndarray  # minimum eigenvalue of each irrep block, in `IrrepBasis` order
     modulus_witness: int | None = None  # smallest k != e that `_minor_fails` at, if any
     zero_set_witness: int | None = None  # smallest g with chi_phi^M(g) = 0 != chi_psi^N(g)
@@ -125,32 +124,22 @@ def _interpolate(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, np
 
     psi and phi are split characteristic functions (`CharFunction.split_polar`).
     N and M are copy numbers: two ints, or K each (any shape with K entries)
-    for K rows at once. Returns the (K, n) coordinates of f (`PairSplit.expand`
-    takes them to values, Hermitian bit for bit) and, per row, the first
-    element where chi_phi^M vanishes but chi_psi^N does not, or -1. Zero sets
-    are classified once, on the single-copy functions (chi^N vanishes exactly
-    where chi does); M = 0 is the trivial target, identically 1. DomainError
-    for N < 1, M < 0, a copy number off the integers up to MAX_COPIES or an
-    integer that no float holds exactly (`charfn.exact_copy_numbers`).
+    for K rows at once. Returns the (K, n) coordinates of f (`groups.PairSplit`)
+    and, per row, the first element where chi_phi^M vanishes but chi_psi^N
+    does not, or -1. Zero sets are classified once, on the single-copy
+    functions (chi^N vanishes exactly where chi does); M = 0 is the trivial
+    target, identically 1. DomainError for N < 1, M < 0, a copy number off
+    the integers up to MAX_COPIES or an integer that no float holds exactly
+    (`charfn.exact_copy_numbers`).
     """
     N, M = (np.reshape(exact_copy_numbers(x, low), (-1, 1)) for x, low in ((N, 1), (M, 0)))
     dlog, violation = _log_ratio(psi, phi, N, M)
     return _coords(dlog, psi, phi, N, M), violation
 
 
-def gram_min_eigenvalues(group: FiniteGroup, values: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of M[g, h] = f(g^-1 h) for each row f of values (K, n).
-
-    M is Hermitian iff f(g^-1) = conj f(g), as `_interpolate` makes f and
-    `is_positive_definite` checks it; the spectrum is that of f's Hermitian
-    part, read off its coordinates (`_min_eig`).
-    """
-    return _min_eig(group, group.pairs.coords(np.asarray(values)))
-
-
 def _min_eig(group: FiniteGroup, coords: np.ndarray) -> np.ndarray:
-    """Minimum Gram eigenvalue for each row of coordinates (K, n): the least
-    of `_block_mins`."""
+    """Minimum eigenvalue of M[g, h] = f(g^-1 h) for each row (K, n) of
+    coordinates of a Hermitian f: the least of `_block_mins`."""
     return np.min([b.min(axis=-1) for b in _block_mins(group, coords)], axis=0)
 
 
@@ -193,31 +182,40 @@ def _first_failure(min_eig: np.ndarray, violation, order: int) -> int:
 def is_positive_definite(group: FiniteGroup, values: np.ndarray) -> FeasibilityResult:
     """Gram-matrix positive semidefiniteness test for the function f = values (n,) on G.
 
-    The Gram rule (`_verdict`) behind the gate `charfn.check_hermitian` at
-    scale max(1, max |f|): M[g, h] = f(g^-1 h) is Hermitian iff f(g^-1) = conj f(g).
+    The Gram rule (`_verdict`) on the coordinates of f, behind the gate
+    `charfn.check_hermitian` at scale max(1, max |f|): M[g, h] = f(g^-1 h)
+    is Hermitian iff f(g^-1) = conj f(g).
     """
     check_hermitian(values, group.inv, max(1.0, np.abs(values).max()), "f")
-    return _verdict(group, group.pairs.coords(values), values, -1)
+    return _verdict(group, group.pairs.coords(values), -1)
 
 
-def _verdict(group: FiniteGroup, coords: np.ndarray, f: np.ndarray, bad: int) -> FeasibilityResult:
-    """The Gram rule on one Hermitian row f (n,), of coordinates coords (n,),
-    with zero-set violation bad (an element, or -1): feasible iff bad < 0
-    and the minimum eigenvalue of M[g, h] = f(g^-1 h), from its Fourier
-    blocks, is >= -TOL_PSD * |G|; with the witnesses of the report and the
-    minimum of each block, of which min_gram_eigenvalue is the least. On an
-    abelian group every block is 1 x 1, so these are the whole spectrum."""
+def _verdict(group: FiniteGroup, coords: np.ndarray, bad: int) -> FeasibilityResult:
+    """The Gram rule on one Hermitian f of coordinates coords (n,), with
+    zero-set violation bad (an element, or -1): feasible iff bad < 0 and the
+    minimum eigenvalue of M[g, h] = f(g^-1 h), from its Fourier blocks, is
+    >= -TOL_PSD * |G|; with the witnesses of the report and the minimum of
+    each block, of which min_gram_eigenvalue is the least. On an abelian
+    group every block is 1 x 1, so these are the whole spectrum.
+
+    The modulus witness reads |f| on the representatives (`PairSplit.heads`)
+    off the coordinates: |c| on `own`, the modulus of (Re, Im) on `first`,
+    with diag = the coordinate at e. As |f(g^-1)| = |f(g)|, the smallest
+    failing representative is the smallest failing element."""
+    pairs = group.pairs
+    n0, p = pairs.own.size, pairs.first.size
     block_min = np.concatenate(_block_mins(group, coords[None]), axis=-1)[0]
     min_eig = block_min.min(keepdims=True)
-    fails = _minor_fails(np.abs(f), f[group.identity].real, group.order)
-    fails[group.identity] = False  # the minor takes k != e
-    over = np.flatnonzero(fails)
+    m = np.concatenate([np.abs(coords[:n0]), np.hypot(coords[n0 : n0 + p], coords[n0 + p :])])
+    e = np.searchsorted(pairs.own, group.identity)
+    fails = _minor_fails(m, coords[e], group.order)
+    fails[e] = False  # the minor takes k != e
+    over = pairs.heads[fails]
     return FeasibilityResult(
         feasible=_first_failure(min_eig, bad, group.order) < 0,
         min_gram_eigenvalue=float(min_eig[0]),
-        f=f,
         block_min=block_min,
-        modulus_witness=int(over[0]) if over.size else None,
+        modulus_witness=int(over.min()) if over.size else None,
         zero_set_witness=int(bad) if bad >= 0 else None,
     )
 
@@ -245,7 +243,7 @@ def feasible_exact(
     """Feasibility of psi^N -> phi^M under G-covariant operations.
 
     One row of the scan: the coordinates of the Hermitian interpolator go to
-    the Gram rule (`_verdict`), and are expanded once, to the report's f.
+    the Gram rule (`_verdict`).
     Where chi_phi^M vanishes and chi_psi^N does not, the answer is
     infeasible, with the smallest such element as `zero_set_witness`. M = 0
     is accepted as the trivial (symmetric) target, which is always
@@ -256,7 +254,7 @@ def feasible_exact(
     _require_linear(char_psi, char_phi)
     group = char_psi.group
     (coords,), (bad,) = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
-    return _verdict(group, coords, group.pairs.expand(coords), int(bad))
+    return _verdict(group, coords, int(bad))
 
 
 def _settle(group: FiniteGroup, dlog, violation) -> tuple[np.ndarray, np.ndarray]:
@@ -319,10 +317,12 @@ def minimal_copies_search(
     decides what it can of each block from |f|; only the unsettled rows
     before the block's first row settled infeasible get their coordinates
     and the Gram test. DomainError for a copy number `_interpolate` would
-    refuse, and unless both characteristic functions come from a linear rep.
+    refuse, for an n_max that is not an integer, and unless both
+    characteristic functions come from a linear rep.
     """
     if not (math.isfinite(r) and r >= 0):
         raise DomainError(f"rate must be a finite number >= 0, got {r}")
+    n_max = as_index(n_max, "n_max")
     if not 1 <= n_max <= MAX_SEARCH_COPIES:
         raise DomainError(f"n_max must be in [1, {MAX_SEARCH_COPIES}], got {n_max}")
     check_same_group(char_psi, char_phi)

@@ -8,7 +8,9 @@ cached cyclic decomposition, any other group gets them by Dixon's method.
 They are kept as one real n x n matrix (`IrrepBasis.real`) that takes the
 n real coordinates of a Hermitian function, f(g^-1) = conj f(g), to those
 of its Fourier blocks; the coordinates come from the group's split of G
-into the orbits {g, g^-1} (`PairSplit`), also cached. A commuting rep keeps
+into the orbits {g, g^-1} (`PairSplit`), also cached, the one place that
+works the split out. Past the input gates a Hermitian function, the
+interpolator f among them, is never formed as values. A commuting rep keeps
 the phase-gauged squarings of its cyclic basis generators, from which
 `abelian.charge_distribution` builds each state's charge sectors.
 `label_group` is the product of cyclic groups on a charge-label grid, kept
@@ -130,19 +132,6 @@ class PairSplit:
             [values[..., self.own].real, (a.real + b.real) / 2.0, (a.imag - b.imag) / 2.0], axis=-1
         )
 
-    def expand(self, coords: np.ndarray) -> np.ndarray:
-        """The Hermitian function (..., n) with these real coordinates: f(g^-1)
-        = conj f(g) bit for bit, f real on `own`, and no -0.0 anywhere (so
-        phases stay in (-pi, pi])."""
-        n0, p = self.own.size, self.first.size
-        c = coords + 0.0  # -0.0 -> +0.0
-        f = np.zeros(c.shape, dtype=complex)
-        f.real[..., self.own] = c[..., :n0]
-        f.real[..., self.first] = f.real[..., self.partner] = c[..., n0 : n0 + p]
-        f.imag[..., self.first] = c[..., n0 + p :]
-        f.imag[..., self.partner] = 0.0 - c[..., n0 + p :]
-        return f
-
 
 def hermitian_coords(B: np.ndarray) -> np.ndarray:
     """The d^2 real coordinates (..., d^2) of the Hermitian part (B + B^+)/2 of
@@ -207,9 +196,8 @@ class IrrepBasis:
     dimension in increasing order; sum(count * d^2) = n, so `real` is n x n.
     """
 
-    real: np.ndarray  # (n, n) float
+    real: np.ndarray  # (n, n) float, rows indexed by the coordinates of the group's `pairs`
     dims: tuple[tuple[int, int], ...]
-    pairs: PairSplit  # the group's split, whose coordinates index the rows of `real`
 
     def block_coords(self, coords: np.ndarray) -> list[np.ndarray]:
         """Block coordinates of the Hermitian functions with coordinates coords
@@ -221,24 +209,6 @@ class IrrepBasis:
             blocks.append(flat[..., start : start + count * d * d].reshape(*lead, count, d * d))
             start += count * d * d
         return blocks
-
-    def fourier_blocks(self, values: np.ndarray) -> list[np.ndarray]:
-        """Fourier blocks sum_k f(k) rho(k) of f = values (n,), or of each row of
-        values (K, n): one (count, d, d), or (K, count, d, d), array per dimension.
-        f = h + i h' with h, h' Hermitian (h' the Hermitian part of -i f), so
-        each block is the Hermitian block of h plus i times that of h'.
-        """
-        values = np.asarray(values)
-        h = self.block_coords(self.pairs.coords(values))
-        h_ = self.block_coords(self.pairs.coords(-1j * values))
-        return [hermitian_matrix(a) + 1j * hermitian_matrix(b) for a, b in zip(h, h_)]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """(n, n) complex: row k holds rho(k), flattened row-major, for every
-        irrep rho in the order of `dims`; rebuilt from `real` on each read."""
-        n = self.real.shape[0]
-        return np.concatenate([B.reshape(n, -1) for B in self.fourier_blocks(np.eye(n))], axis=1)
 
 
 def _real_basis(matrix: np.ndarray, dims, pairs: PairSplit) -> np.ndarray:
@@ -356,16 +326,26 @@ def build_group(mult_table, name: str | None = None) -> FiniteGroup:
     one pass over the table's e entries.
 
     Raises AxiomViolation naming the failed axiom together with a witness;
-    the associativity witness is the row-major first failing triple.
+    the associativity witness is the row-major first failing triple. An
+    entry that is not an integer (NaN, inf, 1.7, a string, a bool) fails
+    closure and is named.
     """
-    mult = np.asarray(mult_table, dtype=np.intp)
+    mult = np.asarray(mult_table)
     if mult.ndim != 2 or mult.shape[0] != mult.shape[1] or mult.shape[0] == 0:
         raise AxiomViolation("closure", witness=f"table shape {mult.shape}")
     n = mult.shape[0]
     _check_order(n)
+    if mult.dtype.kind not in "iu":  # an integer array pays no pass for this
+        flat = mult.ravel().tolist()  # Python scalars
+        bad = next((k for k, v in enumerate(flat)
+                    if not (type(v) is int or type(v) is float and v.is_integer())), None)
+        if bad is not None:
+            witness = f"entry {divmod(bad, n)} = {flat[bad]!r} is not an integer"
+            raise AxiomViolation("closure", witness=witness)
     if mult.min() < 0 or mult.max() >= n:
         bad = np.argwhere((mult < 0) | (mult >= n))[0]
         raise AxiomViolation("closure", witness=tuple(int(x) for x in bad))
+    mult = mult.astype(np.intp, copy=False)
 
     rng = np.arange(n)
     id_rows = np.where((mult == rng[None, :]).all(axis=1) & (mult.T == rng[None, :]).all(axis=1))[0]
@@ -388,6 +368,14 @@ def build_group(mult_table, name: str | None = None) -> FiniteGroup:
         raise AxiomViolation("inverses", witness="inv is not an involution")
 
     return FiniteGroup(order=n, mult=mult, identity=e, inv=inv, name=name)
+
+
+def as_index(x, name: str) -> int:
+    """x as an int; DomainError for an argument that must be an integer and
+    is not (5.0, 2.7, True, "1")."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise DomainError(f"{name} must be an integer, got {x!r}")
 
 
 def _right_generators(mult: np.ndarray, e: int) -> list[int]:
@@ -702,12 +690,14 @@ def is_subgroup(group: FiniteGroup, elements) -> bool:
     One table test: e is in S and every product of two elements of S is in S.
     A finite set closed under the product holds the inverse of each element
     (a power of it), so nothing else is needed; the empty set is not a subgroup.
+    DomainError for an element that is not an integer index into the group.
     """
-    S = np.fromiter(elements, dtype=np.intp)
+    S = [as_index(s, "element index") for s in elements]
     n = group.order
-    if S.size and not (0 <= S.min() and S.max() < n):
-        bad = S[(S < 0) | (S >= n)][0]
-        raise DomainError(f"element index {bad} out of range [0, {n})")
+    bad = [s for s in S if not 0 <= s < n]
+    if bad:
+        raise DomainError(f"element index {bad[0]} out of range [0, {n})")
+    S = np.array(S, dtype=np.intp)
     member = np.zeros(n, dtype=bool)
     member[S] = True
     return bool(member[group.identity] and member[group.mult[S[:, None], S]].all())
@@ -823,7 +813,7 @@ def regular_irreps(group: FiniteGroup) -> IrrepBasis:
         # the blocks of delta_g, delta_g + delta_g^-1 and i (delta_g - delta_g^-1): chi_k(g)
         # (real on own), 2 Re chi_k(g) and -2 Im chi_k(g), as chi_k(g^-1) = conj chi_k(g)
         real = np.concatenate([np.cos(own), 2 * np.cos(first), -2 * np.sin(first)])
-        return IrrepBasis(real=real, dims=((1, n),), pairs=pairs)
+        return IrrepBasis(real=real, dims=((1, n),))
     for seed in range(_IRREP_SEEDS):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -854,6 +844,5 @@ def regular_irreps(group: FiniteGroup) -> IrrepBasis:
             cols.append(rho.transpose(1, 0, 2, 3).reshape(n, -1))
         if ok and sum(d * d * m for d, m in dims) == n:
             matrix = np.concatenate(cols, axis=1)
-            return IrrepBasis(real=_real_basis(matrix, dims, group.pairs), dims=tuple(dims),
-                              pairs=group.pairs)
+            return IrrepBasis(real=_real_basis(matrix, dims, group.pairs), dims=tuple(dims))
     raise SelfCheckFailed(f"no irrep decomposition of the group of order {n} passed its checks")

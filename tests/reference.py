@@ -5,8 +5,10 @@ import math
 import numpy as np
 
 from asym.charfn import ClassSets, symmetry_subgroup, zero_mask
+from asym.convertibility import _interpolate
 from asym.errors import DomainError, RateNotBelowOptimal
 from asym.exact_rate import FINITE, UNBOUNDED, ZERO, RateReport
+from asym.groups import hermitian_matrix
 from asym.lie import RfResult, _pencil_direction, qfim_pure
 from asym.tolerances import TOL_ONE, TOL_PENCIL
 
@@ -32,6 +34,48 @@ def subgroup_closure(group, seed) -> frozenset[int]:
                     closed.add(c)
                     changed = True
     return frozenset(closed)
+
+
+def expand(pairs, coords) -> np.ndarray:
+    """The Hermitian function (..., n) with real coordinates coords (...,
+    n) under the split `pairs` (`groups.PairSplit`): f(g^-1) = conj f(g) bit
+    for bit, f real on `own`, and no -0.0 anywhere. The library decides on
+    the coordinates alone; the tests that compare values take them here."""
+    n0, p = pairs.own.size, pairs.first.size
+    c = coords + 0.0  # -0.0 -> +0.0
+    f = np.zeros(c.shape, dtype=complex)
+    f.real[..., pairs.own] = c[..., :n0]
+    f.real[..., pairs.first] = f.real[..., pairs.partner] = c[..., n0 : n0 + p]
+    f.imag[..., pairs.first] = c[..., n0 + p :]
+    f.imag[..., pairs.partner] = 0.0 - c[..., n0 + p :]
+    return f
+
+
+def interpolator(char_psi, char_phi, N, M) -> np.ndarray:
+    """The values on G of the interpolator f = chi_psi^N / chi_phi^M that
+    `feasible_exact` decides on: its coordinates from `_interpolate`, expanded."""
+    (coords,), _ = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
+    return expand(char_psi.group.pairs, coords)
+
+
+def fourier_blocks(group, values) -> list[np.ndarray]:
+    """Fourier blocks sum_k f(k) rho(k) of f = values (n,), or of each row of
+    values (K, n), from the group's real irrep basis: one (count, d, d), or
+    (K, count, d, d), array per dimension. f = h + i h' with h, h' Hermitian
+    (h' the Hermitian part of -i f), so each block is the Hermitian block of
+    h plus i times that of h'."""
+    values = np.asarray(values)
+    basis, pairs = group.irreps, group.pairs
+    h = basis.block_coords(pairs.coords(values))
+    h_ = basis.block_coords(pairs.coords(-1j * values))
+    return [hermitian_matrix(a) + 1j * hermitian_matrix(b) for a, b in zip(h, h_)]
+
+
+def irrep_matrix(group) -> np.ndarray:
+    """(n, n) complex: row k holds rho(k), flattened row-major, for every
+    irrep rho in the order of `IrrepBasis.dims`, rebuilt from the real basis."""
+    n = group.order
+    return np.concatenate([B.reshape(n, -1) for B in fourier_blocks(group, np.eye(n))], axis=1)
 
 
 def fft_label_weights(f, shape) -> np.ndarray:

@@ -56,6 +56,13 @@ def test_resource_measure_values(z2_rep):
     assert resource_measure_L(zero_char, 1) == math.inf
 
 
+def test_resource_measure_takes_an_integer_element(z2_rep):
+    # 1.5 used to raise an IndexError from the array lookup
+    char = char_function(z2_rep, z2_population_state(0.8))
+    with pytest.raises(DomainError, match="integer"):
+        resource_measure_L(char, 1.5)
+
+
 def test_classify_sets(z2_rep):
     g = named_group("Z_2")
     sets = classify_sets(char_function(z2_rep, PureState(2, np.array([1.0, 0.0]))))

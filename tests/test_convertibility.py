@@ -32,10 +32,11 @@ from asym.convertibility import (
     _block_min_eig,
     _interpolate,
     _log_ratio,
+    _min_eig,
     _settle,
-    gram_min_eigenvalues,
 )
 from corpus import GROUP_NAMES, gauged_rep, random_state
+from reference import expand, fourier_blocks, interpolator, irrep_matrix
 from asym.errors import DomainError, NotHermitian, SelfCheckFailed
 from asym.groups import PureState, hermitian_coords, hermitian_matrix
 from asym.tolerances import TOL_FLOOR, TOL_HERM, TOL_PSD
@@ -56,12 +57,12 @@ def chi(group, tail):
 
 
 def test_interpolator_ratio(z2):
-    f = feasible_exact(chi(z2, [0.36]), chi(z2, [0.6]), 1, 1).f
+    f = interpolator(chi(z2, [0.36]), chi(z2, [0.6]), 1, 1)
     assert np.allclose(f, [1.0, 0.6], atol=1e-14)
 
 
 def test_interpolator_zero_over_zero_is_zero(z2):
-    f = feasible_exact(chi(z2, [0.0]), chi(z2, [0.0]), 1, 1).f
+    f = interpolator(chi(z2, [0.0]), chi(z2, [0.0]), 1, 1)
     assert f[1] == 0.0
 
 
@@ -70,7 +71,8 @@ def test_interpolator_zero_set_violation(z2):
     res = feasible_exact(chi(z2, [0.5]), chi(z2, [0.0]), 1, 1)
     assert res.feasible is False
     assert res.zero_set_witness == 1
-    assert res.f[1] == 0.0 and np.isfinite(res.min_gram_eigenvalue)
+    assert np.isfinite(res.min_gram_eigenvalue)
+    assert interpolator(chi(z2, [0.5]), chi(z2, [0.0]), 1, 1)[1] == 0.0
     assert feasible_exact(chi(z2, [0.5]), chi(z2, [0.8]), 1, 1).zero_set_witness is None
 
 
@@ -223,6 +225,13 @@ def test_minimal_copies_rejects_bad_nmax(z2):
         minimal_copies_search(psi, psi, 1.0, 10**5)
 
 
+def test_minimal_copies_rejects_an_nmax_that_is_not_an_integer(z2):
+    # 5.0 used to raise a TypeError from range
+    psi = chi(z2, [0.6])
+    with pytest.raises(DomainError, match="n_max"):
+        minimal_copies_search(psi, psi, 1.0, 5.0)
+
+
 @pytest.mark.parametrize(
     "N, M", [(10**400, 1), (1, 10**400), (10**308, 1), (1, 10**308)],
     ids=["N", "M", "N-beyond-phase", "M-beyond-phase"],
@@ -272,21 +281,28 @@ def dense_gram(group, values):
     of f = values.
 
     Returns (hermitian, min_eig, feasible, modulus_witness); min_eig and
-    feasible are None when M is not Hermitian. The witness is the smallest
-    k != e with |f(k)| (1 - TOL_PSD n) > Re f(e) + TOL_PSD n: the 2 x 2
-    principal minor at rows (g, g k) then proves the minimum below the cut.
+    feasible are None when M is not Hermitian.
     """
     n = group.order
     M = values[group.mult[group.inv, :]]
     herm_dev = float(np.abs(M - M.conj().T).max())
     scale = max(1.0, float(np.abs(values).max()))
-    off = np.arange(n) != group.identity
-    over = np.flatnonzero(off & (np.abs(values) * (1 - TOL_PSD * n) > values[group.identity].real + TOL_PSD * n))
-    witness = int(over[0]) if over.size else None
+    witness = minor_witness(group, values)
     if herm_dev > TOL_HERM * scale:
         return False, None, None, witness
     min_eig = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
     return True, min_eig, min_eig >= -TOL_PSD * n, witness
+
+
+def minor_witness(group, values):
+    """The smallest k != e with |f(k)| (1 - TOL_PSD n) > Re f(e) + TOL_PSD n,
+    on every element of G, or None: the 2 x 2 principal minor of the Gram
+    matrix at rows (g, g k) then proves its minimum below the cut."""
+    n = group.order
+    fails = np.abs(values) * (1 - TOL_PSD * n) > values[group.identity].real + TOL_PSD * n
+    fails[group.identity] = False
+    over = np.flatnonzero(fails)
+    return int(over[0]) if over.size else None
 
 
 def dihedral_table(m):
@@ -350,10 +366,10 @@ def positive_type(group, rng):
 
 def irreps_by_dim(group):
     """The cached irreps, one (n, count, d, d) array of matrices per dimension."""
-    basis, n = group.irreps, group.order
+    basis, n, matrix = group.irreps, group.order, irrep_matrix(group)
     out, start = [], 0
     for d, count in basis.dims:
-        out.append(basis.matrix[:, start : start + count * d * d].reshape(n, count, d, d))
+        out.append(matrix[:, start : start + count * d * d].reshape(n, count, d, d))
         start += count * d * d
     return out
 
@@ -469,7 +485,7 @@ def test_closed_form_2x2_across_entry_scales(scale):
 
 def test_closed_form_2x2_on_an_empty_batch(oracle_group):
     assert block_min_eig(np.zeros((0, 63, 2, 2), dtype=complex)).shape == (0, 63)
-    min_eig = gram_min_eigenvalues(oracle_group("D_128"), np.zeros((0, 256), complex))
+    min_eig = _min_eig(oracle_group("D_128"), np.zeros((0, 256)))
     assert min_eig.shape == (0,)
 
 
@@ -480,7 +496,7 @@ def test_eigvalsh_is_reached_only_above_dimension_two(name, oracle_group, monkey
     seen, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: seen.append(A.shape[-1]) or eigvalsh(A))
     rng = np.random.default_rng(21)
-    gram_min_eigenvalues(group, np.stack([random_hermitian(group, rng) for _ in range(3)]))
+    _min_eig(group, group.pairs.coords(np.stack([random_hermitian(group, rng) for _ in range(3)])))
     assert seen == [d for d, _ in group.irreps.dims if d > 2]
 
 
@@ -528,7 +544,7 @@ def test_irrep_decomposition_is_deterministic(oracle_group):
         fresh = build_group(group.mult.copy())
         assert fresh.irreps is not group.irreps
         assert fresh.irreps.dims == group.irreps.dims
-        assert np.array_equal(fresh.irreps.matrix, group.irreps.matrix)
+        assert np.array_equal(fresh.irreps.real, group.irreps.real)
         f = random_hermitian(group, np.random.default_rng(5))
         first = is_positive_definite(group, f)
         again = is_positive_definite(fresh, f)
@@ -557,9 +573,9 @@ def test_real_transform_matches_the_fourier_blocks_and_the_dense_gram_spectrum(
     f = (z + z[group.inv].conj()) / 2.0  # Hermitian bit for bit
     coords = pairs.coords(f)
     assert coords.shape == (n,)
-    assert np.array_equal(pairs.expand(coords), f)
+    assert np.array_equal(expand(pairs, coords), f)
     blocks = basis.block_coords(coords)
-    for C, B in zip(blocks, basis.fourier_blocks(f)):
+    for C, B in zip(blocks, fourier_blocks(group, f)):
         assert np.array_equal(hermitian_matrix(C), B)  # the anti-Hermitian part is exactly 0
     spectrum = np.sort(np.concatenate([
         np.repeat(np.linalg.eigvalsh(hermitian_matrix(C)).ravel(), d)
@@ -568,7 +584,7 @@ def test_real_transform_matches_the_fourier_blocks_and_the_dense_gram_spectrum(
     dense = np.linalg.eigvalsh(f[group.mult[group.inv, :]])
     tol = 1e-10 * n * max(1.0, np.abs(f).max())
     assert np.abs(spectrum - dense).max() <= tol
-    assert abs(gram_min_eigenvalues(group, f[None])[0] - dense[0]) <= tol
+    assert abs(_min_eig(group, coords[None])[0] - dense[0]) <= tol
 
 
 @pytest.mark.parametrize(
@@ -595,19 +611,22 @@ def test_pair_split_of_g_to_its_inverse(name, involutions, pairs, oracle_group):
     [(1, 0), (1, 1), (2, 1), (3, 2), (7, 3), (40, 41), (10**6, 10**6 - 1), (2**53 - 1, 2**52 + 1)],
 )
 def test_the_reported_interpolator_is_hermitian_bit_for_bit(corpus, N, M):
-    """`feasible_exact` reports f with f(g^-1) = conj f(g) exactly, f exactly
-    real on e and the involutions, and no -0.0 anywhere."""
+    """The coordinates `feasible_exact` decides on give f with f(g^-1) =
+    conj f(g) exactly, f exactly real on e and the involutions, and no -0.0
+    anywhere; its modulus witness, read off the coordinates, is the one the
+    2 x 2 minor rule finds on the values of f."""
     rng = np.random.default_rng(N % 1000 + M % 997)
     for group, rep in corpus.values():
         states = [random_state(rep.dim, rng) for _ in range(3)]
         states.append(PureState(rep.dim, np.eye(rep.dim)[0]))
         own = group.inv == np.arange(group.order)
         for a, b in itertools.permutations([char_function(rep, s) for s in states], 2):
-            f = feasible_exact(a, b, N, M).f
+            f = interpolator(a, b, N, M)
             assert np.array_equal(f[group.inv], f.conj())
             assert (f.imag[own] == 0).all()
             assert not np.signbit(f.real[f.real == 0]).any()
             assert not np.signbit(f.imag[f.imag == 0]).any()
+            assert feasible_exact(a, b, N, M).modulus_witness == minor_witness(group, f)
 
 
 def test_irrep_decomposition_failing_its_checks_is_a_typed_error(monkeypatch):
@@ -687,7 +706,7 @@ def concentrated_type(group, rng, terms=3):
     """A positive-type f whose state spans few irrep coefficients, so |f| is near 1
     on much of G, and may be 1 on a subgroup or 0 somewhere."""
     cols = rng.choice(group.order, size=terms, replace=False)
-    v = group.irreps.matrix[:, cols] @ (rng.standard_normal(terms) + 1j * rng.standard_normal(terms))
+    v = irrep_matrix(group)[:, cols] @ (rng.standard_normal(terms) + 1j * rng.standard_normal(terms))
     return (v.conj()[:, None] * v[group.mult]).sum(axis=0) / np.vdot(v, v).real
 
 
@@ -836,8 +855,7 @@ def test_batched_min_eigenvalues_match_feasible_exact(name, oracle_group):
     for r in rates(psi, phi)[:3]:  # r <= the exact rate: |f| <= 1
         M = np.floor(r * N + 1e-12)
         coords, violation = _interpolate(psi.split_polar, phi.split_polar, N, M)
-        vals = group.pairs.expand(coords)
-        min_eig = gram_min_eigenvalues(group, vals)
+        min_eig = _min_eig(group, coords)
         for k in np.flatnonzero(violation < 0):
             one = feasible_exact(psi, phi, int(N[k]), int(M[k])).min_gram_eigenvalue
             assert abs(min_eig[k] - one) <= 1e-10 * n, (r, N[k])
@@ -848,7 +866,7 @@ def index_two_indicator(group):
     0 elsewhere: a positive-type function, so its product with one is too."""
     d, count = group.irreps.dims[0]
     assert d == 1
-    chars = group.irreps.matrix[:, :count]
+    chars = irrep_matrix(group)[:, :count]
     sign = next(c for c in chars.T if np.allclose(c, np.sign(c.real)) and c.real.min() < 0)
     return (sign.real > 0).astype(float)
 
@@ -932,16 +950,23 @@ def settle(char_psi, char_phi, r, N):
 
 
 def assert_settled_rows_agree(char_psi, char_phi, n_max, extra_rates=()):
-    """Every row the certificate settles gets its verdict from `feasible_exact`;
-    returns how many rows it settled feasible and infeasible."""
+    """Every row the certificate settles gets its verdict from `feasible_exact`,
+    and the witness of the 2 x 2 minor that both read (`_minor_fails`): a
+    modulus witness on a row settled infeasible with no zero-set violation,
+    none on a row settled feasible. Returns how many rows it settled
+    feasible and infeasible."""
     counts = np.zeros(2, dtype=int)
     N = np.arange(1, n_max + 1)
     for r in (*extra_rates, *rates(char_psi, char_phi)):
         M, feasible, infeasible = settle(char_psi, char_phi, r, N)
         assert not (feasible & infeasible).any()
         for k in np.flatnonzero(feasible | infeasible):
-            got = feasible_exact(char_psi, char_phi, int(N[k]), int(M[k])).feasible
-            assert got == feasible[k], (r, N[k], M[k])
+            res = feasible_exact(char_psi, char_phi, int(N[k]), int(M[k]))
+            assert res.feasible == feasible[k], (r, N[k], M[k])
+            if feasible[k]:
+                assert res.modulus_witness is None, (r, N[k], M[k])
+            elif res.zero_set_witness is None:
+                assert res.modulus_witness is not None, (r, N[k], M[k])
         counts += feasible.sum(), infeasible.sum()
     return counts
 

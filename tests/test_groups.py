@@ -53,6 +53,20 @@ def test_associativity_violation_reports_witness():
         build_group(table)
 
 
+@pytest.mark.parametrize(
+    "table, entry",
+    [([[np.nan]], "(0, 0) = nan"), ([[np.inf]], "(0, 0) = inf"),
+     ([[0, 1.7], [1.2, 0]], "(0, 1) = 1.7"), ([["0"]], "(0, 0) = '0'")],
+    ids=["nan", "inf", "fractions", "string"],
+)
+def test_a_table_entry_that_is_not_an_integer_fails_closure(table, entry):
+    # nan used to raise an untyped ValueError and inf an OverflowError; the
+    # fractions were truncated into Z_2 and the string read as 0
+    with pytest.raises(AxiomViolation, match="closure") as exc:
+        build_group(table)
+    assert exc.value.witness == f"entry {entry} is not an integer"
+
+
 def test_named_group_z1_trivial():
     assert named_group("Z_1").order == 1
 
@@ -161,6 +175,12 @@ def test_is_subgroup_rejects_out_of_range_elements():
     for bad in ({0, 4}, {-1, 0}):
         with pytest.raises(DomainError):
             groups.is_subgroup(g, bad)
+
+
+def test_is_subgroup_rejects_an_element_that_is_not_an_integer():
+    # np.fromiter used to truncate 2.7 to 2, and {0, 2} is a subgroup of Z_4
+    with pytest.raises(DomainError, match="integer"):
+        groups.is_subgroup(named_group("Z_4"), [0, 2.7])
 
 
 def test_subgroup_closure_s3_three_cycle():
