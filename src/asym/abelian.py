@@ -49,7 +49,10 @@ class ChargeDistribution:
     probs: np.ndarray  # flat, row-major over the label grid
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(self.shape))  # a key of `label_group`
+        shape = tuple(self.shape)
+        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in shape):
+            raise ShapeMismatch(f"shape {shape} has an entry that is not an integer")
+        object.__setattr__(self, "shape", tuple(map(int, shape)))  # a key of `label_group`
         if len(self.shape) == 0 or min(self.shape) < 1:
             raise ShapeMismatch(f"shape {self.shape} needs one or more entries, each >= 1")
         p = np.array(self.probs, dtype=float)  # a copy: made read-only below

@@ -175,6 +175,7 @@ def cmd_qfim(args, state, generators) -> dict:
 
 
 def cmd_rf(args, generators, psi, phi) -> dict:
+    lie._check_delta(args.delta)  # also without --rate, which alone asks for the certificate
     F_psi = lie.qfim(lie.pure_density(psi), generators)
     F_phi = lie.qfim(lie.pure_density(phi), generators)
     res = lie.rf_ratio(F_psi, F_phi)

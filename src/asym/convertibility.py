@@ -29,12 +29,12 @@ M is a convolution operator, M = sum_k f(k) R(k) over the right translations
 R(k), so its spectrum is the union of the spectra of the Fourier blocks
 f^(rho) = sum_k f(k) rho(k), one d_rho x d_rho block per irrep rho. The
 oracle never forms M. Each block of a Hermitian f is Hermitian, with d^2
-real coordinates; sum d^2 = n, so one real n x n matrix per group
+real coordinates, its pair coordinates under the transpose, in f's own codec
+(`groups.block_pairs`); sum d^2 = n, so one real n x n matrix per group
 (`IrrepBasis.real`, cached with the irreps; the characters for an abelian
 group) takes f's coordinates to all of them at once. The minimum eigenvalue
 of each block is the block itself for d = 1, a closed form for d = 2 (the
-dihedral groups, S_3, Q_8), and one batched `eigvalsh` per irrep dimension
-above 2.
+dihedral groups, S_3, Q_8), and one batched `eigvalsh` per dimension above 2.
 Cost: a one-off O(n^3) decomposition per group object, then per copy number
 O(n) transcendentals on the n/2 to n representatives and one real
 O(n^2) matmul, against O(n^3) for a dense eigendecomposition of M.
@@ -63,8 +63,8 @@ import numpy as np
 
 from .charfn import CharFunction, SplitPolar, check_hermitian, check_same_group, copy_numbers
 from .charfn import exact_copy_numbers, negative_parity
-from .errors import DomainError
-from .groups import FiniteGroup, _block_rows, as_index, hermitian_matrix
+from .errors import DimensionMismatch, DomainError
+from .groups import FiniteGroup, _block_rows, as_index, block_pairs
 from .tolerances import TOL_FLOOR, TOL_PSD
 
 MAX_SEARCH_COPIES = 10**4  # largest n_max of `minimal_copies_search`
@@ -153,7 +153,7 @@ def _block_mins(group: FiniteGroup, coords: np.ndarray) -> list[np.ndarray]:
 
 def _block_min_eig(C: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of each Hermitian d x d block with coordinates C
-    (..., d^2) (`groups.hermitian_coords`).
+    (..., d^2), its pair coordinates under the transpose (`groups.block_pairs`).
 
     d = 1: the block itself. d = 2: the closed form
     (a + c)/2 - hypot((a - c)/2, |b|), with a, c the diagonal and b the
@@ -165,7 +165,8 @@ def _block_min_eig(C: np.ndarray) -> np.ndarray:
         a, c = C[..., 0], C[..., 1]
         b = C[..., 2] + 1j * C[..., 3]  # complex abs and hypot of the parts differ in the last bit
         return (a + c) / 2.0 - np.hypot((a - c) / 2.0, np.abs(b))
-    return np.linalg.eigvalsh(hermitian_matrix(C))[..., 0]
+    d = math.isqrt(C.shape[-1])
+    return np.linalg.eigvalsh(block_pairs(d).expand(C).reshape(*C.shape[:-1], d, d))[..., 0]
 
 
 def _first_failure(min_eig: np.ndarray, violation, order: int) -> int:
@@ -184,8 +185,11 @@ def is_positive_definite(group: FiniteGroup, values: np.ndarray) -> FeasibilityR
 
     The Gram rule (`_verdict`) on the coordinates of f, behind the gate
     `charfn.check_hermitian` at scale max(1, max |f|): M[g, h] = f(g^-1 h)
-    is Hermitian iff f(g^-1) = conj f(g).
+    is Hermitian iff f(g^-1) = conj f(g). DimensionMismatch unless values is (n,).
     """
+    values = np.asarray(values)
+    if values.shape != (group.order,):
+        raise DimensionMismatch(f"expected {group.order} values, got shape {values.shape}")
     check_hermitian(values, group.inv, max(1.0, np.abs(values).max()), "f")
     return _verdict(group, group.pairs.coords(values), -1)
 

@@ -7,14 +7,14 @@ its irreps on first use: an abelian group reads its characters off its
 cached cyclic decomposition, any other group gets them by Dixon's method.
 They are kept as one real n x n matrix (`IrrepBasis.real`) that takes the
 n real coordinates of a Hermitian function, f(g^-1) = conj f(g), to those
-of its Fourier blocks; the coordinates come from the group's split of G
-into the orbits {g, g^-1} (`PairSplit`), also cached, the one place that
-works the split out. Past the input gates a Hermitian function, the
-interpolator f among them, is never formed as values. A commuting rep keeps
-the phase-gauged squarings of its cyclic basis generators, from which
-`abelian.charge_distribution` builds each state's charge sectors.
-`label_group` is the product of cyclic groups on a charge-label grid, kept
-per shape, with the grid recorded as its cyclic decomposition.
+of its Fourier blocks. One codec (`PairSplit`) gives both: f's from the
+split of G into the orbits {g, g^-1}, cached, a block's from the split of
+its d^2 entries under the transpose (`block_pairs`). Past the input gates a
+Hermitian function, the interpolator f among them, is never formed as
+values. A commuting rep keeps the phase-gauged squarings of its cyclic basis
+generators, from which `abelian.charge_distribution` builds each state's
+charge sectors. `label_group`, the product of cyclic groups on a charge-label
+grid, is kept per shape, with the grid recorded as its cyclic decomposition.
 
 Validation cost: `build_group` decides associativity by Light's test, 2 n^2
 table lookups per element of a greedy generating set S: O(n^2 log n) for a
@@ -93,10 +93,7 @@ class FiniteGroup:
     @functools.cached_property
     def pairs(self) -> "PairSplit":
         """The split of G under g -> g^-1, computed on first use and kept."""
-        g = np.arange(self.order)
-        first = np.flatnonzero(g < self.inv)
-        return PairSplit(own=_frozen(np.flatnonzero(g == self.inv)), first=_frozen(first),
-                         partner=_frozen(self.inv[first]))
+        return pair_split(self.inv)
 
     @functools.cached_property
     def irreps(self) -> "IrrepBasis":
@@ -112,7 +109,7 @@ class PairSplit:
     element of each orbit, the representatives: f(g), real, on each g with
     g^-1 = g (`own`: e and the involutions), and Re f(g), Im f(g) on each
     g < g^-1 (`first`). These n numbers are its coordinates, in the order
-    own, Re first, Im first.
+    own, Re first, Im first; `block_pairs` gives those of a Hermitian block.
     """
 
     own: np.ndarray  # (n0,) the g with g^-1 = g, increasing
@@ -132,48 +129,38 @@ class PairSplit:
             [values[..., self.own].real, (a.real + b.real) / 2.0, (a.imag - b.imag) / 2.0], axis=-1
         )
 
+    def expand(self, coords: np.ndarray) -> np.ndarray:
+        """`coords` inverted: f (..., n), Hermitian bit for bit, real on `own`
+        and with no -0.0 anywhere, in one gather from [coords, -Im first, 0]."""
+        c = coords + 0.0  # -0.0 -> +0.0
+        tail = (0.0 - c[..., c.shape[-1] - self.first.size :], np.zeros((*c.shape[:-1], 1)))
+        return np.take(np.concatenate([c, *tail], axis=-1), self._slots, axis=-1).view(complex)
 
-def hermitian_coords(B: np.ndarray) -> np.ndarray:
-    """The d^2 real coordinates (..., d^2) of the Hermitian part (B + B^+)/2 of
-    each d x d block B (..., d, d): its diagonal, then the real and the
-    imaginary parts of its upper triangle, row-major."""
-    j, k = _upper(B.shape[-1])
-    upper = (B[..., j, k] + B[..., k, j].conj()) / 2.0
-    diag = np.diagonal(B, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
-
-
-def hermitian_matrix(C: np.ndarray) -> np.ndarray:
-    """The Hermitian d x d blocks (..., d, d) with coordinates C (..., d^2):
-    `hermitian_coords` inverted."""
-    d = math.isqrt(C.shape[-1])
-    real, imag, sign = _hermitian_gather(d)
-    H = np.empty((*C.shape[:-1], d, d), dtype=complex)
-    H.real = C[..., real].reshape(H.shape)
-    H.imag = (C[..., imag] * sign).reshape(H.shape)
-    return H
+    @functools.cached_property
+    def _slots(self) -> np.ndarray:
+        """Where `expand` reads Re f(g), Im f(g) for each g: (2n,) indices."""
+        n0, p = self.own.size, self.first.size
+        re, im = np.empty((2, n0 + 2 * p), dtype=np.intp)
+        re[self.own], im[self.own] = np.arange(n0), n0 + 3 * p  # the 0
+        re[self.first] = re[self.partner] = n0 + np.arange(p)
+        im[self.first], im[self.partner] = n0 + p + np.arange(p), n0 + 2 * p + np.arange(p)
+        return _frozen(np.stack([re, im], axis=-1).ravel())
 
 
-@functools.cache
-def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (row, column) indices of the strict upper triangle of a d x d block, row-major."""
-    return tuple(_frozen(a) for a in np.triu_indices(d, 1))
+def pair_split(inv: np.ndarray) -> PairSplit:
+    """The split of the indices 0..n-1 under the involution inv (n,)."""
+    g = np.arange(inv.size)
+    first = np.flatnonzero(g < inv)
+    return PairSplit(own=_frozen(np.flatnonzero(g == inv)), first=_frozen(first),
+                     partner=_frozen(inv[first]))
 
 
 @functools.cache
-def _hermitian_gather(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each entry of a d x d block, row-major: the coordinate of its real
-    part, that of its imaginary part and the sign this takes (0 on the
-    diagonal), in the layout of `hermitian_coords`."""
-    j, k = _upper(d)
-    real = np.zeros((d, d), dtype=np.intp)
-    imag = np.zeros((d, d), dtype=np.intp)
-    sign = np.zeros((d, d))
-    real[np.arange(d), np.arange(d)] = np.arange(d)
-    real[j, k] = real[k, j] = d + np.arange(j.size)
-    imag[j, k] = imag[k, j] = d + j.size + np.arange(j.size)
-    sign[j, k], sign[k, j] = 1.0, -1.0
-    return tuple(_frozen(a.ravel()) for a in (real, imag, sign))
+def block_pairs(d: int) -> PairSplit:
+    """The split of the d^2 entries of a d x d block, row-major, under the
+    transpose: a Hermitian block's coordinates are its diagonal (`own`), then
+    the real and the imaginary parts of its upper triangle (`first`), row-major."""
+    return pair_split(np.arange(d * d).reshape(d, d).T.ravel())
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -188,12 +175,11 @@ class IrrepBasis:
 
     For a Hermitian f, each Fourier block f^(rho) = sum_k f(k) rho(k) is
     Hermitian (rho(k^-1) = rho(k)^+), so it has d^2 real coordinates
-    (`hermitian_coords`), linear in the n real coordinates of f
-    (`PairSplit`). Row j of `real` holds the block coordinates of the
-    Hermitian function with coordinate j = 1 and the others 0, for every
-    irrep rho, one after another and grouped by dimension: f's block
-    coordinates are coords(f) @ `real`. `dims` lists (d, count) for each
-    dimension in increasing order; sum(count * d^2) = n, so `real` is n x n.
+    (`block_pairs`), linear in the n real coordinates of f (`PairSplit`).
+    Row j of `real` holds the block coordinates of the Hermitian function with
+    coordinate j = 1 and the others 0, for every irrep rho, one after another
+    and grouped by dimension: f's block coordinates are coords(f) @ `real`.
+    `dims` lists (d, count) per dimension, increasing; sum(count d^2) = n.
     """
 
     real: np.ndarray  # (n, n) float, rows indexed by the coordinates of the group's `pairs`
@@ -202,13 +188,17 @@ class IrrepBasis:
     def block_coords(self, coords: np.ndarray) -> list[np.ndarray]:
         """Block coordinates of the Hermitian functions with coordinates coords
         (..., n): one (..., count, d^2) array per dimension, from one real matmul."""
-        flat = coords @ self.real
-        lead = flat.shape[:-1]
-        blocks, start = [], 0
-        for d, count in self.dims:
-            blocks.append(flat[..., start : start + count * d * d].reshape(*lead, count, d * d))
-            start += count * d * d
-        return blocks
+        return _cut(coords @ self.real, self.dims)
+
+
+def _cut(flat: np.ndarray, dims) -> list[np.ndarray]:
+    """flat (..., n), the blocks in the order of `IrrepBasis.dims`, cut by
+    plain slices into one (..., count, d^2) view per dimension."""
+    lead, blocks, start = flat.shape[:-1], [], 0
+    for d, count in dims:
+        blocks.append(flat[..., start : start + count * d * d].reshape(*lead, count, d * d))
+        start += count * d * d
+    return blocks
 
 
 def _real_basis(matrix: np.ndarray, dims, pairs: PairSplit) -> np.ndarray:
@@ -218,12 +208,8 @@ def _real_basis(matrix: np.ndarray, dims, pairs: PairSplit) -> np.ndarray:
     first, so their blocks are sums of two rows of matrix: O(n^2)."""
     a, b = matrix[pairs.first], matrix[pairs.partner]
     flat = np.concatenate([matrix[pairs.own], a + b, 1j * (a - b)])
-    n, cols, start = len(matrix), [], 0
-    for d, count in dims:
-        B = flat[:, start : start + count * d * d].reshape(n, count, d, d)
-        cols.append(hermitian_coords(B).reshape(n, -1))
-        start += count * d * d
-    return np.concatenate(cols, axis=1)
+    return np.concatenate([block_pairs(d).coords(B).reshape(len(matrix), -1)
+                           for (d, _), B in zip(dims, _cut(flat, dims))], axis=1)
 
 
 @dataclass(frozen=True, eq=False)

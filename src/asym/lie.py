@@ -228,8 +228,7 @@ def _certificate(rf: RfResult, F_psi, F_phi, r: float, delta: float):
     """`converse_certificate` from rf, the `rf_ratio` of (F_psi, F_phi)."""
     if not 0 < r < math.inf:
         raise DomainError(f"rate must be positive and finite, got {r}")
-    if not 0 <= delta < math.inf:
-        raise DomainError(f"error must be nonnegative and finite, got {delta}")
+    _check_delta(delta)
     if not rf.r_f < r or rf.direction is None:
         return False, None, None
     v = rf.direction
@@ -240,6 +239,12 @@ def _certificate(rf: RfResult, F_psi, F_phi, r: float, delta: float):
     T = min(max(num / den, 0.0), 1.0 - TOL_CLIP_T)
     impossible = g_function(T) > 4.0 * math.sqrt(delta)
     return impossible, v, T
+
+
+def _check_delta(delta: float) -> None:
+    """DomainError unless the error delta of a certificate is finite and >= 0."""
+    if not 0 <= delta < math.inf:
+        raise DomainError(f"error must be nonnegative and finite, got {delta}")
 
 
 def clt_diagnostic(state: PureState, gens: GeneratorSet, theta_grid) -> float:

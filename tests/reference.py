@@ -8,7 +8,7 @@ from asym.charfn import ClassSets, symmetry_subgroup, zero_mask
 from asym.convertibility import _interpolate
 from asym.errors import DomainError, RateNotBelowOptimal
 from asym.exact_rate import FINITE, UNBOUNDED, ZERO, RateReport
-from asym.groups import hermitian_matrix
+from asym.groups import block_pairs
 from asym.lie import RfResult, _pencil_direction, qfim_pure
 from asym.tolerances import TOL_ONE, TOL_PENCIL
 
@@ -36,26 +36,12 @@ def subgroup_closure(group, seed) -> frozenset[int]:
     return frozenset(closed)
 
 
-def expand(pairs, coords) -> np.ndarray:
-    """The Hermitian function (..., n) with real coordinates coords (...,
-    n) under the split `pairs` (`groups.PairSplit`): f(g^-1) = conj f(g) bit
-    for bit, f real on `own`, and no -0.0 anywhere. The library decides on
-    the coordinates alone; the tests that compare values take them here."""
-    n0, p = pairs.own.size, pairs.first.size
-    c = coords + 0.0  # -0.0 -> +0.0
-    f = np.zeros(c.shape, dtype=complex)
-    f.real[..., pairs.own] = c[..., :n0]
-    f.real[..., pairs.first] = f.real[..., pairs.partner] = c[..., n0 : n0 + p]
-    f.imag[..., pairs.first] = c[..., n0 + p :]
-    f.imag[..., pairs.partner] = 0.0 - c[..., n0 + p :]
-    return f
-
-
 def interpolator(char_psi, char_phi, N, M) -> np.ndarray:
     """The values on G of the interpolator f = chi_psi^N / chi_phi^M that
-    `feasible_exact` decides on: its coordinates from `_interpolate`, expanded."""
+    `feasible_exact` decides on: its coordinates from `_interpolate`, expanded
+    (`PairSplit.expand`)."""
     (coords,), _ = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
-    return expand(char_psi.group.pairs, coords)
+    return char_psi.group.pairs.expand(coords)
 
 
 def fourier_blocks(group, values) -> list[np.ndarray]:
@@ -68,7 +54,14 @@ def fourier_blocks(group, values) -> list[np.ndarray]:
     basis, pairs = group.irreps, group.pairs
     h = basis.block_coords(pairs.coords(values))
     h_ = basis.block_coords(pairs.coords(-1j * values))
-    return [hermitian_matrix(a) + 1j * hermitian_matrix(b) for a, b in zip(h, h_)]
+    return [hermitian_block(a) + 1j * hermitian_block(b) for a, b in zip(h, h_)]
+
+
+def hermitian_block(C) -> np.ndarray:
+    """The Hermitian d x d blocks (..., d, d) with coordinates C (..., d^2)
+    under the transpose (`groups.block_pairs`)."""
+    d = math.isqrt(C.shape[-1])
+    return block_pairs(d).expand(C).reshape(*C.shape[:-1], d, d)
 
 
 def irrep_matrix(group) -> np.ndarray:

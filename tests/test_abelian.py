@@ -31,7 +31,7 @@ from corpus import corpus_rep, random_distribution, random_state, z2_population_
 from asym.errors import DomainError, NotAbelian, NotSimultaneouslyDiagonalizable, ShapeMismatch
 from asym.groups import MAX_ORDER, ProjectiveRep, PureState
 from asym.tolerances import TOL_PSD
-from reference import expand, fft_label_weights, fourier_blocks, interpolator, irrep_matrix
+from reference import fft_label_weights, fourier_blocks, interpolator, irrep_matrix
 from reference import subgroup_closure
 from test_convertibility import BUILT, concentrated_type
 
@@ -612,7 +612,10 @@ def test_the_gram_view_interpolator_is_hermitian_bit_for_bit(name, seed, N, M):
     rng = np.random.default_rng(seed)
     psi, phi = (char_from_values(group, concentrated_type(group, rng, terms=2)) for _ in range(2))
     coords, _ = _interpolate(psi.split_polar, phi.split_polar, [N, 1, N], [M, M, 0])
-    assert_hermitian_rows(expand(group.pairs, coords), group.inv)
+    f = group.pairs.expand(coords)
+    assert_hermitian_rows(f, group.inv)
+    assert not np.signbit(f.real[f.real == 0]).any()
+    assert not np.signbit(f.imag[f.imag == 0]).any()
 
 
 def sparse_or_dense(shape, seed, support, uniform=False):
@@ -839,6 +842,15 @@ def test_both_views_give_one_verdict_on_shifted_sparse_distributions(n):
             for M in (N, N - 1):
                 fourier = fourier_weights(p, q, N, M)[1]
                 assert fourier == feasible_exact(*chars, N, M).feasible, (probs, q.probs, N, M)
+
+
+def test_a_shape_entry_that_is_not_an_integer_is_a_shape_mismatch():
+    # (2.0,) passed the gate and raised a TypeError in `label_group`, and
+    # (True,) was taken for (1,)
+    for shape, probs in (((2.0,), [0.5, 0.5]), ((True,), [1.0]), ((2, "2"), [0.25] * 4)):
+        with pytest.raises(ShapeMismatch, match="not an integer"):
+            dist(shape, probs).char
+    assert dist((np.int64(2),), [0.5, 0.5]).shape == (2,)
 
 
 @pytest.mark.parametrize(

@@ -737,13 +737,19 @@ def test_cli_declares_the_tolerances_its_handler_reads(capsys, corpus_dir, tmp_p
         ("min-copies", ["--rate", "-1"]),
         ("min-copies", ["--nmax", "0"]),
         ("min-copies", ["--nmax", "100000"]),
+        ("rf-bare", ["--delta", "nan"]),
+        ("rf-bare", ["--delta", "-1"]),
     ],
 )
 def test_cli_rejects_non_finite_rate_and_error(capsys, corpus_dir, tmp_path, sub, extra):
     # min-copies --rate inf printed a traceback, --rate -1 blamed a copy
     # number and an --nmax out of range exited 2; rf --rate nan reported
-    # "impossible: false"; later flags override the valid ones
-    assert_domain_error(capsys, [sub] + valid_argv(sub, corpus_dir, tmp_path) + extra)
+    # "impossible: false", and rf-bare (rf without its --rate) reported no
+    # error for any --delta; later flags override the valid ones
+    argv = valid_argv(sub.removesuffix("-bare"), corpus_dir, tmp_path)
+    if sub == "rf-bare":
+        sub, argv = "rf", argv[: argv.index("--rate")]
+    assert_domain_error(capsys, [sub] + argv + extra)
 
 
 @pytest.mark.parametrize(

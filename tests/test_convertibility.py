@@ -36,9 +36,9 @@ from asym.convertibility import (
     _settle,
 )
 from corpus import GROUP_NAMES, gauged_rep, random_state
-from reference import expand, fourier_blocks, interpolator, irrep_matrix
-from asym.errors import DomainError, NotHermitian, SelfCheckFailed
-from asym.groups import PureState, hermitian_coords, hermitian_matrix
+from reference import fourier_blocks, hermitian_block, interpolator, irrep_matrix
+from asym.errors import DimensionMismatch, DomainError, NotHermitian, SelfCheckFailed
+from asym.groups import PureState, block_pairs
 from asym.tolerances import TOL_FLOOR, TOL_HERM, TOL_PSD
 
 
@@ -413,7 +413,8 @@ def test_block_oracle_matches_dense_gram(name, oracle_group):
 
 def block_min_eig(B):
     """`_block_min_eig` on the coordinates of the Hermitian part of blocks B (..., d, d)."""
-    return _block_min_eig(hermitian_coords(B))
+    d = B.shape[-1]
+    return _block_min_eig(block_pairs(d).coords(B.reshape(*B.shape[:-2], d * d)))
 
 
 def sym_min_eig(B):
@@ -553,6 +554,16 @@ def test_irrep_decomposition_is_deterministic(oracle_group):
 
 # ------------------------------------------ the real transform: n coordinates, one n x n matmul
 
+def assert_expands_to(pairs, coords, f):
+    """`PairSplit.expand` gives f back from its coordinates, with no -0.0
+    anywhere, and `coords` takes it back to them bit for bit."""
+    got = pairs.expand(coords)
+    assert np.array_equal(got, f)
+    assert not np.signbit(got.real[got.real == 0]).any()
+    assert not np.signbit(got.imag[got.imag == 0]).any()
+    assert np.array_equal(pairs.coords(got), coords)
+
+
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
@@ -561,7 +572,17 @@ def test_real_transform_matches_the_fourier_blocks_and_the_dense_gram_spectrum(
 ):
     """A Hermitian f has n real coordinates, and `IrrepBasis.real` is n x n:
     it takes them to the coordinates of every Fourier block, whose spectra,
-    each eigenvalue d times, are the spectrum of M[g, h] = f(g^-1 h)."""
+    each eigenvalue d times, are the spectrum of M[g, h] = f(g^-1 h). One
+    codec, `PairSplit`, gives both: a block's coordinates are its pair
+    coordinates under the transpose (`block_pairs`), and `expand` inverts
+    `coords` bit for bit."""
+    # a 3 x 3 block: its diagonal, then Re and Im of its upper triangle, row-major
+    B = np.array([[1, 2 + 3j, 4 + 5j], [2 - 3j, 6, 7 + 8j], [4 - 5j, 7 - 8j, 9]])
+    split = block_pairs(3)
+    assert (split.own.tolist(), split.first.tolist(), split.partner.tolist()) == (
+        [0, 4, 8], [1, 2, 5], [3, 6, 7])
+    assert split.coords(B.ravel()).tolist() == [1, 6, 9, 2, 4, 7, 3, 5, 8]
+    assert_expands_to(split, split.coords(B.ravel()), B.ravel())
     group = oracle_group(name)
     n, pairs, basis = group.order, group.pairs, group.irreps
     assert pairs.own.size + 2 * pairs.first.size == n
@@ -573,12 +594,18 @@ def test_real_transform_matches_the_fourier_blocks_and_the_dense_gram_spectrum(
     f = (z + z[group.inv].conj()) / 2.0  # Hermitian bit for bit
     coords = pairs.coords(f)
     assert coords.shape == (n,)
-    assert np.array_equal(expand(pairs, coords), f)
+    assert_expands_to(pairs, coords, f)
     blocks = basis.block_coords(coords)
-    for C, B in zip(blocks, fourier_blocks(group, f)):
-        assert np.array_equal(hermitian_matrix(C), B)  # the anti-Hermitian part is exactly 0
+    for (d, _), C, B in zip(basis.dims, blocks, fourier_blocks(group, f)):
+        assert np.array_equal(hermitian_block(C), B)  # the anti-Hermitian part is exactly 0
+        assert_expands_to(block_pairs(d), C, B.reshape(C.shape))
+        w = rng.standard_normal(B.shape) + 1j * rng.standard_normal(B.shape)
+        assert np.array_equal(  # any block: the coordinates of its Hermitian part
+            hermitian_block(block_pairs(d).coords(w.reshape(C.shape))),
+            (w + w.conj().swapaxes(-1, -2)) / 2.0,
+        )
     spectrum = np.sort(np.concatenate([
-        np.repeat(np.linalg.eigvalsh(hermitian_matrix(C)).ravel(), d)
+        np.repeat(np.linalg.eigvalsh(hermitian_block(C)).ravel(), d)
         for (d, _), C in zip(basis.dims, blocks)
     ]))
     dense = np.linalg.eigvalsh(f[group.mult[group.inv, :]])
@@ -902,6 +929,16 @@ def test_a_non_hermitian_candidate_with_a_zero_set_violation_is_an_error():
     # made Hermitian, the same pair meets the zero-set rule at 2
     psi, phi = (char_from_values(z4, v) for v in ([1.0, 0.5, 0.3, 0.5], [1.0, 0.8, 0.0, 0.8]))
     assert feasible_exact(psi, phi, 1, 1).zero_set_witness == 2
+
+
+def test_is_positive_definite_takes_one_value_per_element():
+    # a broadcast ValueError, and IndexErrors for too few values and a 2-D
+    # array, before the shape was checked as `char_from_values` checks it
+    for name, values in (("Z_2", np.ones(3)), ("Z_4", np.ones(2)), ("Z_4", np.ones((4, 4)))):
+        with pytest.raises(DimensionMismatch):
+            is_positive_definite(named_group(name), values)
+    # a list was a TypeError from the Hermitian gate's indexing
+    assert is_positive_definite(named_group("Z_2"), [1.0, 0.5]).feasible
 
 
 def test_scan_and_loop_both_reject_a_non_hermitian_chi():
