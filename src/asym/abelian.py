@@ -80,7 +80,6 @@ class ChargeDistribution:
 
 @dataclass(frozen=True, eq=False)
 class DualCoefficients:
-    shape: tuple[int, ...]
     values: np.ndarray  # flat complex, values[0] = 1
 
 
@@ -141,7 +140,7 @@ def dual_fourier(dist: ChargeDistribution) -> DualCoefficients:
     """lambda_a = sum_k p_k exp(i 2 pi a.k / n), componentwise over the shape."""
     grid = dist.grid()
     lam = np.fft.ifftn(grid) * grid.size
-    return DualCoefficients(shape=dist.shape, values=lam.ravel())
+    return DualCoefficients(values=lam.ravel())
 
 
 def fourier_weights(

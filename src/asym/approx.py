@@ -8,8 +8,8 @@ sym(phi) exactly, so the approximate rate is unbounded iff sym(psi) is
 contained in sym(phi), and zero otherwise. Both subgroups, and the elements
 off H, are those of `symmetry_subgroup`, read from the classification cached
 on each `CharFunction` (`sets`); nothing here cuts |chi| a second time, since
-the bound holds at any s. The decay base s is taken once per report: the
-curve of an unbounded pair reuses the report's s.
+the bound holds at any s. The class report and the curve of an unbounded
+pair take s from one function, `_decay_base`, so they hold the same float.
 """
 
 from __future__ import annotations
@@ -60,15 +60,11 @@ def convergence_to_uniform(char_psi: CharFunction, N_list) -> ConvergenceReport:
     """Exponential convergence of psi^{|G| N} to the uniform state of sym(psi).
 
     For each N >= 1 emits the proven overlap bound |G| s^{|G| N} / 2 with
-    s = max |chi| off the symmetry subgroup, and the measured proxy
-    (1/2) sum over g off sym of |chi(g)|^{|G| N}; the proxy never exceeds
-    the bound. DomainError for a copy number below 1 or above MAX_COPIES.
+    s = max |chi| off the symmetry subgroup (`_decay_base`), and the measured
+    proxy (1/2) sum over g off sym of |chi(g)|^{|G| N}; the proxy never exceeds
+    the bound. DomainError for a copy number that `copy_numbers` refuses.
     """
-    return _convergence(char_psi, _decay_base(char_psi), N_list)
-
-
-def _convergence(char_psi: CharFunction, s: float, N_list) -> ConvergenceReport:
-    """`convergence_to_uniform` with the decay base s already taken (`_decay_base`)."""
+    s = _decay_base(char_psi)
     N_list = list(N_list)
     copies = copy_numbers(N_list).tolist()
     n = char_psi.group.order

@@ -5,8 +5,8 @@ large copy numbers stay representable: |chi|^N lives as N * logmod, never as
 an underflowing float; logmod = -inf is an exact zero. One codec encodes chi
 here, for every group and for the charge distributions of `abelian` alike
 (chi on the label group): `_polar`, `_from_polar`, `make_hermitian`
-(chi(g^-1) = conj chi(g)), `real_phase` and `negative_parity` (the sign
-where chi is real) and `check_hermitian`. `CharFunction.split_polar` keeps a
+(chi(g^-1) = conj chi(g)), `negative_parity` (the sign where chi is real,
+by parity) and `check_hermitian`. `CharFunction.split_polar` keeps a
 Hermitian chi on one element of each pair {g, g^-1} (`groups.PairSplit`),
 the slices the interpolator f reads.
 
@@ -168,15 +168,6 @@ def _from_polar(logmod: np.ndarray, phase: np.ndarray) -> np.ndarray:
         return np.where(np.isneginf(logmod), 0.0, np.exp(logmod + 1j * phase))
 
 
-def real_phase(phase: np.ndarray, pairs: PairSplit, *powers) -> np.ndarray:
-    """Set phase (..., n) of prod_i chi_i^N_i, powers the (phase_i, N_i), in
-    place on e and the involutions (`pairs.own`), where each chi_i is real:
-    pi where it is negative (`negative_parity`)."""
-    own = pairs.own
-    phase[..., own] = np.pi * negative_parity(*((_negative(p[own]), N) for p, N in powers))
-    return phase
-
-
 def _negative(phase: np.ndarray) -> np.ndarray:
     """Where a real chi of this phase (0 or pi, up to rounding) is negative."""
     return np.abs(phase) > np.pi / 2
@@ -252,8 +243,12 @@ MAX_COPIES = sys.float_info.max / (2 * math.pi)
 
 
 def copy_numbers(N, low: int = 1) -> np.ndarray:
-    """Copy numbers (an int or an array of them) as floats; DomainError for
-    one that is not an integer, below low or above MAX_COPIES (about 2.9e307)."""
+    """Copy numbers (an int or an array of them) as floats; DomainError for one
+    that is not an integer (a str or bool too), below low or above MAX_COPIES."""
+    if isinstance(N, bool) or not isinstance(N, (int, float, np.integer, np.floating)):
+        for v in np.asarray(N, dtype=object).flat:
+            if isinstance(v, (str, bytes, bool, np.bool_)):  # float() reads "3" as 3, True as 1
+                raise DomainError(f"copy number must be an integer, got {v!r}")
     try:
         x = np.asarray(N, dtype=float)
     except OverflowError:
@@ -288,9 +283,9 @@ def exact_copy_numbers(N, low: int = 1) -> np.ndarray:
 
 def char_power(char: CharFunction, N: int) -> CharFunction:
     """Characteristic function of the N-fold tensor power state; on a linear
-    rep chi^N stays real on e and the involutions (`real_phase`)."""
+    rep chi^N stays real on e and the involutions, signed by `negative_parity`."""
     n = float(copy_numbers(N))
     phase = np.angle(np.exp(1j * (char.phase * n)))  # wrapped to (-pi, pi]
     if char.linear:
-        real_phase(phase, char.group.pairs, (char.phase, N))
+        phase[char.group.pairs.own] = np.pi * negative_parity((char.split_polar.negative, N))
     return CharFunction(char.group, char.logmod * n, phase, char.commutative, char.linear)

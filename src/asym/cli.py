@@ -158,15 +158,9 @@ def cmd_convert_abelian(args, p, q) -> dict:
 def cmd_approx(args, group, rep, psi, phi) -> dict:
     c_psi, c_phi = _chars(rep, psi, phi)
     report = approx.approx_rate_class(c_psi, c_phi)
-    result = {
-        "classification": report.classification,
-        "sym_psi": report.sym_psi,
-        "sym_phi": report.sym_phi,
-        "s": report.s,
-    }
+    result = dict(vars(report))
     if args.curve and report.classification == "unbounded":
-        curve = approx._convergence(c_psi, report.s, args.curve)  # the report's decay base
-        result["curve"] = curve.points
+        result["curve"] = approx.convergence_to_uniform(c_psi, args.curve).points
     return result
 
 
@@ -175,11 +169,13 @@ def cmd_qfim(args, state, generators) -> dict:
 
 
 def cmd_rf(args, generators, psi, phi) -> dict:
-    lie._check_delta(args.delta)  # also without --rate, which alone asks for the certificate
+    lie._check_delta(args.delta)  # before any QFIM; --rate too, when given
+    if args.rate is not None:
+        lie._check_rate(args.rate)
     F_psi = lie.qfim(lie.pure_density(psi), generators)
     F_phi = lie.qfim(lie.pure_density(phi), generators)
     res = lie.rf_ratio(F_psi, F_phi)
-    result = {"r_f": res.r_f, "direction": res.direction, "method": res.method}
+    result = dict(vars(res))
     if args.rate is not None:
         # the report's pencil ratio, not a second bisection
         impossible, v, T = lie._certificate(res, F_psi, F_phi, args.rate, args.delta)

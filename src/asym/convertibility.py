@@ -13,6 +13,7 @@ abelian Fourier view is `feasible_exact` on the label group of a charge
 distribution (`abelian.fourier_weights`), so it reads this decision too:
 its weights are the minima of the Gram blocks that the decision hands out
 (`FeasibilityResult.block_min`), each block one number on an abelian group.
+Its `min_gram_eigenvalue` is no stored field but the least of those blocks.
 The zero sets are cut at TOL_ZERO (`charfn.zero_mask`), once per
 characteristic function (`CharFunction.zero`).
 The Gram test is the criterion on a linear rep only (on a projective one
@@ -64,7 +65,7 @@ import numpy as np
 from .charfn import CharFunction, SplitPolar, check_hermitian, check_same_group, copy_numbers
 from .charfn import exact_copy_numbers, negative_parity
 from .errors import DimensionMismatch, DomainError
-from .groups import FiniteGroup, _block_rows, as_index, block_pairs
+from .groups import FiniteGroup, _block_rows, as_index, as_real, block_pairs
 from .tolerances import TOL_FLOOR, TOL_PSD
 
 MAX_SEARCH_COPIES = 10**4  # largest n_max of `minimal_copies_search`
@@ -74,10 +75,14 @@ _LOG_TINY = math.log(np.finfo(float).tiny)  # below it |f| would be subnormal: f
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult:
     feasible: bool
-    min_gram_eigenvalue: float
     block_min: np.ndarray  # minimum eigenvalue of each irrep block, in `IrrepBasis` order
     modulus_witness: int | None = None  # smallest k != e that `_minor_fails` at, if any
     zero_set_witness: int | None = None  # smallest g with chi_phi^M(g) = 0 != chi_psi^N(g)
+
+    @property
+    def min_gram_eigenvalue(self) -> float:
+        """The minimum eigenvalue of the Gram matrix: the least of `block_min`."""
+        return float(self.block_min.min())
 
 
 def _log_ratio(
@@ -217,7 +222,6 @@ def _verdict(group: FiniteGroup, coords: np.ndarray, bad: int) -> FeasibilityRes
     over = pairs.heads[fails]
     return FeasibilityResult(
         feasible=_first_failure(min_eig, bad, group.order) < 0,
-        min_gram_eigenvalue=float(min_eig[0]),
         block_min=block_min,
         modulus_witness=int(over.min()) if over.size else None,
         zero_set_witness=int(bad) if bad >= 0 else None,
@@ -321,10 +325,10 @@ def minimal_copies_search(
     decides what it can of each block from |f|; only the unsettled rows
     before the block's first row settled infeasible get their coordinates
     and the Gram test. DomainError for a copy number `_interpolate` would
-    refuse, for an n_max that is not an integer, and unless both
-    characteristic functions come from a linear rep.
+    refuse, for an n_max that is not an integer or a rate that is not a real
+    number, and unless both characteristic functions come from a linear rep.
     """
-    if not (math.isfinite(r) and r >= 0):
+    if not (math.isfinite(as_real(r, "rate")) and r >= 0):
         raise DomainError(f"rate must be a finite number >= 0, got {r}")
     n_max = as_index(n_max, "n_max")
     if not 1 <= n_max <= MAX_SEARCH_COPIES:

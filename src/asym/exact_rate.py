@@ -9,6 +9,7 @@ import numpy as np
 
 from .charfn import CharFunction, check_same_group
 from .errors import RateNotBelowOptimal
+from .groups import as_real
 
 ZERO = "zero"
 FINITE = "finite"
@@ -76,7 +77,7 @@ def copies_bound(char_psi: CharFunction, char_phi: CharFunction, r: float) -> in
     The elements off sym(phi) u zeros are read from the cache on `char_phi`.
     """
     check_same_group(char_psi, char_phi)
-    if not 0 < r < math.inf:
+    if not 0 < as_real(r, "rate") < math.inf:
         raise RateNotBelowOptimal(f"rate must be positive and finite, got {r}")
     keep = char_phi.kept
     logmod_psi = np.where(char_psi.zero[keep], -np.inf, char_psi.logmod[keep])  # 0 on psi's zeros

@@ -364,6 +364,13 @@ def as_index(x, name: str) -> int:
     raise DomainError(f"{name} must be an integer, got {x!r}")
 
 
+def as_real(x, name: str):
+    """x; DomainError for an argument that must be a real number and is not (True, "1")."""
+    if isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool):
+        return x
+    raise DomainError(f"{name} must be a real number, got {x!r}")
+
+
 def _right_generators(mult: np.ndarray, e: int) -> list[int]:
     """A set S such that every element is a left-bracketed product of S.
 

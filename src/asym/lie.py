@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotAState, SelfCheckFailed
-from .groups import PureState
+from .groups import PureState, as_real
 from .tolerances import (
     TOL_CLIP_T,
     TOL_DENSITY,
@@ -205,7 +205,7 @@ def _pencil_direction(F_psi: np.ndarray, F_phi: np.ndarray, r_f: float) -> np.nd
 
 def g_function(x: float) -> float:
     """x^{x/(1-x)} - x^{1/(1-x)} on [0, 1), with the limit value 1 at x = 0."""
-    if not 0.0 <= x < 1.0:
+    if not 0.0 <= as_real(x, "x") < 1.0:
         raise DomainError(f"g is defined on [0, 1), got {x}")
     if x == 0.0:
         return 1.0
@@ -219,31 +219,32 @@ def converse_certificate(F_psi, F_phi, r: float, delta: float):
     When r exceeds the pencil ratio, picks the pencil-minimizing direction,
     forms T = (v F_psi v) / (r v F_phi v) in [0, 1), and certifies
     impossibility iff g(T) strictly exceeds 4 sqrt(delta). Returns
-    (impossible, witness_direction, T).
-    """
+    (impossible, witness_direction, T); r and delta are checked first."""
+    _check_rate(r)
+    _check_delta(delta)
     return _certificate(rf_ratio(F_psi, F_phi), F_psi, F_phi, r, delta)
 
 
 def _certificate(rf: RfResult, F_psi, F_phi, r: float, delta: float):
-    """`converse_certificate` from rf, the `rf_ratio` of (F_psi, F_phi)."""
-    if not 0 < r < math.inf:
-        raise DomainError(f"rate must be positive and finite, got {r}")
-    _check_delta(delta)
+    """`converse_certificate` from rf, the `rf_ratio` of (F_psi, F_phi), past its checks."""
     if not rf.r_f < r or rf.direction is None:
         return False, None, None
     v = rf.direction
-    F_psi = np.asarray(F_psi, dtype=float)
-    F_phi = np.asarray(F_phi, dtype=float)
-    num = float(v @ F_psi @ v)
-    den = float(r * (v @ F_phi @ v))
-    T = min(max(num / den, 0.0), 1.0 - TOL_CLIP_T)
+    num, den = (float(v @ np.asarray(F, dtype=float) @ v) for F in (F_psi, F_phi))
+    T = min(max(num / (r * den), 0.0), 1.0 - TOL_CLIP_T)
     impossible = g_function(T) > 4.0 * math.sqrt(delta)
     return impossible, v, T
 
 
+def _check_rate(r: float) -> None:
+    """DomainError unless the rate r of a certificate is a finite number > 0."""
+    if not 0 < as_real(r, "rate") < math.inf:
+        raise DomainError(f"rate must be positive and finite, got {r}")
+
+
 def _check_delta(delta: float) -> None:
-    """DomainError unless the error delta of a certificate is finite and >= 0."""
-    if not 0 <= delta < math.inf:
+    """DomainError unless the error delta of a certificate is a finite number >= 0."""
+    if not 0 <= as_real(delta, "error") < math.inf:
         raise DomainError(f"error must be nonnegative and finite, got {delta}")
 
 

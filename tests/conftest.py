@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -18,3 +20,19 @@ def corpus():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def eigensolver_calls(monkeypatch):
+    """A Counter of the `np.linalg.eigvalsh` and `eigh` calls made while the test runs."""
+    calls = collections.Counter()
+
+    def counted(name, solver):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+        return call
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls

@@ -9,8 +9,12 @@ from asym import (
     char_power,
     classify_sets,
     convergence_to_uniform,
+    converse_certificate,
+    copies_bound,
     feasible_exact,
     fourier_weights,
+    g_function,
+    minimal_copies_search,
     named_group,
     resource_measure_L,
     validate_projective_rep,
@@ -202,3 +206,34 @@ def test_a_copy_number_off_the_integers_is_a_domain_error(N):
     # an integer-valued float is a copy number
     assert feasible_exact(psi, phi, 3.0, 2.0).feasible == feasible_exact(psi, phi, 3, 2).feasible
     assert np.array_equal(char_power(psi, 3.0).values(), char_power(psi, 3).values())
+
+
+Z4 = named_group("Z_4")
+PSI, PHI = char_from_values(Z4, [1.0, 0.5j, 0.3, -0.5j]), char_from_values(Z4, [1.0, 0.4, 0.2, 0.4])
+F = np.eye(2)
+
+# (function, argument) -> the call with value as that argument
+ILL_TYPED_CALLS = {
+    "char_power-N": lambda v: char_power(PSI, v),
+    "feasible_exact-N": lambda v: feasible_exact(PSI, PHI, v, 1),
+    "feasible_exact-M": lambda v: feasible_exact(PSI, PHI, 1, v),
+    "convergence_to_uniform-list-entry": lambda v: convergence_to_uniform(PSI, [1, v]),
+    "convergence_to_uniform-array": lambda v: convergence_to_uniform(PSI, np.array([v])),
+    "minimal_copies_search-rate": lambda v: minimal_copies_search(PSI, PHI, v, 8),
+    "copies_bound-rate": lambda v: copies_bound(PSI, PHI, v),
+    "converse_certificate-rate": lambda v: converse_certificate(F, F, v, 0.0),
+    "converse_certificate-error": lambda v: converse_certificate(F, F, 2.0, v),
+    "g_function-x": lambda v: g_function(v),
+}
+
+
+@pytest.mark.parametrize(
+    "value", ["1", b"1", True, np.True_], ids=["str", "bytes", "bool", "np.bool"]
+)
+@pytest.mark.parametrize("call", ILL_TYPED_CALLS.values(), ids=ILL_TYPED_CALLS)
+def test_an_argument_that_is_no_number_is_a_domain_error(call, value):
+    # feasible_exact(c, c, "3", 1) answered for N = 3 and (c, c, True, True) for
+    # N = M = 1; convergence_to_uniform(c, ["2"]) reported N = 2; a rate, error
+    # or x given as a string raised a bare TypeError from a comparison
+    with pytest.raises(DomainError, match="must be (an integer|a real number)"):
+        call(value)

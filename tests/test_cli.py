@@ -753,6 +753,27 @@ def test_cli_rejects_non_finite_rate_and_error(capsys, corpus_dir, tmp_path, sub
 
 
 @pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--rate", "nan"], "rate must be positive and finite, got nan"),
+        (["--rate", "-1"], "rate must be positive and finite, got -1.0"),
+        (["--rate", "inf", "--delta", "0.5"], "rate must be positive and finite, got inf"),
+        (["--delta", "nan"], "error must be nonnegative and finite, got nan"),
+    ],
+    ids=["rate-nan", "rate-negative", "rate-inf", "delta-nan"],
+)
+def test_cli_rf_checks_the_certificate_arguments_before_any_eigensolver(
+    capsys, corpus_dir, tmp_path, eigensolver_calls, extra, message
+):
+    # --rate nan on the README pair made 84 eigvalsh calls (both QFIMs and the
+    # whole bisection) before it exited 1 with its DomainError
+    argv = ["rf"] + valid_argv("rf", corpus_dir, tmp_path) + extra + ["--json"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, sum(eigensolver_calls.values())) == (1, "", 0), err
+    assert json.loads(err) == {"error": "DomainError", "message": message}
+
+
+@pytest.mark.parametrize(
     "sub, extra",
     [
         ("chi", ["--power", "{}"]),

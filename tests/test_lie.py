@@ -396,6 +396,23 @@ def test_converse_certificate_rejects_non_finite_rate_and_error(r, delta):
         converse_certificate(np.diag([4.0, 2.0]), np.diag([1.0, 2.0]), r=r, delta=delta)
 
 
+@pytest.mark.parametrize(
+    "r, delta", [(math.nan, 1e-4), (-1.0, 1e-4), (2.0, -1e-3), (2.0, math.nan), ("2", 1e-4)],
+    ids=["rate-nan", "rate-negative", "delta-negative", "delta-nan", "rate-str"],
+)
+def test_converse_certificate_checks_its_arguments_before_any_eigensolver(
+    eigensolver_calls, r, delta
+):
+    # on this rank-deficient pencil a NaN rate, or a negative error, made 56
+    # eigvalsh calls (the whole bisection) before its DomainError
+    F_psi, F_phi = np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 1.0, 0.0])
+    assert rf_ratio(F_psi, F_phi).method == "bisection"
+    eigensolver_calls.clear()
+    with pytest.raises(DomainError):
+        converse_certificate(F_psi, F_phi, r=r, delta=delta)
+    assert sum(eigensolver_calls.values()) == 0
+
+
 def test_clt_diagnostic_third_order_residual(spin_half, rng):
     state = random_state(2, rng)
     grid_big = [0.01 * v for v in (np.eye(3)[i] for i in range(3))]
