@@ -59,7 +59,7 @@ class CharFunction:
         return SplitPolar(
             pairs=pairs,
             logmod=_frozen(logmod),
-            target=_frozen(np.where(zero, 0.0, logmod)),
+            target=_frozen(np.where(zero, np.finfo(float).max, logmod)),
             zero=_frozen(zero),
             phase=_frozen(phase[pairs.own.size :]),
             negative=_frozen(_negative(phase[: pairs.own.size])),
@@ -99,7 +99,10 @@ class SplitPolar:
 
     pairs: PairSplit
     logmod: np.ndarray  # (n0 + p,) log|chi| on pairs.heads (own, then first)
-    target: np.ndarray  # (n0 + p,) logmod, 0 on the zero set: M * target has no 0 * -inf
+    # (n0 + p,) logmod, and the largest float on the zero set: M * target is
+    # 0 at M = 0 (no 0 * -inf) and at least that float for M >= 1, so
+    # log|chi_psi^N| - M * target is below every cut there and f is 0
+    target: np.ndarray
     zero: np.ndarray  # (n0 + p,) the zero mask on pairs.heads
     phase: np.ndarray  # (p,) the phase on pairs.first
     negative: np.ndarray  # (n0,) chi < 0 on pairs.own, where chi is real (`negative_parity`)
@@ -174,11 +177,11 @@ def _negative(phase: np.ndarray) -> np.ndarray:
 
 
 def negative_parity(*powers) -> np.ndarray:
-    """1 where prod_i chi_i^N_i is negative, else 0, on elements where each
-    chi_i is real, powers the (negative_i, N_i) with negative_i from
-    `_negative`: 1 iff an odd number of negative chi_i have odd N_i, not
-    exp(i N pi)."""
-    return sum(N % 2 * neg for neg, N in powers) % 2
+    """True where prod_i chi_i^N_i is negative, on elements where each chi_i
+    is real, powers the (negative_i, N_i) with negative_i from `_negative`:
+    True iff an odd number of negative chi_i have odd N_i, not exp(i N pi).
+    N_i is a number or a column of them, one row each."""
+    return functools.reduce(np.logical_xor, (neg & (N % 2 == 1) for neg, N in powers))
 
 
 def char_function(rep: ProjectiveRep, state: PureState) -> CharFunction:

@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -222,9 +223,21 @@ SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, reading every argument that starts with a minus and a digit
+    (or a minus, a point and a digit) as a value, never as a flag: -1e-3 and
+    -1,2 too, which argparse's own pattern (-1, -0.5) leaves to be read as an
+    unknown flag, a usage error. No option of asym starts so, and
+    `add_subparsers` builds the subcommands' parsers of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="asym")
+    parser = _Parser(prog="asym")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, inputs, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name)

@@ -40,19 +40,27 @@ Cost: a one-off O(n^3) decomposition per group object, then per copy number
 O(n) transcendentals on the n/2 to n representatives and one real
 O(n^2) matmul, against O(n^3) for a dense eigendecomposition of M.
 
-`_interpolate` and `_min_eig` work on rows of copy numbers;
-`feasible_exact` and `is_positive_definite` are their single-row case, and
-`minimal_copies_search` decides a block of copy numbers per pass, with as
-many rows per block as fit in `groups._CHUNK_BYTES` (64 rows at n = 256).
-It first settles what it can from m = |f| alone (`_settle`): the Gram
+One path takes copy numbers to coordinates, for one row or K at once:
+`_log_ratio` and `_coords` broadcast the copy numbers given as two floats
+(one row: 1-D arrays) or as two (K, 1) columns (K rows: 2-D arrays), with
+m = |f| = exp(log-ratio) taken once per row between them. `feasible_exact`
+passes floats (`_interpolate`), so its coordinates are bit for bit those
+the K-row path gives that row, and `is_positive_definite` is the
+single-row case of the Gram rule (`_verdict`); `minimal_copies_search`
+passes columns and decides a block of copy numbers per pass, with as many
+rows per block as fit in `groups._CHUNK_BYTES` (64 rows at n = 256).
+It first settles what it can from m alone (`_settle`): the Gram
 matrix has a unit diagonal and off-diagonal row moduli summing to
 sum_{g != e} m(g), whatever the irreps, so a sum <= 1 is feasible by
 Gershgorin; a zero-set violation, or max m above 1 by a margin, is
-infeasible by a 2 x 2 principal minor. Only the unsettled rows before a
-block's first row settled infeasible go on to their coordinates, the
-matmul and the block spectra. The search costs O(n) real work per settled
-row and O(n^2) per unsettled one, so O(n_max * n^2) at worst; its memory
-beyond the irrep basis is a few blocks, whatever n_max is.
+infeasible by a 2 x 2 principal minor. The weights of that sum and the
+slot of e among the coordinates depend on the group alone, so they are
+cached with it (`FiniteGroup.gershgorin_weight`, `.identity_slot`). Only
+the unsettled rows before a block's first row settled infeasible go on to
+their coordinates (from the same m), the matmul and the block spectra.
+The search costs O(n) real work per settled row and O(n^2) per unsettled
+one, so O(n_max * n^2) at worst; its memory beyond the irrep basis is a
+few blocks, whatever n_max is.
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ from .tolerances import TOL_FLOOR, TOL_PSD
 
 MAX_SEARCH_COPIES = 10**4  # largest n_max of `minimal_copies_search`
 _LOG_TINY = math.log(np.finfo(float).tiny)  # below it |f| would be subnormal: f is 0 there
+_M_FLOOR = np.exp(-600.0)  # the least |f| that `_settle` sums, exp's own bits at -600
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,61 +94,68 @@ class FeasibilityResult:
         return float(self.block_min.min())
 
 
-def _log_ratio(
-    psi: SplitPolar, phi: SplitPolar, N: np.ndarray, M: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """log|f| of f = chi_psi^N / chi_phi^M on the representatives, for rows of
-    copy numbers N, M (K, 1).
+def _log_ratio(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, np.ndarray]:
+    """log|f| of f = chi_psi^N / chi_phi^M on the representatives, for one row
+    of copy numbers or K rows at once.
 
-    The log-ratio is capped at 350, so a grossly infeasible instance yields a
-    huge finite |f| (clearly failing the Gram test) instead of overflow, and
-    it is -inf exactly where f is 0: on the chi_phi zero set when M > 0
-    (phi^0 is the trivial state: no zeros), where chi_psi^N is an exact 0,
-    and where |f| would be subnormal (exp is many times slower there; no
-    cut comes near it). Returns the (K, n0 + p) log-ratios on
+    N and M are two floats (one row: the log-ratios are (n0 + p,) and the
+    violation one value) or two (K, 1) columns (K rows: (K, n0 + p) and
+    (K,)); the arithmetic is the same, by broadcasting, so a row gets the
+    same bits either way. The log-ratio is capped at 350, so a grossly
+    infeasible instance yields a huge finite |f| (clearly failing the Gram
+    test) instead of overflow, and it is -inf exactly where f is 0: on the
+    chi_phi zero set when M > 0 (phi^0 is the trivial state: no zeros), where
+    chi_psi^N is an exact 0, and where |f| would be subnormal (exp is many
+    times slower there; no cut comes near it). Returns the log-ratios on
     `psi.pairs.heads` and, per row, the first element where chi_phi^M
     vanishes but chi_psi^N does not, or -1.
     """
     bad = np.flatnonzero(phi.zero & ~psi.zero)
     first_bad = int(psi.pairs.heads[bad].min()) if bad.size else -1
-    violation = np.where(M[:, 0] > 0, first_bad, -1)
+    violation = np.where(M > 0, first_bad, -1).reshape(np.shape(M)[:-1])
     with np.errstate(invalid="ignore", over="ignore"):
-        logmod = N * psi.logmod
-        dlog = np.minimum(logmod - M * phi.target, 350.0)
-    dlog[(phi.zero & (M > 0)) | np.isneginf(logmod) | (dlog < _LOG_TINY)] = -np.inf
-    return dlog, violation
+        dlog = np.minimum(N * psi.logmod - M * phi.target, 350.0)
+    # below the cut: the chi_phi zero set at M > 0 (`SplitPolar.target`), an
+    # exact 0 of chi_psi^N and |f| that would be subnormal; NaN >= x is
+    # false, so the -inf - -inf of a 0 of chi_psi^N at an M whose M * target
+    # overflows is cut too
+    return np.where(dlog >= _LOG_TINY, dlog, -np.inf), violation
 
 
-def _coords(dlog: np.ndarray, psi: SplitPolar, phi: SplitPolar, N, M) -> np.ndarray:
-    """The (K, n) real coordinates (`groups.PairSplit`) of f = exp(dlog + i
-    (N phase_psi - M phase_phi)): on e and the involutions f is real, with
-    the sign from the parities of N and M (`charfn.negative_parity`); 0
-    where dlog is -inf."""
+def _coords(m: np.ndarray, psi: SplitPolar, phi: SplitPolar, N, M) -> np.ndarray:
+    """The real coordinates (`groups.PairSplit`) of f = m exp(i (N phase_psi -
+    M phase_phi)), m = |f| = exp of `_log_ratio`'s log-ratios, taken once
+    per row and shared with `_settle`: on e and the involutions f is real,
+    with the sign from the parities of N and M (`charfn.negative_parity`);
+    0 where m is. N and M are two floats with m (n0 + p,), giving (n,), or
+    (K, 1) columns with m (K, n0 + p), giving (K, n)."""
     n0 = psi.pairs.own.size
-    m = np.exp(dlog)
     odd = negative_parity((psi.negative, N), (phi.negative, M))
     theta = N * psi.phase - M * phi.phase
-    mp = m[:, n0:]
-    return np.concatenate([m[:, :n0] * (1.0 - 2.0 * odd), mp * np.cos(theta), mp * np.sin(theta)],
-                          axis=1)
+    mo, mp = m[..., :n0], m[..., n0:]
+    return np.concatenate([np.where(odd, -mo, mo), mp * np.cos(theta), mp * np.sin(theta)], axis=-1)
 
 
 def _interpolate(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, np.ndarray]:
     """f = chi_psi^N / chi_phi^M, 0 on the chi_phi zero set, in coordinates.
 
     psi and phi are split characteristic functions (`CharFunction.split_polar`).
-    N and M are copy numbers: two ints, or K each (any shape with K entries)
-    for K rows at once. Returns the (K, n) coordinates of f (`groups.PairSplit`)
-    and, per row, the first element where chi_phi^M vanishes but chi_psi^N
-    does not, or -1. Zero sets are classified once, on the single-copy
-    functions (chi^N vanishes exactly where chi does); M = 0 is the trivial
-    target, identically 1. DomainError for N < 1, M < 0, a copy number off
-    the integers up to MAX_COPIES or an integer that no float holds exactly
+    N and M are copy numbers: two ints for one row, giving the (n,)
+    coordinates of f (`groups.PairSplit`) and one violation, or K each (any
+    shape with K entries) for K rows, giving (K, n) and (K,). The violation
+    is the first element where chi_phi^M vanishes but chi_psi^N does not,
+    or -1. One path serves both: `_log_ratio` and `_coords` broadcast two
+    floats or two (K, 1) columns alike, with one exp per row between them.
+    Zero sets are classified once, on the single-copy functions (chi^N
+    vanishes exactly where chi does); M = 0 is the trivial target,
+    identically 1. DomainError for N < 1, M < 0, a copy number off the
+    integers up to MAX_COPIES or an integer that no float holds exactly
     (`charfn.exact_copy_numbers`).
     """
-    N, M = (np.reshape(exact_copy_numbers(x, low), (-1, 1)) for x, low in ((N, 1), (M, 0)))
+    N, M = (exact_copy_numbers(x, low) for x, low in ((N, 1), (M, 0)))
+    N, M = (np.reshape(x, (-1, 1)) if x.ndim else float(x) for x in (N, M))
     dlog, violation = _log_ratio(psi, phi, N, M)
-    return _coords(dlog, psi, phi, N, M), violation
+    return _coords(np.exp(dlog), psi, phi, N, M), violation
 
 
 def _min_eig(group: FiniteGroup, coords: np.ndarray) -> np.ndarray:
@@ -149,10 +165,10 @@ def _min_eig(group: FiniteGroup, coords: np.ndarray) -> np.ndarray:
 
 
 def _block_mins(group: FiniteGroup, coords: np.ndarray) -> list[np.ndarray]:
-    """Minimum eigenvalue of each irrep block for each row of coordinates
-    (K, n): one real matmul against the irrep basis
+    """Minimum eigenvalue of each irrep block for one row of coordinates (n,)
+    or each of K rows (K, n): one real matmul against the irrep basis
     (`IrrepBasis.block_coords`) and `_block_min_eig` per irrep dimension,
-    one (K, count) array per dimension."""
+    one (count,) or (K, count) array per dimension."""
     return [_block_min_eig(C) for C in group.irreps.block_coords(coords)]
 
 
@@ -177,12 +193,13 @@ def _block_min_eig(C: np.ndarray) -> np.ndarray:
 def _first_failure(min_eig: np.ndarray, violation, order: int) -> int:
     """The feasibility rule over rows in scan order: the first row it rejects, or -1.
 
-    A row is feasible iff it has no zero-set violation (violation < 0, one
-    value or one per row) and its minimum Gram eigenvalue is
-    >= -TOL_PSD * order; a NaN minimum fails.
+    A row is feasible iff it has no zero-set violation (violation < 0) and
+    its minimum Gram eigenvalue is >= -TOL_PSD * order; a NaN minimum fails.
+    For one row, min_eig is a numpy scalar and violation one value (the
+    answer is then 0 or -1); for K rows, each holds one value per row.
     """
-    fails = np.flatnonzero((violation >= 0) | ~(min_eig >= -TOL_PSD * order))
-    return int(fails[0]) if fails.size else -1
+    passes = (violation < 0) & (min_eig >= -TOL_PSD * order)
+    return -1 if passes.all() else int(np.argmin(passes))
 
 
 def is_positive_definite(group: FiniteGroup, values: np.ndarray) -> FeasibilityResult:
@@ -210,18 +227,19 @@ def _verdict(group: FiniteGroup, coords: np.ndarray, bad: int) -> FeasibilityRes
     The modulus witness reads |f| on the representatives (`PairSplit.heads`)
     off the coordinates: |c| on `own`, the modulus of (Re, Im) on `first`,
     with diag = the coordinate at e. As |f(g^-1)| = |f(g)|, the smallest
-    failing representative is the smallest failing element."""
+    failing representative is the smallest failing element; the slot of e
+    among them is cached with the group (`FiniteGroup.identity_slot`)."""
     pairs = group.pairs
     n0, p = pairs.own.size, pairs.first.size
-    block_min = np.concatenate(_block_mins(group, coords[None]), axis=-1)[0]
-    min_eig = block_min.min(keepdims=True)
+    mins = _block_mins(group, coords)
+    block_min = mins[0] if len(mins) == 1 else np.concatenate(mins)
     m = np.concatenate([np.abs(coords[:n0]), np.hypot(coords[n0 : n0 + p], coords[n0 + p :])])
-    e = np.searchsorted(pairs.own, group.identity)
+    e = group.identity_slot
     fails = _minor_fails(m, coords[e], group.order)
     fails[e] = False  # the minor takes k != e
     over = pairs.heads[fails]
     return FeasibilityResult(
-        feasible=_first_failure(min_eig, bad, group.order) < 0,
+        feasible=_first_failure(block_min.min(), bad, group.order) < 0,
         block_min=block_min,
         modulus_witness=int(over.min()) if over.size else None,
         zero_set_witness=int(bad) if bad >= 0 else None,
@@ -250,8 +268,9 @@ def feasible_exact(
 ) -> FeasibilityResult:
     """Feasibility of psi^N -> phi^M under G-covariant operations.
 
-    One row of the scan: the coordinates of the Hermitian interpolator go to
-    the Gram rule (`_verdict`).
+    One row of the scan: the coordinates of the Hermitian interpolator, from
+    the scan's own path on two floats (`_interpolate`), go to the Gram rule
+    (`_verdict`).
     Where chi_phi^M vanishes and chi_psi^N does not, the answer is
     infeasible, with the smallest such element as `zero_set_witness`. M = 0
     is accepted as the trivial (symmetric) target, which is always
@@ -261,24 +280,28 @@ def feasible_exact(
     check_same_group(char_psi, char_phi)
     _require_linear(char_psi, char_phi)
     group = char_psi.group
-    (coords,), (bad,) = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
+    coords, bad = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
     return _verdict(group, coords, int(bad))
 
 
-def _settle(group: FiniteGroup, dlog, violation) -> tuple[np.ndarray, np.ndarray]:
+def _settle(group: FiniteGroup, m, violation) -> tuple[np.ndarray, np.ndarray]:
     """Rows of copy numbers that the Gram test would decide, decided from |f|.
 
-    dlog and violation are `_log_ratio`'s for K rows, so m = |f| =
-    exp(dlog) on the representatives (`PairSplit.heads`), raised to e^-600
-    where it is smaller (or where f is 0), and f(e) = 1 since chi(e) = 1.
-    Returns two K-entry masks: the rows settled feasible and those settled
-    infeasible; a row in neither needs the Gram spectrum.
+    m = |f| on the representatives (`PairSplit.heads`) is the exp of
+    `_log_ratio`'s log-ratios for K rows (K, n0 + p), the one exp per row
+    that `_coords` reuses, and violation is `_log_ratio`'s; f(e) = 1 since
+    chi(e) = 1. The rule reads m raised to e^-600 where it is smaller (or
+    where f is 0): as exp is monotone, max(exp(dlog), e^-600) is
+    exp(max(dlog, -600)) bit for bit, with no second exp. Returns two
+    K-entry masks: the rows settled feasible and those settled infeasible;
+    a row in neither needs the Gram spectrum.
 
     Row g of the Gram matrix M[g, h] = f(g^-1 h) holds f(e) = 1 on the
     diagonal and f(k), k != e, off it, so its off-diagonal moduli sum to
     S = sum_{k != e} m(k): m on the involutions, plus twice m on each
-    g < g^-1 (|f(g^-1)| = |f(g)|). M is Hermitian by construction, and no
-    irrep enters, so this holds for every group. With n = |G|:
+    g < g^-1 (|f(g^-1)| = |f(g)|), the weights cached with the group
+    (`FiniteGroup.gershgorin_weight`). M is Hermitian by construction, and
+    no irrep enters, so this holds for every group. With n = |G|:
 
     Feasible: no zero-set violation and S <= 1 (the floor only raises S). By
     Gershgorin every eigenvalue of M is >= 1 - S >= 0, and the computed
@@ -295,15 +318,9 @@ def _settle(group: FiniteGroup, dlog, violation) -> tuple[np.ndarray, np.ndarray
     roundoff, relative, far inside that margin. Cost: O(n) real work per
     row, against O(n^2) for the Gram spectrum.
     """
-    pairs = group.pairs
-    # exp, and sums of m, are many times slower where they underflow; m is
-    # raised to e^-600 (3e-261), far below every cut here
-    m = np.exp(np.maximum(dlog, -600.0))
+    m = np.maximum(m, _M_FLOOR)  # e^-600 (3e-261): far below every cut here
     top = m.max(axis=1)
-    weight = np.ones(m.shape[1])
-    weight[pairs.own.size :] = 2.0
-    weight[np.searchsorted(pairs.own, group.identity)] = 0.0
-    off = m @ weight  # S
+    off = m @ group.gershgorin_weight  # S
     feasible = (violation < 0) & (off <= 1.0)
     return feasible, (violation >= 0) | _minor_fails(top, 1.0, group.order)
 
@@ -345,11 +362,12 @@ def minimal_copies_search(
         N = np.arange(top, max(top - rows, 0), -1.0)[:, None]
         M = np.floor(r * N + TOL_FLOOR)
         dlog, violation = _log_ratio(psi, phi, N, M)
-        feasible, infeasible = _settle(group, dlog, violation)
+        m = np.exp(dlog, out=dlog)  # |f|, once per row, for `_settle` and `_coords`
+        feasible, infeasible = _settle(group, m, violation)
         i = int(np.argmax(infeasible)) if infeasible.any() else -1
         todo = np.flatnonzero(~feasible[: i if i >= 0 else None])
         if todo.size:
-            min_eig = _min_eig(group, _coords(dlog[todo], psi, phi, N[todo], M[todo]))
+            min_eig = _min_eig(group, _coords(m[todo], psi, phi, N[todo], M[todo]))
             j = _first_failure(min_eig, violation[todo], group.order)
             if j >= 0:
                 i = int(todo[j])

@@ -96,6 +96,23 @@ class FiniteGroup:
         return pair_split(self.inv)
 
     @functools.cached_property
+    def identity_slot(self) -> int:
+        """The index of e in `pairs.own`, so in `pairs.heads` and in the
+        coordinates of a Hermitian function: found on first use and kept."""
+        return int(np.searchsorted(self.pairs.own, self.identity))
+
+    @functools.cached_property
+    def gershgorin_weight(self) -> np.ndarray:
+        """How often |f| on each of `pairs.heads` enters a row of the Gram
+        matrix M[g, h] = f(g^-1 h) off its diagonal: 0 at e, 1 on the other
+        involutions, 2 on each g < g^-1 (|f(g^-1)| = |f(g)|). (n0 + p,)
+        floats, read-only, built on first use and kept."""
+        weight = np.ones(self.pairs.heads.size)
+        weight[self.pairs.own.size :] = 2.0
+        weight[self.identity_slot] = 0.0
+        return _frozen(weight)
+
+    @functools.cached_property
     def irreps(self) -> "IrrepBasis":
         """Every irrep of the group, computed on first use and kept."""
         return regular_irreps(self)

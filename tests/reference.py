@@ -40,7 +40,7 @@ def interpolator(char_psi, char_phi, N, M) -> np.ndarray:
     """The values on G of the interpolator f = chi_psi^N / chi_phi^M that
     `feasible_exact` decides on: its coordinates from `_interpolate`, expanded
     (`PairSplit.expand`)."""
-    (coords,), _ = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
+    coords, _ = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
     return char_psi.group.pairs.expand(coords)
 
 

@@ -753,6 +753,32 @@ def test_cli_rejects_non_finite_rate_and_error(capsys, corpus_dir, tmp_path, sub
 
 
 @pytest.mark.parametrize(
+    "sub, extra",
+    [
+        ("rf", ["--delta", "-1e-3"]),
+        ("rf", ["--delta", "-1E-3"]),
+        ("rf", ["--rate", "-2.5e0"]),
+        ("rf-bare", ["--delta", "-.5e-2"]),
+        ("min-copies", ["--rate", "-1e-3"]),
+        ("min-copies", ["--rate", "-1e+3"]),
+        ("min-copies", ["--nmax", "-5"]),
+        ("convert", ["--copies", "-2", "1"]),
+        ("approx", ["--curve", "-1,2"]),
+        ("chi", ["--power", "-3"]),
+    ],
+)
+def test_cli_reads_a_negative_number_in_exponent_form_as_a_value(
+    capsys, corpus_dir, tmp_path, sub, extra
+):
+    # argparse took -1e-3 (and -1,2) for an unknown flag: exit 2 with "expected
+    # one argument", where -1 exits 1 with the documented DomainError
+    argv = valid_argv(sub.removesuffix("-bare"), corpus_dir, tmp_path)
+    if sub == "rf-bare":
+        sub, argv = "rf", argv[: argv.index("--rate")]
+    assert_domain_error(capsys, [sub] + argv + extra)
+
+
+@pytest.mark.parametrize(
     "extra, message",
     [
         (["--rate", "nan"], "rate must be positive and finite, got nan"),

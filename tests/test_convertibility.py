@@ -28,12 +28,15 @@ from asym import (
 )
 from asym.abelian import ChargeDistribution, basis_elements
 from asym.convertibility import (
+    _M_FLOOR,
     MAX_SEARCH_COPIES,
     _block_min_eig,
     _interpolate,
     _log_ratio,
     _min_eig,
+    _minor_fails,
     _settle,
+    _verdict,
 )
 from corpus import GROUP_NAMES, gauged_rep, random_state
 from reference import fourier_blocks, hermitian_block, interpolator, irrep_matrix
@@ -888,6 +891,50 @@ def test_batched_min_eigenvalues_match_feasible_exact(name, oracle_group):
             assert abs(min_eig[k] - one) <= 1e-10 * n, (r, N[k])
 
 
+def drawn_rows(group, rng):
+    """(psi, phi, N, M): two drawn chi of states (`positive_type`), phi with
+    a zero that psi lacks (at an element and its inverse), and copy numbers
+    with odd and even N and M, M = 0, and N, M near 2^53, the largest
+    integers that a float holds exactly."""
+    psi, phi = (positive_type(group, rng) for _ in range(2))
+    k = int(rng.integers(1, group.order))
+    phi[[k, group.inv[k]]] = 0.0
+    N = [1, 2, 3, 4, 7, 8, 40, 2**53 - 1, 2**53, 3, 2**52 + 1]
+    M = [0, 1, 2, 3, 4, 0, 33, 2**53, 2**53 - 1, 0, 2**52]
+    return char_from_values(group, psi), char_from_values(group, phi), N, M
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_one_row_is_row_k_of_the_k_row_path(name, oracle_group):
+    """`feasible_exact` reads its coordinates off the path the scan takes for
+    K rows at once (two floats against two (K, 1) columns, one exp per row):
+    row k's coordinates, violation and verdict are the one row's, bit for
+    bit. The spectra of K rows come from one matrix product, whose rows may
+    differ from a single row's product in the last bit, so they are
+    compared within the cut (`test_batched_min_eigenvalues_match_feasible_exact`)."""
+    group = oracle_group(name)
+    rng = np.random.default_rng(group.order + 33)
+    seen = set()
+    for _ in range(3):
+        psi, phi, N, M = drawn_rows(group, rng)
+        coords, violation = _interpolate(psi.split_polar, phi.split_polar, N, M)
+        assert coords.shape == (len(N), group.order) and violation.shape == (len(N),)
+        for k, (n, m) in enumerate(zip(N, M)):
+            one, bad = _interpolate(psi.split_polar, phi.split_polar, n, m)
+            assert one.shape == (group.order,) and np.ndim(bad) == 0
+            assert one.tobytes() == coords[k].tobytes(), (n, m)
+            assert int(bad) == violation[k]
+            got = feasible_exact(psi, phi, n, m)
+            want = _verdict(group, coords[k], int(violation[k]))
+            assert got.feasible is want.feasible
+            assert got.block_min.tobytes() == want.block_min.tobytes(), (n, m)
+            assert got.modulus_witness == want.modulus_witness
+            assert got.zero_set_witness == want.zero_set_witness
+            seen.add((got.feasible, got.zero_set_witness is not None, m == 0))
+    assert (False, True, False) in seen  # a zero-set row
+    assert (True, False, True) in seen  # M = 0, the trivial target
+
+
 def index_two_indicator(group):
     """1 on the kernel of a real nontrivial character (a subgroup of index 2),
     0 elsewhere: a positive-type function, so its product with one is too."""
@@ -982,7 +1029,7 @@ def settle(char_psi, char_phi, r, N):
     N = np.asarray(N, dtype=float)[:, None]
     M = np.floor(r * N + TOL_FLOOR)
     dlog, violation = _log_ratio(char_psi.split_polar, char_phi.split_polar, N, M)
-    feasible, infeasible = _settle(char_psi.group, dlog, violation)
+    feasible, infeasible = _settle(char_psi.group, np.exp(dlog), violation)
     return M[:, 0].astype(int), feasible, infeasible
 
 
@@ -1046,6 +1093,61 @@ def test_settled_rows_agree_where_chi_phi_vanishes(name, oracle_group):
     M, feasible, infeasible = settle(psi, phi_cut, 0.02, np.arange(1, 61))
     assert infeasible[M > 0].all() and not feasible[M > 0].any()
     assert_settled_rows_agree(psi, phi_cut, 60, extra_rates=(0.0, 0.02))
+
+
+def settle_from_log_ratios(group, dlog, violation):
+    """`_settle` as it read the log-ratios dlog (K, n0 + p) before |f| was
+    shared with `_coords`: its own exp of them, floored at -600, and the
+    weights and the slot of e built on every call."""
+    pairs = group.pairs
+    m = np.exp(np.maximum(dlog, -600.0))
+    weight = np.ones(m.shape[1])
+    weight[pairs.own.size :] = 2.0
+    weight[np.searchsorted(pairs.own, group.identity)] = 0.0
+    feasible = (violation < 0) & (m @ weight <= 1.0)
+    return feasible, (violation >= 0) | _minor_fails(m.max(axis=1), 1.0, group.order)
+
+
+def test_the_floor_on_the_shared_modulus_is_the_floor_on_the_log_ratio():
+    # exp is monotone, so max(exp(x), e^-600) = exp(max(x, -600)) bit for bit
+    dlog = np.concatenate([np.linspace(-708.4, -599.0, 200_001), [-np.inf, -600.0]])
+    with np.errstate(under="ignore"):
+        m = np.exp(dlog)
+    assert np.maximum(m, _M_FLOOR).tobytes() == np.exp(np.maximum(dlog, -600.0)).tobytes()
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_settle_on_the_shared_modulus_matches_its_own_exp(name, oracle_group):
+    group = oracle_group(name)
+    rng = np.random.default_rng(group.order + 34)
+    width = group.pairs.heads.size
+    # log-ratios about the floor and the cut, exact zeros, and ordinary rows
+    dlog = rng.choice([-np.inf, -700.0, -600.0, -599.5, -5.0, -1.0, 0.0, 0.3], size=(40, width))
+    dlog[:20] += rng.uniform(-1.0, 0.0, size=(20, width))
+    dlog[:, group.identity_slot] = 0.0  # f(e) = 1
+    violation = np.where(rng.random(40) < 0.1, 1, -1)
+    got = _settle(group, np.exp(dlog), violation)
+    want = settle_from_log_ratios(group, dlog, violation)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_the_cached_gershgorin_weight_and_identity_slot(name, oracle_group):
+    group = oracle_group(name)
+    pairs = group.pairs
+    slot = group.identity_slot
+    assert slot == np.searchsorted(pairs.own, group.identity) and pairs.heads[slot] == group.identity
+    weight = np.ones(pairs.heads.size)
+    weight[pairs.own.size :] = 2.0
+    weight[slot] = 0.0
+    assert group.gershgorin_weight.tobytes() == weight.tobytes()
+    assert group.gershgorin_weight is group.gershgorin_weight  # built once
+    assert not group.gershgorin_weight.flags.writeable
+    with pytest.raises(ValueError):
+        group.gershgorin_weight[0] = 1.0
+    for attr in ("identity_slot", "gershgorin_weight"):
+        with pytest.raises(AttributeError):  # a frozen group: no cached value is replaced
+            setattr(group, attr, 0)
 
 
 def test_a_non_hermitian_chi_that_gershgorin_would_settle_still_raises():
