@@ -181,18 +181,20 @@ def shift_canonicalize(dist: ChargeDistribution) -> ChargeDistribution:
     A single shift by any support label does it: if |lambda_a| = 1 then all
     support labels share the same character phase at a, so re-centering on
     one of them cancels it for every such a simultaneously. The probability
-    multiset is unchanged.
+    multiset is unchanged. The shift is one gather of the flat
+    probabilities: label l of the result reads label l + k1 (mod the shape),
+    k1 the first support label, its row-major index built one axis at a
+    time. SelfCheckFailed unless every kept coefficient is then within
+    TOL_SELF of 1.
     """
-    grid = dist.grid()
-    support = np.argwhere(grid > TOL_CHARGE)
-    if support.size == 0:
-        return dist
-    k1 = support[0]
-    shifted = np.roll(grid, shift=tuple(-int(k) for k in k1), axis=tuple(range(grid.ndim)))
-    out = ChargeDistribution(shape=dist.shape, probs=shifted.ravel())
+    k1 = np.unravel_index(int(np.argmax(dist.probs > TOL_CHARGE)), dist.shape)
+    src = np.zeros(1, dtype=np.intp)
+    for t, k in zip(dist.shape, k1):
+        src = (src[:, None] * t + (np.arange(t) + k) % t).ravel()
+    out = ChargeDistribution(shape=dist.shape, probs=dist.probs[src])
     lam = dual_fourier(out).values
     with np.errstate(divide="ignore"):
         unit = unit_mask(np.log(np.abs(lam)))
-    if not np.allclose(lam[unit], 1.0, atol=TOL_SELF):
+    if not (np.abs(lam[unit] - 1.0) <= TOL_SELF).all():
         raise SelfCheckFailed("shift canonicalization left a unit-modulus coefficient != 1")
     return out

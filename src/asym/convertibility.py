@@ -6,7 +6,7 @@ the ratio of characteristic functions (zero where chi_phi vanishes), built by
 `_interpolate`, and positive definiteness is decided by the minimum
 eigenvalue of the Gram matrix M[g, h] = f(g^-1 h). Where chi_phi vanishes
 and chi_psi does not, no f exists: that is an infeasible verdict with the
-element as its witness, not an error. `_first_failure` states the rule once
+element as its witness, not an error. `_passes` states the rule once
 (no such element, and a minimum Gram eigenvalue >= -TOL_PSD * |G|) for
 `feasible_exact`, `is_positive_definite` and the copy-number scan. The
 abelian Fourier view is `feasible_exact` on the label group of a charge
@@ -44,9 +44,10 @@ One path takes copy numbers to coordinates, for one row or K at once:
 `_log_ratio` and `_coords` broadcast the copy numbers given as two floats
 (one row: 1-D arrays) or as two (K, 1) columns (K rows: 2-D arrays), with
 m = |f| = exp(log-ratio) taken once per row between them. `feasible_exact`
-passes floats (`_interpolate`), so its coordinates are bit for bit those
-the K-row path gives that row, and `is_positive_definite` is the
-single-row case of the Gram rule (`_verdict`); `minimal_copies_search`
+passes floats (`_interpolate`), so its m and coordinates are bit for bit
+those the K-row path gives that row; it and `is_positive_definite` take
+the single-row Gram rule (`_verdict`), which reads the modulus witness off
+m and decides with one Python bool; `minimal_copies_search`
 passes columns and decides a block of copy numbers per pass, with as many
 rows per block as fit in `groups._CHUNK_BYTES` (64 rows at n = 256).
 It first settles what it can from m alone (`_settle`): the Gram
@@ -110,8 +111,8 @@ def _log_ratio(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, np.n
     `psi.pairs.heads` and, per row, the first element where chi_phi^M
     vanishes but chi_psi^N does not, or -1.
     """
-    bad = np.flatnonzero(phi.zero & ~psi.zero)
-    first_bad = int(psi.pairs.heads[bad].min()) if bad.size else -1
+    bad = phi.zero & ~psi.zero
+    first_bad = int(psi.pairs.heads[bad].min()) if bad.any() else -1
     violation = np.where(M > 0, first_bad, -1).reshape(np.shape(M)[:-1])
     with np.errstate(invalid="ignore", over="ignore"):
         dlog = np.minimum(N * psi.logmod - M * phi.target, 350.0)
@@ -136,13 +137,15 @@ def _coords(m: np.ndarray, psi: SplitPolar, phi: SplitPolar, N, M) -> np.ndarray
     return np.concatenate([np.where(odd, -mo, mo), mp * np.cos(theta), mp * np.sin(theta)], axis=-1)
 
 
-def _interpolate(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, np.ndarray]:
-    """f = chi_psi^N / chi_phi^M, 0 on the chi_phi zero set, in coordinates.
+def _interpolate(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, ...]:
+    """f = chi_psi^N / chi_phi^M, 0 on the chi_phi zero set: |f| on the
+    representatives, and f in coordinates.
 
     psi and phi are split characteristic functions (`CharFunction.split_polar`).
-    N and M are copy numbers: two ints for one row, giving the (n,)
-    coordinates of f (`groups.PairSplit`) and one violation, or K each (any
-    shape with K entries) for K rows, giving (K, n) and (K,). The violation
+    N and M are copy numbers: two ints for one row, giving m = |f| on
+    `PairSplit.heads` (n0 + p,), the (n,) coordinates of f
+    (`groups.PairSplit`) and one violation, or K each (any shape with K
+    entries) for K rows, giving (K, n0 + p), (K, n) and (K,). The violation
     is the first element where chi_phi^M vanishes but chi_psi^N does not,
     or -1. One path serves both: `_log_ratio` and `_coords` broadcast two
     floats or two (K, 1) columns alike, with one exp per row between them.
@@ -155,7 +158,8 @@ def _interpolate(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, np
     N, M = (exact_copy_numbers(x, low) for x, low in ((N, 1), (M, 0)))
     N, M = (np.reshape(x, (-1, 1)) if x.ndim else float(x) for x in (N, M))
     dlog, violation = _log_ratio(psi, phi, N, M)
-    return _coords(np.exp(dlog), psi, phi, N, M), violation
+    m = np.exp(dlog, out=dlog)
+    return m, _coords(m, psi, phi, N, M), violation
 
 
 def _min_eig(group: FiniteGroup, coords: np.ndarray) -> np.ndarray:
@@ -190,15 +194,17 @@ def _block_min_eig(C: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(block_pairs(d).expand(C).reshape(*C.shape[:-1], d, d))[..., 0]
 
 
-def _first_failure(min_eig: np.ndarray, violation, order: int) -> int:
-    """The feasibility rule over rows in scan order: the first row it rejects, or -1.
+def _passes(min_eig, violation, order: int):
+    """The feasibility rule: a row is feasible iff it has no zero-set
+    violation (violation < 0) and its minimum Gram eigenvalue is
+    >= -TOL_PSD * order; a NaN minimum fails. Elementwise on K rows; on
+    one row given as a Python float and int, a Python bool."""
+    return (violation < 0) & (min_eig >= -TOL_PSD * order)
 
-    A row is feasible iff it has no zero-set violation (violation < 0) and
-    its minimum Gram eigenvalue is >= -TOL_PSD * order; a NaN minimum fails.
-    For one row, min_eig is a numpy scalar and violation one value (the
-    answer is then 0 or -1); for K rows, each holds one value per row.
-    """
-    passes = (violation < 0) & (min_eig >= -TOL_PSD * order)
+
+def _first_failure(min_eig: np.ndarray, violation: np.ndarray, order: int) -> int:
+    """`_passes` over K rows in scan order: the first row it rejects, or -1."""
+    passes = _passes(min_eig, violation, order)
     return -1 if passes.all() else int(np.argmin(passes))
 
 
@@ -213,36 +219,40 @@ def is_positive_definite(group: FiniteGroup, values: np.ndarray) -> FeasibilityR
     if values.shape != (group.order,):
         raise DimensionMismatch(f"expected {group.order} values, got shape {values.shape}")
     check_hermitian(values, group.inv, max(1.0, np.abs(values).max()), "f")
-    return _verdict(group, group.pairs.coords(values), -1)
-
-
-def _verdict(group: FiniteGroup, coords: np.ndarray, bad: int) -> FeasibilityResult:
-    """The Gram rule on one Hermitian f of coordinates coords (n,), with
-    zero-set violation bad (an element, or -1): feasible iff bad < 0 and the
-    minimum eigenvalue of M[g, h] = f(g^-1 h), from its Fourier blocks, is
-    >= -TOL_PSD * |G|; with the witnesses of the report and the minimum of
-    each block, of which min_gram_eigenvalue is the least. On an abelian
-    group every block is 1 x 1, so these are the whole spectrum.
-
-    The modulus witness reads |f| on the representatives (`PairSplit.heads`)
-    off the coordinates: |c| on `own`, the modulus of (Re, Im) on `first`,
-    with diag = the coordinate at e. As |f(g^-1)| = |f(g)|, the smallest
-    failing representative is the smallest failing element; the slot of e
-    among them is cached with the group (`FiniteGroup.identity_slot`)."""
     pairs = group.pairs
-    n0, p = pairs.own.size, pairs.first.size
+    coords = pairs.coords(values)
+    n0, p = pairs.own.size, pairs.first.size  # |c| on own, the modulus of (Re, Im) on first
+    m = np.concatenate([np.abs(coords[:n0]), np.hypot(coords[n0 : n0 + p], coords[n0 + p :])])
+    return _verdict(group, coords, m, -1)
+
+
+def _verdict(group: FiniteGroup, coords: np.ndarray, m: np.ndarray, bad: int) -> FeasibilityResult:
+    """The Gram rule on one Hermitian f of coordinates coords (n,), with
+    m = |f| on the representatives (`PairSplit.heads`) and zero-set
+    violation bad (a Python int: an element, or -1): feasible iff bad < 0
+    and the minimum eigenvalue of M[g, h] = f(g^-1 h), from its Fourier
+    blocks, is >= -TOL_PSD * |G|, decided as one Python bool (`_passes`);
+    with the witnesses of the report and the minimum of each block, of which
+    min_gram_eigenvalue is the least. On an abelian group every block is
+    1 x 1, so these are the whole spectrum.
+
+    The modulus witness is the smallest representative k != e where m
+    fails the 2 x 2 minor (`_minor_fails`), with diag = the coordinate at e.
+    As |f(g^-1)| = |f(g)|, that is the smallest failing element; the slot of
+    e among the representatives is cached with the group
+    (`FiniteGroup.identity_slot`). `feasible_exact` passes the m that
+    `_settle` reads for the same row, so a row settled infeasible by the
+    minor gets its witness from that same m."""
     mins = _block_mins(group, coords)
     block_min = mins[0] if len(mins) == 1 else np.concatenate(mins)
-    m = np.concatenate([np.abs(coords[:n0]), np.hypot(coords[n0 : n0 + p], coords[n0 + p :])])
     e = group.identity_slot
     fails = _minor_fails(m, coords[e], group.order)
     fails[e] = False  # the minor takes k != e
-    over = pairs.heads[fails]
     return FeasibilityResult(
-        feasible=_first_failure(block_min.min(), bad, group.order) < 0,
+        feasible=_passes(float(block_min.min()), bad, group.order),
         block_min=block_min,
-        modulus_witness=int(over.min()) if over.size else None,
-        zero_set_witness=int(bad) if bad >= 0 else None,
+        modulus_witness=int(group.pairs.heads[fails].min()) if fails.any() else None,
+        zero_set_witness=bad if bad >= 0 else None,
     )
 
 
@@ -268,9 +278,9 @@ def feasible_exact(
 ) -> FeasibilityResult:
     """Feasibility of psi^N -> phi^M under G-covariant operations.
 
-    One row of the scan: the coordinates of the Hermitian interpolator, from
-    the scan's own path on two floats (`_interpolate`), go to the Gram rule
-    (`_verdict`).
+    One row of the scan: |f| and the coordinates of the Hermitian
+    interpolator, from the scan's own path on two floats (`_interpolate`),
+    go to the Gram rule (`_verdict`).
     Where chi_phi^M vanishes and chi_psi^N does not, the answer is
     infeasible, with the smallest such element as `zero_set_witness`. M = 0
     is accepted as the trivial (symmetric) target, which is always
@@ -280,8 +290,8 @@ def feasible_exact(
     check_same_group(char_psi, char_phi)
     _require_linear(char_psi, char_phi)
     group = char_psi.group
-    coords, bad = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
-    return _verdict(group, coords, int(bad))
+    m, coords, bad = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
+    return _verdict(group, coords, m, int(bad))
 
 
 def _settle(group: FiniteGroup, m, violation) -> tuple[np.ndarray, np.ndarray]:
@@ -338,12 +348,18 @@ def minimal_copies_search(
     optimal exact rate and the witness inequality eventually fails).
 
     The scan runs from n_max down, a block of copy numbers at a time, and
-    stops at the first N that `feasible_exact` would reject. `_settle`
-    decides what it can of each block from |f|; only the unsettled rows
-    before the block's first row settled infeasible get their coordinates
-    and the Gram test. DomainError for a copy number `_interpolate` would
-    refuse, for an n_max that is not an integer or a rate that is not a real
-    number, and unless both characteristic functions come from a linear rep.
+    stops at the first N that `feasible_exact` would reject, up to the last
+    bits of the Gram spectrum: the scan multiplies the (K, n) unsettled rows
+    by the irrep basis in one matrix product (BLAS gemm), `feasible_exact`
+    one row (gemv), and the two round differently. So a row whose minimum
+    Gram eigenvalue lies within rounding of the cut -TOL_PSD |G| may stop
+    the scan where `feasible_exact` accepts it, or pass where it rejects.
+    Their coordinates and |f| agree bit for bit. `_settle` decides what it
+    can of each block from |f|; only the unsettled rows before the block's
+    first row settled infeasible get their coordinates and the Gram test.
+    DomainError for a copy number `_interpolate` would refuse, for an n_max
+    that is not an integer or a rate that is not a real number, and unless
+    both characteristic functions come from a linear rep.
     """
     if not (math.isfinite(as_real(r, "rate")) and r >= 0):
         raise DomainError(f"rate must be a finite number >= 0, got {r}")

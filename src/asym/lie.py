@@ -91,19 +91,26 @@ def qfim(rho, gens: GeneratorSet) -> np.ndarray:
     """SLD quantum Fisher information matrix of rho for the given generators.
 
     Spectral form: F_ij = sum over eigenpairs (k, l) with p_k + p_l above the
-    support cutoff TOL_SUPP of 2 (p_k - p_l)^2 / (p_k + p_l) <k|X_i|l><l|X_j|k>,
-    symmetrized. For (numerically) pure inputs the pure-state identity
-    F = 4 Cov_sym is re-checked; a mismatch raises SelfCheckFailed.
+    support cutoff TOL_SUPP of 2 (p_k - p_l)^2 / (p_k + p_l) Re <k|X_i|l><l|X_j|k>,
+    symmetrized. Such a term has k or l in the support S = {k : p_k >
+    TOL_SUPP/2}, so <k|X_i|l> is formed for k in S only, and each term with
+    l outside S counts twice, for its mirror (l, k), whose real part is the
+    same. Cost: one `eigh` of rho, then O(m r d^2) for the m generators, with
+    r = |S| the rank of rho (r = 1 for a pure state). For (numerically) pure
+    inputs the pure-state identity F = 4 Cov_sym is re-checked; a mismatch
+    raises SelfCheckFailed.
     """
     p, V = _density_spectrum(rho)
     if p.size != gens.dim:
         raise DimensionMismatch(f"rho dim {p.size} != generator dim {gens.dim}")
-    p = np.clip(p, 0.0, None)
-    A = V.conj().T @ gens.generators @ V  # (m, d, d): <k|X_i|l>
-    denom = p[:, None] + p[None, :]
-    num = (p[:, None] - p[None, :]) ** 2
-    W = np.where(denom > TOL_SUPP, 2.0 * num / np.where(denom > TOL_SUPP, denom, 1.0), 0.0)
-    F = np.real(np.einsum("kl,mkl,nkl->mn", W, A, A.conj()))
+    p = np.clip(p, 0.0, None)  # ascending, so S is the tail p[s:]
+    s = int(np.searchsorted(p, TOL_SUPP / 2.0, side="right"))
+    A = V[:, s:].conj().T @ gens.generators @ V  # (m, r, d): <k|X_i|l>, k in S
+    denom = p[s:, None] + p  # > TOL_SUPP/2 > 0
+    W = np.where(denom > TOL_SUPP, 2.0 * (p[s:, None] - p) ** 2 / denom, 0.0)
+    W[:, :s] *= 2.0  # the mirror term (l, k) of each l outside S
+    n = 2 * W.size  # Re and Im of each <k|X_i|l>: F = Re sum_kl W A_i conj(A_j), one real matmul
+    F = (A * W).view(float).reshape(-1, n) @ A.view(float).reshape(-1, n).T
     F = (F + F.T) / 2.0
 
     if p[-1] > 1.0 - TOL_PURE:  # pure input: cross-check against 4 * Cov_sym

@@ -10,7 +10,7 @@ from asym.errors import DomainError, RateNotBelowOptimal
 from asym.exact_rate import FINITE, UNBOUNDED, ZERO, RateReport
 from asym.groups import block_pairs
 from asym.lie import RfResult, _pencil_direction, qfim_pure
-from asym.tolerances import TOL_ONE, TOL_PENCIL
+from asym.tolerances import TOL_ONE, TOL_PENCIL, TOL_SUPP
 
 
 def subgroup_closure(group, seed) -> frozenset[int]:
@@ -40,8 +40,23 @@ def interpolator(char_psi, char_phi, N, M) -> np.ndarray:
     """The values on G of the interpolator f = chi_psi^N / chi_phi^M that
     `feasible_exact` decides on: its coordinates from `_interpolate`, expanded
     (`PairSplit.expand`)."""
-    coords, _ = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
+    _, coords, _ = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
     return char_psi.group.pairs.expand(coords)
+
+
+def qfim_all_pairs(rho, gens) -> np.ndarray:
+    """The SLD QFIM as the spectral sum over every eigenpair (k, l) with
+    p_k + p_l > TOL_SUPP, from a d x d conjugation <k|X_i|l> of each
+    generator: what `lie.qfim` computed before it formed rows k in the
+    support only."""
+    p, V = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    p = np.clip(p, 0.0, None)
+    A = V.conj().T @ gens.generators @ V  # (m, d, d): <k|X_i|l>
+    denom = p[:, None] + p[None, :]
+    num = (p[:, None] - p[None, :]) ** 2
+    W = np.where(denom > TOL_SUPP, 2.0 * num / np.where(denom > TOL_SUPP, denom, 1.0), 0.0)
+    F = np.real(np.einsum("kl,mkl,nkl->mn", W, A, A.conj()))
+    return (F + F.T) / 2.0
 
 
 def fourier_blocks(group, values) -> list[np.ndarray]:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,9 +29,15 @@ from asym.abelian import ChargeDistribution, basis_elements
 from asym.convertibility import _interpolate
 from asym.cli import main
 from corpus import corpus_rep, random_distribution, random_state, z2_population_state
-from asym.errors import DomainError, NotAbelian, NotSimultaneouslyDiagonalizable, ShapeMismatch
+from asym.errors import (
+    DomainError,
+    NotAbelian,
+    NotSimultaneouslyDiagonalizable,
+    SelfCheckFailed,
+    ShapeMismatch,
+)
 from asym.groups import MAX_ORDER, ProjectiveRep, PureState
-from asym.tolerances import TOL_PSD
+from asym.tolerances import TOL_CHARGE, TOL_PSD, TOL_SELF
 from reference import fft_label_weights, fourier_blocks, interpolator, irrep_matrix
 from reference import subgroup_closure
 from test_convertibility import BUILT, concentrated_type
@@ -183,6 +190,59 @@ def test_shift_canonicalize_noop_on_centered():
     d = dist((3,), [0.5, 0.25, 0.25])
     out = shift_canonicalize(d)
     assert np.allclose(out.probs, d.probs, atol=1e-15)
+
+
+def turned_unit_coefficient(monkeypatch, index, angle):
+    """`dual_fourier` as `shift_canonicalize` reads it, with the coefficient
+    at index turned by angle radians."""
+    real = abelian.dual_fourier
+
+    def turned(d):
+        lam = real(d).values.copy()
+        lam[index] *= np.exp(1j * angle)
+        return abelian.DualCoefficients(values=lam)
+
+    monkeypatch.setattr(abelian, "dual_fourier", turned)
+
+
+def test_shift_canonicalize_self_check_cuts_at_tol_self(monkeypatch):
+    # Z_4 with p on {1, 3}: after the shift lambda_2 = 1, of unit modulus.
+    # Turned by 1e-6 rad it is 1e-6 from 1: well past TOL_SELF (1e-8), but
+    # inside the rtol of 1e-5 that a default np.allclose would add
+    d = dist((4,), [0.0, 0.5, 0.0, 0.5])
+    turned_unit_coefficient(monkeypatch, 2, 1e-6)
+    with pytest.raises(SelfCheckFailed):
+        shift_canonicalize(d)
+    monkeypatch.undo()
+    turned_unit_coefficient(monkeypatch, 2, 0.5 * TOL_SELF)  # within the cut
+    assert np.array_equal(shift_canonicalize(d).probs, [0.5, 0.0, 0.5, 0.0])
+    monkeypatch.undo()
+    turned_unit_coefficient(monkeypatch, 2, 2.0 * TOL_SELF)
+    with pytest.raises(SelfCheckFailed):
+        shift_canonicalize(d)
+
+
+@pytest.mark.parametrize("shape", [(2,) * 8, (16, 16), (3, 2), (256,)])
+def test_shift_canonicalize_is_np_roll_bit_for_bit(shape):
+    """The one gather of the flat probabilities is `np.roll` of the grid by
+    minus the first support label, for every label first: random weights
+    on the labels from k on, and on the coset k + H of the labels whose
+    first entry is even (the unit coefficient at a = (t_0/2, 0, ...) when
+    t_0 is even)."""
+    rng = np.random.default_rng(len(shape))
+    n = math.prod(shape)
+    labels = np.array(list(np.ndindex(*shape)))
+    even = labels[:, 0] % 2 == 0
+    for k in range(n):
+        tail = np.where(np.arange(n) >= k, rng.uniform(0.1, 1.0, n), 0.0)
+        coset = np.zeros(n)
+        coset[np.ravel_multi_index(((labels[even] + labels[k]) % shape).T, shape)] = rng.uniform(
+            0.1, 1.0, even.sum())
+        for probs in (tail, coset):
+            d = dist(shape, probs / probs.sum())
+            first = np.argwhere(d.grid() > TOL_CHARGE)[0]
+            want = np.roll(d.grid(), tuple(-int(j) for j in first), axis=tuple(range(len(shape))))
+            assert shift_canonicalize(d).probs.tobytes() == want.ravel().tobytes(), (k, first)
 
 
 @settings(max_examples=40, deadline=None)
@@ -611,7 +671,7 @@ def test_the_gram_view_interpolator_is_hermitian_bit_for_bit(name, seed, N, M):
     group = built_group(name)
     rng = np.random.default_rng(seed)
     psi, phi = (char_from_values(group, concentrated_type(group, rng, terms=2)) for _ in range(2))
-    coords, _ = _interpolate(psi.split_polar, phi.split_polar, [N, 1, N], [M, M, 0])
+    _, coords, _ = _interpolate(psi.split_polar, phi.split_polar, [N, 1, N], [M, M, 0])
     f = group.pairs.expand(coords)
     assert_hermitian_rows(f, group.inv)
     assert not np.signbit(f.real[f.real == 0]).any()
@@ -767,7 +827,7 @@ def test_an_integer_copy_number_without_an_exact_float_is_refused(M, capsys, tmp
     w, ok = fourier_weights(p, q, 1, 2**53)
     assert ok and np.array_equal(w, [1.0, 0.0])
     rows = _interpolate(p.char.split_polar, q.char.split_polar, np.array([1, 1]), np.array([3, 2**53]))
-    assert rows[0].shape == (2, 2)
+    assert rows[1].shape == (2, 2)
     with pytest.raises(DomainError, match="no exact float"):
         _interpolate(p.char.split_polar, q.char.split_polar, [1, 1], [3, 2**53 + 1])
 

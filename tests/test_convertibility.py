@@ -884,7 +884,7 @@ def test_batched_min_eigenvalues_match_feasible_exact(name, oracle_group):
     N = np.arange(1, 151)
     for r in rates(psi, phi)[:3]:  # r <= the exact rate: |f| <= 1
         M = np.floor(r * N + 1e-12)
-        coords, violation = _interpolate(psi.split_polar, phi.split_polar, N, M)
+        _, coords, violation = _interpolate(psi.split_polar, phi.split_polar, N, M)
         min_eig = _min_eig(group, coords)
         for k in np.flatnonzero(violation < 0):
             one = feasible_exact(psi, phi, int(N[k]), int(M[k])).min_gram_eigenvalue
@@ -908,7 +908,7 @@ def drawn_rows(group, rng):
 def test_one_row_is_row_k_of_the_k_row_path(name, oracle_group):
     """`feasible_exact` reads its coordinates off the path the scan takes for
     K rows at once (two floats against two (K, 1) columns, one exp per row):
-    row k's coordinates, violation and verdict are the one row's, bit for
+    row k's |f|, coordinates, violation and verdict are the one row's, bit for
     bit. The spectra of K rows come from one matrix product, whose rows may
     differ from a single row's product in the last bit, so they are
     compared within the cut (`test_batched_min_eigenvalues_match_feasible_exact`)."""
@@ -917,15 +917,17 @@ def test_one_row_is_row_k_of_the_k_row_path(name, oracle_group):
     seen = set()
     for _ in range(3):
         psi, phi, N, M = drawn_rows(group, rng)
-        coords, violation = _interpolate(psi.split_polar, phi.split_polar, N, M)
+        mod, coords, violation = _interpolate(psi.split_polar, phi.split_polar, N, M)
         assert coords.shape == (len(N), group.order) and violation.shape == (len(N),)
+        assert mod.shape == (len(N), group.pairs.heads.size)
         for k, (n, m) in enumerate(zip(N, M)):
-            one, bad = _interpolate(psi.split_polar, phi.split_polar, n, m)
+            one_mod, one, bad = _interpolate(psi.split_polar, phi.split_polar, n, m)
             assert one.shape == (group.order,) and np.ndim(bad) == 0
             assert one.tobytes() == coords[k].tobytes(), (n, m)
+            assert one_mod.tobytes() == mod[k].tobytes(), (n, m)
             assert int(bad) == violation[k]
             got = feasible_exact(psi, phi, n, m)
-            want = _verdict(group, coords[k], int(violation[k]))
+            want = _verdict(group, coords[k], mod[k], int(violation[k]))
             assert got.feasible is want.feasible
             assert got.block_min.tobytes() == want.block_min.tobytes(), (n, m)
             assert got.modulus_witness == want.modulus_witness
@@ -1093,6 +1095,44 @@ def test_settled_rows_agree_where_chi_phi_vanishes(name, oracle_group):
     M, feasible, infeasible = settle(psi, phi_cut, 0.02, np.arange(1, 61))
     assert infeasible[M > 0].all() and not feasible[M > 0].any()
     assert_settled_rows_agree(psi, phi_cut, 60, extra_rates=(0.0, 0.02))
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_the_modulus_witness_is_read_off_the_modulus_that_settle_reads(name, oracle_group):
+    """On rows that `_settle` decides infeasible by the 2 x 2 minor,
+    `feasible_exact` names the smallest element k != e where that same m
+    (the exp of `_log_ratio`'s log-ratios, taken once per row) fails the
+    minor; its verdict is a Python bool."""
+    group = oracle_group(name)
+    rng = np.random.default_rng(group.order + 35)
+    e, heads = group.identity_slot, group.pairs.heads
+    witnessed = 0
+    for terms in (None, 2):  # drawn, and concentrated on two irrep coefficients
+        psi, phi = (char_from_values(group, positive_type(group, rng) if terms is None
+                                     else concentrated_type(group, rng, terms)) for _ in range(2))
+        N = np.arange(1, 41, dtype=float)[:, None]
+        for r in (*rates(psi, phi), 2 * rates(psi, phi)[-1]):
+            M = np.floor(r * N + TOL_FLOOR)
+            dlog, violation = _log_ratio(psi.split_polar, phi.split_polar, N, M)
+            m = np.exp(dlog)
+            _, infeasible = _settle(group, m, violation)
+            for k in np.flatnonzero(infeasible & (violation < 0)):
+                res = feasible_exact(psi, phi, int(N[k, 0]), int(M[k, 0]))
+                assert type(res.feasible) is bool and res.feasible is False
+                fails = _minor_fails(m[k], 1.0, group.order)
+                fails[e] = False
+                assert res.modulus_witness == heads[fails].min(), (r, N[k, 0])
+                witnessed += 1
+    assert witnessed > 0
+
+
+def test_the_verdict_is_a_python_bool(z3):
+    for a, b, want in ((0.5, 0.9, True), (0.9, 0.5, False)):
+        res = feasible_exact(chi(z3, [a, a]), chi(z3, [b, b]), 1, 1)
+        assert type(res.feasible) is bool and res.feasible is want
+        res = is_positive_definite(z3, [1.0, a, a])
+        assert type(res.feasible) is bool and res.feasible is True
+    assert is_positive_definite(z3, [1.0, 1.5, 1.5]).feasible is False
 
 
 def settle_from_log_ratios(group, dlog, violation):

@@ -18,12 +18,13 @@ from asym import (
     rf_ratio,
 )
 from corpus import random_state
-from asym.errors import DimensionMismatch, DomainError, NotAState
+from asym.errors import DimensionMismatch, DomainError, NotAState, SelfCheckFailed
 from asym.groups import PureState
+from asym import lie
 from asym.lie import pure_density, symmetrized_covariance
-from asym.tolerances import TOL_PENCIL
+from asym.tolerances import TOL_PENCIL, TOL_SUPP
 
-from reference import clt_per_theta, rf_ratio_200_steps
+from reference import clt_per_theta, qfim_all_pairs, rf_ratio_200_steps
 
 
 @pytest.fixture
@@ -111,6 +112,83 @@ def test_qfim_matches_three_operand_einsum_reference(rng):
         F = np.real(np.einsum("kl,mkl,nkl->mn", W, A, A.conj()))
         F = (F + F.T) / 2.0
         assert np.abs(qfim(rho, gens) - F).max() <= 1e-12 * np.abs(F).max()
+
+
+def spectra(d, rng):
+    """Spectra of rank 1, 2, d - 1 and d, degenerate ones, and ones with
+    eigenvalues just above and just below TOL_SUPP/2, the support cut."""
+    half = TOL_SUPP / 2.0
+    near = [half * 1.2, half * 0.8, half * 1.05, half * 0.95, half * 0.5]
+    raw = [
+        [1.0],
+        rng.uniform(0.1, 1.0, 2),
+        rng.uniform(0.1, 1.0, d - 1),
+        rng.uniform(0.1, 1.0, d),
+        [0.25, 0.25, 0.25, 0.25],  # rank 4, one eigenvalue
+        [0.4, 0.4, 0.1, 0.1],
+        np.repeat(rng.uniform(0.1, 1.0, d // 2), 2),  # full rank, all doubled
+        [*near, 0.7, 0.3],
+        [*near[1::2], 1.0],  # a pure state with its tail at the cut
+        [half * 1.5, half * 1.5, 0.5, 0.5],
+    ]
+    for p in raw:
+        p = np.concatenate([p, np.zeros(d - len(p))])
+        big = p > TOL_SUPP
+        p[big] *= (1.0 - p[~big].sum()) / p[big].sum()
+        yield p
+
+
+def test_qfim_on_the_support_matches_the_all_pairs_sum(rng):
+    """Rows k of the support only, with each term (k, l), l outside it,
+    doubled for its mirror: the all-pairs spectral sum to a relative 1e-12
+    at every rank, on degenerate spectra and about the support cut."""
+    seen = set()
+    for d, m in ((8, 3), (16, 4), (9, 8)):
+        X = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+        gens = GeneratorSet(dim=d, generators=(X + X.conj().transpose(0, 2, 1)) / 2)
+        for p in spectra(d, rng):
+            for _ in range(4):
+                z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                V, _ = np.linalg.qr(z)
+                rho = (V * p) @ V.conj().T
+                w = np.linalg.eigvalsh(rho)
+                seen.add(int((w > TOL_SUPP / 2).sum()))
+                F, want = qfim(rho, gens), qfim_all_pairs(rho, gens)
+                assert np.abs(F - want).max() <= 1e-12 * np.abs(want).max(), (d, p)
+    assert {1, 2, 7, 8, 15, 16} <= seen  # ranks 1, 2, d - 1 and d
+
+
+def test_qfim_keeps_the_terms_between_eigenvalues_about_the_cut(rng):
+    """Generators that act only on eigenvectors with eigenvalues about
+    TOL_SUPP/2: F is made of the terms between them alone, of order
+    TOL_SUPP, and still matches the all-pairs sum to a relative 1e-12. A
+    term with p_k in S and p_l just below the cut, p_k + p_l > TOL_SUPP,
+    counts; one with both below, p_k + p_l <= TOL_SUPP, does not."""
+    half = TOL_SUPP / 2.0
+    d = 7
+    p = np.array([half * 0.5, half * 0.8, half * 0.95, half * 1.05, half * 1.2, 0.3, 0.0])
+    p[-1] = 1.0 - p.sum()
+    cut = slice(0, 5)
+    for _ in range(10):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        V, _ = np.linalg.qr(z)
+        rho = (V * p) @ V.conj().T
+        Y = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+        X = V[:, cut] @ (Y + Y.conj().transpose(0, 2, 1)) @ V[:, cut].conj().T
+        gens = GeneratorSet(dim=d, generators=(X + X.conj().transpose(0, 2, 1)) / 2)
+        F, want = qfim(rho, gens), qfim_all_pairs(rho, gens)
+        assert 0 < np.abs(want).max() < 1e-11
+        assert np.abs(F - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_qfim_self_check_fires_on_a_pure_state(spin_half, rng, monkeypatch):
+    state = random_state(2, rng)
+    rho = pure_density(state)
+    qfim(rho, spin_half)
+    real = lie.symmetrized_covariance
+    monkeypatch.setattr(lie, "symmetrized_covariance", lambda s, g: real(s, g) + 1e-6)
+    with pytest.raises(SelfCheckFailed, match="4 Cov_sym"):
+        qfim(rho, spin_half)
 
 
 def test_symmetrized_covariance_is_psd(spin_half, rng):
