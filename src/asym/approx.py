@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import CharFunction, check_same_group, copy_numbers
-from .errors import SelfCheckFailed
+from .errors import DomainError, SelfCheckFailed
 from .tolerances import TOL_CURVE
 
 
@@ -62,11 +62,16 @@ def convergence_to_uniform(char_psi: CharFunction, N_list) -> ConvergenceReport:
     For each N >= 1 emits the proven overlap bound |G| s^{|G| N} / 2 with
     s = max |chi| off the symmetry subgroup (`_decay_base`), and the measured
     proxy (1/2) sum over g off sym of |chi(g)|^{|G| N}; the proxy never exceeds
-    the bound. DomainError for a copy number that `copy_numbers` refuses.
+    the bound. N_list is an iterable of copy numbers, each gated on its own
+    (`copy_numbers`): DomainError for an entry that gate refuses, a list or
+    array among them, and for an N_list that is no iterable.
     """
     s = _decay_base(char_psi)
-    N_list = list(N_list)
-    copies = copy_numbers(N_list).tolist()
+    try:
+        N_list = list(N_list)
+    except TypeError:
+        raise DomainError(f"copy numbers must be a list of integers, got {N_list!r}") from None
+    copies = [copy_numbers(N) for N in N_list]
     n = char_psi.group.order
     off = _off_sym(char_psi)
     log_s = math.log(s) if s > 0 else -math.inf

@@ -245,49 +245,37 @@ def classify_sets(char: CharFunction) -> ClassSets:
 MAX_COPIES = sys.float_info.max / (2 * math.pi)
 
 
-def copy_numbers(N, low: int = 1) -> np.ndarray:
-    """Copy numbers (an int or an array of them) as floats; DomainError for one
-    that is not an integer (a str or bool too), below low or above MAX_COPIES."""
+def copy_numbers(N, low: int = 1) -> float:
+    """One copy number, an int or float (Python's or numpy's), as a Python
+    float; DomainError for anything else (a str, bytes or bool, which float()
+    would read as a number, or a list, tuple or array of any shape) and for
+    a number off the integers, below low or above MAX_COPIES."""
     if isinstance(N, bool) or not isinstance(N, (int, float, np.integer, np.floating)):
-        for v in np.asarray(N, dtype=object).flat:
-            if isinstance(v, (str, bytes, bool, np.bool_)):  # float() reads "3" as 3, True as 1
-                raise DomainError(f"copy number must be an integer, got {v!r}")
+        raise DomainError(f"copy number must be an integer, got {N!r}")
     try:
-        x = np.asarray(N, dtype=float)
+        x = float(N)
     except OverflowError:
         raise DomainError(f"copy number above {MAX_COPIES:.3g}") from None
-    if x.ndim == 0:  # one copy number, the common case: Python beats three ufuncs
-        inside = low <= float(x) <= MAX_COPIES and float(x).is_integer()
-    else:
-        inside = ((x >= low) & (x <= MAX_COPIES) & (x % 1 == 0)).all()
-    if not inside:
-        got = next(v for v in x.flat if not (low <= v <= MAX_COPIES and v % 1 == 0))
-        raise DomainError(
-            f"copy number must be an integer in [{low}, {MAX_COPIES:.3g}], got {got:g}"
-        )
+    if not (low <= x <= MAX_COPIES and x.is_integer()):
+        raise DomainError(f"copy number must be an integer in [{low}, {MAX_COPIES:.3g}], got {x:g}")
     return x
 
 
-def exact_copy_numbers(N, low: int = 1) -> np.ndarray:
+def exact_copy_numbers(N, low: int = 1) -> float:
     """`copy_numbers`, and DomainError for an integer that no float holds
     exactly (most above 2^53): the Gram test reads the parity of N and M off
     these floats, so a rounded copy number would decide another conversion."""
     x = copy_numbers(N, low)
-    if isinstance(N, (int, np.integer)):  # one copy number, the common case
-        pairs = ((N, x),)
-    else:  # as Python ints, which a float compares to exactly
-        pairs = zip(np.asarray(N, dtype=object).flat, x.flat)
-    for n, f in pairs:
-        if isinstance(n, (int, np.integer)) and float(f) != int(n):
-            raise DomainError(f"copy number {int(n)} has no exact float (it would be read as "
-                              f"{f:.17g}); integers up to 2^53 are exact")
+    if isinstance(N, (int, np.integer)) and x != int(N):  # a float compares to an int exactly
+        raise DomainError(f"copy number {int(N)} has no exact float (it would be read as "
+                          f"{x:.17g}); integers up to 2^53 are exact")
     return x
 
 
 def char_power(char: CharFunction, N: int) -> CharFunction:
     """Characteristic function of the N-fold tensor power state; on a linear
     rep chi^N stays real on e and the involutions, signed by `negative_parity`."""
-    n = float(copy_numbers(N))
+    n = copy_numbers(N)
     phase = np.angle(np.exp(1j * (char.phase * n)))  # wrapped to (-pi, pi]
     if char.linear:
         phase[char.group.pairs.own] = np.pi * negative_parity((char.split_polar.negative, N))

@@ -44,8 +44,9 @@ One path takes copy numbers to coordinates, for one row or K at once:
 `_log_ratio` and `_coords` broadcast the copy numbers given as two floats
 (one row: 1-D arrays) or as two (K, 1) columns (K rows: 2-D arrays), with
 m = |f| = exp(log-ratio) taken once per row between them. `feasible_exact`
-passes floats (`_interpolate`), so its m and coordinates are bit for bit
-those the K-row path gives that row; it and `is_positive_definite` take
+passes one pair of floats through `_interpolate`, which gates them
+(`charfn.exact_copy_numbers`), so its m and coordinates are bit for bit
+those the scan gives that row; it and `is_positive_definite` take
 the single-row Gram rule (`_verdict`), which reads the modulus witness off
 m and decides with one Python bool; `minimal_copies_search`
 passes columns and decides a block of copy numbers per pass, with as many
@@ -79,7 +80,6 @@ from .tolerances import TOL_FLOOR, TOL_PSD
 
 MAX_SEARCH_COPIES = 10**4  # largest n_max of `minimal_copies_search`
 _LOG_TINY = math.log(np.finfo(float).tiny)  # below it |f| would be subnormal: f is 0 there
-_M_FLOOR = np.exp(-600.0)  # the least |f| that `_settle` sums, exp's own bits at -600
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,29 +137,26 @@ def _coords(m: np.ndarray, psi: SplitPolar, phi: SplitPolar, N, M) -> np.ndarray
     return np.concatenate([np.where(odd, -mo, mo), mp * np.cos(theta), mp * np.sin(theta)], axis=-1)
 
 
-def _interpolate(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, ...]:
-    """f = chi_psi^N / chi_phi^M, 0 on the chi_phi zero set: |f| on the
-    representatives, and f in coordinates.
+def _interpolate(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, np.ndarray, int]:
+    """f = chi_psi^N / chi_phi^M, 0 on the chi_phi zero set, for one pair of
+    copy numbers: m = |f| on `PairSplit.heads` (n0 + p,), the (n,)
+    coordinates of f (`groups.PairSplit`) and the violation, the first
+    element where chi_phi^M vanishes but chi_psi^N does not, or -1.
 
     psi and phi are split characteristic functions (`CharFunction.split_polar`).
-    N and M are copy numbers: two ints for one row, giving m = |f| on
-    `PairSplit.heads` (n0 + p,), the (n,) coordinates of f
-    (`groups.PairSplit`) and one violation, or K each (any shape with K
-    entries) for K rows, giving (K, n0 + p), (K, n) and (K,). The violation
-    is the first element where chi_phi^M vanishes but chi_psi^N does not,
-    or -1. One path serves both: `_log_ratio` and `_coords` broadcast two
-    floats or two (K, 1) columns alike, with one exp per row between them.
-    Zero sets are classified once, on the single-copy functions (chi^N
-    vanishes exactly where chi does); M = 0 is the trivial target,
-    identically 1. DomainError for N < 1, M < 0, a copy number off the
-    integers up to MAX_COPIES or an integer that no float holds exactly
-    (`charfn.exact_copy_numbers`).
+    N and M go as two floats to `_log_ratio` and `_coords`, with one exp
+    between them: the path that `minimal_copies_search` takes with (K, 1)
+    columns, so a row's bits are the same either way. Zero sets are
+    classified once, on the single-copy functions (chi^N vanishes exactly
+    where chi does); M = 0 is the trivial target, identically 1.
+    DomainError for N < 1, M < 0, a copy number off the integers up to
+    MAX_COPIES, an integer that no float holds exactly, or anything but
+    one number (`charfn.exact_copy_numbers`).
     """
-    N, M = (exact_copy_numbers(x, low) for x, low in ((N, 1), (M, 0)))
-    N, M = (np.reshape(x, (-1, 1)) if x.ndim else float(x) for x in (N, M))
+    N, M = exact_copy_numbers(N, 1), exact_copy_numbers(M, 0)
     dlog, violation = _log_ratio(psi, phi, N, M)
     m = np.exp(dlog, out=dlog)
-    return m, _coords(m, psi, phi, N, M), violation
+    return m, _coords(m, psi, phi, N, M), int(violation)
 
 
 def _min_eig(group: FiniteGroup, coords: np.ndarray) -> np.ndarray:
@@ -279,8 +276,8 @@ def feasible_exact(
     """Feasibility of psi^N -> phi^M under G-covariant operations.
 
     One row of the scan: |f| and the coordinates of the Hermitian
-    interpolator, from the scan's own path on two floats (`_interpolate`),
-    go to the Gram rule (`_verdict`).
+    interpolator, from the scan's own path on one pair of floats
+    (`_interpolate`), go to the Gram rule (`_verdict`).
     Where chi_phi^M vanishes and chi_psi^N does not, the answer is
     infeasible, with the smallest such element as `zero_set_witness`. M = 0
     is accepted as the trivial (symmetric) target, which is always
@@ -291,7 +288,7 @@ def feasible_exact(
     _require_linear(char_psi, char_phi)
     group = char_psi.group
     m, coords, bad = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
-    return _verdict(group, coords, m, int(bad))
+    return _verdict(group, coords, m, bad)
 
 
 def _settle(group: FiniteGroup, m, violation) -> tuple[np.ndarray, np.ndarray]:
@@ -300,11 +297,10 @@ def _settle(group: FiniteGroup, m, violation) -> tuple[np.ndarray, np.ndarray]:
     m = |f| on the representatives (`PairSplit.heads`) is the exp of
     `_log_ratio`'s log-ratios for K rows (K, n0 + p), the one exp per row
     that `_coords` reuses, and violation is `_log_ratio`'s; f(e) = 1 since
-    chi(e) = 1. The rule reads m raised to e^-600 where it is smaller (or
-    where f is 0): as exp is monotone, max(exp(dlog), e^-600) is
-    exp(max(dlog, -600)) bit for bit, with no second exp. Returns two
-    K-entry masks: the rows settled feasible and those settled infeasible;
-    a row in neither needs the Gram spectrum.
+    chi(e) = 1. `_log_ratio` cuts every log-ratio below log(tiny) to -inf,
+    so each m is 0 or a normal float, and no sum of them underflows.
+    Returns two K-entry masks: the rows settled feasible and those settled
+    infeasible; a row in neither needs the Gram spectrum.
 
     Row g of the Gram matrix M[g, h] = f(g^-1 h) holds f(e) = 1 on the
     diagonal and f(k), k != e, off it, so its off-diagonal moduli sum to
@@ -313,9 +309,9 @@ def _settle(group: FiniteGroup, m, violation) -> tuple[np.ndarray, np.ndarray]:
     (`FiniteGroup.gershgorin_weight`). M is Hermitian by construction, and
     no irrep enters, so this holds for every group. With n = |G|:
 
-    Feasible: no zero-set violation and S <= 1 (the floor only raises S). By
-    Gershgorin every eigenvalue of M is >= 1 - S >= 0, and the computed
-    minimum is off by rounding only, far less than TOL_PSD * n.
+    Feasible: no zero-set violation and S <= 1. By Gershgorin every
+    eigenvalue of M is >= 1 - S >= 0, and the computed minimum is off by
+    rounding only, far less than TOL_PSD * n.
 
     Infeasible: a zero-set violation, or m(k) = max m with
     m(k) (1 - TOL_PSD n) > 1 + TOL_PSD n. The 2 x 2 principal submatrix of
@@ -328,7 +324,6 @@ def _settle(group: FiniteGroup, m, violation) -> tuple[np.ndarray, np.ndarray]:
     roundoff, relative, far inside that margin. Cost: O(n) real work per
     row, against O(n^2) for the Gram spectrum.
     """
-    m = np.maximum(m, _M_FLOOR)  # e^-600 (3e-261): far below every cut here
     top = m.max(axis=1)
     off = m @ group.gershgorin_weight  # S
     feasible = (violation < 0) & (off <= 1.0)

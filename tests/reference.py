@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from asym.charfn import ClassSets, symmetry_subgroup, zero_mask
-from asym.convertibility import _interpolate
+from asym.convertibility import _coords, _interpolate, _log_ratio
 from asym.errors import DomainError, RateNotBelowOptimal
 from asym.exact_rate import FINITE, UNBOUNDED, ZERO, RateReport
 from asym.groups import block_pairs
@@ -42,6 +42,19 @@ def interpolator(char_psi, char_phi, N, M) -> np.ndarray:
     (`PairSplit.expand`)."""
     _, coords, _ = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
     return char_psi.group.pairs.expand(coords)
+
+
+def k_rows(psi, phi, N, M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K rows of f = chi_psi^N / chi_phi^M, for split characteristic
+    functions psi and phi and K copy numbers each in N and M, built the way
+    `minimal_copies_search` builds a block: `_log_ratio` on (K, 1) float
+    columns, one `np.exp`, then `_coords`. Returns m = |f| (K, n0 + p), the
+    coordinates (K, n) and the violations (K,), each row of which
+    `_interpolate` must give bit for bit for that one pair."""
+    N, M = (np.asarray(x, dtype=float).reshape(-1, 1) for x in (N, M))
+    dlog, violation = _log_ratio(psi, phi, N, M)
+    m = np.exp(dlog)
+    return m, _coords(m, psi, phi, N, M), violation
 
 
 def qfim_all_pairs(rho, gens) -> np.ndarray:

