@@ -52,15 +52,14 @@ class CharFunction:
 
     @functools.cached_property
     def split_polar(self) -> SplitPolar:
-        """logmod, phase and zero mask on the representatives of the group's
-        `pairs`, built once and kept."""
+        """logmod and phase on the representatives of the group's `pairs`,
+        the zero set folded into `target`, built once and kept."""
         pairs = self.group.pairs
         logmod, phase, zero = (a[pairs.heads] for a in (self.logmod, self.phase, self.zero))
         return SplitPolar(
             pairs=pairs,
             logmod=_frozen(logmod),
             target=_frozen(np.where(zero, np.finfo(float).max, logmod)),
-            zero=_frozen(zero),
             phase=_frozen(phase[pairs.own.size :]),
             negative=_frozen(_negative(phase[: pairs.own.size])),
         )
@@ -103,7 +102,6 @@ class SplitPolar:
     # 0 at M = 0 (no 0 * -inf) and at least that float for M >= 1, so
     # log|chi_psi^N| - M * target is below every cut there and f is 0
     target: np.ndarray
-    zero: np.ndarray  # (n0 + p,) the zero mask on pairs.heads
     phase: np.ndarray  # (p,) the phase on pairs.first
     negative: np.ndarray  # (n0,) chi < 0 on pairs.own, where chi is real (`negative_parity`)
 
@@ -213,6 +211,18 @@ def resource_measure_L(char: CharFunction, g: int) -> float:
 def zero_mask(logmod: np.ndarray) -> np.ndarray:
     """Where |chi| <= TOL_ZERO, from logmod = log|chi| (-inf for exact zeros)."""
     return logmod <= math.log(TOL_ZERO)
+
+
+def zero_violation(char_psi: CharFunction, char_phi: CharFunction) -> int:
+    """The smallest g where chi_phi vanishes and chi_psi does not, or -1.
+
+    The one statement of the zero-set rule: at such a g no f has
+    chi_psi^N = chi_phi^M f for any N and any M >= 1 (chi^N vanishes exactly
+    where chi does), so the exact rate is zero (`exact_rate`) and every
+    conversion to M >= 1 copies is infeasible with g as its witness
+    (`convertibility`). Both zero sets are `CharFunction.zero`, cut once."""
+    bad = np.flatnonzero(char_phi.zero & ~char_psi.zero)
+    return int(bad[0]) if bad.size else -1
 
 
 def unit_mask(logmod: np.ndarray) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 A conversion psi -> phi under G-covariant operations is possible iff
 chi_psi = chi_phi * f for some positive definite f on G; the candidate f is
-the ratio of characteristic functions (zero where chi_phi vanishes), built by
-`_interpolate`, and positive definiteness is decided by the minimum
-eigenvalue of the Gram matrix M[g, h] = f(g^-1 h). Where chi_phi vanishes
-and chi_psi does not, no f exists: that is an infeasible verdict with the
-element as its witness, not an error. `_passes` states the rule once
-(no such element, and a minimum Gram eigenvalue >= -TOL_PSD * |G|) for
+the ratio of characteristic functions (zero where chi_phi vanishes), and
+positive definiteness is decided by the minimum eigenvalue of the Gram
+matrix M[g, h] = f(g^-1 h). Where chi_phi vanishes and chi_psi does not, no
+f exists for any N and any M >= 1: that is an infeasible verdict with the
+element as its witness, not an error. It is a fact of the pair, stated once
+(`charfn.zero_violation`) and read once per call, never per row. `_passes`
+states the Gram cut once (a minimum Gram eigenvalue >= -TOL_PSD * |G|) for
 `feasible_exact`, `is_positive_definite` and the copy-number scan. The
 abelian Fourier view is `feasible_exact` on the label group of a charge
 distribution (`abelian.fourier_weights`), so it reads this decision too:
@@ -41,25 +42,26 @@ O(n) transcendentals on the n/2 to n representatives and one real
 O(n^2) matmul, against O(n^3) for a dense eigendecomposition of M.
 
 One path takes copy numbers to coordinates, for one row or K at once:
-`_log_ratio` and `_coords` broadcast the copy numbers given as two floats
-(one row: 1-D arrays) or as two (K, 1) columns (K rows: 2-D arrays), with
-m = |f| = exp(log-ratio) taken once per row between them. `feasible_exact`
-passes one pair of floats through `_interpolate`, which gates them
-(`charfn.exact_copy_numbers`), so its m and coordinates are bit for bit
-those the scan gives that row; it and `is_positive_definite` take
-the single-row Gram rule (`_verdict`), which reads the modulus witness off
-m and decides with one Python bool; `minimal_copies_search`
-passes columns and decides a block of copy numbers per pass, with as many
-rows per block as fit in `groups._CHUNK_BYTES` (64 rows at n = 256).
-It first settles what it can from m alone (`_settle`): the Gram
-matrix has a unit diagonal and off-diagonal row moduli summing to
-sum_{g != e} m(g), whatever the irreps, so a sum <= 1 is feasible by
-Gershgorin; a zero-set violation, or max m above 1 by a margin, is
-infeasible by a 2 x 2 principal minor. The weights of that sum and the
-slot of e among the coordinates depend on the group alone, so they are
-cached with it (`FiniteGroup.gershgorin_weight`, `.identity_slot`). Only
-the unsettled rows before a block's first row settled infeasible go on to
-their coordinates (from the same m), the matmul and the block spectra.
+`_moduli` and `_coords` broadcast two floats (one row: 1-D arrays) or two
+(K, 1) columns (K rows: 2-D arrays), and `_coords` reuses the m = |f| that
+`_moduli` takes with one exp per row. So the m and coordinates of
+`feasible_exact` are bit for bit those the scan gives that row; it and
+`is_positive_definite` take the single-row Gram rule (`_verdict`), which
+reads the modulus witness off m and decides with one Python bool.
+`minimal_copies_search` answers a pair with a zero-set violation None
+before any row once its largest M is >= 1, and otherwise scans rows with
+M = 0 only, so no row it scans has a violation. It decides a block of
+copy numbers per pass, with as many rows per block as fit in
+`groups._CHUNK_BYTES` (64 rows at n = 256), and first settles what it can
+from m alone (`_settle`): the Gram matrix has a unit diagonal and
+off-diagonal row moduli summing to sum_{g != e} m(g), whatever the
+irreps, so a sum <= 1 is feasible by Gershgorin, and max m above 1 by a
+margin is infeasible by a 2 x 2 principal minor. The weights of that sum
+and the slot of e among the coordinates depend on the group alone, so
+they are cached with it (`FiniteGroup.gershgorin_weight`,
+`.identity_slot`). Only the unsettled rows before a block's first row
+settled infeasible go on to their coordinates (from the same m), the
+matmul and the block spectra.
 The search costs O(n) real work per settled row and O(n^2) per unsettled
 one, so O(n_max * n^2) at worst; its memory beyond the irrep basis is a
 few blocks, whatever n_max is.
@@ -73,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import CharFunction, SplitPolar, check_hermitian, check_same_group, copy_numbers
-from .charfn import exact_copy_numbers, negative_parity
+from .charfn import exact_copy_numbers, negative_parity, zero_violation
 from .errors import DimensionMismatch, DomainError
 from .groups import FiniteGroup, _block_rows, as_index, as_real, block_pairs
 from .tolerances import TOL_FLOOR, TOL_PSD
@@ -95,38 +97,34 @@ class FeasibilityResult:
         return float(self.block_min.min())
 
 
-def _log_ratio(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, np.ndarray]:
-    """log|f| of f = chi_psi^N / chi_phi^M on the representatives, for one row
-    of copy numbers or K rows at once.
+def _moduli(psi: SplitPolar, phi: SplitPolar, N, M) -> np.ndarray:
+    """m = |f| of f = chi_psi^N / chi_phi^M on the representatives
+    (`PairSplit.heads`), for one row of copy numbers or K rows at once.
 
-    N and M are two floats (one row: the log-ratios are (n0 + p,) and the
-    violation one value) or two (K, 1) columns (K rows: (K, n0 + p) and
-    (K,)); the arithmetic is the same, by broadcasting, so a row gets the
-    same bits either way. The log-ratio is capped at 350, so a grossly
-    infeasible instance yields a huge finite |f| (clearly failing the Gram
-    test) instead of overflow, and it is -inf exactly where f is 0: on the
-    chi_phi zero set when M > 0 (phi^0 is the trivial state: no zeros), where
-    chi_psi^N is an exact 0, and where |f| would be subnormal (exp is many
-    times slower there; no cut comes near it). Returns the log-ratios on
-    `psi.pairs.heads` and, per row, the first element where chi_phi^M
-    vanishes but chi_psi^N does not, or -1.
+    N and M are two floats (one row: m is (n0 + p,)) or two (K, 1) columns
+    (K rows: (K, n0 + p)); the arithmetic is the same, by broadcasting, so a
+    row gets the same bits either way. m is the exp of the log-ratio, taken
+    once per row and shared by `_settle` and `_coords`. The log-ratio is
+    capped at 350, so a grossly infeasible instance yields a huge finite |f|
+    (clearly failing the Gram test) instead of overflow, and m is exactly 0
+    on the chi_phi zero set when M > 0 (phi^0 is the trivial state: no
+    zeros), where chi_psi^N is an exact 0, and where |f| would be subnormal
+    (exp is many times slower there; no cut comes near it). So each m is 0
+    or a normal float, and no sum of them underflows.
     """
-    bad = phi.zero & ~psi.zero
-    first_bad = int(psi.pairs.heads[bad].min()) if bad.any() else -1
-    violation = np.where(M > 0, first_bad, -1).reshape(np.shape(M)[:-1])
     with np.errstate(invalid="ignore", over="ignore"):
         dlog = np.minimum(N * psi.logmod - M * phi.target, 350.0)
     # below the cut: the chi_phi zero set at M > 0 (`SplitPolar.target`), an
     # exact 0 of chi_psi^N and |f| that would be subnormal; NaN >= x is
     # false, so the -inf - -inf of a 0 of chi_psi^N at an M whose M * target
     # overflows is cut too
-    return np.where(dlog >= _LOG_TINY, dlog, -np.inf), violation
+    dlog = np.where(dlog >= _LOG_TINY, dlog, -np.inf)
+    return np.exp(dlog, out=dlog)
 
 
 def _coords(m: np.ndarray, psi: SplitPolar, phi: SplitPolar, N, M) -> np.ndarray:
     """The real coordinates (`groups.PairSplit`) of f = m exp(i (N phase_psi -
-    M phase_phi)), m = |f| = exp of `_log_ratio`'s log-ratios, taken once
-    per row and shared with `_settle`: on e and the involutions f is real,
+    M phase_phi)), with m = |f| from `_moduli`: on e and the involutions f is real,
     with the sign from the parities of N and M (`charfn.negative_parity`);
     0 where m is. N and M are two floats with m (n0 + p,), giving (n,), or
     (K, 1) columns with m (K, n0 + p), giving (K, n)."""
@@ -135,34 +133,6 @@ def _coords(m: np.ndarray, psi: SplitPolar, phi: SplitPolar, N, M) -> np.ndarray
     theta = N * psi.phase - M * phi.phase
     mo, mp = m[..., :n0], m[..., n0:]
     return np.concatenate([np.where(odd, -mo, mo), mp * np.cos(theta), mp * np.sin(theta)], axis=-1)
-
-
-def _interpolate(psi: SplitPolar, phi: SplitPolar, N, M) -> tuple[np.ndarray, np.ndarray, int]:
-    """f = chi_psi^N / chi_phi^M, 0 on the chi_phi zero set, for one pair of
-    copy numbers: m = |f| on `PairSplit.heads` (n0 + p,), the (n,)
-    coordinates of f (`groups.PairSplit`) and the violation, the first
-    element where chi_phi^M vanishes but chi_psi^N does not, or -1.
-
-    psi and phi are split characteristic functions (`CharFunction.split_polar`).
-    N and M go as two floats to `_log_ratio` and `_coords`, with one exp
-    between them: the path that `minimal_copies_search` takes with (K, 1)
-    columns, so a row's bits are the same either way. Zero sets are
-    classified once, on the single-copy functions (chi^N vanishes exactly
-    where chi does); M = 0 is the trivial target, identically 1.
-    DomainError for N < 1, M < 0, a copy number off the integers up to
-    MAX_COPIES, an integer that no float holds exactly, or anything but
-    one number (`charfn.exact_copy_numbers`).
-    """
-    N, M = exact_copy_numbers(N, 1), exact_copy_numbers(M, 0)
-    dlog, violation = _log_ratio(psi, phi, N, M)
-    m = np.exp(dlog, out=dlog)
-    return m, _coords(m, psi, phi, N, M), int(violation)
-
-
-def _min_eig(group: FiniteGroup, coords: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of M[g, h] = f(g^-1 h) for each row (K, n) of
-    coordinates of a Hermitian f: the least of `_block_mins`."""
-    return np.min([b.min(axis=-1) for b in _block_mins(group, coords)], axis=0)
 
 
 def _block_mins(group: FiniteGroup, coords: np.ndarray) -> list[np.ndarray]:
@@ -191,18 +161,11 @@ def _block_min_eig(C: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(block_pairs(d).expand(C).reshape(*C.shape[:-1], d, d))[..., 0]
 
 
-def _passes(min_eig, violation, order: int):
-    """The feasibility rule: a row is feasible iff it has no zero-set
-    violation (violation < 0) and its minimum Gram eigenvalue is
-    >= -TOL_PSD * order; a NaN minimum fails. Elementwise on K rows; on
-    one row given as a Python float and int, a Python bool."""
-    return (violation < 0) & (min_eig >= -TOL_PSD * order)
-
-
-def _first_failure(min_eig: np.ndarray, violation: np.ndarray, order: int) -> int:
-    """`_passes` over K rows in scan order: the first row it rejects, or -1."""
-    passes = _passes(min_eig, violation, order)
-    return -1 if passes.all() else int(np.argmin(passes))
+def _passes(min_eig, order: int):
+    """The Gram cut: a minimum Gram eigenvalue >= -TOL_PSD * order passes; a
+    NaN fails. Elementwise on K rows; on one row given as a Python float, a
+    Python bool."""
+    return min_eig >= -TOL_PSD * order
 
 
 def is_positive_definite(group: FiniteGroup, values: np.ndarray) -> FeasibilityResult:
@@ -228,7 +191,7 @@ def _verdict(group: FiniteGroup, coords: np.ndarray, m: np.ndarray, bad: int) ->
     m = |f| on the representatives (`PairSplit.heads`) and zero-set
     violation bad (a Python int: an element, or -1): feasible iff bad < 0
     and the minimum eigenvalue of M[g, h] = f(g^-1 h), from its Fourier
-    blocks, is >= -TOL_PSD * |G|, decided as one Python bool (`_passes`);
+    blocks, passes the cut -TOL_PSD * |G| (`_passes`), as one Python bool;
     with the witnesses of the report and the minimum of each block, of which
     min_gram_eigenvalue is the least. On an abelian group every block is
     1 x 1, so these are the whole spectrum.
@@ -246,7 +209,7 @@ def _verdict(group: FiniteGroup, coords: np.ndarray, m: np.ndarray, bad: int) ->
     fails = _minor_fails(m, coords[e], group.order)
     fails[e] = False  # the minor takes k != e
     return FeasibilityResult(
-        feasible=_passes(float(block_min.min()), bad, group.order),
+        feasible=bad < 0 and _passes(float(block_min.min()), group.order),
         block_min=block_min,
         modulus_witness=int(group.pairs.heads[fails].min()) if fails.any() else None,
         zero_set_witness=bad if bad >= 0 else None,
@@ -275,32 +238,39 @@ def feasible_exact(
 ) -> FeasibilityResult:
     """Feasibility of psi^N -> phi^M under G-covariant operations.
 
-    One row of the scan: |f| and the coordinates of the Hermitian
-    interpolator, from the scan's own path on one pair of floats
-    (`_interpolate`), go to the Gram rule (`_verdict`).
-    Where chi_phi^M vanishes and chi_psi^N does not, the answer is
-    infeasible, with the smallest such element as `zero_set_witness`. M = 0
-    is accepted as the trivial (symmetric) target, which is always
-    reachable. DomainError unless both characteristic functions come from a
-    linear rep (`CharFunction.linear`).
+    One row of the scan: |f| (`_moduli`) and the coordinates (`_coords`) of
+    the Hermitian interpolator f = chi_psi^N / chi_phi^M, 0 on the chi_phi
+    zero set, from the scan's own path on one pair of floats, go to the Gram
+    rule (`_verdict`). For M >= 1, where chi_phi vanishes and chi_psi does
+    not (`charfn.zero_violation`), the answer is infeasible, with the
+    smallest such element as `zero_set_witness`. M = 0 is accepted as the
+    trivial (symmetric) target, identically 1, which is always reachable.
+    Zero sets are classified once, on the single-copy functions (chi^N
+    vanishes exactly where chi does). DomainError for N < 1, M < 0, a copy
+    number off the integers up to MAX_COPIES, an integer that no float
+    holds exactly, or anything but one number (`charfn.exact_copy_numbers`),
+    and unless both characteristic functions come from a linear rep
+    (`CharFunction.linear`).
     """
     check_same_group(char_psi, char_phi)
     _require_linear(char_psi, char_phi)
-    group = char_psi.group
-    m, coords, bad = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
-    return _verdict(group, coords, m, bad)
+    N, M = exact_copy_numbers(N, 1), exact_copy_numbers(M, 0)
+    psi, phi = char_psi.split_polar, char_phi.split_polar
+    m = _moduli(psi, phi, N, M)
+    bad = zero_violation(char_psi, char_phi) if M else -1
+    return _verdict(char_psi.group, _coords(m, psi, phi, N, M), m, bad)
 
 
-def _settle(group: FiniteGroup, m, violation) -> tuple[np.ndarray, np.ndarray]:
+def _settle(group: FiniteGroup, m) -> tuple[np.ndarray, np.ndarray]:
     """Rows of copy numbers that the Gram test would decide, decided from |f|.
 
-    m = |f| on the representatives (`PairSplit.heads`) is the exp of
-    `_log_ratio`'s log-ratios for K rows (K, n0 + p), the one exp per row
-    that `_coords` reuses, and violation is `_log_ratio`'s; f(e) = 1 since
-    chi(e) = 1. `_log_ratio` cuts every log-ratio below log(tiny) to -inf,
-    so each m is 0 or a normal float, and no sum of them underflows.
-    Returns two K-entry masks: the rows settled feasible and those settled
-    infeasible; a row in neither needs the Gram spectrum.
+    m = |f| on the representatives (`PairSplit.heads`) for K rows
+    (K, n0 + p) is `_moduli`'s, the one exp per row that `_coords` reuses;
+    f(e) = 1 since chi(e) = 1. Each m is 0 or a normal float, so no sum of
+    them underflows. The rows have no zero-set violation:
+    `minimal_copies_search` answers a pair with one before any row it could
+    reach. Returns two K-entry masks: the rows settled feasible and those
+    settled infeasible; a row in neither needs the Gram spectrum.
 
     Row g of the Gram matrix M[g, h] = f(g^-1 h) holds f(e) = 1 on the
     diagonal and f(k), k != e, off it, so its off-diagonal moduli sum to
@@ -309,14 +279,14 @@ def _settle(group: FiniteGroup, m, violation) -> tuple[np.ndarray, np.ndarray]:
     (`FiniteGroup.gershgorin_weight`). M is Hermitian by construction, and
     no irrep enters, so this holds for every group. With n = |G|:
 
-    Feasible: no zero-set violation and S <= 1. By Gershgorin every
-    eigenvalue of M is >= 1 - S >= 0, and the computed minimum is off by
-    rounding only, far less than TOL_PSD * n.
+    Feasible: S <= 1. By Gershgorin every eigenvalue of M is >= 1 - S >= 0,
+    and the computed minimum is off by rounding only, far less than
+    TOL_PSD * n.
 
-    Infeasible: a zero-set violation, or m(k) = max m with
-    m(k) (1 - TOL_PSD n) > 1 + TOL_PSD n. The 2 x 2 principal submatrix of
-    M at rows (g, g k) is [[1, b], [conj b, 1]] with b = f(k), |b| = m(k),
-    so by interlacing lambda_min(M) <= 1 - m(k) < -TOL_PSD n - TOL_PSD n m(k).
+    Infeasible: m(k) = max m with m(k) (1 - TOL_PSD n) > 1 + TOL_PSD n. The
+    2 x 2 principal submatrix of M at rows (g, g k) is [[1, b], [conj b, 1]]
+    with b = f(k), |b| = m(k), so by interlacing
+    lambda_min(M) <= 1 - m(k) < -TOL_PSD n - TOL_PSD n m(k).
     The computed minimum is below the cut -TOL_PSD n while its error is
     below TOL_PSD n max |f|, ten times the 1e-10 n to which the block spectra
     are tested against a dense eigendecomposition at |f| of order 1; the
@@ -324,10 +294,7 @@ def _settle(group: FiniteGroup, m, violation) -> tuple[np.ndarray, np.ndarray]:
     roundoff, relative, far inside that margin. Cost: O(n) real work per
     row, against O(n^2) for the Gram spectrum.
     """
-    top = m.max(axis=1)
-    off = m @ group.gershgorin_weight  # S
-    feasible = (violation < 0) & (off <= 1.0)
-    return feasible, (violation >= 0) | _minor_fails(top, 1.0, group.order)
+    return m @ group.gershgorin_weight <= 1.0, _minor_fails(m.max(axis=1), 1.0, group.order)
 
 
 def minimal_copies_search(
@@ -349,12 +316,15 @@ def minimal_copies_search(
     one row (gemv), and the two round differently. So a row whose minimum
     Gram eigenvalue lies within rounding of the cut -TOL_PSD |G| may stop
     the scan where `feasible_exact` accepts it, or pass where it rejects.
-    Their coordinates and |f| agree bit for bit. `_settle` decides what it
+    Their coordinates and |f| agree bit for bit. A pair with a zero-set
+    violation (`charfn.zero_violation`) is answered None before any row
+    when floor(r n_max) >= 1, as row n_max is then infeasible; otherwise
+    every row has M = 0 and none has a violation. `_settle` decides what it
     can of each block from |f|; only the unsettled rows before the block's
     first row settled infeasible get their coordinates and the Gram test.
-    DomainError for a copy number `_interpolate` would refuse, for an n_max
-    that is not an integer or a rate that is not a real number, and unless
-    both characteristic functions come from a linear rep.
+    DomainError for a copy number `feasible_exact` would refuse, for an
+    n_max that is not an integer or a rate that is not a real number, and
+    unless both characteristic functions come from a linear rep.
     """
     if not (math.isfinite(as_real(r, "rate")) and r >= 0):
         raise DomainError(f"rate must be a finite number >= 0, got {r}")
@@ -363,25 +333,27 @@ def minimal_copies_search(
         raise DomainError(f"n_max must be in [1, {MAX_SEARCH_COPIES}], got {n_max}")
     check_same_group(char_psi, char_phi)
     _require_linear(char_psi, char_phi)
-    copy_numbers(np.floor(r * n_max + TOL_FLOOR), 0)  # the largest M of the scan
+    top_M = copy_numbers(np.floor(r * n_max + TOL_FLOOR), 0)  # the largest M of the scan
+    if top_M and zero_violation(char_psi, char_phi) >= 0:
+        return None  # row n_max, at M >= 1, is infeasible by the zero-set rule
     group = char_psi.group
     psi, phi = char_psi.split_polar, char_phi.split_polar
-    # a row's share of a block: its log-ratios and its coordinates, ~2n floats
+    # a row's share of a block: its |f| and its coordinates, ~2n floats
     rows = _block_rows(2 * group.order * np.dtype(float).itemsize)
     first = None
     for top in range(n_max, 0, -rows):
         N = np.arange(top, max(top - rows, 0), -1.0)[:, None]
         M = np.floor(r * N + TOL_FLOOR)
-        dlog, violation = _log_ratio(psi, phi, N, M)
-        m = np.exp(dlog, out=dlog)  # |f|, once per row, for `_settle` and `_coords`
-        feasible, infeasible = _settle(group, m, violation)
+        m = _moduli(psi, phi, N, M)
+        feasible, infeasible = _settle(group, m)
         i = int(np.argmax(infeasible)) if infeasible.any() else -1
         todo = np.flatnonzero(~feasible[: i if i >= 0 else None])
         if todo.size:
-            min_eig = _min_eig(group, _coords(m[todo], psi, phi, N[todo], M[todo]))
-            j = _first_failure(min_eig, violation[todo], group.order)
-            if j >= 0:
-                i = int(todo[j])
+            mins = _block_mins(group, _coords(m[todo], psi, phi, N[todo], M[todo]))
+            min_eig = np.min([b.min(axis=-1) for b in mins], axis=0)  # the least block of each row
+            fails = np.flatnonzero(~_passes(min_eig, group.order))
+            if fails.size:
+                i = int(todo[fails[0]])
         if i >= 0:
             return int(N[i - 1, 0]) if i else first
         first = int(N[-1, 0])

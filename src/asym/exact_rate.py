@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharFunction, check_same_group
+from .charfn import CharFunction, check_same_group, zero_violation
 from .errors import RateNotBelowOptimal
 from .groups import as_real
 
@@ -29,7 +29,7 @@ def exact_rate(char_psi: CharFunction, char_phi: CharFunction) -> RateReport:
     """min over non-excluded g of L(psi,g)/L(phi,g), with the zero-rate branch.
 
     The rate is zero when phi has a vanishing chi where psi does not
-    (modulus monotonicity makes even a single copy of phi unreachable).
+    (`charfn.zero_violation`: even a single copy of phi is unreachable).
     An empty or all-infinite minimum means the rate is unbounded.
     `assumption_ok` says the formula is proved here: sym(phi) = {e}, or the
     matrices of each rep commute (an abelian group, and a cocycle with
@@ -52,7 +52,7 @@ def exact_rate(char_psi: CharFunction, char_phi: CharFunction) -> RateReport:
     trivial = sets_phi.sym == frozenset({char_phi.group.identity})
     assumption_ok = trivial or (char_psi.commutative and char_phi.commutative)
 
-    if (char_phi.zero & ~char_psi.zero).any():
+    if zero_violation(char_psi, char_phi) >= 0:
         return RateReport(kind=ZERO, value=None, witness=None,
                           assumption_ok=assumption_ok, excluded=excluded)
 

@@ -94,14 +94,35 @@ def with_spectator(name: str):
                                    .reshape(g.order, d, d))
 
 
+def element_orders(g) -> np.ndarray:
+    """ord(h) for every element h, by repeated multiplication."""
+    h = np.arange(g.order)
+    power, order = h.copy(), np.ones(g.order, dtype=int)
+    while (left := power != g.identity).any():
+        power[left] = g.mult[power[left], h[left]]
+        order[left] += 1
+    return order
+
+
 @functools.cache
 def linear_characters(name: str) -> np.ndarray:
     """(n, count): the one-dimensional irreps of G as columns, each checked
-    to be a homomorphism to the unit circle."""
+    to be a homomorphism to the unit circle. c(h) is an ord(h)-th root of
+    unity, so each value is snapped to the nearest one: `irrep_matrix`
+    rebuilds them through the real basis, off by up to a few 1e-15, and a
+    twist by such a c is no exact twist once K copies amplify that K times.
+    The quarter turns (+-1, +-i) are exact; other roots are the nearest
+    float to exp(2 pi i k / ord(h))."""
     g = group(name)
     d, count = g.irreps.dims[0]
-    chars = irrep_matrix(g)[:, :count]
-    assert d == 1 and np.allclose(chars[g.mult], chars[:, None] * chars[None, :], atol=1e-12)
+    raw = irrep_matrix(g)[:, :count]
+    order = element_orders(g)[:, None]
+    k = np.rint(np.angle(raw) * order / (2 * np.pi)).astype(int) % order
+    chars = np.exp(2j * np.pi * k / order)
+    quarter = 4 * k % order == 0
+    chars[quarter] = np.array([1, 1j, -1, -1j])[(4 * k // order)[quarter]]
+    assert d == 1 and np.abs(chars - raw).max() <= 1e-12
+    assert np.allclose(chars[g.mult], chars[:, None] * chars[None, :], atol=1e-12)
     return chars
 
 

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from asym.charfn import ClassSets, symmetry_subgroup, zero_mask
-from asym.convertibility import _coords, _interpolate, _log_ratio
+from asym.charfn import ClassSets, exact_copy_numbers, symmetry_subgroup, zero_mask
+from asym.convertibility import _coords, _moduli
 from asym.errors import DomainError, RateNotBelowOptimal
 from asym.exact_rate import FINITE, UNBOUNDED, ZERO, RateReport
 from asym.groups import block_pairs
@@ -36,25 +36,34 @@ def subgroup_closure(group, seed) -> frozenset[int]:
     return frozenset(closed)
 
 
+def one_row(psi, phi, N, M) -> tuple[np.ndarray, np.ndarray]:
+    """m = |f| (n0 + p,) and the coordinates (n,) of f = chi_psi^N / chi_phi^M,
+    for split characteristic functions psi and phi, built the way
+    `feasible_exact` builds them: its copy-number gate
+    (`charfn.exact_copy_numbers`), then `_moduli` and `_coords` on two floats."""
+    N, M = exact_copy_numbers(N, 1), exact_copy_numbers(M, 0)
+    m = _moduli(psi, phi, N, M)
+    return m, _coords(m, psi, phi, N, M)
+
+
 def interpolator(char_psi, char_phi, N, M) -> np.ndarray:
     """The values on G of the interpolator f = chi_psi^N / chi_phi^M that
-    `feasible_exact` decides on: its coordinates from `_interpolate`, expanded
+    `feasible_exact` decides on: its coordinates (`one_row`), expanded
     (`PairSplit.expand`)."""
-    _, coords, _ = _interpolate(char_psi.split_polar, char_phi.split_polar, N, M)
+    _, coords = one_row(char_psi.split_polar, char_phi.split_polar, N, M)
     return char_psi.group.pairs.expand(coords)
 
 
-def k_rows(psi, phi, N, M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def k_rows(psi, phi, N, M) -> tuple[np.ndarray, np.ndarray]:
     """K rows of f = chi_psi^N / chi_phi^M, for split characteristic
     functions psi and phi and K copy numbers each in N and M, built the way
-    `minimal_copies_search` builds a block: `_log_ratio` on (K, 1) float
-    columns, one `np.exp`, then `_coords`. Returns m = |f| (K, n0 + p), the
-    coordinates (K, n) and the violations (K,), each row of which
-    `_interpolate` must give bit for bit for that one pair."""
+    `minimal_copies_search` builds a block: `_moduli` on (K, 1) float
+    columns, then `_coords`. Returns m = |f| (K, n0 + p) and the coordinates
+    (K, n), each row of which `one_row` must give bit for bit for that one
+    pair."""
     N, M = (np.asarray(x, dtype=float).reshape(-1, 1) for x in (N, M))
-    dlog, violation = _log_ratio(psi, phi, N, M)
-    m = np.exp(dlog)
-    return m, _coords(m, psi, phi, N, M), violation
+    m = _moduli(psi, phi, N, M)
+    return m, _coords(m, psi, phi, N, M)
 
 
 def qfim_all_pairs(rho, gens) -> np.ndarray:

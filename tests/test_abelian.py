@@ -670,7 +670,7 @@ def test_the_gram_view_interpolator_is_hermitian_bit_for_bit(name, seed, N, M):
     group = built_group(name)
     rng = np.random.default_rng(seed)
     psi, phi = (char_from_values(group, concentrated_type(group, rng, terms=2)) for _ in range(2))
-    _, coords, _ = k_rows(psi.split_polar, phi.split_polar, [N, 1, N], [M, M, 0])
+    _, coords = k_rows(psi.split_polar, phi.split_polar, [N, 1, N], [M, M, 0])
     f = group.pairs.expand(coords)
     assert_hermitian_rows(f, group.inv)
     assert not np.signbit(f.real[f.real == 0]).any()

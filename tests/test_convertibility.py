@@ -26,19 +26,19 @@ from asym import (
     named_group,
     validate_projective_rep,
 )
-from asym.abelian import ChargeDistribution, basis_elements
+from asym.abelian import ChargeDistribution, basis_elements, feasibility
+from asym.charfn import zero_violation
 from asym.convertibility import (
     MAX_SEARCH_COPIES,
     _block_min_eig,
-    _interpolate,
-    _log_ratio,
-    _min_eig,
+    _block_mins,
     _minor_fails,
+    _moduli,
     _settle,
     _verdict,
 )
 from corpus import GROUP_NAMES, gauged_rep, random_state
-from reference import fourier_blocks, hermitian_block, interpolator, irrep_matrix, k_rows
+from reference import fourier_blocks, hermitian_block, interpolator, irrep_matrix, k_rows, one_row
 from asym.errors import DimensionMismatch, DomainError, NotHermitian, SelfCheckFailed
 from asym.groups import PureState, block_pairs
 from asym.tolerances import TOL_FLOOR, TOL_HERM, TOL_PSD
@@ -194,10 +194,6 @@ def test_minimal_copies_trivially_feasible_rate(z2):
 def test_minimal_copies_none_above_rate(z2):
     psi = chi(z2, [0.6])
     assert minimal_copies_search(psi, psi, 1.5, 32) is None
-
-
-def test_minimal_copies_none_on_zero_violation(z2):
-    assert minimal_copies_search(chi(z2, [0.5]), chi(z2, [0.0]), 1.0, 8) is None
 
 
 def test_minimal_copies_matches_brute_force_persistence(z3):
@@ -479,7 +475,7 @@ def test_closed_form_2x2_symmetrises_a_block_off_hermitian_within_tol_herm():
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e100, 1e152])
 def test_closed_form_2x2_across_entry_scales(scale):
-    # 1e152 ~ exp(350), the cap on |f| that `_interpolate` puts on log-ratios
+    # 1e152 ~ exp(350), the cap on |f| that `_moduli` puts on log-ratios
     rng = np.random.default_rng(20)
     assert_closed_form_matches(scale * hermitian_blocks(rng, (8, 63)))
     v = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
@@ -488,8 +484,9 @@ def test_closed_form_2x2_across_entry_scales(scale):
 
 def test_closed_form_2x2_on_an_empty_batch(oracle_group):
     assert block_min_eig(np.zeros((0, 63, 2, 2), dtype=complex)).shape == (0, 63)
-    min_eig = _min_eig(oracle_group("D_128"), np.zeros((0, 256)))
-    assert min_eig.shape == (0,)
+    group = oracle_group("D_128")
+    mins = _block_mins(group, np.zeros((0, 256)))
+    assert [b.shape for b in mins] == [(0, count) for _, count in group.irreps.dims]
 
 
 @pytest.mark.parametrize("name", ["D_128", "S_3", "S_5"])
@@ -499,7 +496,8 @@ def test_eigvalsh_is_reached_only_above_dimension_two(name, oracle_group, monkey
     seen, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: seen.append(A.shape[-1]) or eigvalsh(A))
     rng = np.random.default_rng(21)
-    _min_eig(group, group.pairs.coords(np.stack([random_hermitian(group, rng) for _ in range(3)])))
+    coords = group.pairs.coords(np.stack([random_hermitian(group, rng) for _ in range(3)]))
+    _block_mins(group, coords)
     assert seen == [d for d, _ in group.irreps.dims if d > 2]
 
 
@@ -613,7 +611,7 @@ def test_real_transform_matches_the_fourier_blocks_and_the_dense_gram_spectrum(
     dense = np.linalg.eigvalsh(f[group.mult[group.inv, :]])
     tol = 1e-10 * n * max(1.0, np.abs(f).max())
     assert np.abs(spectrum - dense).max() <= tol
-    assert abs(_min_eig(group, coords[None])[0] - dense[0]) <= tol
+    assert abs(min(b.min() for b in _block_mins(group, coords[None])) - dense[0]) <= tol
 
 
 @pytest.mark.parametrize(
@@ -883,9 +881,9 @@ def test_batched_min_eigenvalues_match_feasible_exact(name, oracle_group):
     N = np.arange(1, 151)
     for r in rates(psi, phi)[:3]:  # r <= the exact rate: |f| <= 1
         M = np.floor(r * N + 1e-12)
-        _, coords, violation = k_rows(psi.split_polar, phi.split_polar, N, M)
-        min_eig = _min_eig(group, coords)
-        for k in np.flatnonzero(violation < 0):
+        _, coords = k_rows(psi.split_polar, phi.split_polar, N, M)
+        min_eig = np.min([b.min(axis=-1) for b in _block_mins(group, coords)], axis=0)
+        for k in range(len(N)):
             one = feasible_exact(psi, phi, int(N[k]), int(M[k])).min_gram_eigenvalue
             assert abs(min_eig[k] - one) <= 1e-10 * n, (r, N[k])
 
@@ -907,27 +905,29 @@ def drawn_rows(group, rng):
 def test_one_row_is_row_k_of_the_k_row_path(name, oracle_group):
     """`feasible_exact` reads its coordinates off the path the scan takes for
     K rows at once (two floats against two (K, 1) columns, one exp per row,
-    `reference.k_rows`):
-    row k's |f|, coordinates, violation and verdict are the one row's, bit for
-    bit. The spectra of K rows come from one matrix product, whose rows may
-    differ from a single row's product in the last bit, so they are
-    compared within the cut (`test_batched_min_eigenvalues_match_feasible_exact`)."""
+    `reference.one_row` against `reference.k_rows`): row k's |f|,
+    coordinates and verdict are the one row's, bit for bit, with the pair's
+    zero-set violation (`charfn.zero_violation`) for M >= 1. The spectra of
+    K rows come from one matrix product, whose rows may differ from a single
+    row's product in the last bit, so they are compared within the cut
+    (`test_batched_min_eigenvalues_match_feasible_exact`)."""
     group = oracle_group(name)
     rng = np.random.default_rng(group.order + 33)
     seen = set()
     for _ in range(3):
         psi, phi, N, M = drawn_rows(group, rng)
-        mod, coords, violation = k_rows(psi.split_polar, phi.split_polar, N, M)
-        assert coords.shape == (len(N), group.order) and violation.shape == (len(N),)
+        bad = zero_violation(psi, phi)
+        assert type(bad) is int and bad >= 0
+        mod, coords = k_rows(psi.split_polar, phi.split_polar, N, M)
+        assert coords.shape == (len(N), group.order)
         assert mod.shape == (len(N), group.pairs.heads.size)
         for k, (n, m) in enumerate(zip(N, M)):
-            one_mod, one, bad = _interpolate(psi.split_polar, phi.split_polar, n, m)
-            assert one.shape == (group.order,) and type(bad) is int
+            one_mod, one = one_row(psi.split_polar, phi.split_polar, n, m)
+            assert one.shape == (group.order,)
             assert one.tobytes() == coords[k].tobytes(), (n, m)
             assert one_mod.tobytes() == mod[k].tobytes(), (n, m)
-            assert bad == violation[k]
             got = feasible_exact(psi, phi, n, m)
-            want = _verdict(group, coords[k], mod[k], int(violation[k]))
+            want = _verdict(group, coords[k], mod[k], bad if m else -1)
             assert got.feasible is want.feasible
             assert got.block_min.tobytes() == want.block_min.tobytes(), (n, m)
             assert got.modulus_witness == want.modulus_witness
@@ -935,6 +935,43 @@ def test_one_row_is_row_k_of_the_k_row_path(name, oracle_group):
             seen.add((got.feasible, got.zero_set_witness is not None, m == 0))
     assert (False, True, False) in seen  # a zero-set row
     assert (True, False, True) in seen  # M = 0, the trivial target
+
+
+def assert_the_zero_set_rule_reads_alike(psi, phi, N, M):
+    """One pair with a zero of chi_phi that chi_psi lacks, read three ways:
+    the exact rate is zero; every conversion to M >= 1 copies is infeasible
+    with `charfn.zero_violation`, the smallest such element, as its witness,
+    and M = 0 has none; the search answers None once floor(r n_max) >= 1,
+    and 1 while every row has M = 0. Returns the violation."""
+    bad = zero_violation(psi, phi)
+    assert bad >= 0 and phi.zero[bad] and not psi.zero[bad]
+    assert not (phi.zero & ~psi.zero)[:bad].any()
+    assert exact_rate(psi, phi).kind == "zero"
+    for n, m in zip(N, M):
+        res = feasible_exact(psi, phi, n, m)
+        assert res.zero_set_witness == (bad if m else None), (n, m)
+        assert not m or res.feasible is False, (n, m)
+    for r, want in ((0.5, None), (1 / 20, None), (0.99 / 20, 1), (0.01, 1), (0.0, 1)):
+        assert minimal_copies_search(psi, phi, r, 20) == want, r
+    return bad
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_minimal_copies_none_on_zero_violation(name, oracle_group):
+    group = oracle_group(name)
+    psi, phi, N, M = drawn_rows(group, np.random.default_rng(group.order + 36))
+    assert_the_zero_set_rule_reads_alike(psi, phi, N, M)
+
+
+def test_the_fourier_view_names_the_same_zero_set_witness():
+    # lambda_q(2) = 0 != lambda_p(2) on Z_4: the label group reads the rule alike
+    p, q = (ChargeDistribution((4,), w) for w in ([0.1, 0.5, 0.05, 0.35], [0.5, 0.5, 0, 0]))
+    N, M = [1, 3, 3, 2, 40], [1, 1, 0, 5, 0]
+    bad = assert_the_zero_set_rule_reads_alike(p.char, q.char, N, M)
+    assert bad == 2
+    for n, m in zip(N, M):
+        res = feasibility(p, q, n, m)
+        assert res.zero_set_witness == (bad if m else None) and res.feasible is not bool(m)
 
 
 def index_two_indicator(group):
@@ -1030,29 +1067,36 @@ def settle(char_psi, char_phi, r, N):
     settled infeasible), one entry per row."""
     N = np.asarray(N, dtype=float)[:, None]
     M = np.floor(r * N + TOL_FLOOR)
-    dlog, violation = _log_ratio(char_psi.split_polar, char_phi.split_polar, N, M)
-    feasible, infeasible = _settle(char_psi.group, np.exp(dlog), violation)
+    feasible, infeasible = _settle(char_psi.group, _moduli(char_psi.split_polar,
+                                                           char_phi.split_polar, N, M))
     return M[:, 0].astype(int), feasible, infeasible
 
 
+def reached(char_psi, char_phi, M):
+    """The rows of copy numbers M that the scan hands `_settle`: all of them
+    when the pair has no zero-set violation, else those with M = 0 (it
+    answers None before any row once its largest M is >= 1)."""
+    return (np.asarray(M) == 0) | (zero_violation(char_psi, char_phi) < 0)
+
+
 def assert_settled_rows_agree(char_psi, char_phi, n_max, extra_rates=()):
-    """Every row the certificate settles gets its verdict from `feasible_exact`,
-    and the witness of the 2 x 2 minor that both read (`_minor_fails`): a
-    modulus witness on a row settled infeasible with no zero-set violation,
-    none on a row settled feasible. Returns how many rows it settled
-    feasible and infeasible."""
+    """Every row the scan hands the certificate and the certificate settles
+    gets its verdict from `feasible_exact`, and the witness of the 2 x 2
+    minor that both read (`_minor_fails`): a modulus witness on a row
+    settled infeasible, none on a row settled feasible, and no zero-set
+    witness on either. Returns how many rows it settled feasible and
+    infeasible."""
     counts = np.zeros(2, dtype=int)
     N = np.arange(1, n_max + 1)
     for r in (*extra_rates, *rates(char_psi, char_phi)):
         M, feasible, infeasible = settle(char_psi, char_phi, r, N)
         assert not (feasible & infeasible).any()
+        feasible, infeasible = (a & reached(char_psi, char_phi, M) for a in (feasible, infeasible))
         for k in np.flatnonzero(feasible | infeasible):
             res = feasible_exact(char_psi, char_phi, int(N[k]), int(M[k]))
             assert res.feasible == feasible[k], (r, N[k], M[k])
-            if feasible[k]:
-                assert res.modulus_witness is None, (r, N[k], M[k])
-            elif res.zero_set_witness is None:
-                assert res.modulus_witness is not None, (r, N[k], M[k])
+            assert res.zero_set_witness is None, (r, N[k], M[k])
+            assert (res.modulus_witness is None) == feasible[k], (r, N[k], M[k])
         counts += feasible.sum(), infeasible.sum()
     return counts
 
@@ -1087,13 +1131,16 @@ def test_settled_rows_get_the_verdict_of_feasible_exact_on_large_groups(name, or
 @pytest.mark.parametrize("name", ["D_4", "Q_8", "S_3", "Z_256", "D_128", "S_5"])
 def test_settled_rows_agree_where_chi_phi_vanishes(name, oracle_group):
     # chi_phi zero off a subgroup of index 2: rows with M > 0 against a psi
-    # without those zeros are settled infeasible by the zero-set rule
+    # without those zeros never reach the certificate, as the zero-set rule
+    # answers them; the rows with M = 0 do
     group = oracle_group(name)
     rng = np.random.default_rng(group.order + 4)
     cut = index_two_indicator(group)
     psi, phi_cut = (char_from_values(group, positive_type(group, rng) * c) for c in (1.0, cut))
     M, feasible, infeasible = settle(psi, phi_cut, 0.02, np.arange(1, 61))
-    assert infeasible[M > 0].all() and not feasible[M > 0].any()
+    assert zero_violation(psi, phi_cut) >= 0 and (M > 0).any()
+    assert minimal_copies_search(psi, phi_cut, 0.02, 60) is None
+    assert (feasible | infeasible)[M == 0].any()
     assert_settled_rows_agree(psi, phi_cut, 60, extra_rates=(0.0, 0.02))
 
 
@@ -1101,8 +1148,8 @@ def test_settled_rows_agree_where_chi_phi_vanishes(name, oracle_group):
 def test_the_modulus_witness_is_read_off_the_modulus_that_settle_reads(name, oracle_group):
     """On rows that `_settle` decides infeasible by the 2 x 2 minor,
     `feasible_exact` names the smallest element k != e where that same m
-    (the exp of `_log_ratio`'s log-ratios, taken once per row) fails the
-    minor; its verdict is a Python bool."""
+    (`_moduli`'s, one exp per row) fails the minor; its verdict is a Python
+    bool."""
     group = oracle_group(name)
     rng = np.random.default_rng(group.order + 35)
     e, heads = group.identity_slot, group.pairs.heads
@@ -1113,10 +1160,9 @@ def test_the_modulus_witness_is_read_off_the_modulus_that_settle_reads(name, ora
         N = np.arange(1, 41, dtype=float)[:, None]
         for r in (*rates(psi, phi), 2 * rates(psi, phi)[-1]):
             M = np.floor(r * N + TOL_FLOOR)
-            dlog, violation = _log_ratio(psi.split_polar, phi.split_polar, N, M)
-            m = np.exp(dlog)
-            _, infeasible = _settle(group, m, violation)
-            for k in np.flatnonzero(infeasible & (violation < 0)):
+            m = _moduli(psi.split_polar, phi.split_polar, N, M)
+            _, infeasible = _settle(group, m)
+            for k in np.flatnonzero(infeasible & reached(psi, phi, M[:, 0])):
                 res = feasible_exact(psi, phi, int(N[k, 0]), int(M[k, 0]))
                 assert type(res.feasible) is bool and res.feasible is False
                 fails = _minor_fails(m[k], 1.0, group.order)
@@ -1135,17 +1181,17 @@ def test_the_verdict_is_a_python_bool(z3):
     assert is_positive_definite(z3, [1.0, 1.5, 1.5]).feasible is False
 
 
-def settle_from_log_ratios(group, dlog, violation):
+def settle_from_log_ratios(group, dlog):
     """`_settle` as it read the log-ratios dlog (K, n0 + p) before |f| was
     shared with `_coords`: its own exp of them, floored at -600, and the
-    weights and the slot of e built on every call."""
+    weights and the slot of e built on every call. Rows with a zero-set
+    violation never reach it, so it takes none."""
     pairs = group.pairs
     m = np.exp(np.maximum(dlog, -600.0))
     weight = np.ones(m.shape[1])
     weight[pairs.own.size :] = 2.0
     weight[np.searchsorted(pairs.own, group.identity)] = 0.0
-    feasible = (violation < 0) & (m @ weight <= 1.0)
-    return feasible, (violation >= 0) | _minor_fails(m.max(axis=1), 1.0, group.order)
+    return m @ weight <= 1.0, _minor_fails(m.max(axis=1), 1.0, group.order)
 
 
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
@@ -1157,9 +1203,8 @@ def test_settle_on_the_shared_modulus_matches_its_own_exp(name, oracle_group):
     dlog = rng.choice([-np.inf, -700.0, -600.0, -599.5, -5.0, -1.0, 0.0, 0.3], size=(40, width))
     dlog[:20] += rng.uniform(-1.0, 0.0, size=(20, width))
     dlog[:, group.identity_slot] = 0.0  # f(e) = 1
-    violation = np.where(rng.random(40) < 0.1, 1, -1)
-    got = _settle(group, np.exp(dlog), violation)
-    want = settle_from_log_ratios(group, dlog, violation)
+    got = _settle(group, np.exp(dlog))
+    want = settle_from_log_ratios(group, dlog)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 

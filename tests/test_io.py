@@ -113,8 +113,10 @@ ENCODINGS = {
 @pytest.mark.parametrize("hashing", [False, True])
 def test_loader_decodes_as_text_mode_open(tmp_path, name, hashing):
     """Bytes read once are decoded as UTF-8 with universal newlines, the way a
-    text-mode open decodes them: same documents, same errors and messages;
-    a BOM or UTF-16 is still an error."""
+    text-mode open decodes them: same documents, same errors and messages
+    (a syntax error's line and column count CR and CRLF as one line end);
+    CRLF and bare-CR files load as the LF file; a BOM or UTF-16 is still an
+    error."""
     path = tmp_path / "state.json"
     path.write_bytes(ENCODINGS[name])
     want = _text_mode_outcome(path)
@@ -125,6 +127,8 @@ def test_loader_decodes_as_text_mode_open(tmp_path, name, hashing):
     assert got == want
     if name in ("bom", "utf-16", "invalid-utf-8") or "error" in name:
         assert isinstance(want, tuple)
+    if name in ("crlf", "cr"):
+        assert got == json.loads(STATE)
 
 
 def test_hashing_path_records_the_digest_of_the_bytes_parsed(tmp_path):
