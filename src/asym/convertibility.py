@@ -311,10 +311,11 @@ def minimal_copies_search(
 
     The scan runs from n_max down, a block of copy numbers at a time, and
     stops at the first N that `feasible_exact` would reject, up to the last
-    bits of the Gram spectrum: the scan multiplies the (K, n) unsettled rows
+    bits of the Gram spectrum: the scan multiplies a block's unsettled rows
     by the irrep basis in one matrix product (BLAS gemm), `feasible_exact`
-    one row (gemv), and the two round differently. So a row whose minimum
-    Gram eigenvalue lies within rounding of the cut -TOL_PSD |G| may stop
+    one row (gemv), as the scan does a block with one unsettled row, and
+    the two products round differently. So a row whose minimum Gram
+    eigenvalue lies within rounding of the cut -TOL_PSD |G| may stop
     the scan where `feasible_exact` accepts it, or pass where it rejects.
     Their coordinates and |f| agree bit for bit. A pair with a zero-set
     violation (`charfn.zero_violation`) is answered None before any row

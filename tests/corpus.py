@@ -109,6 +109,15 @@ def random_distribution(shape, rng: np.random.Generator) -> np.ndarray:
     return p
 
 
+SPIN_HALF = np.array(  # X, Y, Z over 2: the generators of corpus/spin_half_gens.json
+    [
+        [[0.0, 0.5], [0.5, 0.0]],
+        [[0.0, -0.5j], [0.5j, 0.0]],
+        [[0.5, 0.0], [0.0, -0.5]],
+    ]
+)
+
+
 def write_corpus(directory) -> dict[str, dict[str, Path]]:
     """Write every corpus group/rep plus a few example states as JSON files."""
     directory = Path(directory)
@@ -129,17 +138,5 @@ def write_corpus(directory) -> dict[str, dict[str, Path]]:
     )  # chi(g1) = 0.36 = 0.6^2
     rng = np.random.default_rng(0)
     io.save_state(directory / "s3_random.json", random_state(3, rng))
-    io.save_generators(
-        directory / "spin_half_gens.json",
-        GeneratorSet(
-            dim=2,
-            generators=np.array(
-                [
-                    [[0.0, 0.5], [0.5, 0.0]],
-                    [[0.0, -0.5j], [0.5j, 0.0]],
-                    [[0.5, 0.0], [0.0, -0.5]],
-                ]
-            ),
-        ),
-    )
+    io.save_generators(directory / "spin_half_gens.json", GeneratorSet(dim=2, generators=SPIN_HALF))
     return written

@@ -12,7 +12,9 @@ Feasible, each for every N >= M (copies of psi beyond M are traced out):
   character c of G. W = diag(c) has W L(g) W^+ = c(g) L(g), so
   rho -> W rho W^+ is covariant, and chi_psi = conj(c) chi_phi;
 - a convolution of charge distributions on Z_n: p = q * w for a
-  distribution w, so lambda_p = lambda_q lambda_w and w is the weights;
+  distribution w, so lambda_p = lambda_q lambda_w and w is the weights.
+  q and w are multiples of 2^-10, so p, a multiple of 2^-20, is exact in
+  floats: a refusal at large K is the library's own arithmetic;
 - the Schur product of two feasible pairs at one (N, M), as
   (psi_1 (x) psi_2) -> (phi_1 (x) phi_2): chi multiplies, and so do the
   charge distributions' dual coefficients (p_1 * p_2);
@@ -52,6 +54,7 @@ from reference import irrep_matrix
 GROUPS = ["Z_4", "Z_2xZ_2", "S_3", "D_4", "Q_8", "Z_3xZ_3"]
 ABELIAN = ["Z_4", "Z_2xZ_2", "Z_3xZ_3"]
 CYCLIC_ORDERS = [4, 8, 12]  # the convolution family's Z_n
+DYADIC = 2**10  # q and w of the convolution family are multiples of 1 / DYADIC
 FLOOR = 1e-3  # least |chi_phi| of a drawn pair
 MARGIN = 1e-2  # least excess of |f| over 1 in an infeasible pair
 SEEDS = st.integers(0, 2**32 - 1)
@@ -132,6 +135,12 @@ def random_state(seed: int, dim: int) -> PureState:
     return PureState(dim, z / np.linalg.norm(z))
 
 
+def dyadic(rng: np.random.Generator, size: int) -> np.ndarray:
+    """A Dirichlet draw on size points, rounded to multiples of 1 / DYADIC
+    that sum to 1 exactly."""
+    return rng.multinomial(DYADIC, rng.dirichlet(np.ones(size))) / DYADIC
+
+
 def convolve(a: ChargeDistribution, b: ChargeDistribution) -> ChargeDistribution:
     """a * b on their label grid, summed label by label (no transform)."""
     grid, axes = np.zeros(a.shape), tuple(range(len(a.shape)))
@@ -199,15 +208,17 @@ def base_pairs(draw, family: str, groups=GROUPS) -> Instance:
 @st.composite
 def convolutions(draw, groups=None) -> Instance:
     """p = q * w on Z_n, with lambda_q >= FLOOR and w dense or sparse; at
-    K copies each, with the weights w at K = 1. groups is unused (the group
-    is Z_n); it is taken so that every family is called alike."""
+    K copies each, with the weights w at K = 1. q and w are `dyadic`, so p
+    is q * w exactly. groups is unused (the group is Z_n); it is taken so
+    that every family is called alike."""
     n = draw(st.sampled_from(CYCLIC_ORDERS))
     rng = np.random.default_rng(draw(SEEDS))
     support = rng.choice(n, size=draw(st.integers(1, n)), replace=False)
     w = np.zeros(n)
-    w[support] = rng.dirichlet(np.ones(support.size))
-    q = ChargeDistribution((n,), rng.dirichlet(np.ones(n)))
+    w[support] = dyadic(rng, support.size)
+    q = ChargeDistribution((n,), dyadic(rng, n))
     p = convolve(q, ChargeDistribution((n,), w))
+    assert np.array_equal(p.probs * DYADIC**2, np.rint(p.probs * DYADIC**2))
     assume(np.abs(q.char.values()).min() >= FLOOR)
     K = draw(st.integers(1, 3))
     return Instance("convolution", p.char, q.char, K, K, True, (p, q), w if K == 1 else None)

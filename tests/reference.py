@@ -81,6 +81,14 @@ def qfim_all_pairs(rho, gens) -> np.ndarray:
     return (F + F.T) / 2.0
 
 
+def four_cov_sym(psi, gens) -> np.ndarray:
+    """4 Cov_sym of the generators gens (k, d, d) in the pure state psi (d,),
+    from its first and second moments: the QFIM of a pure state."""
+    mean = np.einsum("a,iab,b->i", psi.conj(), gens, psi).real
+    second = np.einsum("a,iab,jbc,c->ij", psi.conj(), gens, gens, psi).real
+    return 2 * (second + second.T) - 4 * np.outer(mean, mean)
+
+
 def fourier_blocks(group, values) -> list[np.ndarray]:
     """Fourier blocks sum_k f(k) rho(k) of f = values (n,), or of each row of
     values (K, n), from the group's real irrep basis: one (count, d, d), or

@@ -2,9 +2,12 @@ import builtins
 import collections
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +19,11 @@ from asym import charfn, cli, convertibility, io, lie, named_group, validate_pro
 from asym.abelian import ChargeDistribution
 from asym.cli import main
 from asym.errors import ValidationError
-from corpus import corpus_rep, gauged_rep, random_state, write_corpus, z2_population_state
+from corpus import (SPIN_HALF, corpus_rep, gauged_rep, random_state, write_corpus,
+                    z2_population_state)
 from asym.groups import PureState
 from asym.lie import GeneratorSet
+from reference import four_cov_sym
 
 
 @pytest.fixture(scope="session")
@@ -223,12 +228,18 @@ def test_cli_exit_2_on_malformed_state(capsys, tmp_path, corpus_dir, case):
 
 
 def test_write_corpus_matches_committed_corpus(tmp_path):
-    """Integer fields match exactly, float entries to 1e-15 (not bytewise, so
-    that a numpy version may round the last bit differently)."""
-    write_corpus(tmp_path)
-    committed = Path(__file__).resolve().parent.parent / "corpus"
+    """scripts/make_corpus.py (`write_corpus`) writes the 18 files of corpus/
+    and no other: integer fields match exactly, float entries to 1e-15 (not
+    bytewise, so that a numpy version may round the last bit differently)."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, root / "scripts" / "make_corpus.py", tmp_path],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert done.returncode == 0, done.stderr
+    committed = root / "corpus"
     names = sorted(p.name for p in committed.glob("*.json"))
-    assert names == sorted(p.name for p in tmp_path.glob("*.json"))
+    assert len(names) == 18
+    assert names == sorted(p.name for p in tmp_path.iterdir())
     for name in names:
         want = json.loads((committed / name).read_text())
         got = json.loads((tmp_path / name).read_text())
@@ -331,7 +342,7 @@ def test_cli_rate_exact(capsys, corpus_dir):
          "--psi", corpus_dir / "z2_psi068.json", "--phi", corpus_dir / "z2_psi08.json"],
     )
     assert report["result"]["rate"] == "finite"
-    assert report["result"]["value"] == pytest.approx(2.0, rel=1e-9)
+    assert report["result"]["value"] == 2.0
     assert report["result"]["witness"] == 1
     assert report["result"]["assumption_ok"] is True
 
@@ -490,12 +501,14 @@ def test_cli_approx_with_curve(capsys, corpus_dir):
         capsys,
         ["approx", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
          "--psi", corpus_dir / "z2_psi08.json", "--phi", corpus_dir / "z2_psi068.json",
-         "--curve", "1,2,4"],
+         "--curve", "1,2,4,8"],
     )
+    assert sorted(report["result"]) == RESULT_KEYS["approx"]
     assert report["result"]["classification"] == "unbounded"
     curve = report["result"]["curve"]
-    assert [pt["N"] for pt in curve] == [1, 2, 4]
+    assert [pt["N"] for pt in curve] == [1, 2, 4, 8]
     assert curve[0]["bound"] == pytest.approx(0.6**2, rel=1e-9)
+    assert all(pt["distance"] <= pt["bound"] for pt in curve)
 
 
 def test_cli_approx_classifies_each_state_once(capsys, corpus_dir, monkeypatch):
@@ -673,6 +686,7 @@ def test_cli_rejects_bad_tolerances(capsys, corpus_dir, tmp_path, sub):
     for flag in ("--tol-one", "--tol-zero", "--tol-psd"):
         for value in ("1e-6", "nan", "0"):
             assert_usage_error(capsys, argv + [f"{flag}={value}"])
+            assert_usage_error(capsys, argv + [flag, value])
     assert_usage_error(capsys, argv + ["--commutative"])
 
 
@@ -840,6 +854,8 @@ TABLE_CASES = {
     "qfim": ("qfim", ["{valid}"]),
     "rf": ("rf", ["{valid}"]),
     "rf-no-rate": ("rf", ["--psi", "{psi08}", "--phi", "{psi068}", "--generators", "{gens}"]),
+    "rf-readme": ("rf", ["--psi", "{psi08}", "--phi", "{psi068}", "--generators", "{gens}",
+                         "--rate", "2.0", "--delta", "1e-4"]),
 }
 
 
@@ -895,6 +911,7 @@ def test_cli_rf_rate_computes_the_pencil_once(capsys, corpus_dir, tmp_path, monk
     result = run_json(capsys, argv)["result"]
     assert len(calls) == 1
     assert result["method"] == "bisection" and result["certificate"]["impossible"] is True
+    assert isinstance(result["r_f"], float) and math.isfinite(result["r_f"])
     impossible, v, T = lie.converse_certificate(*calls[0], 2.0, 1e-4)
     assert result["certificate"] == cli._jsonable(
         {"rate": 2.0, "delta": 1e-4, "impossible": impossible, "T": T, "witness_direction": v}
@@ -919,6 +936,101 @@ def test_cli_runs_every_readme_example(capsys, tmp_path, monkeypatch):
     for argv in examples:
         code, _, err = run(capsys, argv)
         assert code == 0, (argv, err)
+
+
+# ------------------------------------------------- the documented answer of each call
+
+
+def contract_inputs(directory):
+    """The inputs of `CONTRACT` that the corpus lacks, written to directory."""
+    io.save_state(directory / "plus.json", z2_population_state(0.5))  # (|0> + |1>)/sqrt 2
+    io.save_rep(directory / "iz_rep.json", gauged_rep("iZ"))
+    for k in (0, 1):
+        io.save_distribution(directory / f"delta{k}.json", ChargeDistribution((2,), np.eye(2)[k]))
+    for name, amps in (("z4_psi", [0, 1, 1, 0]), ("z4_phi", [1, 1, 0, 0])):
+        io.save_state(directory / f"{name}.json", PureState(4, np.array(amps) / np.sqrt(2)))
+
+
+Z2 = ["--group", "{c}/z2.json", "--rep", "{c}/z2_rep.json"]
+README_PAIR = Z2 + ["--psi", "{c}/z2_psi068.json", "--phi", "{c}/z2_psi08.json"]
+# chi_phi(1) = 0 != chi_psi(1): a zero-set violation
+ZERO_PAIR = Z2 + ["--psi", "{c}/z2_psi08.json", "--phi", "{t}/plus.json"]
+S3_SELF = ["--group", "{c}/s3.json", "--rep", "{c}/s3_rep.json",
+           "--psi", "{c}/s3_random.json", "--phi", "{c}/s3_random.json"]
+
+
+# case -> (argv, exit code, expected). "{c}" is the corpus directory, "{t}" that
+# of `contract_inputs`. Exit 0 reads the JSON result, any other code the JSON
+# error on stderr; each expected key must equal its value, or pass it if callable.
+CONTRACT = {
+    # S_3's 2-dim irrep takes the closed-form minimum: psi -> psi at one copy
+    # each, with a minimum within TOL_PSD |G| of 0
+    "s3-self": (["convert", *S3_SELF, "--copies", "1", "1"], 0,
+                {"feasible": True, "min_gram_eigenvalue": pytest.approx(0.0, abs=6e-9)}),
+    "s3-self-at-the-rate": (["min-copies", *S3_SELF, "--rate", "1.0", "--nmax", "20"], 0,
+                            {"min_copies": 1}),
+    # above the rate the row n_max is settled infeasible from |f| alone
+    "s3-self-above-the-rate": (["min-copies", *S3_SELF, "--rate", "1.5", "--nmax", "20"], 0,
+                               {"min_copies": None}),
+    # below the README pair's rate of 2 every row is settled feasible
+    "readme-below-the-rate": (["min-copies", *README_PAIR, "--rate", "1.0", "--nmax", "50"], 0,
+                              {"min_copies": 1}),
+    "zero-set-rate": (["rate-exact", *ZERO_PAIR], 0, {"rate": "zero"}),
+    "zero-set-convert": (["convert", *ZERO_PAIR, "--copies", "3", "1"], 0,
+                         {"feasible": False, "zero_set_witness": 1}),
+    "zero-set-no-copies": (["convert", *ZERO_PAIR, "--copies", "3", "0"], 0,
+                           {"feasible": True, "zero_set_witness": None}),
+    "zero-set-search": (["min-copies", *ZERO_PAIR, "--rate", "0.5", "--nmax", "20"], 0,
+                        {"min_copies": None}),
+    # floor(0.01 * 20) = 0: every row has M = 0
+    "zero-set-search-below-one": (["min-copies", *ZERO_PAIR, "--rate", "0.01", "--nmax", "20"], 0,
+                                  {"min_copies": 1}),
+    # a pure state's spectral QFIM, on its one-eigenvector support, is 4 Cov_sym
+    "qfim-readme": (
+        ["qfim", "--state", "{c}/z2_psi08.json", "--generators", "{c}/spin_half_gens.json"], 0,
+        {"qfim": pytest.approx(four_cov_sym(z2_population_state(0.8).amplitudes, SPIN_HALF),
+                               abs=1e-12)}),
+    # a curve entry passes `copy_numbers` alone: N = 10^16 + 1 is reported as given
+    "approx-beyond-an-exact-float": (
+        ["approx", *Z2, "--psi", "{c}/z2_psi08.json", "--phi", "{c}/z2_psi068.json",
+         "--curve", "1,10000000000000001"], 0,
+        {"curve": lambda curve: [pt["N"] for pt in curve] == [1, 10**16 + 1]}),
+    # the Gram view's exact gate refuses that copy number
+    "convert-beyond-an-exact-float": (
+        ["convert", *README_PAIR, "--copies", "1", "10000000000000001"], 1,
+        {"error": "DomainError", "message": lambda message: "no exact float" in message}),
+    # gauged to Z (U^2 = -I), the projective iZ rep gives the corpus rep's sectors
+    "charges-projective": (
+        ["charges", "--group", "{c}/z2.json", "--rep", "{t}/iz_rep.json",
+         "--state", "{c}/z2_psi068.json"], 0,
+        {"probs": pytest.approx([0.68, 0.32], abs=1e-12)}),
+    # for odd M the weights are delta_1: the sign on the involution comes from M's parity
+    "convert-abelian-odd-copies": (
+        ["convert-abelian", "--p", "{t}/delta0.json", "--q", "{t}/delta1.json",
+         "--copies", "1", "1000000000000001"], 0,
+        {"weights": pytest.approx([0.0, 1.0], abs=1e-12)}),
+    # ROADMAP item 1's pair: the rate is right, the single-shot verdict is not
+    "z4-charge-shift-rate": (
+        ["rate-exact", "--group", "{c}/z4.json", "--rep", "{c}/z4_rep.json",
+         "--psi", "{t}/z4_psi.json", "--phi", "{t}/z4_phi.json"], 0,
+        {"value": 1.0, "assumption_ok": True}),
+    "z4-charge-shift": pytest.param(
+        ["convert", "--group", "{c}/z4.json", "--rep", "{c}/z4_rep.json",
+         "--psi", "{t}/z4_psi.json", "--phi", "{t}/z4_phi.json", "--copies", "1", "1"], 0,
+        {"feasible": True}, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+}
+
+
+@pytest.mark.parametrize("argv, code, expected", CONTRACT.values(), ids=CONTRACT)
+def test_cli_gives_the_documented_answer(capsys, corpus_dir, tmp_path, argv, code, expected):
+    contract_inputs(tmp_path)
+    argv = [x.format(c=corpus_dir, t=tmp_path) for x in argv]
+    got_code, out, err = run(capsys, argv + ["--json"])
+    assert got_code == code, err
+    assert code == 0 or out == ""
+    doc = json.loads(out)["result"] if code == 0 else json.loads(err)
+    for key, want in expected.items():
+        assert want(doc[key]) if callable(want) else doc[key] == want, (key, doc[key])
 
 
 RESULT_KEYS = {

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from asym import (
@@ -40,7 +40,7 @@ from asym.convertibility import (
 from corpus import GROUP_NAMES, gauged_rep, random_state
 from reference import fourier_blocks, hermitian_block, interpolator, irrep_matrix, k_rows, one_row
 from asym.errors import DimensionMismatch, DomainError, NotHermitian, SelfCheckFailed
-from asym.groups import PureState, block_pairs
+from asym.groups import PureState, block_pairs, label_group
 from asym.tolerances import TOL_FLOOR, TOL_HERM, TOL_PSD
 
 
@@ -614,6 +614,32 @@ def test_real_transform_matches_the_fourier_blocks_and_the_dense_gram_spectrum(
     assert abs(min(b.min() for b in _block_mins(group, coords[None])) - dense[0]) <= tol
 
 
+def assert_plancherel(group):
+    """real diag(w_b) real^T = |G| diag(w_f), for `IrrepBasis.real`: w_b is
+    d on each d x d block's diagonal coordinates and 2d on the Re and Im of
+    its upper triangle, w_f is 1 on `pairs.own` and 2 on each Re and Im
+    coordinate of `pairs.first`. So real^-1 = diag(w_b) real^T / (|G| w_f):
+    f's coordinates come back from its blocks' with no solve."""
+    basis, n = group.irreps, group.order
+    w_b = np.concatenate([np.tile(np.r_[np.full(d, d), np.full(d * d - d, 2 * d)], count)
+                          for d, count in basis.dims])
+    w_f = np.r_[np.ones(group.pairs.own.size), np.full(2 * group.pairs.first.size, 2.0)]
+    want = n * np.diag(w_f)
+    assert np.abs((basis.real * w_b) @ basis.real.T - want).max() <= 1e-11 * np.abs(want).max()
+    inverse = w_b[:, None] * basis.real.T / (n * w_f)
+    assert np.abs(basis.real @ inverse - np.eye(n)).max() <= 1e-11
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_the_plancherel_identity_inverts_the_real_transform(name, oracle_group):
+    assert_plancherel(oracle_group(name))
+
+
+@pytest.mark.parametrize("shape", [(2,) * 8, (3,), (16, 16), (256,), (3, 2)], ids=str)
+def test_the_plancherel_identity_on_label_grids(shape):
+    assert_plancherel(label_group(shape))
+
+
 @pytest.mark.parametrize(
     "name, involutions, pairs",
     [("Z_3", 0, 1), ("Heis_3", 0, 13), ("Z_2^8", 255, 0), ("Z_16xZ_16", 3, 126),
@@ -776,12 +802,7 @@ def regular_rep(group):
 SCAN_GROUPS = {name: regular_rep(named_group(name)) for name in ("S_3", "D_4", "Q_8", "Z_6")}
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    name=st.sampled_from(sorted(SCAN_GROUPS)),
-    amps=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=32, max_size=32),
-)
-def test_scan_matches_loop_on_drawn_states(name, amps):
+def scan_matches_loop_on_a_drawn_pair(name, amps):
     rep = SCAN_GROUPS[name]
     n = rep.dim
     vecs = np.array(amps).reshape(2, 2, 8)[:, :, :n]
@@ -790,6 +811,24 @@ def test_scan_matches_loop_on_drawn_states(name, amps):
     assume(norms.min() > 0.1)
     psi, phi = (char_function(rep, PureState(n, v / nrm)) for v, nrm in zip(vecs, norms))
     assert_scan_matches_loop(psi, phi, 40, rows=3)
+
+
+def drawn_states_test(at_seed=None):
+    """`scan_matches_loop_on_a_drawn_pair` on 25 drawn pairs, from the
+    Hypothesis seed at_seed if one is given: `@seed(s)` draws what
+    `--hypothesis-seed=s` draws."""
+    test = settings(max_examples=25, deadline=None)(given(
+        name=st.sampled_from(sorted(SCAN_GROUPS)),
+        amps=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=32, max_size=32),
+    )(scan_matches_loop_on_a_drawn_pair))
+    return test if at_seed is None else seed(at_seed)(test)
+
+
+test_scan_matches_loop_on_drawn_states = drawn_states_test()
+# at these seeds a D_4 pair with |chi_phi| near 1e-9 once failed the Gram
+# test's Hermitian check; f is now Hermitian by construction on a linear rep
+test_scan_matches_loop_on_drawn_states_at_seed_0 = drawn_states_test(at_seed=0)
+test_scan_matches_loop_on_drawn_states_at_seed_45 = drawn_states_test(at_seed=45)
 
 
 def assert_hermitian_bit_for_bit(char):
@@ -972,6 +1011,39 @@ def test_the_fourier_view_names_the_same_zero_set_witness():
     for n, m in zip(N, M):
         res = feasibility(p, q, n, m)
         assert res.zero_set_witness == (bad if m else None) and res.feasible is not bool(m)
+
+
+def z4_charge_shift(corpus):
+    """psi = (|1> + |2>)/sqrt 2 and phi = (|0> + |1>)/sqrt 2 under the corpus
+    Z_4 rep U(a) = diag(i^{ak}). The shift S|k> = |k - 1> maps psi to phi and
+    S U(a) S^+ = i^a U(a), so rho -> S rho S^+ is covariant: psi -> phi is
+    feasible. chi_psi and chi_phi both vanish at a = 2, where f is free, and
+    the completion f = (1, i, -1, -i) is positive definite (ROADMAP item 1)."""
+    group, rep = corpus["Z_4"]
+    psi, phi = (char_function(rep, PureState(4, np.array(v) / np.sqrt(2)))
+                for v in ([0, 1, 1, 0], [1, 1, 0, 0]))
+    return group, psi, phi
+
+
+def test_the_z4_charge_shift_has_a_positive_definite_completion(corpus):
+    group, psi, phi = z4_charge_shift(corpus)
+    f = np.array([1, 1j, -1, -1j])
+    assert is_positive_definite(group, f).feasible
+    assert np.abs(psi.values() - phi.values() * f).max() <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_the_z4_charge_shift_is_feasible_at_one_copy_each(corpus):
+    # today: infeasible, with a minimum Gram eigenvalue of -1 and neither witness
+    _, psi, phi = z4_charge_shift(corpus)
+    assert feasible_exact(psi, phi, 1, 1).feasible is True
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_the_z4_charge_shift_converts_at_rate_one(corpus):
+    # today: None, while exact_rate gives 1.0 with its assumption proved
+    _, psi, phi = z4_charge_shift(corpus)
+    assert minimal_copies_search(psi, phi, 1.0, 50) == 1
 
 
 def index_two_indicator(group):
