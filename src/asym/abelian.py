@@ -64,7 +64,7 @@ class ChargeDistribution:
         if p.min() < -TOL_PROB:
             raise ShapeMismatch(f"negative probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > TOL_SECTOR:
-            raise ShapeMismatch(f"probabilities sum to {p.sum()!r}")
+            raise ShapeMismatch(f"probabilities sum to {float(p.sum())}")
         object.__setattr__(self, "probs", _frozen(p))
 
     def grid(self) -> np.ndarray:
@@ -131,7 +131,7 @@ def charge_distribution(rep: ProjectiveRep, state: PureState) -> ChargeDistribut
     total = probs.sum()
     if abs(total - 1.0) > TOL_SECTOR:
         raise NotSimultaneouslyDiagonalizable(
-            f"sector weights sum to {total!r}; diagonalization lost probability"
+            f"sector weights sum to {float(total)}; diagonalization lost probability"
         )
     return ChargeDistribution(shape=shape, probs=probs / total)
 

@@ -183,12 +183,14 @@ def negative_parity(*powers) -> np.ndarray:
 
 
 def char_function(rep: ProjectiveRep, state: PureState) -> CharFunction:
-    """chi(g) = <psi|U(g)|psi> for every group element, one sum per pair
-    {g, g^-1}: U(g^-1) is a phase times U(g)^+, so |chi(g^-1)| = |chi(g)|
-    (`_polar`), and on a linear rep (`rep.linear`) chi(g^-1) = conj chi(g)
-    (`make_hermitian`). On any other rep chi(g^-1) keeps the phase of its
-    own sum: `exact_rate` and `approx` read |chi| alone, and the Gram view
-    refuses such a rep."""
+    """chi(g) = <psi|U(g)|psi>, one sum for every group element. U(g^-1) is
+    a phase times U(g)^+, so |chi(g^-1)| = |chi(g)|, and `_polar` gives g^-1
+    the log-modulus of g < g^-1. On a linear rep (`rep.linear`)
+    chi(g^-1) = conj chi(g): `make_hermitian` overwrites the partner half,
+    g^-1 for g < g^-1, with conj chi(g), and makes chi real on the
+    involutions. On any other rep chi(g^-1) keeps the phase of its own sum:
+    `exact_rate` and `approx` read |chi| alone, and the Gram view refuses
+    such a rep."""
     if state.dim != rep.dim:
         raise DimensionMismatch(f"state dim {state.dim} != rep dim {rep.dim}")
     psi = state.amplitudes

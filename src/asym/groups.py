@@ -24,12 +24,18 @@ a table it rejects pays that O(n^3) scan, which names the first witness.
 of dimension d, and the projective law by the same lemma at the rows e and
 S, O(|S| n d^3), with a proved error bound along the words in S. Only a rep
 that the bound cannot vouch for pays the O(n^2 d^3) scan of every pair,
-which decides and names the first failing pair. The same products decide
-whether the rep is linear (omega = 1), as the Gram view requires. All of
-these run as batched BLAS matmuls over blocks of at most `_CHUNK_BYTES`
-(256 KB) of intermediate results, so their working memory is O(chunk)
-beyond the input, whatever n and d are. Non-finite amplitudes and matrix
-entries are rejected like any other invalid value.
+which decides and names the first failing pair. The bound divides the row
+deviation it allows by about 2 L, L the word depth of S (n - 1 for the one
+generator of a cyclic group), so a rep exact to rounding passes up to
+MAX_ORDER while one unitary only to about 1e-11 pays the scan on a large
+cyclic group: Z_256 at d = 32 with every entry perturbed by 1e-12 (max
+|UU^+ - I| 5e-12) takes 1.9 s against 22 ms exact, and 11.3 s against
+64 ms at d = 64 (one BLAS thread of a two-core virtual machine). The same
+products decide whether the rep is linear (omega = 1), as the Gram view
+requires. All of these run as batched BLAS matmuls over blocks of at most
+`_CHUNK_BYTES` (256 KB) of intermediate results, so their working memory is
+O(chunk) beyond the input, whatever n and d are. Non-finite amplitudes and
+matrix entries are rejected like any other invalid value.
 """
 
 from __future__ import annotations
@@ -72,9 +78,9 @@ def _block_rows(row_bytes: int) -> int:
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     order: int
-    mult: np.ndarray  # (n, n) element indices
+    mult: np.ndarray  # (n, n) element indices, read-only
     identity: int
-    inv: np.ndarray  # (n,) element indices
+    inv: np.ndarray  # (n,) element indices, read-only
     name: str | None = None
 
     def is_abelian(self) -> bool:
@@ -199,7 +205,7 @@ class IrrepBasis:
     `dims` lists (d, count) per dimension, increasing; sum(count d^2) = n.
     """
 
-    real: np.ndarray  # (n, n) float, rows indexed by the coordinates of the group's `pairs`
+    real: np.ndarray  # (n, n) float, read-only; rows: the coordinates of the group's `pairs`
     dims: tuple[tuple[int, int], ...]
 
     def block_coords(self, coords: np.ndarray) -> list[np.ndarray]:
@@ -242,7 +248,7 @@ class PureState:
             raise NotAState("state has a non-finite amplitude")
         nrm = np.linalg.norm(amp)
         if not abs(nrm - 1.0) <= TOL_NORM:
-            raise NotAState(f"state norm {nrm!r} deviates from 1 beyond tolerance")
+            raise NotAState(f"state norm {float(nrm)} deviates from 1 beyond tolerance")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -326,7 +332,9 @@ def build_group(mult_table, name: str | None = None) -> FiniteGroup:
     needs |S| <= log2 n (each generator at least doubles the subgroup) and
     the test costs O(n^2 log n); a table that needs every element as a
     generator costs at most the 2 n^3 lookups of a full scan. Inverses are
-    one pass over the table's e entries.
+    one pass over the table's e entries. The group keeps read-only copies of
+    the table and the inverse map, so that no write to the caller's array can
+    change a group or the facts it caches from them.
 
     Raises AxiomViolation naming the failed axiom together with a witness;
     the associativity witness is the row-major first failing triple. An
@@ -348,7 +356,7 @@ def build_group(mult_table, name: str | None = None) -> FiniteGroup:
     if mult.min() < 0 or mult.max() >= n:
         bad = np.argwhere((mult < 0) | (mult >= n))[0]
         raise AxiomViolation("closure", witness=tuple(int(x) for x in bad))
-    mult = mult.astype(np.intp, copy=False)
+    mult = _frozen(mult.astype(np.intp))  # the group's own copy: its caches read it
 
     rng = np.arange(n)
     id_rows = np.where((mult == rng[None, :]).all(axis=1) & (mult.T == rng[None, :]).all(axis=1))[0]
@@ -370,7 +378,7 @@ def build_group(mult_table, name: str | None = None) -> FiniteGroup:
     if not np.array_equal(inv[inv], rng):
         raise AxiomViolation("inverses", witness="inv is not an involution")
 
-    return FiniteGroup(order=n, mult=mult, identity=e, inv=inv, name=name)
+    return FiniteGroup(order=n, mult=mult, identity=e, inv=_frozen(inv), name=name)
 
 
 def as_index(x, name: str) -> int:
@@ -432,8 +440,8 @@ def _associativity_witness(mult: np.ndarray) -> tuple[int, int, int]:
 @functools.lru_cache(maxsize=8)
 def label_group(shape: tuple[int, ...]) -> FiniteGroup:
     """Z_{n_1} x ... x Z_{n_k} on the row-major label grid of shape, kept for
-    the last few shapes, with a read-only table and inverse map, as every
-    caller shares it: the group a charge distribution's chi lives on.
+    the last few shapes, as every caller shares it: the group a charge
+    distribution's chi lives on.
 
     The grid is its cyclic decomposition, recorded with the group so that
     `decompose_abelian` never runs on it: the basis is the unit label of
@@ -444,8 +452,7 @@ def label_group(shape: tuple[int, ...]) -> FiniteGroup:
     n = math.prod(shape)
     if n > MAX_ORDER:
         raise ShapeMismatch(f"{n} labels in shape {shape} exceed cap {MAX_ORDER}")
-    group = build_group(_frozen(_product_table(shape)))
-    _frozen(group.inv)
+    group = build_group(_product_table(shape))
     strides = np.cumprod((1, *shape[:0:-1]))[::-1]  # row-major index of each unit label
     basis = tuple((int(g), t) for g, t in zip(strides, shape) if t > 1)
     group.__dict__["cyclic_decomposition"] = (basis, _frozen(np.arange(n)))  # the cached value
@@ -485,16 +492,17 @@ def quaternion_matrices() -> np.ndarray:
 
 
 def _table_of(mats: np.ndarray) -> np.ndarray:
-    """The product table of a faithful matrix group: mult[a, b] is the one c
-    with mats[a] @ mats[b] close to mats[c]."""
-    prods = np.einsum("aij,bjk->abik", mats, mats)
-    hits = np.isclose(prods[:, :, None], mats).all(axis=(-2, -1))  # (a, b, c)
-    counts = hits.sum(axis=-1)
-    if (counts != 1).any():
-        a, b = np.argwhere(counts != 1)[0]
-        matched = np.flatnonzero(hits[a, b]).tolist()
-        raise SelfCheckFailed(f"product of elements {a}, {b} matched {matched}")
-    return hits.argmax(axis=-1)
+    """The product table of a faithful matrix group whose entries are 0, +-1
+    or +-i, so that every product is exact: mult[a, b] is the c with
+    mats[a] @ mats[b] equal to mats[c], looked up by its entries (+ 0.0 turns
+    a -0.0 into +0.0). A product that is no element gets index n, which
+    `build_group` refuses; two equal matrices are a SelfCheckFailed."""
+    n = len(mats)
+    index = {(m + 0.0).tobytes(): c for c, m in enumerate(mats)}
+    if len(index) < n:
+        raise SelfCheckFailed(f"{n - len(index)} of the {n} matrices repeat another")
+    prods = np.einsum("aij,bjk->abik", mats, mats) + 0.0
+    return np.array([[index.get(p.tobytes(), n) for p in row] for row in prods])
 
 
 _CYCLIC_RE = re.compile(r"^Z_(\d+)$")
@@ -823,7 +831,7 @@ def regular_irreps(group: FiniteGroup) -> IrrepBasis:
         # the blocks of delta_g, delta_g + delta_g^-1 and i (delta_g - delta_g^-1): chi_k(g)
         # (real on own), 2 Re chi_k(g) and -2 Im chi_k(g), as chi_k(g^-1) = conj chi_k(g)
         real = np.concatenate([np.cos(own), 2 * np.cos(first), -2 * np.sin(first)])
-        return IrrepBasis(real=real, dims=((1, n),))
+        return IrrepBasis(real=_frozen(real), dims=((1, n),))
     for seed in range(_IRREP_SEEDS):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -854,5 +862,6 @@ def regular_irreps(group: FiniteGroup) -> IrrepBasis:
             cols.append(rho.transpose(1, 0, 2, 3).reshape(n, -1))
         if ok and sum(d * d * m for d, m in dims) == n:
             matrix = np.concatenate(cols, axis=1)
-            return IrrepBasis(real=_real_basis(matrix, dims, group.pairs), dims=tuple(dims))
+            real = _real_basis(matrix, dims, group.pairs)
+            return IrrepBasis(real=_frozen(real), dims=tuple(dims))
     raise SelfCheckFailed(f"no irrep decomposition of the group of order {n} passed its checks")

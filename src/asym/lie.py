@@ -66,7 +66,7 @@ def _density_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
     if not np.abs(rho - rho.conj().T).max() <= TOL_HERM:
         raise NotAState("density matrix is not Hermitian")
     if not abs(np.trace(rho).real - 1.0) <= TOL_DENSITY:
-        raise NotAState(f"trace is {np.trace(rho)!r}")
+        raise NotAState(f"trace is {complex(np.trace(rho))}")
     p, V = np.linalg.eigh(rho)
     if p[0] < -TOL_DENSITY:
         raise NotAState("density matrix has a negative eigenvalue")

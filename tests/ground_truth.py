@@ -47,6 +47,7 @@ from hypothesis import strategies as st
 
 from asym import ChargeDistribution, char_function, charge_distribution, named_group
 from asym.charfn import CharFunction, char_from_values
+from asym.convertibility import MAX_SEARCH_COPIES
 from asym.groups import PureState, validate_projective_rep
 from corpus import GROUP_NAMES, corpus_rep
 from reference import irrep_matrix
@@ -160,9 +161,9 @@ def _pair(family, name, rep_psi, psi, rep_phi, phi, N, M, feasible) -> Instance:
 
 
 def _copies(draw) -> tuple[int, int]:
-    """N >= M >= 1, up to 3."""
-    M = draw(st.integers(1, 3))
-    return draw(st.integers(M, 3)), M
+    """N >= M >= 1, up to `MAX_SEARCH_COPIES`."""
+    M = draw(st.integers(1, MAX_SEARCH_COPIES))
+    return draw(st.integers(M, MAX_SEARCH_COPIES)), M
 
 
 def _partial_trace(draw, name, N, M) -> Instance:
@@ -220,7 +221,7 @@ def convolutions(draw, groups=None) -> Instance:
     p = convolve(q, ChargeDistribution((n,), w))
     assert np.array_equal(p.probs * DYADIC**2, np.rint(p.probs * DYADIC**2))
     assume(np.abs(q.char.values()).min() >= FLOOR)
-    K = draw(st.integers(1, 3))
+    K = draw(st.integers(1, MAX_SEARCH_COPIES))
     return Instance("convolution", p.char, q.char, K, K, True, (p, q), w if K == 1 else None)
 
 
@@ -251,7 +252,7 @@ def one_copy_off(draw, groups=GROUPS) -> Instance:
 def reversed_traces(draw, groups=GROUPS) -> Instance:
     """phi -> phi (x) xi at N <= M, with |chi_xi| < 1 / (1 + MARGIN) somewhere."""
     name = draw(st.sampled_from(groups))
-    M = draw(st.integers(1, 3))
+    M = draw(st.integers(1, MAX_SEARCH_COPIES))
     N = draw(st.integers(1, M))
     L, LU = regular(name), with_spectator(name)
     phi = random_state(draw(SEEDS), L.dim)

@@ -200,18 +200,6 @@ def test_io_rejects_malformed_documents(tmp_path, case):
     assert str(path) in str(exc.value)
 
 
-def test_cli_exit_2_on_scalar_amplitudes(capsys, tmp_path, corpus_dir):
-    bad = tmp_path / "state.json"
-    bad.write_text('{"dim": 2, "amplitudes": 5}')
-    code, out, err = run(
-        capsys,
-        ["chi", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
-         "--state", bad],
-    )
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == "ValidationError"
-
-
 @pytest.mark.parametrize("case", [c for c in sorted(MALFORMED_DOCS) if c.startswith("state-")])
 def test_cli_exit_2_on_malformed_state(capsys, tmp_path, corpus_dir, case):
     bad = tmp_path / "state.json"
@@ -253,53 +241,7 @@ def test_write_corpus_matches_committed_corpus(tmp_path):
                 assert np.array_equal(a, b), (name, key)
 
 
-def test_cli_exit_2_on_overflowing_table_entry(capsys, tmp_path, corpus_dir):
-    bad = tmp_path / "group.json"
-    bad.write_text('{"order": 1, "mult_table": [[1e999]]}')
-    code, out, err = run(
-        capsys,
-        ["chi", "--group", bad, "--rep", corpus_dir / "z2_rep.json",
-         "--state", corpus_dir / "z2_psi08.json"],
-    )
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == "ValidationError"
-
-
 # ------------------------------------------------------------------ subcommands
-
-
-def test_cli_chi_values_and_sets(capsys, corpus_dir):
-    report = run_json(
-        capsys,
-        ["chi", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
-         "--state", corpus_dir / "z2_psi08.json"],
-    )
-    assert report["subcommand"] == "chi"
-    els = report["result"]["elements"]
-    assert els[1]["abs_chi"] == pytest.approx(0.6, abs=1e-9)
-    assert report["result"]["sym"] == [0]
-    assert report["result"]["zero"] == []
-    for entry in report["inputs"].values():
-        assert len(entry["sha256"]) == 64
-
-
-def test_cli_chi_power(capsys, corpus_dir):
-    report = run_json(
-        capsys,
-        ["chi", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
-         "--state", corpus_dir / "z2_psi08.json", "--power", "2"],
-    )
-    assert report["result"]["elements"][1]["abs_chi"] == pytest.approx(0.36, abs=1e-9)
-
-
-@pytest.mark.parametrize("power", ["0", "-2"])
-def test_cli_chi_rejects_power_below_one(capsys, corpus_dir, power):
-    # used to exit 0 with the single-copy table labelled "power": 0
-    assert_domain_error(
-        capsys,
-        ["chi", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
-         "--state", corpus_dir / "z2_psi08.json", "--power", power],
-    )
 
 
 def test_cli_chi_table_output(capsys, corpus_dir):
@@ -313,170 +255,12 @@ def test_cli_chi_table_output(capsys, corpus_dir):
     assert "0.6" in out
 
 
-def test_cli_chi_tabulates_a_unit_cut_that_is_no_subgroup(capsys, corpus_dir, tmp_path):
-    """|chi| = 1 - 8e-11 at g = 1, 3 and 1 - 1.6e-10 at g = 2: the TOL_ONE cut
-    {0, 1, 3} is not closed. `chi` reports the raw cut; `approx` refuses it."""
-    p = 8e-11
-    state = tmp_path / "psi.json"
-    io.save_state(state, PureState(dim=4, amplitudes=np.sqrt([1 - p, p, 0.0, 0.0])))
-    on_z4 = ["--group", corpus_dir / "z4.json", "--rep", corpus_dir / "z4_rep.json"]
-    result = run_json(capsys, ["chi"] + on_z4 + ["--state", state])["result"]
-    assert (result["sym"], result["zero"]) == ([0, 1, 3], [])
-    code, out, err = run(capsys, ["approx"] + on_z4 + ["--psi", state, "--phi", state, "--json"])
-    assert (code, out) == (1, "")
-    assert json.loads(err)["error"] == "SymNotSubgroup"
-
-
 def test_cli_output_is_deterministic(capsys, corpus_dir):
     argv = ["chi", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
             "--state", corpus_dir / "z2_psi08.json", "--json"]
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
-
-
-def test_cli_rate_exact(capsys, corpus_dir):
-    report = run_json(
-        capsys,
-        ["rate-exact", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
-         "--psi", corpus_dir / "z2_psi068.json", "--phi", corpus_dir / "z2_psi08.json"],
-    )
-    assert report["result"]["rate"] == "finite"
-    assert report["result"]["value"] == 2.0
-    assert report["result"]["witness"] == 1
-    assert report["result"]["assumption_ok"] is True
-
-
-@pytest.mark.parametrize(
-    "name, phi, ok",
-    [("z4", [0.8, 0.0, 0.6, 0.0], True), ("s3", [0.5, 0.5, 0.7], False)],
-    ids=["z4", "s3"],
-)
-def test_cli_rate_exact_assumption_ok_reads_the_group(capsys, corpus_dir, tmp_path, name, phi, ok):
-    # sym(phi) = {0, 2} on Z_4 and {e, (01)} on S_3: the formula is proved on
-    # the abelian group only
-    amps = np.array(phi) / np.linalg.norm(phi)
-    io.save_state(tmp_path / "phi.json", PureState(len(phi), amps))
-    io.save_state(tmp_path / "psi.json", random_state(len(phi), np.random.default_rng(0)))
-    result = run_json(
-        capsys,
-        ["rate-exact", "--group", corpus_dir / f"{name}.json", "--rep", corpus_dir / f"{name}_rep.json",
-         "--psi", tmp_path / "psi.json", "--phi", tmp_path / "phi.json"],
-    )["result"]
-    assert len(result["excluded_set"]) == 2
-    assert (result["rate"], result["assumption_ok"]) == ("finite", ok)
-
-
-def test_cli_rate_exact_assumption_ok_reads_the_rep(capsys, tmp_path):
-    # the Pauli rep X^a Z^b of Z_2 x Z_2 is projective and its matrices do not
-    # commute: with sym(phi) = {e, X} at phi = |+>, the formula is not proved
-    group = named_group("Z_2xZ_2")
-    X, Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
-    io.save_group(tmp_path / "g.json", group)
-    io.save_rep(tmp_path / "rep.json", validate_projective_rep(group, [np.eye(2), Z, X, X @ Z]))
-    io.save_state(tmp_path / "phi.json", PureState(2, np.array([1.0, 1.0]) / np.sqrt(2)))
-    io.save_state(tmp_path / "psi.json", random_state(2, np.random.default_rng(0)))
-    result = run_json(
-        capsys,
-        ["rate-exact", "--group", tmp_path / "g.json", "--rep", tmp_path / "rep.json",
-         "--psi", tmp_path / "psi.json", "--phi", tmp_path / "phi.json"],
-    )["result"]
-    assert result["excluded_set"] == [0, 1, 2, 3]
-    assert (result["rate"], result["assumption_ok"]) == ("zero", False)
-
-
-def test_cli_rate_exact_near_the_symmetry_cut(capsys, corpus_dir, tmp_path):
-    # |chi_psi| - 1 = -8e-11, -1.6e-10, -8e-11 on Z_4: psi's unit set {0, 1, 3}
-    # is not a subgroup, which the rate never reads
-    psi = PureState(4, np.array([np.sqrt(1 - 8e-11), np.sqrt(8e-11), 0.0, 0.0]))
-    io.save_state(tmp_path / "psi.json", psi)
-    io.save_state(tmp_path / "phi.json", PureState(4, np.array([0.7, 0.5, 0.4, np.sqrt(0.1)])))
-    result = run_json(
-        capsys,
-        ["rate-exact", "--group", corpus_dir / "z4.json", "--rep", corpus_dir / "z4_rep.json",
-         "--psi", tmp_path / "psi.json", "--phi", tmp_path / "phi.json"],
-    )["result"]
-    assert (result["rate"], result["witness"], result["excluded_set"]) == ("finite", 1, [0])
-    assert 0 < result["value"] < 1e-9
-
-
-def test_cli_convert(capsys, corpus_dir, tmp_path):
-    on_z2 = ["convert", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json"]
-    base = on_z2 + ["--psi", corpus_dir / "z2_psi068.json", "--phi", corpus_dir / "z2_psi08.json"]
-    ok = run_json(capsys, base + ["--copies", "1", "2"])
-    assert ok["result"]["feasible"] is True
-    assert ok["result"]["zero_set_witness"] is None
-    bad = run_json(capsys, base + ["--copies", "1", "3"])
-    assert bad["result"]["feasible"] is False
-    assert bad["result"]["modulus_witness"] == 1
-    # chi_phi(1) = 0 where chi_psi(1) = 0.6: a verdict with its witness, exit 0
-    flat = tmp_path / "flat.json"
-    io.save_state(flat, z2_population_state(0.5))
-    argv = on_z2 + ["--psi", corpus_dir / "z2_psi08.json", "--phi", flat, "--copies", "1", "1"]
-    none = run_json(capsys, argv)["result"]
-    assert none["feasible"] is False
-    assert none["zero_set_witness"] == 1
-    assert none["modulus_witness"] is None
-
-
-def test_cli_refuses_a_non_linear_rep_in_the_gram_view(capsys, corpus_dir, tmp_path):
-    # U(1) = iZ is gauge-equivalent to the corpus Z_2 rep; (2, 2) read feasible
-    # on it once. convert and min-copies exit 1 with a DomainError, while
-    # rate-exact, which reads |chi| alone, gives the corpus rep's report
-    io.save_rep(tmp_path / "iz.json", gauged_rep("iZ"))
-    pair = ["--group", corpus_dir / "z2.json", "--psi", corpus_dir / "z2_psi068.json",
-            "--phi", corpus_dir / "z2_psi08.json"]
-    for argv in (["convert", "--copies", "2", "2"], ["convert", "--copies", "1", "0"],
-                 ["min-copies", "--rate", "1.0", "--nmax", "8"]):
-        code, out, err = run(capsys, argv + pair + ["--rep", tmp_path / "iz.json", "--json"])
-        assert (code, out) == (1, "")
-        assert json.loads(err)["error"] == "DomainError"
-    linear, gauged = (run_json(capsys, ["rate-exact", "--rep", rep] + pair)["result"]
-                      for rep in (corpus_dir / "z2_rep.json", tmp_path / "iz.json"))
-    assert gauged == linear and gauged["value"] == 2.0
-
-
-def test_cli_min_copies(capsys, corpus_dir):
-    report = run_json(
-        capsys,
-        ["min-copies", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
-         "--psi", corpus_dir / "z2_psi068.json", "--phi", corpus_dir / "z2_psi08.json",
-         "--rate", "1.5", "--nmax", "24"],
-    )
-    assert report["result"]["min_copies"] == 1
-    report = run_json(
-        capsys,
-        ["min-copies", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
-         "--psi", corpus_dir / "z2_psi068.json", "--phi", corpus_dir / "z2_psi08.json",
-         "--rate", "2.5", "--nmax", "24"],
-    )
-    assert report["result"]["min_copies"] is None
-
-
-def test_cli_charges(capsys, corpus_dir):
-    report = run_json(
-        capsys,
-        ["charges", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
-         "--state", corpus_dir / "z2_psi08.json"],
-    )
-    assert report["result"]["shape"] == [2]
-    assert sorted(report["result"]["probs"]) == pytest.approx([0.2, 0.8], abs=1e-9)
-
-
-def test_cli_convert_abelian(capsys, tmp_path):
-    p = tmp_path / "p.json"
-    q = tmp_path / "q.json"
-    io.save_distribution(p, ChargeDistribution(shape=(2,), probs=np.array([0.75, 0.25])))
-    io.save_distribution(q, ChargeDistribution(shape=(2,), probs=np.array([0.9, 0.1])))
-    report = run_json(capsys, ["convert-abelian", "--p", p, "--q", q, "--copies", "1", "1"])
-    assert report["result"]["feasible"] is True
-    assert report["result"]["weights"] == pytest.approx([0.8125, 0.1875], abs=1e-9)
-    assert report["result"]["modulus_witness"] is None
-    # lambda_1 ratio 0.8 / 0.5 = 1.6 > 1: the 2 x 2 minor at label 1 proves it infeasible
-    report = run_json(capsys, ["convert-abelian", "--p", q, "--q", p, "--copies", "1", "1"])
-    assert report["result"]["feasible"] is False
-    assert report["result"]["modulus_witness"] == 1
-    assert report["result"]["zero_set_witness"] is None
 
 
 def test_cli_convert_abelian_reads_tol_psd(capsys, tmp_path):
@@ -496,21 +280,6 @@ def test_cli_convert_abelian_reads_tol_psd(capsys, tmp_path):
         assert (code, out) == (2, "")
 
 
-def test_cli_approx_with_curve(capsys, corpus_dir):
-    report = run_json(
-        capsys,
-        ["approx", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
-         "--psi", corpus_dir / "z2_psi08.json", "--phi", corpus_dir / "z2_psi068.json",
-         "--curve", "1,2,4,8"],
-    )
-    assert sorted(report["result"]) == RESULT_KEYS["approx"]
-    assert report["result"]["classification"] == "unbounded"
-    curve = report["result"]["curve"]
-    assert [pt["N"] for pt in curve] == [1, 2, 4, 8]
-    assert curve[0]["bound"] == pytest.approx(0.6**2, rel=1e-9)
-    assert all(pt["distance"] <= pt["bound"] for pt in curve)
-
-
 def test_cli_approx_classifies_each_state_once(capsys, corpus_dir, monkeypatch):
     # the curve reuses the report's decay base and psi's cached sym(psi): psi
     # and phi go to symmetry_subgroup once each
@@ -527,93 +296,7 @@ def test_cli_approx_classifies_each_state_once(capsys, corpus_dir, monkeypatch):
     assert len(seen) == 2 and seen[0] is not seen[1]
 
 
-@pytest.mark.parametrize("curve", ["0", "0,2", "-3"])
-def test_cli_approx_rejects_curve_below_one(capsys, corpus_dir, tmp_path, curve):
-    # used to exit 0, skipping such N: "0,2" reported N = 2 only, "-3" "curve": []
-    on_z2 = ["--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json"]
-    assert_domain_error(
-        capsys,
-        ["approx"] + on_z2 + ["--psi", corpus_dir / "z2_psi08.json",
-                              "--phi", corpus_dir / "z2_psi068.json", f"--curve={curve}"],
-    )
-    # a zero-class pair computes no curve, so there is no copy number to reject
-    io.save_state(tmp_path / "sym.json", PureState(2, np.array([1.0, 0.0])))
-    report = run_json(
-        capsys,
-        ["approx"] + on_z2 + ["--psi", tmp_path / "sym.json",
-                              "--phi", corpus_dir / "z2_psi08.json", f"--curve={curve}"],
-    )
-    assert report["result"]["classification"] == "zero"
-    assert "curve" not in report["result"]
-
-
-def test_cli_qfim_and_rf(capsys, corpus_dir):
-    report = run_json(
-        capsys,
-        ["qfim", "--state", corpus_dir / "z2_psi08.json",
-         "--generators", corpus_dir / "spin_half_gens.json"],
-    )
-    F = np.array(report["result"]["qfim"])
-    assert F.shape == (3, 3)
-    assert np.allclose(F, F.T, atol=1e-9)
-    assert np.linalg.eigvalsh(F)[0] >= -1e-9
-
-    report = run_json(
-        capsys,
-        ["rf", "--psi", corpus_dir / "z2_psi08.json", "--phi", corpus_dir / "z2_psi068.json",
-         "--generators", corpus_dir / "spin_half_gens.json", "--rate", "2.0", "--delta", "0.0"],
-    )
-    assert "r_f" in report["result"]
-    assert report["result"]["certificate"]["rate"] == 2.0
-
-
 # -------------------------------------------------------------------- exit codes
-
-
-def test_cli_exit_2_on_missing_file(capsys, corpus_dir):
-    code, _, err = run(
-        capsys,
-        ["chi", "--group", corpus_dir / "nope.json", "--rep", corpus_dir / "z2_rep.json",
-         "--state", corpus_dir / "z2_psi08.json"],
-    )
-    assert code == 2
-    assert "error" in err
-
-
-def test_cli_exit_2_on_malformed_json(capsys, tmp_path, corpus_dir):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, _ = run(
-        capsys,
-        ["chi", "--group", bad, "--rep", corpus_dir / "z2_rep.json",
-         "--state", corpus_dir / "z2_psi08.json"],
-    )
-    assert code == 2
-
-
-def test_cli_exit_2_on_invalid_state(capsys, tmp_path, corpus_dir):
-    bad = tmp_path / "bad_state.json"
-    bad.write_text(json.dumps({"dim": 2, "amplitudes": [[1.0, 0.0], [1.0, 0.0]]}))
-    code, _, _ = run(
-        capsys,
-        ["chi", "--group", corpus_dir / "z2.json", "--rep", corpus_dir / "z2_rep.json",
-         "--state", bad],
-    )
-    assert code == 2
-
-
-def test_cli_exit_1_on_domain_error(capsys, corpus_dir, tmp_path):
-    # charge decomposition of a nonabelian group is a domain error, not a
-    # parse failure
-    psi = tmp_path / "s3_state.json"
-    io.save_state(psi, PureState(3, np.array([1.0, 0.0, 0.0])))
-    code, _, err = run(
-        capsys,
-        ["charges", "--group", corpus_dir / "s3.json", "--rep", corpus_dir / "s3_rep.json",
-         "--state", psi],
-    )
-    assert code == 1
-    assert "NotAbelian" in err
 
 
 def test_cli_exit_1_on_linalg_error(capsys, corpus_dir, monkeypatch):
@@ -941,96 +624,304 @@ def test_cli_runs_every_readme_example(capsys, tmp_path, monkeypatch):
 # ------------------------------------------------- the documented answer of each call
 
 
-def contract_inputs(directory):
-    """The inputs of `CONTRACT` that the corpus lacks, written to directory."""
-    io.save_state(directory / "plus.json", z2_population_state(0.5))  # (|0> + |1>)/sqrt 2
-    io.save_rep(directory / "iz_rep.json", gauged_rep("iZ"))
-    for k in (0, 1):
-        io.save_distribution(directory / f"delta{k}.json", ChargeDistribution((2,), np.eye(2)[k]))
-    for name, amps in (("z4_psi", [0, 1, 1, 0]), ("z4_phi", [1, 1, 0, 0])):
-        io.save_state(directory / f"{name}.json", PureState(4, np.array(amps) / np.sqrt(2)))
+# Files that a loader refuses (exit 2): `contract_dir` writes each to {name}.json.
+REFUSED_FILES = {
+    "scalar_amplitudes": '{"dim": 2, "amplitudes": 5}',
+    "norm_sqrt2": '{"dim": 2, "amplitudes": [[1.0, 0.0], [1.0, 0.0]]}',
+    "not_json": "{not json",
+    "overflowing_entry": '{"order": 1, "mult_table": [[1e999]]}',
+    "order_3_of_2": '{"order": 3, "mult_table": [[0, 1], [1, 0]]}',
+    "identity_at_1": '{"order": 2, "mult_table": [[1, 0], [0, 1]]}',
+    "one_row_of_2": '{"order": 2, "mult_table": [[0, 1]]}',
+    "entry_out_of_range": '{"order": 2, "mult_table": [[0, 1], [1, 2]]}',
+    "rep_1x1_of_dim_2": '{"dim": 2, "matrices": [[[[1, 0]]], [[[1, 0]]]]}',
+    "negative_probability": '{"shape": [2], "probs": [1.5, -0.5]}',
+    "sum_1.1": '{"shape": [2], "probs": [0.6, 0.5]}',
+    "one_probability_of_2": '{"shape": [2], "probs": [1.0]}',
+}
 
+
+@pytest.fixture(scope="session")
+def contract_dir(tmp_path_factory):
+    """The inputs of `CONTRACT` that the corpus lacks."""
+    directory = tmp_path_factory.mktemp("contract")
+    X, Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    pauli = [np.eye(2), Z, X, X @ Z]  # X^a Z^b on Z_2 x Z_2: projective, not commuting
+    io.save_rep(directory / "pauli_rep.json",
+                validate_projective_rep(named_group("Z_2xZ_2"), pauli))
+    io.save_rep(directory / "iz_rep.json", gauged_rep("iZ"))
+    distributions = {"delta0": [1, 0], "delta1": [0, 1], "p": [0.75, 0.25], "q": [0.9, 0.1]}
+    for name, probs in distributions.items():
+        io.save_distribution(directory / f"{name}.json", ChargeDistribution((2,), np.array(probs)))
+    states = {
+        "plus": [1, 1],  # (|0> + |1>)/sqrt 2
+        "zero": [1, 0],  # sym = Z_2
+        "z4_psi": [0, 1, 1, 0],
+        "z4_phi": [1, 1, 0, 0],
+        "z4_sym02": [0.8, 0, 0.6, 0],  # sym = {0, 2}
+        # |chi| - 1 = -8e-11, -1.6e-10, -8e-11: the unit set {0, 1, 3} is no subgroup
+        "z4_cut": np.sqrt([1 - 8e-11, 8e-11, 0, 0]),
+        "z4_generic": [0.7, 0.5, 0.4, np.sqrt(0.1)],
+        "s3_sym01": [0.5, 0.5, 0.7],  # sym = {e, (01)}
+        "s3_e0": [1, 0, 0],
+    }
+    for name, amps in states.items():
+        io.save_state(directory / f"{name}.json", PureState(len(amps), amps / np.linalg.norm(amps)))
+    for dim in (2, 3, 4):
+        io.save_state(directory / f"random{dim}.json", random_state(dim, np.random.default_rng(0)))
+    for name, text in REFUSED_FILES.items():
+        (directory / f"{name}.json").write_text(text)
+    return directory
+
+
+def refused(error, message):
+    """The expected JSON error: its name and a fragment of its message."""
+    return {"error": error, "message": lambda text: message in text}
+
+
+ABSENT = object()  # the expected value of a key that the document lacks
 
 Z2 = ["--group", "{c}/z2.json", "--rep", "{c}/z2_rep.json"]
+Z4 = ["--group", "{c}/z4.json", "--rep", "{c}/z4_rep.json"]
+# chi of the README state; a later flag overrides an earlier one (argparse)
+CHI = ["chi", *Z2, "--state", "{c}/z2_psi08.json"]
 README_PAIR = Z2 + ["--psi", "{c}/z2_psi068.json", "--phi", "{c}/z2_psi08.json"]
+README_RATE = {"rate": "finite", "value": 2.0, "witness": 1, "excluded_set": [0],
+               "assumption_ok": True}
+APPROX_PAIR = Z2 + ["--psi", "{c}/z2_psi08.json", "--phi", "{c}/z2_psi068.json"]
 # chi_phi(1) = 0 != chi_psi(1): a zero-set violation
 ZERO_PAIR = Z2 + ["--psi", "{c}/z2_psi08.json", "--phi", "{t}/plus.json"]
+SYM_PAIR = Z2 + ["--psi", "{t}/zero.json", "--phi", "{c}/z2_psi08.json"]  # the zero class
+IZ_PAIR = README_PAIR + ["--rep", "{t}/iz_rep.json"]
+LINEAR_ONLY = refused("DomainError", "the Gram test takes a linear rep")
 S3_SELF = ["--group", "{c}/s3.json", "--rep", "{c}/s3_rep.json",
            "--psi", "{c}/s3_random.json", "--phi", "{c}/s3_random.json"]
+CONVERT_ABELIAN = ["convert-abelian", "--copies", "1", "1"]
+RF = ["rf", "--psi", "{c}/z2_psi08.json", "--phi", "{c}/z2_psi068.json",
+      "--generators", "{c}/spin_half_gens.json"]
+
+
+def unbounded_curve(curve):
+    """The README curve: N = 1, 2, 4, 8 from the bound 0.6^2, each distance within its bound."""
+    return ([pt["N"] for pt in curve] == [1, 2, 4, 8]
+            and curve[0]["bound"] == pytest.approx(0.36, rel=1e-9)
+            and all(pt["distance"] <= pt["bound"] for pt in curve))
 
 
 # case -> (argv, exit code, expected). "{c}" is the corpus directory, "{t}" that
-# of `contract_inputs`. Exit 0 reads the JSON result, any other code the JSON
-# error on stderr; each expected key must equal its value, or pass it if callable.
+# of `contract_dir`. Exit 0 reads the JSON result, any other code the JSON
+# error on stderr; each expected key must equal its value, or pass it if
+# callable, and a key expected `ABSENT` must be missing.
 CONTRACT = {
+    # ---- loaders: a file that is no valid input
+    "file-missing": ([*CHI, "--group", "{c}/nope.json"], 2,
+                     refused("FileNotFoundError", "No such file")),
+    "file-not-json": ([*CHI, "--group", "{t}/not_json.json"], 2,
+                      refused("JSONDecodeError", "line 1 column 2")),
+    "group-entry-overflows": ([*CHI, "--group", "{t}/overflowing_entry.json"], 2,
+                              refused("ValidationError", "mult_table must be JSON integers")),
+    "group-declared-order": ([*CHI, "--group", "{t}/order_3_of_2.json"], 2,
+                             refused("ValidationError", "declared order 3 != table size 2")),
+    "group-identity-not-first": (
+        [*CHI, "--group", "{t}/identity_at_1.json"], 2,
+        refused("ValidationError", "serialized groups must have the identity at index 0")),
+    "group-table-not-square": ([*CHI, "--group", "{t}/one_row_of_2.json"], 2,
+                               refused("AxiomViolation", "closure (witness table shape (1, 2))")),
+    "group-entry-out-of-range": ([*CHI, "--group", "{t}/entry_out_of_range.json"], 2,
+                                 refused("AxiomViolation", "closure (witness (1, 1))")),
+    "rep-matrix-shape": (
+        [*CHI, "--rep", "{t}/rep_1x1_of_dim_2.json"], 2,
+        refused("ValidationError", "expected 2 matrices of size 2x2, got (2, 1, 1)")),
+    "state-scalar-amplitudes": ([*CHI, "--state", "{t}/scalar_amplitudes.json"], 2,
+                                refused("ValidationError", "entries must be [re, im] pairs")),
+    "state-norm": ([*CHI, "--state", "{t}/norm_sqrt2.json"], 2,
+                   {"error": "NotAState",
+                    "message": "state norm 1.4142135623730951 deviates from 1 beyond tolerance"}),
+    "distribution-negative": (
+        [*CONVERT_ABELIAN, "--p", "{t}/negative_probability.json", "--q", "{t}/q.json"], 2,
+        refused("ShapeMismatch", "negative probability -5.000e-01")),
+    "distribution-sum-off-one": (
+        [*CONVERT_ABELIAN, "--p", "{t}/sum_1.1.json", "--q", "{t}/q.json"], 2,
+        {"error": "ShapeMismatch", "message": "probabilities sum to 1.1"}),
+    "distribution-count": (
+        [*CONVERT_ABELIAN, "--p", "{t}/one_probability_of_2.json", "--q", "{t}/q.json"], 2,
+        refused("ShapeMismatch", "expected 2 probabilities, got shape (1,)")),
+    "qfim-qutrit-spin-half": (
+        ["qfim", "--state", "{c}/s3_random.json", "--generators", "{c}/spin_half_gens.json"], 2,
+        refused("DimensionMismatch", "rho dim 3 != generator dim 2")),
+    # ---- chi
+    "chi-readme": (CHI, 0, {"sym": [0], "zero": [], "elements": lambda els:
+                            els[1]["abs_chi"] == pytest.approx(0.6, abs=1e-9)}),
+    "chi-power-2": ([*CHI, "--power", "2"], 0,
+                    {"elements": lambda els: els[1]["abs_chi"] == pytest.approx(0.36, abs=1e-9)}),
+    # each used to exit 0 with the single-copy table labelled "power": 0
+    **{f"chi-power-{power}": ([*CHI, "--power", power], 1,
+                              refused("DomainError", f"an integer in [1, 2.86e+307], got {power}"))
+       for power in ("0", "-2")},
+    # chi reports the raw TOL_ONE cut; approx refuses it
+    "chi-unit-cut-no-subgroup": (["chi", *Z4, "--state", "{t}/z4_cut.json"], 0,
+                                 {"sym": [0, 1, 3], "zero": []}),
+    "approx-unit-cut-no-subgroup": (
+        ["approx", *Z4, "--psi", "{t}/z4_cut.json", "--phi", "{t}/z4_cut.json"], 1,
+        refused("SymNotSubgroup", "[0, 1, 3] is not closed under the group law")),
+    # ---- rate-exact
+    "rate-exact-readme": (["rate-exact", *README_PAIR], 0, README_RATE),
+    # the rate reads |chi| alone: the projective iZ rep gives the corpus rep's report
+    "rate-exact-readme-iz": (["rate-exact", *IZ_PAIR], 0, README_RATE),
+    # sym(phi) = {0, 2} on Z_4 and {e, (01)} on S_3: the formula is proved on
+    # the abelian group only
+    "rate-exact-z4-assumption": (
+        ["rate-exact", *Z4, "--psi", "{t}/random4.json", "--phi", "{t}/z4_sym02.json"], 0,
+        {"rate": "finite", "assumption_ok": True, "excluded_set": lambda s: len(s) == 2}),
+    "rate-exact-s3-assumption": (
+        ["rate-exact", "--group", "{c}/s3.json", "--rep", "{c}/s3_rep.json",
+         "--psi", "{t}/random3.json", "--phi", "{t}/s3_sym01.json"], 0,
+        {"rate": "finite", "assumption_ok": False, "excluded_set": lambda s: len(s) == 2}),
+    # the Pauli matrices do not commute: with sym(phi) = {e, X} the formula is not proved
+    "rate-exact-pauli": (
+        ["rate-exact", "--group", "{c}/z2xz2.json", "--rep", "{t}/pauli_rep.json",
+         "--psi", "{t}/random2.json", "--phi", "{t}/plus.json"], 0,
+        {"rate": "zero", "assumption_ok": False, "excluded_set": [0, 1, 2, 3]}),
+    # psi's unit set {0, 1, 3} is not a subgroup, which the rate never reads
+    "rate-exact-near-the-symmetry-cut": (
+        ["rate-exact", *Z4, "--psi", "{t}/z4_cut.json", "--phi", "{t}/z4_generic.json"], 0,
+        {"rate": "finite", "witness": 1, "excluded_set": [0], "value": lambda v: 0 < v < 1e-9}),
+    "zero-set-rate": (["rate-exact", *ZERO_PAIR], 0, {"rate": "zero"}),
+    "z4-charge-shift-rate": (
+        ["rate-exact", *Z4, "--psi", "{t}/z4_psi.json", "--phi", "{t}/z4_phi.json"], 0,
+        {"value": 1.0, "assumption_ok": True}),
+    # ---- convert and min-copies
+    "convert-readme": (["convert", *README_PAIR, "--copies", "1", "2"], 0,
+                       {"feasible": True, "zero_set_witness": None}),
+    "convert-readme-above-the-rate": (["convert", *README_PAIR, "--copies", "1", "3"], 0,
+                                      {"feasible": False, "modulus_witness": 1}),
     # S_3's 2-dim irrep takes the closed-form minimum: psi -> psi at one copy
     # each, with a minimum within TOL_PSD |G| of 0
     "s3-self": (["convert", *S3_SELF, "--copies", "1", "1"], 0,
                 {"feasible": True, "min_gram_eigenvalue": pytest.approx(0.0, abs=6e-9)}),
+    # a verdict with its witness, exit 0
+    "zero-set-one-copy": (["convert", *ZERO_PAIR, "--copies", "1", "1"], 0,
+                          {"feasible": False, "zero_set_witness": 1, "modulus_witness": None}),
+    "zero-set-convert": (["convert", *ZERO_PAIR, "--copies", "3", "1"], 0,
+                         {"feasible": False, "zero_set_witness": 1}),
+    "zero-set-no-copies": (["convert", *ZERO_PAIR, "--copies", "3", "0"], 0,
+                           {"feasible": True, "zero_set_witness": None}),
+    # the Gram view's exact gate refuses a copy number beyond an exact float
+    "convert-beyond-an-exact-float": (
+        ["convert", *README_PAIR, "--copies", "1", "10000000000000001"], 1,
+        refused("DomainError", "no exact float")),
+    # U(1) = iZ is gauge-equivalent to the corpus rep; (2, 2) read feasible on it once
+    "convert-iz": (["convert", *IZ_PAIR, "--copies", "2", "2"], 1, LINEAR_ONLY),
+    "convert-iz-no-copies": (["convert", *IZ_PAIR, "--copies", "1", "0"], 1, LINEAR_ONLY),
+    "min-copies-iz": (["min-copies", *IZ_PAIR, "--rate", "1.0", "--nmax", "8"], 1, LINEAR_ONLY),
+    # below the README pair's rate of 2 every row is settled feasible
+    "readme-below-the-rate": (["min-copies", *README_PAIR, "--rate", "1.0", "--nmax", "50"], 0,
+                              {"min_copies": 1}),
+    "min-copies-readme": (["min-copies", *README_PAIR, "--rate", "1.5", "--nmax", "24"], 0,
+                          {"min_copies": 1}),
+    "min-copies-readme-above-the-rate": (
+        ["min-copies", *README_PAIR, "--rate", "2.5", "--nmax", "24"], 0, {"min_copies": None}),
     "s3-self-at-the-rate": (["min-copies", *S3_SELF, "--rate", "1.0", "--nmax", "20"], 0,
                             {"min_copies": 1}),
     # above the rate the row n_max is settled infeasible from |f| alone
     "s3-self-above-the-rate": (["min-copies", *S3_SELF, "--rate", "1.5", "--nmax", "20"], 0,
                                {"min_copies": None}),
-    # below the README pair's rate of 2 every row is settled feasible
-    "readme-below-the-rate": (["min-copies", *README_PAIR, "--rate", "1.0", "--nmax", "50"], 0,
-                              {"min_copies": 1}),
-    "zero-set-rate": (["rate-exact", *ZERO_PAIR], 0, {"rate": "zero"}),
-    "zero-set-convert": (["convert", *ZERO_PAIR, "--copies", "3", "1"], 0,
-                         {"feasible": False, "zero_set_witness": 1}),
-    "zero-set-no-copies": (["convert", *ZERO_PAIR, "--copies", "3", "0"], 0,
-                           {"feasible": True, "zero_set_witness": None}),
     "zero-set-search": (["min-copies", *ZERO_PAIR, "--rate", "0.5", "--nmax", "20"], 0,
                         {"min_copies": None}),
     # floor(0.01 * 20) = 0: every row has M = 0
     "zero-set-search-below-one": (["min-copies", *ZERO_PAIR, "--rate", "0.01", "--nmax", "20"], 0,
                                   {"min_copies": 1}),
-    # a pure state's spectral QFIM, on its one-eigenvector support, is 4 Cov_sym
-    "qfim-readme": (
-        ["qfim", "--state", "{c}/z2_psi08.json", "--generators", "{c}/spin_half_gens.json"], 0,
-        {"qfim": pytest.approx(four_cov_sym(z2_population_state(0.8).amplitudes, SPIN_HALF),
-                               abs=1e-12)}),
-    # a curve entry passes `copy_numbers` alone: N = 10^16 + 1 is reported as given
-    "approx-beyond-an-exact-float": (
-        ["approx", *Z2, "--psi", "{c}/z2_psi08.json", "--phi", "{c}/z2_psi068.json",
-         "--curve", "1,10000000000000001"], 0,
-        {"curve": lambda curve: [pt["N"] for pt in curve] == [1, 10**16 + 1]}),
-    # the Gram view's exact gate refuses that copy number
-    "convert-beyond-an-exact-float": (
-        ["convert", *README_PAIR, "--copies", "1", "10000000000000001"], 1,
-        {"error": "DomainError", "message": lambda message: "no exact float" in message}),
+    # ---- charges and convert-abelian
+    "charges-readme": (["charges", *Z2, "--state", "{c}/z2_psi08.json"], 0,
+                       {"shape": [2], "probs": pytest.approx([0.8, 0.2], abs=1e-9)}),
     # gauged to Z (U^2 = -I), the projective iZ rep gives the corpus rep's sectors
     "charges-projective": (
         ["charges", "--group", "{c}/z2.json", "--rep", "{t}/iz_rep.json",
          "--state", "{c}/z2_psi068.json"], 0,
         {"probs": pytest.approx([0.68, 0.32], abs=1e-12)}),
+    # a charge decomposition of a nonabelian group is a domain error, not a parse failure
+    "charges-nonabelian": (
+        ["charges", "--group", "{c}/s3.json", "--rep", "{c}/s3_rep.json",
+         "--state", "{t}/s3_e0.json"], 1,
+        refused("NotAbelian", "multiplication table is not symmetric")),
+    "convert-abelian-readme": (
+        [*CONVERT_ABELIAN, "--p", "{t}/p.json", "--q", "{t}/q.json"], 0,
+        {"feasible": True, "weights": pytest.approx([0.8125, 0.1875], abs=1e-9),
+         "modulus_witness": None}),
+    # lambda_1 ratio 0.8 / 0.5 = 1.6 > 1: the 2 x 2 minor at label 1 proves it infeasible
+    "convert-abelian-reversed": (
+        [*CONVERT_ABELIAN, "--p", "{t}/q.json", "--q", "{t}/p.json"], 0,
+        {"feasible": False, "modulus_witness": 1, "zero_set_witness": None}),
     # for odd M the weights are delta_1: the sign on the involution comes from M's parity
     "convert-abelian-odd-copies": (
         ["convert-abelian", "--p", "{t}/delta0.json", "--q", "{t}/delta1.json",
          "--copies", "1", "1000000000000001"], 0,
         {"weights": pytest.approx([0.0, 1.0], abs=1e-12)}),
-    # ROADMAP item 1's pair: the rate is right, the single-shot verdict is not
-    "z4-charge-shift-rate": (
-        ["rate-exact", "--group", "{c}/z4.json", "--rep", "{c}/z4_rep.json",
-         "--psi", "{t}/z4_psi.json", "--phi", "{t}/z4_phi.json"], 0,
-        {"value": 1.0, "assumption_ok": True}),
+    # ---- approx
+    "approx-readme": (["approx", *APPROX_PAIR, "--curve", "1,2,4,8"], 0,
+                      {"classification": "unbounded", "curve": unbounded_curve}),
+    # a curve entry passes `copy_numbers` alone: N = 10^16 + 1 is reported as given
+    "approx-beyond-an-exact-float": (
+        ["approx", *APPROX_PAIR, "--curve", "1,10000000000000001"], 0,
+        {"curve": lambda curve: [pt["N"] for pt in curve] == [1, 10**16 + 1]}),
+    # each used to exit 0, skipping such N: "0,2" reported N = 2 only, "-3" "curve": []
+    **{f"approx-curve-{curve}": (["approx", *APPROX_PAIR, f"--curve={curve}"], 1,
+                                 refused("DomainError", f"got {curve.split(',')[0]}"))
+       for curve in ("0", "0,2", "-3")},
+    # a zero-class pair computes no curve, so there is no copy number to refuse
+    **{f"approx-zero-class-curve-{curve}": (
+        ["approx", *SYM_PAIR, f"--curve={curve}"], 0,
+        {"classification": "zero", "curve": ABSENT}) for curve in ("0", "0,2", "-3")},
+    # ---- qfim and rf
+    # a pure state's spectral QFIM, on its one-eigenvector support, is 4 Cov_sym
+    "qfim-readme": (
+        ["qfim", "--state", "{c}/z2_psi08.json", "--generators", "{c}/spin_half_gens.json"], 0,
+        {"qfim": pytest.approx(four_cov_sym(z2_population_state(0.8).amplitudes, SPIN_HALF),
+                               abs=1e-12)}),
+    "rf-readme-exact": ([*RF, "--rate", "2.0", "--delta", "0.0"], 0,
+                        {"r_f": lambda r: isinstance(r, float),
+                         "certificate": lambda cert: cert["rate"] == 2.0}),
+    # ROADMAP item 1's pair: the rate is right (z4-charge-shift-rate), the
+    # single-shot verdict is not
     "z4-charge-shift": pytest.param(
-        ["convert", "--group", "{c}/z4.json", "--rep", "{c}/z4_rep.json",
-         "--psi", "{t}/z4_psi.json", "--phi", "{t}/z4_phi.json", "--copies", "1", "1"], 0,
+        ["convert", *Z4, "--psi", "{t}/z4_psi.json", "--phi", "{t}/z4_phi.json",
+         "--copies", "1", "1"], 0,
         {"feasible": True}, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
 }
 
 
-@pytest.mark.parametrize("argv, code, expected", CONTRACT.values(), ids=CONTRACT)
-def test_cli_gives_the_documented_answer(capsys, corpus_dir, tmp_path, argv, code, expected):
-    contract_inputs(tmp_path)
-    argv = [x.format(c=corpus_dir, t=tmp_path) for x in argv]
-    got_code, out, err = run(capsys, argv + ["--json"])
+def assert_documented(subcommand, code, expected, got_code, out, err):
+    """A run's exit code and JSON document against a `CONTRACT` row."""
     assert got_code == code, err
-    assert code == 0 or out == ""
-    doc = json.loads(out)["result"] if code == 0 else json.loads(err)
+    if code == 0:
+        report = json.loads(out)
+        assert (sorted(report), report["subcommand"]) == (["inputs", "result", "subcommand"],
+                                                          subcommand)
+        doc = report["result"]
+    else:
+        assert out == ""
+        doc = json.loads(err)
     for key, want in expected.items():
-        assert want(doc[key]) if callable(want) else doc[key] == want, (key, doc[key])
+        got = doc.get(key, ABSENT)
+        assert want(got) if callable(want) else got == want, (key, got)
+
+
+@pytest.mark.parametrize("argv, code, expected", CONTRACT.values(), ids=CONTRACT)
+def test_cli_gives_the_documented_answer(capsys, corpus_dir, contract_dir, argv, code, expected):
+    argv = [x.format(c=corpus_dir, t=contract_dir) for x in argv]
+    assert_documented(argv[0], code, expected, *run(capsys, argv + ["--json"]))
+
+
+def test_the_module_entry_point_hands_on_the_exit_code(corpus_dir, contract_dir):
+    """`python -m asym.cli` on a refusal row: the exit code and the JSON error
+    reach the shell, not only `main`'s return value."""
+    argv, code, expected = CONTRACT["group-declared-order"]
+    argv = [x.format(c=corpus_dir, t=contract_dir) for x in argv]
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "asym.cli", *argv, "--json"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert_documented(argv[0], code, expected, done.returncode, done.stdout, done.stderr)
 
 
 RESULT_KEYS = {

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from asym import build_group, groups, named_group, validate_projective_rep
 from asym.abelian import ChargeDistribution
-from asym.charfn import char_function, classify_sets
-from corpus import GROUP_NAMES, corpus_rep, gauged_rep, random_state
+from asym.charfn import char_from_values, char_function, classify_sets, resource_measure_L
+from asym.convertibility import feasible_exact
+from corpus import GROUP_NAMES, SPIN_HALF, corpus_rep, gauged_rep, random_state
 from asym.errors import (
     AxiomViolation,
     DimensionMismatch,
@@ -23,6 +24,7 @@ from asym.errors import (
     UnknownGroupName,
 )
 from asym.groups import PureState
+from asym.lie import GeneratorSet, qfim
 from asym.tolerances import TOL_UNITARY
 from reference import subgroup_closure
 
@@ -754,3 +756,53 @@ def test_pure_state_keeps_a_read_only_copy():
     assert state.amplitudes.tolist() == [1.0, 0.0]
     with pytest.raises(ValueError):
         state.amplitudes[0] = 5.0
+
+
+def test_a_group_keeps_its_own_read_only_table():
+    # a write into the caller's table used to change g.mult, from which the
+    # group caches its inverse pairs, cyclic decomposition and irreps
+    table = np.array([[0, 1], [1, 0]], dtype=np.intp)
+    g = build_group(table)
+    table[0] = [1, 0]
+    assert g.mult.tolist() == [[0, 1], [1, 0]]
+    for a in (g.mult, g.inv):
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+@pytest.mark.parametrize("name", ["Z_4", "S_3"])
+def test_the_cached_irrep_basis_is_read_only(name, rng):
+    # negating S_3's basis in place turned feasible_exact(c, c, 1, 1) from True to False
+    g = named_group(name)
+    rep = corpus_rep(name, g)
+    c = char_function(rep, random_state(rep.dim, rng))
+    with pytest.raises(ValueError):
+        np.negative(g.irreps.real, out=g.irreps.real)
+    assert feasible_exact(c, c, 1, 1).feasible
+
+
+# case -> (call, error, message): refusals of the library that no CLI call reaches
+LIBRARY_REFUSALS = {
+    "values-of-the-wrong-length": (
+        lambda: char_from_values(named_group("Z_4"), [1.0, 0.0, 0.0]),
+        DimensionMismatch, "expected 4 values, got shape (3,)"),
+    "element-index-out-of-range": (
+        lambda: resource_measure_L(char_from_values(named_group("Z_2"), [1.0, 0.5]), 2),
+        DomainError, "element index 2 out of range"),
+    "amplitudes-of-the-wrong-shape": (
+        lambda: PureState(2, np.array([1.0, 0.0, 0.0])),
+        NotAState, "expected 2 amplitudes, got shape (3,)"),
+    "modulus-zero": (lambda: named_group("Z_0"), UnknownGroupName, "modulus must be >= 1 in 'Z_0'"),
+    "density-matrix-not-square": (
+        lambda: qfim(np.full((2, 3), 0.5), GeneratorSet(2, SPIN_HALF)),
+        NotAState, "density matrix must be square, got (2, 3)"),
+    "density-matrix-trace-two": (lambda: qfim(np.eye(2), GeneratorSet(2, SPIN_HALF)),
+                                 NotAState, "trace is (2+0j)"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", LIBRARY_REFUSALS.values(), ids=LIBRARY_REFUSALS)
+def test_a_library_refusal_is_typed_and_says_why(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
