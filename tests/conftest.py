@@ -18,6 +18,11 @@ def corpus():
 
 
 @pytest.fixture
+def z2():
+    return named_group("Z_2")
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(0)
 

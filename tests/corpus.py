@@ -1,5 +1,7 @@
 """Bundled example corpus: small groups with one faithful representation
-each, plus parametrized state generators for tests and docs.
+each, plus the one home of the tests' builders: group tables beyond the
+corpus (`BUILT`), reps (regular, Pauli, product, gauged), states and
+positive-type functions.
 
 The reps for D_4 and Q_8 append one-dimensional characters to the faithful
 two-dimensional irrep so that generic states have trivial symmetry subgroup
@@ -8,6 +10,7 @@ two-dimensional irrep so that generic states have trivial symmetry subgroup
 
 from __future__ import annotations
 
+import functools
 import itertools
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from asym.groups import (
     FiniteGroup,
     ProjectiveRep,
     PureState,
+    build_group,
     dihedral_matrices,
     named_group,
     permutation_matrices,
@@ -25,6 +29,7 @@ from asym.groups import (
     validate_projective_rep,
 )
 from asym.lie import GeneratorSet
+from reference import irrep_matrix
 
 GROUP_NAMES = ["Z_2", "Z_3", "Z_4", "Z_2xZ_2", "S_3", "D_4", "Q_8"]
 
@@ -94,12 +99,112 @@ def gauged_rep(label: str) -> ProjectiveRep:
     return validate_projective_rep(named_group(name), _REP_BUILDERS[name]() * phases[:, None, None])
 
 
+def pauli_rep() -> ProjectiveRep:
+    """X^a Z^b on Z_2 x Z_2, labels (a, b) in row-major order: projective,
+    and not commuting, since X Z = -Z X."""
+    X, Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    return validate_projective_rep(named_group("Z_2xZ_2"), [np.eye(2), Z, X, X @ Z])
+
+
+def regular_rep(group: FiniteGroup) -> ProjectiveRep:
+    """L(g) e_h = e_{gh}."""
+    n = group.order
+    mats = np.zeros((n, n, n))
+    mats[np.arange(n)[:, None], group.mult, np.arange(n)[None, :]] = 1.0
+    return validate_projective_rep(group, mats)
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def product_rep(moduli, d: int, rng: np.random.Generator, theta=None) -> ProjectiveRep:
+    """V diag(exp(2 pi i c.a / m)) V^+ on the named product group, labels a in
+    row-major order, over random charges c and a Haar-random V; times
+    exp(i theta.a) per label a when theta is given, a projective rep with
+    U^t = exp(i t theta_j) I on the cyclic factors. The ProjectiveRep is
+    built directly, skipping validation."""
+    group = named_group("x".join(f"Z_{m}" for m in moduli))
+    labels = np.indices(moduli).reshape(len(moduli), -1).T
+    charges = rng.integers(0, moduli, size=(d, len(moduli)))
+    V = haar_unitary(d, rng)
+    phases = np.exp(2j * np.pi * (labels / np.array(moduli)) @ charges.T)
+    if theta is not None:
+        phases *= np.exp(1j * labels @ np.asarray(theta))[:, None]
+    return ProjectiveRep(group, d, np.einsum("ij,gj,kj->gik", V, phases, V.conj()))
+
+
+def relabel(table, perm) -> np.ndarray:
+    """The table with element x renamed perm[x]."""
+    table, perm = np.asarray(table), np.asarray(perm)
+    back = np.argsort(perm)
+    return perm[table[back][:, back]]
+
+
+def dihedral_table(m: int) -> np.ndarray:
+    """D_m of order 2m; r^i s^a has index i + m a and s r = r^-1 s."""
+    i, a = np.arange(2 * m) % m, np.arange(2 * m) // m
+    sign = np.where(a == 1, -1, 1)
+    return (i[:, None] + sign[:, None] * i[None, :]) % m + m * ((a[:, None] + a[None, :]) % 2)
+
+
+def symmetric_table(k: int, even: bool = False) -> np.ndarray:
+    """S_k (A_k if even) on sorted permutations, identity first; (p q)(x) = p(q(x))."""
+    perms = sorted(itertools.permutations(range(k)))
+    if even:
+        pairs = list(itertools.combinations(range(k), 2))
+        perms = [p for p in perms if sum(p[i] > p[j] for i, j in pairs) % 2 == 0]
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(p[x] for x in q)] for q in perms] for p in perms])
+
+
+def heisenberg_table(p: int) -> np.ndarray:
+    """Upper unitriangular 3x3 matrices over Z_p, (a, b, c) at index (a p + b) p + c."""
+    a, b, c = (x.ravel() for x in np.meshgrid(*[np.arange(p)] * 3, indexing="ij"))
+    ab = ((a[:, None] + a[None, :]) % p) * p + (b[:, None] + b[None, :]) % p
+    return ab * p + (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % p
+
+
+# the groups beyond the corpus that the oracle is checked on, up to MAX_ORDER
+BUILT = {
+    "Z_256": lambda: named_group("Z_256"),
+    "Z_2^8": lambda: named_group("x".join(["Z_2"] * 8)),
+    "Z_16xZ_16": lambda: named_group("Z_16xZ_16"),
+    "D_128": lambda: build_group(dihedral_table(128), name="D_128"),
+    "S_5": lambda: build_group(symmetric_table(5), name="S_5"),
+    "A_5": lambda: build_group(symmetric_table(5, even=True), name="A_5"),
+    "Heis_3": lambda: build_group(heisenberg_table(3), name="Heis_3"),
+}
+
+
+@functools.cache
+def built_group(name: str) -> FiniteGroup:
+    """A `BUILT` or named group, built once per session: groups are immutable."""
+    return BUILT[name]() if name in BUILT else named_group(name)
+
+
+def positive_type(group: FiniteGroup, rng: np.random.Generator) -> np.ndarray:
+    """f(k) = sum_g conj v(g) v(g k) / |v|^2: its Gram matrix is a Gram of vectors."""
+    v = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+    return (v.conj()[:, None] * v[group.mult]).sum(axis=0) / np.vdot(v, v).real
+
+
+def concentrated_type(group: FiniteGroup, rng: np.random.Generator, terms: int = 3) -> np.ndarray:
+    """A positive-type f whose state spans few irrep coefficients, so |f| is near 1
+    on much of G, and may be 1 on a subgroup or 0 somewhere."""
+    cols = rng.choice(group.order, size=terms, replace=False)
+    v = irrep_matrix(group)[:, cols] @ (rng.standard_normal(terms) + 1j * rng.standard_normal(terms))
+    return (v.conj()[:, None] * v[group.mult]).sum(axis=0) / np.vdot(v, v).real
+
+
 def z2_population_state(p: float) -> PureState:
     """(sqrt(p), sqrt(1-p)) under the Z_2 corpus rep: chi(g1) = 2p - 1."""
     return PureState(dim=2, amplitudes=np.array([np.sqrt(p), np.sqrt(1.0 - p)]))
 
 
 def random_state(dim: int, rng: np.random.Generator) -> PureState:
+    """A state with i.i.d. complex Gaussian amplitudes, normalised."""
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return PureState(dim=dim, amplitudes=z / np.linalg.norm(z))
 

@@ -45,11 +45,11 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from asym import ChargeDistribution, char_function, charge_distribution, named_group
+from asym import ChargeDistribution, char_function, charge_distribution
 from asym.charfn import CharFunction, char_from_values
 from asym.convertibility import MAX_SEARCH_COPIES
 from asym.groups import PureState, validate_projective_rep
-from corpus import GROUP_NAMES, corpus_rep
+from corpus import GROUP_NAMES, built_group, corpus_rep, random_state, regular_rep
 from reference import irrep_matrix
 
 GROUPS = ["Z_4", "Z_2xZ_2", "S_3", "D_4", "Q_8", "Z_3xZ_3"]
@@ -74,24 +74,14 @@ class Instance:
 
 
 @functools.cache
-def group(name: str):
-    return named_group(name)
-
-
-@functools.cache
 def regular(name: str):
-    """L(g) e_h = e_{gh}."""
-    g = group(name)
-    n = g.order
-    mats = np.zeros((n, n, n))
-    mats[np.arange(n)[:, None], g.mult, np.arange(n)[None, :]] = 1.0
-    return validate_projective_rep(g, mats)
+    return regular_rep(built_group(name))
 
 
 @functools.cache
 def with_spectator(name: str):
     """L (x) U: the regular rep with the corpus rep (the regular one off the corpus)."""
-    g, L = group(name), regular(name)
+    g, L = built_group(name), regular(name)
     U = corpus_rep(name, g) if name in GROUP_NAMES else L
     d = L.dim * U.dim
     return validate_projective_rep(g, np.einsum("gij,gkl->gikjl", L.matrices, U.matrices)
@@ -117,7 +107,7 @@ def linear_characters(name: str) -> np.ndarray:
     twist by such a c is no exact twist once K copies amplify that K times.
     The quarter turns (+-1, +-i) are exact; other roots are the nearest
     float to exp(2 pi i k / ord(h))."""
-    g = group(name)
+    g = built_group(name)
     d, count = g.irreps.dims[0]
     raw = irrep_matrix(g)[:, :count]
     order = element_orders(g)[:, None]
@@ -130,10 +120,9 @@ def linear_characters(name: str) -> np.ndarray:
     return chars
 
 
-def random_state(seed: int, dim: int) -> PureState:
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(dim, z / np.linalg.norm(z))
+def drawn_state(draw, dim: int) -> PureState:
+    """`corpus.random_state` from a drawn seed."""
+    return random_state(dim, np.random.default_rng(draw(SEEDS)))
 
 
 def dyadic(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -155,7 +144,7 @@ def _pair(family, name, rep_psi, psi, rep_phi, phi, N, M, feasible) -> Instance:
     c_psi, c_phi = char_function(rep_psi, psi), char_function(rep_phi, phi)
     assume(np.abs(c_phi.values()).min() >= FLOOR)
     charges = None
-    if group(name).is_abelian():
+    if built_group(name).is_abelian():
         charges = (charge_distribution(rep_psi, psi), charge_distribution(rep_phi, phi))
     return Instance(family, c_psi, c_phi, N, M, feasible, charges)
 
@@ -168,18 +157,18 @@ def _copies(draw) -> tuple[int, int]:
 
 def _partial_trace(draw, name, N, M) -> Instance:
     L, LU = regular(name), with_spectator(name)
-    phi = random_state(draw(SEEDS), L.dim)
-    xi = random_state(draw(SEEDS), LU.dim // L.dim)
+    phi = drawn_state(draw, L.dim)
+    xi = drawn_state(draw, LU.dim // L.dim)
     psi = PureState(LU.dim, np.kron(phi.amplitudes, xi.amplitudes))
     return _pair("partial trace", name, LU, psi, L, phi, N, M, True)
 
 
 def _commutant(draw, name, N, M) -> Instance:
-    L, g = regular(name), group(name)
+    L, g = regular(name), built_group(name)
     k = draw(st.integers(0, g.order - 1))
     R = np.zeros((g.order, g.order))
     R[g.mult[:, k], np.arange(g.order)] = 1.0  # R(k) e_h = e_{hk}
-    phi = random_state(draw(SEEDS), L.dim)
+    phi = drawn_state(draw, L.dim)
     psi = PureState(L.dim, R @ phi.amplitudes)
     if draw(st.booleans()):
         psi, phi = phi, psi
@@ -189,7 +178,7 @@ def _commutant(draw, name, N, M) -> Instance:
 def _twist(draw, name, N, M) -> Instance:
     L, chars = regular(name), linear_characters(name)
     c = chars[:, draw(st.integers(0, chars.shape[1] - 1))]
-    phi = random_state(draw(SEEDS), L.dim)
+    phi = drawn_state(draw, L.dim)
     psi = PureState(L.dim, c * phi.amplitudes)
     if draw(st.booleans()):
         psi, phi = phi, psi
@@ -231,7 +220,7 @@ def schur_products(draw, groups=GROUPS) -> Instance:
     name = draw(st.sampled_from(groups))
     N, M = _copies(draw)
     a, b = (BASE[draw(st.sampled_from(sorted(BASE)))](draw, name, N, M) for _ in range(2))
-    psi, phi = (char_from_values(group(name), x.values() * y.values())
+    psi, phi = (char_from_values(built_group(name), x.values() * y.values())
                 for x, y in ((a.psi, b.psi), (a.phi, b.phi)))
     assume(np.abs(phi.values()).min() >= FLOOR)
     charges = None
@@ -255,8 +244,8 @@ def reversed_traces(draw, groups=GROUPS) -> Instance:
     M = draw(st.integers(1, MAX_SEARCH_COPIES))
     N = draw(st.integers(1, M))
     L, LU = regular(name), with_spectator(name)
-    phi = random_state(draw(SEEDS), L.dim)
-    xi = random_state(draw(SEEDS), LU.dim // L.dim)
+    phi = drawn_state(draw, L.dim)
+    xi = drawn_state(draw, LU.dim // L.dim)
     target = PureState(LU.dim, np.kron(phi.amplitudes, xi.amplitudes))
     inst = _pair("reversed partial trace", name, L, phi, LU, target, N, M, False)
     assume((inst.psi.logmod - inst.phi.logmod).max() > math.log1p(MARGIN))

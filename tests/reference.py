@@ -10,7 +10,7 @@ from asym.errors import DomainError, RateNotBelowOptimal
 from asym.exact_rate import FINITE, UNBOUNDED, ZERO, RateReport
 from asym.groups import block_pairs
 from asym.lie import RfResult, _pencil_direction, qfim_pure
-from asym.tolerances import TOL_ONE, TOL_PENCIL, TOL_SUPP
+from asym.tolerances import TOL_ONE, TOL_PENCIL, TOL_SUPP, TOL_ZERO
 
 
 def subgroup_closure(group, seed) -> frozenset[int]:
@@ -199,39 +199,45 @@ def uncached_sets(char) -> ClassSets:
     return ClassSets(sym=symmetry_subgroup(char), zero=zero)
 
 
-def _kept(char_phi):
-    """(sets, excluded, increasing elements off sym(phi) u zeros) by setdiff1d."""
+def loop_exact_rate(char_psi, char_phi) -> RateReport:
+    """`exact_rate` one element at a time, with phi classified from scratch:
+    the zero rate where chi_phi vanishes and chi_psi does not, else the least
+    L_psi / L_phi off sym(phi) u zeros, where L_psi is infinite on the zero
+    set of chi_psi (|chi_psi| <= TOL_ZERO, not only exact zeros). The cached
+    `exact_rate` must return this report bit for bit."""
+    n = char_psi.group.order
     sets = uncached_sets(char_phi)
     excluded = sets.sym | sets.zero
-    return sets, excluded, np.setdiff1d(np.arange(char_phi.group.order), list(excluded))
-
-
-def setdiff1d_exact_rate(char_psi, char_phi) -> RateReport:
-    """`exact_rate` as it was before the classification was cached: phi
-    classified on every call and the kept elements taken by `np.setdiff1d`.
-    The cached `exact_rate` must return this report bit for bit."""
-    sets, excluded, keep = _kept(char_phi)
     ok = sets.sym == frozenset({char_phi.group.identity}) or (
         char_psi.commutative and char_phi.commutative)
-    if not zero_mask(char_psi.logmod)[list(sets.zero)].all():
+    psi_zero = {g for g in range(n) if char_psi.logmod[g] <= math.log(TOL_ZERO)}
+    if not sets.zero <= psi_zero:
         return RateReport(kind=ZERO, value=None, witness=None, assumption_ok=ok, excluded=excluded)
-    L_psi, L_phi = -char_psi.logmod[keep], -char_phi.logmod[keep]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.isinf(L_psi), np.inf, L_psi / L_phi)
-    best = int(np.argmin(ratio)) if ratio.size else None
-    if best is None or np.isinf(ratio[best]):
+    best, best_g = math.inf, None
+    for g in range(n):
+        if g in excluded or g in psi_zero:  # L_psi = inf: no bound there
+            continue
+        ratio = float(-char_psi.logmod[g] / -char_phi.logmod[g])
+        if ratio < best:
+            best, best_g = ratio, g
+    if best_g is None:
         return RateReport(kind=UNBOUNDED, value=None, witness=None, assumption_ok=ok,
                           excluded=excluded)
-    return RateReport(kind=FINITE, value=float(ratio[best]), witness=int(keep[best]),
-                      assumption_ok=ok, excluded=excluded)
+    return RateReport(kind=FINITE, value=best, witness=best_g, assumption_ok=ok, excluded=excluded)
 
 
-def setdiff1d_copies_bound(char_psi, char_phi, r) -> int:
-    """`copies_bound` before the cache, for 0 < r < inf, as `setdiff1d_exact_rate`."""
-    _, _, keep = _kept(char_phi)
-    log_s = char_psi.logmod[keep] - r * char_phi.logmod[keep]
-    log_s = float(log_s.max()) if log_s.size else -math.inf
-    if math.isinf(log_s) and log_s < 0:
+def loop_copies_bound(char_psi, char_phi, r) -> int:
+    """`copies_bound` one element at a time, for 0 < r < inf: log s the largest
+    log|chi_psi| - r log|chi_phi| off sym(phi) u zeros and off the zero set
+    of chi_psi, with the library's `RateNotBelowOptimal` where s >= 1."""
+    sets = uncached_sets(char_phi)
+    excluded = sets.sym | sets.zero
+    log_s = -math.inf
+    for g in range(char_psi.group.order):
+        if g in excluded or char_psi.logmod[g] <= math.log(TOL_ZERO):  # |chi_psi| = 0 there
+            continue
+        log_s = max(log_s, float(char_psi.logmod[g] - r * char_phi.logmod[g]))
+    if log_s == -math.inf:
         return 1
     if log_s >= 0:
         raise RateNotBelowOptimal(f"s = {math.exp(min(log_s, 700)):.6g} >= 1 at rate {r}")

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asym import charfn, cli, convertibility, io, lie, named_group, validate_projective_rep
+from asym import charfn, cli, convertibility, io, lie, named_group
 from asym.abelian import ChargeDistribution
 from asym.cli import main
 from asym.errors import ValidationError
-from corpus import (SPIN_HALF, corpus_rep, gauged_rep, random_state, write_corpus,
+from corpus import (SPIN_HALF, corpus_rep, gauged_rep, pauli_rep, random_state, write_corpus,
                     z2_population_state)
 from asym.groups import PureState
 from asym.lie import GeneratorSet
@@ -624,6 +624,7 @@ def test_cli_runs_every_readme_example(capsys, tmp_path, monkeypatch):
 # ------------------------------------------------- the documented answer of each call
 
 
+NO_LABEL_SHAPES = {"empty": [], "zero": [0], "zero_axis": [2, 0], "negative_axis": [2, -1]}
 # Files that a loader refuses (exit 2): `contract_dir` writes each to {name}.json.
 REFUSED_FILES = {
     "scalar_amplitudes": '{"dim": 2, "amplitudes": 5}',
@@ -638,6 +639,8 @@ REFUSED_FILES = {
     "negative_probability": '{"shape": [2], "probs": [1.5, -0.5]}',
     "sum_1.1": '{"shape": [2], "probs": [0.6, 0.5]}',
     "one_probability_of_2": '{"shape": [2], "probs": [1.0]}',
+    **{f"shape_{case}": f'{{"shape": {shape}, "probs": {[1.0] if not shape else []}}}'
+       for case, shape in NO_LABEL_SHAPES.items()},
 }
 
 
@@ -645,14 +648,17 @@ REFUSED_FILES = {
 def contract_dir(tmp_path_factory):
     """The inputs of `CONTRACT` that the corpus lacks."""
     directory = tmp_path_factory.mktemp("contract")
-    X, Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
-    pauli = [np.eye(2), Z, X, X @ Z]  # X^a Z^b on Z_2 x Z_2: projective, not commuting
-    io.save_rep(directory / "pauli_rep.json",
-                validate_projective_rep(named_group("Z_2xZ_2"), pauli))
+    io.save_rep(directory / "pauli_rep.json", pauli_rep())
     io.save_rep(directory / "iz_rep.json", gauged_rep("iZ"))
-    distributions = {"delta0": [1, 0], "delta1": [0, 1], "p": [0.75, 0.25], "q": [0.9, 0.1]}
-    for name, probs in distributions.items():
-        io.save_distribution(directory / f"{name}.json", ChargeDistribution((2,), np.array(probs)))
+    distributions = {  # name -> the probabilities on their label grid
+        "delta0": [1, 0], "delta1": [0, 1], "p": [0.75, 0.25], "q": [0.9, 0.1], "flat": [0.5, 0.5],
+        "biased": [0.8, 0.2], "z4_p": [0.4, 0.3, 0.2, 0.1], "z4_even": [0.5, 0, 0.5, 0],
+        "z3xz2_label0": np.eye(6)[0].reshape(3, 2), "z3xz2_label10": np.eye(6)[2].reshape(3, 2),
+        "z257_flat": np.full(257, 1 / 257), "z2^9_flat": np.full((2,) * 9, 1 / 512),
+    }
+    for name, grid in distributions.items():
+        grid = np.asarray(grid, dtype=float)
+        io.save_distribution(directory / f"{name}.json", ChargeDistribution(grid.shape, grid.ravel()))
     states = {
         "plus": [1, 1],  # (|0> + |1>)/sqrt 2
         "zero": [1, 0],  # sym = Z_2
@@ -857,6 +863,46 @@ CONTRACT = {
         ["convert-abelian", "--p", "{t}/delta0.json", "--q", "{t}/delta1.json",
          "--copies", "1", "1000000000000001"], 0,
         {"weights": pytest.approx([0.0, 1.0], abs=1e-12)}),
+    # an odd M above 2^53 read as a float rounds to an even one: the parity read
+    # off it gave w = (1, 0) at M = 10^16 + 1, where the odd M gives (0, 1)
+    **{f"convert-abelian-no-exact-float-{M}": (
+        ["convert-abelian", "--p", "{t}/delta0.json", "--q", "{t}/delta1.json", "--copies", "1", M],
+        1, refused("DomainError", f"copy number {M} has no exact float"))
+       for M in map(str, (2**53 + 1, 10**16 + 1, 2**62 + 1, 2**64 - 1))},
+    # psi^0 is the trivial state: the Gram view refuses it, so does this one
+    "convert-abelian-no-source-copies": (
+        [*CONVERT_ABELIAN, "--p", "{t}/flat.json", "--q", "{t}/flat.json", "--copies", "0", "1"], 1,
+        {"error": "DomainError", "message": "copy number must be an integer in [1, 2.86e+307], got 0"}),
+    # q vanishes off the identity where p does not: infeasible, with finite
+    # weights and the smallest such label as the witness
+    "convert-abelian-zero-set-z2": (
+        [*CONVERT_ABELIAN, "--p", "{t}/biased.json", "--q", "{t}/flat.json"], 0,
+        {"feasible": False, "zero_set_witness": 1, "weights": pytest.approx([0.5, 0.5], abs=1e-15),
+         "min_weight": pytest.approx(0.5, abs=1e-15)}),
+    "convert-abelian-zero-set-z4": (
+        [*CONVERT_ABELIAN, "--p", "{t}/z4_p.json", "--q", "{t}/z4_even.json", "--copies", "2", "3"], 0,
+        {"feasible": False, "zero_set_witness": 1,
+         "weights": pytest.approx([0.26, 0.24, 0.26, 0.24], abs=1e-15),
+         "min_weight": pytest.approx(0.24, abs=1e-15)}),
+    # on Z_3 x Z_2, q -> p for p at label (1, 0), index 2, is the shift by (1, 0),
+    # and p -> q the shift by (2, 0), index 4: a readout that dropped the label
+    # negation would swap the two
+    **{f"convert-abelian-shift-to-{p}": (
+        [*CONVERT_ABELIAN, "--p", f"{{t}}/z3xz2_{p}.json", "--q", f"{{t}}/z3xz2_{q}.json"], 0,
+        {"feasible": True, "weights": pytest.approx(list(np.eye(6)[want]), abs=1e-12)})
+       for p, q, want in (("label10", "label0", 2), ("label0", "label10", 4))},
+    # more labels than a group may have elements: refused before any table is built
+    **{f"convert-abelian-{name}": (
+        [*CONVERT_ABELIAN, "--p", f"{{t}}/{name}.json", "--q", f"{{t}}/{name}.json"], 2,
+        {"error": "ShapeMismatch", "message": f"{n} labels in shape {shape} exceed cap 256"})
+       for name, n, shape in (("z257_flat", 257, (257,)), ("z2^9_flat", 512, (2,) * 9))},
+    # a shape without a label used to pass the gate and fail later with a bare
+    # numpy ValueError
+    **{f"convert-abelian-shape-{case}-as-{side}": (
+        [*CONVERT_ABELIAN, "--p", "{t}/flat.json", "--q", "{t}/flat.json",
+         f"--{side}", f"{{t}}/shape_{case}.json"], 2,
+        {"error": "ShapeMismatch", "message": f"shape {tuple(shape)} needs one or more entries, each >= 1"})
+       for case, shape in NO_LABEL_SHAPES.items() for side in ("p", "q")},
     # ---- approx
     "approx-readme": (["approx", *APPROX_PAIR, "--curve", "1,2,4,8"], 0,
                       {"classification": "unbounded", "curve": unbounded_curve}),
