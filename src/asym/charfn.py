@@ -133,8 +133,12 @@ def char_from_values(group: FiniteGroup, values) -> CharFunction:
 
 
 def check_hermitian(vals: np.ndarray, inv: np.ndarray, scale: float, name: str) -> None:
-    """NotHermitian unless vals (n,) are finite, vals(g^-1) = conj vals(g) to TOL_HERM * scale."""
-    dev = np.abs(vals - vals[inv].conj()).max() if np.isfinite(vals).all() else np.nan
+    """NotHermitian unless vals (n,) are finite (naming the first g that is not)
+    and vals(g^-1) = conj vals(g) to TOL_HERM * scale."""
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise NotHermitian(f"{name}({bad[0]}) = {vals[bad[0]]} is not finite")
+    dev = np.abs(vals - vals[inv].conj()).max()
     if not dev <= TOL_HERM * scale:
         raise NotHermitian(f"{name}(g^-1) deviates from conj {name}(g) by {dev:.3e}")
 
@@ -204,9 +208,7 @@ def char_function(rep: ProjectiveRep, state: PureState) -> CharFunction:
 def resource_measure_L(char: CharFunction, g: int) -> float:
     """-log|chi(g)|; +inf where chi vanishes, 0 on the symmetry subgroup.
     DomainError unless g is an integer index into the group."""
-    g = as_index(g, "element index")
-    if not 0 <= g < char.group.order:
-        raise DomainError(f"element index {g} out of range")
+    g = as_index(g, "element index", 0, char.group.order)
     return float(-char.logmod[g]) + 0.0  # +inf at -inf, 0.0 (not -0.0) at 0
 
 

@@ -170,9 +170,8 @@ def cmd_qfim(args, state, generators) -> dict:
 
 
 def cmd_rf(args, generators, psi, phi) -> dict:
-    lie._check_delta(args.delta)  # before any QFIM; --rate too, when given
-    if args.rate is not None:
-        lie._check_rate(args.rate)
+    rates = () if args.rate is None else (args.rate,)
+    lie._certificate_domain(args.delta, *rates)  # before any QFIM
     F_psi = lie.qfim(lie.pure_density(psi), generators)
     F_phi = lie.qfim(lie.pure_density(phi), generators)
     res = lie.rf_ratio(F_psi, F_phi)

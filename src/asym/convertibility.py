@@ -323,15 +323,13 @@ def minimal_copies_search(
     every row has M = 0 and none has a violation. `_settle` decides what it
     can of each block from |f|; only the unsettled rows before the block's
     first row settled infeasible get their coordinates and the Gram test.
-    DomainError for a copy number `feasible_exact` would refuse, for an
-    n_max that is not an integer or a rate that is not a real number, and
-    unless both characteristic functions come from a linear rep.
+    DomainError for a copy number `feasible_exact` would refuse, for a rate
+    outside [0, inf) or an n_max outside the integers of [1, MAX_SEARCH_COPIES]
+    (`groups.as_real`, `groups.as_index`), and unless both characteristic
+    functions come from a linear rep.
     """
-    if not (math.isfinite(as_real(r, "rate")) and r >= 0):
-        raise DomainError(f"rate must be a finite number >= 0, got {r}")
-    n_max = as_index(n_max, "n_max")
-    if not 1 <= n_max <= MAX_SEARCH_COPIES:
-        raise DomainError(f"n_max must be in [1, {MAX_SEARCH_COPIES}], got {n_max}")
+    as_real(r, "rate", 0, math.inf)
+    n_max = as_index(n_max, "n_max", 1, MAX_SEARCH_COPIES, "[]")
     check_same_group(char_psi, char_phi)
     _require_linear(char_psi, char_phi)
     top_M = copy_numbers(np.floor(r * n_max + TOL_FLOOR), 0)  # the largest M of the scan

@@ -75,10 +75,11 @@ def copies_bound(char_psi: CharFunction, char_phi: CharFunction, r: float) -> in
     conversion psi^N -> phi^{floor(rN)} is feasible whenever
     N > 2 log|G| / (-log s); returns that threshold rounded up plus one.
     The elements off sym(phi) u zeros are read from the cache on `char_phi`.
+    DomainError for a rate outside (0, inf) (`groups.as_real`, as every rate
+    of the package); RateNotBelowOptimal only for a rate in it with s >= 1.
     """
     check_same_group(char_psi, char_phi)
-    if not 0 < as_real(r, "rate") < math.inf:
-        raise RateNotBelowOptimal(f"rate must be positive and finite, got {r}")
+    as_real(r, "rate", 0, math.inf, "()")
     keep = char_phi.kept
     logmod_psi = np.where(char_psi.zero[keep], -np.inf, char_psi.logmod[keep])  # 0 on psi's zeros
     log_s = logmod_psi - r * char_phi.logmod[keep]

@@ -241,6 +241,7 @@ class PureState:
     amplitudes: np.ndarray  # (dim,) complex
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", as_index(self.dim, "dim"))
         amp = np.array(self.amplitudes, dtype=complex)  # a copy: made read-only below
         if amp.shape != (self.dim,):
             raise NotAState(f"expected {self.dim} amplitudes, got shape {amp.shape}")
@@ -381,19 +382,23 @@ def build_group(mult_table, name: str | None = None) -> FiniteGroup:
     return FiniteGroup(order=n, mult=mult, identity=e, inv=_frozen(inv), name=name)
 
 
-def as_index(x, name: str) -> int:
-    """x as an int; DomainError for an argument that must be an integer and
-    is not (5.0, 2.7, True, "1")."""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return int(x)
-    raise DomainError(f"{name} must be an integer, got {x!r}")
+def as_index(x, name: str, lo=-math.inf, hi=math.inf, ends: str = "[)") -> int:
+    """x as an int; DomainError unless x is an integer (not 5.0, 2.7, True or
+    "1") in its domain, checked by `as_real`."""
+    if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+        raise DomainError(f"{name} must be an integer, got {x!r}")
+    return int(as_real(x, name, lo, hi, ends))
 
 
-def as_real(x, name: str):
-    """x; DomainError for an argument that must be a real number and is not (True, "1")."""
-    if isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool):
-        return x
-    raise DomainError(f"{name} must be a real number, got {x!r}")
+def as_real(x, name: str, lo, hi, ends: str = "[)"):
+    """x; DomainError unless x is a real number (not True or "1") in its domain,
+    lo to hi with ends "[)", "()", "[]" or "(]" (nan is in none), with the one
+    message "<name> must be in [lo, hi), got <x>"."""
+    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
+        raise DomainError(f"{name} must be a real number, got {x!r}")
+    if not ((lo <= x if ends[0] == "[" else lo < x) and (x <= hi if ends[1] == "]" else x < hi)):
+        raise DomainError(f"{name} must be in {ends[0]}{lo}, {hi}{ends[1]}, got {x}")
+    return x
 
 
 def _right_generators(mult: np.ndarray, e: int) -> list[int]:
@@ -710,12 +715,8 @@ def is_subgroup(group: FiniteGroup, elements) -> bool:
     (a power of it), so nothing else is needed; the empty set is not a subgroup.
     DomainError for an element that is not an integer index into the group.
     """
-    S = [as_index(s, "element index") for s in elements]
     n = group.order
-    bad = [s for s in S if not 0 <= s < n]
-    if bad:
-        raise DomainError(f"element index {bad[0]} out of range [0, {n})")
-    S = np.array(S, dtype=np.intp)
+    S = np.array([as_index(s, "element index", 0, n) for s in elements], dtype=np.intp)
     member = np.zeros(n, dtype=bool)
     member[S] = True
     return bool(member[group.identity] and member[group.mult[S[:, None], S]].all())

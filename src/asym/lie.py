@@ -1,6 +1,8 @@
 """Lie-group side: SLD quantum Fisher information matrices from Hermitian
 generators, the matrix-pencil ratio r_F, the impossibility certificate for
-approximate conversion, and the second-order expansion diagnostic.
+approximate conversion, and the second-order expansion diagnostic. The
+certificate's domain is checked once, by `_certificate_domain`, for
+`converse_certificate` and `asym rf` alike, before any eigensolver.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotAState, SelfCheckFailed
-from .groups import PureState, as_real
+from .groups import PureState, as_index, as_real
 from .tolerances import (
     TOL_CLIP_T,
     TOL_DENSITY,
@@ -30,6 +32,7 @@ class GeneratorSet:
     generators: np.ndarray  # (m, d, d) complex Hermitian
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", as_index(self.dim, "dim"))
         gens = np.array(self.generators, dtype=complex)  # a copy: made read-only below
         if gens.ndim != 3 or gens.shape[1:] != (self.dim, self.dim):
             raise DimensionMismatch(
@@ -212,8 +215,7 @@ def _pencil_direction(F_psi: np.ndarray, F_phi: np.ndarray, r_f: float) -> np.nd
 
 def g_function(x: float) -> float:
     """x^{x/(1-x)} - x^{1/(1-x)} on [0, 1), with the limit value 1 at x = 0."""
-    if not 0.0 <= as_real(x, "x") < 1.0:
-        raise DomainError(f"g is defined on [0, 1), got {x}")
+    as_real(x, "x", 0, 1)
     if x == 0.0:
         return 1.0
     lx = math.log(x)
@@ -227,8 +229,7 @@ def converse_certificate(F_psi, F_phi, r: float, delta: float):
     forms T = (v F_psi v) / (r v F_phi v) in [0, 1), and certifies
     impossibility iff g(T) strictly exceeds 4 sqrt(delta). Returns
     (impossible, witness_direction, T); r and delta are checked first."""
-    _check_rate(r)
-    _check_delta(delta)
+    _certificate_domain(delta, r)
     return _certificate(rf_ratio(F_psi, F_phi), F_psi, F_phi, r, delta)
 
 
@@ -243,16 +244,11 @@ def _certificate(rf: RfResult, F_psi, F_phi, r: float, delta: float):
     return impossible, v, T
 
 
-def _check_rate(r: float) -> None:
-    """DomainError unless the rate r of a certificate is a finite number > 0."""
-    if not 0 < as_real(r, "rate") < math.inf:
-        raise DomainError(f"rate must be positive and finite, got {r}")
-
-
-def _check_delta(delta: float) -> None:
-    """DomainError unless the error delta of a certificate is a finite number >= 0."""
-    if not 0 <= as_real(delta, "error") < math.inf:
-        raise DomainError(f"error must be nonnegative and finite, got {delta}")
+def _certificate_domain(delta: float, *rates: float) -> None:
+    """DomainError unless each rate is in (0, inf) and the error delta in [0, inf)."""
+    for r in rates:
+        as_real(r, "rate", 0, math.inf, "()")
+    as_real(delta, "error", 0, math.inf)
 
 
 def clt_diagnostic(state: PureState, gens: GeneratorSet, theta_grid) -> float:

@@ -19,7 +19,7 @@ def subgroup_closure(group, seed) -> frozenset[int]:
     n = group.order
     for s in seed:
         if not 0 <= int(s) < n:
-            raise DomainError(f"element index {s} out of range [0, {n})")
+            raise DomainError(f"element index must be in [0, {n}), got {s}")
     closed = {group.identity}
     frontier = list(set(int(s) for s in seed))
     closed.update(group.inv[g] for g in frontier)
@@ -34,6 +34,13 @@ def subgroup_closure(group, seed) -> frozenset[int]:
                     closed.add(c)
                     changed = True
     return frozenset(closed)
+
+
+def dense_gram(group, values) -> np.ndarray:
+    """The ascending spectrum of the Hermitian part of the Gram matrix
+    M[g, h] = f(g^-1 h) of f = values (n,), by one dense n x n eigvalsh."""
+    M = values[group.mult[group.inv, :]]
+    return np.linalg.eigvalsh((M + M.conj().T) / 2.0)
 
 
 def one_row(psi, phi, N, M) -> tuple[np.ndarray, np.ndarray]:

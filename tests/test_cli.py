@@ -478,10 +478,10 @@ def test_cli_reads_a_negative_number_in_exponent_form_as_a_value(
 @pytest.mark.parametrize(
     "extra, message",
     [
-        (["--rate", "nan"], "rate must be positive and finite, got nan"),
-        (["--rate", "-1"], "rate must be positive and finite, got -1.0"),
-        (["--rate", "inf", "--delta", "0.5"], "rate must be positive and finite, got inf"),
-        (["--delta", "nan"], "error must be nonnegative and finite, got nan"),
+        (["--rate", "nan"], "rate must be in (0, inf), got nan"),
+        (["--rate", "-1"], "rate must be in (0, inf), got -1.0"),
+        (["--rate", "inf", "--delta", "0.5"], "rate must be in (0, inf), got inf"),
+        (["--delta", "nan"], "error must be in [0, inf), got nan"),
     ],
     ids=["rate-nan", "rate-negative", "rate-inf", "delta-nan"],
 )

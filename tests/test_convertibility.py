@@ -38,7 +38,8 @@ from asym.convertibility import (
 )
 from corpus import (BUILT, GROUP_NAMES, built_group, concentrated_type, gauged_rep, positive_type,
                     random_state, regular_rep)
-from reference import fourier_blocks, hermitian_block, interpolator, irrep_matrix, k_rows, one_row
+from reference import dense_gram, fourier_blocks, hermitian_block, interpolator, irrep_matrix, k_rows
+from reference import one_row
 from asym.errors import DimensionMismatch, DomainError, NotHermitian
 from asym.groups import PureState, block_pairs, label_group
 from asym.tolerances import TOL_FLOOR, TOL_HERM, TOL_PSD
@@ -76,12 +77,7 @@ def test_interpolator_zero_set_violation(z2):
 def test_gram_matrix_matches_brute_force(z3, rng):
     vals = np.array([1.0, 0.4 + 0.2j, 0.4 - 0.2j])
     res = is_positive_definite(z3, vals)
-    # oracle: explicit double loop over M[g, h] = f(g^-1 h)
-    M = np.array(
-        [[vals[z3.mult[z3.inv[g], h]] for h in range(3)] for g in range(3)]
-    )
-    expect = np.linalg.eigvalsh((M + M.conj().T) / 2).min()
-    assert res.min_gram_eigenvalue == pytest.approx(expect, abs=1e-14)
+    assert res.min_gram_eigenvalue == pytest.approx(dense_gram(z3, vals)[0], abs=1e-14)
     assert res.feasible
 
 
@@ -215,22 +211,18 @@ def test_minimal_copies_at_a_huge_rate_is_an_error_without_warnings(z2):
 # ------------------------------------- block-spectral oracle vs the dense Gram
 
 
-def dense_gram(group, values):
-    """Reference oracle: eigvalsh of the full n x n Gram matrix M[g, h] = f(g^-1 h)
-    of f = values.
-
-    Returns (hermitian, min_eig, feasible, modulus_witness); min_eig and
-    feasible are None when M is not Hermitian.
-    """
-    n = group.order
-    M = values[group.mult[group.inv, :]]
-    herm_dev = float(np.abs(M - M.conj().T).max())
+def dense_verdict(group, values):
+    """The Gram rule read off `reference.dense_gram`: (hermitian, min_eig,
+    feasible, modulus_witness) of f = values; min_eig and feasible are None
+    when M[g, h] = f(g^-1 h) is not Hermitian, M - M^+ taking the values
+    f(k) - conj f(k^-1)."""
+    herm_dev = float(np.abs(values - values[group.inv].conj()).max())
     scale = max(1.0, float(np.abs(values).max()))
     witness = minor_witness(group, values)
     if herm_dev > TOL_HERM * scale:
         return False, None, None, witness
-    min_eig = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
-    return True, min_eig, min_eig >= -TOL_PSD * n, witness
+    min_eig = float(dense_gram(group, values)[0])
+    return True, min_eig, min_eig >= -TOL_PSD * group.order, witness
 
 
 def minor_witness(group, values):
@@ -263,7 +255,7 @@ def irreps_by_dim(group):
 
 
 def assert_matches_dense(values, group):
-    hermitian, min_eig, feasible, witness = dense_gram(group, values)
+    hermitian, min_eig, feasible, witness = dense_verdict(group, values)
     if not hermitian:
         with pytest.raises(NotHermitian):
             is_positive_definite(group, values)
@@ -285,7 +277,7 @@ def test_block_oracle_matches_dense_gram(name):
         assert assert_matches_dense(positive_type(group, rng), group) >= -1e-10 * n
         # shift the spectrum so the minimum sits at 0.5 and 2 tolerances below 0
         f = random_hermitian(group, rng)
-        lam = dense_gram(group, f)[1]
+        lam = dense_verdict(group, f)[1]
         for t, want in ((0.5, True), (2.0, False)):
             g = f.copy()
             g[e] -= lam + t * TOL_PSD * n
@@ -295,7 +287,7 @@ def test_block_oracle_matches_dense_gram(name):
     f = positive_type(group, rng)
     if n > 1:
         f[(e + 1) % n] += 1e-3j
-        assert not dense_gram(group, f)[0]
+        assert not dense_verdict(group, f)[0]
         assert_matches_dense(f, group)
 
 
@@ -498,7 +490,7 @@ def test_real_transform_matches_the_fourier_blocks_and_the_dense_gram_spectrum(
         np.repeat(np.linalg.eigvalsh(hermitian_block(C)).ravel(), d)
         for (d, _), C in zip(basis.dims, blocks)
     ]))
-    dense = np.linalg.eigvalsh(f[group.mult[group.inv, :]])
+    dense = dense_gram(group, f)
     tol = 1e-10 * n * max(1.0, np.abs(f).max())
     assert np.abs(spectrum - dense).max() <= tol
     assert abs(min(b.min() for b in _block_mins(group, coords[None])) - dense[0]) <= tol

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asym import io, named_group
+from asym import GeneratorSet, io, named_group
 from asym.errors import ValidationError
+from asym.groups import PureState
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -141,3 +142,16 @@ def test_hashing_path_records_the_digest_of_the_bytes_parsed(tmp_path):
     assert source.sha256 == hashlib.sha256(ENCODINGS["crlf"]).hexdigest()
     assert (str(source), os.fspath(source), os.path.getsize(source)) == (
         str(path), str(path), len(ENCODINGS["crlf"]))
+
+
+def test_a_numpy_integer_dim_is_stored_as_an_int_and_round_trips(tmp_path):
+    # a state keeps dim as a Python int, so save_state writes a JSON integer
+    # that load_state accepts
+    state = PureState(np.int64(2), np.array([0.6, 0.8]))
+    gens = GeneratorSet(np.int64(2), np.zeros((1, 2, 2)))
+    assert type(state.dim) is int and type(gens.dim) is int
+    io.save_state(tmp_path / "state.json", state)
+    io.save_generators(tmp_path / "gens.json", gens)
+    assert json.loads((tmp_path / "state.json").read_text())["dim"] == 2
+    assert io.load_state(tmp_path / "state.json").amplitudes.tolist() == [0.6, 0.8]
+    assert io.load_generators(tmp_path / "gens.json").dim == 2

@@ -363,10 +363,6 @@ def test_g_function_values():
     assert g_function(0.0) == 1.0
     assert g_function(0.5) == pytest.approx(0.25, abs=1e-15)
     assert g_function(1e-9) == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(DomainError):
-        g_function(1.0)
-    with pytest.raises(DomainError):
-        g_function(-0.1)
 
 
 def test_g_function_monotone_decreasing():

@@ -1,9 +1,11 @@
 """Each refusal of the library, called directly: the call, the typed error it
 raises and its whole message, one row of `LIBRARY_REFUSALS` each. A change
 to a refusal edits its row here; the refusals of an `asym` call are rows of
-`CONTRACT` in tests/test_cli.py. A check that a row cannot hold (an
-eigensolver count, a warning, a witness field, a drawn input) stays in the
-test of its module."""
+`CONTRACT` in tests/test_cli.py. The rows of an argument outside its domain
+(a rate, an error, `n_max`, an element index) come from `DOMAIN_CALLS`, and
+each also checks that `groups.as_real` or `groups.as_index` raised it. A
+check that a row cannot hold (an eigensolver count, a warning, a witness
+field, a drawn input) stays in the test of its module."""
 
 import math
 
@@ -54,7 +56,7 @@ from asym.errors import (
     SymNotSubgroup,
     UnknownGroupName,
 )
-from asym.groups import ProjectiveRep, PureState
+from asym.groups import ProjectiveRep, PureState, as_index, as_real
 from asym.lie import pure_density, symmetrized_covariance
 from corpus import SPIN_HALF, corpus_rep, pauli_rep, random_state
 
@@ -159,6 +161,61 @@ ILL_TYPED_CALLS = {
                                    "error must be a real number"),
     "g_function-x": (lambda v: g_function(v), "x must be a real number"),
 }
+
+
+def gated(call):
+    """call, checked to raise its DomainError in `as_real` or `as_index`, the
+    innermost frame."""
+    def run():
+        try:
+            call()
+        except DomainError as exc:
+            tb = exc.__traceback__
+            while tb.tb_next:
+                tb = tb.tb_next
+            assert tb.tb_frame.f_code.co_name in ("as_real", "as_index"), tb.tb_frame.f_code.co_name
+            raise
+    return run
+
+
+def outside(gate, domain, *extra):
+    """The values that a gate refuses on domain, written "[lo, hi)" and the
+    like: each open bound, one step past each closed bound, nan, inf, -inf
+    and extra; an integer argument takes integer bounds and steps."""
+    lo, hi = (float(b) for b in domain[1:-1].split(", "))
+    if gate is as_index:
+        lo, hi, below, above = int(lo), int(hi), int(lo) - 1, int(hi) + 1
+    else:
+        below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    ends = (lo if domain[0] == "(" else below, hi if domain[-1] == ")" else above)
+    return list(dict.fromkeys([*ends, math.nan, math.inf, -math.inf, *extra]))
+
+
+def domain_message(gate, name, domain, value):
+    """The one message of a gate: a value that is not an integer, for as_index,
+    is refused as such, any other value outside the domain as outside it."""
+    if gate is as_index and not isinstance(value, int):
+        return f"{name} must be an integer, got {value!r}"
+    return f"{name} must be in {domain}, got {value}"
+
+
+# row-id prefix -> (the call with value as one argument, its gate, the argument's
+# name and domain, values besides those `outside` gives); each row checks the
+# class, the whole message and that a gate raised it
+DOMAIN_CALLS = {
+    "copies-bound-at-rate": (lambda v: copies_bound(C6, C8, v), as_real, "rate", "(0, inf)", -0.5),
+    "min-copies-at-rate": (lambda v: minimal_copies_search(C6, C8, v, 8), as_real, "rate", "[0, inf)",
+                           -1.0),
+    "min-copies-n-max": (lambda v: minimal_copies_search(C6, C6, 1.0, v), as_index, "n_max",
+                         "[1, 10000]", 10**5),
+    "certificate-at-rate": (lambda v: converse_certificate(GOOD, np.diag([1.0, 2.0]), r=v, delta=0.0),
+                            as_real, "rate", "(0, inf)"),
+    "certificate-at-error": (lambda v: converse_certificate(GOOD, np.diag([1.0, 2.0]), r=2.0, delta=v),
+                             as_real, "error", "[0, inf)", -1e-3),
+    "g_function-x": (g_function, as_real, "x", "[0, 1)", -0.1),
+    "element-index": (lambda v: resource_measure_L(C5, v), as_index, "element index", "[0, 2)"),
+    "subgroup-element": (lambda v: groups.is_subgroup(Z4, {0, v}), as_index, "element index", "[0, 4)"),
+}
 ONE_COPY_NUMBER = ["char_power-N", "feasible_exact-N", "feasible_exact-M", "fourier_weights-N",
                    "fourier_weights-M"]
 
@@ -185,8 +242,6 @@ LIBRARY_REFUSALS = {
         NotUnitary, "matrix for element 1 is not unitary (max deviation 1.000e+00)"),
     "rep-zero-dimensional": (lambda: validate_projective_rep(Z4, np.zeros((4, 0, 0))),
                              DimensionMismatch, "expected 4 square matrices, got shape (4, 0, 0)"),
-    **{f"subgroup-element-{s}": (lambda s=s: groups.is_subgroup(Z4, {0, s}), DomainError,
-                                 f"element index {s} out of range [0, 4)") for s in (4, -1)},
     # np.fromiter used to truncate 2.7 to 2, and {0, 2} is a subgroup of Z_4
     "subgroup-element-2.7": (lambda: groups.is_subgroup(Z4, [0, 2.7]),
                              DomainError, "element index must be an integer, got 2.7"),
@@ -194,6 +249,10 @@ LIBRARY_REFUSALS = {
                    "state norm 1.4142135623730951 deviates from 1 beyond tolerance"),
     "amplitudes-of-the-wrong-shape": (lambda: PureState(2, np.array([1.0, 0.0, 0.0])),
                                       NotAState, "expected 2 amplitudes, got shape (3,)"),
+    # a float or bool dim was kept, and io.save_state wrote "dim": 2.0, a file
+    # that io.load_state refuses
+    **{f"state-dim-{dim}": (lambda dim=dim: PureState(dim, np.array([1.0, 0.0])), DomainError,
+                            f"dim must be an integer, got {dim!r}") for dim in (2.0, True)},
     # ---- charfn
     "values-of-the-wrong-length": (lambda: char_from_values(Z4, [1.0, 0.0, 0.0]),
                                    DimensionMismatch, "expected 4 values, got shape (3,)"),
@@ -204,8 +263,6 @@ LIBRARY_REFUSALS = {
     # would settle every row feasible
     "chi-not-hermitian": (lambda: char_from_values(Z3, [1.0, *[0.1 * np.exp(0.3j)] * 2]),
                           NotHermitian, "chi(g^-1) deviates from conj chi(g) by 5.910e-02"),
-    "element-index-out-of-range": (lambda: resource_measure_L(C5, 2),
-                                   DomainError, "element index 2 out of range"),
     # 1.5 used to raise an IndexError from the array lookup
     "element-index-not-an-integer": (lambda: resource_measure_L(C6, 1.5),
                                      DomainError, "element index must be an integer, got 1.5"),
@@ -214,6 +271,13 @@ LIBRARY_REFUSALS = {
     # x given as a string raised a bare TypeError from a comparison
     **{f"{c}-{v}": (lambda call=call, value=value: call(value), DomainError, f"{head}, got {value!r}")
        for c, (call, head) in ILL_TYPED_CALLS.items() for v, value in NO_NUMBERS.items()},
+    # min-copies at rate -1 used to blame a copy number, "got (5, -5)", at inf it
+    # raised OverflowError and at nan a bare ValueError from math.floor; a NaN
+    # certificate rate used to skip the certificate and report "not impossible"
+    **{f"{c}-{value}": (gated(lambda call=call, value=value: call(value)), DomainError,
+                        domain_message(gate, name, domain, value))
+       for c, (call, gate, name, domain, *extra) in DOMAIN_CALLS.items()
+       for value in outside(gate, domain, *extra)},
     # a list or array as one copy number raised a TypeError or a broadcast ValueError
     **{f"{c}-{v}": (lambda call=ILL_TYPED_CALLS[c][0], value=value: call(value), DomainError,
                     f"{COPY_NUMBER}, got {value!r}")
@@ -230,14 +294,11 @@ LIBRARY_REFUSALS = {
     # ---- exact_rate
     "rate-on-two-groups": (lambda: exact_rate(C5, char_from_values(Z3, [1.0, 0.5, 0.5])),
                            GroupMismatch, "characteristic functions live on different groups"),
+    # a rate outside (0, inf) is a DomainError, a row of DOMAIN_CALLS (nan
+    # used to return 1, a promise of feasibility from one copy)
     **{f"copies-bound-at-rate-{r}": (lambda r=r: copies_bound(C6, C6, r), RateNotBelowOptimal,
                                      message)
-       for r, message in ((1.0, "s = 1 >= 1 at rate 1.0"), (1.3, "s = 1.16561 >= 1 at rate 1.3"),
-                          (-0.5, "rate must be positive and finite, got -0.5"))},
-    # nan used to return 1, a promise of feasibility from one copy
-    **{f"copies-bound-at-rate-{r}": (lambda r=r: copies_bound(C6, C8, r), RateNotBelowOptimal,
-                                     f"rate must be positive and finite, got {r}")
-       for r in (math.nan, math.inf, -math.inf)},
+       for r, message in ((1.0, "s = 1 >= 1 at rate 1.0"), (1.3, "s = 1.16561 >= 1 at rate 1.3"))},
     # ---- convertibility
     # the Hermitian Gram matrix needs f(g^-1) = conj f(g); 0.9 != 0.5 breaks it,
     # and no minimum eigenvalue is computed, so no NaN can pass as a verdict
@@ -245,21 +306,12 @@ LIBRARY_REFUSALS = {
                                          NotHermitian, "f(g^-1) deviates from conj f(g) by 4.000e-01"),
     **{f"gram-of-a-function-with-{bad}": (
         lambda bad=bad: is_positive_definite(Z3, np.array([1.0, bad, bad])),
-        NotHermitian, "f(g^-1) deviates from conj f(g) by nan") for bad in (np.nan, np.inf)},
+        NotHermitian, f"f(1) = {bad} is not finite") for bad in (np.nan, np.inf)},
     **{f"{name}-beyond-a-float-{case}": (lambda call=call, N=N, M=M: call(N, M), DomainError, message)
        for name, call in COPY_CALLS.items() for case, (N, M, message) in BEYOND_A_FLOAT.items()},
-    **{f"min-copies-n-max-{n}": (lambda n=n: minimal_copies_search(C6, C6, 1.0, n), DomainError,
-                                 f"n_max must be in [1, 10000], got {n}") for n in (0, 10**5)},
     # 5.0 used to raise a TypeError from range
     "min-copies-n-max-5.0": (lambda: minimal_copies_search(C6, C6, 1.0, 5.0),
                              DomainError, "n_max must be an integer, got 5.0"),
-    # -1 used to blame a copy number, "got (5, -5)"; inf raised OverflowError and
-    # nan a bare ValueError from math.floor
-    "min-copies-at-rate--1.0": (lambda: minimal_copies_search(C6, C6, -1.0, 8),
-                                DomainError, "rate must be a finite number >= 0, got -1.0"),
-    **{f"min-copies-at-rate-{r}": (lambda r=r: minimal_copies_search(C6, C8, r, 8), DomainError,
-                                   f"rate must be a finite number >= 0, got {r}")
-       for r in (math.nan, math.inf, -math.inf)},
     # ---- abelian
     "abelian-basis-of-s3": (lambda: abelian_basis(named_group("S_3")),
                             NotAbelian, "multiplication table is not symmetric"),
@@ -300,6 +352,8 @@ LIBRARY_REFUSALS = {
         DomainError, "generators deviate from Hermitian by 1.000e+00"),
     "generators-of-another-dimension": (lambda: GeneratorSet(3, np.zeros((1, 2, 2))),
                                         DimensionMismatch, "expected (m, 3, 3) generators, got (1, 2, 2)"),
+    "generators-dim-2.0": (lambda: GeneratorSet(2.0, SPIN_HALF), DomainError,
+                           "dim must be an integer, got 2.0"),
     "density-matrix-not-square": (lambda: qfim(np.full((2, 3), 0.5), SPIN),
                                   NotAState, "density matrix must be square, got (2, 3)"),
     "density-matrix-trace-two": (lambda: qfim(np.eye(2), SPIN), NotAState, "trace is (2+0j)"),
@@ -314,14 +368,6 @@ LIBRARY_REFUSALS = {
     **{f"{name}-{case}": (lambda call=call, a=a, b=b: call(a, b), error, message)
        for case, (a, b, error, message) in REJECTED_PENCILS.items()
        for name, call in PENCIL_CALLS.items()},
-    # a NaN rate used to skip the certificate and report "not impossible"
-    **{f"certificate-at-rate-{r}": (
-        lambda r=r: converse_certificate(GOOD, np.diag([1.0, 2.0]), r=r, delta=0.0),
-        DomainError, f"rate must be positive and finite, got {r}") for r in (0.0, math.nan, math.inf)},
-    **{f"certificate-at-error-{delta}": (
-        lambda delta=delta: converse_certificate(GOOD, np.diag([1.0, 2.0]), r=2.0, delta=delta),
-        DomainError, f"error must be nonnegative and finite, got {delta}")
-       for delta in (-1e-3, math.nan, math.inf)},
     # max(0.0, nan) keeps 0.0: a NaN theta once read as a perfect second-order fit
     **{f"clt-theta-{bad}": (
         lambda bad=bad: clt_diagnostic(STATE, SPIN, theta_grid(bad)),
